@@ -38,10 +38,9 @@ def _money(value) -> Decimal:
 
 @dataclass(frozen=True)
 class BacktestConfig:
-    """Capital per leg and the evaluation window."""
+    """Capital per leg."""
 
     capital_per_leg: Decimal = DEFAULT_CAPITAL
-    test_window: tuple[date, date] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "capital_per_leg", _money(self.capital_per_leg))

@@ -18,6 +18,7 @@ import logging
 import os
 import shutil
 import sys
+import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import date
@@ -182,21 +183,25 @@ def _json_text(obj) -> str:
 
 @contextmanager
 def staged_dir(final: Path):
-    """Write into a staging directory, then rename it into place."""
+    """Write into a staging directory, then rename it into place.
+
+    Staging happens inside a unique sibling of ``final``, so concurrent or
+    nested runs never share a staging directory.  An existing ``final`` is
+    renamed aside into that sibling before the new tree is renamed in, and
+    removed with it afterwards, so ``final`` is never deleted in place.
+    """
     final = Path(final)
     final.parent.mkdir(parents=True, exist_ok=True)
-    staging = final.parent / (final.name + ".staging")
-    if staging.exists():
-        shutil.rmtree(staging)
-    staging.mkdir()
+    workdir = Path(tempfile.mkdtemp(prefix=final.name + ".staging-", dir=final.parent))
     try:
+        staging = workdir / "new"
+        staging.mkdir()
         yield staging
-    except BaseException:
-        shutil.rmtree(staging, ignore_errors=True)
-        raise
-    if final.exists():
-        shutil.rmtree(final)
-    os.replace(staging, final)
+        if final.exists():
+            os.replace(final, workdir / "old")
+        os.replace(staging, final)
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
 
 
 def _write_correlation_csv(matrix: CorrelationMatrix, path: Path) -> None:
@@ -247,7 +252,8 @@ def _fit_model(config: RunConfig, a: PriceSeries, b: PriceSeries) -> PairModel:
     b_train = slice_window(b, *config.train_window)
     a_train, b_train = intersect_series(a_train, b_train)
     predictor, target = order_pair(a_train, b_train)
-    return fit_pair(predictor, target, config.train_window)
+    return fit_pair(predictor, target, config.train_window,
+                    threshold=config.coint_threshold, near_eps=config.near_eps)
 
 
 # --- commands -----------------------------------------------------------------
@@ -340,12 +346,9 @@ def cmd_backtest(config: RunConfig, pair: str, sector: str | None = None) -> Pat
         upper=config.z_upper,
         lower=config.z_lower,
     )
-    ledger = run_ledger(frame, BacktestConfig(
-        capital_per_leg=config.capital_per_leg, test_window=config.test_window,
-    ))
-    summary = summarize_pair(ledger, BacktestConfig(
-        capital_per_leg=config.capital_per_leg, test_window=config.test_window,
-    ))
+    backtest_config = BacktestConfig(capital_per_leg=config.capital_per_leg)
+    ledger = run_ledger(frame, backtest_config)
+    summary = summarize_pair(ledger, backtest_config)
 
     out = (config.out_dir / sector_name / "pairs"
            / f"{asset1.ticker}-{asset2.ticker}" / "backtest")

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats
 
 from .errors import (
     AllZeroResiduals,
@@ -29,6 +28,44 @@ from .marketdata import AlignedPanel, PriceSeries, ReturnSeries, pct_change
 
 #: Minimum sample size for the omnibus kurtosis transform to be stable.
 OMNIBUS_MIN_N = 20
+
+
+# Distribution tails, each evaluated by the scipy.special ufunc that
+# scipy.stats calls for it, so every p-value is bit-identical to scipy.stats
+# without importing it.  scipy.special is imported on first use: of the CLI
+# commands only ``analyze`` computes a p-value.
+
+
+def _t_sf(x: float, df: int) -> float:
+    """Student's t upper tail, as ``scipy.stats.t.sf(x, df)``."""
+    import scipy.special
+
+    return float(scipy.special.stdtr(df, -x))
+
+
+def _t_ppf(q: float, df: int) -> float:
+    """Student's t quantile, as ``scipy.stats.t.ppf(q, df)`` for ``0 < q <= 1``.
+
+    At ``q == 0`` scipy.stats returns the support's lower end, ``-inf``,
+    where ``stdtrit`` returns ``+inf``; the reports only ask for ``q = 0.975``.
+    """
+    import scipy.special
+
+    return float(scipy.special.stdtrit(df, q))
+
+
+def _f_sf(x: float, dfn: int, dfd: int) -> float:
+    """F upper tail, as ``scipy.stats.f.sf(x, dfn, dfd)``."""
+    import scipy.special
+
+    return float(scipy.special.fdtrc(dfn, dfd, x))
+
+
+def _chi2_sf(x: float, df: int) -> float:
+    """Chi-square upper tail, as ``scipy.stats.chi2.sf(x, df)``."""
+    import scipy.special
+
+    return float(scipy.special.chdtrc(df, x))
 
 
 def _values(x) -> np.ndarray:
@@ -157,7 +194,7 @@ def durbin_watson(e) -> float:
 def jarque_bera_from_moments(n: int, skew: float, kurtosis: float) -> tuple[float, float]:
     """JB statistic ``n/6 * (S^2 + (K-3)^2 / 4)`` and its chi-square(2) p-value."""
     jb = n / 6.0 * (skew**2 + (kurtosis - 3.0) ** 2 / 4.0)
-    return jb, float(stats.chi2.sf(jb, 2))
+    return jb, _chi2_sf(jb, 2)
 
 
 def jarque_bera(e) -> JarqueBeraResult:
@@ -218,7 +255,7 @@ def omnibus_k2(e) -> OmnibusResult:
     z1 = _skew_z(skew, n)
     z2 = _kurtosis_z(kurt, n)
     k2 = z1**2 + z2**2
-    return OmnibusResult(statistic=k2, p_value=float(stats.chi2.sf(k2, 2)))
+    return OmnibusResult(statistic=k2, p_value=_chi2_sf(k2, 2))
 
 
 @dataclass(frozen=True)
@@ -287,7 +324,7 @@ class OlsOriginReport:
 
         df_resid = self.n_obs - 1
         if math.isfinite(self.t_stat):
-            half = stats.t.ppf(0.975, df_resid) * self.se_beta
+            half = _t_ppf(0.975, df_resid) * self.se_beta
             ci_low, ci_high = self.hedge_ratio - half, self.hedge_ratio + half
         else:
             ci_low = ci_high = self.hedge_ratio
@@ -379,9 +416,9 @@ def ols_through_origin(x, y) -> OlsOriginReport:
     if ssr > 0.0:
         se = math.sqrt((ssr / df_resid) / sxx)
         t_stat = beta / se
-        p_t = 2.0 * float(stats.t.sf(abs(t_stat), df_resid))
+        p_t = 2.0 * _t_sf(abs(t_stat), df_resid)
         f_stat = t_stat**2
-        p_f = float(stats.f.sf(f_stat, 1, df_resid))
+        p_f = _f_sf(f_stat, 1, df_resid)
         sigma2 = ssr / n
         loglik = -0.5 * n * (math.log(2.0 * math.pi) + math.log(sigma2) + 1.0)
         dw = durbin_watson(resid)

@@ -229,6 +229,8 @@ def fit_pair(
     target: PriceSeries,
     train: tuple[date, date],
     pair: SelectedPair | None = None,
+    threshold: float = DEFAULT_THRESHOLD,
+    near_eps: float = DEFAULT_NEAR_EPS,
 ) -> PairModel:
     """Fit the no-intercept pair model on the training window.
 
@@ -236,7 +238,9 @@ def fit_pair(
     ADF test (with constant) on its residuals.  The model is produced even
     when the residuals fail the stationarity check; the verdict is recorded.
     When ``pair`` is omitted, the Engle-Granger p-value is computed here to
-    fill in the selection record.
+    fill in the selection record, judged near the threshold as
+    ``select_pairs`` would judge it with the same ``threshold`` and
+    ``near_eps``.
     """
     pred_w = slice_window(predictor, *train)
     targ_w = slice_window(target, *train)
@@ -258,9 +262,7 @@ def fit_pair(
             predictor_ticker=predictor.ticker,
             target_ticker=target.ticker,
             coint_p=coint_p,
-            near_threshold=(
-                DEFAULT_THRESHOLD <= coint_p < DEFAULT_THRESHOLD + DEFAULT_NEAR_EPS
-            ),
+            near_threshold=threshold <= coint_p < threshold + near_eps,
         )
 
     residuals = np.asarray(report.residuals)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from decimal import Decimal
 from pathlib import Path
 
@@ -6,7 +9,7 @@ import numpy as np
 import pytest
 
 from pairtrader.backtest import PairSummary, ledger_rows_from_csv
-from pairtrader.cli import RunConfig, main
+from pairtrader.cli import RunConfig, main, staged_dir
 from pairtrader.pairscan import PValueMatrix
 from pairtrader.signalgen import TradingFrame
 from pairtrader.synthetic import PAIR_TICKERS
@@ -303,3 +306,69 @@ class TestConfigSurface:
         assert config.train_window[1] < config.test_window[0]
         assert config.z_lower < 0 < config.z_upper
         assert config.coint_threshold == 0.05
+
+
+class TestStagedDir:
+    def test_nested_contexts_on_one_final(self, tmp_path):
+        final = tmp_path / "out"
+        with staged_dir(final) as outer:
+            (outer / "a.txt").write_text("outer")
+            with staged_dir(final) as inner:
+                (inner / "a.txt").write_text("inner")
+            (outer / "b.txt").write_text("outer")
+        assert sorted(p.name for p in final.iterdir()) == ["a.txt", "b.txt"]
+        assert (final / "a.txt").read_text() == "outer"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_failed_write_keeps_previous_tree(self, tmp_path):
+        final = tmp_path / "out"
+        with staged_dir(final) as staging:
+            (staging / "a.txt").write_text("first")
+        with pytest.raises(RuntimeError):
+            with staged_dir(final) as staging:
+                (staging / "a.txt").write_text("second")
+                raise RuntimeError("interrupted")
+        assert (final / "a.txt").read_text() == "first"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+
+
+def scipy_modules_after(code):
+    """Names of the scipy modules loaded after ``code`` runs in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    probe = code + (
+        "\nimport json, sys\n"
+        "print(json.dumps(sorted(m for m in sys.modules"
+        " if m == 'scipy' or m.startswith('scipy.'))))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestImportCost:
+    def test_cli_import_loads_no_scipy(self):
+        assert scipy_modules_after("import pairtrader.cli") == []
+
+    def test_scan_backtest_report_load_no_scipy(self, synth_dir, tmp_path):
+        config, out = synth_dir / "config.json", tmp_path / "run"
+        loaded = scipy_modules_after(
+            "from pairtrader.cli import main\n"
+            f"common = ['--config', {str(config)!r}, '--out', {str(out)!r}]\n"
+            "assert main(['scan', '--sector', 'metals', *common]) == 0\n"
+            "assert main(['backtest', '--pair', 'COBALT,IRON', '--svg', *common]) == 0\n"
+            "assert main(['report', *common]) == 0\n"
+        )
+        assert loaded == []
+
+    def test_analyze_loads_special_not_stats(self, synth_dir, tmp_path):
+        config, out = synth_dir / "config.json", tmp_path / "run"
+        loaded = scipy_modules_after(
+            "from pairtrader.cli import main\n"
+            f"assert main(['analyze', '--pair', 'COBALT,IRON', '--config', {str(config)!r},"
+            f" '--out', {str(out)!r}]) == 0\n"
+        )
+        assert "scipy.special" in loaded
+        assert not [m for m in loaded if m == "scipy.stats" or m.startswith("scipy.stats.")]

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -7,6 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairtrader.econometrics import (
+    _chi2_sf,
+    _f_sf,
+    _t_ppf,
+    _t_sf,
     correlation_matrix,
     durbin_watson,
     jarque_bera,
@@ -345,3 +350,30 @@ class TestOmnibus:
     def test_zero_variance(self):
         with pytest.raises(ZeroVariance):
             omnibus_k2([1.0] * 25)
+
+
+# Statistics from 0 through subnormal, ordinary and huge values to inf.
+TAIL_STATS = (0.0, 5e-324, 1e-300, 1e-12, 0.5, 1.96, 3.5, 40.0, 1e4, 1e150, 1.7e308, math.inf)
+# Quantile levels; q = 0 is outside ``_t_ppf``'s documented domain.
+TAIL_LEVELS = (5e-324, 1e-300, 1e-12, 0.025, 0.5, 0.975, 1.0 - 1e-12, 1.0)
+TAILS = {
+    "t.sf": (_t_sf, scipy.stats.t.sf, TAIL_STATS + tuple(-x for x in TAIL_STATS)),
+    "t.ppf": (_t_ppf, scipy.stats.t.ppf, TAIL_LEVELS),
+    "f.sf": (lambda x, d: _f_sf(x, 1, d), lambda x, d: scipy.stats.f.sf(x, 1, d), TAIL_STATS),
+    "chi2.sf": (_chi2_sf, scipy.stats.chi2.sf, TAIL_STATS),
+}
+
+
+@pytest.mark.parametrize(
+    "tail, df",
+    [(tail, d) for tail in ("t.sf", "t.ppf", "f.sf") for d in (1, 4, 19, 99, 782, 3749)]
+    + [("chi2.sf", 2)],
+)
+def test_tail_bits_match_scipy_stats(tail, df):
+    mine, reference, points = TAILS[tail]
+    mismatches = [
+        (x, mine(x, df), float(reference(x, df)))
+        for x in points
+        if struct.pack("<d", mine(x, df)) != struct.pack("<d", float(reference(x, df)))
+    ]
+    assert mismatches == []

@@ -197,6 +197,20 @@ class TestFitPair:
             "stationary at 1%", "stationary at 5%", "stationary at 10%", "not stationary",
         )
 
+    def test_near_threshold_judged_against_given_threshold(self):
+        rng = np.random.default_rng(7)
+        base = np.abs(np.cumsum(rng.normal(size=200))) + 100.0
+        drift = 0.3 * np.cumsum(rng.normal(0, 0.3, size=200)) + rng.normal(0, 1, 200)
+        predictor = make_series("P", base)
+        target = make_series("T", 2.0 * base + drift)
+        window = self.window(predictor)
+        default = fit_pair(predictor, target, window)
+        assert 0.05 <= default.pair.coint_p < 0.07
+        assert default.pair.near_threshold is True
+        strict = fit_pair(predictor, target, window, threshold=0.01, near_eps=0.0)
+        assert strict.pair.coint_p == default.pair.coint_p
+        assert strict.pair.near_threshold is False
+
     def test_too_few_training_dates(self):
         predictor = make_series("P", range(10, 30))
         target = make_series("T", range(20, 40))
