@@ -247,13 +247,18 @@ def _find_pair(config: RunConfig, pair: str, sector: str | None):
     raise ConfigError(f"tickers {names[0]!r} and {names[1]!r} are not in the same sector")
 
 
-def _fit_model(config: RunConfig, a: PriceSeries, b: PriceSeries) -> PairModel:
+def _fit_model(config: RunConfig, a: PriceSeries, b: PriceSeries) -> tuple[str, str, PairModel]:
+    """Order the pair on its training window and fit its model.
+
+    Returns the predictor and target tickers with the model.  No
+    Engle-Granger test runs: no artifact records a p-value.
+    """
     a_train = slice_window(a, *config.train_window)
     b_train = slice_window(b, *config.train_window)
     a_train, b_train = intersect_series(a_train, b_train)
     predictor, target = order_pair(a_train, b_train)
-    return fit_pair(predictor, target, config.train_window,
-                    threshold=config.coint_threshold, near_eps=config.near_eps)
+    model = fit_pair(predictor, target, config.train_window, coint_test=False)
+    return predictor.ticker, target.ticker, model
 
 
 # --- commands -----------------------------------------------------------------
@@ -292,9 +297,8 @@ def cmd_scan(config: RunConfig, sector: str) -> Path:
 def cmd_analyze(config: RunConfig, pair: str, sector: str | None = None) -> Path:
     """Hedge-ratio regression report and residual stationarity check."""
     sector_name, a, b = _find_pair(config, pair, sector)
-    model = _fit_model(config, a, b)
+    pred, targ, model = _fit_model(config, a, b)
 
-    pred, targ = model.pair.predictor_ticker, model.pair.target_ticker
     out = config.out_dir / sector_name / "pairs" / f"{pred}-{targ}" / "analysis"
     with staged_dir(out) as staging:
         (staging / "ols_summary.txt").write_text(

@@ -24,7 +24,7 @@ from .errors import (
     SeriesTooShort,
     ZeroVariance,
 )
-from .marketdata import AlignedPanel, PriceSeries, ReturnSeries, pct_change
+from .marketdata import AlignedPanel, PriceSeries, ReturnSeries
 
 #: Minimum sample size for the omnibus kurtosis transform to be stable.
 OMNIBUS_MIN_N = 20
@@ -92,12 +92,20 @@ def pearson_correlation(a, b) -> float:
         raise LengthMismatch(f"lengths {x.size} vs {y.size}")
     if x.size < 3:
         raise SeriesTooShort(f"need >= 3 observations, have {x.size}")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sxx = float(dx @ dx)
-    syy = float(dy @ dy)
+    dx, sxx = _deviations(x)
+    dy, syy = _deviations(y)
     if sxx == 0.0 or syy == 0.0:
         raise ZeroVariance("correlation undefined for a constant series")
+    return _correlation(dx, sxx, dy, syy)
+
+
+def _deviations(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """Deviations from the mean and their sum of squares."""
+    dx = x - x.mean()
+    return dx, float(dx @ dx)
+
+
+def _correlation(dx: np.ndarray, sxx: float, dy: np.ndarray, syy: float) -> float:
     r = float(dx @ dy) / math.sqrt(sxx * syy)
     return min(1.0, max(-1.0, r))
 
@@ -122,26 +130,28 @@ def correlation_matrix(panel: AlignedPanel) -> CorrelationMatrix:
     """Pairwise return correlations for every ticker pair in a panel.
 
     Returns are simple daily returns of each column; the diagonal is exactly
-    1 and the matrix is exactly symmetric by construction.
+    1 and the matrix is exactly symmetric by construction.  Each column's
+    returns and deviations are computed once; every cell equals
+    ``pearson_correlation`` of the two columns' ``pct_change`` series.
     """
     n = len(panel.tickers)
     if n < 2:
         raise ValueError("panel must hold at least 2 tickers")
-    if len(panel.dates) < 3:
-        raise SeriesTooShort("panel must span at least 3 dates")
+    if len(panel.dates) < 4:
+        raise SeriesTooShort("panel must span at least 4 dates (3 returns)")
 
-    returns = []
-    for ticker in panel.tickers:
-        returns.append(pct_change(panel.column(ticker)))
+    returns = [row[1:] / row[:-1] - 1.0 for row in panel.closes_by_ticker()]
+    devs = [_deviations(r) for r in returns]
 
     values = np.eye(n)
     for i in range(n):
+        dx, sxx = devs[i]
         for j in range(i + 1, n):
-            try:
-                r = pearson_correlation(returns[i], returns[j])
-            except ZeroVariance:
-                bad = panel.tickers[i] if np.ptp(returns[i].returns_array()) == 0 else panel.tickers[j]
-                raise ZeroVariance(f"returns of {bad} have zero variance") from None
+            dy, syy = devs[j]
+            if sxx == 0.0 or syy == 0.0:
+                bad = panel.tickers[i] if np.ptp(returns[i]) == 0 else panel.tickers[j]
+                raise ZeroVariance(f"returns of {bad} have zero variance")
+            r = _correlation(dx, sxx, dy, syy)
             values[i, j] = r
             values[j, i] = r
     return CorrelationMatrix(tickers=panel.tickers, values=values)

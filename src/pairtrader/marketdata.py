@@ -109,6 +109,16 @@ class AlignedPanel:
     def __len__(self) -> int:
         return len(self.dates)
 
+    def closes_by_ticker(self) -> np.ndarray:
+        """Closes as a C-contiguous (n_tickers, n_dates) copy.
+
+        Row j holds ``tickers[j]``'s closes laid out as
+        ``PriceSeries.closes_array()`` lays them out, so a sum over a row
+        rounds exactly as it does over that ticker's ``PriceSeries``; a sum
+        over a strided ``closes[:, j]`` need not.
+        """
+        return np.ascontiguousarray(self.closes.T)
+
     def column(self, ticker: str) -> PriceSeries:
         """Extract one ticker as a PriceSeries on the panel calendar."""
         j = self.tickers.index(ticker)

@@ -4,14 +4,18 @@ Every unordered ticker pair in a panel gets one Engle-Granger p-value; the
 stock with the higher mean close acts as the regressor (it later becomes
 asset1, the predictor of the pair model).  Pairs beat the significance
 threshold outright or squeak in within a configurable near-threshold margin.
+A pair whose residuals are exactly zero (say, two share classes of one
+company) gets p = 0 and a recorded reason instead of aborting the scan.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from datetime import date
+from types import MappingProxyType
 
 import numpy as np
 
@@ -23,6 +27,9 @@ from .unitroot import AdfResult, adf_test, engle_granger
 DEFAULT_THRESHOLD = 0.05
 DEFAULT_NEAR_EPS = 0.02
 
+#: Why a pair's p-value is 0: its Engle-Granger residuals are exactly constant.
+EXACT_DEPENDENCE = "exact linear dependence"
+
 
 @dataclass(frozen=True)
 class PValueMatrix:
@@ -31,16 +38,20 @@ class PValueMatrix:
     ``values`` is an (n, n) array with the upper triangle populated and NaN
     elsewhere; ``orderings`` records, cell by cell in row-major upper-triangle
     order, which ticker served as predictor (regressor) and which as target.
+    ``reasons`` maps a cell ``(tickers[i], tickers[j])``, i < j, whose p-value
+    the test did not produce to why; healthy cells have no entry.
     """
 
     tickers: tuple[str, ...]
     values: np.ndarray
     orderings: tuple[tuple[str, str], ...]
+    reasons: Mapping[tuple[str, str], str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "reasons", MappingProxyType(dict(self.reasons)))
 
     def pvalue(self, a: str, b: str) -> float:
         i, j = self.tickers.index(a), self.tickers.index(b)
@@ -85,14 +96,14 @@ class PValueMatrix:
         return cls(tickers=tickers, values=values, orderings=())
 
     def to_json_dict(self) -> dict:
-        return {
-            "tickers": list(self.tickers),
-            "pairs": [
-                {"ticker_a": a, "ticker_b": b, "p_value": p,
-                 "predictor": pred, "target": targ}
-                for a, b, p, pred, targ in self.cells()
-            ],
-        }
+        pairs = []
+        for a, b, p, pred, targ in self.cells():
+            cell = {"ticker_a": a, "ticker_b": b, "p_value": p,
+                    "predictor": pred, "target": targ}
+            if (a, b) in self.reasons:
+                cell["reason"] = self.reasons[(a, b)]
+            pairs.append(cell)
+        return {"tickers": list(self.tickers), "pairs": pairs}
 
 
 @dataclass(frozen=True)
@@ -115,9 +126,13 @@ class SelectedPair:
 
 @dataclass(frozen=True)
 class PairModel:
-    """Fitted hedge-ratio model plus the residual stationarity check."""
+    """Fitted hedge-ratio model plus the residual stationarity check.
 
-    pair: SelectedPair
+    ``pair`` is None when the model was fitted without a selection record
+    and without an Engle-Granger test (``fit_pair(..., coint_test=False)``).
+    """
+
+    pair: SelectedPair | None
     report: OlsOriginReport
     residual_adf: AdfResult | None
     train_window: tuple[date, date]
@@ -129,16 +144,20 @@ class PairModel:
         return self.report.hedge_ratio
 
 
+def _a_predicts(ticker_a: str, mean_a: float, ticker_b: str, mean_b: float) -> bool:
+    """The pair-ordering rule: higher mean close predicts, ties break by ticker."""
+    if mean_a != mean_b:
+        return mean_a > mean_b
+    return ticker_a <= ticker_b
+
+
 def order_pair(a: PriceSeries, b: PriceSeries) -> tuple[PriceSeries, PriceSeries]:
     """Pick the predictor leg: higher mean close wins, ties break by ticker."""
     if a.dates != b.dates:
         raise LengthMismatch(f"{a.ticker} and {b.ticker} are not on the same calendar")
-    mean_a, mean_b = a.mean_close(), b.mean_close()
-    if mean_a > mean_b:
+    if _a_predicts(a.ticker, a.mean_close(), b.ticker, b.mean_close()):
         return a, b
-    if mean_b > mean_a:
-        return b, a
-    return (a, b) if a.ticker <= b.ticker else (b, a)
+    return b, a
 
 
 def coint_matrix(panel: AlignedPanel, max_lag: int | None = None) -> PValueMatrix:
@@ -146,29 +165,44 @@ def coint_matrix(panel: AlignedPanel, max_lag: int | None = None) -> PValueMatri
 
     Within each pair the higher-mean-close ticker is the regressor and the
     other the dependent series, matching the predictor/target convention of
-    the pair model; the ordering used is recorded per cell.
+    the pair model; the ordering used is recorded per cell.  A pair whose
+    residuals are exactly constant gets p = 0 and the reason
+    ``EXACT_DEPENDENCE``, as ``fit_pair`` treats it; any other per-pair fault
+    aborts the scan, and so does a ticker whose closes never move.
     """
-    n = len(panel.tickers)
+    tickers = panel.tickers
+    n = len(tickers)
     if n < 2:
         raise ValueError("panel must hold at least 2 tickers")
     if len(panel.dates) < 30:
         raise SeriesTooShort(f"need >= 30 common dates, have {len(panel.dates)}")
 
-    columns = [panel.column(t) for t in panel.tickers]
+    closes = panel.closes_by_ticker()
+    for ticker, row in zip(tickers, closes):
+        # A flat target would leave exactly constant residuals against any
+        # regressor; that is no evidence of dependence.
+        if np.ptp(row) == 0.0:
+            raise ConstantSeries(f"{ticker}: closes are constant")
+    means = [float(np.mean(row)) for row in closes]
     values = np.full((n, n), math.nan)
     orderings: list[tuple[str, str]] = []
+    reasons: dict[tuple[str, str], str] = {}
     for i in range(n):
         for j in range(i + 1, n):
-            predictor, target = order_pair(columns[i], columns[j])
+            if _a_predicts(tickers[i], means[i], tickers[j], means[j]):
+                pred, targ = i, j
+            else:
+                pred, targ = j, i
             try:
-                result = engle_granger(target, predictor, max_lag=max_lag)
+                values[i, j] = engle_granger(closes[targ], closes[pred], max_lag=max_lag).p_value
+            except ConstantSeries:
+                values[i, j] = 0.0
+                reasons[(tickers[i], tickers[j])] = EXACT_DEPENDENCE
             except PairTraderError as exc:
-                raise type(exc)(
-                    f"pair ({panel.tickers[i]}, {panel.tickers[j]}): {exc}"
-                ) from exc
-            values[i, j] = result.p_value
-            orderings.append((predictor.ticker, target.ticker))
-    return PValueMatrix(tickers=panel.tickers, values=values, orderings=tuple(orderings))
+                raise type(exc)(f"pair ({tickers[i]}, {tickers[j]}): {exc}") from exc
+            orderings.append((tickers[pred], tickers[targ]))
+    return PValueMatrix(tickers=tickers, values=values, orderings=tuple(orderings),
+                        reasons=reasons)
 
 
 def select_pairs(
@@ -231,6 +265,8 @@ def fit_pair(
     pair: SelectedPair | None = None,
     threshold: float = DEFAULT_THRESHOLD,
     near_eps: float = DEFAULT_NEAR_EPS,
+    *,
+    coint_test: bool = True,
 ) -> PairModel:
     """Fit the no-intercept pair model on the training window.
 
@@ -240,7 +276,8 @@ def fit_pair(
     When ``pair`` is omitted, the Engle-Granger p-value is computed here to
     fill in the selection record, judged near the threshold as
     ``select_pairs`` would judge it with the same ``threshold`` and
-    ``near_eps``.
+    ``near_eps``; with ``coint_test=False`` no test runs and ``pair`` stays
+    None.
     """
     pred_w = slice_window(predictor, *train)
     targ_w = slice_window(target, *train)
@@ -252,7 +289,7 @@ def fit_pair(
 
     report = ols_through_origin(pred_w, targ_w)
 
-    if pair is None:
+    if pair is None and coint_test:
         try:
             eg = engle_granger(targ_w, pred_w)
             coint_p = eg.p_value

@@ -10,6 +10,12 @@ AICs are comparable), followed by a refit at the chosen k on the longest
 sample that lag permits.  The unit-root null is rejected when the t-ratio on
 the lagged level is below (more negative than) the critical value.
 
+The lag search costs one R-only QR factorisation per test: the widest design
+is built once with the dependent column appended, ``[X | dy]``, and the last
+column of its R factor is ``Q'dy``, so every nested candidate's SSR is a
+prefix sum of its squares and Q is never formed.  The refit at the chosen
+lag is a plain least-squares fit.
+
 Critical values and approximate p-values come from MacKinnon's published
 response surfaces, bundled as a plain-text constants file under ``data/``.
 """
@@ -23,6 +29,7 @@ from importlib import resources
 from types import MappingProxyType
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ConstantSeries,
@@ -219,26 +226,35 @@ def _as_1d(series) -> np.ndarray:
     return values
 
 
-def _adf_design(y: np.ndarray, lag: int, constant: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Rows t = lag+2 .. n of [const?, y_{t-1}, dy_{t-1}, ..., dy_{t-lag}]."""
+def _adf_design(y: np.ndarray, lag: int, constant: bool) -> np.ndarray:
+    """Rows t = lag+2 .. n of [const?, y_{t-1}, dy_{t-1}, ..., dy_{t-lag}, dy_t].
+
+    The regressors come first and the dependent ``dy_t`` last, in one
+    C-contiguous array.  Row r of the lag block is the window
+    ``dy[r .. r+lag]`` read backwards, so one strided view fills it.
+    """
     dy = np.diff(y)
     nobs = dy.size - lag
-    rhs_cols: list[np.ndarray] = []
+    ntrend = 1 if constant else 0
+    design = np.empty((nobs, ntrend + lag + 2))
     if constant:
-        rhs_cols.append(np.ones(nobs))
-    rhs_cols.append(y[lag:-1])
-    for i in range(1, lag + 1):
-        rhs_cols.append(dy[lag - i : dy.size - i])
-    return np.column_stack(rhs_cols), dy[lag:]
+        design[:, 0] = 1.0
+    design[:, ntrend] = y[lag:-1]
+    windows = sliding_window_view(dy, lag + 1)[:, ::-1]  # [dy_t, dy_{t-1}, ..., dy_{t-lag}]
+    design[:, ntrend + 1 : -1] = windows[:, 1:]
+    design[:, -1] = windows[:, 0]
+    return design
 
 
 def adf_test(series, deterministic: str = "constant", max_lag: int | None = None) -> AdfResult:
     """Augmented Dickey-Fuller unit-root test with AIC lag selection.
 
     AIC is evaluated for every k in 0..max_lag on the sample truncated at
-    max_lag; the winning k is then refit on its own longest sample, giving
-    ``n_eff = n - used_lags - 1`` regression observations.  Critical values
-    use the single-series MacKinnon surface at ``n_eff``.
+    max_lag, all from one R-only QR of ``[X | b]`` (the widest design with
+    the dependent column appended); the winning k is then refit by least
+    squares on its own longest sample, giving ``n_eff = n - used_lags - 1``
+    regression observations.  Critical values use the single-series
+    MacKinnon surface at ``n_eff``.
     """
     _check_deterministic(deterministic)
     y = _as_1d(series)
@@ -261,15 +277,19 @@ def adf_test(series, deterministic: str = "constant", max_lag: int | None = None
     constant = deterministic == "constant"
     ntrend = 1 if constant else 0
 
-    # One QR of the widest design scores every nested candidate: the model
-    # with k lags uses the first ntrend+1+k columns, so its SSR falls out of
-    # the prefix sums of (Q'b)^2.
-    X_full, b = _adf_design(y, max_lag, constant)
+    # One R-only QR of the widest design [X | b] scores every nested
+    # candidate: the model with k lags uses the first ntrend+1+k columns of
+    # X, so its SSR falls out of the prefix sums of (Q'b)^2, and Q'b is the
+    # last column of R.  Q itself is never formed.  b is copied out of the
+    # design because a dot product over a strided view rounds differently.
+    design = _adf_design(y, max_lag, constant)
+    b = np.ascontiguousarray(design[:, -1])
     nobs_common = b.size
-    q, r = np.linalg.qr(X_full)
-    if min(abs(np.diag(r))) <= 1e-12 * max(abs(np.diag(r))):
+    r = np.linalg.qr(design, mode="r")
+    diag_r = abs(np.diag(r)[:-1])
+    if diag_r.min() <= 1e-12 * diag_r.max():
         raise ConstantSeries("unit-root regression is singular")
-    qtb = q.T @ b
+    qtb = r[:-1, -1]
     total = float(b @ b)
     explained = np.cumsum(qtb**2)
 
@@ -286,8 +306,11 @@ def adf_test(series, deterministic: str = "constant", max_lag: int | None = None
             best_aic = aic
             best_k = k
 
-    # Refit the winner on the longest sample its lag order allows.
-    X, b = _adf_design(y, best_k, constant)
+    # Refit the winner on the longest sample its lag order allows.  X must be
+    # C-contiguous: on a strided view the BLAS calls below round differently
+    # and move the last bits of tau.
+    design = _adf_design(y, best_k, constant)
+    X, b = np.ascontiguousarray(design[:, :-1]), design[:, -1]
     n_eff = b.size
     nparams = X.shape[1]
     coef, _, rank, _ = np.linalg.lstsq(X, b, rcond=None)

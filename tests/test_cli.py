@@ -101,11 +101,70 @@ class TestAnalyze:
         assert code == 1
         assert "UNOBTANIUM" in capsys.readouterr().err
 
+    def test_runs_no_engle_granger_test_and_writes_same_bytes(
+        self, synth_dir, tmp_path, monkeypatch
+    ):
+        import pairtrader.cli as cli
+        import pairtrader.pairscan as pairscan
+
+        calls = []
+        real_eg, real_fit = pairscan.engle_granger, pairscan.fit_pair
+        monkeypatch.setattr(pairscan, "engle_granger",
+                            lambda *a, **k: calls.append(a) or real_eg(*a, **k))
+        config = synth_dir / "config.json"
+
+        # Reference: the model fitted with fit_pair's default Engle-Granger test.
+        with monkeypatch.context() as m:
+            m.setattr(cli, "fit_pair", lambda *a, **k: real_fit(*a))
+            assert run("analyze", "--config", config, "--pair", "COBALT,IRON",
+                       "--out", tmp_path / "tested") == 0
+        assert len(calls) == 1
+
+        assert run("analyze", "--config", config, "--pair", "COBALT,IRON",
+                   "--out", tmp_path / "plain") == 0
+        assert len(calls) == 1
+
+        tested = tmp_path / "tested" / "metals" / "pairs" / "COBALT-IRON" / "analysis"
+        plain = tmp_path / "plain" / "metals" / "pairs" / "COBALT-IRON" / "analysis"
+        names = sorted(p.name for p in tested.iterdir())
+        assert names == sorted(p.name for p in plain.iterdir())
+        for name in names:
+            assert (tested / name).read_bytes() == (plain / name).read_bytes(), name
+
     def test_pair_order_does_not_matter(self, synth_dir, tmp_path):
         out = tmp_path / "o"
         assert run("analyze", "--config", synth_dir / "config.json",
                    "--pair", "IRON,COBALT", "--out", out) == 0
         assert (out / "metals" / "pairs" / "COBALT-IRON" / "analysis").is_dir()
+
+
+class TestExactDependence:
+    def test_second_share_class_is_marked_and_selected(self, synth_dir, pipeline, tmp_path):
+        # HOLLY2 closes are exactly twice HOLLY's, so the pair's Engle-Granger
+        # residuals are exactly zero.
+        config = json.loads((synth_dir / "config.json").read_text())
+        members = [dict(m, csv=str(synth_dir / m["csv"])) for m in config["sectors"]["metals"]]
+        lines = (synth_dir / "data" / "HOLLY.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        twin = tmp_path / "HOLLY2.csv"
+        twin.write_text("\n".join([lines[0]] + [f"{d},{Decimal(c) * 2}" for d, c in rows]) + "\n")
+        config["sectors"]["metals"] = members + [{"ticker": "HOLLY2", "csv": str(twin)}]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+
+        assert run("scan", "--config", path, "--sector", "metals", "--out", out) == 0
+
+        cells = read_json(out / "metals" / "scan" / "pvalue_matrix.json")["pairs"]
+        assert [c for c in cells if "reason" in c] == [{
+            "ticker_a": "HOLLY", "ticker_b": "HOLLY2", "p_value": 0.0,
+            "predictor": "HOLLY2", "target": "HOLLY", "reason": "exact linear dependence",
+        }]
+        untouched = [c for c in cells if "HOLLY2" not in (c["ticker_a"], c["ticker_b"])]
+        assert untouched == read_json(pipeline / "metals" / "scan" / "pvalue_matrix.json")["pairs"]
+        selected = read_json(out / "metals" / "scan" / "selected_pairs.json")["pairs"]
+        assert selected[0] == {"predictor_ticker": "HOLLY2", "target_ticker": "HOLLY",
+                               "coint_p": 0.0, "near_threshold": False}
 
 
 class TestBacktest:

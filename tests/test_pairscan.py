@@ -4,7 +4,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from pairtrader.errors import LengthMismatch, SeriesTooShort
+from pairtrader.errors import ConstantSeries, LengthMismatch, SeriesTooShort
 from pairtrader.marketdata import PriceSeries, align_panel
 from pairtrader.pairscan import (
     PValueMatrix,
@@ -100,6 +100,15 @@ class TestCointMatrix:
         m2 = coint_matrix(align_panel(series[::-1]))
         for a, b, p, pred, targ in m1.cells():
             assert m2.pvalue(a, b) == p
+
+    def test_flat_ticker_aborts_instead_of_scoring_exact_dependence(self):
+        # FLAT has the lower mean, so it is the target of every pair: its
+        # residuals are exactly constant, yet it depends on nothing.
+        rng = np.random.default_rng(3)
+        walk = np.abs(np.cumsum(rng.normal(size=60))) + 100.0
+        panel = align_panel([make_series("A", walk), make_series("FLAT", np.full(60, 5.0))])
+        with pytest.raises(ConstantSeries, match="FLAT"):
+            coint_matrix(panel)
 
     def test_too_few_dates(self):
         with pytest.raises(SeriesTooShort):

@@ -1,4 +1,5 @@
 import math
+from datetime import date
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from pairtrader.errors import (
     SeriesTooShort,
     UnknownSurface,
 )
+from pairtrader.marketdata import PriceSeries, align_panel
+from pairtrader.pairscan import coint_matrix, order_pair
+from pairtrader.synthetic import TRAIN_DAYS, build_sector, weekday_calendar
 from pairtrader.unitroot import (
     LEVELS,
     adf_test,
@@ -291,3 +295,161 @@ class TestEngleGranger:
             # order; ours uses the stage-2 effective sample, so allow the
             # tiny finite-sample gap.
             assert list(mine_fixed.crit.values()) == pytest.approx(list(theirs[2]), abs=2e-3)
+
+
+# --- reference implementations for the ADF kernel -----------------------------
+
+#: (deterministic, max_lag, generator, n): the grid both kernel references cover.
+KERNEL_GRID = [
+    (det, max_lag, kind, n)
+    for det in ("none", "constant")
+    for max_lag in (None, 0, 3)
+    for kind in ("random_walk", "ar1")
+    for n in (60, 750, 3750)
+]
+
+
+def kernel_case(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    return random_walk(rng, n) if kind == "random_walk" else ar1(rng, n, phi=0.6)
+
+
+def naive_adf(y, deterministic, max_lag):
+    """Textbook ADF: fit every candidate lag order on its own, no shared QR.
+
+    Every k in 0..max_lag is fitted by least squares on the common sample
+    truncated at max_lag, the lowest AIC wins (first one on ties), and the
+    winner is refit on its longest sample.  The t-ratio's variance comes
+    from the pseudo-inverse, ``(X'X)^-1 = X^+ (X^+)'``.
+    Returns (used_lags, tau, n_eff, p_value).
+    """
+    constant = deterministic == "constant"
+    if max_lag is None:
+        max_lag = default_max_lag(y.size)
+    dy = np.diff(y)
+
+    def design(k, start):
+        rows = dy.size - start
+        cols = [np.ones(rows)] if constant else []
+        cols.append(y[start:-1])
+        cols.extend(dy[start - i : dy.size - i] for i in range(1, k + 1))
+        return np.column_stack(cols), dy[start:]
+
+    best_aic, best_k = math.inf, None
+    for k in range(max_lag + 1):
+        X, b = design(k, max_lag)
+        coef = np.linalg.lstsq(X, b, rcond=None)[0]
+        ssr = float(np.sum((b - X @ coef) ** 2))
+        nobs = b.size
+        llf = -nobs / 2.0 * (math.log(2.0 * math.pi) + math.log(ssr / nobs) + 1.0)
+        aic = 2.0 * X.shape[1] - 2.0 * llf
+        if aic < best_aic:
+            best_aic, best_k = aic, k
+
+    X, b = design(best_k, best_k)
+    coef = np.linalg.lstsq(X, b, rcond=None)[0]
+    resid = b - X @ coef
+    sigma2 = float(resid @ resid) / (b.size - X.shape[1])
+    pinv = np.linalg.pinv(X)
+    gamma = 1 if constant else 0
+    se = math.sqrt(sigma2 * float(pinv[gamma] @ pinv[gamma]))
+    tau = float(coef[gamma]) / se
+    return best_k, tau, b.size, mackinnon_pvalue(tau, 1, deterministic)
+
+
+def _frozen_design(y, lag, constant):
+    dy = np.diff(y)
+    nobs = dy.size - lag
+    rhs_cols = []
+    if constant:
+        rhs_cols.append(np.ones(nobs))
+    rhs_cols.append(y[lag:-1])
+    for i in range(1, lag + 1):
+        rhs_cols.append(dy[lag - i : dy.size - i])
+    return np.column_stack(rhs_cols), dy[lag:]
+
+
+def frozen_adf(y, deterministic, max_lag):
+    """The ADF kernel as it stood before the R-only QR: a reduced QR of X and
+    ``Q'b`` by matrix product.  Kept verbatim (minus input checks) so the
+    current kernel can be held to the same bits.
+    Returns (used_lags, tau, n_eff, p_value).
+    """
+    if max_lag is None:
+        max_lag = default_max_lag(y.size)
+    constant = deterministic == "constant"
+    ntrend = 1 if constant else 0
+    X_full, b = _frozen_design(y, max_lag, constant)
+    nobs_common = b.size
+    q, r = np.linalg.qr(X_full)
+    if min(abs(np.diag(r))) <= 1e-12 * max(abs(np.diag(r))):
+        raise ConstantSeries("unit-root regression is singular")
+    qtb = q.T @ b
+    total = float(b @ b)
+    explained = np.cumsum(qtb**2)
+    best_k = 0
+    best_aic = math.inf
+    for k in range(0, max_lag + 1):
+        p = ntrend + 1 + k
+        ssr = max(total - float(explained[p - 1]), 0.0)
+        ll = -0.5 * nobs_common * (math.log(2.0 * math.pi) + math.log(ssr / nobs_common) + 1.0)
+        aic = 2.0 * p - 2.0 * ll
+        if aic < best_aic:
+            best_aic = aic
+            best_k = k
+    X, b = _frozen_design(y, best_k, constant)
+    n_eff = b.size
+    coef, _, _, _ = np.linalg.lstsq(X, b, rcond=None)
+    resid = b - X @ coef
+    sigma2 = float(resid @ resid) / (n_eff - X.shape[1])
+    xtx_inv = np.linalg.inv(X.T @ X)
+    tau = float(coef[ntrend] / math.sqrt(sigma2 * xtx_inv[ntrend, ntrend]))
+    return best_k, tau, n_eff, mackinnon_pvalue(tau, 1, deterministic)
+
+
+def frozen_engle_granger_p(y, x):
+    """Engle-Granger p-value with the stage-2 ADF of ``frozen_adf``."""
+    dx = x - x.mean()
+    slope = float(dx @ (y - y.mean())) / float(dx @ dx)
+    intercept = y.mean() - slope * x.mean()
+    _, tau, _, _ = frozen_adf(y - intercept - slope * x, "none", None)
+    return mackinnon_pvalue(tau, 2, "constant")
+
+
+@pytest.mark.parametrize("deterministic,max_lag,kind,n", KERNEL_GRID)
+def test_adf_matches_naive_per_lag_oracle(deterministic, max_lag, kind, n):
+    y = kernel_case(kind, n, seed=n + (max_lag or 0))
+    mine = adf_test(y, deterministic, max_lag=max_lag)
+    used_lags, tau, n_eff, p_value = naive_adf(y, deterministic, max_lag)
+    assert mine.used_lags == used_lags
+    assert mine.n_eff == n_eff
+    assert mine.tau == pytest.approx(tau, abs=1e-8)
+    assert mine.p_value == pytest.approx(p_value, abs=1e-8)
+
+
+@pytest.mark.parametrize("deterministic,max_lag,kind,n", KERNEL_GRID)
+def test_adf_bit_identical_to_frozen_kernel(deterministic, max_lag, kind, n):
+    y = kernel_case(kind, n, seed=n + (max_lag or 0))
+    mine = adf_test(y, deterministic, max_lag=max_lag)
+    assert (mine.used_lags, mine.tau, mine.n_eff, mine.p_value) == frozen_adf(
+        y, deterministic, max_lag
+    )
+
+
+def test_coint_matrix_bit_identical_to_frozen_per_pair_loop():
+    calendar = weekday_calendar(date(2018, 1, 1), TRAIN_DAYS)
+    prices = build_sector()
+    panel = align_panel([
+        PriceSeries(t, calendar, tuple(map(float, prices[t][:TRAIN_DAYS])))
+        for t in sorted(prices)
+    ])
+    expected = np.full((len(panel.tickers),) * 2, math.nan)
+    for i, a in enumerate(panel.tickers):
+        for j in range(i + 1, len(panel.tickers)):
+            predictor, target = order_pair(panel.column(a), panel.column(panel.tickers[j]))
+            expected[i, j] = frozen_engle_granger_p(
+                target.closes_array(), predictor.closes_array()
+            )
+    got = coint_matrix(panel).values
+    assert np.array_equal(got, expected, equal_nan=True)
+    assert got.tobytes() == expected.tobytes()
