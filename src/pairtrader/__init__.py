@@ -45,7 +45,6 @@ from .pairscan import (
     SelectedPair,
     coint_matrix,
     fit_pair,
-    intersect_series,
     order_pair,
     select_pairs,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "fit_ratio_stats",
     "gen_positions",
     "gen_signals",
-    "intersect_series",
     "jarque_bera",
     "jarque_bera_from_moments",
     "load_csv",

@@ -34,15 +34,8 @@ from .backtest import (
 )
 from .econometrics import CorrelationMatrix, correlation_matrix
 from .errors import ConfigError, DataError, PairTraderError
-from .marketdata import PriceSeries, align_panel, load_csv, slice_window
-from .pairscan import (
-    PairModel,
-    coint_matrix,
-    fit_pair,
-    intersect_series,
-    order_pair,
-    select_pairs,
-)
+from .marketdata import AlignedPanel, PriceSeries, align_panel, load_csv, slice_window
+from .pairscan import coint_matrix, fit_pair, order_pair, select_pairs
 from .signalgen import build_trading_frame, fit_ratio_stats, ratio_series
 from .svgchart import line_chart
 
@@ -227,10 +220,17 @@ def _sector_series(config: RunConfig, sector: str) -> list[PriceSeries]:
     return series
 
 
-def _find_pair(config: RunConfig, pair: str, sector: str | None):
+def _find_pair(config: RunConfig, pair: str, sector: str | None) -> tuple[str, AlignedPanel]:
+    """The pair's sector and its two-ticker panel, predictor column first.
+
+    The panel is the scan's inner join of the two tickers, ordered by the
+    scan's rule on the training window; pair commands only window it.
+    """
     names = [p.strip() for p in pair.split(",")]
     if len(names) != 2 or not all(names):
         raise ConfigError(f"--pair must be 'A,B', got {pair!r}")
+    if names[0] == names[1]:
+        raise ConfigError(f"--pair names {names[0]!r} twice; a pair needs two tickers")
     candidates = [sector] if sector else list(config.sectors)
     for name in candidates:
         if name not in config.sectors:
@@ -239,26 +239,12 @@ def _find_pair(config: RunConfig, pair: str, sector: str | None):
         if names[0] in members and names[1] in members:
             a = load_csv(members[names[0]], names[0], close_column=config.close_column)
             b = load_csv(members[names[1]], names[1], close_column=config.close_column)
-            return name, a, b
+            return name, order_pair(align_panel([a, b]), config.train_window)
     known = {t for members in config.sectors.values() for t, _ in members}
     for ticker in names:
         if ticker not in known:
             raise ConfigError(f"ticker {ticker!r} not found in any configured sector")
     raise ConfigError(f"tickers {names[0]!r} and {names[1]!r} are not in the same sector")
-
-
-def _fit_model(config: RunConfig, a: PriceSeries, b: PriceSeries) -> tuple[str, str, PairModel]:
-    """Order the pair on its training window and fit its model.
-
-    Returns the predictor and target tickers with the model.  No
-    Engle-Granger test runs: no artifact records a p-value.
-    """
-    a_train = slice_window(a, *config.train_window)
-    b_train = slice_window(b, *config.train_window)
-    a_train, b_train = intersect_series(a_train, b_train)
-    predictor, target = order_pair(a_train, b_train)
-    model = fit_pair(predictor, target, config.train_window, coint_test=False)
-    return predictor.ticker, target.ticker, model
 
 
 # --- commands -----------------------------------------------------------------
@@ -296,8 +282,9 @@ def cmd_scan(config: RunConfig, sector: str) -> Path:
 
 def cmd_analyze(config: RunConfig, pair: str, sector: str | None = None) -> Path:
     """Hedge-ratio regression report and residual stationarity check."""
-    sector_name, a, b = _find_pair(config, pair, sector)
-    pred, targ, model = _fit_model(config, a, b)
+    sector_name, pair_panel = _find_pair(config, pair, sector)
+    pred, targ = pair_panel.tickers
+    model = fit_pair(pair_panel, config.train_window)
 
     out = config.out_dir / sector_name / "pairs" / f"{pred}-{targ}" / "analysis"
     with staged_dir(out) as staging:
@@ -333,19 +320,15 @@ def cmd_analyze(config: RunConfig, pair: str, sector: str | None = None) -> Path
 
 def cmd_backtest(config: RunConfig, pair: str, sector: str | None = None) -> Path:
     """Signals, triggers, daily ledger, and the pair summary."""
-    sector_name, a, b = _find_pair(config, pair, sector)
+    sector_name, pair_panel = _find_pair(config, pair, sector)
+    asset1, asset2 = pair_panel.tickers
 
-    a_all, b_all = intersect_series(a, b)
-    predictor, target = order_pair(
-        slice_window(a_all, *config.train_window), slice_window(b_all, *config.train_window)
-    )
-    asset1 = a_all if predictor.ticker == a_all.ticker else b_all
-    asset2 = b_all if predictor.ticker == a_all.ticker else a_all
-
-    stats = fit_ratio_stats(ratio_series(asset1, asset2), config.train_window)
+    train = slice_window(pair_panel, *config.train_window)
+    stats = fit_ratio_stats(ratio_series(train.column(asset1), train.column(asset2)))
+    test = slice_window(pair_panel, *config.test_window)
     frame = build_trading_frame(
-        slice_window(asset1, *config.test_window),
-        slice_window(asset2, *config.test_window),
+        test.column(asset1),
+        test.column(asset2),
         stats,
         upper=config.z_upper,
         lower=config.z_lower,
@@ -355,7 +338,7 @@ def cmd_backtest(config: RunConfig, pair: str, sector: str | None = None) -> Pat
     summary = summarize_pair(ledger, backtest_config)
 
     out = (config.out_dir / sector_name / "pairs"
-           / f"{asset1.ticker}-{asset2.ticker}" / "backtest")
+           / f"{asset1}-{asset2}" / "backtest")
     with staged_dir(out) as staging:
         frame.to_csv(staging / "trading_frame.csv")
         (staging / "triggers.json").write_text(
@@ -374,7 +357,7 @@ def cmd_backtest(config: RunConfig, pair: str, sector: str | None = None) -> Pat
                         ("upper", "firebrick", [frame.upper_limit] * len(frame)),
                         ("lower", "seagreen", [frame.lower_limit] * len(frame)),
                     ],
-                    f"{asset1.ticker}/{asset2.ticker} ratio z-score",
+                    f"{asset1}/{asset2} ratio z-score",
                 ),
                 encoding="utf-8",
             )
@@ -382,12 +365,12 @@ def cmd_backtest(config: RunConfig, pair: str, sector: str | None = None) -> Pat
                 line_chart(
                     frame.dates,
                     [("total value", "steelblue", [float(r.total) for r in ledger.rows])],
-                    f"{asset1.ticker}-{asset2.ticker} portfolio value",
+                    f"{asset1}-{asset2} portfolio value",
                 ),
                 encoding="utf-8",
             )
     logger.info("backtest %s-%s: profit %s, return %s%%",
-                asset1.ticker, asset2.ticker, summary.profit, summary.annual_return)
+                asset1, asset2, summary.profit, summary.annual_return)
     return out
 
 

@@ -31,6 +31,10 @@ class NumericError(PairTraderError):
 
 # --- market data ------------------------------------------------------------
 
+class UnreadableFile(DataError):
+    """Input file cannot be opened, decoded as UTF-8, or split into CSV fields."""
+
+
 class MissingColumn(DataError):
     """Required CSV column absent."""
 

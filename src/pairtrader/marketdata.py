@@ -25,6 +25,7 @@ from .errors import (
     MissingColumn,
     NonPositivePrice,
     SeriesTooShort,
+    UnreadableFile,
 )
 
 logger = logging.getLogger(__name__)
@@ -67,9 +68,6 @@ class PriceSeries:
 
     def closes_array(self) -> np.ndarray:
         return np.asarray(self.closes, dtype=float)
-
-    def mean_close(self) -> float:
-        return float(np.mean(self.closes_array()))
 
 
 @dataclass(frozen=True)
@@ -125,6 +123,56 @@ class AlignedPanel:
         return PriceSeries(ticker, self.dates, tuple(float(c) for c in self.closes[:, j]))
 
 
+def _read_rows(reader: csv.DictReader, path, close_column: str | None):
+    """Parsed (date, close) rows of one CSV and the count of dropped rows."""
+    header = reader.fieldnames
+    if header is None:
+        raise EmptySeries(f"{path}: file is empty")
+    if "Date" not in header:
+        raise MissingColumn(f"{path}: no 'Date' column (found {header})")
+    if close_column is not None:
+        if close_column not in header:
+            raise MissingColumn(f"{path}: no {close_column!r} column")
+        close_col = close_column
+    else:
+        for candidate in CLOSE_COLUMN_PREFERENCE:
+            if candidate in header:
+                close_col = candidate
+                break
+        else:
+            raise MissingColumn(
+                f"{path}: none of {CLOSE_COLUMN_PREFERENCE} present (found {header})"
+            )
+
+    rows: list[tuple[date, float]] = []
+    dropped = 0
+    for line_no, row in enumerate(reader, start=2):
+        raw_date = (row.get("Date") or "").strip()
+        raw_close = (row.get(close_col) or "").strip()
+        if raw_close.lower() in _MISSING_TOKENS:
+            dropped += 1
+            continue
+        try:
+            day = date.fromisoformat(raw_date)
+        except ValueError:
+            dropped += 1
+            continue
+        try:
+            close = float(raw_close)
+        except ValueError:
+            dropped += 1
+            continue
+        if math.isnan(close):
+            dropped += 1
+            continue
+        if not math.isfinite(close) or close <= 0.0:
+            raise NonPositivePrice(
+                f"{path}:{line_no}: close {raw_close!r} on {day} is not positive"
+            )
+        rows.append((day, close))
+    return rows, dropped
+
+
 def load_csv(path, ticker: str, close_column: str | None = None) -> PriceSeries:
     """Load one ticker's daily closes from a CSV file.
 
@@ -133,55 +181,15 @@ def load_csv(path, ticker: str, close_column: str | None = None) -> PriceSeries:
     ``Adj Close`` unless ``close_column`` names one explicitly.  Rows whose
     date or close cannot be parsed (holiday gaps, vendor NA markers) are
     dropped with a logged count; a close that parses to a non-positive or
-    non-finite number is an error.  Rows may appear in any date order.
+    non-finite number is an error.  Rows may appear in any date order.  A
+    file that cannot be opened, is not UTF-8, or holds an oversized CSV
+    field raises ``UnreadableFile``.
     """
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames
-        if header is None:
-            raise EmptySeries(f"{path}: file is empty")
-        if "Date" not in header:
-            raise MissingColumn(f"{path}: no 'Date' column (found {header})")
-        if close_column is not None:
-            if close_column not in header:
-                raise MissingColumn(f"{path}: no {close_column!r} column")
-            close_col = close_column
-        else:
-            for candidate in CLOSE_COLUMN_PREFERENCE:
-                if candidate in header:
-                    close_col = candidate
-                    break
-            else:
-                raise MissingColumn(
-                    f"{path}: none of {CLOSE_COLUMN_PREFERENCE} present (found {header})"
-                )
-
-        rows: list[tuple[date, float]] = []
-        dropped = 0
-        for line_no, row in enumerate(reader, start=2):
-            raw_date = (row.get("Date") or "").strip()
-            raw_close = (row.get(close_col) or "").strip()
-            if raw_close.lower() in _MISSING_TOKENS:
-                dropped += 1
-                continue
-            try:
-                day = date.fromisoformat(raw_date)
-            except ValueError:
-                dropped += 1
-                continue
-            try:
-                close = float(raw_close)
-            except ValueError:
-                dropped += 1
-                continue
-            if math.isnan(close):
-                dropped += 1
-                continue
-            if not math.isfinite(close) or close <= 0.0:
-                raise NonPositivePrice(
-                    f"{path}:{line_no}: close {raw_close!r} on {day} is not positive"
-                )
-            rows.append((day, close))
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            rows, dropped = _read_rows(csv.DictReader(handle), path, close_column)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise UnreadableFile(f"{path}: cannot read ({exc})") from None
 
     if dropped:
         logger.warning("%s: dropped %d rows with missing/unparseable cells", path, dropped)
@@ -242,26 +250,15 @@ def pct_change(p: PriceSeries) -> ReturnSeries:
     )
 
 
-def slice_window(s, start: date, end: date):
-    """Restrict a PriceSeries or AlignedPanel to ``start <= date <= end``."""
+def slice_window(panel: AlignedPanel, start: date, end: date) -> AlignedPanel:
+    """Restrict a panel to ``start <= date <= end``."""
     if start > end:
         raise ValueError(f"window start {start} after end {end}")
-    if isinstance(s, PriceSeries):
-        kept = [(d, c) for d, c in zip(s.dates, s.closes) if start <= d <= end]
-        if not kept:
-            raise EmptyWindow(f"{s.ticker}: no observations in [{start}, {end}]")
-        return PriceSeries(
-            ticker=s.ticker,
-            dates=tuple(d for d, _ in kept),
-            closes=tuple(c for _, c in kept),
-        )
-    if isinstance(s, AlignedPanel):
-        idx = [i for i, d in enumerate(s.dates) if start <= d <= end]
-        if not idx:
-            raise EmptyWindow(f"panel: no observations in [{start}, {end}]")
-        return AlignedPanel(
-            tickers=s.tickers,
-            dates=tuple(s.dates[i] for i in idx),
-            closes=s.closes[idx, :].copy(),
-        )
-    raise TypeError(f"cannot window {type(s).__name__}")
+    idx = [i for i, d in enumerate(panel.dates) if start <= d <= end]
+    if not idx:
+        raise EmptyWindow(f"panel: no observations in [{start}, {end}]")
+    return AlignedPanel(
+        tickers=panel.tickers,
+        dates=tuple(panel.dates[i] for i in idx),
+        closes=panel.closes[idx, :].copy(),
+    )

@@ -20,8 +20,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .econometrics import OlsOriginReport, ols_through_origin
-from .errors import ConstantSeries, LengthMismatch, PairTraderError, SeriesTooShort
-from .marketdata import AlignedPanel, PriceSeries, slice_window
+from .errors import ConstantSeries, PairTraderError, SeriesTooShort
+from .marketdata import AlignedPanel, slice_window
 from .unitroot import AdfResult, adf_test, engle_granger
 
 DEFAULT_THRESHOLD = 0.05
@@ -126,13 +126,8 @@ class SelectedPair:
 
 @dataclass(frozen=True)
 class PairModel:
-    """Fitted hedge-ratio model plus the residual stationarity check.
+    """Fitted hedge-ratio model plus the residual stationarity check."""
 
-    ``pair`` is None when the model was fitted without a selection record
-    and without an Engle-Granger test (``fit_pair(..., coint_test=False)``).
-    """
-
-    pair: SelectedPair | None
     report: OlsOriginReport
     residual_adf: AdfResult | None
     train_window: tuple[date, date]
@@ -151,13 +146,20 @@ def _a_predicts(ticker_a: str, mean_a: float, ticker_b: str, mean_b: float) -> b
     return ticker_a <= ticker_b
 
 
-def order_pair(a: PriceSeries, b: PriceSeries) -> tuple[PriceSeries, PriceSeries]:
-    """Pick the predictor leg: higher mean close wins, ties break by ticker."""
-    if a.dates != b.dates:
-        raise LengthMismatch(f"{a.ticker} and {b.ticker} are not on the same calendar")
-    if _a_predicts(a.ticker, a.mean_close(), b.ticker, b.mean_close()):
-        return a, b
-    return b, a
+def order_pair(pair: AlignedPanel, train: tuple[date, date]) -> AlignedPanel:
+    """Put the predictor column of a two-ticker panel first.
+
+    The predictor has the higher mean close over the training window, ties
+    broken by ticker, as in ``coint_matrix``.  The whole panel is returned,
+    so later windows of it keep the same order.
+    """
+    if len(pair.tickers) != 2:
+        raise ValueError(f"a pair panel holds 2 tickers, not {len(pair.tickers)}")
+    closes = slice_window(pair, *train).closes_by_ticker()
+    a, b = pair.tickers
+    if _a_predicts(a, float(np.mean(closes[0])), b, float(np.mean(closes[1]))):
+        return pair
+    return AlignedPanel(tickers=(b, a), dates=pair.dates, closes=pair.closes[:, [1, 0]])
 
 
 def coint_matrix(panel: AlignedPanel, max_lag: int | None = None) -> PValueMatrix:
@@ -167,8 +169,8 @@ def coint_matrix(panel: AlignedPanel, max_lag: int | None = None) -> PValueMatri
     other the dependent series, matching the predictor/target convention of
     the pair model; the ordering used is recorded per cell.  A pair whose
     residuals are exactly constant gets p = 0 and the reason
-    ``EXACT_DEPENDENCE``, as ``fit_pair`` treats it; any other per-pair fault
-    aborts the scan, and so does a ticker whose closes never move.
+    ``EXACT_DEPENDENCE``; any other per-pair fault aborts the scan, and so
+    does a ticker whose closes never move.
     """
     tickers = panel.tickers
     n = len(tickers)
@@ -232,22 +234,6 @@ def select_pairs(
     return selected
 
 
-def intersect_series(a: PriceSeries, b: PriceSeries) -> tuple[PriceSeries, PriceSeries]:
-    """Inner-join two price series onto their common dates."""
-    if a.dates == b.dates:
-        return a, b
-    common = sorted(set(a.dates) & set(b.dates))
-    if not common:
-        raise SeriesTooShort(f"{a.ticker} and {b.ticker} share no dates")
-    a_map = dict(zip(a.dates, a.closes))
-    b_map = dict(zip(b.dates, b.closes))
-    dates = tuple(common)
-    return (
-        PriceSeries(a.ticker, dates, tuple(a_map[d] for d in dates)),
-        PriceSeries(b.ticker, dates, tuple(b_map[d] for d in dates)),
-    )
-
-
 def _stationarity_verdict(result: AdfResult) -> str:
     if result.tau < result.crit["1%"]:
         return "stationary at 1%"
@@ -258,49 +244,22 @@ def _stationarity_verdict(result: AdfResult) -> str:
     return "not stationary"
 
 
-def fit_pair(
-    predictor: PriceSeries,
-    target: PriceSeries,
-    train: tuple[date, date],
-    pair: SelectedPair | None = None,
-    threshold: float = DEFAULT_THRESHOLD,
-    near_eps: float = DEFAULT_NEAR_EPS,
-    *,
-    coint_test: bool = True,
-) -> PairModel:
+def fit_pair(pair: AlignedPanel, train: tuple[date, date]) -> PairModel:
     """Fit the no-intercept pair model on the training window.
 
-    Runs the through-origin regression of target on predictor, then the
-    ADF test (with constant) on its residuals.  The model is produced even
-    when the residuals fail the stationarity check; the verdict is recorded.
-    When ``pair`` is omitted, the Engle-Granger p-value is computed here to
-    fill in the selection record, judged near the threshold as
-    ``select_pairs`` would judge it with the same ``threshold`` and
-    ``near_eps``; with ``coint_test=False`` no test runs and ``pair`` stays
-    None.
+    ``pair`` is a two-ticker panel with the predictor column first (see
+    ``order_pair``).  Runs the through-origin regression of target on
+    predictor, then the ADF test (with constant) on its residuals.  The
+    model is produced even when the residuals fail the stationarity check;
+    the verdict is recorded.
     """
-    pred_w = slice_window(predictor, *train)
-    targ_w = slice_window(target, *train)
-    pred_w, targ_w = intersect_series(pred_w, targ_w)
-    if len(pred_w) < 30:
+    window = slice_window(pair, *train)
+    if len(window) < 30:
         raise SeriesTooShort(
-            f"{predictor.ticker}/{target.ticker}: only {len(pred_w)} common training dates"
+            f"{'/'.join(pair.tickers)}: only {len(window)} common training dates"
         )
-
-    report = ols_through_origin(pred_w, targ_w)
-
-    if pair is None and coint_test:
-        try:
-            eg = engle_granger(targ_w, pred_w)
-            coint_p = eg.p_value
-        except ConstantSeries:
-            coint_p = 0.0  # exact linear dependence
-        pair = SelectedPair(
-            predictor_ticker=predictor.ticker,
-            target_ticker=target.ticker,
-            coint_p=coint_p,
-            near_threshold=threshold <= coint_p < threshold + near_eps,
-        )
+    predictor, target = window.closes_by_ticker()
+    report = ols_through_origin(predictor, target)
 
     residuals = np.asarray(report.residuals)
     try:
@@ -311,10 +270,9 @@ def fit_pair(
         verdict = "degenerate (constant residuals)"
 
     return PairModel(
-        pair=pair,
         report=report,
         residual_adf=residual_adf,
         train_window=train,
-        residual_dates=pred_w.dates,
+        residual_dates=window.dates,
         verdict=verdict,
     )

@@ -17,6 +17,7 @@ from datetime import date
 import numpy as np
 
 from .errors import (
+    EmptySeries,
     EmptyWindow,
     InvariantViolation,
     LengthMismatch,
@@ -61,7 +62,6 @@ class RatioStats:
 
     mean: float
     std: float
-    fit_window: tuple[date, date]
 
 
 def ratio_series(asset1: PriceSeries, asset2: PriceSeries) -> RatioSeries:
@@ -74,18 +74,19 @@ def ratio_series(asset1: PriceSeries, asset2: PriceSeries) -> RatioSeries:
     return RatioSeries(dates=asset1.dates, values=tuple(float(v) for v in values))
 
 
-def fit_ratio_stats(ratio: RatioSeries, fit_window: tuple[date, date]) -> RatioStats:
-    """Mean and population standard deviation of the ratio inside the window."""
-    start, end = fit_window
-    inside = [v for d, v in zip(ratio.dates, ratio.values) if start <= d <= end]
-    if not inside:
-        raise EmptyWindow(f"no ratio observations in [{start}, {end}]")
-    values = np.asarray(inside, dtype=float)
+def fit_ratio_stats(ratio: RatioSeries) -> RatioStats:
+    """Mean and population standard deviation of the ratio.
+
+    Pass the ratio over the fit window only (normally the training window).
+    """
+    if not ratio.values:
+        raise EmptySeries("no ratio observations")
+    values = ratio.values_array()
     mean = float(values.mean())
     std = float(values.std())  # population convention
     if std == 0.0:
         raise ZeroVariance("ratio is constant over the fit window")
-    return RatioStats(mean=mean, std=std, fit_window=fit_window)
+    return RatioStats(mean=mean, std=std)
 
 
 def zscore_series(ratio: RatioSeries, stats: RatioStats) -> tuple[float, ...]:

@@ -72,6 +72,16 @@ class TestScan:
         assert run("scan", "--config", synth_dir / "config.json",
                    "--sector", "nope", "--out", tmp_path) == 1
 
+    def test_unreadable_csv_is_data_error(self, synth_dir, tmp_path, capsys):
+        config = json.loads((synth_dir / "config.json").read_text())
+        members = [dict(m, csv=str(synth_dir / m["csv"])) for m in config["sectors"]["metals"]]
+        members[0]["csv"] = str(tmp_path / "gone.csv")
+        config["sectors"]["metals"] = members
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert run("scan", "--config", path, "--sector", "metals", "--out", tmp_path) == 2
+        assert "gone.csv" in capsys.readouterr().err
+
 
 class TestAnalyze:
     def test_artifacts_exist_and_parse(self, pipeline):
@@ -101,35 +111,24 @@ class TestAnalyze:
         assert code == 1
         assert "UNOBTANIUM" in capsys.readouterr().err
 
-    def test_runs_no_engle_granger_test_and_writes_same_bytes(
-        self, synth_dir, tmp_path, monkeypatch
-    ):
-        import pairtrader.cli as cli
+    def test_runs_no_engle_granger_test(self, synth_dir, tmp_path, monkeypatch):
         import pairtrader.pairscan as pairscan
 
         calls = []
-        real_eg, real_fit = pairscan.engle_granger, pairscan.fit_pair
+        real_eg = pairscan.engle_granger
         monkeypatch.setattr(pairscan, "engle_granger",
                             lambda *a, **k: calls.append(a) or real_eg(*a, **k))
-        config = synth_dir / "config.json"
+        assert run("analyze", "--config", synth_dir / "config.json", "--pair", "COBALT,IRON",
+                   "--out", tmp_path) == 0
+        assert calls == []
 
-        # Reference: the model fitted with fit_pair's default Engle-Granger test.
-        with monkeypatch.context() as m:
-            m.setattr(cli, "fit_pair", lambda *a, **k: real_fit(*a))
-            assert run("analyze", "--config", config, "--pair", "COBALT,IRON",
-                       "--out", tmp_path / "tested") == 0
-        assert len(calls) == 1
-
-        assert run("analyze", "--config", config, "--pair", "COBALT,IRON",
-                   "--out", tmp_path / "plain") == 0
-        assert len(calls) == 1
-
-        tested = tmp_path / "tested" / "metals" / "pairs" / "COBALT-IRON" / "analysis"
-        plain = tmp_path / "plain" / "metals" / "pairs" / "COBALT-IRON" / "analysis"
-        names = sorted(p.name for p in tested.iterdir())
-        assert names == sorted(p.name for p in plain.iterdir())
-        for name in names:
-            assert (tested / name).read_bytes() == (plain / name).read_bytes(), name
+    @pytest.mark.parametrize("command", ["analyze", "backtest"])
+    def test_same_ticker_twice_is_usage_error(self, synth_dir, tmp_path, capsys, command):
+        code = run(command, "--config", synth_dir / "config.json",
+                   "--pair", "IRON,IRON", "--out", tmp_path)
+        assert code == 1
+        assert "'IRON'" in capsys.readouterr().err
+        assert not (tmp_path / "metals").exists()
 
     def test_pair_order_does_not_matter(self, synth_dir, tmp_path):
         out = tmp_path / "o"

@@ -1,12 +1,15 @@
 import math
+import tempfile
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairtrader.errors import (
+    DataError,
     DuplicateDate,
     DuplicateTicker,
     EmptyIntersection,
@@ -15,6 +18,7 @@ from pairtrader.errors import (
     MissingColumn,
     NonPositivePrice,
     SeriesTooShort,
+    UnreadableFile,
 )
 from pairtrader.marketdata import (
     AlignedPanel,
@@ -31,6 +35,24 @@ from conftest import make_series
 def write_csv(path, text):
     path.write_text(text, encoding="utf-8")
     return path
+
+
+#: Cells a price CSV might hold, good and bad.
+_cells = st.one_of(
+    st.dates(date(2020, 1, 1), date(2020, 1, 31)).map(lambda d: d.isoformat().encode()),
+    st.floats().map(lambda x: repr(x).encode()),
+    st.sampled_from([b"", b"NA", b"nan", b"0", b"-1", b'"1,5"', b"\x00"]),
+    st.text(max_size=4).map(str.encode),
+)
+
+#: Files shaped like price CSVs: a header, then rows of arbitrary cells.
+_csv_like = st.builds(
+    lambda header, rows, newline: header + newline + newline.join(b",".join(r) for r in rows),
+    st.sampled_from([b"Date,Close", b"\xef\xbb\xbfDate,Adj Close", b"Close,Date,Volume",
+                     b"Date"]),
+    st.lists(st.lists(_cells, min_size=2, max_size=3), max_size=8),
+    st.sampled_from([b"\n", b"\r\n", b"\r"]),
+)
 
 
 class TestLoadCsv:
@@ -93,6 +115,35 @@ class TestLoadCsv:
                          "Date,Close,Adj Close\n2021-01-01,100.0,90.0\n2021-01-04,101.0,91.0\n")
         assert load_csv(path, "A").closes == (100.0, 101.0)
         assert load_csv(path, "A", close_column="Adj Close").closes == (90.0, 91.0)
+
+    def test_missing_file_names_path(self, tmp_path):
+        path = tmp_path / "absent.csv"
+        with pytest.raises(UnreadableFile, match="absent.csv"):
+            load_csv(path, "A")
+
+    def test_non_utf8_bytes_name_path(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"Date,Close\n2021-01-01,100.0\n2021-01-04,\xe9\xff\n")
+        with pytest.raises(UnreadableFile, match="latin1.csv"):
+            load_csv(path, "A")
+
+    def test_oversized_field_names_path(self, tmp_path):
+        path = write_csv(tmp_path / "huge.csv",
+                         "Date,Close\n2021-01-01," + "9" * 131073 + "\n")
+        with pytest.raises(UnreadableFile, match="huge.csv"):
+            load_csv(path, "A")
+
+    @settings(max_examples=300, deadline=None)
+    @given(_csv_like | st.binary(max_size=300))
+    def test_arbitrary_bytes_give_series_or_data_error(self, content):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.csv"
+            path.write_bytes(content)
+            try:
+                series = load_csv(path, "A")
+            except DataError:
+                return
+        assert isinstance(series, PriceSeries)
 
     def test_extra_columns_ignored(self, tmp_path):
         path = write_csv(
@@ -194,31 +245,41 @@ class TestPctChange:
             assert abs(recovered - original) <= 1e-12 * abs(original)
 
 
+def pair_of(closes, start=date(2021, 1, 1)):
+    """Two-ticker panel: A holds ``closes``, B ten times them."""
+    return align_panel([make_series("A", closes, start),
+                        make_series("B", [10 * c for c in closes], start)])
+
+
+def same_panel(p, q):
+    return (p.tickers, p.dates, p.closes.tolist()) == (q.tickers, q.dates, q.closes.tolist())
+
+
 class TestSliceWindow:
     def test_full_window_identity(self):
-        s = make_series("A", [1, 2, 3])
-        assert slice_window(s, s.dates[0], s.dates[-1]) == s
+        p = pair_of([1, 2, 3])
+        assert same_panel(slice_window(p, p.dates[0], p.dates[-1]), p)
 
     def test_single_date(self):
-        s = make_series("A", [1, 2, 3])
-        out = slice_window(s, s.dates[1], s.dates[1])
-        assert out.closes == (2.0,)
+        p = pair_of([1, 2, 3])
+        out = slice_window(p, p.dates[1], p.dates[1])
+        assert out.closes.tolist() == [[2.0, 20.0]]
 
     def test_window_before_all_dates(self):
-        s = make_series("A", [1, 2, 3], start=date(2021, 6, 1))
+        p = pair_of([1, 2, 3], start=date(2021, 6, 1))
         with pytest.raises(EmptyWindow):
-            slice_window(s, date(2020, 1, 1), date(2020, 12, 31))
+            slice_window(p, date(2020, 1, 1), date(2020, 12, 31))
 
     def test_backwards_window_invalid(self):
-        s = make_series("A", [1, 2, 3])
+        p = pair_of([1, 2, 3])
         with pytest.raises(ValueError):
-            slice_window(s, s.dates[-1], s.dates[0])
+            slice_window(p, p.dates[-1], p.dates[0])
 
     def test_idempotence(self):
-        s = make_series("A", list(range(1, 21)))
-        a, b = s.dates[3], s.dates[15]
-        once = slice_window(s, a, b)
-        assert slice_window(once, a, b) == once
+        p = pair_of(list(range(1, 21)))
+        a, b = p.dates[3], p.dates[15]
+        once = slice_window(p, a, b)
+        assert same_panel(slice_window(once, a, b), once)
 
     def test_panel_slice(self):
         panel = align_panel([make_series("A", [1, 2, 3]), make_series("B", [4, 5, 6])])

@@ -4,13 +4,12 @@ from datetime import date
 import numpy as np
 import pytest
 
-from pairtrader.errors import ConstantSeries, LengthMismatch, SeriesTooShort
+from pairtrader.errors import ConstantSeries, EmptyIntersection, SeriesTooShort
 from pairtrader.marketdata import PriceSeries, align_panel
 from pairtrader.pairscan import (
     PValueMatrix,
     coint_matrix,
     fit_pair,
-    intersect_series,
     order_pair,
     select_pairs,
 )
@@ -35,26 +34,56 @@ def synth_matrix(synth_panel):
     return coint_matrix(synth_panel)
 
 
+def whole(series):
+    """The full date span of a series, as a window."""
+    return (series.dates[0], series.dates[-1])
+
+
+def pair_panel(a, b, train=None):
+    """The pair commands' pair: ``a`` and ``b`` inner-joined, predictor first."""
+    return order_pair(align_panel([a, b]), train or whole(a))
+
+
 class TestOrderPair:
     def test_higher_mean_becomes_predictor(self):
         a = make_series("A", [100, 100, 100])
         b = make_series("B", [50, 50, 50])
-        predictor, target = order_pair(a, b)
-        assert (predictor.ticker, target.ticker) == ("A", "B")
-        predictor, target = order_pair(b, a)
-        assert (predictor.ticker, target.ticker) == ("A", "B")
+        assert pair_panel(a, b).tickers == ("A", "B")
+        flipped = pair_panel(b, a)
+        assert flipped.tickers == ("A", "B")
+        assert flipped.closes.tolist() == [[100.0, 50.0]] * 3
 
     def test_tie_breaks_lexicographically(self):
         aa = make_series("AA", [10, 20])
         ab = make_series("AB", [20, 10])
-        predictor, target = order_pair(ab, aa)
-        assert (predictor.ticker, target.ticker) == ("AA", "AB")
+        assert pair_panel(ab, aa).tickers == ("AA", "AB")
+
+    def test_orders_on_training_window_only(self):
+        # A's mean is higher over all dates, B's over the first two.
+        a = make_series("A", [1, 1, 100])
+        b = make_series("B", [5, 5, 5])
+        ordered = pair_panel(a, b, train=(a.dates[0], a.dates[1]))
+        assert ordered.tickers == ("B", "A")
+        assert ordered.dates == a.dates
 
     def test_mismatched_calendars_rejected(self):
         a = make_series("A", [1, 2, 3])
         b = make_series("B", [1, 2, 3], start=date(2022, 1, 1))
-        with pytest.raises(LengthMismatch):
-            order_pair(a, b)
+        with pytest.raises(EmptyIntersection):
+            pair_panel(a, b)
+
+    def test_pair_panel_keeps_shared_dates_only(self):
+        a = make_series("A", [1, 2, 3, 4])
+        b = make_series("B", [5, 6, 7], start=a.dates[1])
+        ordered = pair_panel(a, b, train=whole(b))
+        assert ordered.tickers == ("B", "A")
+        assert ordered.dates == a.dates[1:]
+        assert ordered.closes[:, 1].tolist() == [2.0, 3.0, 4.0]
+
+    def test_needs_two_tickers(self):
+        panel = align_panel([make_series(t, [1, 2, 3]) for t in "ABC"])
+        with pytest.raises(ValueError):
+            order_pair(panel, whole(panel))
 
 
 class TestCointMatrix:
@@ -88,8 +117,8 @@ class TestCointMatrix:
     def test_predictor_has_higher_mean_in_every_cell(self, synth_panel, synth_matrix):
         for _, _, _, predictor, target in synth_matrix.cells():
             assert (
-                synth_panel.column(predictor).mean_close()
-                >= synth_panel.column(target).mean_close()
+                np.mean(synth_panel.column(predictor).closes_array())
+                >= np.mean(synth_panel.column(target).closes_array())
             )
 
     def test_permutation_stability(self):
@@ -160,35 +189,31 @@ class TestSelectPairs:
 
     def test_selection_from_scan_respects_order_pair(self, synth_panel, synth_matrix):
         for pair in select_pairs(synth_matrix):
-            predictor, target = order_pair(
-                synth_panel.column(pair.predictor_ticker),
+            ordered = pair_panel(
                 synth_panel.column(pair.target_ticker),
+                synth_panel.column(pair.predictor_ticker),
             )
-            assert predictor.ticker == pair.predictor_ticker
-            assert target.ticker == pair.target_ticker
+            assert ordered.tickers == (pair.predictor_ticker, pair.target_ticker)
 
 
 class TestFitPair:
-    def window(self, series):
-        return (series.dates[0], series.dates[-1])
-
     def test_engineered_beta_two(self):
         rng = np.random.default_rng(41)
         base = np.abs(np.cumsum(rng.normal(size=200))) + 100.0
         predictor = make_series("P", base)
         target = make_series("T", 2.0 * base + rng.normal(0, 0.1, size=200))
-        model = fit_pair(predictor, target, self.window(predictor))
+        model = fit_pair(align_panel([predictor, target]), whole(predictor))
         assert model.hedge_ratio == pytest.approx(2.0, abs=0.01)
         assert model.hedge_ratio == model.report.hedge_ratio
         assert model.residual_dates == predictor.dates
-        assert model.pair.coint_p < 0.05
+        assert model.verdict == "stationary at 1%"
 
     def test_exact_proportionality_is_degenerate(self):
         rng = np.random.default_rng(43)
         base = np.abs(np.cumsum(rng.normal(size=120))) + 50.0
         predictor = make_series("P", base)
         target = make_series("T", 2.0 * base)
-        model = fit_pair(predictor, target, self.window(predictor))
+        model = fit_pair(align_panel([predictor, target]), whole(predictor))
         assert model.hedge_ratio == pytest.approx(2.0, rel=1e-14)
         assert all(abs(e) < 1e-10 for e in model.report.residuals)
         assert model.residual_adf is None
@@ -199,32 +224,31 @@ class TestFitPair:
         base = np.abs(np.cumsum(rng.normal(size=150))) + 80.0
         predictor = make_series("P", base)
         target = make_series("T", 0.5 * base + np.sin(np.arange(150)) + rng.normal(0, 1, 150))
-        model = fit_pair(predictor, target, self.window(predictor))
+        model = fit_pair(align_panel([predictor, target]), whole(predictor))
         assert model.residual_adf is not None
         assert model.residual_adf.deterministic == "constant"
         assert model.verdict in (
             "stationary at 1%", "stationary at 5%", "stationary at 10%", "not stationary",
         )
 
-    def test_near_threshold_judged_against_given_threshold(self):
-        rng = np.random.default_rng(7)
-        base = np.abs(np.cumsum(rng.normal(size=200))) + 100.0
-        drift = 0.3 * np.cumsum(rng.normal(0, 0.3, size=200)) + rng.normal(0, 1, 200)
+    def test_fits_training_window_only(self):
+        rng = np.random.default_rng(59)
+        base = np.abs(np.cumsum(rng.normal(size=120))) + 80.0
         predictor = make_series("P", base)
-        target = make_series("T", 2.0 * base + drift)
-        window = self.window(predictor)
-        default = fit_pair(predictor, target, window)
-        assert 0.05 <= default.pair.coint_p < 0.07
-        assert default.pair.near_threshold is True
-        strict = fit_pair(predictor, target, window, threshold=0.01, near_eps=0.0)
-        assert strict.pair.coint_p == default.pair.coint_p
-        assert strict.pair.near_threshold is False
+        target = make_series("T", 3.0 * base + rng.normal(0, 0.1, size=120))
+        train = (predictor.dates[0], predictor.dates[99])
+        whole_model = fit_pair(align_panel([predictor, target]), train)
+        head = [make_series(s.ticker, s.closes[:100]) for s in (predictor, target)]
+        head_model = fit_pair(align_panel(head), whole(head[0]))
+        assert whole_model.residual_dates == predictor.dates[:100]
+        assert whole_model.train_window == train
+        assert whole_model.report == head_model.report
 
     def test_too_few_training_dates(self):
         predictor = make_series("P", range(10, 30))
         target = make_series("T", range(20, 40))
         with pytest.raises(SeriesTooShort):
-            fit_pair(predictor, target, self.window(predictor))
+            fit_pair(align_panel([predictor, target]), whole(predictor))
 
     def test_intersects_mismatched_calendars(self):
         rng = np.random.default_rng(53)
@@ -237,7 +261,7 @@ class TestFitPair:
             tuple(a.dates[i] for i in keep),
             tuple(2.0 * a.closes[i] + 1.0 for i in keep),
         )
-        model = fit_pair(a, b, (a.dates[0], a.dates[-1]))
+        model = fit_pair(align_panel([a, b]), whole(a))
         assert len(model.residual_dates) == len(keep)
 
 
@@ -254,10 +278,3 @@ class TestPValueMatrixSerialization:
         assert len(payload["pairs"]) == 45
         sample = payload["pairs"][0]
         assert set(sample) == {"ticker_a", "ticker_b", "p_value", "predictor", "target"}
-
-    def test_intersect_series_on_shared_dates(self):
-        a = make_series("A", [1, 2, 3, 4])
-        b = make_series("B", [5, 6, 7], start=a.dates[1])
-        ai, bi = intersect_series(a, b)
-        assert ai.dates == bi.dates == a.dates[1:]
-        assert ai.closes == (2.0, 3.0, 4.0)

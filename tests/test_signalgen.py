@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairtrader.errors import (
+    EmptySeries,
     EmptyWindow,
     InvariantViolation,
     LengthMismatch,
     ZeroVariance,
 )
+from pairtrader.marketdata import align_panel, slice_window
 from pairtrader.signalgen import (
     RatioSeries,
     TradingFrame,
@@ -34,8 +36,9 @@ def mk_ratio(values, start=date(2021, 1, 1)):
     return RatioSeries(dates=dates, values=tuple(float(v) for v in values))
 
 
-def full_window(ratio):
-    return (ratio.dates[0], ratio.dates[-1])
+def pair_panel(ratios):
+    """Two-ticker panel whose A/B close ratio runs through ``ratios`` (B = 1)."""
+    return align_panel([make_series("A", ratios), make_series("B", [1.0] * len(ratios))])
 
 
 def frame_from_signals(signals1, close1=None, close2=None):
@@ -76,7 +79,7 @@ class TestRatioSeries:
         ratio = ratio_series(a, b)
         assert ratio.values == (2.0, 2.0, 2.0)
         with pytest.raises(ZeroVariance):
-            fit_ratio_stats(ratio, full_window(ratio))
+            fit_ratio_stats(ratio)
 
     def test_calendar_mismatch(self):
         a = make_series("A", [1, 2, 3])
@@ -88,7 +91,7 @@ class TestRatioSeries:
 class TestFitRatioStats:
     def test_population_moments_hand_computed(self):
         ratio = mk_ratio([1, 2, 3])
-        stats = fit_ratio_stats(ratio, full_window(ratio))
+        stats = fit_ratio_stats(ratio)
         mean = math.fsum([1, 2, 3]) / 3
         var = math.fsum((v - mean) ** 2 for v in [1, 2, 3]) / 3
         assert stats.mean == pytest.approx(mean, abs=1e-15)
@@ -98,23 +101,28 @@ class TestFitRatioStats:
     def test_constant_ratio(self):
         ratio = mk_ratio([2, 2, 2])
         with pytest.raises(ZeroVariance):
-            fit_ratio_stats(ratio, full_window(ratio))
+            fit_ratio_stats(ratio)
 
     def test_window_excluding_all_dates(self):
-        ratio = mk_ratio([1, 2, 3])
+        pair = pair_panel([1, 2, 3])
         with pytest.raises(EmptyWindow):
-            fit_ratio_stats(ratio, (date(1999, 1, 1), date(1999, 12, 31)))
+            slice_window(pair, date(1999, 1, 1), date(1999, 12, 31))
 
     def test_stats_use_window_only(self):
-        ratio = mk_ratio([1, 2, 3, 100, 200])
-        stats = fit_ratio_stats(ratio, (ratio.dates[0], ratio.dates[2]))
+        pair = pair_panel([1, 2, 3, 100, 200])
+        train = slice_window(pair, pair.dates[0], pair.dates[2])
+        stats = fit_ratio_stats(ratio_series(train.column("A"), train.column("B")))
         assert stats.mean == pytest.approx(2.0)
+
+    def test_empty_ratio(self):
+        with pytest.raises(EmptySeries):
+            fit_ratio_stats(mk_ratio([]))
 
 
 class TestZScore:
     def test_center_and_unit_deviation(self):
         ratio = mk_ratio([1, 2, 3])
-        stats = fit_ratio_stats(ratio, full_window(ratio))
+        stats = fit_ratio_stats(ratio)
         z = zscore_series(mk_ratio([stats.mean, stats.mean + stats.std]), stats)
         assert z[0] == pytest.approx(0.0, abs=1e-15)
         assert z[1] == pytest.approx(1.0, abs=1e-15)
@@ -122,7 +130,7 @@ class TestZScore:
     def test_self_standardization_is_exact(self):
         rng = np.random.default_rng(3)
         ratio = mk_ratio(2.0 + rng.normal(0, 0.3, size=300))
-        stats = fit_ratio_stats(ratio, full_window(ratio))
+        stats = fit_ratio_stats(ratio)
         z = np.asarray(zscore_series(ratio, stats))
         assert abs(z.mean()) < 1e-10
         assert abs(z.std() - 1.0) < 1e-10
@@ -155,7 +163,7 @@ class TestGenSignals:
         ratio = ratio_series(a1, a2)
         scaled_ratio = ratio_series(s1, s2)
         assert scaled_ratio.values == pytest.approx(ratio.values, rel=1e-12)
-        stats = fit_ratio_stats(ratio, full_window(ratio))
+        stats = fit_ratio_stats(ratio)
         assert gen_signals(zscore_series(ratio, stats)) == gen_signals(
             zscore_series(scaled_ratio, stats)
         )
@@ -193,7 +201,7 @@ class TestTradingFrame:
         closes2 = 50 + np.abs(np.cumsum(rng.normal(size=50)))
         a1, a2 = make_series("A", closes1), make_series("B", closes2)
         ratio = ratio_series(a1, a2)
-        stats = fit_ratio_stats(ratio, full_window(ratio))
+        stats = fit_ratio_stats(ratio)
         frame = build_trading_frame(a1, a2, stats)
         frame.validate()
         assert frame.upper_limit == 1.0 and frame.lower_limit == -1.0
@@ -221,7 +229,7 @@ class TestTradingFrame:
         closes2 = 50 + np.abs(np.cumsum(rng.normal(size=30)))
         a1, a2 = make_series("A", closes1), make_series("B", closes2)
         ratio = ratio_series(a1, a2)
-        stats = fit_ratio_stats(ratio, full_window(ratio))
+        stats = fit_ratio_stats(ratio)
         frame = build_trading_frame(a1, a2, stats)
         path = tmp_path / "frame.csv"
         frame.to_csv(path)

@@ -12,7 +12,7 @@ from pairtrader.errors import (
     UnknownSurface,
 )
 from pairtrader.marketdata import PriceSeries, align_panel
-from pairtrader.pairscan import coint_matrix, order_pair
+from pairtrader.pairscan import coint_matrix
 from pairtrader.synthetic import TRAIN_DAYS, build_sector, weekday_calendar
 from pairtrader.unitroot import (
     LEVELS,
@@ -357,6 +357,18 @@ def naive_adf(y, deterministic, max_lag):
     return best_k, tau, b.size, mackinnon_pvalue(tau, 1, deterministic)
 
 
+def naive_engle_granger(y, x):
+    """Textbook two-stage Engle-Granger: ``lstsq`` of y on ``[1, x]``, then
+    ``naive_adf`` on the residuals with no constant, and the p-value from
+    the two-series surface with a constant.
+    Returns (used_lags, tau, n_eff, p_value).
+    """
+    stage1 = np.column_stack([np.ones(x.size), x])
+    coef = np.linalg.lstsq(stage1, y, rcond=None)[0]
+    used_lags, tau, n_eff, _ = naive_adf(y - stage1 @ coef, "none", None)
+    return used_lags, tau, n_eff, mackinnon_pvalue(tau, 2, "constant")
+
+
 def _frozen_design(y, lag, constant):
     dy = np.diff(y)
     nobs = dy.size - lag
@@ -427,6 +439,22 @@ def test_adf_matches_naive_per_lag_oracle(deterministic, max_lag, kind, n):
     assert mine.p_value == pytest.approx(p_value, abs=1e-8)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [60, 750])
+@pytest.mark.parametrize("kind", ["cointegrated", "independent"])
+def test_engle_granger_matches_two_stage_oracle(kind, n, seed):
+    rng = np.random.default_rng(100 * n + seed)
+    x = random_walk(rng, n) + 50.0
+    noise = ar1(rng, n, phi=0.6) if kind == "cointegrated" else random_walk(rng, n)
+    y = 1.5 * x + noise
+    mine = engle_granger(y, x)
+    used_lags, tau, n_eff, p_value = naive_engle_granger(y, x)
+    assert mine.used_lags == used_lags
+    assert mine.n_eff == n_eff
+    assert mine.tau == pytest.approx(tau, abs=1e-8)
+    assert mine.p_value == pytest.approx(p_value, abs=1e-8)
+
+
 @pytest.mark.parametrize("deterministic,max_lag,kind,n", KERNEL_GRID)
 def test_adf_bit_identical_to_frozen_kernel(deterministic, max_lag, kind, n):
     y = kernel_case(kind, n, seed=n + (max_lag or 0))
@@ -446,10 +474,16 @@ def test_coint_matrix_bit_identical_to_frozen_per_pair_loop():
     expected = np.full((len(panel.tickers),) * 2, math.nan)
     for i, a in enumerate(panel.tickers):
         for j in range(i + 1, len(panel.tickers)):
-            predictor, target = order_pair(panel.column(a), panel.column(panel.tickers[j]))
-            expected[i, j] = frozen_engle_granger_p(
-                target.closes_array(), predictor.closes_array()
-            )
+            b = panel.tickers[j]
+            closes_a = panel.column(a).closes_array()
+            closes_b = panel.column(b).closes_array()
+            # Higher mean close predicts; ties go to the lower ticker.
+            mean_a, mean_b = np.mean(closes_a), np.mean(closes_b)
+            if mean_a > mean_b or (mean_a == mean_b and a <= b):
+                predictor, target = closes_a, closes_b
+            else:
+                predictor, target = closes_b, closes_a
+            expected[i, j] = frozen_engle_granger_p(target, predictor)
     got = coint_matrix(panel).values
     assert np.array_equal(got, expected, equal_nan=True)
     assert got.tobytes() == expected.tobytes()
