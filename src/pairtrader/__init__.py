@@ -25,18 +25,14 @@ from .econometrics import (
     correlation_matrix,
     durbin_watson,
     jarque_bera,
-    jarque_bera_from_moments,
     ols_through_origin,
     omnibus_k2,
-    pearson_correlation,
 )
 from .marketdata import (
     AlignedPanel,
     PriceSeries,
-    ReturnSeries,
     align_panel,
     load_csv,
-    pct_change,
     slice_window,
 )
 from .pairscan import (
@@ -49,7 +45,6 @@ from .pairscan import (
     select_pairs,
 )
 from .signalgen import (
-    RatioSeries,
     RatioStats,
     TradingFrame,
     Trigger,
@@ -58,8 +53,6 @@ from .signalgen import (
     fit_ratio_stats,
     gen_positions,
     gen_signals,
-    ratio_series,
-    zscore_series,
 )
 from .unitroot import (
     AdfResult,
@@ -86,9 +79,7 @@ __all__ = [
     "PairModel",
     "PairSummary",
     "PriceSeries",
-    "RatioSeries",
     "RatioStats",
-    "ReturnSeries",
     "SectorReport",
     "SelectedPair",
     "TradingFrame",
@@ -107,21 +98,16 @@ __all__ = [
     "gen_positions",
     "gen_signals",
     "jarque_bera",
-    "jarque_bera_from_moments",
     "load_csv",
     "mackinnon_crit",
     "mackinnon_pvalue",
     "ols_through_origin",
     "omnibus_k2",
     "order_pair",
-    "pct_change",
-    "pearson_correlation",
-    "ratio_series",
     "run_ledger",
     "sector_report",
     "select_pairs",
     "size_shares",
     "slice_window",
     "summarize_pair",
-    "zscore_series",
 ]

@@ -30,9 +30,10 @@ def _money(value) -> Decimal:
     if isinstance(value, Decimal):
         return value
     if isinstance(value, float):
-        # repr() is the shortest round-tripping form, so a price parsed from
-        # "123.45" comes back as Decimal("123.45") exactly.
-        return Decimal(repr(value))
+        # repr() of a Python float is the shortest round-tripping form, so a
+        # price parsed from "123.45" comes back as Decimal("123.45") exactly.
+        # float() first: a numpy float's repr is "np.float64(123.45)".
+        return Decimal(repr(float(value)))
     return Decimal(value)
 
 
@@ -124,27 +125,30 @@ def run_ledger(frame: TradingFrame, config: BacktestConfig) -> BacktestLedger:
     """
     if len(frame) == 0:
         raise EmptyFrame("trading frame has no rows")
-    frame.validate()
 
     capital = config.capital_per_leg
-    shares1 = size_shares(capital, frame.close1[0])
-    shares2 = size_shares(capital, frame.close2[0])
+    close1, close2 = frame.close1.tolist(), frame.close2.tolist()
+    shares1 = size_shares(capital, close1[0])
+    shares2 = size_shares(capital, close2[0])
 
     cash1 = capital
     cash2 = capital
     rows: list[LedgerRow] = []
-    for t in range(len(frame)):
-        price1 = _money(frame.close1[t])
-        price2 = _money(frame.close2[t])
-        if frame.positions1[t]:
-            cash1 -= frame.positions1[t] * shares1 * price1
-        if frame.positions2[t]:
-            cash2 -= frame.positions2[t] * shares2 * price2
-        holdings1 = frame.signals1[t] * shares1 * price1
-        holdings2 = frame.signals2[t] * shares2 * price2
+    for day, c1, c2, s1, s2, p1, p2 in zip(
+        frame.dates, close1, close2, frame.signals1.tolist(), frame.signals2.tolist(),
+        frame.positions1.tolist(), frame.positions2.tolist(),
+    ):
+        price1 = _money(c1)
+        price2 = _money(c2)
+        if p1:
+            cash1 -= p1 * shares1 * price1
+        if p2:
+            cash2 -= p2 * shares2 * price2
+        holdings1 = s1 * shares1 * price1
+        holdings2 = s2 * shares2 * price2
         rows.append(
             LedgerRow(
-                date=frame.dates[t],
+                date=day,
                 cash1=cash1,
                 cash2=cash2,
                 holdings1=holdings1,

@@ -34,9 +34,9 @@ from .backtest import (
 )
 from .econometrics import CorrelationMatrix, correlation_matrix
 from .errors import ConfigError, DataError, PairTraderError
-from .marketdata import AlignedPanel, PriceSeries, align_panel, load_csv, slice_window
+from .marketdata import AlignedPanel, align_panel, load_csv, slice_window
 from .pairscan import coint_matrix, fit_pair, order_pair, select_pairs
-from .signalgen import build_trading_frame, fit_ratio_stats, ratio_series
+from .signalgen import build_trading_frame, fit_ratio_stats
 from .svgchart import line_chart
 
 logger = logging.getLogger(__name__)
@@ -71,7 +71,7 @@ class RunConfig:
             raise ConfigError("band limits must satisfy z_lower < 0 < z_upper")
         if not 0.0 < self.coint_threshold < 1.0:
             raise ConfigError("coint_threshold must lie in (0, 1)")
-        if self.near_eps < 0.0:
+        if not self.near_eps >= 0.0:
             raise ConfigError("near_eps must be >= 0")
         if Decimal(self.capital_per_leg) <= 0:
             raise ConfigError("capital_per_leg must be positive")
@@ -85,6 +85,8 @@ class RunConfig:
             raise ConfigError(f"config file {path} does not exist") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object")
 
         try:
             raw_sectors = data["sectors"]
@@ -94,39 +96,74 @@ class RunConfig:
             raise ConfigError(f"config is missing required key {exc}") from None
 
         base = path.parent
-        sectors: dict[str, list[tuple[str, Path]]] = {}
-        for name, members in raw_sectors.items():
-            entries = []
-            for member in members:
-                if isinstance(member, dict):
-                    ticker, csv_path = member["ticker"], member["csv"]
-                else:
-                    ticker, csv_path = member
-                entries.append((str(ticker), (base / csv_path).resolve()))
-            sectors[name] = entries
+        if not isinstance(raw_sectors, dict) or not all(
+            isinstance(members, list) for members in raw_sectors.values()
+        ):
+            raise ConfigError("config key 'sectors' must map sector names to member lists")
+        sectors = {
+            name: [_sector_member(base, name, member) for member in members]
+            for name, members in raw_sectors.items()
+        }
 
         kwargs: dict = {}
         for key in ("coint_threshold", "near_eps", "z_upper", "z_lower"):
             if key in data:
-                kwargs[key] = float(data[key])
+                kwargs[key] = _parse_value(f"config key {key!r}", float, data[key])
         if "capital_per_leg" in data:
-            kwargs["capital_per_leg"] = Decimal(str(data["capital_per_leg"]))
+            kwargs["capital_per_leg"] = _parse_value(
+                "config key 'capital_per_leg'", _decimal, data["capital_per_leg"]
+            )
         if "close_column" in data:
+            if not isinstance(data["close_column"], str):
+                raise ConfigError(f"config key 'close_column': bad value {data['close_column']!r}")
             kwargs["close_column"] = data["close_column"]
-        out_dir = Path(data.get("out_dir", "runs"))
+        out_dir = _parse_value("config key 'out_dir'", Path, data.get("out_dir", "runs"))
         if not out_dir.is_absolute():
             out_dir = base / out_dir
 
-        try:
-            return cls(
-                sectors=sectors,
-                train_window=(date.fromisoformat(train[0]), date.fromisoformat(train[1])),
-                test_window=(date.fromisoformat(test[0]), date.fromisoformat(test[1])),
-                out_dir=out_dir,
-                **kwargs,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"bad config value: {exc}") from None
+        return cls(
+            sectors=sectors,
+            train_window=_parse_value("config key 'train_window'", _window, train),
+            test_window=_parse_value("config key 'test_window'", _window, test),
+            out_dir=out_dir,
+            **kwargs,
+        )
+
+
+def _parse_value(name: str, parse, raw):
+    """``parse(raw)``, with any failure reported as a ConfigError naming ``name``."""
+    try:
+        return parse(raw)
+    except (ArithmeticError, TypeError, ValueError):
+        raise ConfigError(f"{name}: bad value {raw!r}") from None
+
+
+def _decimal(raw) -> Decimal:
+    """A finite decimal amount (``InvalidOperation`` is an ArithmeticError)."""
+    value = Decimal(str(raw))
+    if not value.is_finite():
+        raise ValueError("not finite")
+    return value
+
+
+def _window(raw) -> tuple[date, date]:
+    start, end = raw
+    return date.fromisoformat(start), date.fromisoformat(end)
+
+
+def _sector_member(base: Path, sector: str, member) -> tuple[str, Path]:
+    """One ``{"ticker": T, "csv": PATH}`` or ``[T, PATH]`` sector entry."""
+    try:
+        if isinstance(member, dict):
+            ticker, csv_path = member["ticker"], member["csv"]
+        else:
+            ticker, csv_path = member
+        return str(ticker), (base / csv_path).resolve()
+    except (KeyError, TypeError, ValueError):
+        raise ConfigError(
+            f"config key 'sectors': member {member!r} of sector {sector!r} "
+            "needs a 'ticker' and a 'csv'"
+        ) from None
 
 
 def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
@@ -156,7 +193,7 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     if getattr(args, "near_eps", None) is not None:
         updates["near_eps"] = args.near_eps
     if getattr(args, "capital", None) is not None:
-        updates["capital_per_leg"] = Decimal(args.capital)
+        updates["capital_per_leg"] = _parse_value("--capital", _decimal, args.capital)
     if getattr(args, "svg", False):
         updates["svg"] = True
 
@@ -208,16 +245,16 @@ def _write_correlation_csv(matrix: CorrelationMatrix, path: Path) -> None:
 # --- sector/pair resolution ---------------------------------------------------
 
 
-def _sector_series(config: RunConfig, sector: str) -> list[PriceSeries]:
+def _sector_panel(config: RunConfig, sector: str) -> AlignedPanel:
     if sector not in config.sectors:
         raise ConfigError(f"sector {sector!r} not present in config")
     members = config.sectors[sector]
     if len(members) < 2:
         raise ConfigError(f"sector {sector!r} must list at least 2 tickers")
-    series = []
-    for ticker, csv_path in members:
-        series.append(load_csv(csv_path, ticker, close_column=config.close_column))
-    return series
+    return align_panel([
+        load_csv(csv_path, ticker, close_column=config.close_column)
+        for ticker, csv_path in members
+    ])
 
 
 def _find_pair(config: RunConfig, pair: str, sector: str | None) -> tuple[str, AlignedPanel]:
@@ -252,9 +289,7 @@ def _find_pair(config: RunConfig, pair: str, sector: str | None) -> tuple[str, A
 
 def cmd_scan(config: RunConfig, sector: str) -> Path:
     """Correlation matrix, cointegration p-values, and pair selection."""
-    series = _sector_series(config, sector)
-    panel = align_panel(series)
-    panel_train = slice_window(panel, *config.train_window)
+    panel_train = slice_window(_sector_panel(config, sector), *config.train_window)
 
     corr = correlation_matrix(panel_train)
     pvals = coint_matrix(panel_train)
@@ -323,12 +358,9 @@ def cmd_backtest(config: RunConfig, pair: str, sector: str | None = None) -> Pat
     sector_name, pair_panel = _find_pair(config, pair, sector)
     asset1, asset2 = pair_panel.tickers
 
-    train = slice_window(pair_panel, *config.train_window)
-    stats = fit_ratio_stats(ratio_series(train.column(asset1), train.column(asset2)))
-    test = slice_window(pair_panel, *config.test_window)
+    stats = fit_ratio_stats(slice_window(pair_panel, *config.train_window))
     frame = build_trading_frame(
-        test.column(asset1),
-        test.column(asset2),
+        slice_window(pair_panel, *config.test_window),
         stats,
         upper=config.z_upper,
         lower=config.z_lower,
@@ -353,7 +385,7 @@ def cmd_backtest(config: RunConfig, pair: str, sector: str | None = None) -> Pat
                 line_chart(
                     frame.dates,
                     [
-                        ("z-score", "steelblue", list(frame.zscore)),
+                        ("z-score", "steelblue", frame.zscore.tolist()),
                         ("upper", "firebrick", [frame.upper_limit] * len(frame)),
                         ("lower", "seagreen", [frame.lower_limit] * len(frame)),
                     ],

@@ -24,7 +24,7 @@ from .errors import (
     SeriesTooShort,
     ZeroVariance,
 )
-from .marketdata import AlignedPanel, PriceSeries, ReturnSeries
+from .marketdata import AlignedPanel
 
 #: Minimum sample size for the omnibus kurtosis transform to be stable.
 OMNIBUS_MIN_N = 20
@@ -68,37 +68,6 @@ def _chi2_sf(x: float, df: int) -> float:
     return float(scipy.special.chdtrc(df, x))
 
 
-def _values(x) -> np.ndarray:
-    """Coerce a PriceSeries / ReturnSeries / sequence into a float array."""
-    if isinstance(x, PriceSeries):
-        return x.closes_array()
-    if isinstance(x, ReturnSeries):
-        return x.returns_array()
-    return np.asarray(x, dtype=float)
-
-
-def _check_same_dates(a, b) -> None:
-    if isinstance(a, (PriceSeries, ReturnSeries)) and isinstance(b, (PriceSeries, ReturnSeries)):
-        if a.dates != b.dates:
-            raise LengthMismatch(f"{a.ticker} and {b.ticker} are not on the same calendar")
-
-
-def pearson_correlation(a, b) -> float:
-    """Pearson product-moment correlation of two equal-length series."""
-    _check_same_dates(a, b)
-    x = _values(a)
-    y = _values(b)
-    if x.shape != y.shape:
-        raise LengthMismatch(f"lengths {x.size} vs {y.size}")
-    if x.size < 3:
-        raise SeriesTooShort(f"need >= 3 observations, have {x.size}")
-    dx, sxx = _deviations(x)
-    dy, syy = _deviations(y)
-    if sxx == 0.0 or syy == 0.0:
-        raise ZeroVariance("correlation undefined for a constant series")
-    return _correlation(dx, sxx, dy, syy)
-
-
 def _deviations(x: np.ndarray) -> tuple[np.ndarray, float]:
     """Deviations from the mean and their sum of squares."""
     dx = x - x.mean()
@@ -110,9 +79,12 @@ def _correlation(dx: np.ndarray, sxx: float, dy: np.ndarray, syy: float) -> floa
     return min(1.0, max(-1.0, r))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationMatrix:
-    """Symmetric Pearson correlation matrix over a panel's return series."""
+    """Symmetric Pearson correlation matrix over a panel's return series.
+
+    Matrices compare by identity: the values are an array.
+    """
 
     tickers: tuple[str, ...]
     values: np.ndarray
@@ -129,10 +101,10 @@ class CorrelationMatrix:
 def correlation_matrix(panel: AlignedPanel) -> CorrelationMatrix:
     """Pairwise return correlations for every ticker pair in a panel.
 
-    Returns are simple daily returns of each column; the diagonal is exactly
-    1 and the matrix is exactly symmetric by construction.  Each column's
-    returns and deviations are computed once; every cell equals
-    ``pearson_correlation`` of the two columns' ``pct_change`` series.
+    Returns are simple daily returns ``p_t / p_{t-1} - 1`` of each column;
+    the diagonal is exactly 1 and the matrix is exactly symmetric by
+    construction.  Each column's returns and deviations are computed once,
+    and each cell is the product-moment correlation of two of them.
     """
     n = len(panel.tickers)
     if n < 2:
@@ -191,7 +163,7 @@ def _moments(e: np.ndarray) -> tuple[float, float, float]:
 
 def durbin_watson(e) -> float:
     """Durbin-Watson statistic ``sum (e_t - e_{t-1})^2 / sum e_t^2``."""
-    resid = _values(e)
+    resid = np.asarray(e, dtype=float)
     if resid.size < 2:
         raise SeriesTooShort(f"need >= 2 residuals, have {resid.size}")
     denom = float(resid @ resid)
@@ -201,21 +173,18 @@ def durbin_watson(e) -> float:
     return float(diff @ diff) / denom
 
 
-def jarque_bera_from_moments(n: int, skew: float, kurtosis: float) -> tuple[float, float]:
-    """JB statistic ``n/6 * (S^2 + (K-3)^2 / 4)`` and its chi-square(2) p-value."""
-    jb = n / 6.0 * (skew**2 + (kurtosis - 3.0) ** 2 / 4.0)
-    return jb, _chi2_sf(jb, 2)
-
-
 def jarque_bera(e) -> JarqueBeraResult:
-    """Jarque-Bera normality test from population skewness and kurtosis."""
-    resid = _values(e)
+    """Jarque-Bera normality test from population skewness and kurtosis.
+
+    ``JB = n/6 * (S^2 + (K-3)^2 / 4)`` with a chi-square(2) p-value.
+    """
+    resid = np.asarray(e, dtype=float)
     n = resid.size
     if n < 4:
         raise SeriesTooShort(f"need >= 4 residuals, have {n}")
     _, skew, kurt = _moments(resid)
-    jb, p = jarque_bera_from_moments(n, skew, kurt)
-    return JarqueBeraResult(statistic=jb, p_value=p, skew=skew, kurtosis=kurt)
+    jb = n / 6.0 * (skew**2 + (kurt - 3.0) ** 2 / 4.0)
+    return JarqueBeraResult(statistic=jb, p_value=_chi2_sf(jb, 2), skew=skew, kurtosis=kurt)
 
 
 def _skew_z(skew: float, n: int) -> float:
@@ -257,7 +226,7 @@ def omnibus_k2(e) -> OmnibusResult:
     statistic.  The kurtosis transform is unstable for tiny samples, so at
     least 20 observations are required.
     """
-    resid = _values(e)
+    resid = np.asarray(e, dtype=float)
     n = resid.size
     if n < OMNIBUS_MIN_N:
         raise SampleTooSmall(f"omnibus test needs >= {OMNIBUS_MIN_N} observations, have {n}")
@@ -405,9 +374,8 @@ def ols_through_origin(x, y) -> OlsOriginReport:
     residual degrees of freedom are ``n - 1``.  The log-likelihood is the
     Gaussian MLE value (variance ``sum(e**2)/n``); AIC/BIC use ``k = 1``.
     """
-    _check_same_dates(x, y)
-    xv = _values(x)
-    yv = _values(y)
+    xv = np.asarray(x, dtype=float)
+    yv = np.asarray(y, dtype=float)
     if xv.shape != yv.shape:
         raise LengthMismatch(f"lengths {xv.size} vs {yv.size}")
     n = int(xv.size)

@@ -3,7 +3,9 @@
 One CSV file per ticker (common finance-site export shape: a ``Date`` column
 plus ``Close`` and optionally ``Adj Close``).  Alignment across tickers is a
 strict inner join on dates: non-common trading days are dropped, never
-forward-filled.
+forward-filled.  ``load_csv`` yields one ``PriceSeries`` per ticker and
+``align_panel`` joins them into an ``AlignedPanel``; every later stage reads
+price columns from the panel's array.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .errors import (
     EmptyWindow,
     MissingColumn,
     NonPositivePrice,
-    SeriesTooShort,
     UnreadableFile,
 )
 
@@ -66,31 +67,14 @@ class PriceSeries:
     def __len__(self) -> int:
         return len(self.dates)
 
-    def closes_array(self) -> np.ndarray:
-        return np.asarray(self.closes, dtype=float)
 
-
-@dataclass(frozen=True)
-class ReturnSeries:
-    """Daily simple returns ``r_t = p_t / p_{t-1} - 1`` for one ticker."""
-
-    ticker: str
-    dates: tuple[date, ...]
-    returns: tuple[float, ...]
-
-    def __len__(self) -> int:
-        return len(self.dates)
-
-    def returns_array(self) -> np.ndarray:
-        return np.asarray(self.returns, dtype=float)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlignedPanel:
     """Close prices for several tickers on one common calendar.
 
     ``closes[i, j]`` is the close of ``tickers[j]`` on ``dates[i]``.  Every
-    cell is populated (inner-join alignment).
+    cell is populated (inner-join alignment).  Panels compare by identity:
+    the closes are an array, which has no single truth value.
     """
 
     tickers: tuple[str, ...]
@@ -110,17 +94,11 @@ class AlignedPanel:
     def closes_by_ticker(self) -> np.ndarray:
         """Closes as a C-contiguous (n_tickers, n_dates) copy.
 
-        Row j holds ``tickers[j]``'s closes laid out as
-        ``PriceSeries.closes_array()`` lays them out, so a sum over a row
-        rounds exactly as it does over that ticker's ``PriceSeries``; a sum
-        over a strided ``closes[:, j]`` need not.
+        Row j holds ``tickers[j]``'s closes contiguously, so a sum over a row
+        rounds exactly as it does over ``np.asarray`` of that ticker's
+        ``PriceSeries.closes``; a sum over a strided ``closes[:, j]`` need not.
         """
         return np.ascontiguousarray(self.closes.T)
-
-    def column(self, ticker: str) -> PriceSeries:
-        """Extract one ticker as a PriceSeries on the panel calendar."""
-        j = self.tickers.index(ticker)
-        return PriceSeries(ticker, self.dates, tuple(float(c) for c in self.closes[:, j]))
 
 
 def _read_rows(reader: csv.DictReader, path, close_column: str | None):
@@ -235,19 +213,6 @@ def align_panel(series: list[PriceSeries]) -> AlignedPanel:
         closes[:, j] = [by_date[d] for d in dates]
 
     return AlignedPanel(tickers=tuple(tickers), dates=dates, closes=closes)
-
-
-def pct_change(p: PriceSeries) -> ReturnSeries:
-    """Simple returns ``r_t = p_t / p_{t-1} - 1``; the first day is dropped."""
-    if len(p) < 2:
-        raise SeriesTooShort(f"{p.ticker}: need >= 2 observations, have {len(p)}")
-    closes = p.closes_array()
-    rets = closes[1:] / closes[:-1] - 1.0
-    return ReturnSeries(
-        ticker=p.ticker,
-        dates=p.dates[1:],
-        returns=tuple(float(r) for r in rets),
-    )
 
 
 def slice_window(panel: AlignedPanel, start: date, end: date) -> AlignedPanel:

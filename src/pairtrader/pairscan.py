@@ -31,7 +31,7 @@ DEFAULT_NEAR_EPS = 0.02
 EXACT_DEPENDENCE = "exact linear dependence"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PValueMatrix:
     """Engle-Granger p-values for every unordered pair in a panel.
 
@@ -39,7 +39,8 @@ class PValueMatrix:
     elsewhere; ``orderings`` records, cell by cell in row-major upper-triangle
     order, which ticker served as predictor (regressor) and which as target.
     ``reasons`` maps a cell ``(tickers[i], tickers[j])``, i < j, whose p-value
-    the test did not produce to why; healthy cells have no entry.
+    the test did not produce to why; healthy cells have no entry.  Matrices
+    compare by identity: the values are an array.
     """
 
     tickers: tuple[str, ...]

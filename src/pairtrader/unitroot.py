@@ -38,7 +38,6 @@ from .errors import (
     SeriesTooShort,
     UnknownSurface,
 )
-from .marketdata import PriceSeries
 
 LEVELS = ("1%", "5%", "10%")
 
@@ -190,8 +189,6 @@ class CointResult:
     tau: float
     p_value: float
     crit: MappingProxyType
-    dependent_ticker: str
-    regressor_ticker: str
     used_lags: int
     n_eff: int
 
@@ -200,8 +197,6 @@ class CointResult:
             "tau": self.tau,
             "p_value": self.p_value,
             "crit": dict(self.crit),
-            "dependent_ticker": self.dependent_ticker,
-            "regressor_ticker": self.regressor_ticker,
             "used_lags": self.used_lags,
             "n_eff": self.n_eff,
         }
@@ -218,8 +213,6 @@ def default_max_lag(n: int) -> int:
 
 
 def _as_1d(series) -> np.ndarray:
-    if isinstance(series, PriceSeries):
-        return series.closes_array()
     values = np.asarray(series, dtype=float)
     if values.ndim != 1:
         raise ValueError("series must be one-dimensional")
@@ -350,8 +343,6 @@ def engle_granger(y, x, max_lag: int | None = None) -> CointResult:
     xv = _as_1d(x)
     if yv.size != xv.size:
         raise LengthMismatch(f"lengths {yv.size} vs {xv.size}")
-    if isinstance(y, PriceSeries) and isinstance(x, PriceSeries) and y.dates != x.dates:
-        raise LengthMismatch(f"{y.ticker} and {x.ticker} are not on the same calendar")
     if yv.size < 30:
         raise SeriesTooShort(f"need >= 30 observations, have {yv.size}")
 
@@ -369,8 +360,6 @@ def engle_granger(y, x, max_lag: int | None = None) -> CointResult:
         tau=stage2.tau,
         p_value=mackinnon_pvalue(stage2.tau, 2, "constant"),
         crit=MappingProxyType(crit),
-        dependent_ticker=y.ticker if isinstance(y, PriceSeries) else "y",
-        regressor_ticker=x.ticker if isinstance(x, PriceSeries) else "x",
         used_lags=stage2.used_lags,
         n_eff=stage2.n_eff,
     )

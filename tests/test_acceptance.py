@@ -263,7 +263,7 @@ def fixture_frame(signals1, close1, close2):
 
 
 def replay_cash(ledger, frame, capital):
-    price = {"asset1": frame.close1, "asset2": frame.close2}
+    price = {"asset1": frame.close1.tolist(), "asset2": frame.close2.tolist()}
     shares = {"asset1": ledger.shares1, "asset2": ledger.shares2}
     index = {d: i for i, d in enumerate(frame.dates)}
     deltas = {"open_long": 1, "open_short": -1, "flip_to_long": 2, "flip_to_short": -2}
@@ -321,10 +321,10 @@ def test_criterion_09_signal_invariants():
         boundary = rng.integers(0, n)
         z[boundary] = 1.0 if rng.integers(0, 2) else -1.0
         signals1, signals2 = gen_signals(z)
-        assert signals2 == tuple(-s for s in signals1)
+        assert signals2.tolist() == [-s for s in signals1.tolist()]
         positions = gen_positions(signals1)
         running = 0
-        for sig, pos in zip(signals1, positions):
+        for sig, pos in zip(signals1.tolist(), positions.tolist()):
             running += pos
             assert running == sig
         assert signals1[boundary] == 0  # exact +-1 stays flat

@@ -49,7 +49,7 @@ def replay_triggers_oracle(ledger, frame, capital):
     Never looks at the ledger loop's positions arithmetic: the signed trade
     size is reconstructed from the trigger actions alone.
     """
-    price = {"asset1": frame.close1, "asset2": frame.close2}
+    price = {"asset1": frame.close1.tolist(), "asset2": frame.close2.tolist()}
     shares = {"asset1": ledger.shares1, "asset2": ledger.shares2}
     day_index = {d: i for i, d in enumerate(frame.dates)}
     cash = {"asset1": capital, "asset2": capital}
@@ -84,6 +84,11 @@ class TestSizeShares:
 
     def test_exact_division(self):
         assert size_shares(Decimal("100000"), Decimal("12.50")) == 8000
+
+    def test_numpy_float_price_is_exact(self):
+        # repr() of a numpy float is "np.float64(101.25)", not a decimal literal.
+        assert size_shares(100000, np.float64(101.25)) == 987
+        assert size_shares(Decimal("101.25"), np.float64(101.25)) == 1
 
 
 class TestRunLedger:

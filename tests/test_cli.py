@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -180,7 +181,6 @@ class TestBacktest:
         base = pipeline / "metals" / "pairs" / "COBALT-IRON" / "backtest"
         frame = TradingFrame.from_csv(base / "trading_frame.csv",
                                       ticker1="COBALT", ticker2="IRON")
-        frame.validate()
         assert len(frame) == 250
         rewritten = base.parent / "frame_copy.csv"
         frame.to_csv(rewritten)
@@ -358,6 +358,40 @@ class TestConfigSurface:
     def test_invalid_window_ordering_rejected(self, synth_dir, tmp_path):
         assert run("scan", "--config", synth_dir / "config.json", "--sector", "metals",
                    "--train-end", "2021-12-31", "--out", tmp_path) == 1
+
+    @pytest.mark.parametrize("command, edit, flags, named", [
+        ("scan", lambda c: c.update(capital_per_leg="abc"), [], "capital_per_leg"),
+        ("scan", lambda c: c.update(z_upper="x"), [], "z_upper"),
+        ("scan", lambda c: c["sectors"]["metals"][0].pop("ticker") and None, [],
+         "ticker"),
+        ("scan", lambda c: c.update(sectors=["metals"]), [], "sectors"),
+        ("scan", lambda c: c.update(capital_per_leg="NaN"), [], "capital_per_leg"),
+        ("scan", lambda c: c.update(near_eps=math.nan), [], "near_eps"),
+        ("scan", lambda c: c.update(train_window="2018"), [], "train_window"),
+        ("scan", lambda c: c.update(out_dir=5), [], "out_dir"),
+        ("scan", lambda c: c.update(close_column=3), [], "close_column"),
+        ("scan", lambda c: [c], [], "JSON object"),
+        ("backtest", lambda c: None, ["--pair", "COBALT,IRON", "--capital", "abc"],
+         "--capital"),
+    ], ids=["capital_per_leg", "z_upper", "member_without_ticker", "sectors_list",
+            "capital_nan", "near_eps_nan", "window_not_a_pair", "out_dir_number",
+            "close_column_number",
+            "top_level_list",
+            "capital_flag"])
+    def test_malformed_value_is_config_error(self, synth_dir, tmp_path, capsys,
+                                             command, edit, flags, named):
+        config = json.loads((synth_dir / "config.json").read_text())
+        for member in config["sectors"]["metals"]:
+            member["csv"] = str(synth_dir / member["csv"])
+        config = edit(config) or config
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        if command == "scan":
+            flags = ["--sector", "metals"]
+        assert run(command, "--config", path, *flags, "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pairtrader: error: ") and named in err
+        assert "Traceback" not in err
 
     def test_config_invariants(self, synth_dir):
         config = RunConfig.from_json(synth_dir / "config.json")

@@ -1,4 +1,5 @@
 import math
+import statistics
 import struct
 
 import numpy as np
@@ -15,10 +16,8 @@ from pairtrader.econometrics import (
     correlation_matrix,
     durbin_watson,
     jarque_bera,
-    jarque_bera_from_moments,
     ols_through_origin,
     omnibus_k2,
-    pearson_correlation,
 )
 from pairtrader.errors import (
     AllZeroResiduals,
@@ -28,7 +27,7 @@ from pairtrader.errors import (
     SeriesTooShort,
     ZeroVariance,
 )
-from pairtrader.marketdata import align_panel
+from pairtrader.marketdata import PriceSeries, align_panel
 
 from conftest import make_series
 
@@ -44,35 +43,77 @@ def oracle_pearson(xs, ys):
     return sxy / math.sqrt(sxx * syy)
 
 
+def simple_returns(closes):
+    return [b / a - 1.0 for a, b in zip(closes, closes[1:])]
+
+
+def pair_correlation(columns):
+    """The A-B cell of ``correlation_matrix`` over a panel of ``columns``."""
+    panel = align_panel([make_series(t, closes) for t, closes in columns.items()])
+    return correlation_matrix(panel).correlation("A", "B")
+
+
 class TestPearson:
+    """Single cells of ``correlation_matrix`` against hand-built returns."""
+
     def test_self_correlation_is_one(self):
-        assert pearson_correlation([1.0, 2.0, 5.0], [1.0, 2.0, 5.0]) == 1.0
+        closes = [1.0, 2.0, 5.0, 3.0]
+        assert pair_correlation({"A": closes, "B": closes}) == 1.0
 
     def test_perfect_negative(self):
-        assert pearson_correlation([1, 2, 3], [3, 2, 1]) == pytest.approx(-1.0, abs=1e-15)
+        # Returns +10%, -10%, +10% against -10%, +10%, -10%.
+        got = pair_correlation({"A": [100, 110, 99, 108.9], "B": [100, 90, 99, 89.1]})
+        assert got == pytest.approx(-1.0, abs=1e-15)
 
     def test_hand_evaluated_oracle(self):
-        expected = oracle_pearson([1, 2, 3], [1, 2, 4])
-        got = pearson_correlation([1, 2, 3], [1, 2, 4])
-        assert got == pytest.approx(expected, abs=1e-14)
+        # Returns exactly [1, 2, 3] and [1, 2, 4].
+        got = pair_correlation({"A": [1, 2, 6, 24], "B": [1, 2, 6, 30]})
+        assert got == pytest.approx(oracle_pearson([1, 2, 3], [1, 2, 4]), abs=1e-14)
         assert got == pytest.approx(0.98198, abs=5e-6)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            pearson_correlation([1, 2, 3], [1, 2])
+        # Calendars of different length are joined on their shared dates,
+        # never paired by position.
+        a = make_series("A", [10, 11, 9, 12, 13])
+        b = PriceSeries("B", a.dates[:2] + a.dates[3:], (20.0, 23.0, 25.0, 24.0))
+        got = correlation_matrix(align_panel([a, b])).correlation("A", "B")
+        expected = oracle_pearson(simple_returns([10, 11, 12, 13]),
+                                  simple_returns([20, 23, 25, 24]))
+        assert got == pytest.approx(expected, abs=1e-14)
 
     def test_zero_variance(self):
         with pytest.raises(ZeroVariance):
-            pearson_correlation([1, 1, 1], [1, 2, 3])
+            pair_correlation({"A": [1, 1, 1, 1], "B": [1, 2, 3, 4]})
 
     def test_too_short(self):
         with pytest.raises(SeriesTooShort):
-            pearson_correlation([1, 2], [3, 4])
+            pair_correlation({"A": [1, 2, 3], "B": [3, 4, 6]})
 
 
 class TestCorrelationMatrix:
     def panel(self, columns):
         return align_panel([make_series(t, closes) for t, closes in columns.items()])
+
+    def test_every_cell_matches_fsum_oracle(self):
+        rng = np.random.default_rng(17)
+        columns = {
+            f"T{i}": 100 * np.exp(np.cumsum(rng.normal(0, 0.02, size=60))) for i in range(6)
+        }
+        panel = self.panel(columns)
+        matrix = correlation_matrix(panel)
+        returns = [simple_returns(panel.closes[:, j].tolist()) for j in range(6)]
+        for i in range(6):
+            for j in range(6):
+                if i != j:
+                    expected = oracle_pearson(returns[i], returns[j])
+                    assert abs(matrix.values[i, j] - expected) <= 1e-14
+
+    def test_distinct_matrices_compare_without_raising(self):
+        columns = {"A": [10, 12, 11, 15], "B": [20, 25, 22, 31], "C": [5, 4, 6, 7]}
+        m1 = correlation_matrix(self.panel(columns))
+        m2 = correlation_matrix(self.panel(columns))
+        assert np.array_equal(m1.values, m2.values)
+        assert m1 == m1 and m1 != m2
 
     def test_ten_tickers_cover_45_pairs(self):
         rng = np.random.default_rng(3)
@@ -262,9 +303,15 @@ class TestJarqueBera:
     def test_moment_formula_pins_published_value(self):
         # Rounded moments from a 740-observation regression summary should
         # land within printing tolerance of its reported statistic 75.823.
-        jb, p = jarque_bera_from_moments(740, 0.780, 3.150)
-        assert jb == pytest.approx(75.823, abs=0.5)
-        assert p < 1e-10
+        # The sample is z + a*z**2 + b*z**3 over 740 normal quantiles, with
+        # (a, b) solved numerically for skew 0.780 and kurtosis 3.150.
+        n = 740
+        z = np.array([statistics.NormalDist().inv_cdf((i + 0.5) / n) for i in range(n)])
+        result = jarque_bera(z + 0.15681149 * z**2 - 0.03735023 * z**3)
+        assert result.skew == pytest.approx(0.780, abs=1e-6)
+        assert result.kurtosis == pytest.approx(3.150, abs=1e-6)
+        assert result.statistic == pytest.approx(75.823, abs=0.5)
+        assert result.p_value < 1e-10
 
     def test_brute_force_moment_oracle(self):
         sample = [1.0, 1.0, 1.0, 10.0]

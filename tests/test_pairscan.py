@@ -19,14 +19,18 @@ from conftest import make_series
 
 
 @pytest.fixture(scope="module")
-def synth_panel():
+def synth_series():
     calendar = weekday_calendar(date(2018, 1, 1), TRAIN_DAYS)
     prices = build_sector()
-    series = [
-        PriceSeries(t, calendar, tuple(map(float, prices[t][:TRAIN_DAYS])))
+    return {
+        t: PriceSeries(t, calendar, tuple(map(float, prices[t][:TRAIN_DAYS])))
         for t in sorted(prices)
-    ]
-    return align_panel(series)
+    }
+
+
+@pytest.fixture(scope="module")
+def synth_panel(synth_series):
+    return align_panel(list(synth_series.values()))
 
 
 @pytest.fixture(scope="module")
@@ -115,11 +119,9 @@ class TestCointMatrix:
         assert sum(1 for p in others if p < 0.05) <= 6
 
     def test_predictor_has_higher_mean_in_every_cell(self, synth_panel, synth_matrix):
+        column = dict(zip(synth_panel.tickers, synth_panel.closes_by_ticker()))
         for _, _, _, predictor, target in synth_matrix.cells():
-            assert (
-                np.mean(synth_panel.column(predictor).closes_array())
-                >= np.mean(synth_panel.column(target).closes_array())
-            )
+            assert np.mean(column[predictor]) >= np.mean(column[target])
 
     def test_permutation_stability(self):
         rng = np.random.default_rng(31)
@@ -187,11 +189,11 @@ class TestSelectPairs:
         with pytest.raises(ValueError):
             select_pairs(matrix, near_eps=-0.1)
 
-    def test_selection_from_scan_respects_order_pair(self, synth_panel, synth_matrix):
+    def test_selection_from_scan_respects_order_pair(self, synth_series, synth_matrix):
         for pair in select_pairs(synth_matrix):
             ordered = pair_panel(
-                synth_panel.column(pair.target_ticker),
-                synth_panel.column(pair.predictor_ticker),
+                synth_series[pair.target_ticker],
+                synth_series[pair.predictor_ticker],
             )
             assert ordered.tickers == (pair.predictor_ticker, pair.target_ticker)
 
@@ -266,6 +268,12 @@ class TestFitPair:
 
 
 class TestPValueMatrixSerialization:
+    def test_distinct_matrices_compare_without_raising(self):
+        values = np.array([[np.nan, 0.1], [np.nan, np.nan]])
+        m1 = PValueMatrix(tickers=("A", "B"), values=values, orderings=(("A", "B"),))
+        m2 = PValueMatrix(tickers=("A", "B"), values=values, orderings=(("A", "B"),))
+        assert m1 == m1 and m1 != m2
+
     def test_csv_round_trip(self, tmp_path, synth_matrix):
         path = tmp_path / "pvals.csv"
         synth_matrix.to_csv(path)

@@ -1,3 +1,4 @@
+import json
 import math
 from datetime import date, timedelta
 
@@ -7,38 +8,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairtrader.errors import (
+    EmptyIntersection,
     EmptySeries,
     EmptyWindow,
     InvariantViolation,
-    LengthMismatch,
     ZeroVariance,
 )
-from pairtrader.marketdata import align_panel, slice_window
+from pairtrader.marketdata import AlignedPanel, align_panel, slice_window
 from pairtrader.signalgen import (
-    RatioSeries,
+    RatioStats,
     TradingFrame,
     build_trading_frame,
     extract_triggers,
     fit_ratio_stats,
     gen_positions,
     gen_signals,
-    ratio_series,
-    zscore_series,
 )
 
 from conftest import make_series
 
 signal_lists = st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=60)
 
-
-def mk_ratio(values, start=date(2021, 1, 1)):
-    dates = tuple(start + timedelta(days=i) for i in range(len(values)))
-    return RatioSeries(dates=dates, values=tuple(float(v) for v in values))
+#: Standardizing with mean 0 and std 1 leaves the ratio itself as the z-score.
+IDENTITY = RatioStats(mean=0.0, std=1.0)
 
 
 def pair_panel(ratios):
     """Two-ticker panel whose A/B close ratio runs through ``ratios`` (B = 1)."""
     return align_panel([make_series("A", ratios), make_series("B", [1.0] * len(ratios))])
+
+
+def ratio_of(a, b):
+    """The A/B close ratio, read back from a trading frame's z-score."""
+    return build_trading_frame(align_panel([a, b]), IDENTITY).zscore.tolist()
 
 
 def frame_from_signals(signals1, close1=None, close2=None):
@@ -58,7 +60,7 @@ def frame_from_signals(signals1, close1=None, close2=None):
         signals1=tuple(signals1),
         signals2=tuple(-s for s in signals1),
         positions1=positions1,
-        positions2=tuple(-p for p in positions1),
+        positions2=-positions1,
     )
 
 
@@ -66,32 +68,37 @@ class TestRatioSeries:
     def test_identity_pair_gives_ones(self):
         a = make_series("A", [3, 4, 5])
         b = make_series("B", [3, 4, 5])
-        assert ratio_series(a, b).values == (1.0, 1.0, 1.0)
+        assert ratio_of(a, b) == [1.0, 1.0, 1.0]
 
     def test_forced_arithmetic(self):
         a = make_series("A", [10])
         b = make_series("B", [4])
-        assert ratio_series(a, b).values == (2.5,)
+        assert ratio_of(a, b) == [2.5]
 
     def test_proportional_pair_feeds_zero_variance(self):
         a = make_series("A", [10, 20, 30])
         b = make_series("B", [5, 10, 15])
-        ratio = ratio_series(a, b)
-        assert ratio.values == (2.0, 2.0, 2.0)
+        assert ratio_of(a, b) == [2.0, 2.0, 2.0]
         with pytest.raises(ZeroVariance):
-            fit_ratio_stats(ratio)
+            fit_ratio_stats(align_panel([a, b]))
 
     def test_calendar_mismatch(self):
+        # The ratio is taken on shared dates only, never by position.
         a = make_series("A", [1, 2, 3])
-        b = make_series("B", [1, 2, 3], start=date(2020, 1, 1))
-        with pytest.raises(LengthMismatch):
-            ratio_series(a, b)
+        b = make_series("B", [1, 2, 5], start=date(2020, 12, 31))
+        assert ratio_of(a, b) == [1 / 2, 2 / 5]
+        with pytest.raises(EmptyIntersection):
+            ratio_of(a, make_series("B", [1, 2, 3], start=date(2020, 1, 1)))
+
+    def test_rejects_non_pair_panel(self):
+        panel = align_panel([make_series(t, [1, 2, 3]) for t in "ABC"])
+        with pytest.raises(ValueError):
+            fit_ratio_stats(panel)
 
 
 class TestFitRatioStats:
     def test_population_moments_hand_computed(self):
-        ratio = mk_ratio([1, 2, 3])
-        stats = fit_ratio_stats(ratio)
+        stats = fit_ratio_stats(pair_panel([1, 2, 3]))
         mean = math.fsum([1, 2, 3]) / 3
         var = math.fsum((v - mean) ** 2 for v in [1, 2, 3]) / 3
         assert stats.mean == pytest.approx(mean, abs=1e-15)
@@ -99,9 +106,8 @@ class TestFitRatioStats:
         assert stats.std == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-15)
 
     def test_constant_ratio(self):
-        ratio = mk_ratio([2, 2, 2])
         with pytest.raises(ZeroVariance):
-            fit_ratio_stats(ratio)
+            fit_ratio_stats(pair_panel([2, 2, 2]))
 
     def test_window_excluding_all_dates(self):
         pair = pair_panel([1, 2, 3])
@@ -111,27 +117,26 @@ class TestFitRatioStats:
     def test_stats_use_window_only(self):
         pair = pair_panel([1, 2, 3, 100, 200])
         train = slice_window(pair, pair.dates[0], pair.dates[2])
-        stats = fit_ratio_stats(ratio_series(train.column("A"), train.column("B")))
+        stats = fit_ratio_stats(train)
         assert stats.mean == pytest.approx(2.0)
 
     def test_empty_ratio(self):
+        empty = AlignedPanel(tickers=("A", "B"), dates=(), closes=np.empty((0, 2)))
         with pytest.raises(EmptySeries):
-            fit_ratio_stats(mk_ratio([]))
+            fit_ratio_stats(empty)
 
 
 class TestZScore:
     def test_center_and_unit_deviation(self):
-        ratio = mk_ratio([1, 2, 3])
-        stats = fit_ratio_stats(ratio)
-        z = zscore_series(mk_ratio([stats.mean, stats.mean + stats.std]), stats)
-        assert z[0] == pytest.approx(0.0, abs=1e-15)
-        assert z[1] == pytest.approx(1.0, abs=1e-15)
+        stats = fit_ratio_stats(pair_panel([1, 2, 3]))
+        frame = build_trading_frame(pair_panel([stats.mean, stats.mean + stats.std]), stats)
+        assert frame.zscore[0] == pytest.approx(0.0, abs=1e-15)
+        assert frame.zscore[1] == pytest.approx(1.0, abs=1e-15)
 
     def test_self_standardization_is_exact(self):
         rng = np.random.default_rng(3)
-        ratio = mk_ratio(2.0 + rng.normal(0, 0.3, size=300))
-        stats = fit_ratio_stats(ratio)
-        z = np.asarray(zscore_series(ratio, stats))
+        pair = pair_panel(2.0 + rng.normal(0, 0.3, size=300))
+        z = build_trading_frame(pair, fit_ratio_stats(pair)).zscore
         assert abs(z.mean()) < 1e-10
         assert abs(z.std() - 1.0) < 1e-10
 
@@ -139,42 +144,40 @@ class TestZScore:
 class TestGenSignals:
     def test_rule_application(self):
         signals1, signals2 = gen_signals([0.5, 1.2, -1.3, 0.2])
-        assert signals1 == (0, -1, 1, 0)
-        assert signals2 == (0, 1, -1, 0)
+        assert signals1.tolist() == [0, -1, 1, 0]
+        assert signals2.tolist() == [0, 1, -1, 0]
 
     def test_boundary_is_strict(self):
         signals1, _ = gen_signals([1.0, -1.0])
-        assert signals1 == (0, 0)
+        assert signals1.tolist() == [0, 0]
 
     @given(st.lists(st.floats(min_value=-5, max_value=5,
                               allow_nan=False, allow_infinity=False),
                     min_size=1, max_size=100))
     def test_mirror_property(self, z):
         signals1, signals2 = gen_signals(z)
-        assert signals2 == tuple(-s for s in signals1)
+        assert signals2.tolist() == [-s for s in signals1.tolist()]
 
     def test_scale_free_in_prices(self):
         rng = np.random.default_rng(5)
         closes1 = 50 + np.abs(np.cumsum(rng.normal(size=60)))
         closes2 = 30 + np.abs(np.cumsum(rng.normal(size=60)))
-        a1, a2 = make_series("A", closes1), make_series("B", closes2)
-        s1 = make_series("A", 3.7 * closes1)
-        s2 = make_series("B", 3.7 * closes2)
-        ratio = ratio_series(a1, a2)
-        scaled_ratio = ratio_series(s1, s2)
-        assert scaled_ratio.values == pytest.approx(ratio.values, rel=1e-12)
-        stats = fit_ratio_stats(ratio)
-        assert gen_signals(zscore_series(ratio, stats)) == gen_signals(
-            zscore_series(scaled_ratio, stats)
-        )
+        pair = align_panel([make_series("A", closes1), make_series("B", closes2)])
+        scaled = align_panel([make_series("A", 3.7 * closes1),
+                              make_series("B", 3.7 * closes2)])
+        stats = fit_ratio_stats(pair)
+        frame = build_trading_frame(pair, stats)
+        scaled_frame = build_trading_frame(scaled, stats)
+        assert scaled_frame.zscore.tolist() == pytest.approx(frame.zscore.tolist(), rel=1e-12)
+        assert np.array_equal(scaled_frame.signals1, frame.signals1)
 
 
 class TestGenPositions:
     def test_difference_arithmetic(self):
-        assert gen_positions([0, -1, -1, 1]) == (0, -1, 0, 2)
+        assert gen_positions([0, -1, -1, 1]).tolist() == [0, -1, 0, 2]
 
     def test_constant_signals(self):
-        assert gen_positions([1, 1, 1]) == (1, 0, 0)
+        assert gen_positions([1, 1, 1]).tolist() == [1, 0, 0]
 
     def test_opening_trade_on_day_one(self):
         assert gen_positions([1, 0])[0] == 1
@@ -184,7 +187,7 @@ class TestGenPositions:
         positions = gen_positions(signals)
         running = 0
         rebuilt = []
-        for p in positions:
+        for p in positions.tolist():
             running += p
             rebuilt.append(running)
         assert rebuilt == signals
@@ -194,47 +197,74 @@ class TestGenPositions:
             gen_positions([0, 2])
 
 
+FRAME_FIELDS = ("ticker1", "ticker2", "dates", "close1", "close2", "zscore",
+                "upper_limit", "lower_limit", "signals1", "signals2",
+                "positions1", "positions2")
+
+
+def assert_frames_equal(got, expected):
+    """Exact field-by-field equality, array fields compared element and dtype."""
+    for name in FRAME_FIELDS:
+        a, b = getattr(got, name), getattr(expected, name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype, name
+            assert a.tobytes() == b.tobytes(), name
+        else:
+            assert a == b, name
+
+
 class TestTradingFrame:
     def test_build_and_validate(self):
         rng = np.random.default_rng(7)
         closes1 = 100 + np.abs(np.cumsum(rng.normal(size=50)))
         closes2 = 50 + np.abs(np.cumsum(rng.normal(size=50)))
-        a1, a2 = make_series("A", closes1), make_series("B", closes2)
-        ratio = ratio_series(a1, a2)
-        stats = fit_ratio_stats(ratio)
-        frame = build_trading_frame(a1, a2, stats)
-        frame.validate()
+        pair = align_panel([make_series("A", closes1), make_series("B", closes2)])
+        frame = build_trading_frame(pair, fit_ratio_stats(pair))
         assert frame.upper_limit == 1.0 and frame.lower_limit == -1.0
-        assert frame.signals2 == tuple(-s for s in frame.signals1)
+        assert np.array_equal(frame.signals2, -frame.signals1)
+        assert frame.close1.tolist() == pair.closes[:, 0].tolist()
+        assert frame.close2.tolist() == pair.closes[:, 1].tolist()
 
     def test_validate_catches_broken_mirror(self):
         frame = frame_from_signals([0, 1, 0])
-        broken = TradingFrame(
-            **{**frame.__dict__, "signals2": (0, 1, 0)}
-        )
-        with pytest.raises(InvariantViolation):
-            broken.validate()
+        with pytest.raises(InvariantViolation, match="signals2"):
+            TradingFrame(**{**frame.__dict__, "signals2": (0, 1, 0)})
 
     def test_validate_catches_broken_positions(self):
         frame = frame_from_signals([0, 1, 0])
-        broken = TradingFrame(
-            **{**frame.__dict__, "positions1": (0, 0, 0), "positions2": (0, 0, 0)}
-        )
-        with pytest.raises(InvariantViolation):
-            broken.validate()
+        with pytest.raises(InvariantViolation, match="reconstruct"):
+            TradingFrame(
+                **{**frame.__dict__, "positions1": (0, 0, 0), "positions2": (0, 0, 0)}
+            )
+
+    def test_validate_catches_wrong_length(self):
+        frame = frame_from_signals([0, 1, 0])
+        with pytest.raises(InvariantViolation, match="zscore"):
+            TradingFrame(**{**frame.__dict__, "zscore": (0.0, 1.0)})
+
+    def test_columns_are_read_only_copies(self):
+        signals = np.array([0, 1, 0])
+        frame = frame_from_signals([0, 1, 0])
+        frame = TradingFrame(**{**frame.__dict__, "signals1": signals})
+        signals[1] = 0
+        assert frame.signals1.tolist() == [0, 1, 0]
+        with pytest.raises(ValueError):
+            frame.zscore[0] = 0.0
+
+    def test_distinct_frames_compare_without_raising(self):
+        f1, f2 = frame_from_signals([0, 1, 0]), frame_from_signals([0, 1, 0])
+        assert f1 == f1 and f1 != f2
 
     def test_csv_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(9)
         closes1 = 100 + np.abs(np.cumsum(rng.normal(size=30)))
         closes2 = 50 + np.abs(np.cumsum(rng.normal(size=30)))
-        a1, a2 = make_series("A", closes1), make_series("B", closes2)
-        ratio = ratio_series(a1, a2)
-        stats = fit_ratio_stats(ratio)
-        frame = build_trading_frame(a1, a2, stats)
+        pair = align_panel([make_series("A", closes1), make_series("B", closes2)])
+        frame = build_trading_frame(pair, fit_ratio_stats(pair))
         path = tmp_path / "frame.csv"
         frame.to_csv(path)
         back = TradingFrame.from_csv(path, ticker1="A", ticker2="B")
-        assert back == frame
+        assert_frames_equal(back, frame)
 
     def test_csv_column_order(self, tmp_path):
         frame = frame_from_signals([0, -1, 0])
@@ -259,6 +289,12 @@ class TestExtractTriggers:
             (2, "open_long", 1),
             (4, "flip_to_short", 2),
         ]
+
+    def test_trigger_fields_are_python_scalars(self):
+        # json.dumps(default=str) would write a numpy integer as a string.
+        for trigger in extract_triggers(frame_from_signals([0, -1, 1, 0])):
+            assert type(trigger.lots) is int
+            assert json.loads(json.dumps(trigger.to_json_dict()))["lots"] == trigger.lots
 
     def test_all_flat_means_no_triggers(self):
         assert extract_triggers(frame_from_signals([0, 0, 0, 0])) == []
