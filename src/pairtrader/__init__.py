@@ -30,7 +30,6 @@ from .econometrics import (
 )
 from .marketdata import (
     AlignedPanel,
-    PriceSeries,
     align_panel,
     load_csv,
     slice_window,
@@ -78,7 +77,6 @@ __all__ = [
     "PValueMatrix",
     "PairModel",
     "PairSummary",
-    "PriceSeries",
     "RatioStats",
     "SectorReport",
     "SelectedPair",

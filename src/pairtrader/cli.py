@@ -26,6 +26,7 @@ from decimal import Decimal
 from pathlib import Path
 
 from .backtest import (
+    DEFAULT_CAPITAL,
     BacktestConfig,
     PairSummary,
     run_ledger,
@@ -35,8 +36,9 @@ from .backtest import (
 from .econometrics import CorrelationMatrix, correlation_matrix
 from .errors import ConfigError, DataError, PairTraderError
 from .marketdata import AlignedPanel, align_panel, load_csv, slice_window
-from .pairscan import coint_matrix, fit_pair, order_pair, select_pairs
-from .signalgen import build_trading_frame, fit_ratio_stats
+from .pairscan import (DEFAULT_NEAR_EPS, DEFAULT_THRESHOLD, coint_matrix, fit_pair,
+                       order_pair, select_pairs)
+from .signalgen import LOWER_LIMIT, UPPER_LIMIT, build_trading_frame, fit_ratio_stats
 from .svgchart import line_chart
 
 logger = logging.getLogger(__name__)
@@ -51,11 +53,11 @@ class RunConfig:
     sectors: dict[str, list[tuple[str, Path]]]
     train_window: tuple[date, date]
     test_window: tuple[date, date]
-    coint_threshold: float = 0.05
-    near_eps: float = 0.02
-    z_upper: float = 1.0
-    z_lower: float = -1.0
-    capital_per_leg: Decimal = Decimal("100000")
+    coint_threshold: float = DEFAULT_THRESHOLD
+    near_eps: float = DEFAULT_NEAR_EPS
+    z_upper: float = UPPER_LIMIT
+    z_lower: float = LOWER_LIMIT
+    capital_per_leg: Decimal = DEFAULT_CAPITAL
     out_dir: Path = Path("runs")
     close_column: str | None = None
     svg: bool = False

@@ -24,7 +24,7 @@ from .errors import (
     SeriesTooShort,
     ZeroVariance,
 )
-from .marketdata import AlignedPanel
+from .marketdata import AlignedPanel, readonly_copy
 
 #: Minimum sample size for the omnibus kurtosis transform to be stable.
 OMNIBUS_MIN_N = 20
@@ -90,9 +90,7 @@ class CorrelationMatrix:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", readonly_copy(self.values))
 
     def correlation(self, a: str, b: str) -> float:
         return float(self.values[self.tickers.index(a), self.tickers.index(b)])

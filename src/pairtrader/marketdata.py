@@ -1,11 +1,11 @@
 """Daily close-price ingestion, validation, alignment, and windowing.
 
 One CSV file per ticker (common finance-site export shape: a ``Date`` column
-plus ``Close`` and optionally ``Adj Close``).  Alignment across tickers is a
-strict inner join on dates: non-common trading days are dropped, never
-forward-filled.  ``load_csv`` yields one ``PriceSeries`` per ticker and
-``align_panel`` joins them into an ``AlignedPanel``; every later stage reads
-price columns from the panel's array.
+plus ``Close`` and optionally ``Adj Close``).  A price column lives in one
+container, the ``AlignedPanel``: ``load_csv`` yields a one-ticker panel per
+file and ``align_panel`` inner-joins panels on their dates (non-common
+trading days are dropped, never forward-filled); every later stage reads
+price columns from a panel's array.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from datetime import date
 
@@ -38,43 +39,26 @@ CLOSE_COLUMN_PREFERENCE = ("Close", "Adj Close")
 _MISSING_TOKENS = frozenset({"", "na", "n/a", "nan", "null", "none"})
 
 
-@dataclass(frozen=True)
-class PriceSeries:
-    """Date-ordered daily closes for one ticker.
+def readonly_copy(values) -> np.ndarray:
+    """A read-only float array copy of ``values``.
 
-    Dates are strictly increasing and every close is finite and positive;
-    instances are immutable and safe to share across threads.
+    Containers store these, so building one never freezes or aliases the
+    caller's own array.
     """
-
-    ticker: str
-    dates: tuple[date, ...]
-    closes: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.dates) != len(self.closes):
-            raise ValueError("dates and closes must have equal length")
-        if not self.dates:
-            raise EmptySeries(f"{self.ticker}: no observations")
-        for prev, nxt in zip(self.dates, self.dates[1:]):
-            if nxt <= prev:
-                raise DuplicateDate(
-                    f"{self.ticker}: dates not strictly increasing at {nxt}"
-                )
-        for d, c in zip(self.dates, self.closes):
-            if not math.isfinite(c) or c <= 0.0:
-                raise NonPositivePrice(f"{self.ticker}: close {c!r} on {d}")
-
-    def __len__(self) -> int:
-        return len(self.dates)
+    array = np.array(values, dtype=float)
+    array.setflags(write=False)
+    return array
 
 
 @dataclass(frozen=True, eq=False)
 class AlignedPanel:
-    """Close prices for several tickers on one common calendar.
+    """Close prices for one or more tickers on one common calendar.
 
-    ``closes[i, j]`` is the close of ``tickers[j]`` on ``dates[i]``.  Every
-    cell is populated (inner-join alignment).  Panels compare by identity:
-    the closes are an array, which has no single truth value.
+    ``closes[i, j]`` is the close of ``tickers[j]`` on ``dates[i]``.  Dates
+    are strictly increasing, and every cell is populated (inner-join
+    alignment) with a finite, positive close.  The closes are a read-only
+    copy of the array passed in.  Panels compare by identity: the closes are
+    an array, which has no single truth value.
     """
 
     tickers: tuple[str, ...]
@@ -82,10 +66,18 @@ class AlignedPanel:
     closes: np.ndarray
 
     def __post_init__(self) -> None:
-        closes = np.asarray(self.closes, dtype=float)
+        closes = readonly_copy(self.closes)
         if closes.shape != (len(self.dates), len(self.tickers)):
             raise ValueError("closes shape does not match dates x tickers")
-        closes.setflags(write=False)
+        if not all(map(operator.lt, self.dates, self.dates[1:])):
+            at = next(b for a, b in zip(self.dates, self.dates[1:]) if b <= a)
+            raise DuplicateDate(f"{'/'.join(self.tickers)}: dates not strictly increasing at {at}")
+        bad = ~(np.isfinite(closes) & (closes > 0.0))
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise NonPositivePrice(
+                f"{self.tickers[j]}: close {float(closes[i, j])!r} on {self.dates[i]}"
+            )
         object.__setattr__(self, "closes", closes)
 
     def __len__(self) -> int:
@@ -95,8 +87,8 @@ class AlignedPanel:
         """Closes as a C-contiguous (n_tickers, n_dates) copy.
 
         Row j holds ``tickers[j]``'s closes contiguously, so a sum over a row
-        rounds exactly as it does over ``np.asarray`` of that ticker's
-        ``PriceSeries.closes``; a sum over a strided ``closes[:, j]`` need not.
+        rounds exactly as it does over any contiguous array of those closes;
+        a sum over a strided ``closes[:, j]`` need not.
         """
         return np.ascontiguousarray(self.closes.T)
 
@@ -151,7 +143,7 @@ def _read_rows(reader: csv.DictReader, path, close_column: str | None):
     return rows, dropped
 
 
-def load_csv(path, ticker: str, close_column: str | None = None) -> PriceSeries:
+def load_csv(path, ticker: str, close_column: str | None = None) -> AlignedPanel:
     """Load one ticker's daily closes from a CSV file.
 
     The file must have a header row with a ``Date`` column (ISO-8601
@@ -179,40 +171,35 @@ def load_csv(path, ticker: str, close_column: str | None = None) -> PriceSeries:
         if d1 == d2:
             raise DuplicateDate(f"{path}: date {d1} appears more than once")
 
-    return PriceSeries(
-        ticker=ticker,
+    return AlignedPanel(
+        tickers=(ticker,),
         dates=tuple(d for d, _ in rows),
-        closes=tuple(c for _, c in rows),
+        closes=np.array([c for _, c in rows])[:, np.newaxis],
     )
 
 
-def align_panel(series: list[PriceSeries]) -> AlignedPanel:
-    """Inner-join several price series onto their common calendar.
+def align_panel(panels: list[AlignedPanel]) -> AlignedPanel:
+    """Inner-join several panels onto their common calendar.
 
     Panel dates are the intersection of all input date sets, ascending.
-    Column order follows ticker order of the input list.
+    Columns follow the input panels' tickers in input order.
     """
-    if len(series) < 2:
-        raise ValueError("align_panel needs at least 2 series")
-    tickers = [s.ticker for s in series]
+    if len(panels) < 2:
+        raise ValueError("align_panel needs at least 2 panels")
+    tickers = [t for p in panels for t in p.tickers]
     if len(set(tickers)) != len(tickers):
         seen = set()
         dupe = next(t for t in tickers if t in seen or seen.add(t))
         raise DuplicateTicker(f"ticker {dupe!r} appears more than once")
 
-    common = set(series[0].dates)
-    for s in series[1:]:
-        common &= set(s.dates)
+    common = set(panels[0].dates).intersection(*(p.dates for p in panels[1:]))
     if not common:
         raise EmptyIntersection(f"no common dates across {tickers}")
-    dates = tuple(sorted(common))
-
-    closes = np.empty((len(dates), len(series)), dtype=float)
-    for j, s in enumerate(series):
-        by_date = dict(zip(s.dates, s.closes))
-        closes[:, j] = [by_date[d] for d in dates]
-
-    return AlignedPanel(tickers=tuple(tickers), dates=dates, closes=closes)
+    # Every calendar ascends, so a panel's rows on common dates are in order.
+    columns = [p.closes[np.fromiter(map(common.__contains__, p.dates), bool, len(p))]
+               for p in panels]
+    return AlignedPanel(tickers=tuple(tickers), dates=tuple(sorted(common)),
+                        closes=np.hstack(columns))
 
 
 def slice_window(panel: AlignedPanel, start: date, end: date) -> AlignedPanel:
@@ -225,5 +212,5 @@ def slice_window(panel: AlignedPanel, start: date, end: date) -> AlignedPanel:
     return AlignedPanel(
         tickers=panel.tickers,
         dates=tuple(panel.dates[i] for i in idx),
-        closes=panel.closes[idx, :].copy(),
+        closes=panel.closes[idx, :],
     )

@@ -21,7 +21,7 @@ import numpy as np
 
 from .econometrics import OlsOriginReport, ols_through_origin
 from .errors import ConstantSeries, PairTraderError, SeriesTooShort
-from .marketdata import AlignedPanel, slice_window
+from .marketdata import AlignedPanel, readonly_copy, slice_window
 from .unitroot import AdfResult, adf_test, engle_granger
 
 DEFAULT_THRESHOLD = 0.05
@@ -49,9 +49,7 @@ class PValueMatrix:
     reasons: Mapping[tuple[str, str], str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", readonly_copy(self.values))
         object.__setattr__(self, "reasons", MappingProxyType(dict(self.reasons)))
 
     def pvalue(self, a: str, b: str) -> float:
@@ -163,7 +161,7 @@ def order_pair(pair: AlignedPanel, train: tuple[date, date]) -> AlignedPanel:
     return AlignedPanel(tickers=(b, a), dates=pair.dates, closes=pair.closes[:, [1, 0]])
 
 
-def coint_matrix(panel: AlignedPanel, max_lag: int | None = None) -> PValueMatrix:
+def coint_matrix(panel: AlignedPanel) -> PValueMatrix:
     """Engle-Granger p-value for every unordered pair of panel tickers.
 
     Within each pair the higher-mean-close ticker is the regressor and the
@@ -197,7 +195,7 @@ def coint_matrix(panel: AlignedPanel, max_lag: int | None = None) -> PValueMatri
             else:
                 pred, targ = j, i
             try:
-                values[i, j] = engle_granger(closes[targ], closes[pred], max_lag=max_lag).p_value
+                values[i, j] = engle_granger(closes[targ], closes[pred]).p_value
             except ConstantSeries:
                 values[i, j] = 0.0
                 reasons[(tickers[i], tickers[j])] = EXACT_DEPENDENCE

@@ -7,7 +7,9 @@ the test period sees no look-ahead).
 Signals are ternary per leg: short asset1 while the z-score sits strictly
 above the upper band, long asset1 strictly below the lower band, flat
 inside; asset2 always takes the opposite stance.  Positions are the first
-difference of signals, and each nonzero position is a trigger.
+difference of signals, and each nonzero position is a trigger.  A
+``TradingFrame`` stores only the pair panel, its z-scores and the bands; its
+signal and position columns are derived from them on construction.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from datetime import date
 import numpy as np
 
 from .errors import EmptySeries, EmptyWindow, InvariantViolation, ZeroVariance
-from .marketdata import AlignedPanel
+from .marketdata import AlignedPanel, readonly_copy
 
 UPPER_LIMIT = 1.0
 LOWER_LIMIT = -1.0
@@ -47,10 +49,14 @@ class RatioStats:
     std: float
 
 
-def _ratio(pair: AlignedPanel) -> np.ndarray:
-    """Daily ratio ``close1 / close2`` of a two-ticker panel."""
+def _check_pair(pair: AlignedPanel) -> None:
     if len(pair.tickers) != 2:
         raise ValueError(f"a pair panel holds 2 tickers, not {len(pair.tickers)}")
+
+
+def _ratio(pair: AlignedPanel) -> np.ndarray:
+    """Daily ratio ``close1 / close2`` of a two-ticker panel."""
+    _check_pair(pair)
     return pair.closes[:, 0] / pair.closes[:, 1]
 
 
@@ -105,51 +111,58 @@ def gen_positions(signals) -> np.ndarray:
 class TradingFrame:
     """The per-day trading table for one pair over one window.
 
-    Column semantics match the signal construction above: signals2 and
-    positions2 mirror the asset1 columns with opposite sign, and signals1 is
-    the running sum of positions1 starting from flat.  The columns are
-    read-only arrays (closes and z-scores float, signals and positions int),
-    checked once on construction; frames compare by identity.
+    A frame stores the two-ticker pair panel (asset1's column first), the
+    z-score of each day and the band limits.  Everything else is read from
+    the panel (``ticker1``, ``ticker2``, ``dates``, ``close1``, ``close2``)
+    or derived once on construction with ``gen_signals``/``gen_positions``
+    (``signals1``, ``signals2``, ``positions1``, ``positions2``, read-only
+    int arrays), so the columns agree by construction.  Frames compare by
+    identity.
     """
 
-    ticker1: str
-    ticker2: str
-    dates: tuple[date, ...]
-    close1: np.ndarray
-    close2: np.ndarray
+    pair: AlignedPanel
     zscore: np.ndarray
     upper_limit: float
     lower_limit: float
-    signals1: np.ndarray
-    signals2: np.ndarray
-    positions1: np.ndarray
-    positions2: np.ndarray
 
     def __post_init__(self) -> None:
-        n = len(self.dates)
-        for name, dtype in (("close1", float), ("close2", float), ("zscore", float),
-                            ("signals1", np.int64), ("signals2", np.int64),
-                            ("positions1", np.int64), ("positions2", np.int64)):
-            column = np.array(getattr(self, name), dtype=dtype)
-            if column.shape != (n,):
-                raise InvariantViolation(f"column {name} has wrong length")
-            column.setflags(write=False)
-            object.__setattr__(self, name, column)
+        _check_pair(self.pair)
+        zscore = readonly_copy(self.zscore)
+        if zscore.shape != (len(self.pair),):
+            raise InvariantViolation("column zscore has wrong length")
+        object.__setattr__(self, "zscore", zscore)
         object.__setattr__(self, "upper_limit", float(self.upper_limit))
         object.__setattr__(self, "lower_limit", float(self.lower_limit))
 
-        for bad, what in (
-            (self.signals2 != -self.signals1, "signals2 != -signals1"),
-            (self.positions2 != -self.positions1, "positions2 != -positions1"),
-            (np.cumsum(self.positions1) != self.signals1,
-             "positions1 do not reconstruct signals1"),
-            (np.abs(self.signals1) > 1, "signals1 out of range"),
-        ):
-            if bad.any():
-                raise InvariantViolation(f"{what} on {self.dates[int(np.argmax(bad))]}")
+        signals1, signals2 = gen_signals(zscore, upper=self.upper_limit, lower=self.lower_limit)
+        positions1 = gen_positions(signals1)
+        for name, column in (("signals1", signals1), ("signals2", signals2),
+                             ("positions1", positions1), ("positions2", -positions1)):
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
-        return len(self.dates)
+        return len(self.pair)
+
+    @property
+    def ticker1(self) -> str:
+        return self.pair.tickers[0]
+
+    @property
+    def ticker2(self) -> str:
+        return self.pair.tickers[1]
+
+    @property
+    def dates(self) -> tuple[date, ...]:
+        return self.pair.dates
+
+    @property
+    def close1(self) -> np.ndarray:
+        return self.pair.closes[:, 0]
+
+    @property
+    def close2(self) -> np.ndarray:
+        return self.pair.closes[:, 1]
 
     def to_csv(self, path) -> None:
         upper, lower = repr(self.upper_limit), repr(self.lower_limit)
@@ -169,6 +182,12 @@ class TradingFrame:
 
     @classmethod
     def from_csv(cls, path, ticker1: str = "asset1", ticker2: str = "asset2") -> "TradingFrame":
+        """Read a frame written by ``to_csv``.
+
+        The file's signal and position columns must equal the ones derived
+        from its z-scores and bands; a tampered column raises
+        ``InvariantViolation``.
+        """
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.DictReader(handle)
             rows = list(reader)
@@ -178,20 +197,24 @@ class TradingFrame:
         lowers = {row["lower_limit"] for row in rows}
         if len(uppers) != 1 or len(lowers) != 1:
             raise InvariantViolation(f"{path}: band limit columns are not constant")
-        return cls(
-            ticker1=ticker1,
-            ticker2=ticker2,
-            dates=tuple(date.fromisoformat(r["date"]) for r in rows),
-            close1=[float(r["asset1"]) for r in rows],
-            close2=[float(r["asset2"]) for r in rows],
+        frame = cls(
+            pair=AlignedPanel(
+                tickers=(ticker1, ticker2),
+                dates=tuple(date.fromisoformat(r["date"]) for r in rows),
+                closes=[[float(r["asset1"]), float(r["asset2"])] for r in rows],
+            ),
             zscore=[float(r["z_score"]) for r in rows],
             upper_limit=float(uppers.pop()),
             lower_limit=float(lowers.pop()),
-            signals1=[int(r["signals1"]) for r in rows],
-            signals2=[int(r["signals2"]) for r in rows],
-            positions1=[int(r["positions1"]) for r in rows],
-            positions2=[int(r["positions2"]) for r in rows],
         )
+        for name in ("signals1", "signals2", "positions1", "positions2"):
+            bad = np.array([int(r[name]) for r in rows]) != getattr(frame, name)
+            if bad.any():
+                raise InvariantViolation(
+                    f"{path}: {name} on {frame.dates[int(np.argmax(bad))]} disagrees"
+                    " with the z-score and bands"
+                )
+        return frame
 
 
 def build_trading_frame(
@@ -206,22 +229,7 @@ def build_trading_frame(
     the trading window; ``stats`` come from the fit window.
     """
     z = (_ratio(pair) - stats.mean) / stats.std
-    signals1, signals2 = gen_signals(z, upper=upper, lower=lower)
-    positions1 = gen_positions(signals1)
-    return TradingFrame(
-        ticker1=pair.tickers[0],
-        ticker2=pair.tickers[1],
-        dates=pair.dates,
-        close1=pair.closes[:, 0],
-        close2=pair.closes[:, 1],
-        zscore=z,
-        upper_limit=upper,
-        lower_limit=lower,
-        signals1=signals1,
-        signals2=signals2,
-        positions1=positions1,
-        positions2=-positions1,
-    )
+    return TradingFrame(pair=pair, zscore=z, upper_limit=upper, lower_limit=lower)
 
 
 @dataclass(frozen=True)

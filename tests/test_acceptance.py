@@ -8,7 +8,6 @@ here is calibrated after the fact.
 import json
 import math
 import time
-from datetime import date, timedelta
 from decimal import Decimal
 
 import numpy as np
@@ -27,6 +26,8 @@ from pairtrader.econometrics import ols_through_origin
 from pairtrader.signalgen import TradingFrame, gen_positions, gen_signals
 from pairtrader.synthetic import PAIR_TICKERS
 from pairtrader.unitroot import adf_test, engle_granger, load_tables, mackinnon_crit, mackinnon_pvalue
+
+from conftest import make_pair
 
 
 def announce(number, name):
@@ -249,16 +250,11 @@ def test_criterion_07_pvalue_critical_value_self_consistency():
 
 
 def fixture_frame(signals1, close1, close2):
-    n = len(signals1)
-    dates = tuple(date(2021, 1, 1) + timedelta(days=i) for i in range(n))
-    positions1 = gen_positions(signals1)
+    """A frame whose z-scores (-2 per unit of signal) derive ``signals1``."""
     return TradingFrame(
-        ticker1="A", ticker2="B", dates=dates,
-        close1=tuple(map(float, close1)), close2=tuple(map(float, close2)),
-        zscore=tuple(-2.0 * s for s in signals1),
+        pair=make_pair(close1, close2),
+        zscore=[-2.0 * s for s in signals1],
         upper_limit=1.0, lower_limit=-1.0,
-        signals1=tuple(signals1), signals2=tuple(-s for s in signals1),
-        positions1=positions1, positions2=tuple(-p for p in positions1),
     )
 
 

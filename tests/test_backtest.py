@@ -1,4 +1,4 @@
-from datetime import date, timedelta
+from datetime import date
 from decimal import Decimal
 
 import numpy as np
@@ -15,24 +15,17 @@ from pairtrader.backtest import (
     summarize_pair,
 )
 from pairtrader.errors import EmptyFrame, EmptyList, PriceExceedsCapital
-from pairtrader.signalgen import TradingFrame, gen_positions
+from pairtrader.signalgen import TradingFrame
+
+from conftest import make_pair
 
 
 def mk_frame(signals1, close1, close2, start=date(2021, 1, 1)):
-    n = len(signals1)
-    dates = tuple(start + timedelta(days=i) for i in range(n))
-    positions1 = gen_positions(signals1)
+    """A frame whose z-scores (-2 per unit of signal) derive ``signals1``."""
     return TradingFrame(
-        ticker1="A", ticker2="B",
-        dates=dates,
-        close1=tuple(float(c) for c in close1),
-        close2=tuple(float(c) for c in close2),
-        zscore=tuple(-2.0 * s for s in signals1),
+        pair=make_pair(close1, close2, start),
+        zscore=[-2.0 * s for s in signals1],
         upper_limit=1.0, lower_limit=-1.0,
-        signals1=tuple(signals1),
-        signals2=tuple(-s for s in signals1),
-        positions1=positions1,
-        positions2=tuple(-p for p in positions1),
     )
 
 
@@ -131,7 +124,7 @@ class TestRunLedger:
     def test_empty_frame(self):
         with pytest.raises(EmptyFrame):
             run_ledger(
-                TradingFrame("A", "B", (), (), (), (), 1.0, -1.0, (), (), (), ()),
+                TradingFrame(make_pair([], []), (), 1.0, -1.0),
                 BacktestConfig(),
             )
 

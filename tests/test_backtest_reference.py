@@ -30,8 +30,18 @@ from pairtrader.errors import (
     PriceExceedsCapital,
     ZeroVariance,
 )
-from pairtrader.marketdata import PriceSeries, slice_window
+from pairtrader.marketdata import slice_window
 from pairtrader.svgchart import line_chart
+
+
+@dataclass(frozen=True)
+class PriceSeries:
+    """Stand-in for the removed one-ticker series type: the fields the copy reads."""
+
+    ticker: str
+    dates: tuple[date, ...]
+    closes: tuple[float, ...]
+
 
 # --- frozen copy: signalgen -----------------------------------------------------
 

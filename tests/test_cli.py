@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pairtrader import backtest, pairscan, signalgen
 from pairtrader.backtest import PairSummary, ledger_rows_from_csv
 from pairtrader.cli import RunConfig, main, staged_dir
 from pairtrader.pairscan import PValueMatrix
@@ -333,6 +334,14 @@ class TestConfigSurface:
 
     def test_missing_config_file(self, tmp_path):
         assert run("scan", "--config", tmp_path / "nope.json", "--sector", "s") == 1
+
+    def test_defaults_are_the_library_defaults(self, synth_dir):
+        config = RunConfig.from_json(synth_dir / "config.json")
+        assert config.coint_threshold == pairscan.DEFAULT_THRESHOLD
+        assert config.near_eps == pairscan.DEFAULT_NEAR_EPS
+        assert config.z_upper == signalgen.UPPER_LIMIT
+        assert config.z_lower == signalgen.LOWER_LIMIT
+        assert config.capital_per_leg == backtest.DEFAULT_CAPITAL
 
     def test_env_var_sets_out_dir(self, synth_dir, tmp_path, monkeypatch):
         target = tmp_path / "env_out"

@@ -13,6 +13,7 @@ from pairtrader.econometrics import (
     _f_sf,
     _t_ppf,
     _t_sf,
+    CorrelationMatrix,
     correlation_matrix,
     durbin_watson,
     jarque_bera,
@@ -27,7 +28,7 @@ from pairtrader.errors import (
     SeriesTooShort,
     ZeroVariance,
 )
-from pairtrader.marketdata import PriceSeries, align_panel
+from pairtrader.marketdata import AlignedPanel, align_panel
 
 from conftest import make_series
 
@@ -75,7 +76,7 @@ class TestPearson:
         # Calendars of different length are joined on their shared dates,
         # never paired by position.
         a = make_series("A", [10, 11, 9, 12, 13])
-        b = PriceSeries("B", a.dates[:2] + a.dates[3:], (20.0, 23.0, 25.0, 24.0))
+        b = AlignedPanel(("B",), a.dates[:2] + a.dates[3:], [[20.0], [23.0], [25.0], [24.0]])
         got = correlation_matrix(align_panel([a, b])).correlation("A", "B")
         expected = oracle_pearson(simple_returns([10, 11, 12, 13]),
                                   simple_returns([20, 23, 25, 24]))
@@ -114,6 +115,15 @@ class TestCorrelationMatrix:
         m2 = correlation_matrix(self.panel(columns))
         assert np.array_equal(m1.values, m2.values)
         assert m1 == m1 and m1 != m2
+
+    def test_values_are_a_read_only_copy(self):
+        values = np.eye(2)
+        matrix = CorrelationMatrix(tickers=("A", "B"), values=values)
+        assert values.flags.writeable
+        values[0, 1] = 0.5
+        assert matrix.correlation("A", "B") == 0.0
+        with pytest.raises(ValueError):
+            matrix.values[0, 1] = 0.5
 
     def test_ten_tickers_cover_45_pairs(self):
         rng = np.random.default_rng(3)

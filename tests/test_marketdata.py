@@ -21,7 +21,6 @@ from pairtrader.errors import (
 )
 from pairtrader.marketdata import (
     AlignedPanel,
-    PriceSeries,
     align_panel,
     load_csv,
     slice_window,
@@ -58,16 +57,18 @@ class TestLoadCsv:
         path = write_csv(tmp_path / "a.csv",
                          "Date,Close\n2021-01-01,100.0\n2021-01-04,101.5\n")
         series = load_csv(path, "A")
+        assert isinstance(series, AlignedPanel)
+        assert series.tickers == ("A",)
         assert len(series) == 2
         assert series.dates == (date(2021, 1, 1), date(2021, 1, 4))
-        assert series.closes == (100.0, 101.5)
+        assert series.closes.tolist() == [[100.0], [101.5]]
 
     def test_out_of_order_rows_sorted(self, tmp_path):
         path = write_csv(tmp_path / "a.csv",
                          "Date,Close\n2021-01-04,101.5\n2021-01-01,100.0\n")
         series = load_csv(path, "A")
         assert series.dates == (date(2021, 1, 1), date(2021, 1, 4))
-        assert series.closes == (100.0, 101.5)
+        assert series.closes[:, 0].tolist() == [100.0, 101.5]
 
     def test_zero_close_rejected_naming_row(self, tmp_path):
         path = write_csv(tmp_path / "a.csv",
@@ -111,8 +112,8 @@ class TestLoadCsv:
     def test_close_preferred_over_adj_close(self, tmp_path):
         path = write_csv(tmp_path / "a.csv",
                          "Date,Close,Adj Close\n2021-01-01,100.0,90.0\n2021-01-04,101.0,91.0\n")
-        assert load_csv(path, "A").closes == (100.0, 101.0)
-        assert load_csv(path, "A", close_column="Adj Close").closes == (90.0, 91.0)
+        assert load_csv(path, "A").closes[:, 0].tolist() == [100.0, 101.0]
+        assert load_csv(path, "A", close_column="Adj Close").closes[:, 0].tolist() == [90.0, 91.0]
 
     def test_missing_file_names_path(self, tmp_path):
         path = tmp_path / "absent.csv"
@@ -141,7 +142,8 @@ class TestLoadCsv:
                 series = load_csv(path, "A")
             except DataError:
                 return
-        assert isinstance(series, PriceSeries)
+        assert isinstance(series, AlignedPanel)
+        assert series.tickers == ("A",) and series.closes.shape == (len(series), 1)
 
     def test_extra_columns_ignored(self, tmp_path):
         path = write_csv(
@@ -150,13 +152,13 @@ class TestLoadCsv:
             "2021-01-01,99,101,98,100.0,99.5,1000\n"
             "2021-01-04,100,103,99,102.0,101.4,1200\n",
         )
-        assert load_csv(path, "A").closes == (100.0, 102.0)
+        assert load_csv(path, "A").closes[:, 0].tolist() == [100.0, 102.0]
 
 
-class TestPriceSeriesInvariants:
+class TestAlignedPanelInvariants:
     def test_non_increasing_dates_rejected(self):
         with pytest.raises(DuplicateDate):
-            PriceSeries("A", (date(2021, 1, 2), date(2021, 1, 1)), (1.0, 2.0))
+            AlignedPanel(("A",), (date(2021, 1, 2), date(2021, 1, 1)), [[1.0], [2.0]])
 
     def test_non_positive_close_rejected(self):
         with pytest.raises(NonPositivePrice):
@@ -166,12 +168,32 @@ class TestPriceSeriesInvariants:
         with pytest.raises(NonPositivePrice):
             make_series("A", [1.0, math.inf])
 
+    def test_hand_built_pair_panel_checked(self):
+        dates = (date(2021, 1, 1), date(2021, 1, 2), date(2021, 1, 3))
+        with pytest.raises(NonPositivePrice, match="B: close -2.0 on 2021-01-02"):
+            AlignedPanel(("A", "B"), dates, [[1.0, 2.0], [1.0, -2.0], [1.0, math.nan]])
+        with pytest.raises(NonPositivePrice, match="B: close nan"):
+            AlignedPanel(("A", "B"), dates, [[1.0, 2.0], [1.0, 2.0], [1.0, math.nan]])
+        with pytest.raises(DuplicateDate, match="A/B"):
+            AlignedPanel(("A", "B"), (dates[0], dates[2], dates[2]), np.ones((3, 2)))
+        with pytest.raises(ValueError, match="shape"):
+            AlignedPanel(("A", "B"), dates, np.ones((3, 3)))
+
+    def test_closes_are_a_read_only_copy(self):
+        closes = np.ones((2, 2))
+        panel = AlignedPanel(("A", "B"), (date(2021, 1, 1), date(2021, 1, 2)), closes)
+        assert closes.flags.writeable
+        closes[0, 0] = 5.0
+        assert panel.closes.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+        with pytest.raises(ValueError):
+            panel.closes[0, 0] = 5.0
+
 
 class TestAlignPanel:
     def test_intersection(self):
         d = [date(2021, 1, i) for i in range(1, 5)]
-        a = PriceSeries("A", (d[0], d[1], d[2]), (1.0, 2.0, 3.0))
-        b = PriceSeries("B", (d[1], d[2], d[3]), (4.0, 5.0, 6.0))
+        a = make_series("A", [1.0, 2.0, 3.0], start=d[0])
+        b = make_series("B", [4.0, 5.0, 6.0], start=d[1])
         panel = align_panel([a, b])
         assert panel.dates == (d[1], d[2])
         assert panel.closes.tolist() == [[2.0, 4.0], [3.0, 5.0]]
@@ -191,6 +213,20 @@ class TestAlignPanel:
     def test_duplicate_ticker(self):
         with pytest.raises(DuplicateTicker):
             align_panel([make_series("A", [1, 2]), make_series("A", [3, 4])])
+
+    def test_needs_two_panels(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            align_panel([make_series("A", [1, 2])])
+
+    def test_joins_multi_column_panels_in_input_order(self):
+        ab = align_panel([make_series("A", [1, 2, 3]), make_series("B", [4, 5, 6])])
+        c = make_series("C", [7, 8, 9], start=ab.dates[1])
+        panel = align_panel([c, ab])
+        assert panel.tickers == ("C", "A", "B")
+        assert panel.dates == ab.dates[1:]
+        assert panel.closes.tolist() == [[7.0, 2.0, 5.0], [8.0, 3.0, 6.0]]
+        with pytest.raises(DuplicateTicker):
+            align_panel([ab, make_series("B", [1, 2, 3])])
 
     def test_order_insensitive_up_to_column_order(self):
         a = make_series("A", [1, 2, 3])

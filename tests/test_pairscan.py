@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pairtrader.errors import ConstantSeries, EmptyIntersection, SeriesTooShort
-from pairtrader.marketdata import PriceSeries, align_panel
+from pairtrader.marketdata import AlignedPanel, align_panel
 from pairtrader.pairscan import (
     PValueMatrix,
     coint_matrix,
@@ -23,7 +23,7 @@ def synth_series():
     calendar = weekday_calendar(date(2018, 1, 1), TRAIN_DAYS)
     prices = build_sector()
     return {
-        t: PriceSeries(t, calendar, tuple(map(float, prices[t][:TRAIN_DAYS])))
+        t: AlignedPanel((t,), calendar, prices[t][:TRAIN_DAYS, np.newaxis])
         for t in sorted(prices)
     }
 
@@ -240,7 +240,7 @@ class TestFitPair:
         target = make_series("T", 3.0 * base + rng.normal(0, 0.1, size=120))
         train = (predictor.dates[0], predictor.dates[99])
         whole_model = fit_pair(align_panel([predictor, target]), train)
-        head = [make_series(s.ticker, s.closes[:100]) for s in (predictor, target)]
+        head = [make_series(s.tickers[0], s.closes[:100, 0]) for s in (predictor, target)]
         head_model = fit_pair(align_panel(head), whole(head[0]))
         assert whole_model.residual_dates == predictor.dates[:100]
         assert whole_model.train_window == train
@@ -258,11 +258,7 @@ class TestFitPair:
         a = make_series("P", base)
         # Same series missing a few days in the middle.
         keep = [i for i in range(80) if i % 13 != 5]
-        b = PriceSeries(
-            "T",
-            tuple(a.dates[i] for i in keep),
-            tuple(2.0 * a.closes[i] + 1.0 for i in keep),
-        )
+        b = AlignedPanel(("T",), tuple(a.dates[i] for i in keep), 2.0 * a.closes[keep] + 1.0)
         model = fit_pair(align_panel([a, b]), whole(a))
         assert len(model.residual_dates) == len(keep)
 
@@ -273,6 +269,15 @@ class TestPValueMatrixSerialization:
         m1 = PValueMatrix(tickers=("A", "B"), values=values, orderings=(("A", "B"),))
         m2 = PValueMatrix(tickers=("A", "B"), values=values, orderings=(("A", "B"),))
         assert m1 == m1 and m1 != m2
+
+    def test_values_are_a_read_only_copy(self):
+        values = np.array([[np.nan, 0.1], [np.nan, np.nan]])
+        matrix = PValueMatrix(tickers=("A", "B"), values=values, orderings=(("A", "B"),))
+        assert values.flags.writeable
+        values[0, 1] = 0.9
+        assert matrix.pvalue("A", "B") == 0.1
+        with pytest.raises(ValueError):
+            matrix.values[0, 1] = 0.9
 
     def test_csv_round_trip(self, tmp_path, synth_matrix):
         path = tmp_path / "pvals.csv"

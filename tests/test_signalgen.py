@@ -1,6 +1,8 @@
+import csv
+import dataclasses
 import json
 import math
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from pairtrader.signalgen import (
     gen_signals,
 )
 
-from conftest import make_series
+from conftest import make_pair, make_series
 
 signal_lists = st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=60)
 
@@ -44,24 +46,23 @@ def ratio_of(a, b):
 
 
 def frame_from_signals(signals1, close1=None, close2=None):
-    """Build a consistent TradingFrame directly from a signal column."""
+    """A TradingFrame whose z-scores (-2 per unit of signal) derive ``signals1``."""
     n = len(signals1)
-    dates = tuple(date(2021, 1, 1) + timedelta(days=i) for i in range(n))
-    positions1 = gen_positions(signals1)
-    z = [2.0 * -s for s in signals1]  # any z consistent with the signals
     return TradingFrame(
-        ticker1="A", ticker2="B",
-        dates=dates,
-        close1=tuple(close1 or [10.0] * n),
-        close2=tuple(close2 or [5.0] * n),
-        zscore=tuple(z),
+        pair=make_pair(close1 or [10.0] * n, close2 or [5.0] * n),
+        zscore=[-2.0 * s for s in signals1],
         upper_limit=1.0,
         lower_limit=-1.0,
-        signals1=tuple(signals1),
-        signals2=tuple(-s for s in signals1),
-        positions1=positions1,
-        positions2=-positions1,
     )
+
+
+def tamper(path, column, day_index, value):
+    """Rewrite one cell of a frame CSV."""
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    rows[day_index + 1][rows[0].index(column)] = value
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle).writerows(rows)
 
 
 class TestRatioSeries:
@@ -225,31 +226,55 @@ class TestTradingFrame:
         assert frame.close1.tolist() == pair.closes[:, 0].tolist()
         assert frame.close2.tolist() == pair.closes[:, 1].tolist()
 
-    def test_validate_catches_broken_mirror(self):
-        frame = frame_from_signals([0, 1, 0])
-        with pytest.raises(InvariantViolation, match="signals2"):
-            TradingFrame(**{**frame.__dict__, "signals2": (0, 1, 0)})
+    def test_fields_are_pair_zscore_and_bands(self):
+        names = [f.name for f in dataclasses.fields(TradingFrame)]
+        assert names == ["pair", "zscore", "upper_limit", "lower_limit"]
 
-    def test_validate_catches_broken_positions(self):
-        frame = frame_from_signals([0, 1, 0])
-        with pytest.raises(InvariantViolation, match="reconstruct"):
-            TradingFrame(
-                **{**frame.__dict__, "positions1": (0, 0, 0), "positions2": (0, 0, 0)}
-            )
+    def test_columns_derive_from_zscore_and_bands(self):
+        frame = TradingFrame(make_pair([10.0] * 5, [5.0] * 5),
+                             [0.5, 1.5, 1.5, -3.0, 0.0], 1.0, -1.0)
+        assert frame.signals1.tolist() == [0, -1, -1, 1, 0]
+        assert frame.signals2.tolist() == [0, 1, 1, -1, 0]
+        assert frame.positions1.tolist() == [0, -1, 0, 2, -1]
+        assert frame.positions2.tolist() == [0, 1, 0, -2, 1]
+        assert (frame.ticker1, frame.ticker2) == ("A", "B")
+        assert frame.dates == frame.pair.dates
+
+    def test_from_csv_catches_broken_mirror(self, tmp_path):
+        path = tmp_path / "frame.csv"
+        frame_from_signals([0, 1, 0]).to_csv(path)
+        tamper(path, "signals2", 1, "1")
+        with pytest.raises(InvariantViolation, match="signals2"):
+            TradingFrame.from_csv(path)
+
+    def test_from_csv_catches_broken_positions(self, tmp_path):
+        path = tmp_path / "frame.csv"
+        frame_from_signals([0, 1, 0]).to_csv(path)
+        tamper(path, "positions1", 1, "0")
+        with pytest.raises(InvariantViolation, match="positions1"):
+            TradingFrame.from_csv(path)
 
     def test_validate_catches_wrong_length(self):
         frame = frame_from_signals([0, 1, 0])
         with pytest.raises(InvariantViolation, match="zscore"):
-            TradingFrame(**{**frame.__dict__, "zscore": (0.0, 1.0)})
+            TradingFrame(frame.pair, (0.0, 1.0), 1.0, -1.0)
+
+    def test_rejects_non_pair_panel(self):
+        panel = align_panel([make_series(t, [1, 2, 3]) for t in "ABC"])
+        with pytest.raises(ValueError):
+            TradingFrame(panel, (0.0, 0.0, 0.0), 1.0, -1.0)
 
     def test_columns_are_read_only_copies(self):
-        signals = np.array([0, 1, 0])
-        frame = frame_from_signals([0, 1, 0])
-        frame = TradingFrame(**{**frame.__dict__, "signals1": signals})
-        signals[1] = 0
+        z = np.array([0.0, -2.0, 0.0])
+        frame = TradingFrame(make_pair([10.0] * 3, [5.0] * 3), z, 1.0, -1.0)
+        z[1] = 0.0
+        assert frame.zscore.tolist() == [0.0, -2.0, 0.0]
         assert frame.signals1.tolist() == [0, 1, 0]
-        with pytest.raises(ValueError):
-            frame.zscore[0] = 0.0
+        for name in ("zscore", "close1", "signals1", "signals2", "positions1", "positions2"):
+            with pytest.raises(ValueError):
+                getattr(frame, name)[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            frame.signals1 = np.zeros(3, dtype=np.int64)
 
     def test_distinct_frames_compare_without_raising(self):
         f1, f2 = frame_from_signals([0, 1, 0]), frame_from_signals([0, 1, 0])

@@ -11,7 +11,7 @@ from pairtrader.errors import (
     SeriesTooShort,
     UnknownSurface,
 )
-from pairtrader.marketdata import PriceSeries, align_panel
+from pairtrader.marketdata import AlignedPanel, align_panel
 from pairtrader.pairscan import coint_matrix
 from pairtrader.synthetic import TRAIN_DAYS, build_sector, weekday_calendar
 from pairtrader.unitroot import (
@@ -193,10 +193,10 @@ class TestAdf:
             adf_test(np.arange(8.0), "constant")
 
     def test_accepts_price_series(self):
-        # A loaded series' closes tuple goes in as it is.
+        # A one-ticker panel's close column goes in as it is.
         rng = np.random.default_rng(29)
         series = make_series("A", 100 + np.abs(random_walk(rng, 60)))
-        result = adf_test(series.closes, "constant")
+        result = adf_test(series.closes[:, 0], "constant")
         assert result.n_eff == 60 - result.used_lags - 1
 
     def test_deterministic_sinusoid_is_singular(self):
@@ -460,7 +460,7 @@ def test_coint_matrix_bit_identical_to_frozen_per_pair_loop():
     calendar = weekday_calendar(date(2018, 1, 1), TRAIN_DAYS)
     prices = build_sector()
     panel = align_panel([
-        PriceSeries(t, calendar, tuple(map(float, prices[t][:TRAIN_DAYS])))
+        AlignedPanel((t,), calendar, prices[t][:TRAIN_DAYS, np.newaxis])
         for t in sorted(prices)
     ])
     expected = np.full((len(panel.tickers),) * 2, math.nan)
