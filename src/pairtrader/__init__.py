@@ -9,7 +9,6 @@ the scan / analyze / backtest / report commands.
 """
 
 from .backtest import (
-    BacktestConfig,
     BacktestLedger,
     PairSummary,
     SectorReport,
@@ -55,7 +54,6 @@ from .signalgen import (
 )
 from .unitroot import (
     AdfResult,
-    CointResult,
     MacKinnonTables,
     adf_test,
     engle_granger,
@@ -68,9 +66,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AdfResult",
     "AlignedPanel",
-    "BacktestConfig",
     "BacktestLedger",
-    "CointResult",
     "CorrelationMatrix",
     "MacKinnonTables",
     "OlsOriginReport",

@@ -38,18 +38,6 @@ def _money(value) -> Decimal:
 
 
 @dataclass(frozen=True)
-class BacktestConfig:
-    """Capital per leg."""
-
-    capital_per_leg: Decimal = DEFAULT_CAPITAL
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "capital_per_leg", _money(self.capital_per_leg))
-        if self.capital_per_leg <= 0:
-            raise ValueError("capital_per_leg must be positive")
-
-
-@dataclass(frozen=True)
 class LedgerRow:
     date: date
     cash1: Decimal
@@ -65,6 +53,7 @@ class BacktestLedger:
 
     ticker1: str
     ticker2: str
+    capital_per_leg: Decimal
     shares1: int
     shares2: int
     rows: tuple[LedgerRow, ...]
@@ -117,16 +106,20 @@ def size_shares(capital_per_leg, first_close) -> int:
     return shares
 
 
-def run_ledger(frame: TradingFrame, config: BacktestConfig) -> BacktestLedger:
+def run_ledger(frame: TradingFrame, capital_per_leg) -> BacktestLedger:
     """Replay a trading frame into a daily mark-to-market ledger.
 
+    Each leg starts with ``capital_per_leg`` in cash (a Decimal, or a float,
+    int or str taken exactly; it must be positive), which the ledger records.
     Every nonzero position delta trades ``delta * shares`` at that day's
     close; holdings are marked to market daily from the signal state.
     """
+    capital = _money(capital_per_leg)
+    if capital <= 0:
+        raise ValueError("capital_per_leg must be positive")
     if len(frame) == 0:
         raise EmptyFrame("trading frame has no rows")
 
-    capital = config.capital_per_leg
     close1, close2 = frame.close1.tolist(), frame.close2.tolist()
     shares1 = size_shares(capital, close1[0])
     shares2 = size_shares(capital, close2[0])
@@ -160,6 +153,7 @@ def run_ledger(frame: TradingFrame, config: BacktestConfig) -> BacktestLedger:
     return BacktestLedger(
         ticker1=frame.ticker1,
         ticker2=frame.ticker2,
+        capital_per_leg=capital,
         shares1=shares1,
         shares2=shares2,
         rows=tuple(rows),
@@ -207,11 +201,11 @@ class PairSummary:
         )
 
 
-def summarize_pair(ledger: BacktestLedger, config: BacktestConfig) -> PairSummary:
+def summarize_pair(ledger: BacktestLedger) -> PairSummary:
     """Profit over the window and the percent return on total capital."""
     if not ledger.rows:
         raise EmptyFrame("ledger has no rows")
-    initial = 2 * config.capital_per_leg
+    initial = 2 * ledger.capital_per_leg
     profit = ledger.final_total - initial
     return PairSummary(
         ticker1=ledger.ticker1,

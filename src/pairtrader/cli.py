@@ -27,7 +27,6 @@ from pathlib import Path
 
 from .backtest import (
     DEFAULT_CAPITAL,
-    BacktestConfig,
     PairSummary,
     run_ledger,
     sector_report,
@@ -321,7 +320,8 @@ def cmd_analyze(config: RunConfig, pair: str, sector: str | None = None) -> Path
     """Hedge-ratio regression report and residual stationarity check."""
     sector_name, pair_panel = _find_pair(config, pair, sector)
     pred, targ = pair_panel.tickers
-    model = fit_pair(pair_panel, config.train_window)
+    train = slice_window(pair_panel, *config.train_window)
+    model = fit_pair(train)
 
     out = config.out_dir / sector_name / "pairs" / f"{pred}-{targ}" / "analysis"
     with staged_dir(out) as staging:
@@ -333,8 +333,8 @@ def cmd_analyze(config: RunConfig, pair: str, sector: str | None = None) -> Path
             _json_text({
                 "predictor": pred,
                 "target": targ,
-                "train_window": [model.train_window[0].isoformat(),
-                                 model.train_window[1].isoformat()],
+                "train_window": [config.train_window[0].isoformat(),
+                                 config.train_window[1].isoformat()],
                 "ols": model.report.to_json_dict(),
                 "verdict": model.verdict,
             }),
@@ -343,7 +343,7 @@ def cmd_analyze(config: RunConfig, pair: str, sector: str | None = None) -> Path
         with open(staging / "residuals.csv", "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
             writer.writerow(["date", "residual"])
-            for day, resid in zip(model.residual_dates, model.report.residuals):
+            for day, resid in zip(train.dates, model.report.residuals.tolist()):
                 writer.writerow([day.isoformat(), repr(resid)])
         adf_payload = {
             "verdict": model.verdict,
@@ -351,7 +351,7 @@ def cmd_analyze(config: RunConfig, pair: str, sector: str | None = None) -> Path
         }
         (staging / "residual_adf.json").write_text(_json_text(adf_payload), encoding="utf-8")
     logger.info("analyze %s-%s: hedge ratio %.4f (%s)",
-                pred, targ, model.hedge_ratio, model.verdict)
+                pred, targ, model.report.hedge_ratio, model.verdict)
     return out
 
 
@@ -367,9 +367,8 @@ def cmd_backtest(config: RunConfig, pair: str, sector: str | None = None) -> Pat
         upper=config.z_upper,
         lower=config.z_lower,
     )
-    backtest_config = BacktestConfig(capital_per_leg=config.capital_per_leg)
-    ledger = run_ledger(frame, backtest_config)
-    summary = summarize_pair(ledger, backtest_config)
+    ledger = run_ledger(frame, config.capital_per_leg)
+    summary = summarize_pair(ledger)
 
     out = (config.out_dir / sector_name / "pairs"
            / f"{asset1}-{asset2}" / "backtest")

@@ -235,12 +235,13 @@ def omnibus_k2(e) -> OmnibusResult:
     return OmnibusResult(statistic=k2, p_value=_chi2_sf(k2, 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OlsOriginReport:
     """Fit report of the no-intercept regression ``y = beta * x + e``.
 
     Diagnostic fields that are undefined for a degenerate fit (all-zero
     residuals, or too few observations for the omnibus transform) are NaN.
+    ``residuals`` is a read-only array, so reports compare by identity.
     """
 
     hedge_ratio: float
@@ -263,7 +264,7 @@ class OlsOriginReport:
     p_omnibus: float
     cond_no: float
     n_obs: int
-    residuals: tuple[float, ...]
+    residuals: np.ndarray
 
     def to_json_dict(self) -> dict:
         out = {
@@ -445,5 +446,5 @@ def ols_through_origin(x, y) -> OlsOriginReport:
         p_omnibus=p_omni,
         cond_no=1.0,
         n_obs=n,
-        residuals=tuple(float(e) for e in resid),
+        residuals=readonly_copy(resid),
     )

@@ -56,9 +56,9 @@ class AlignedPanel:
 
     ``closes[i, j]`` is the close of ``tickers[j]`` on ``dates[i]``.  Dates
     are strictly increasing, and every cell is populated (inner-join
-    alignment) with a finite, positive close.  The closes are a read-only
-    copy of the array passed in.  Panels compare by identity: the closes are
-    an array, which has no single truth value.
+    alignment) with a finite, positive close, and no ticker appears twice.
+    The closes are a read-only copy of the array passed in.  Panels compare
+    by identity: the closes are an array, which has no single truth value.
     """
 
     tickers: tuple[str, ...]
@@ -66,6 +66,10 @@ class AlignedPanel:
     closes: np.ndarray
 
     def __post_init__(self) -> None:
+        if len(set(self.tickers)) != len(self.tickers):
+            seen = set()
+            dupe = next(t for t in self.tickers if t in seen or seen.add(t))
+            raise DuplicateTicker(f"ticker {dupe!r} appears more than once")
         closes = readonly_copy(self.closes)
         if closes.shape != (len(self.dates), len(self.tickers)):
             raise ValueError("closes shape does not match dates x tickers")
@@ -91,6 +95,12 @@ class AlignedPanel:
         a sum over a strided ``closes[:, j]`` need not.
         """
         return np.ascontiguousarray(self.closes.T)
+
+
+def check_pair(panel: AlignedPanel) -> None:
+    """Reject a panel that is not a two-ticker pair panel."""
+    if len(panel.tickers) != 2:
+        raise ValueError(f"a pair panel holds 2 tickers, not {len(panel.tickers)}")
 
 
 def _read_rows(reader: csv.DictReader, path, close_column: str | None):
@@ -187,11 +197,6 @@ def align_panel(panels: list[AlignedPanel]) -> AlignedPanel:
     if len(panels) < 2:
         raise ValueError("align_panel needs at least 2 panels")
     tickers = [t for p in panels for t in p.tickers]
-    if len(set(tickers)) != len(tickers):
-        seen = set()
-        dupe = next(t for t in tickers if t in seen or seen.add(t))
-        raise DuplicateTicker(f"ticker {dupe!r} appears more than once")
-
     common = set(panels[0].dates).intersection(*(p.dates for p in panels[1:]))
     if not common:
         raise EmptyIntersection(f"no common dates across {tickers}")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .econometrics import OlsOriginReport, ols_through_origin
 from .errors import ConstantSeries, PairTraderError, SeriesTooShort
-from .marketdata import AlignedPanel, readonly_copy, slice_window
+from .marketdata import AlignedPanel, check_pair, readonly_copy, slice_window
 from .unitroot import AdfResult, adf_test, engle_granger
 
 DEFAULT_THRESHOLD = 0.05
@@ -39,8 +39,10 @@ class PValueMatrix:
     elsewhere; ``orderings`` records, cell by cell in row-major upper-triangle
     order, which ticker served as predictor (regressor) and which as target.
     ``reasons`` maps a cell ``(tickers[i], tickers[j])``, i < j, whose p-value
-    the test did not produce to why; healthy cells have no entry.  Matrices
-    compare by identity: the values are an array.
+    the test did not produce to why; healthy cells have no entry.  A matrix
+    whose values are not (n, n) or whose orderings do not cover the n(n-1)/2
+    cells raises ``ValueError``.  Matrices compare by identity: the values
+    are an array.
     """
 
     tickers: tuple[str, ...]
@@ -49,7 +51,13 @@ class PValueMatrix:
     reasons: Mapping[tuple[str, str], str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", readonly_copy(self.values))
+        values = readonly_copy(self.values)
+        n = len(self.tickers)
+        if values.shape != (n, n):
+            raise ValueError(f"values of shape {values.shape} do not match {n} tickers")
+        if len(self.orderings) != n * (n - 1) // 2:
+            raise ValueError(f"{len(self.orderings)} orderings for {n * (n - 1) // 2} cells")
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "reasons", MappingProxyType(dict(self.reasons)))
 
     def pvalue(self, a: str, b: str) -> float:
@@ -79,20 +87,6 @@ class PValueMatrix:
                     v = self.values[i, j]
                     row.append(repr(float(v)) if not math.isnan(v) else "")
                 writer.writerow(row)
-
-    @classmethod
-    def from_csv(cls, path) -> "PValueMatrix":
-        """Rebuild tickers and values from a matrix CSV (orderings not stored there)."""
-        with open(path, newline="", encoding="utf-8") as handle:
-            rows = list(csv.reader(handle))
-        tickers = tuple(rows[0][1:])
-        n = len(tickers)
-        values = np.full((n, n), math.nan)
-        for i, row in enumerate(rows[1:]):
-            for j, cell in enumerate(row[1:]):
-                if cell != "":
-                    values[i, j] = float(cell)
-        return cls(tickers=tickers, values=values, orderings=())
 
     def to_json_dict(self) -> dict:
         pairs = []
@@ -125,17 +119,14 @@ class SelectedPair:
 
 @dataclass(frozen=True)
 class PairModel:
-    """Fitted hedge-ratio model plus the residual stationarity check."""
+    """Fitted hedge-ratio model plus the residual stationarity check.
+
+    ``residual_adf`` is None when the residuals are exactly constant.
+    """
 
     report: OlsOriginReport
     residual_adf: AdfResult | None
-    train_window: tuple[date, date]
-    residual_dates: tuple[date, ...]
     verdict: str
-
-    @property
-    def hedge_ratio(self) -> float:
-        return self.report.hedge_ratio
 
 
 def _a_predicts(ticker_a: str, mean_a: float, ticker_b: str, mean_b: float) -> bool:
@@ -152,8 +143,7 @@ def order_pair(pair: AlignedPanel, train: tuple[date, date]) -> AlignedPanel:
     broken by ticker, as in ``coint_matrix``.  The whole panel is returned,
     so later windows of it keep the same order.
     """
-    if len(pair.tickers) != 2:
-        raise ValueError(f"a pair panel holds 2 tickers, not {len(pair.tickers)}")
+    check_pair(pair)
     closes = slice_window(pair, *train).closes_by_ticker()
     a, b = pair.tickers
     if _a_predicts(a, float(np.mean(closes[0])), b, float(np.mean(closes[1]))):
@@ -243,35 +233,28 @@ def _stationarity_verdict(result: AdfResult) -> str:
     return "not stationary"
 
 
-def fit_pair(pair: AlignedPanel, train: tuple[date, date]) -> PairModel:
-    """Fit the no-intercept pair model on the training window.
+def fit_pair(train: AlignedPanel) -> PairModel:
+    """Fit the no-intercept pair model on a training window.
 
-    ``pair`` is a two-ticker panel with the predictor column first (see
-    ``order_pair``).  Runs the through-origin regression of target on
-    predictor, then the ADF test (with constant) on its residuals.  The
-    model is produced even when the residuals fail the stationarity check;
-    the verdict is recorded.
+    ``train`` is the training window of a two-ticker pair panel with the
+    predictor column first (see ``order_pair``), as ``fit_ratio_stats``
+    takes it.  Runs the through-origin regression of target on predictor,
+    then the ADF test (with constant) on its residuals.  The model is
+    produced even when the residuals fail the stationarity check; the
+    verdict is recorded.
     """
-    window = slice_window(pair, *train)
-    if len(window) < 30:
+    if len(train) < 30:
         raise SeriesTooShort(
-            f"{'/'.join(pair.tickers)}: only {len(window)} common training dates"
+            f"{'/'.join(train.tickers)}: only {len(train)} common training dates"
         )
-    predictor, target = window.closes_by_ticker()
+    predictor, target = train.closes_by_ticker()
     report = ols_through_origin(predictor, target)
 
-    residuals = np.asarray(report.residuals)
     try:
-        residual_adf = adf_test(residuals, deterministic="constant")
+        residual_adf = adf_test(report.residuals, deterministic="constant")
         verdict = _stationarity_verdict(residual_adf)
     except ConstantSeries:
         residual_adf = None
         verdict = "degenerate (constant residuals)"
 
-    return PairModel(
-        report=report,
-        residual_adf=residual_adf,
-        train_window=train,
-        residual_dates=window.dates,
-        verdict=verdict,
-    )
+    return PairModel(report=report, residual_adf=residual_adf, verdict=verdict)

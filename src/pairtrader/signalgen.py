@@ -21,7 +21,7 @@ from datetime import date
 import numpy as np
 
 from .errors import EmptySeries, EmptyWindow, InvariantViolation, ZeroVariance
-from .marketdata import AlignedPanel, readonly_copy
+from .marketdata import AlignedPanel, check_pair, readonly_copy
 
 UPPER_LIMIT = 1.0
 LOWER_LIMIT = -1.0
@@ -49,14 +49,9 @@ class RatioStats:
     std: float
 
 
-def _check_pair(pair: AlignedPanel) -> None:
-    if len(pair.tickers) != 2:
-        raise ValueError(f"a pair panel holds 2 tickers, not {len(pair.tickers)}")
-
-
 def _ratio(pair: AlignedPanel) -> np.ndarray:
     """Daily ratio ``close1 / close2`` of a two-ticker panel."""
-    _check_pair(pair)
+    check_pair(pair)
     return pair.closes[:, 0] / pair.closes[:, 1]
 
 
@@ -126,7 +121,7 @@ class TradingFrame:
     lower_limit: float
 
     def __post_init__(self) -> None:
-        _check_pair(self.pair)
+        check_pair(self.pair)
         zscore = readonly_copy(self.zscore)
         if zscore.shape != (len(self.pair),):
             raise InvariantViolation("column zscore has wrong length")

@@ -18,13 +18,17 @@ lag is a plain least-squares fit.
 
 Critical values and approximate p-values come from MacKinnon's published
 response surfaces, bundled as a plain-text constants file under ``data/``.
+Both tests return an ``AdfResult``, which stores the statistic and the
+surface it is read against and evaluates that surface only when its critical
+values or p-value are first read: the sector scan reads one p-value per pair
+and no critical value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from importlib import resources
 from types import MappingProxyType
 
@@ -162,14 +166,31 @@ def mackinnon_pvalue(tau: float, n_series: int, deterministic: str) -> float:
 
 @dataclass(frozen=True)
 class AdfResult:
-    """Outcome of an augmented Dickey-Fuller test."""
+    """Outcome of an ADF test, read against one MacKinnon surface.
+
+    The test itself gives ``tau``, ``used_lags`` and ``n_eff``;
+    ``(n_series, deterministic)`` names the response surface the statistic
+    is read against: ``(1, deterministic)`` for a plain ADF test and
+    ``(2, "constant")`` for the Engle-Granger residual test.  ``crit`` (at
+    ``n_eff``) and ``p_value`` are computed from that surface when first read.
+    """
 
     tau: float
     used_lags: int
     n_eff: int
-    crit: MappingProxyType
-    p_value: float
+    n_series: int
     deterministic: str
+
+    @cached_property
+    def crit(self) -> MappingProxyType:
+        return MappingProxyType({
+            lvl: mackinnon_crit(self.n_series, self.deterministic, lvl, self.n_eff)
+            for lvl in LEVELS
+        })
+
+    @cached_property
+    def p_value(self) -> float:
+        return mackinnon_pvalue(self.tau, self.n_series, self.deterministic)
 
     def to_json_dict(self) -> dict:
         return {
@@ -179,26 +200,6 @@ class AdfResult:
             "crit": dict(self.crit),
             "p_value": self.p_value,
             "deterministic": self.deterministic,
-        }
-
-
-@dataclass(frozen=True)
-class CointResult:
-    """Outcome of a two-step Engle-Granger cointegration test."""
-
-    tau: float
-    p_value: float
-    crit: MappingProxyType
-    used_lags: int
-    n_eff: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "tau": self.tau,
-            "p_value": self.p_value,
-            "crit": dict(self.crit),
-            "used_lags": self.used_lags,
-            "n_eff": self.n_eff,
         }
 
 
@@ -246,8 +247,8 @@ def adf_test(series, deterministic: str = "constant", max_lag: int | None = None
     max_lag, all from one R-only QR of ``[X | b]`` (the widest design with
     the dependent column appended); the winning k is then refit by least
     squares on its own longest sample, giving ``n_eff = n - used_lags - 1``
-    regression observations.  Critical values use the single-series
-    MacKinnon surface at ``n_eff``.
+    regression observations.  The result is read against the single-series
+    MacKinnon surface ``(1, deterministic)``.
     """
     _check_deterministic(deterministic)
     y = _as_1d(series)
@@ -320,24 +321,18 @@ def adf_test(series, deterministic: str = "constant", max_lag: int | None = None
     se_gamma = math.sqrt(sigma2 * xtx_inv[gamma_idx, gamma_idx])
     tau = float(coef[gamma_idx] / se_gamma)
 
-    crit = {lvl: mackinnon_crit(1, deterministic, lvl, n_eff) for lvl in LEVELS}
-    return AdfResult(
-        tau=tau,
-        used_lags=best_k,
-        n_eff=n_eff,
-        crit=MappingProxyType(crit),
-        p_value=mackinnon_pvalue(tau, 1, deterministic),
-        deterministic=deterministic,
-    )
+    return AdfResult(tau=tau, used_lags=best_k, n_eff=n_eff, n_series=1,
+                     deterministic=deterministic)
 
 
-def engle_granger(y, x, max_lag: int | None = None) -> CointResult:
+def engle_granger(y, x, max_lag: int | None = None) -> AdfResult:
     """Two-step Engle-Granger cointegration test of y on x.
 
     Stage 1 regresses ``y = c + b*x + u`` (with constant); stage 2 runs the
     ADF test on the residuals with no deterministic term, since the constant
-    already lives in stage 1.  The p-value and critical values come from the
-    two-series MacKinnon surface with a constant.
+    already lives in stage 1.  The result is stage 2's, re-pointed at the
+    two-series MacKinnon surface with a constant, ``(2, "constant")``, which
+    its p-value and critical values then come from.
     """
     yv = _as_1d(y)
     xv = _as_1d(x)
@@ -355,11 +350,4 @@ def engle_granger(y, x, max_lag: int | None = None) -> CointResult:
     resid = yv - intercept - slope * xv
 
     stage2 = adf_test(resid, deterministic="none", max_lag=max_lag)
-    crit = {lvl: mackinnon_crit(2, "constant", lvl, stage2.n_eff) for lvl in LEVELS}
-    return CointResult(
-        tau=stage2.tau,
-        p_value=mackinnon_pvalue(stage2.tau, 2, "constant"),
-        crit=MappingProxyType(crit),
-        used_lags=stage2.used_lags,
-        n_eff=stage2.n_eff,
-    )
+    return replace(stage2, n_series=2, deterministic="constant")

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from pairtrader.backtest import (
-    BacktestConfig,
+    DEFAULT_CAPITAL,
     PairSummary,
     annual_return_pct,
     run_ledger,
@@ -281,12 +281,11 @@ def replay_cash(ledger, frame, capital):
 
 def test_criterion_08_ledger_oracle():
     frame = fixture_frame([0, -1, -1, 0, 0], [10, 10, 12, 11, 10], [10, 10, 9, 10, 10])
-    config = BacktestConfig()
-    ledger = run_ledger(frame, config)
+    ledger = run_ledger(frame, DEFAULT_CAPITAL)
     assert [r.total for r in ledger.rows] == [
         Decimal(v) for v in (200000, 200000, 170000, 190000, 190000)
     ]
-    assert summarize_pair(ledger, config).profit == Decimal("-10000")
+    assert summarize_pair(ledger).profit == Decimal("-10000")
 
     rng = np.random.default_rng(808)
     for _ in range(100):
@@ -295,10 +294,10 @@ def test_criterion_08_ledger_oracle():
         close1 = np.round(rng.uniform(1, 900, size=n), 2)
         close2 = np.round(rng.uniform(1, 900, size=n), 2)
         frame = fixture_frame(signals, close1, close2)
-        ledger = run_ledger(frame, config)
+        ledger = run_ledger(frame, DEFAULT_CAPITAL)
         for row in ledger.rows:
             assert row.total == row.cash1 + row.cash2 + row.holdings1 + row.holdings2
-        paths = replay_cash(ledger, frame, config.capital_per_leg)
+        paths = replay_cash(ledger, frame, DEFAULT_CAPITAL)
         for t, row in enumerate(ledger.rows):
             assert row.cash1 == paths["asset1"][t]
             assert row.cash2 == paths["asset2"][t]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pairtrader.backtest import (
-    BacktestConfig,
+    DEFAULT_CAPITAL,
     PairSummary,
     annual_return_pct,
     ledger_rows_from_csv,
@@ -88,22 +88,22 @@ class TestRunLedger:
     def test_five_day_fixture_exact(self):
         # Replayed by hand: short A / long B opens on day 2 at 10/10 and
         # closes on day 4 at 11/10, losing 10000 on the A leg.
-        ledger = run_ledger(FIXTURE, BacktestConfig())
+        ledger = run_ledger(FIXTURE, DEFAULT_CAPITAL)
         assert ledger.shares1 == 10000 and ledger.shares2 == 10000
         totals = [row.total for row in ledger.rows]
         assert totals == [Decimal(v) for v in (200000, 200000, 170000, 190000, 190000)]
-        summary = summarize_pair(ledger, BacktestConfig())
+        summary = summarize_pair(ledger)
         assert summary.profit == Decimal("-10000")
         assert summary.annual_return == Decimal("-5.00")
 
     def test_all_flat_stays_at_capital(self):
         frame = mk_frame([0, 0, 0], [10, 11, 12], [5, 6, 7])
-        ledger = run_ledger(frame, BacktestConfig())
+        ledger = run_ledger(frame, DEFAULT_CAPITAL)
         assert all(row.total == Decimal("200000") for row in ledger.rows)
         assert ledger.triggers == ()
 
     def test_accounting_identity_every_row(self):
-        ledger = run_ledger(FIXTURE, BacktestConfig())
+        ledger = run_ledger(FIXTURE, DEFAULT_CAPITAL)
         for row in ledger.rows:
             assert row.total == row.cash1 + row.cash2 + row.holdings1 + row.holdings2
 
@@ -111,22 +111,37 @@ class TestRunLedger:
         # No forced liquidation: the window ends with a live position and
         # nonzero holdings.
         frame = mk_frame([0, 1, 1], [10, 10, 14], [5, 5, 4])
-        ledger = run_ledger(frame, BacktestConfig())
+        ledger = run_ledger(frame, DEFAULT_CAPITAL)
         last = ledger.rows[-1]
         assert last.holdings1 != 0 and last.holdings2 != 0
         assert last.total == last.cash1 + last.cash2 + last.holdings1 + last.holdings2
 
     def test_monotone_neutrality(self):
         frame = mk_frame([0, 1, 1, 1], [10, 10, 13, 13], [5, 5, 6, 6])
-        ledger = run_ledger(frame, BacktestConfig())
+        ledger = run_ledger(frame, DEFAULT_CAPITAL)
         assert ledger.rows[3].total == ledger.rows[2].total
 
     def test_empty_frame(self):
         with pytest.raises(EmptyFrame):
             run_ledger(
                 TradingFrame(make_pair([], []), (), 1.0, -1.0),
-                BacktestConfig(),
+                DEFAULT_CAPITAL,
             )
+
+    @pytest.mark.parametrize("capital", [0, "0", Decimal("-1"), -5.0],
+                             ids=["int_zero", "str_zero", "decimal_negative", "float_negative"])
+    def test_non_positive_capital_rejected(self, capital):
+        with pytest.raises(ValueError, match="capital_per_leg must be positive"):
+            run_ledger(FIXTURE, capital)
+
+    @pytest.mark.parametrize("capital", [Decimal("50000.10"), "50000.10", 50000.1, 50000],
+                             ids=["decimal", "str", "float", "int"])
+    def test_capital_taken_exactly_and_recorded(self, capital):
+        ledger = run_ledger(FIXTURE, capital)
+        assert ledger.capital_per_leg == Decimal(str(capital))
+        assert isinstance(ledger.capital_per_leg, Decimal)
+        assert ledger.rows[0].cash1 == ledger.capital_per_leg
+        assert summarize_pair(ledger).initial_investment == 2 * Decimal(str(capital))
 
     def test_randomized_fixtures_identity_and_replay_oracle(self):
         rng = np.random.default_rng(101)
@@ -139,7 +154,7 @@ class TestRunLedger:
             close1 = np.round(rng.uniform(5, 500, size=n), 2)
             close2 = np.round(rng.uniform(5, 500, size=n), 2)
             frame = mk_frame(signals, close1, close2)
-            ledger = run_ledger(frame, BacktestConfig(capital_per_leg=capital))
+            ledger = run_ledger(frame, capital)
 
             for row in ledger.rows:
                 assert row.total == row.cash1 + row.cash2 + row.holdings1 + row.holdings2
@@ -160,7 +175,7 @@ class TestRunLedger:
             close1 = np.round(rng.uniform(10, 200, size=n), 2)
             close2 = np.round(rng.uniform(10, 200, size=n), 2)
             frame = mk_frame(signals, close1, close2)
-            ledger = run_ledger(frame, BacktestConfig(capital_per_leg=capital))
+            ledger = run_ledger(frame, capital)
             last = ledger.rows[-1]
             assert last.holdings1 == 0 and last.holdings2 == 0
 
@@ -188,8 +203,8 @@ class TestSummaries:
         assert annual_return_pct(Decimal("-12350"), 200000) == Decimal("-6.18")
 
     def test_summary_invariant(self):
-        ledger = run_ledger(FIXTURE, BacktestConfig())
-        summary = summarize_pair(ledger, BacktestConfig())
+        ledger = run_ledger(FIXTURE, DEFAULT_CAPITAL)
+        summary = summarize_pair(ledger)
         recomputed = summary.profit / summary.initial_investment * 100
         assert abs(recomputed - summary.annual_return) <= Decimal("0.005")
         assert summary.initial_investment == Decimal("200000")
@@ -253,7 +268,7 @@ class TestSectorReport:
 
 class TestLedgerSerialization:
     def test_csv_round_trip_exact(self, tmp_path):
-        ledger = run_ledger(FIXTURE, BacktestConfig())
+        ledger = run_ledger(FIXTURE, DEFAULT_CAPITAL)
         path = tmp_path / "ledger.csv"
         ledger.to_csv(path)
         back = ledger_rows_from_csv(path)

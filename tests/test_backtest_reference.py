@@ -20,7 +20,7 @@ from decimal import ROUND_FLOOR, Decimal
 import numpy as np
 import pytest
 
-from pairtrader.backtest import BacktestConfig, summarize_pair
+from pairtrader.backtest import PairSummary, annual_return_pct
 from pairtrader.cli import RunConfig, _find_pair, _json_text, cmd_backtest
 from pairtrader.errors import (
     EmptyFrame,
@@ -298,6 +298,33 @@ class BacktestLedger:
                     str(row.holdings1), str(row.holdings2),
                     str(row.total),
                 ])
+
+
+@dataclass(frozen=True)
+class BacktestConfig:
+    """Stand-in for the removed one-field capital wrapper, as it stood."""
+
+    capital_per_leg: Decimal
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "capital_per_leg", _money(self.capital_per_leg))
+        if self.capital_per_leg <= 0:
+            raise ValueError("capital_per_leg must be positive")
+
+
+def summarize_pair(ledger: BacktestLedger, config: BacktestConfig) -> PairSummary:
+    """Stand-in for the old two-argument summary, which read the capital from ``config``."""
+    if not ledger.rows:
+        raise EmptyFrame("ledger has no rows")
+    initial = 2 * config.capital_per_leg
+    profit = ledger.final_total - initial
+    return PairSummary(
+        ticker1=ledger.ticker1,
+        ticker2=ledger.ticker2,
+        initial_investment=initial,
+        profit=profit,
+        annual_return=annual_return_pct(profit, initial),
+    )
 
 
 def size_shares(capital_per_leg, first_close) -> int:

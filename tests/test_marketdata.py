@@ -179,6 +179,12 @@ class TestAlignedPanelInvariants:
         with pytest.raises(ValueError, match="shape"):
             AlignedPanel(("A", "B"), dates, np.ones((3, 3)))
 
+    def test_repeated_ticker_rejected(self):
+        with pytest.raises(DuplicateTicker, match="ticker 'A' appears more than once"):
+            AlignedPanel(("A", "A"), (date(2021, 1, 1),), [[1.0, 2.0]])
+        with pytest.raises(DuplicateTicker, match="'B'"):
+            AlignedPanel(("A", "B", "C", "B"), (date(2021, 1, 1),), [[1.0, 2.0, 3.0, 4.0]])
+
     def test_closes_are_a_read_only_copy(self):
         closes = np.ones((2, 2))
         panel = AlignedPanel(("A", "B"), (date(2021, 1, 1), date(2021, 1, 2)), closes)

@@ -1,12 +1,17 @@
+import csv
+import inspect
 import math
+from dataclasses import fields
 from datetime import date
 
 import numpy as np
 import pytest
 
+from pairtrader import unitroot
 from pairtrader.errors import ConstantSeries, EmptyIntersection, SeriesTooShort
-from pairtrader.marketdata import AlignedPanel, align_panel
+from pairtrader.marketdata import AlignedPanel, align_panel, slice_window
 from pairtrader.pairscan import (
+    PairModel,
     PValueMatrix,
     coint_matrix,
     fit_pair,
@@ -14,6 +19,7 @@ from pairtrader.pairscan import (
     select_pairs,
 )
 from pairtrader.synthetic import PAIR_TICKERS, TRAIN_DAYS, build_sector, weekday_calendar
+from pairtrader.unitroot import LEVELS, engle_granger, mackinnon_crit, mackinnon_pvalue
 
 from conftest import make_series
 
@@ -132,6 +138,30 @@ class TestCointMatrix:
         for a, b, p, pred, targ in m1.cells():
             assert m2.pvalue(a, b) == p
 
+    def test_reads_one_pvalue_per_pair_and_no_critical_value(self, synth_panel, monkeypatch):
+        calls = {"crit": 0, "pvalue": 0}
+
+        def counted(key, surface):
+            def wrapper(*args):
+                calls[key] += 1
+                return surface(*args)
+            return wrapper
+
+        monkeypatch.setattr(unitroot, "mackinnon_crit", counted("crit", mackinnon_crit))
+        monkeypatch.setattr(unitroot, "mackinnon_pvalue", counted("pvalue", mackinnon_pvalue))
+        assert len(list(coint_matrix(synth_panel).cells())) == 45
+        assert calls == {"crit": 0, "pvalue": 45}
+
+        # Read on demand, an Engle-Granger result still gives the two-series
+        # constant surface's critical values at its effective sample size.
+        target, predictor = synth_panel.closes_by_ticker()[:2]
+        result = engle_granger(target, predictor)
+        assert (result.n_series, result.deterministic) == (2, "constant")
+        assert dict(result.crit) == {
+            lvl: mackinnon_crit(2, "constant", lvl, result.n_eff) for lvl in LEVELS
+        }
+        assert calls == {"crit": 3, "pvalue": 45}
+
     def test_flat_ticker_aborts_instead_of_scoring_exact_dependence(self):
         # FLAT has the lower mean, so it is the target of every pair: its
         # residuals are exactly constant, yet it depends on nothing.
@@ -198,25 +228,37 @@ class TestSelectPairs:
             assert ordered.tickers == (pair.predictor_ticker, pair.target_ticker)
 
 
+def same_report(r1, r2):
+    """Every report field equal, the residual arrays element for element."""
+    return all(
+        np.array_equal(getattr(r1, f.name), getattr(r2, f.name))
+        if f.name == "residuals" else getattr(r1, f.name) == getattr(r2, f.name)
+        for f in fields(r1)
+    )
+
+
 class TestFitPair:
     def test_engineered_beta_two(self):
         rng = np.random.default_rng(41)
         base = np.abs(np.cumsum(rng.normal(size=200))) + 100.0
         predictor = make_series("P", base)
         target = make_series("T", 2.0 * base + rng.normal(0, 0.1, size=200))
-        model = fit_pair(align_panel([predictor, target]), whole(predictor))
-        assert model.hedge_ratio == pytest.approx(2.0, abs=0.01)
-        assert model.hedge_ratio == model.report.hedge_ratio
-        assert model.residual_dates == predictor.dates
+        model = fit_pair(slice_window(align_panel([predictor, target]), *whole(predictor)))
+        assert model.report.hedge_ratio == pytest.approx(2.0, abs=0.01)
+        assert len(model.report.residuals) == len(predictor.dates)
         assert model.verdict == "stationary at 1%"
+
+    def test_model_keeps_only_what_it_computes(self):
+        assert [f.name for f in fields(PairModel)] == ["report", "residual_adf", "verdict"]
+        assert list(inspect.signature(fit_pair).parameters) == ["train"]
 
     def test_exact_proportionality_is_degenerate(self):
         rng = np.random.default_rng(43)
         base = np.abs(np.cumsum(rng.normal(size=120))) + 50.0
         predictor = make_series("P", base)
         target = make_series("T", 2.0 * base)
-        model = fit_pair(align_panel([predictor, target]), whole(predictor))
-        assert model.hedge_ratio == pytest.approx(2.0, rel=1e-14)
+        model = fit_pair(slice_window(align_panel([predictor, target]), *whole(predictor)))
+        assert model.report.hedge_ratio == pytest.approx(2.0, rel=1e-14)
         assert all(abs(e) < 1e-10 for e in model.report.residuals)
         assert model.residual_adf is None
         assert model.verdict.startswith("degenerate")
@@ -226,7 +268,7 @@ class TestFitPair:
         base = np.abs(np.cumsum(rng.normal(size=150))) + 80.0
         predictor = make_series("P", base)
         target = make_series("T", 0.5 * base + np.sin(np.arange(150)) + rng.normal(0, 1, 150))
-        model = fit_pair(align_panel([predictor, target]), whole(predictor))
+        model = fit_pair(slice_window(align_panel([predictor, target]), *whole(predictor)))
         assert model.residual_adf is not None
         assert model.residual_adf.deterministic == "constant"
         assert model.verdict in (
@@ -239,18 +281,17 @@ class TestFitPair:
         predictor = make_series("P", base)
         target = make_series("T", 3.0 * base + rng.normal(0, 0.1, size=120))
         train = (predictor.dates[0], predictor.dates[99])
-        whole_model = fit_pair(align_panel([predictor, target]), train)
+        whole_model = fit_pair(slice_window(align_panel([predictor, target]), *train))
         head = [make_series(s.tickers[0], s.closes[:100, 0]) for s in (predictor, target)]
-        head_model = fit_pair(align_panel(head), whole(head[0]))
-        assert whole_model.residual_dates == predictor.dates[:100]
-        assert whole_model.train_window == train
-        assert whole_model.report == head_model.report
+        head_model = fit_pair(align_panel(head))
+        assert len(whole_model.report.residuals) == 100
+        assert same_report(whole_model.report, head_model.report)
 
     def test_too_few_training_dates(self):
         predictor = make_series("P", range(10, 30))
         target = make_series("T", range(20, 40))
         with pytest.raises(SeriesTooShort):
-            fit_pair(align_panel([predictor, target]), whole(predictor))
+            fit_pair(slice_window(align_panel([predictor, target]), *whole(predictor)))
 
     def test_intersects_mismatched_calendars(self):
         rng = np.random.default_rng(53)
@@ -259,8 +300,8 @@ class TestFitPair:
         # Same series missing a few days in the middle.
         keep = [i for i in range(80) if i % 13 != 5]
         b = AlignedPanel(("T",), tuple(a.dates[i] for i in keep), 2.0 * a.closes[keep] + 1.0)
-        model = fit_pair(align_panel([a, b]), whole(a))
-        assert len(model.residual_dates) == len(keep)
+        model = fit_pair(slice_window(align_panel([a, b]), *whole(a)))
+        assert len(model.report.residuals) == len(keep)
 
 
 class TestPValueMatrixSerialization:
@@ -282,9 +323,25 @@ class TestPValueMatrixSerialization:
     def test_csv_round_trip(self, tmp_path, synth_matrix):
         path = tmp_path / "pvals.csv"
         synth_matrix.to_csv(path)
-        back = PValueMatrix.from_csv(path)
-        assert back.tickers == synth_matrix.tickers
-        assert np.array_equal(back.values, synth_matrix.values, equal_nan=True)
+        with open(path, newline="", encoding="utf-8") as handle:
+            header, *rows = csv.reader(handle)
+        assert tuple(header[1:]) == synth_matrix.tickers
+        assert tuple(row[0] for row in rows) == synth_matrix.tickers
+        back = np.array([[float(cell) if cell else math.nan for cell in row[1:]] for row in rows])
+        assert np.array_equal(back, synth_matrix.values, equal_nan=True)
+
+    def test_orderings_must_cover_every_cell(self):
+        values = np.full((3, 3), math.nan)
+        values[np.triu_indices(3, k=1)] = [0.1, 0.2, 0.3]
+        with pytest.raises(ValueError, match="orderings"):
+            PValueMatrix(tickers=("A", "B", "C"), values=values, orderings=())
+        with pytest.raises(ValueError, match="orderings"):
+            PValueMatrix(tickers=("A", "B", "C"), values=values, orderings=(("A", "B"),))
+
+    def test_values_must_be_n_by_n(self):
+        with pytest.raises(ValueError, match="shape"):
+            PValueMatrix(tickers=("A", "B", "C"), values=np.full((2, 2), math.nan),
+                         orderings=(("A", "B"), ("A", "C"), ("B", "C")))
 
     def test_json_dict_lists_all_pairs(self, synth_matrix):
         payload = synth_matrix.to_json_dict()

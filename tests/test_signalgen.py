@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairtrader.errors import (
+    DuplicateTicker,
     EmptyIntersection,
     EmptySeries,
     EmptyWindow,
@@ -253,6 +254,12 @@ class TestTradingFrame:
         tamper(path, "positions1", 1, "0")
         with pytest.raises(InvariantViolation, match="positions1"):
             TradingFrame.from_csv(path)
+
+    def test_from_csv_rejects_same_ticker_twice(self, tmp_path):
+        path = tmp_path / "frame.csv"
+        frame_from_signals([0, 1, 0]).to_csv(path)
+        with pytest.raises(DuplicateTicker, match="'X'"):
+            TradingFrame.from_csv(path, ticker1="X", ticker2="X")
 
     def test_validate_catches_wrong_length(self):
         frame = frame_from_signals([0, 1, 0])
