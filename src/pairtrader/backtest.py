@@ -8,11 +8,12 @@ force-liquidated at the end: the final total is mark-to-market.
 
 Currency amounts are carried as exact decimals so the accounting identity
 ``total = cash1 + cash2 + holdings1 + holdings2`` holds to the last digit.
+The module only computes; ``cli`` writes the ledger, summaries and reports,
+decimal amounts as their exact ``str``.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from datetime import date
 from decimal import ROUND_FLOOR, ROUND_HALF_UP, Decimal
@@ -62,35 +63,6 @@ class BacktestLedger:
     @property
     def final_total(self) -> Decimal:
         return self.rows[-1].total
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["date", "cash1", "cash2", "holdings1", "holdings2", "total"])
-            for row in self.rows:
-                writer.writerow([
-                    row.date.isoformat(),
-                    str(row.cash1), str(row.cash2),
-                    str(row.holdings1), str(row.holdings2),
-                    str(row.total),
-                ])
-
-
-def ledger_rows_from_csv(path) -> tuple[LedgerRow, ...]:
-    """Re-parse a ledger CSV into exact-decimal rows."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        return tuple(
-            LedgerRow(
-                date=date.fromisoformat(r["date"]),
-                cash1=Decimal(r["cash1"]),
-                cash2=Decimal(r["cash2"]),
-                holdings1=Decimal(r["holdings1"]),
-                holdings2=Decimal(r["holdings2"]),
-                total=Decimal(r["total"]),
-            )
-            for r in reader
-        )
 
 
 def size_shares(capital_per_leg, first_close) -> int:
@@ -177,29 +149,6 @@ class PairSummary:
     profit: Decimal
     annual_return: Decimal
 
-    @property
-    def pair_label(self) -> str:
-        return f"{self.ticker1} - {self.ticker2}"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ticker1": self.ticker1,
-            "ticker2": self.ticker2,
-            "initial_investment": str(self.initial_investment),
-            "profit": str(self.profit),
-            "annual_return": str(self.annual_return),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PairSummary":
-        return cls(
-            ticker1=data["ticker1"],
-            ticker2=data["ticker2"],
-            initial_investment=Decimal(data["initial_investment"]),
-            profit=Decimal(data["profit"]),
-            annual_return=Decimal(data["annual_return"]),
-        )
-
 
 def summarize_pair(ledger: BacktestLedger) -> PairSummary:
     """Profit over the window and the percent return on total capital."""
@@ -225,27 +174,6 @@ class SectorReport:
     n_pairs: int
     n_positive: int
     max_return: Decimal
-
-    def to_json_dict(self) -> dict:
-        return {
-            "sector": self.sector,
-            "rows": [row.to_json_dict() for row in self.rows],
-            "n_pairs": self.n_pairs,
-            "n_positive": self.n_positive,
-            "max_return": str(self.max_return),
-        }
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["Stock Pair", "Init Investment", "Profit", "Annual Return"])
-            for row in self.rows:
-                writer.writerow([
-                    row.pair_label,
-                    str(row.initial_investment),
-                    str(row.profit),
-                    str(row.annual_return),
-                ])
 
 
 def sector_report(summaries: list[PairSummary], sector: str) -> SectorReport:

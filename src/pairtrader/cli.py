@@ -3,7 +3,9 @@
 The pipeline is a pure function of the config document and the input CSV
 bytes; no timestamps or randomness reach the artifacts, so identical inputs
 produce byte-identical outputs.  Each command stages its files in a temporary
-directory and renames it into place.
+directory and renames it into place.  Every CSV and JSON artifact is written
+here, through one CSV writer and one JSON writer; the pipeline modules only
+compute.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 data error,
 3 numeric or degeneracy error.
@@ -15,24 +17,28 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import shutil
 import sys
 import tempfile
+from collections.abc import Mapping
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from datetime import date
 from decimal import Decimal
+from itertools import repeat
 from pathlib import Path
 
 from .backtest import (
     DEFAULT_CAPITAL,
+    LedgerRow,
     PairSummary,
     run_ledger,
     sector_report,
     summarize_pair,
 )
-from .econometrics import CorrelationMatrix, correlation_matrix
+from .econometrics import correlation_matrix
 from .errors import ConfigError, DataError, PairTraderError
 from .marketdata import AlignedPanel, align_panel, load_csv, slice_window
 from .pairscan import (DEFAULT_NEAR_EPS, DEFAULT_THRESHOLD, coint_matrix, fit_pair,
@@ -43,6 +49,15 @@ from .svgchart import line_chart
 logger = logging.getLogger(__name__)
 
 OUT_DIR_ENV = "PAIRTRADER_OUT"
+
+#: Every top-level key a config file may hold; any other key is a ConfigError.
+_CONFIG_KEYS = frozenset({
+    "sectors", "train_window", "test_window", "coint_threshold", "near_eps",
+    "z_upper", "z_lower", "capital_per_leg", "close_column", "out_dir",
+})
+
+#: The report command writes ``<out_dir>/report``, so no sector may take that name.
+_REPORT_DIR = "report"
 
 
 @dataclass(frozen=True)
@@ -76,6 +91,15 @@ class RunConfig:
             raise ConfigError("near_eps must be >= 0")
         if Decimal(self.capital_per_leg) <= 0:
             raise ConfigError("capital_per_leg must be positive")
+        for sector, members in self.sectors.items():
+            _check_name("sector", sector)
+            if sector == _REPORT_DIR:
+                raise ConfigError(f"sector name {sector!r} is reserved for the report output")
+            for ticker, _ in members:
+                _check_name("ticker", ticker)
+                if "," in ticker:
+                    raise ConfigError(f"ticker name {ticker!r} contains ',', which --pair "
+                                      "uses to separate the two tickers")
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
@@ -88,6 +112,10 @@ class RunConfig:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
+        unknown = sorted(set(data) - _CONFIG_KEYS)
+        if unknown:
+            raise ConfigError(f"config file {path}: unknown key(s) "
+                              + ", ".join(repr(key) for key in unknown))
 
         try:
             raw_sectors = data["sectors"]
@@ -129,6 +157,12 @@ class RunConfig:
             out_dir=out_dir,
             **kwargs,
         )
+
+
+def _check_name(kind: str, name: str) -> None:
+    """A sector or ticker name must be usable as one output path component."""
+    if name in ("", ".", "..") or "/" in name or "\\" in name:
+        raise ConfigError(f"{kind} name {name!r} is not usable as a directory name")
 
 
 def _parse_value(name: str, parse, raw):
@@ -208,8 +242,66 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
 # --- deterministic artifact writing ------------------------------------------
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, default=str) + "\n"
+def _fields(obj, *omit: str) -> dict:
+    """A dataclass instance's fields by name, less those named in ``omit``."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in omit}
+
+
+def _jsonable(value):
+    """``value`` in JSON terms, by the one rule every JSON artifact follows.
+
+    A dataclass becomes an object of its own fields, a mapping an object and
+    a tuple or list an array.  A ``Decimal`` is written as its ``str``, a
+    date as its ISO string and a non-finite float as null; strings,
+    integers, booleans, None and finite floats stay as they are.  Any other
+    type (a numpy integer, say) raises ``TypeError``.
+    """
+    if value is None or isinstance(value, (str, int)):
+        return value
+    if isinstance(value, float):
+        return float(value) if math.isfinite(value) else None
+    if isinstance(value, Decimal):
+        return str(value)
+    if isinstance(value, date):
+        return value.isoformat()
+    if is_dataclass(value) and not isinstance(value, type):
+        value = _fields(value)
+    if isinstance(value, Mapping):
+        return {key: _jsonable(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(item) for item in value]
+    raise TypeError(f"cannot write a {type(value).__name__} to JSON")
+
+
+def _write_json(path: Path, obj) -> None:
+    """Canonical JSON: ``_jsonable(obj)``, keys sorted, two-space indent."""
+    text = json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
+
+
+def _cell(value):
+    """A CSV cell: ``repr`` of a float (empty for NaN), ``str`` of a Decimal, ISO date."""
+    if isinstance(value, float):
+        return "" if math.isnan(value) else repr(float(value))
+    if isinstance(value, Decimal):
+        return str(value)
+    if isinstance(value, date):
+        return value.isoformat()
+    return value
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    """One header row, then ``rows`` with every cell written by ``_cell``."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows([_cell(value) for value in row] for row in rows)
+
+
+def _write_matrix_csv(path: Path, matrix) -> None:
+    """A ticker-by-ticker matrix with a ticker header row and column."""
+    _write_csv(path, ["", *matrix.tickers],
+               ([ticker, *row] for ticker, row in zip(matrix.tickers, matrix.values.tolist())))
 
 
 @contextmanager
@@ -233,14 +325,6 @@ def staged_dir(final: Path):
         os.replace(staging, final)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
-
-
-def _write_correlation_csv(matrix: CorrelationMatrix, path: Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["", *matrix.tickers])
-        for i, ticker in enumerate(matrix.tickers):
-            writer.writerow([ticker, *(repr(float(v)) for v in matrix.values[i])])
 
 
 # --- sector/pair resolution ---------------------------------------------------
@@ -296,22 +380,24 @@ def cmd_scan(config: RunConfig, sector: str) -> Path:
     pvals = coint_matrix(panel_train)
     pairs = select_pairs(pvals, threshold=config.coint_threshold, near_eps=config.near_eps)
 
+    cells = []
+    for a, b, p, pred, targ in pvals.cells():
+        cell = {"ticker_a": a, "ticker_b": b, "p_value": p, "predictor": pred, "target": targ}
+        if (a, b) in pvals.reasons:
+            cell["reason"] = pvals.reasons[(a, b)]
+        cells.append(cell)
+
     out = config.out_dir / sector / "scan"
     with staged_dir(out) as staging:
-        _write_correlation_csv(corr, staging / "correlation_matrix.csv")
-        pvals.to_csv(staging / "pvalue_matrix.csv")
-        (staging / "pvalue_matrix.json").write_text(
-            _json_text(pvals.to_json_dict()), encoding="utf-8"
-        )
-        (staging / "selected_pairs.json").write_text(
-            _json_text({
-                "sector": sector,
-                "threshold": config.coint_threshold,
-                "near_eps": config.near_eps,
-                "pairs": [p.to_json_dict() for p in pairs],
-            }),
-            encoding="utf-8",
-        )
+        _write_matrix_csv(staging / "correlation_matrix.csv", corr)
+        _write_matrix_csv(staging / "pvalue_matrix.csv", pvals)
+        _write_json(staging / "pvalue_matrix.json", {"tickers": pvals.tickers, "pairs": cells})
+        _write_json(staging / "selected_pairs.json", {
+            "sector": sector,
+            "threshold": config.coint_threshold,
+            "near_eps": config.near_eps,
+            "pairs": pairs,
+        })
     logger.info("scan %s: %d pairs selected", sector, len(pairs))
     return out
 
@@ -322,6 +408,7 @@ def cmd_analyze(config: RunConfig, pair: str, sector: str | None = None) -> Path
     pred, targ = pair_panel.tickers
     train = slice_window(pair_panel, *config.train_window)
     model = fit_pair(train)
+    adf = model.residual_adf
 
     out = config.out_dir / sector_name / "pairs" / f"{pred}-{targ}" / "analysis"
     with staged_dir(out) as staging:
@@ -329,27 +416,21 @@ def cmd_analyze(config: RunConfig, pair: str, sector: str | None = None) -> Path
             model.report.to_text(dep_name=f"{targ} (asset2)", regressor_name=f"{pred} (asset1)"),
             encoding="utf-8",
         )
-        (staging / "ols_report.json").write_text(
-            _json_text({
-                "predictor": pred,
-                "target": targ,
-                "train_window": [config.train_window[0].isoformat(),
-                                 config.train_window[1].isoformat()],
-                "ols": model.report.to_json_dict(),
-                "verdict": model.verdict,
-            }),
-            encoding="utf-8",
-        )
-        with open(staging / "residuals.csv", "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["date", "residual"])
-            for day, resid in zip(train.dates, model.report.residuals.tolist()):
-                writer.writerow([day.isoformat(), repr(resid)])
-        adf_payload = {
+        _write_json(staging / "ols_report.json", {
+            "predictor": pred,
+            "target": targ,
+            "train_window": config.train_window,
+            "ols": _fields(model.report, "residuals"),
             "verdict": model.verdict,
-            "adf": model.residual_adf.to_json_dict() if model.residual_adf else None,
-        }
-        (staging / "residual_adf.json").write_text(_json_text(adf_payload), encoding="utf-8")
+        })
+        _write_csv(staging / "residuals.csv", ["date", "residual"],
+                   zip(train.dates, model.report.residuals.tolist()))
+        _write_json(staging / "residual_adf.json", {
+            "verdict": model.verdict,
+            "adf": None if adf is None else {
+                **_fields(adf, "n_series"), "crit": adf.crit, "p_value": adf.p_value,
+            },
+        })
     logger.info("analyze %s-%s: hedge ratio %.4f (%s)",
                 pred, targ, model.report.hedge_ratio, model.verdict)
     return out
@@ -373,14 +454,20 @@ def cmd_backtest(config: RunConfig, pair: str, sector: str | None = None) -> Pat
     out = (config.out_dir / sector_name / "pairs"
            / f"{asset1}-{asset2}" / "backtest")
     with staged_dir(out) as staging:
-        frame.to_csv(staging / "trading_frame.csv")
-        (staging / "triggers.json").write_text(
-            _json_text([t.to_json_dict() for t in ledger.triggers]), encoding="utf-8"
+        _write_csv(
+            staging / "trading_frame.csv",
+            ["date", "asset1", "asset2", "z_score", "upper_limit", "lower_limit",
+             "signals1", "signals2", "positions1", "positions2"],
+            zip(frame.dates, frame.close1.tolist(), frame.close2.tolist(),
+                frame.zscore.tolist(), repeat(frame.upper_limit), repeat(frame.lower_limit),
+                frame.signals1.tolist(), frame.signals2.tolist(),
+                frame.positions1.tolist(), frame.positions2.tolist()),
         )
-        ledger.to_csv(staging / "ledger.csv")
-        (staging / "summary.json").write_text(
-            _json_text(summary.to_json_dict()), encoding="utf-8"
-        )
+        _write_json(staging / "triggers.json", ledger.triggers)
+        ledger_header = [f.name for f in fields(LedgerRow)]
+        _write_csv(staging / "ledger.csv", ledger_header,
+                   ([getattr(row, name) for name in ledger_header] for row in ledger.rows))
+        _write_json(staging / "summary.json", summary)
         if config.svg:
             (staging / "z_band.svg").write_text(
                 line_chart(
@@ -417,42 +504,36 @@ def cmd_report(config: RunConfig) -> Path:
         summaries = []
         for summary_path in sorted(sector_dir.glob("*/backtest/summary.json")):
             data = json.loads(summary_path.read_text(encoding="utf-8"))
-            summaries.append(PairSummary.from_json_dict(data))
+            summaries.append(PairSummary(
+                ticker1=data["ticker1"],
+                ticker2=data["ticker2"],
+                initial_investment=Decimal(data["initial_investment"]),
+                profit=Decimal(data["profit"]),
+                annual_return=Decimal(data["annual_return"]),
+            ))
         if summaries:
             per_sector[sector] = summaries
     if not per_sector:
         raise DataError(f"no backtest summaries found under {config.out_dir}")
 
-    out = config.out_dir / "report"
+    out = config.out_dir / _REPORT_DIR
     with staged_dir(out) as staging:
         cross_rows = []
         for sector, summaries in per_sector.items():
             report = sector_report(summaries, sector)
-            report.to_csv(staging / f"sector_{sector}.csv")
-            (staging / f"sector_{sector}.json").write_text(
-                _json_text(report.to_json_dict()), encoding="utf-8"
+            _write_csv(
+                staging / f"sector_{sector}.csv",
+                ["Stock Pair", "Init Investment", "Profit", "Annual Return"],
+                ([f"{r.ticker1} - {r.ticker2}", r.initial_investment, r.profit,
+                  r.annual_return] for r in report.rows),
             )
+            _write_json(staging / f"sector_{sector}.json", report)
             cross_rows.append(report)
         cross_rows.sort(key=lambda r: (-r.max_return, r.sector))
-        with open(staging / "summary.csv", "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["Sector", "No of Pairs", "Positive Return Pairs", "Max Ret"])
-            for report in cross_rows:
-                writer.writerow([
-                    report.sector, report.n_pairs, report.n_positive, str(report.max_return),
-                ])
-        (staging / "summary.json").write_text(
-            _json_text([
-                {
-                    "sector": r.sector,
-                    "n_pairs": r.n_pairs,
-                    "n_positive": r.n_positive,
-                    "max_return": str(r.max_return),
-                }
-                for r in cross_rows
-            ]),
-            encoding="utf-8",
-        )
+        _write_csv(staging / "summary.csv",
+                   ["Sector", "No of Pairs", "Positive Return Pairs", "Max Ret"],
+                   ([r.sector, r.n_pairs, r.n_positive, r.max_return] for r in cross_rows))
+        _write_json(staging / "summary.json", [_fields(r, "rows") for r in cross_rows])
     logger.info("report: %d sectors aggregated", len(per_sector))
     return out
 

@@ -266,33 +266,6 @@ class OlsOriginReport:
     n_obs: int
     residuals: np.ndarray
 
-    def to_json_dict(self) -> dict:
-        out = {
-            "hedge_ratio": self.hedge_ratio,
-            "se_beta": self.se_beta,
-            "t_stat": self.t_stat,
-            "p_t": self.p_t,
-            "f_stat": self.f_stat,
-            "p_f": self.p_f,
-            "r2_uncentered": self.r2_uncentered,
-            "adj_r2_uncentered": self.adj_r2_uncentered,
-            "log_likelihood": self.log_likelihood,
-            "aic": self.aic,
-            "bic": self.bic,
-            "durbin_watson": self.durbin_watson,
-            "jarque_bera": self.jarque_bera,
-            "p_jb": self.p_jb,
-            "skew": self.skew,
-            "kurtosis": self.kurtosis,
-            "omnibus_k2": self.omnibus_k2,
-            "p_omnibus": self.p_omnibus,
-            "cond_no": self.cond_no,
-            "n_obs": self.n_obs,
-        }
-        # JSON has no NaN/inf literal; encode as None.
-        return {k: (None if isinstance(v, float) and not math.isfinite(v) else v)
-                for k, v in out.items()}
-
     def to_text(self, dep_name: str = "asset2", regressor_name: str = "asset1") -> str:
         """Plain-text summary block in conventional regression-table layout."""
         def fmt(v: float, spec: str = "%.3f") -> str:

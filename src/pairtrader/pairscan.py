@@ -6,11 +6,11 @@ asset1, the predictor of the pair model).  Pairs beat the significance
 threshold outright or squeak in within a configurable near-threshold margin.
 A pair whose residuals are exactly zero (say, two share classes of one
 company) gets p = 0 and a recorded reason instead of aborting the scan.
+The module only computes: ``cli`` writes the matrix and the selection.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -76,28 +76,6 @@ class PValueMatrix:
                 yield self.tickers[i], self.tickers[j], float(self.values[i, j]), predictor, target
                 k += 1
 
-    def to_csv(self, path) -> None:
-        """Matrix CSV with ticker header row/column; unset cells are empty."""
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["", *self.tickers])
-            for i, ticker in enumerate(self.tickers):
-                row = [ticker]
-                for j in range(len(self.tickers)):
-                    v = self.values[i, j]
-                    row.append(repr(float(v)) if not math.isnan(v) else "")
-                writer.writerow(row)
-
-    def to_json_dict(self) -> dict:
-        pairs = []
-        for a, b, p, pred, targ in self.cells():
-            cell = {"ticker_a": a, "ticker_b": b, "p_value": p,
-                    "predictor": pred, "target": targ}
-            if (a, b) in self.reasons:
-                cell["reason"] = self.reasons[(a, b)]
-            pairs.append(cell)
-        return {"tickers": list(self.tickers), "pairs": pairs}
-
 
 @dataclass(frozen=True)
 class SelectedPair:
@@ -107,14 +85,6 @@ class SelectedPair:
     target_ticker: str
     coint_p: float
     near_threshold: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "predictor_ticker": self.predictor_ticker,
-            "target_ticker": self.target_ticker,
-            "coint_p": self.coint_p,
-            "near_threshold": self.near_threshold,
-        }
 
 
 @dataclass(frozen=True)

@@ -9,18 +9,18 @@ above the upper band, long asset1 strictly below the lower band, flat
 inside; asset2 always takes the opposite stance.  Positions are the first
 difference of signals, and each nonzero position is a trigger.  A
 ``TradingFrame`` stores only the pair panel, its z-scores and the bands; its
-signal and position columns are derived from them on construction.
+signal and position columns are derived from them on construction.  The
+module only computes: ``cli`` writes the frame and its triggers.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from datetime import date
 
 import numpy as np
 
-from .errors import EmptySeries, EmptyWindow, InvariantViolation, ZeroVariance
+from .errors import EmptySeries, InvariantViolation, ZeroVariance
 from .marketdata import AlignedPanel, check_pair, readonly_copy
 
 UPPER_LIMIT = 1.0
@@ -159,58 +159,6 @@ class TradingFrame:
     def close2(self) -> np.ndarray:
         return self.pair.closes[:, 1]
 
-    def to_csv(self, path) -> None:
-        upper, lower = repr(self.upper_limit), repr(self.lower_limit)
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow([
-                "date", "asset1", "asset2", "z_score", "upper_limit",
-                "lower_limit", "signals1", "signals2", "positions1", "positions2",
-            ])
-            for day, c1, c2, z, s1, s2, p1, p2 in zip(
-                self.dates, self.close1.tolist(), self.close2.tolist(),
-                self.zscore.tolist(), self.signals1.tolist(), self.signals2.tolist(),
-                self.positions1.tolist(), self.positions2.tolist(),
-            ):
-                writer.writerow([day.isoformat(), repr(c1), repr(c2), repr(z),
-                                 upper, lower, s1, s2, p1, p2])
-
-    @classmethod
-    def from_csv(cls, path, ticker1: str = "asset1", ticker2: str = "asset2") -> "TradingFrame":
-        """Read a frame written by ``to_csv``.
-
-        The file's signal and position columns must equal the ones derived
-        from its z-scores and bands; a tampered column raises
-        ``InvariantViolation``.
-        """
-        with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.DictReader(handle)
-            rows = list(reader)
-        if not rows:
-            raise EmptyWindow(f"{path}: no rows")
-        uppers = {row["upper_limit"] for row in rows}
-        lowers = {row["lower_limit"] for row in rows}
-        if len(uppers) != 1 or len(lowers) != 1:
-            raise InvariantViolation(f"{path}: band limit columns are not constant")
-        frame = cls(
-            pair=AlignedPanel(
-                tickers=(ticker1, ticker2),
-                dates=tuple(date.fromisoformat(r["date"]) for r in rows),
-                closes=[[float(r["asset1"]), float(r["asset2"])] for r in rows],
-            ),
-            zscore=[float(r["z_score"]) for r in rows],
-            upper_limit=float(uppers.pop()),
-            lower_limit=float(lowers.pop()),
-        )
-        for name in ("signals1", "signals2", "positions1", "positions2"):
-            bad = np.array([int(r[name]) for r in rows]) != getattr(frame, name)
-            if bad.any():
-                raise InvariantViolation(
-                    f"{path}: {name} on {frame.dates[int(np.argmax(bad))]} disagrees"
-                    " with the z-score and bands"
-                )
-        return frame
-
 
 def build_trading_frame(
     pair: AlignedPanel,
@@ -235,14 +183,6 @@ class Trigger:
     leg: str  # "asset1" or "asset2"
     action: str
     lots: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "date": self.date.isoformat(),
-            "leg": self.leg,
-            "action": self.action,
-            "lots": self.lots,
-        }
 
 
 def extract_triggers(frame: TradingFrame) -> list[Trigger]:

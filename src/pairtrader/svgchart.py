@@ -2,7 +2,8 @@
 
 Data-faithful polylines only; the CSV artifacts stay canonical and these
 charts exist for quick eyeballing.  All coordinates are formatted with fixed
-precision so identical inputs produce identical bytes.
+precision so identical inputs produce identical bytes.  Title and label text
+is XML-escaped, so a ticker such as ``M&M`` keeps the document well-formed.
 """
 
 from __future__ import annotations
@@ -20,6 +21,11 @@ def _scale(values: list[float], lo: float, hi: float, out_lo: float, out_hi: flo
         return [mid for _ in values]
     k = (out_hi - out_lo) / (hi - lo)
     return [out_lo + (v - lo) * k for v in values]
+
+
+def _escape(text: str) -> str:
+    """``text`` as XML character data: ``&``, ``<`` and ``>`` become entities."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _polyline(xs: list[float], ys: list[float], color: str, width: str = "1") -> str:
@@ -50,7 +56,7 @@ def line_chart(
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH // 2}" y="16" text-anchor="middle" font-size="13" '
-        f'font-family="sans-serif">{title}</text>',
+        f'font-family="sans-serif">{_escape(title)}</text>',
         f'<line x1="{MARGIN}" y1="{HEIGHT - MARGIN}" x2="{WIDTH - 10}" '
         f'y2="{HEIGHT - MARGIN}" stroke="black"/>',
         f'<line x1="{MARGIN}" y1="25" x2="{MARGIN}" y2="{HEIGHT - MARGIN}" stroke="black"/>',
@@ -68,7 +74,7 @@ def line_chart(
         parts.append(_polyline(xs, ys, color))
         parts.append(
             f'<text x="{WIDTH - 12}" y="{40 + 14 * i}" text-anchor="end" font-size="10" '
-            f'font-family="sans-serif" fill="{color}">{label}</text>'
+            f'font-family="sans-serif" fill="{color}">{_escape(label)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

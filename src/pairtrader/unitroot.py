@@ -21,7 +21,8 @@ response surfaces, bundled as a plain-text constants file under ``data/``.
 Both tests return an ``AdfResult``, which stores the statistic and the
 surface it is read against and evaluates that surface only when its critical
 values or p-value are first read: the sector scan reads one p-value per pair
-and no critical value.
+and no critical value.  ``cli`` writes a residual test's statistic, critical
+values and p-value; this module opens no file except its bundled tables.
 """
 
 from __future__ import annotations
@@ -191,16 +192,6 @@ class AdfResult:
     @cached_property
     def p_value(self) -> float:
         return mackinnon_pvalue(self.tau, self.n_series, self.deterministic)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "tau": self.tau,
-            "used_lags": self.used_lags,
-            "n_eff": self.n_eff,
-            "crit": dict(self.crit),
-            "p_value": self.p_value,
-            "deterministic": self.deterministic,
-        }
 
 
 def default_max_lag(n: int) -> int:

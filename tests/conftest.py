@@ -1,11 +1,13 @@
 """Shared fixtures: quick series builders and the synthetic demo sector."""
 
+import csv
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
 from pairtrader.marketdata import AlignedPanel
+from pairtrader.signalgen import TradingFrame
 from pairtrader.synthetic import write_sector
 
 
@@ -21,6 +23,28 @@ def make_pair(close1, close2, start=date(2021, 1, 1)):
     dates = tuple(start + timedelta(days=i) for i in range(len(close1)))
     return AlignedPanel(tickers=("A", "B"), dates=dates,
                         closes=np.column_stack([close1, close2]))
+
+
+def read_frame_csv(path, ticker1, ticker2):
+    """A ``trading_frame.csv`` artifact as the frame its columns describe, and its rows.
+
+    The frame is rebuilt from the date, close, z-score and band columns only;
+    the file's signal and position columns stay in the raw rows, for
+    comparison with the ones the frame derives.
+    """
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    frame = TradingFrame(
+        pair=AlignedPanel(
+            tickers=(ticker1, ticker2),
+            dates=tuple(date.fromisoformat(r["date"]) for r in rows),
+            closes=np.array([[float(r["asset1"]), float(r["asset2"])] for r in rows]),
+        ),
+        zscore=[float(r["z_score"]) for r in rows],
+        upper_limit=float(rows[0]["upper_limit"]),
+        lower_limit=float(rows[0]["lower_limit"]),
+    )
+    return frame, rows
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,8 @@ command bodies of ``cmd_scan``, ``cmd_analyze`` and ``cmd_report`` writing the
 rest.  This module keeps verbatim copies of those writer bodies, applied to
 the package's computed results, and asserts that the commands write exactly
 the same bytes on the demo sector: the scan, every one of the 45 pairs
-analysed in both spellings, and the report over all 45 backtests.
+analysed in both spellings, and the report over all 45 backtests plus a
+second sector of four demo tickers.
 """
 
 from __future__ import annotations
@@ -308,10 +309,15 @@ def test_analyze_bytes_match_frozen_writers(config, tmp_path, reverse):
 
 
 def test_report_bytes_match_frozen_writers(config, tmp_path):
+    # A second sector of four demo tickers gives the overview two rows to sort.
+    config = replace(config, sectors={**config.sectors,
+                                      "alloys": config.sectors["metals"][:4]})
     for pair in demo_pairs(config):
-        cmd_backtest(config, pair)
+        cmd_backtest(config, pair, "metals")
+    for pair in itertools.combinations([t for t, _ in config.sectors["alloys"]], 2):
+        cmd_backtest(config, ",".join(pair), "alloys")
     got = cmd_report(config)
     expected = tmp_path / "reference"
     write_report_reference(config, expected)
     assert_same_tree(got, expected, "report")
-    assert len(list(got.iterdir())) == 4
+    assert len(list(got.iterdir())) == 6

@@ -1,3 +1,5 @@
+import csv
+from dataclasses import fields
 from datetime import date
 from decimal import Decimal
 
@@ -6,14 +8,15 @@ import pytest
 
 from pairtrader.backtest import (
     DEFAULT_CAPITAL,
+    LedgerRow,
     PairSummary,
     annual_return_pct,
-    ledger_rows_from_csv,
     run_ledger,
     sector_report,
     size_shares,
     summarize_pair,
 )
+from pairtrader.cli import RunConfig, _write_csv, _write_json, cmd_report
 from pairtrader.errors import EmptyFrame, EmptyList, PriceExceedsCapital
 from pairtrader.signalgen import TradingFrame
 
@@ -258,10 +261,15 @@ class TestSectorReport:
             sector_report([], "none")
 
     def test_csv_layout(self, tmp_path):
-        report = sector_report(summaries_from_rows(AUTO_ROWS), "auto")
-        path = tmp_path / "auto.csv"
-        report.to_csv(path)
-        lines = path.read_text().splitlines()
+        # The report command tabulates the pair summaries it finds on disk.
+        config = RunConfig(sectors={"auto": []}, out_dir=tmp_path,
+                           train_window=(date(2020, 1, 1), date(2020, 12, 31)),
+                           test_window=(date(2021, 1, 1), date(2021, 12, 31)))
+        for summary in summaries_from_rows(AUTO_ROWS):
+            pair_dir = tmp_path / "auto" / "pairs" / f"{summary.ticker1}-{summary.ticker2}"
+            (pair_dir / "backtest").mkdir(parents=True)
+            _write_json(pair_dir / "backtest" / "summary.json", summary)
+        lines = (cmd_report(config) / "sector_auto.csv").read_text().splitlines()
         assert lines[0] == "Stock Pair,Init Investment,Profit,Annual Return"
         assert lines[1] == "BF - AL,200000,35269,17.63"
 
@@ -270,6 +278,11 @@ class TestLedgerSerialization:
     def test_csv_round_trip_exact(self, tmp_path):
         ledger = run_ledger(FIXTURE, DEFAULT_CAPITAL)
         path = tmp_path / "ledger.csv"
-        ledger.to_csv(path)
-        back = ledger_rows_from_csv(path)
+        header = [f.name for f in fields(LedgerRow)]
+        _write_csv(path, header, ([getattr(row, name) for name in header] for row in ledger.rows))
+        with open(path, newline="", encoding="utf-8") as handle:
+            back = tuple(
+                LedgerRow(date.fromisoformat(r["date"]), *(Decimal(r[k]) for k in header[1:]))
+                for r in csv.DictReader(handle)
+            )
         assert back == ledger.rows

@@ -3,8 +3,10 @@
 The module keeps a verbatim copy of the backtest path as it stood when each
 price column travelled as a tuple of Python floats: ``ratio_series`` ->
 ``zscore_series`` -> ``gen_signals``/``gen_positions`` -> ``TradingFrame`` ->
-``run_ledger``.  ``cmd_backtest --svg`` must write exactly the bytes that path
-writes, for every pair of the demo sector in both spellings.  Numpy scalars
+``run_ledger``, along with the writers it serialised through (the
+``default=str`` JSON text, ``PairSummary.to_json_dict`` and the CSV bodies).
+``cmd_backtest --svg`` must write exactly the bytes that path writes, for
+every pair of the demo sector in both spellings.  Numpy scalars
 leaking into a writer (``repr`` gives ``np.float64(...)``, ``json`` writes a
 numpy integer as a string) or into the Decimal ledger would show here.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import json
 from dataclasses import dataclass, replace
 from datetime import date
 from decimal import ROUND_FLOOR, Decimal
@@ -21,7 +24,7 @@ import numpy as np
 import pytest
 
 from pairtrader.backtest import PairSummary, annual_return_pct
-from pairtrader.cli import RunConfig, _find_pair, _json_text, cmd_backtest
+from pairtrader.cli import RunConfig, _find_pair, cmd_backtest
 from pairtrader.errors import (
     EmptyFrame,
     EmptySeries,
@@ -41,6 +44,23 @@ class PriceSeries:
     ticker: str
     dates: tuple[date, ...]
     closes: tuple[float, ...]
+
+
+# --- frozen copy: the JSON writer ----------------------------------------------
+
+
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, default=str) + "\n"
+
+
+def summary_to_json_dict(summary: PairSummary) -> dict:
+    return {
+        "ticker1": summary.ticker1,
+        "ticker2": summary.ticker2,
+        "initial_investment": str(summary.initial_investment),
+        "profit": str(summary.profit),
+        "annual_return": str(summary.annual_return),
+    }
 
 
 # --- frozen copy: signalgen -----------------------------------------------------
@@ -407,7 +427,7 @@ def write_reference(config: RunConfig, pair: str, out) -> None:
         _json_text([t.to_json_dict() for t in ledger.triggers]), encoding="utf-8"
     )
     ledger.to_csv(out / "ledger.csv")
-    (out / "summary.json").write_text(_json_text(summary.to_json_dict()), encoding="utf-8")
+    (out / "summary.json").write_text(_json_text(summary_to_json_dict(summary)), encoding="utf-8")
     (out / "z_band.svg").write_text(
         line_chart(
             frame.dates,

@@ -4,16 +4,21 @@ import math
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
+from datetime import date
 from decimal import Decimal
 from pathlib import Path
+from types import MappingProxyType
 
+import numpy as np
 import pytest
 
 from pairtrader import backtest, pairscan, signalgen
-from pairtrader.backtest import PairSummary, ledger_rows_from_csv
-from pairtrader.cli import RunConfig, main, staged_dir
-from pairtrader.signalgen import TradingFrame
+from pairtrader.backtest import PairSummary
+from pairtrader.cli import RunConfig, _write_csv, _write_json, main, staged_dir
 from pairtrader.synthetic import PAIR_TICKERS
+
+from conftest import read_frame_csv
 
 
 def run(*argv):
@@ -22,6 +27,13 @@ def run(*argv):
 
 def read_json(path):
     return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def read_ledger(path):
+    """Rows of a ``ledger.csv`` artifact, every amount an exact decimal."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        return [{key: value if key == "date" else Decimal(value) for key, value in row.items()}
+                for row in csv.DictReader(handle)]
 
 
 @pytest.fixture(scope="module")
@@ -181,26 +193,48 @@ class TestBacktest:
             assert actions & {"open_short", "flip_to_short"}
 
     def test_frame_csv_round_trips(self, pipeline):
+        # Every cell is determined by the frame the file describes: floats in
+        # their shortest round-tripping form, signals and positions derived.
         base = pipeline / "metals" / "pairs" / "COBALT-IRON" / "backtest"
-        frame = TradingFrame.from_csv(base / "trading_frame.csv",
-                                      ticker1="COBALT", ticker2="IRON")
+        frame, rows = read_frame_csv(base / "trading_frame.csv", "COBALT", "IRON")
         assert len(frame) == 250
-        rewritten = base.parent / "frame_copy.csv"
-        frame.to_csv(rewritten)
-        assert rewritten.read_bytes() == (base / "trading_frame.csv").read_bytes()
+        for name in ("signals1", "signals2", "positions1", "positions2"):
+            assert [int(row[name]) for row in rows] == getattr(frame, name).tolist()
+        for row in rows:
+            for name in ("asset1", "asset2", "z_score", "upper_limit", "lower_limit"):
+                assert repr(float(row[name])) == row[name]
 
     def test_ledger_identity_from_csv(self, pipeline):
         base = pipeline / "metals" / "pairs" / "COBALT-IRON" / "backtest"
-        rows = ledger_rows_from_csv(base / "ledger.csv")
+        rows = read_ledger(base / "ledger.csv")
         assert len(rows) == 250
         for row in rows:
-            assert row.total == row.cash1 + row.cash2 + row.holdings1 + row.holdings2
+            parts = (row[name] for name in ("cash1", "cash2", "holdings1", "holdings2"))
+            assert row["total"] == sum(parts)
 
     def test_summary_consistent_with_ledger(self, pipeline):
         base = pipeline / "metals" / "pairs" / "COBALT-IRON" / "backtest"
-        summary = PairSummary.from_json_dict(read_json(base / "summary.json"))
-        rows = ledger_rows_from_csv(base / "ledger.csv")
-        assert summary.profit == rows[-1].total - Decimal("200000")
+        summary = read_json(base / "summary.json")
+        rows = read_ledger(base / "ledger.csv")
+        assert Decimal(summary["profit"]) == rows[-1]["total"] - Decimal("200000")
+
+    def test_svg_text_is_escaped(self, synth_dir, tmp_path):
+        # A real ticker such as M&M must not break the charts' XML.
+        config = json.loads((synth_dir / "config.json").read_text())
+        config["sectors"] = {"auto": [
+            {"ticker": "IRON", "csv": str(synth_dir / "data" / "IRON.csv")},
+            {"ticker": "M&M", "csv": str(synth_dir / "data" / "COBALT.csv")},
+        ]}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert run("backtest", "--config", path, "--pair", "IRON,M&M", "--svg",
+                   "--out", out) == 0
+        base = out / "auto" / "pairs" / "M&M-IRON" / "backtest"
+        titles = {name: ET.parse(base / name).getroot().find("{http://www.w3.org/2000/svg}text")
+                  for name in ("z_band.svg", "portfolio_value.svg")}
+        assert titles["z_band.svg"].text == "M&M/IRON ratio z-score"
+        assert titles["portfolio_value.svg"].text == "M&M-IRON portfolio value"
 
     def test_svg_artifacts_written(self, pipeline):
         base = pipeline / "metals" / "pairs" / "COBALT-IRON" / "backtest"
@@ -210,9 +244,9 @@ class TestBacktest:
 
     def test_engineered_pair_is_profitable(self, pipeline):
         base = pipeline / "metals" / "pairs" / "COBALT-IRON" / "backtest"
-        summary = PairSummary.from_json_dict(read_json(base / "summary.json"))
-        assert summary.profit > 0
-        assert summary.annual_return > 0
+        summary = read_json(base / "summary.json")
+        assert Decimal(summary["profit"]) > 0
+        assert Decimal(summary["annual_return"]) > 0
 
     def test_band_never_crossed_means_no_trades(self, synth_dir, tmp_path):
         # Ratio wiggles during training (so the fit has variance) but sits
@@ -246,9 +280,9 @@ class TestBacktest:
         assert run("backtest", "--config", path, "--pair", "AAA,BBB", "--out", out) == 0
         backtest_dir = out / "quiet" / "pairs" / "AAA-BBB" / "backtest"
         assert read_json(backtest_dir / "triggers.json") == []
-        summary = PairSummary.from_json_dict(read_json(backtest_dir / "summary.json"))
-        assert summary.profit == 0
-        assert str(summary.annual_return) == "0.00"
+        summary = read_json(backtest_dir / "summary.json")
+        assert Decimal(summary["profit"]) == 0
+        assert summary["annual_return"] == "0.00"
 
     def test_degenerate_ratio_is_numeric_error(self, synth_dir, tmp_path):
         # A pair proportional to itself has a constant ratio: exit code 3.
@@ -286,14 +320,14 @@ class TestReport:
         assert summary[1].startswith("metals,1,")
 
     def test_totals_agree_with_pair_summaries(self, pipeline):
-        pair_summary = PairSummary.from_json_dict(read_json(
+        pair_summary = read_json(
             pipeline / "metals" / "pairs" / "COBALT-IRON" / "backtest" / "summary.json"
-        ))
+        )
         sector = read_json(pipeline / "report" / "sector_metals.json")
-        assert sector["rows"][0]["profit"] == str(pair_summary.profit)
-        assert sector["max_return"] == str(pair_summary.annual_return)
+        assert sector["rows"] == [pair_summary]
+        assert sector["max_return"] == pair_summary["annual_return"]
         cross = read_json(pipeline / "report" / "summary.json")
-        assert cross[0]["max_return"] == str(pair_summary.annual_return)
+        assert cross[0]["max_return"] == pair_summary["annual_return"]
 
     def test_empty_artifacts_is_data_error(self, synth_dir, tmp_path):
         assert run("report", "--config", synth_dir / "config.json",
@@ -404,11 +438,72 @@ class TestConfigSurface:
         assert err.startswith("pairtrader: error: ") and named in err
         assert "Traceback" not in err
 
+    def test_unknown_key_is_config_error(self, synth_dir, tmp_path, capsys):
+        # A misspelled knob used to be ignored: the run went on with the default.
+        config = json.loads((synth_dir / "config.json").read_text())
+        config["coint_treshold"] = 1e-40
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert run("scan", "--config", path, "--sector", "metals", "--out", tmp_path / "o") == 1
+        assert "'coint_treshold'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind, name", [
+        ("sector", ""), ("sector", "."), ("sector", ".."), ("sector", "a/b"),
+        ("sector", "a\\b"), ("sector", "report"),
+        ("ticker", ""), ("ticker", "."), ("ticker", ".."), ("ticker", "X/Y"),
+        ("ticker", "X\\Y"), ("ticker", "A,B"),
+    ], ids=["sector_empty", "sector_dot", "sector_dotdot", "sector_slash",
+            "sector_backslash", "sector_report", "ticker_empty", "ticker_dot",
+            "ticker_dotdot", "ticker_slash", "ticker_backslash", "ticker_comma"])
+    def test_unsafe_name_is_config_error(self, synth_dir, tmp_path, capsys, kind, name):
+        config = json.loads((synth_dir / "config.json").read_text())
+        members = [dict(m, csv=str(synth_dir / m["csv"])) for m in config["sectors"]["metals"]]
+        if kind == "ticker":
+            members[0]["ticker"] = name
+        config["sectors"] = {"metals" if kind == "ticker" else name: members}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert run("report", "--config", path, "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pairtrader: error: ") and f"{kind} name {name!r}" in err
+
     def test_config_invariants(self, synth_dir):
         config = RunConfig.from_json(synth_dir / "config.json")
         assert config.train_window[1] < config.test_window[0]
         assert config.z_lower < 0 < config.z_upper
         assert config.coint_threshold == 0.05
+
+
+class TestArtifactWriters:
+    def test_json_rules(self, tmp_path):
+        summary = PairSummary("A", "B", Decimal("200000"), Decimal("-1.50"), Decimal("0.00"))
+        _write_json(tmp_path / "out.json", {
+            "summary": summary, "day": date(2021, 3, 4), "bad": [math.nan, math.inf, -math.inf],
+            "crit": MappingProxyType({"5%": -2.86}), "pair": ("A", "B"), "flag": False,
+            "none": None, "numpy_float": np.float64(0.1), "lots": 2,
+        })
+        text = (tmp_path / "out.json").read_text(encoding="utf-8")
+        assert text.endswith("}\n") and text.startswith('{\n  "bad": [\n    null,')
+        assert json.loads(text) == {
+            "summary": {"ticker1": "A", "ticker2": "B", "initial_investment": "200000",
+                        "profit": "-1.50", "annual_return": "0.00"},
+            "day": "2021-03-04", "bad": [None, None, None], "crit": {"5%": -2.86},
+            "pair": ["A", "B"], "flag": False, "none": None, "numpy_float": 0.1, "lots": 2,
+        }
+
+    @pytest.mark.parametrize("value", [np.int64(1), np.bool_(True), {1, 2}, object()],
+                             ids=["numpy_int", "numpy_bool", "set", "object"])
+    def test_json_rejects_other_types(self, tmp_path, value):
+        with pytest.raises(TypeError):
+            _write_json(tmp_path / "out.json", {"value": value})
+
+    def test_csv_cells(self, tmp_path):
+        _write_csv(tmp_path / "out.csv", ["a", "b"], [
+            [0.1, math.nan], [Decimal("1.10"), date(2021, 3, 4)], [-3, "x,y"],
+        ])
+        assert (tmp_path / "out.csv").read_bytes() == (
+            b"a,b\r\n0.1,\r\n1.10,2021-03-04\r\n-3,\"x,y\"\r\n")
 
 
 class TestStagedDir:

@@ -1,3 +1,4 @@
+import json
 import math
 import statistics
 import struct
@@ -8,6 +9,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pairtrader.cli import _fields, _write_json
 from pairtrader.econometrics import (
     _chi2_sf,
     _f_sf,
@@ -264,10 +266,13 @@ class TestOlsThroughOrigin:
         assert mine.adj_r2_uncentered == pytest.approx(res.rsquared_adj, rel=1e-12)
         assert mine.p_t == pytest.approx(res.pvalues[0], abs=1e-12)
 
-    def test_report_serialization(self):
+    def test_report_serialization(self, tmp_path):
         report = ols_through_origin([1, 2, 3], [2, 4, 6])
-        payload = report.to_json_dict()
+        _write_json(tmp_path / "ols.json", _fields(report, "residuals"))
+        payload = json.loads((tmp_path / "ols.json").read_text(encoding="utf-8"))
         assert payload["durbin_watson"] is None  # NaN encodes as null
+        assert payload["t_stat"] is None  # and so does inf
+        assert payload["n_obs"] == 3 and payload["hedge_ratio"] == 2.0
         text = ols_through_origin([1.0, 2.0, 3.5], [2.1, 3.9, 7.2]).to_text("tgt", "prd")
         for label in ("Dep. Variable:", "R-squared (uncentered):", "F-statistic:",
                       "Durbin-Watson:", "Jarque-Bera (JB):", "Omnibus:", "Cond. No."):

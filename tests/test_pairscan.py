@@ -1,13 +1,15 @@
 import csv
 import inspect
+import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from datetime import date
 
 import numpy as np
 import pytest
 
 from pairtrader import unitroot
+from pairtrader.cli import RunConfig, _sector_panel, _write_matrix_csv, cmd_scan
 from pairtrader.errors import ConstantSeries, EmptyIntersection, SeriesTooShort
 from pairtrader.marketdata import AlignedPanel, align_panel, slice_window
 from pairtrader.pairscan import (
@@ -322,13 +324,15 @@ class TestPValueMatrixSerialization:
 
     def test_csv_round_trip(self, tmp_path, synth_matrix):
         path = tmp_path / "pvals.csv"
-        synth_matrix.to_csv(path)
+        _write_matrix_csv(path, synth_matrix)
         with open(path, newline="", encoding="utf-8") as handle:
             header, *rows = csv.reader(handle)
         assert tuple(header[1:]) == synth_matrix.tickers
         assert tuple(row[0] for row in rows) == synth_matrix.tickers
         back = np.array([[float(cell) if cell else math.nan for cell in row[1:]] for row in rows])
         assert np.array_equal(back, synth_matrix.values, equal_nan=True)
+        n = len(synth_matrix.tickers)
+        assert sum(cell == "" for row in rows for cell in row[1:]) == n * (n + 1) // 2
 
     def test_orderings_must_cover_every_cell(self):
         values = np.full((3, 3), math.nan)
@@ -343,8 +347,16 @@ class TestPValueMatrixSerialization:
             PValueMatrix(tickers=("A", "B", "C"), values=np.full((2, 2), math.nan),
                          orderings=(("A", "B"), ("A", "C"), ("B", "C")))
 
-    def test_json_dict_lists_all_pairs(self, synth_matrix):
-        payload = synth_matrix.to_json_dict()
+    def test_json_dict_lists_all_pairs(self, synth_dir, tmp_path):
+        config = replace(RunConfig.from_json(synth_dir / "config.json"), out_dir=tmp_path)
+        scan_dir = cmd_scan(config, "metals")
+        payload = json.loads((scan_dir / "pvalue_matrix.json").read_text(encoding="utf-8"))
         assert len(payload["pairs"]) == 45
         sample = payload["pairs"][0]
         assert set(sample) == {"ticker_a", "ticker_b", "p_value", "predictor", "target"}
+        # The written p-values are the scan's, bit for bit, cell by cell.
+        matrix = coint_matrix(slice_window(_sector_panel(config, "metals"),
+                                           *config.train_window))
+        assert payload["tickers"] == list(matrix.tickers)
+        assert [(c["ticker_a"], c["ticker_b"], c["p_value"], c["predictor"], c["target"])
+                for c in payload["pairs"]] == list(matrix.cells())

@@ -1,4 +1,3 @@
-import csv
 import dataclasses
 import json
 import math
@@ -9,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pairtrader.cli import RunConfig, _find_pair, _write_json, cmd_backtest
 from pairtrader.errors import (
-    DuplicateTicker,
     EmptyIntersection,
     EmptySeries,
     EmptyWindow,
@@ -28,7 +27,7 @@ from pairtrader.signalgen import (
     gen_signals,
 )
 
-from conftest import make_pair, make_series
+from conftest import make_pair, make_series, read_frame_csv
 
 signal_lists = st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=60)
 
@@ -46,6 +45,18 @@ def ratio_of(a, b):
     return build_trading_frame(align_panel([a, b]), IDENTITY).zscore.tolist()
 
 
+@pytest.fixture(scope="module")
+def demo_frame_csv(synth_dir, tmp_path_factory):
+    """The demo pair's ``trading_frame.csv`` and the frame it was written from."""
+    config = dataclasses.replace(RunConfig.from_json(synth_dir / "config.json"),
+                                 out_dir=tmp_path_factory.mktemp("run"))
+    out = cmd_backtest(config, "IRON,COBALT")
+    _, pair = _find_pair(config, "IRON,COBALT", None)
+    frame = build_trading_frame(slice_window(pair, *config.test_window),
+                                fit_ratio_stats(slice_window(pair, *config.train_window)))
+    return out / "trading_frame.csv", frame
+
+
 def frame_from_signals(signals1, close1=None, close2=None):
     """A TradingFrame whose z-scores (-2 per unit of signal) derive ``signals1``."""
     n = len(signals1)
@@ -55,15 +66,6 @@ def frame_from_signals(signals1, close1=None, close2=None):
         upper_limit=1.0,
         lower_limit=-1.0,
     )
-
-
-def tamper(path, column, day_index, value):
-    """Rewrite one cell of a frame CSV."""
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    rows[day_index + 1][rows[0].index(column)] = value
-    with open(path, "w", newline="") as handle:
-        csv.writer(handle).writerows(rows)
 
 
 class TestRatioSeries:
@@ -241,26 +243,6 @@ class TestTradingFrame:
         assert (frame.ticker1, frame.ticker2) == ("A", "B")
         assert frame.dates == frame.pair.dates
 
-    def test_from_csv_catches_broken_mirror(self, tmp_path):
-        path = tmp_path / "frame.csv"
-        frame_from_signals([0, 1, 0]).to_csv(path)
-        tamper(path, "signals2", 1, "1")
-        with pytest.raises(InvariantViolation, match="signals2"):
-            TradingFrame.from_csv(path)
-
-    def test_from_csv_catches_broken_positions(self, tmp_path):
-        path = tmp_path / "frame.csv"
-        frame_from_signals([0, 1, 0]).to_csv(path)
-        tamper(path, "positions1", 1, "0")
-        with pytest.raises(InvariantViolation, match="positions1"):
-            TradingFrame.from_csv(path)
-
-    def test_from_csv_rejects_same_ticker_twice(self, tmp_path):
-        path = tmp_path / "frame.csv"
-        frame_from_signals([0, 1, 0]).to_csv(path)
-        with pytest.raises(DuplicateTicker, match="'X'"):
-            TradingFrame.from_csv(path, ticker1="X", ticker2="X")
-
     def test_validate_catches_wrong_length(self):
         frame = frame_from_signals([0, 1, 0])
         with pytest.raises(InvariantViolation, match="zscore"):
@@ -287,21 +269,15 @@ class TestTradingFrame:
         f1, f2 = frame_from_signals([0, 1, 0]), frame_from_signals([0, 1, 0])
         assert f1 == f1 and f1 != f2
 
-    def test_csv_round_trip_is_exact(self, tmp_path):
-        rng = np.random.default_rng(9)
-        closes1 = 100 + np.abs(np.cumsum(rng.normal(size=30)))
-        closes2 = 50 + np.abs(np.cumsum(rng.normal(size=30)))
-        pair = align_panel([make_series("A", closes1), make_series("B", closes2)])
-        frame = build_trading_frame(pair, fit_ratio_stats(pair))
-        path = tmp_path / "frame.csv"
-        frame.to_csv(path)
-        back = TradingFrame.from_csv(path, ticker1="A", ticker2="B")
+    def test_csv_round_trip_is_exact(self, demo_frame_csv):
+        path, frame = demo_frame_csv
+        back, rows = read_frame_csv(path, frame.ticker1, frame.ticker2)
         assert_frames_equal(back, frame)
+        for name in ("signals1", "signals2", "positions1", "positions2"):
+            assert [int(r[name]) for r in rows] == getattr(frame, name).tolist()
 
-    def test_csv_column_order(self, tmp_path):
-        frame = frame_from_signals([0, -1, 0])
-        path = tmp_path / "frame.csv"
-        frame.to_csv(path)
+    def test_csv_column_order(self, demo_frame_csv):
+        path, _ = demo_frame_csv
         header = path.read_text().splitlines()[0]
         assert header == ("date,asset1,asset2,z_score,upper_limit,lower_limit,"
                           "signals1,signals2,positions1,positions2")
@@ -322,11 +298,13 @@ class TestExtractTriggers:
             (4, "flip_to_short", 2),
         ]
 
-    def test_trigger_fields_are_python_scalars(self):
-        # json.dumps(default=str) would write a numpy integer as a string.
-        for trigger in extract_triggers(frame_from_signals([0, -1, 1, 0])):
-            assert type(trigger.lots) is int
-            assert json.loads(json.dumps(trigger.to_json_dict()))["lots"] == trigger.lots
+    def test_trigger_fields_are_python_scalars(self, tmp_path):
+        # The artifact writer raises TypeError on a numpy integer.
+        triggers = extract_triggers(frame_from_signals([0, -1, 1, 0]))
+        _write_json(tmp_path / "triggers.json", triggers)
+        written = json.loads((tmp_path / "triggers.json").read_text(encoding="utf-8"))
+        assert [t["lots"] for t in written] == [t.lots for t in triggers]
+        assert all(type(t.lots) is int for t in triggers)
 
     def test_all_flat_means_no_triggers(self):
         assert extract_triggers(frame_from_signals([0, 0, 0, 0])) == []
