@@ -30,6 +30,8 @@ from decimal import Decimal
 from itertools import repeat
 from pathlib import Path
 
+import numpy as np
+
 from .backtest import (
     DEFAULT_CAPITAL,
     LedgerRow,
@@ -87,8 +89,8 @@ class RunConfig:
             raise ConfigError("band limits must satisfy z_lower < 0 < z_upper")
         if not 0.0 < self.coint_threshold < 1.0:
             raise ConfigError("coint_threshold must lie in (0, 1)")
-        if not self.near_eps >= 0.0:
-            raise ConfigError("near_eps must be >= 0")
+        if not 0.0 <= self.near_eps < math.inf:
+            raise ConfigError("near_eps must be finite and >= 0")
         if Decimal(self.capital_per_leg) <= 0:
             raise ConfigError("capital_per_leg must be positive")
         for sector, members in self.sectors.items():
@@ -298,10 +300,10 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows([_cell(value) for value in row] for row in rows)
 
 
-def _write_matrix_csv(path: Path, matrix) -> None:
-    """A ticker-by-ticker matrix with a ticker header row and column."""
-    _write_csv(path, ["", *matrix.tickers],
-               ([ticker, *row] for ticker, row in zip(matrix.tickers, matrix.values.tolist())))
+def _write_matrix_csv(path: Path, tickers, values) -> None:
+    """A ticker-by-ticker ``values`` array with a ticker header row and column."""
+    _write_csv(path, ["", *tickers],
+               ([ticker, *row] for ticker, row in zip(tickers, values.tolist())))
 
 
 @contextmanager
@@ -380,18 +382,21 @@ def cmd_scan(config: RunConfig, sector: str) -> Path:
     pvals = coint_matrix(panel_train)
     pairs = select_pairs(pvals, threshold=config.coint_threshold, near_eps=config.near_eps)
 
-    cells = []
-    for a, b, p, pred, targ in pvals.cells():
-        cell = {"ticker_a": a, "ticker_b": b, "p_value": p, "predictor": pred, "target": targ}
-        if (a, b) in pvals.reasons:
-            cell["reason"] = pvals.reasons[(a, b)]
-        cells.append(cell)
+    records = []
+    for cell in pvals.cells:
+        record = {**_fields(cell, "adf", "reason"), "p_value": cell.p_value}
+        if cell.reason is not None:
+            record["reason"] = cell.reason
+        records.append(record)
+    n = len(pvals.tickers)
+    grid = np.full((n, n), math.nan)
+    grid[np.triu_indices(n, 1)] = [cell.p_value for cell in pvals.cells]
 
     out = config.out_dir / sector / "scan"
     with staged_dir(out) as staging:
-        _write_matrix_csv(staging / "correlation_matrix.csv", corr)
-        _write_matrix_csv(staging / "pvalue_matrix.csv", pvals)
-        _write_json(staging / "pvalue_matrix.json", {"tickers": pvals.tickers, "pairs": cells})
+        _write_matrix_csv(staging / "correlation_matrix.csv", panel_train.tickers, corr)
+        _write_matrix_csv(staging / "pvalue_matrix.csv", pvals.tickers, grid)
+        _write_json(staging / "pvalue_matrix.json", {"tickers": pvals.tickers, "pairs": records})
         _write_json(staging / "selected_pairs.json", {
             "sector": sector,
             "threshold": config.coint_threshold,
@@ -494,6 +499,22 @@ def cmd_backtest(config: RunConfig, pair: str, sector: str | None = None) -> Pat
     return out
 
 
+def _read_summary(path: Path) -> PairSummary:
+    """A backtest's ``summary.json``; malformed content is a DataError naming the file."""
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+        return PairSummary(
+            ticker1=data["ticker1"],
+            ticker2=data["ticker2"],
+            initial_investment=_decimal(data["initial_investment"]),
+            profit=_decimal(data["profit"]),
+            annual_return=_decimal(data["annual_return"]),
+        )
+    except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed backtest summary "
+                        f"({type(exc).__name__}: {exc})") from None
+
+
 def cmd_report(config: RunConfig) -> Path:
     """Aggregate per-pair summaries into sector tables and a cross-sector view."""
     per_sector: dict[str, list[PairSummary]] = {}
@@ -501,16 +522,8 @@ def cmd_report(config: RunConfig) -> Path:
         sector_dir = config.out_dir / sector / "pairs"
         if not sector_dir.is_dir():
             continue
-        summaries = []
-        for summary_path in sorted(sector_dir.glob("*/backtest/summary.json")):
-            data = json.loads(summary_path.read_text(encoding="utf-8"))
-            summaries.append(PairSummary(
-                ticker1=data["ticker1"],
-                ticker2=data["ticker2"],
-                initial_investment=Decimal(data["initial_investment"]),
-                profit=Decimal(data["profit"]),
-                annual_return=Decimal(data["annual_return"]),
-            ))
+        summaries = [_read_summary(path)
+                     for path in sorted(sector_dir.glob("*/backtest/summary.json"))]
         if summaries:
             per_sector[sector] = summaries
     if not per_sector:

@@ -79,26 +79,10 @@ def _correlation(dx: np.ndarray, sxx: float, dy: np.ndarray, syy: float) -> floa
     return min(1.0, max(-1.0, r))
 
 
-@dataclass(frozen=True, eq=False)
-class CorrelationMatrix:
-    """Symmetric Pearson correlation matrix over a panel's return series.
-
-    Matrices compare by identity: the values are an array.
-    """
-
-    tickers: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", readonly_copy(self.values))
-
-    def correlation(self, a: str, b: str) -> float:
-        return float(self.values[self.tickers.index(a), self.tickers.index(b)])
-
-
-def correlation_matrix(panel: AlignedPanel) -> CorrelationMatrix:
+def correlation_matrix(panel: AlignedPanel) -> np.ndarray:
     """Pairwise return correlations for every ticker pair in a panel.
 
+    The result is a read-only (n, n) array in ``panel.tickers`` order.
     Returns are simple daily returns ``p_t / p_{t-1} - 1`` of each column;
     the diagonal is exactly 1 and the matrix is exactly symmetric by
     construction.  Each column's returns and deviations are computed once,
@@ -124,7 +108,8 @@ def correlation_matrix(panel: AlignedPanel) -> CorrelationMatrix:
             r = _correlation(dx, sxx, dy, syy)
             values[i, j] = r
             values[j, i] = r
-    return CorrelationMatrix(tickers=panel.tickers, values=values)
+    values.setflags(write=False)
+    return values
 
 
 class JarqueBeraResult(NamedTuple):

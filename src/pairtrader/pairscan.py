@@ -1,27 +1,26 @@
 """Sector-wide cointegration scanning and pair-model fitting.
 
-Every unordered ticker pair in a panel gets one Engle-Granger p-value; the
-stock with the higher mean close acts as the regressor (it later becomes
-asset1, the predictor of the pair model).  Pairs beat the significance
-threshold outright or squeak in within a configurable near-threshold margin.
-A pair whose residuals are exactly zero (say, two share classes of one
-company) gets p = 0 and a recorded reason instead of aborting the scan.
-The module only computes: ``cli`` writes the matrix and the selection.
+Every unordered ticker pair in a panel gets one Engle-Granger test, kept
+whole in one ``ScanCell``; the stock with the higher mean close acts as the
+regressor (it later becomes asset1, the predictor of the pair model).  Pairs
+beat the significance threshold outright or squeak in within a configurable
+near-threshold margin.  A pair whose residuals are exactly zero (say, two
+share classes of one company) gets p = 0 and a recorded reason instead of
+aborting the scan.  The module only computes: ``cli`` writes the matrix and
+the selection.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
-from types import MappingProxyType
 
 import numpy as np
 
 from .econometrics import OlsOriginReport, ols_through_origin
 from .errors import ConstantSeries, PairTraderError, SeriesTooShort
-from .marketdata import AlignedPanel, check_pair, readonly_copy, slice_window
+from .marketdata import AlignedPanel, check_pair, slice_window
 from .unitroot import AdfResult, adf_test, engle_granger
 
 DEFAULT_THRESHOLD = 0.05
@@ -31,50 +30,40 @@ DEFAULT_NEAR_EPS = 0.02
 EXACT_DEPENDENCE = "exact linear dependence"
 
 
-@dataclass(frozen=True, eq=False)
-class PValueMatrix:
-    """Engle-Granger p-values for every unordered pair in a panel.
+@dataclass(frozen=True, slots=True)
+class ScanCell:
+    """The Engle-Granger test of one unordered pair of a scanned panel.
 
-    ``values`` is an (n, n) array with the upper triangle populated and NaN
-    elsewhere; ``orderings`` records, cell by cell in row-major upper-triangle
-    order, which ticker served as predictor (regressor) and which as target.
-    ``reasons`` maps a cell ``(tickers[i], tickers[j])``, i < j, whose p-value
-    the test did not produce to why; healthy cells have no entry.  A matrix
-    whose values are not (n, n) or whose orderings do not cover the n(n-1)/2
-    cells raises ``ValueError``.  Matrices compare by identity: the values
-    are an array.
+    ``ticker_a`` and ``ticker_b`` are in panel order; ``predictor`` (the
+    regressor) and ``target`` are the same two tickers in the roles the test
+    gave them.  ``adf`` is the test's result, or None when the test produced
+    no statistic, and then ``reason`` says why.
+    """
+
+    ticker_a: str
+    ticker_b: str
+    predictor: str
+    target: str
+    adf: AdfResult | None
+    reason: str | None
+
+    @property
+    def p_value(self) -> float:
+        """The test's p-value; 0 for a pair without a statistic (``EXACT_DEPENDENCE``)."""
+        return 0.0 if self.adf is None else self.adf.p_value
+
+
+@dataclass(frozen=True)
+class PValueMatrix:
+    """Engle-Granger tests of every unordered pair in a panel.
+
+    ``cells`` holds one ``ScanCell`` per pair ``(tickers[i], tickers[j])``,
+    i < j, in row-major upper-triangle order: the order of
+    ``numpy.triu_indices(len(tickers), 1)``.
     """
 
     tickers: tuple[str, ...]
-    values: np.ndarray
-    orderings: tuple[tuple[str, str], ...]
-    reasons: Mapping[tuple[str, str], str] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        values = readonly_copy(self.values)
-        n = len(self.tickers)
-        if values.shape != (n, n):
-            raise ValueError(f"values of shape {values.shape} do not match {n} tickers")
-        if len(self.orderings) != n * (n - 1) // 2:
-            raise ValueError(f"{len(self.orderings)} orderings for {n * (n - 1) // 2} cells")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "reasons", MappingProxyType(dict(self.reasons)))
-
-    def pvalue(self, a: str, b: str) -> float:
-        i, j = self.tickers.index(a), self.tickers.index(b)
-        if i > j:
-            i, j = j, i
-        return float(self.values[i, j])
-
-    def cells(self):
-        """Yield (ticker_i, ticker_j, p, predictor, target) per populated cell."""
-        n = len(self.tickers)
-        k = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                predictor, target = self.orderings[k]
-                yield self.tickers[i], self.tickers[j], float(self.values[i, j]), predictor, target
-                k += 1
+    cells: tuple[ScanCell, ...]
 
 
 @dataclass(frozen=True)
@@ -122,14 +111,15 @@ def order_pair(pair: AlignedPanel, train: tuple[date, date]) -> AlignedPanel:
 
 
 def coint_matrix(panel: AlignedPanel) -> PValueMatrix:
-    """Engle-Granger p-value for every unordered pair of panel tickers.
+    """Engle-Granger test of every unordered pair of panel tickers.
 
     Within each pair the higher-mean-close ticker is the regressor and the
     other the dependent series, matching the predictor/target convention of
-    the pair model; the ordering used is recorded per cell.  A pair whose
-    residuals are exactly constant gets p = 0 and the reason
-    ``EXACT_DEPENDENCE``; any other per-pair fault aborts the scan, and so
-    does a ticker whose closes never move.
+    the pair model.  Each pair's result is kept in a ``ScanCell``, in
+    row-major upper-triangle order.  A pair whose residuals are exactly
+    constant gets no result and the reason ``EXACT_DEPENDENCE`` (so p = 0);
+    any other per-pair fault aborts the scan, and so does a ticker whose
+    closes never move.
     """
     tickers = panel.tickers
     n = len(tickers)
@@ -145,9 +135,7 @@ def coint_matrix(panel: AlignedPanel) -> PValueMatrix:
         if np.ptp(row) == 0.0:
             raise ConstantSeries(f"{ticker}: closes are constant")
     means = [float(np.mean(row)) for row in closes]
-    values = np.full((n, n), math.nan)
-    orderings: list[tuple[str, str]] = []
-    reasons: dict[tuple[str, str], str] = {}
+    cells: list[ScanCell] = []
     for i in range(n):
         for j in range(i + 1, n):
             if _a_predicts(tickers[i], means[i], tickers[j], means[j]):
@@ -155,15 +143,14 @@ def coint_matrix(panel: AlignedPanel) -> PValueMatrix:
             else:
                 pred, targ = j, i
             try:
-                values[i, j] = engle_granger(closes[targ], closes[pred]).p_value
+                adf, reason = engle_granger(closes[targ], closes[pred]), None
             except ConstantSeries:
-                values[i, j] = 0.0
-                reasons[(tickers[i], tickers[j])] = EXACT_DEPENDENCE
+                adf, reason = None, EXACT_DEPENDENCE
             except PairTraderError as exc:
                 raise type(exc)(f"pair ({tickers[i]}, {tickers[j]}): {exc}") from exc
-            orderings.append((tickers[pred], tickers[targ]))
-    return PValueMatrix(tickers=tickers, values=values, orderings=tuple(orderings),
-                        reasons=reasons)
+            cells.append(ScanCell(tickers[i], tickers[j], tickers[pred], tickers[targ],
+                                  adf, reason))
+    return PValueMatrix(tickers=tickers, cells=tuple(cells))
 
 
 def select_pairs(
@@ -179,16 +166,16 @@ def select_pairs(
     """
     if not 0.0 <= threshold < 1.0:
         raise ValueError(f"threshold must lie in [0, 1), got {threshold}")
-    if near_eps < 0.0:
-        raise ValueError(f"near_eps must be >= 0, got {near_eps}")
+    if not 0.0 <= near_eps < math.inf:
+        raise ValueError(f"near_eps must be finite and >= 0, got {near_eps}")
     if threshold == 0.0:
         return []
     selected = []
-    for _, _, p, predictor, target in m.cells():
-        if p < threshold:
-            selected.append(SelectedPair(predictor, target, p, near_threshold=False))
-        elif p < threshold + near_eps:
-            selected.append(SelectedPair(predictor, target, p, near_threshold=True))
+    for cell in m.cells:
+        p = cell.p_value
+        if p < threshold + near_eps:
+            selected.append(SelectedPair(cell.predictor, cell.target, p,
+                                         near_threshold=p >= threshold))
     selected.sort(key=lambda sp: (sp.coint_p, sp.predictor_ticker, sp.target_ticker))
     return selected
 

@@ -8,7 +8,9 @@ rest.  This module keeps verbatim copies of those writer bodies, applied to
 the package's computed results, and asserts that the commands write exactly
 the same bytes on the demo sector: the scan, every one of the 45 pairs
 analysed in both spellings, and the report over all 45 backtests plus a
-second sector of four demo tickers.
+second sector of four demo tickers.  The scan's matrices reach the frozen
+writers through ``OldPValueMatrix`` and a ``tickers``/``values`` namespace,
+shims of the old matrix interfaces built from the package's results.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ import json
 import math
 from dataclasses import replace
 from decimal import Decimal
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from pairtrader.backtest import PairSummary, sector_report
@@ -165,14 +169,31 @@ def sector_report_to_csv(report, path) -> None:
             ])
 
 
+class OldPValueMatrix:
+    """The old matrix interface, built from the scan's cells, for the frozen writers."""
+
+    def __init__(self, matrix):
+        n = len(matrix.tickers)
+        self.tickers = matrix.tickers
+        self.values = np.full((n, n), math.nan)
+        self.values[np.triu_indices(n, 1)] = [cell.p_value for cell in matrix.cells]
+        self.reasons = {(c.ticker_a, c.ticker_b): c.reason for c in matrix.cells if c.reason}
+        self._cells = matrix.cells
+
+    def cells(self):
+        for c in self._cells:
+            yield c.ticker_a, c.ticker_b, c.p_value, c.predictor, c.target
+
+
 # --- frozen copies of the old command bodies ----------------------------------------
 
 
 def write_scan_reference(config: RunConfig, sector: str, out) -> None:
     panel_train = slice_window(_sector_panel(config, sector), *config.train_window)
-    corr = correlation_matrix(panel_train)
-    pvals = coint_matrix(panel_train)
-    pairs = select_pairs(pvals, threshold=config.coint_threshold, near_eps=config.near_eps)
+    corr = SimpleNamespace(tickers=panel_train.tickers, values=correlation_matrix(panel_train))
+    scan = coint_matrix(panel_train)
+    pvals = OldPValueMatrix(scan)
+    pairs = select_pairs(scan, threshold=config.coint_threshold, near_eps=config.near_eps)
 
     out.mkdir(parents=True)
     write_correlation_csv(corr, out / "correlation_matrix.csv")

@@ -333,6 +333,23 @@ class TestReport:
         assert run("report", "--config", synth_dir / "config.json",
                    "--out", tmp_path / "empty") == 2
 
+    @pytest.mark.parametrize("text", [
+        '{"ticker1": "X"}',
+        '{"ticker1": "X", "ticker2": "Y", "initial_investment": "200000",'
+        ' "profit": "lots", "annual_return": "1.5"}',
+        "{not json",
+        '["ticker1", "X"]',
+    ], ids=["missing_key", "non_decimal_amount", "not_json", "not_an_object"])
+    def test_malformed_summary_is_data_error(self, synth_dir, tmp_path, capsys, text):
+        summary = tmp_path / "metals" / "pairs" / "X-Y" / "backtest" / "summary.json"
+        summary.parent.mkdir(parents=True)
+        summary.write_text(text, encoding="utf-8")
+        assert run("report", "--config", synth_dir / "config.json", "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pairtrader: error: ") and str(summary) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "report").exists()
+
 
 class TestDeterminism:
     def test_rerun_is_byte_identical(self, synth_dir, pipeline, tmp_path):
@@ -359,6 +376,26 @@ class TestDeterminism:
             Path("report/summary.json"),
         ):
             assert (pipeline / rel).read_bytes() == (second / rel).read_bytes(), rel
+
+    def test_doubled_closes_give_identical_scan_tree(self, synth_dir, pipeline, tmp_path):
+        # Doubling a close is exact in binary floating point, and every scan
+        # statistic is scale-free, so not one byte of the scan may change.
+        (tmp_path / "data").mkdir()
+        for src in (synth_dir / "data").glob("*.csv"):
+            header, *rows = src.read_text(encoding="utf-8").splitlines()
+            doubled = [f"{day},{2 * float(close)!r}"
+                       for day, close in (row.split(",") for row in rows)]
+            (tmp_path / "data" / src.name).write_text("\n".join([header, *doubled]) + "\n",
+                                                      encoding="utf-8")
+        (tmp_path / "config.json").write_bytes((synth_dir / "config.json").read_bytes())
+        out = tmp_path / "out"
+        assert run("scan", "--config", tmp_path / "config.json", "--sector", "metals",
+                   "--out", out) == 0
+        scan = sorted(p.name for p in (pipeline / "metals" / "scan").iterdir())
+        assert sorted(p.name for p in (out / "metals" / "scan").iterdir()) == scan
+        for name in scan:
+            assert ((out / "metals" / "scan" / name).read_bytes()
+                    == (pipeline / "metals" / "scan" / name).read_bytes()), name
 
 
 class TestConfigSurface:
@@ -412,6 +449,8 @@ class TestConfigSurface:
         ("scan", lambda c: c.update(sectors=["metals"]), [], "sectors"),
         ("scan", lambda c: c.update(capital_per_leg="NaN"), [], "capital_per_leg"),
         ("scan", lambda c: c.update(near_eps=math.nan), [], "near_eps"),
+        ("scan", lambda c: c.update(near_eps=math.inf), [], "near_eps"),
+        ("scan", lambda c: None, ["--near-eps", "inf"], "near_eps"),
         ("scan", lambda c: c.update(train_window="2018"), [], "train_window"),
         ("scan", lambda c: c.update(out_dir=5), [], "out_dir"),
         ("scan", lambda c: c.update(close_column=3), [], "close_column"),
@@ -419,7 +458,8 @@ class TestConfigSurface:
         ("backtest", lambda c: None, ["--pair", "COBALT,IRON", "--capital", "abc"],
          "--capital"),
     ], ids=["capital_per_leg", "z_upper", "member_without_ticker", "sectors_list",
-            "capital_nan", "near_eps_nan", "window_not_a_pair", "out_dir_number",
+            "capital_nan", "near_eps_nan", "near_eps_inf", "near_eps_flag_inf",
+            "window_not_a_pair", "out_dir_number",
             "close_column_number",
             "top_level_list",
             "capital_flag"])
@@ -432,7 +472,7 @@ class TestConfigSurface:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         if command == "scan":
-            flags = ["--sector", "metals"]
+            flags = ["--sector", "metals", *flags]
         assert run(command, "--config", path, *flags, "--out", tmp_path / "o") == 1
         err = capsys.readouterr().err
         assert err.startswith("pairtrader: error: ") and named in err

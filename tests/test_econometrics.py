@@ -15,7 +15,6 @@ from pairtrader.econometrics import (
     _f_sf,
     _t_ppf,
     _t_sf,
-    CorrelationMatrix,
     correlation_matrix,
     durbin_watson,
     jarque_bera,
@@ -51,9 +50,9 @@ def simple_returns(closes):
 
 
 def pair_correlation(columns):
-    """The A-B cell of ``correlation_matrix`` over a panel of ``columns``."""
+    """The A-B cell of ``correlation_matrix`` over a two-ticker panel of ``columns``."""
     panel = align_panel([make_series(t, closes) for t, closes in columns.items()])
-    return correlation_matrix(panel).correlation("A", "B")
+    return float(correlation_matrix(panel)[0, 1])
 
 
 class TestPearson:
@@ -79,7 +78,7 @@ class TestPearson:
         # never paired by position.
         a = make_series("A", [10, 11, 9, 12, 13])
         b = AlignedPanel(("B",), a.dates[:2] + a.dates[3:], [[20.0], [23.0], [25.0], [24.0]])
-        got = correlation_matrix(align_panel([a, b])).correlation("A", "B")
+        got = float(correlation_matrix(align_panel([a, b]))[0, 1])
         expected = oracle_pearson(simple_returns([10, 11, 12, 13]),
                                   simple_returns([20, 23, 25, 24]))
         assert got == pytest.approx(expected, abs=1e-14)
@@ -109,23 +108,20 @@ class TestCorrelationMatrix:
             for j in range(6):
                 if i != j:
                     expected = oracle_pearson(returns[i], returns[j])
-                    assert abs(matrix.values[i, j] - expected) <= 1e-14
+                    assert abs(matrix[i, j] - expected) <= 1e-14
 
     def test_distinct_matrices_compare_without_raising(self):
         columns = {"A": [10, 12, 11, 15], "B": [20, 25, 22, 31], "C": [5, 4, 6, 7]}
         m1 = correlation_matrix(self.panel(columns))
         m2 = correlation_matrix(self.panel(columns))
-        assert np.array_equal(m1.values, m2.values)
-        assert m1 == m1 and m1 != m2
+        assert np.array_equal(m1, m2)
+        assert not np.shares_memory(m1, m2)
 
     def test_values_are_a_read_only_copy(self):
-        values = np.eye(2)
-        matrix = CorrelationMatrix(tickers=("A", "B"), values=values)
-        assert values.flags.writeable
-        values[0, 1] = 0.5
-        assert matrix.correlation("A", "B") == 0.0
+        matrix = correlation_matrix(self.panel({"A": [10, 12, 11, 15], "B": [20, 25, 22, 31]}))
+        assert not matrix.flags.writeable
         with pytest.raises(ValueError):
-            matrix.values[0, 1] = 0.5
+            matrix[0, 1] = 0.5
 
     def test_ten_tickers_cover_45_pairs(self):
         rng = np.random.default_rng(3)
@@ -134,20 +130,20 @@ class TestCorrelationMatrix:
             for i in range(10)
         }
         matrix = correlation_matrix(self.panel(columns))
-        off_diag = np.isfinite(matrix.values) & ~np.eye(10, dtype=bool)
+        off_diag = np.isfinite(matrix) & ~np.eye(10, dtype=bool)
         assert off_diag.sum() == 90  # 45 unordered pairs mirrored
-        assert np.all(np.abs(matrix.values) <= 1.0)
+        assert np.all(np.abs(matrix) <= 1.0)
 
     def test_proportional_columns_correlate_fully(self):
         matrix = correlation_matrix(self.panel({"A": [10, 12, 11, 15], "B": [20, 24, 22, 30]}))
-        assert matrix.correlation("A", "B") == pytest.approx(1.0, abs=1e-12)
+        assert matrix[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_exactly_symmetric_with_unit_diagonal(self):
         rng = np.random.default_rng(5)
         columns = {t: 50 * np.exp(np.cumsum(rng.normal(0, 0.03, size=40))) for t in "ABCD"}
         matrix = correlation_matrix(self.panel(columns))
-        assert np.array_equal(matrix.values, matrix.values.T)
-        assert np.array_equal(np.diag(matrix.values), np.ones(4))
+        assert np.array_equal(matrix, matrix.T)
+        assert np.array_equal(np.diag(matrix), np.ones(4))
 
     def test_zero_variance_names_ticker(self):
         with pytest.raises(ZeroVariance, match="B"):
@@ -159,7 +155,7 @@ class TestCorrelationMatrix:
         scaled = {t: 7.5 * v if t == "B" else v for t, v in base.items()}
         m1 = correlation_matrix(self.panel(base))
         m2 = correlation_matrix(self.panel(scaled))
-        assert np.allclose(m1.values, m2.values, atol=1e-12)
+        assert np.allclose(m1, m2, atol=1e-12)
 
 
 def oracle_ols(xs, ys):

@@ -4,17 +4,20 @@ import json
 import math
 from dataclasses import fields, replace
 from datetime import date
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from pairtrader import unitroot
-from pairtrader.cli import RunConfig, _sector_panel, _write_matrix_csv, cmd_scan
+from pairtrader.cli import RunConfig, _sector_panel, cmd_scan
+from pairtrader.econometrics import correlation_matrix
 from pairtrader.errors import ConstantSeries, EmptyIntersection, SeriesTooShort
 from pairtrader.marketdata import AlignedPanel, align_panel, slice_window
 from pairtrader.pairscan import (
     PairModel,
     PValueMatrix,
+    ScanCell,
     coint_matrix,
     fit_pair,
     order_pair,
@@ -49,6 +52,11 @@ def synth_matrix(synth_panel):
 def whole(series):
     """The full date span of a series, as a window."""
     return (series.dates[0], series.dates[-1])
+
+
+def cell_of(matrix, a, b):
+    """The cell of the unordered pair {a, b}."""
+    return next(c for c in matrix.cells if {c.ticker_a, c.ticker_b} == {a, b})
 
 
 def pair_panel(a, b, train=None):
@@ -106,20 +114,25 @@ class TestCointMatrix:
             make_series("A", base),
             make_series("B", 2 * base + rng.normal(0, 0.5, size=60)),
         ])
-        matrix = coint_matrix(panel)
-        cells = list(matrix.cells())
-        assert len(cells) == 1
-        populated = np.isfinite(matrix.values).sum()
-        assert populated == 1
+        (cell,) = coint_matrix(panel).cells
+        assert (cell.ticker_a, cell.ticker_b, cell.reason) == ("A", "B", None)
+        assert (cell.predictor, cell.target) == ("B", "A")
+        assert math.isfinite(cell.p_value) and cell.p_value == cell.adf.p_value
 
-    def test_synthetic_sector_covers_45_cells(self, synth_matrix):
-        assert len(list(synth_matrix.cells())) == 45
+    def test_synthetic_sector_covers_45_cells(self, synth_panel, synth_matrix):
+        assert len(synth_matrix.cells) == 45
+        # Row-major upper-triangle order, the order of numpy.triu_indices.
+        rows, cols = np.triu_indices(len(synth_panel.tickers), 1)
+        assert [(c.ticker_a, c.ticker_b) for c in synth_matrix.cells] == [
+            (synth_panel.tickers[i], synth_panel.tickers[j]) for i, j in zip(rows, cols)
+        ]
 
     def test_engineered_pair_detected_others_behave(self, synth_matrix):
-        engineered = synth_matrix.pvalue(*PAIR_TICKERS)
+        engineered = cell_of(synth_matrix, *PAIR_TICKERS).p_value
         assert engineered < 0.05
         others = [
-            p for a, b, p, _, _ in synth_matrix.cells() if {a, b} != set(PAIR_TICKERS)
+            c.p_value for c in synth_matrix.cells
+            if {c.ticker_a, c.ticker_b} != set(PAIR_TICKERS)
         ]
         assert len(others) == 44
         # Null pairs reject at roughly the nominal rate; a handful of false
@@ -128,17 +141,35 @@ class TestCointMatrix:
 
     def test_predictor_has_higher_mean_in_every_cell(self, synth_panel, synth_matrix):
         column = dict(zip(synth_panel.tickers, synth_panel.closes_by_ticker()))
-        for _, _, _, predictor, target in synth_matrix.cells():
-            assert np.mean(column[predictor]) >= np.mean(column[target])
+        for cell in synth_matrix.cells:
+            assert np.mean(column[cell.predictor]) >= np.mean(column[cell.target])
 
-    def test_permutation_stability(self):
+    def test_permutation_stability(self, synth_series):
         rng = np.random.default_rng(31)
         walks = {t: np.abs(np.cumsum(rng.normal(size=80))) + 50 for t in "ABC"}
-        series = [make_series(t, walks[t]) for t in "ABC"]
-        m1 = coint_matrix(align_panel(series))
-        m2 = coint_matrix(align_panel(series[::-1]))
-        for a, b, p, pred, targ in m1.cells():
-            assert m2.pvalue(a, b) == p
+        # Three random walks, and the ten-ticker synthetic sector.
+        for series in ([make_series(t, walks[t]) for t in "ABC"], list(synth_series.values())):
+            m1 = coint_matrix(align_panel(series))
+            m2 = coint_matrix(align_panel(series[::-1]))
+            assert m2.tickers == m1.tickers[::-1]
+            for cell in m1.cells:
+                other = cell_of(m2, cell.ticker_a, cell.ticker_b)
+                assert (other.ticker_a, other.ticker_b) == (cell.ticker_b, cell.ticker_a)
+                assert (other.predictor, other.target) == (cell.predictor, cell.target)
+                assert np.float64(other.p_value).tobytes() == np.float64(cell.p_value).tobytes()
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0, 1024.0])
+    def test_power_of_two_price_scaling_is_bit_exact(self, synth_panel, synth_matrix, factor):
+        # Scaling by a power of two is exact in binary floating point, and
+        # both tests are scale-free, so every bit of every result must hold.
+        scaled = AlignedPanel(synth_panel.tickers, synth_panel.dates, synth_panel.closes * factor)
+        got = coint_matrix(scaled)
+        assert [(c.ticker_a, c.ticker_b, c.predictor, c.target) for c in got.cells] == [
+            (c.ticker_a, c.ticker_b, c.predictor, c.target) for c in synth_matrix.cells
+        ]
+        assert (np.array([c.p_value for c in got.cells]).tobytes()
+                == np.array([c.p_value for c in synth_matrix.cells]).tobytes())
+        assert correlation_matrix(scaled).tobytes() == correlation_matrix(synth_panel).tobytes()
 
     def test_reads_one_pvalue_per_pair_and_no_critical_value(self, synth_panel, monkeypatch):
         calls = {"crit": 0, "pvalue": 0}
@@ -151,7 +182,11 @@ class TestCointMatrix:
 
         monkeypatch.setattr(unitroot, "mackinnon_crit", counted("crit", mackinnon_crit))
         monkeypatch.setattr(unitroot, "mackinnon_pvalue", counted("pvalue", mackinnon_pvalue))
-        assert len(list(coint_matrix(synth_panel).cells())) == 45
+        cells = coint_matrix(synth_panel).cells
+        assert len(cells) == 45
+        # Each cell evaluates its surface once, however often it is read.
+        for _ in range(2):
+            assert all(0.0 <= cell.p_value <= 1.0 for cell in cells)
         assert calls == {"crit": 0, "pvalue": 45}
 
         # Read on demand, an Engle-Granger result still gives the two-series
@@ -180,27 +215,27 @@ class TestCointMatrix:
 
 
 def matrix_from_pvalues(pvalues):
-    """Upper-triangle matrix over synthetic tickers T0, T1, ... ."""
+    """Upper-triangle matrix over synthetic tickers T0, T1, ... .
+
+    Each cell's test result is a stand-in that carries only its p-value.
+    """
     count = len(pvalues)
     n = int((1 + math.isqrt(1 + 8 * count)) // 2)
     tickers = tuple(f"T{i}" for i in range(n))
-    values = np.full((n, n), math.nan)
-    orderings = []
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            values[i, j] = pvalues[k]
-            orderings.append((tickers[i], tickers[j]))
-            k += 1
-    return PValueMatrix(tickers=tickers, values=values, orderings=tuple(orderings))
+    rows, cols = np.triu_indices(n, 1)
+    return PValueMatrix(tickers=tickers, cells=tuple(
+        ScanCell(tickers[i], tickers[j], tickers[i], tickers[j], SimpleNamespace(p_value=p), None)
+        for i, j, p in zip(rows, cols, pvalues)
+    ))
 
 
 class TestSelectPairs:
     def test_rule_application(self):
-        matrix = matrix_from_pvalues([0.01, 0.049, 0.06, 0.3, 0.5, 0.9])
+        # A p-value equal to the threshold is a near-miss, not a pass.
+        matrix = matrix_from_pvalues([0.01, 0.049, 0.05, 0.06, 0.5, 0.9])
         selected = select_pairs(matrix, threshold=0.05, near_eps=0.02)
-        assert [s.coint_p for s in selected] == [0.01, 0.049, 0.06]
-        assert [s.near_threshold for s in selected] == [False, False, True]
+        assert [s.coint_p for s in selected] == [0.01, 0.049, 0.05, 0.06]
+        assert [s.near_threshold for s in selected] == [False, False, True, True]
 
     def test_zero_threshold_selects_nothing(self):
         matrix = matrix_from_pvalues([0.001, 0.01, 0.02])
@@ -218,8 +253,17 @@ class TestSelectPairs:
         matrix = matrix_from_pvalues([0.04])
         with pytest.raises(ValueError):
             select_pairs(matrix, threshold=1.0)
-        with pytest.raises(ValueError):
-            select_pairs(matrix, near_eps=-0.1)
+        for near_eps in (-0.1, math.inf, math.nan):
+            with pytest.raises(ValueError, match="near_eps"):
+                select_pairs(matrix, near_eps=near_eps)
+
+    def test_cell_without_statistic_reads_zero(self):
+        cell = ScanCell("A", "B", "B", "A", None, "exact linear dependence")
+        assert cell.p_value == 0.0
+        selected = select_pairs(PValueMatrix(("A", "B"), (cell,)))
+        assert [(s.predictor_ticker, s.target_ticker, s.coint_p) for s in selected] == [
+            ("B", "A", 0.0)
+        ]
 
     def test_selection_from_scan_respects_order_pair(self, synth_series, synth_matrix):
         for pair in select_pairs(synth_matrix):
@@ -307,56 +351,35 @@ class TestFitPair:
 
 
 class TestPValueMatrixSerialization:
-    def test_distinct_matrices_compare_without_raising(self):
-        values = np.array([[np.nan, 0.1], [np.nan, np.nan]])
-        m1 = PValueMatrix(tickers=("A", "B"), values=values, orderings=(("A", "B"),))
-        m2 = PValueMatrix(tickers=("A", "B"), values=values, orderings=(("A", "B"),))
-        assert m1 == m1 and m1 != m2
+    @pytest.fixture
+    def scanned(self, synth_dir, tmp_path):
+        """The demo sector's scan directory and the matrix it was written from."""
+        config = replace(RunConfig.from_json(synth_dir / "config.json"), out_dir=tmp_path)
+        matrix = coint_matrix(slice_window(_sector_panel(config, "metals"),
+                                           *config.train_window))
+        return cmd_scan(config, "metals"), matrix
 
-    def test_values_are_a_read_only_copy(self):
-        values = np.array([[np.nan, 0.1], [np.nan, np.nan]])
-        matrix = PValueMatrix(tickers=("A", "B"), values=values, orderings=(("A", "B"),))
-        assert values.flags.writeable
-        values[0, 1] = 0.9
-        assert matrix.pvalue("A", "B") == 0.1
-        with pytest.raises(ValueError):
-            matrix.values[0, 1] = 0.9
-
-    def test_csv_round_trip(self, tmp_path, synth_matrix):
-        path = tmp_path / "pvals.csv"
-        _write_matrix_csv(path, synth_matrix)
-        with open(path, newline="", encoding="utf-8") as handle:
+    def test_csv_round_trip(self, scanned):
+        scan_dir, matrix = scanned
+        with open(scan_dir / "pvalue_matrix.csv", newline="", encoding="utf-8") as handle:
             header, *rows = csv.reader(handle)
-        assert tuple(header[1:]) == synth_matrix.tickers
-        assert tuple(row[0] for row in rows) == synth_matrix.tickers
+        assert tuple(header[1:]) == matrix.tickers
+        assert tuple(row[0] for row in rows) == matrix.tickers
         back = np.array([[float(cell) if cell else math.nan for cell in row[1:]] for row in rows])
-        assert np.array_equal(back, synth_matrix.values, equal_nan=True)
-        n = len(synth_matrix.tickers)
+        n = len(matrix.tickers)
+        upper = back[np.triu_indices(n, 1)]
+        assert upper.tobytes() == np.array([c.p_value for c in matrix.cells]).tobytes()
         assert sum(cell == "" for row in rows for cell in row[1:]) == n * (n + 1) // 2
 
-    def test_orderings_must_cover_every_cell(self):
-        values = np.full((3, 3), math.nan)
-        values[np.triu_indices(3, k=1)] = [0.1, 0.2, 0.3]
-        with pytest.raises(ValueError, match="orderings"):
-            PValueMatrix(tickers=("A", "B", "C"), values=values, orderings=())
-        with pytest.raises(ValueError, match="orderings"):
-            PValueMatrix(tickers=("A", "B", "C"), values=values, orderings=(("A", "B"),))
-
-    def test_values_must_be_n_by_n(self):
-        with pytest.raises(ValueError, match="shape"):
-            PValueMatrix(tickers=("A", "B", "C"), values=np.full((2, 2), math.nan),
-                         orderings=(("A", "B"), ("A", "C"), ("B", "C")))
-
-    def test_json_dict_lists_all_pairs(self, synth_dir, tmp_path):
-        config = replace(RunConfig.from_json(synth_dir / "config.json"), out_dir=tmp_path)
-        scan_dir = cmd_scan(config, "metals")
+    def test_json_dict_lists_all_pairs(self, scanned):
+        scan_dir, matrix = scanned
         payload = json.loads((scan_dir / "pvalue_matrix.json").read_text(encoding="utf-8"))
         assert len(payload["pairs"]) == 45
         sample = payload["pairs"][0]
         assert set(sample) == {"ticker_a", "ticker_b", "p_value", "predictor", "target"}
         # The written p-values are the scan's, bit for bit, cell by cell.
-        matrix = coint_matrix(slice_window(_sector_panel(config, "metals"),
-                                           *config.train_window))
         assert payload["tickers"] == list(matrix.tickers)
         assert [(c["ticker_a"], c["ticker_b"], c["p_value"], c["predictor"], c["target"])
-                for c in payload["pairs"]] == list(matrix.cells())
+                for c in payload["pairs"]] == [
+            (c.ticker_a, c.ticker_b, c.p_value, c.predictor, c.target) for c in matrix.cells
+        ]

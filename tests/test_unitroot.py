@@ -1,5 +1,6 @@
 import math
 from datetime import date
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -40,6 +41,60 @@ def ar1(rng, n, phi=0.5, sigma=1.0):
     return out
 
 
+# Published response-surface coefficients, typed from the papers rather than
+# read from the bundled tables file.
+#
+# MacKinnon (2010), Queen's Economics Department Working Paper 1227, Table 1:
+# (b_inf, b1, b2, b3) at the 1%, 5% and 10% levels, the critical value at
+# sample size T being b_inf + b1/T + b2/T^2 + b3/T^3.
+PUBLISHED_CRIT = {
+    (1, "none"): [
+        (-2.56574, -2.2358, -3.627, 0.0),
+        (-1.94100, -0.2686, -3.365, 31.223),
+        (-1.61682, 0.2656, -2.714, 25.364),
+    ],
+    (1, "constant"): [
+        (-3.43035, -6.5393, -16.786, -79.433),
+        (-2.86154, -2.8903, -4.234, -40.040),
+        (-2.56677, -1.5384, -2.809, 0.0),
+    ],
+    (2, "constant"): [
+        (-3.89644, -10.9519, -33.527, 0.0),
+        (-3.33613, -6.1101, -6.823, 0.0),
+        (-3.04445, -4.2412, -2.720, 0.0),
+    ],
+}
+
+# MacKinnon (1994), JBES 12(2), Tables 3-4: p = Phi(poly(tau)) with the
+# small-p polynomial up to tau_star and the large-p one above it, p = 0 below
+# tau_min and p = 1 above tau_max.  Coefficients as printed, in units of the
+# column scales below.
+PUBLISHED_SMALLP_SCALE = (1.0, 1.0, 1e-2)
+PUBLISHED_LARGEP_SCALE = (1.0, 1e-1, 1e-1, 1e-2)
+PUBLISHED_PVAL = {
+    # (n_series, deterministic): (tau_min, tau_star, tau_max, small-p, large-p)
+    (1, "none"): (-19.04, -1.04, math.inf,
+                  (0.6344, 1.2378, 3.2496), (0.4797, 9.3557, -0.6999, 3.3066)),
+    (2, "none"): (-19.62, -1.53, 1.51,
+                  (1.9129, 1.3857, 3.5322), (1.5578, 8.558, -2.083, -3.3549)),
+    (1, "constant"): (-18.83, -1.61, 2.74,
+                      (2.1659, 1.4412, 3.8269), (1.7339, 9.3202, -1.2745, -1.0368)),
+    (2, "constant"): (-18.86, -2.62, 0.92,
+                      (2.92, 1.5012, 3.9796), (2.1945, 6.4695, -2.9198, -4.2377)),
+}
+
+
+def published_pvalue(tau, n_series, deterministic):
+    tau_min, tau_star, tau_max, smallp, largep = PUBLISHED_PVAL[(n_series, deterministic)]
+    if tau < tau_min:
+        return 0.0
+    if tau > tau_max:
+        return 1.0
+    coeffs, scale = ((smallp, PUBLISHED_SMALLP_SCALE) if tau <= tau_star
+                     else (largep, PUBLISHED_LARGEP_SCALE))
+    return NormalDist().cdf(sum(c * s * tau**k for k, (c, s) in enumerate(zip(coeffs, scale))))
+
+
 class TestMacKinnonCrit:
     def test_published_one_percent_value_at_t739(self):
         assert mackinnon_crit(1, "constant", "1%", 739) == pytest.approx(-3.4392, abs=1e-4)
@@ -71,6 +126,16 @@ class TestMacKinnonCrit:
     def test_bad_level_rejected(self):
         with pytest.raises(ValueError):
             mackinnon_crit(1, "constant", "2.5%", 100)
+
+    def test_every_value_matches_published_table(self):
+        assert {(n, det) for n, det, _ in load_tables().crit} == set(PUBLISHED_CRIT)
+        for (n, det), rows in PUBLISHED_CRIT.items():
+            for level, (b_inf, b1, b2, b3) in zip(LEVELS, rows):
+                assert mackinnon_crit(n, det, level, math.inf) == b_inf
+                for t in (20, 25, 50, 100, 250, 739, 1000, 5000):
+                    expected = b_inf + b1 / t + b2 / t**2 + b3 / t**3
+                    assert mackinnon_crit(n, det, level, t) == pytest.approx(
+                        expected, rel=1e-14, abs=0.0), (n, det, level, t)
 
     def test_statsmodels_equivalence(self):
         adfvalues = pytest.importorskip("statsmodels.tsa.adfvalues")
@@ -130,6 +195,16 @@ class TestMacKinnonPvalue:
     def test_unknown_surface(self):
         with pytest.raises(UnknownSurface):
             mackinnon_pvalue(-3.0, 5, "constant")
+
+    def test_every_surface_matches_published_table(self):
+        assert set(load_tables().bounds) == set(PUBLISHED_PVAL)
+        for (n, det), (tau_min, tau_star, tau_max, _, _) in PUBLISHED_PVAL.items():
+            edges = [tau_min, tau_star, tau_max]
+            taus = [float(t) for t in np.arange(-21.0, 4.0, 0.05)]
+            taus += [e + d for e in edges if math.isfinite(e) for d in (-1e-9, 0.0, 1e-9)]
+            for tau in taus:
+                assert mackinnon_pvalue(tau, n, det) == pytest.approx(
+                    published_pvalue(tau, n, det), rel=0.0, abs=1e-12), (n, det, tau)
 
     def test_statsmodels_equivalence(self):
         adfvalues = pytest.importorskip("statsmodels.tsa.adfvalues")
@@ -476,6 +551,17 @@ def test_coint_matrix_bit_identical_to_frozen_per_pair_loop():
             else:
                 predictor, target = closes_b, closes_a
             expected[i, j] = frozen_engle_granger_p(target, predictor)
-    got = coint_matrix(panel).values
+    cells = coint_matrix(panel).cells
+    rows, cols = np.triu_indices(len(panel.tickers), 1)
+    assert [(c.ticker_a, c.ticker_b) for c in cells] == [
+        (panel.tickers[i], panel.tickers[j]) for i, j in zip(rows, cols)
+    ]
+    got = np.full_like(expected, math.nan)
+    got[rows, cols] = [c.p_value for c in cells]
     assert np.array_equal(got, expected, equal_nan=True)
     assert got.tobytes() == expected.tobytes()
+    # Each cell's roles are the frozen loop's: the higher mean close predicts.
+    column = dict(zip(panel.tickers, np.ascontiguousarray(panel.closes.T)))
+    for cell in cells:
+        assert {cell.predictor, cell.target} == {cell.ticker_a, cell.ticker_b}
+        assert np.mean(column[cell.predictor]) > np.mean(column[cell.target])
