@@ -10,6 +10,12 @@ from pairtrader.marketdata import AlignedPanel
 from pairtrader.signalgen import TradingFrame
 from pairtrader.synthetic import write_sector
 
+# Distribution-tail checks: statistics from 0 through subnormal, ordinary and
+# huge values, and degrees of freedom up to the longest regressions the
+# package fits.
+TAIL_STATS = (0.0, 5e-324, 1e-300, 1e-12, 0.5, 1.96, 3.5, 40.0, 1e4, 1e150, 1.7e308)
+TAIL_DFS = (1, 4, 19, 99, 782, 3749)
+
 
 def make_series(ticker, closes, start=date(2021, 1, 1)):
     """One-ticker panel on consecutive calendar days starting at ``start``."""

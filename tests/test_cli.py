@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -13,9 +14,11 @@ from types import MappingProxyType
 import numpy as np
 import pytest
 
-from pairtrader import backtest, pairscan, signalgen
+from pairtrader import backtest, econometrics, pairscan, signalgen
 from pairtrader.backtest import PairSummary
-from pairtrader.cli import RunConfig, _write_csv, _write_json, main, staged_dir
+from pairtrader.cli import RunConfig, _find_pair, _write_csv, _write_json, main, staged_dir
+from pairtrader.marketdata import slice_window
+from pairtrader.pairscan import fit_pair
 from pairtrader.synthetic import PAIR_TICKERS
 
 from conftest import read_frame_csv
@@ -601,12 +604,88 @@ class TestImportCost:
         )
         assert loaded == []
 
-    def test_analyze_loads_special_not_stats(self, synth_dir, tmp_path):
+    def test_analyze_loads_no_scipy(self, synth_dir, tmp_path):
         config, out = synth_dir / "config.json", tmp_path / "run"
         loaded = scipy_modules_after(
             "from pairtrader.cli import main\n"
             f"assert main(['analyze', '--pair', 'COBALT,IRON', '--config', {str(config)!r},"
             f" '--out', {str(out)!r}]) == 0\n"
         )
-        assert "scipy.special" in loaded
-        assert not [m for m in loaded if m == "scipy.stats" or m.startswith("scipy.stats.")]
+        assert loaded == []
+
+
+# Runs every command on the demo sector and prints each exit code.  With
+# ``block`` set, a meta-path finder first makes every scipy import fail.
+PIPELINE_SCRIPT = """
+import sys
+if {block}:
+    class BlockScipy:
+        def find_spec(self, name, path=None, target=None):
+            if name == "scipy" or name.startswith("scipy."):
+                raise ImportError(f"{{name}} is blocked")
+            return None
+    sys.meta_path.insert(0, BlockScipy())
+    try:
+        import scipy
+    except ImportError:
+        pass
+    else:
+        raise SystemExit("the scipy import was not blocked")
+from pairtrader.cli import main
+common = ["--config", {config!r}, "--out", {out!r}]
+codes = [main(["scan", "--sector", "metals", *common])]
+for pair in ("COBALT,IRON", "AMBER,BASALT"):
+    codes.append(main(["analyze", "--pair", pair, *common]))
+    codes.append(main(["backtest", "--pair", pair, "--svg", *common]))
+codes.append(main(["report", *common]))
+print(codes)
+"""
+
+
+def tree_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_pipeline_runs_with_scipy_blocked(synth_dir, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    trees = {}
+    for block in (False, True):
+        out = tmp_path / f"block_{block}"
+        script = PIPELINE_SCRIPT.format(block=block, config=str(synth_dir / "config.json"),
+                                        out=str(out))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0]"
+        trees[block] = tree_bytes(out)
+    assert trees[True] == trees[False]
+    assert len(trees[True]) > 20
+
+
+def test_summary_text_matches_scipy_special_tails(synth_dir, tmp_path, monkeypatch):
+    """Every demo pair's ols_summary.txt is the text the scipy.special tails render."""
+    special = pytest.importorskip("scipy.special")
+    config = RunConfig.from_json(synth_dir / "config.json")
+    tickers = [ticker for ticker, _ in config.sectors["metals"]]
+    pairs = [f"{a},{b}" for i, a in enumerate(tickers) for b in tickers[i + 1:]]
+    assert len(pairs) == 45
+    for pair in pairs:
+        assert run("analyze", "--config", synth_dir / "config.json", "--pair", pair,
+                   "--out", tmp_path) == 0
+
+    monkeypatch.setattr(econometrics, "_t_ppf", lambda q, df: float(special.stdtrit(df, q)))
+    for pair in pairs:
+        sector, panel = _find_pair(config, pair, None)
+        report = fit_pair(slice_window(panel, *config.train_window)).report
+        df = report.n_obs - 1
+        scipy_report = dataclasses.replace(
+            report,
+            p_t=2.0 * float(special.stdtr(df, -abs(report.t_stat))),
+            p_f=float(special.fdtrc(1, df, report.f_stat)),
+            p_jb=float(special.chdtrc(2, report.jarque_bera)),
+            p_omnibus=float(special.chdtrc(2, report.omnibus_k2)),
+        )
+        pred, targ = panel.tickers
+        text = scipy_report.to_text(dep_name=f"{targ} (asset2)", regressor_name=f"{pred} (asset1)")
+        path = tmp_path / sector / "pairs" / f"{pred}-{targ}" / "analysis" / "ols_summary.txt"
+        assert path.read_bytes() == text.encode("utf-8"), pair

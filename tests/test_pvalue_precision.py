@@ -1,8 +1,13 @@
 """High-precision oracles for every distribution tail used in reports.
 
 mpmath evaluates the regularized incomplete beta/gamma functions at 50
-digits; the package's p-values must agree to 1e-8 absolute.
+digits.  The package's p-values must agree to 1e-8 absolute, and each tail
+the report reads must agree to 1e-12 relative wherever its value is a
+normal double.
 """
+
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,11 +15,16 @@ import pytest
 mpmath = pytest.importorskip("mpmath")
 
 from pairtrader.econometrics import (
+    _chi2_2_sf,
+    _t_ppf,
+    _t_tail,
     jarque_bera,
     ols_through_origin,
     omnibus_k2,
 )
 from pairtrader.unitroot import load_tables, mackinnon_pvalue
+
+from conftest import TAIL_DFS, TAIL_STATS
 
 mpmath.mp.dps = 50
 
@@ -40,6 +50,24 @@ def chi2_sf(x, k):
 
 def norm_cdf(x):
     return float(mpmath.ncdf(x))
+
+
+def t_tail_exact(t, df):
+    """P(|T_df| > |t|) at the double ``t``, with ``t**2`` and ``x`` taken in mpmath."""
+    t2 = mpmath.mpf(t) ** 2
+    return mpmath.betainc(mpmath.mpf(df) / 2, mpmath.mpf(1) / 2, 0, df / (df + t2),
+                          regularized=True)
+
+
+def f_sf_exact(f, df):
+    """P(F_{1,df} > f) at the double ``f``, with ``x`` taken in mpmath."""
+    return t_tail_exact(mpmath.sqrt(mpmath.mpf(f)), df)
+
+
+def close_1e12(got, want):
+    """1e-12 relative agreement, asked only of a normal double."""
+    want = float(want)
+    return want < sys.float_info.min or got == pytest.approx(want, rel=1e-12)
 
 
 class TestRegressionPValues:
@@ -95,3 +123,55 @@ class TestMacKinnonNormalTail:
         from pairtrader.unitroot import _norm_cdf  # package-private helper
         for x in (-37.0, -10.0, -5.0, -1.0, 0.0, 1.0, 8.0):
             assert _norm_cdf(x) == pytest.approx(norm_cdf(x), abs=1e-15, rel=1e-12)
+
+
+class TestTailsTo1e12:
+    """Each tail the report reads, to 1e-12 relative over the df grid."""
+
+    @pytest.mark.parametrize("df", TAIL_DFS)
+    def test_t_tail(self, df):
+        bad = [(t, _t_tail(t, df)) for t in TAIL_STATS
+               if not close_1e12(_t_tail(t, df), t_tail_exact(t, df))]
+        assert bad == []
+
+    @pytest.mark.parametrize("df", TAIL_DFS)
+    def test_t_tail_either_side_of_the_branch_switch(self, df):
+        # The tail switches fractions at x = (a + 1) / (a + 2.5), a = df / 2,
+        # that is at t**2 = 1.5 df / (a + 1).
+        switch = math.sqrt(1.5 * df / (df / 2 + 1))
+        bad = [(t, _t_tail(t, df)) for t in (switch * (1 - 1e-9), switch, switch * (1 + 1e-9))
+               if not close_1e12(_t_tail(t, df), t_tail_exact(t, df))]
+        assert bad == []
+
+    def test_t_tail_off_the_grid(self):
+        rng = np.random.default_rng(83)
+        dfs = np.rint(10.0 ** rng.uniform(0.0, 7.0, size=150))
+        ts = 10.0 ** rng.uniform(-3.0, 1.3, size=150)
+        bad = [(int(df), float(t)) for df, t in zip(dfs, ts)
+               if not close_1e12(_t_tail(float(t), int(df)), t_tail_exact(float(t), int(df)))]
+        assert bad == []
+
+    @pytest.mark.parametrize("df", TAIL_DFS)
+    def test_report_p_f(self, df):
+        # Residuals orthogonal to x make the fitted t land on each target.
+        rng = np.random.default_rng(89)
+        x = rng.uniform(10.0, 20.0, size=df + 1)
+        e = rng.normal(size=df + 1)
+        e -= (x @ e) / (x @ x) * x
+        se = math.sqrt((e @ e) / df / (x @ x))
+        for target in (0.5, 1.96, 3.5, 40.0):
+            report = ols_through_origin(x, target * se * x + e)
+            assert report.t_stat == pytest.approx(target, rel=1e-6)
+            assert close_1e12(report.p_f, f_sf_exact(report.f_stat, df)), target
+
+    def test_chi2_2_tail(self):
+        bad = [(x, _chi2_2_sf(x)) for x in TAIL_STATS
+               if not close_1e12(_chi2_2_sf(x), mpmath.exp(-mpmath.mpf(x) / 2))]
+        assert bad == []
+
+    @pytest.mark.parametrize("df", TAIL_DFS)
+    def test_t_quantile_975(self, df):
+        got = _t_ppf(0.975, df)
+        p = 2 * (1 - mpmath.mpf(0.975))
+        want = mpmath.findroot(lambda t: t_tail_exact(t, df) - p, mpmath.mpf(got))
+        assert got == pytest.approx(float(want), rel=1e-12)
