@@ -30,6 +30,13 @@ from decimal import Decimal
 from itertools import repeat
 from pathlib import Path
 
+# Every BLAS and LAPACK call in this package works on a tall matrix of at
+# most about 40 columns, where waking OpenBLAS's thread pool costs more than
+# the work.  OpenBLAS reads its thread count once, when numpy first loads it,
+# so this must run before that import; a count the user set wins.
+if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import numpy as np
 
 from .backtest import (

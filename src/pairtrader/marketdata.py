@@ -103,32 +103,44 @@ def check_pair(panel: AlignedPanel) -> None:
         raise ValueError(f"a pair panel holds 2 tickers, not {len(panel.tickers)}")
 
 
-def _read_rows(reader: csv.DictReader, path, close_column: str | None):
-    """Parsed (date, close) rows of one CSV and the count of dropped rows."""
-    header = reader.fieldnames
+def _read_rows(reader, path, close_column: str | None):
+    """Parsed (date, close) rows of one CSV and the count of dropped rows.
+
+    The first record is the header; a name it repeats reads its last column.
+    Blank records are skipped and a short record's missing cells read as
+    empty.
+    """
+    header = next(reader, None)
     if header is None:
         raise EmptySeries(f"{path}: file is empty")
-    if "Date" not in header:
+    index = {name: i for i, name in enumerate(header)}
+    if "Date" not in index:
         raise MissingColumn(f"{path}: no 'Date' column (found {header})")
     if close_column is not None:
-        if close_column not in header:
+        if close_column not in index:
             raise MissingColumn(f"{path}: no {close_column!r} column")
         close_col = close_column
     else:
         for candidate in CLOSE_COLUMN_PREFERENCE:
-            if candidate in header:
+            if candidate in index:
                 close_col = candidate
                 break
         else:
             raise MissingColumn(
                 f"{path}: none of {CLOSE_COLUMN_PREFERENCE} present (found {header})"
             )
+    date_i, close_i = index["Date"], index[close_col]
+    width = max(date_i, close_i) + 1
 
     rows: list[tuple[date, float]] = []
     dropped = 0
-    for line_no, row in enumerate(reader, start=2):
-        raw_date = (row.get("Date") or "").strip()
-        raw_close = (row.get(close_col) or "").strip()
+    for row in reader:
+        if not row:
+            continue
+        if len(row) < width:
+            row += [""] * (width - len(row))
+        raw_date = row[date_i].strip()
+        raw_close = row[close_i].strip()
         if raw_close.lower() in _MISSING_TOKENS:
             dropped += 1
             continue
@@ -147,7 +159,7 @@ def _read_rows(reader: csv.DictReader, path, close_column: str | None):
             continue
         if not math.isfinite(close) or close <= 0.0:
             raise NonPositivePrice(
-                f"{path}:{line_no}: close {raw_close!r} on {day} is not positive"
+                f"{path}:{reader.line_num}: close {raw_close!r} on {day} is not positive"
             )
         rows.append((day, close))
     return rows, dropped
@@ -161,13 +173,14 @@ def load_csv(path, ticker: str, close_column: str | None = None) -> AlignedPanel
     ``Adj Close`` unless ``close_column`` names one explicitly.  Rows whose
     date or close cannot be parsed (holiday gaps, vendor NA markers) are
     dropped with a logged count; a close that parses to a non-positive or
-    non-finite number is an error.  Rows may appear in any date order.  A
-    file that cannot be opened, is not UTF-8, or holds an oversized CSV
-    field raises ``UnreadableFile``.
+    non-finite number is an error naming the file's physical line (blank
+    lines count; a quoted field that spans lines is named by its last line).
+    Rows may appear in any date order.  A file that cannot be opened, is not
+    UTF-8, or holds an oversized CSV field raises ``UnreadableFile``.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
-            rows, dropped = _read_rows(csv.DictReader(handle), path, close_column)
+            rows, dropped = _read_rows(csv.reader(handle), path, close_column)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise UnreadableFile(f"{path}: cannot read ({exc})") from None
 

@@ -11,10 +11,11 @@ sample that lag permits.  The unit-root null is rejected when the t-ratio on
 the lagged level is below (more negative than) the critical value.
 
 The lag search costs one R-only QR factorisation per test: the widest design
-is built once with the dependent column appended, ``[X | dy]``, and the last
-column of its R factor is ``Q'dy``, so every nested candidate's SSR is a
-prefix sum of its squares and Q is never formed.  The refit at the chosen
-lag is a plain least-squares fit.
+is built once with the dependent column appended, ``[X | dy]``, one slice
+copy of ``dy`` per lag column, and the last column of its R factor is
+``Q'dy``, so every nested candidate's SSR is a prefix sum of its squares and
+Q is never formed.  The refit at the chosen lag is a plain least-squares fit
+on a design built the same way.
 
 Critical values and approximate p-values come from MacKinnon's published
 response surfaces, bundled as a plain-text constants file under ``data/``.
@@ -34,7 +35,6 @@ from importlib import resources
 from types import MappingProxyType
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ConstantSeries,
@@ -215,19 +215,20 @@ def _adf_design(y: np.ndarray, lag: int, constant: bool) -> np.ndarray:
     """Rows t = lag+2 .. n of [const?, y_{t-1}, dy_{t-1}, ..., dy_{t-lag}, dy_t].
 
     The regressors come first and the dependent ``dy_t`` last, in one
-    C-contiguous array.  Row r of the lag block is the window
-    ``dy[r .. r+lag]`` read backwards, so one strided view fills it.
+    C-contiguous array.  Lag column i is ``dy`` shifted back i steps, so each
+    column is filled by one slice copy of ``dy``.
     """
-    dy = np.diff(y)
-    nobs = dy.size - lag
+    dy = y[1:] - y[:-1]
+    m = dy.size
+    nobs = m - lag
     ntrend = 1 if constant else 0
     design = np.empty((nobs, ntrend + lag + 2))
     if constant:
         design[:, 0] = 1.0
     design[:, ntrend] = y[lag:-1]
-    windows = sliding_window_view(dy, lag + 1)[:, ::-1]  # [dy_t, dy_{t-1}, ..., dy_{t-lag}]
-    design[:, ntrend + 1 : -1] = windows[:, 1:]
-    design[:, -1] = windows[:, 0]
+    for i in range(1, lag + 1):
+        design[:, ntrend + i] = dy[lag - i : m - i]
+    design[:, -1] = dy[lag:]
     return design
 
 

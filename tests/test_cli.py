@@ -662,6 +662,48 @@ def test_pipeline_runs_with_scipy_blocked(synth_dir, tmp_path):
     assert len(trees[True]) > 20
 
 
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def blas_env(**values):
+    """This process's environment without either BLAS thread variable, plus ``values``."""
+    env = {key: value for key, value in os.environ.items() if key not in BLAS_VARS}
+    return dict(env, PYTHONPATH=str(SRC_DIR), **values)
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("preset, expected", [
+        ({}, ["1", None]),
+        ({"OPENBLAS_NUM_THREADS": "2"}, ["2", None]),
+        ({"OMP_NUM_THREADS": "2"}, [None, "2"]),
+    ])
+    def test_cli_import_sets_one_thread_unless_the_user_chose(self, preset, expected):
+        probe = ("import json, os, pairtrader.cli\n"
+                 f"print(json.dumps([os.environ.get(key) for key in {BLAS_VARS!r}]))\n")
+        done = subprocess.run([sys.executable, "-c", probe], env=blas_env(**preset),
+                              capture_output=True, text=True, check=True)
+        assert json.loads(done.stdout) == expected
+
+    def test_artifact_bytes_do_not_depend_on_thread_count(self, synth_dir, tmp_path):
+        trees = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads_{threads}"
+            script = (
+                "from pairtrader.cli import main\n"
+                f"common = ['--config', {str(synth_dir / 'config.json')!r}, '--out', {str(out)!r}]\n"
+                "print([main(['scan', '--sector', 'metals', *common]),\n"
+                "       main(['analyze', '--pair', 'COBALT,IRON', *common]),\n"
+                "       main(['backtest', '--pair', 'COBALT,IRON', '--svg', *common])])\n"
+            )
+            done = subprocess.run([sys.executable, "-c", script],
+                                  env=blas_env(OPENBLAS_NUM_THREADS=threads),
+                                  capture_output=True, text=True, check=True)
+            assert done.stdout.splitlines()[-1] == "[0, 0, 0]"
+            trees[threads] = tree_bytes(out)
+        assert trees["1"] == trees["2"]
+        assert len(trees["1"]) > 10
+
+
 def test_summary_text_matches_scipy_special_tails(synth_dir, tmp_path, monkeypatch):
     """Every demo pair's ols_summary.txt is the text the scipy.special tails render."""
     special = pytest.importorskip("scipy.special")

@@ -1,4 +1,6 @@
+import csv
 import math
+import re
 import tempfile
 from datetime import date
 from pathlib import Path
@@ -20,6 +22,8 @@ from pairtrader.errors import (
     UnreadableFile,
 )
 from pairtrader.marketdata import (
+    _MISSING_TOKENS,
+    CLOSE_COLUMN_PREFERENCE,
     AlignedPanel,
     align_panel,
     load_csv,
@@ -38,7 +42,7 @@ def write_csv(path, text):
 _cells = st.one_of(
     st.dates(date(2020, 1, 1), date(2020, 1, 31)).map(lambda d: d.isoformat().encode()),
     st.floats().map(lambda x: repr(x).encode()),
-    st.sampled_from([b"", b"NA", b"nan", b"0", b"-1", b'"1,5"', b"\x00"]),
+    st.sampled_from([b"", b"NA", b"nan", b"0", b"-1", b'"1,5"', b'"1\n5"', b"\x00"]),
     st.text(max_size=4).map(str.encode),
 )
 
@@ -46,10 +50,99 @@ _cells = st.one_of(
 _csv_like = st.builds(
     lambda header, rows, newline: header + newline + newline.join(b",".join(r) for r in rows),
     st.sampled_from([b"Date,Close", b"\xef\xbb\xbfDate,Adj Close", b"Close,Date,Volume",
-                     b"Date"]),
-    st.lists(st.lists(_cells, min_size=2, max_size=3), max_size=8),
+                     b"Date,Close,Close", b"Date"]),
+    st.lists(st.lists(_cells, max_size=3), max_size=8),
     st.sampled_from([b"\n", b"\r\n", b"\r"]),
 )
+
+
+def _reference_read_rows(reader, path, close_column):
+    """``_read_rows`` as it was on ``csv.DictReader``, frozen as the loader's reference.
+
+    Its one known fault is the line number: it counts records, not lines.
+    """
+    header = reader.fieldnames
+    if header is None:
+        raise EmptySeries(f"{path}: file is empty")
+    if "Date" not in header:
+        raise MissingColumn(f"{path}: no 'Date' column (found {header})")
+    if close_column is not None:
+        if close_column not in header:
+            raise MissingColumn(f"{path}: no {close_column!r} column")
+        close_col = close_column
+    else:
+        for candidate in CLOSE_COLUMN_PREFERENCE:
+            if candidate in header:
+                close_col = candidate
+                break
+        else:
+            raise MissingColumn(
+                f"{path}: none of {CLOSE_COLUMN_PREFERENCE} present (found {header})"
+            )
+
+    rows = []
+    dropped = 0
+    for line_no, row in enumerate(reader, start=2):
+        raw_date = (row.get("Date") or "").strip()
+        raw_close = (row.get(close_col) or "").strip()
+        if raw_close.lower() in _MISSING_TOKENS:
+            dropped += 1
+            continue
+        try:
+            day = date.fromisoformat(raw_date)
+        except ValueError:
+            dropped += 1
+            continue
+        try:
+            close = float(raw_close)
+        except ValueError:
+            dropped += 1
+            continue
+        if math.isnan(close):
+            dropped += 1
+            continue
+        if not math.isfinite(close) or close <= 0.0:
+            raise NonPositivePrice(
+                f"{path}:{line_no}: close {raw_close!r} on {day} is not positive"
+            )
+        rows.append((day, close))
+    return rows, dropped
+
+
+def reference_load_csv(path, ticker, close_column=None):
+    """``load_csv`` as it was on ``csv.DictReader``, frozen (without its log line)."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            rows, dropped = _reference_read_rows(csv.DictReader(handle), path, close_column)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise UnreadableFile(f"{path}: cannot read ({exc})") from None
+
+    if not rows:
+        raise EmptySeries(f"{path}: no valid rows")
+
+    rows.sort(key=lambda item: item[0])
+    for (d1, _), (d2, _) in zip(rows, rows[1:]):
+        if d1 == d2:
+            raise DuplicateDate(f"{path}: date {d1} appears more than once")
+
+    return AlignedPanel(
+        tickers=(ticker,),
+        dates=tuple(d for d, _ in rows),
+        closes=np.array([c for _, c in rows])[:, np.newaxis],
+    )
+
+
+def load_outcome(loader, path):
+    """What ``loader`` makes of ``path``: its dates and close bytes, or its error.
+
+    The line number in an error message is blanked: the frozen loader counts
+    records where ``load_csv`` counts physical lines.
+    """
+    try:
+        panel = loader(path, "A")
+    except DataError as exc:
+        return type(exc), re.sub(r":\d+: close ", ":<line>: close ", str(exc))
+    return panel.dates, panel.closes.tobytes()
 
 
 class TestLoadCsv:
@@ -138,12 +231,33 @@ class TestLoadCsv:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "fuzz.csv"
             path.write_bytes(content)
+            outcome = load_outcome(load_csv, path)
+            assert outcome == load_outcome(reference_load_csv, path)
             try:
                 series = load_csv(path, "A")
             except DataError:
                 return
         assert isinstance(series, AlignedPanel)
         assert series.tickers == ("A",) and series.closes.shape == (len(series), 1)
+
+    def test_error_names_the_physical_line(self, tmp_path):
+        path = write_csv(tmp_path / "blank.csv",
+                         "Date,Close\n\n2020-01-01,5\n\n\n2020-01-02,-1\n")
+        with pytest.raises(NonPositivePrice, match=r"blank\.csv:6: close '-1'"):
+            load_csv(path, "A")
+
+    def test_quoted_newline_is_named_by_its_last_line(self, tmp_path):
+        path = write_csv(tmp_path / "quoted.csv",
+                         'Date,Note,Close\n2020-01-01,"two\nlines",-1\n')
+        with pytest.raises(NonPositivePrice, match=r"quoted\.csv:3: close '-1'"):
+            load_csv(path, "A")
+
+    def test_repeated_column_reads_its_last_cell(self, tmp_path):
+        path = write_csv(tmp_path / "a.csv",
+                         "Date,Close,Close\n2021-01-01,1.0,2.0\n2021-01-04,3.0\n")
+        series = load_csv(path, "A")
+        assert series.dates == (date(2021, 1, 1),)
+        assert series.closes[:, 0].tolist() == [2.0]
 
     def test_extra_columns_ignored(self, tmp_path):
         path = write_csv(
