@@ -27,7 +27,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass, replace
 from datetime import date
 from decimal import Decimal
-from itertools import repeat
+from itertools import permutations, repeat
 from pathlib import Path
 
 # Every BLAS and LAPACK call in this package works on a tall matrix of at
@@ -92,6 +92,9 @@ class RunConfig:
             raise ConfigError("test window start is after its end")
         if self.train_window[1] >= self.test_window[0]:
             raise ConfigError("train window must end before the test window begins")
+        for key in ("z_upper", "z_lower"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite")
         if not self.z_lower < 0.0 < self.z_upper:
             raise ConfigError("band limits must satisfy z_lower < 0 < z_upper")
         if not 0.0 < self.coint_threshold < 1.0:
@@ -104,11 +107,16 @@ class RunConfig:
             _check_name("sector", sector)
             if sector == _REPORT_DIR:
                 raise ConfigError(f"sector name {sector!r} is reserved for the report output")
+            seen: set[str] = set()
             for ticker, _ in members:
                 _check_name("ticker", ticker)
                 if "," in ticker:
                     raise ConfigError(f"ticker name {ticker!r} contains ',', which --pair "
                                       "uses to separate the two tickers")
+                if ticker in seen:
+                    raise ConfigError(f"sector {sector!r} lists ticker {ticker!r} twice")
+                seen.add(ticker)
+            _check_pair_dirs(sector, [ticker for ticker, _ in members])
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
@@ -172,6 +180,23 @@ def _check_name(kind: str, name: str) -> None:
     """A sector or ticker name must be usable as one output path component."""
     if name in ("", ".", "..") or "/" in name or "\\" in name:
         raise ConfigError(f"{kind} name {name!r} is not usable as a directory name")
+
+
+def _check_pair_dirs(sector: str, tickers: list[str]) -> None:
+    """No two pairs of a sector may share a ``pairs/<predictor>-<target>`` directory.
+
+    Either ticker of a pair may turn out to be its predictor, so both orders
+    of every pair are spelled.  Names can only collide when some ticker
+    contains ``-``.
+    """
+    if not any("-" in ticker for ticker in tickers):
+        return
+    owners: dict[str, tuple[str, str]] = {}
+    for a, b in permutations(tickers, 2):
+        owner = owners.setdefault(f"{a}-{b}", (a, b))
+        if {a, b} != set(owner):
+            raise ConfigError(f"sector {sector!r}: pairs {owner[0]},{owner[1]} and {a},{b} "
+                              f"would both write pairs/{a}-{b}")
 
 
 def _parse_value(name: str, parse, raw):

@@ -182,15 +182,15 @@ def correlation_matrix(panel: AlignedPanel) -> np.ndarray:
 
     returns = [row[1:] / row[:-1] - 1.0 for row in panel.closes_by_ticker()]
     devs = [_deviations(r) for r in returns]
+    for ticker, (_, sxx) in zip(panel.tickers, devs):
+        if sxx == 0.0:
+            raise ZeroVariance(f"returns of {ticker} have zero variance")
 
     values = np.eye(n)
     for i in range(n):
         dx, sxx = devs[i]
         for j in range(i + 1, n):
             dy, syy = devs[j]
-            if sxx == 0.0 or syy == 0.0:
-                bad = panel.tickers[i] if np.ptp(returns[i]) == 0 else panel.tickers[j]
-                raise ZeroVariance(f"returns of {bad} have zero variance")
             r = _correlation(dx, sxx, dy, syy)
             values[i, j] = r
             values[j, i] = r

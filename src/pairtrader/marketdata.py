@@ -35,9 +35,6 @@ logger = logging.getLogger(__name__)
 #: Close-column preference when several candidates exist in a CSV.
 CLOSE_COLUMN_PREFERENCE = ("Close", "Adj Close")
 
-#: Cell contents treated as "no price" and dropped with a warning.
-_MISSING_TOKENS = frozenset({"", "na", "n/a", "nan", "null", "none"})
-
 
 def readonly_copy(values) -> np.ndarray:
     """A read-only float array copy of ``values``.
@@ -141,9 +138,6 @@ def _read_rows(reader, path, close_column: str | None):
             row += [""] * (width - len(row))
         raw_date = row[date_i].strip()
         raw_close = row[close_i].strip()
-        if raw_close.lower() in _MISSING_TOKENS:
-            dropped += 1
-            continue
         try:
             day = date.fromisoformat(raw_date)
         except ValueError:

@@ -18,20 +18,19 @@ Q is never formed.  The refit at the chosen lag is a plain least-squares fit
 on a design built the same way.
 
 Critical values and approximate p-values come from MacKinnon's published
-response surfaces, bundled as a plain-text constants file under ``data/``.
-Both tests return an ``AdfResult``, which stores the statistic and the
-surface it is read against and evaluates that surface only when its critical
-values or p-value are first read: the sector scan reads one p-value per pair
-and no critical value.  ``cli`` writes a residual test's statistic, critical
-values and p-value; this module opens no file except its bundled tables.
+response surfaces, held as module constants (``CRIT``, ``PVAL_SMALL``,
+``PVAL_LARGE``, ``BOUNDS``).  Both tests return an ``AdfResult``, which stores
+the statistic and the surface it is read against and evaluates that surface
+only when its critical values or p-value are first read: the sector scan
+reads one p-value per pair and no critical value.  ``cli`` writes a residual
+test's statistic, critical values and p-value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
-from importlib import resources
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -49,62 +48,57 @@ LEVELS = ("1%", "5%", "10%")
 _DETERMINISTICS = ("none", "constant")
 
 
-@dataclass(frozen=True)
-class MacKinnonTables:
-    """Immutable response-surface coefficient tables.
+# MacKinnon response surfaces, keyed by n_series, the number of I(1) series
+# under the no-cointegration null (1 for a plain unit-root test, 2 for a
+# two-series cointegration test), and deterministic, the terms in the test
+# regression.
+#
+# CRIT[(n_series, deterministic, level)] = (b_inf, b1, b2, b3): MacKinnon
+# (2010), "Critical Values for Cointegration Tests", Queen's Economics
+# Department Working Paper 1227, Table 1 (updating MacKinnon 1991/1994).  The
+# finite-sample critical value at effective sample size T is
+# b_inf + b1/T + b2/T^2 + b3/T^3.  The 2010 study does not tabulate a
+# no-constant surface for n_series >= 2, so there is no (2, "none") entry.
+CRIT = MappingProxyType({
+    (1, "none", "1%"): (-2.56574, -2.2358, -3.627, 0.0),
+    (1, "none", "5%"): (-1.94100, -0.2686, -3.365, 31.223),
+    (1, "none", "10%"): (-1.61682, 0.2656, -2.714, 25.364),
+    (1, "constant", "1%"): (-3.43035, -6.5393, -16.786, -79.433),
+    (1, "constant", "5%"): (-2.86154, -2.8903, -4.234, -40.040),
+    (1, "constant", "10%"): (-2.56677, -1.5384, -2.809, 0.0),
+    (2, "constant", "1%"): (-3.89644, -10.9519, -33.527, 0.0),
+    (2, "constant", "5%"): (-3.33613, -6.1101, -6.823, 0.0),
+    (2, "constant", "10%"): (-3.04445, -4.2412, -2.720, 0.0),
+})
 
-    ``crit`` maps (n_series, deterministic, level) to the four critical-value
-    coefficients; ``pval_small``/``pval_large`` map (n_series, deterministic)
-    to the two p-value polynomials, and ``bounds`` to their
-    (tau_min, tau_star, tau_max) switchover points.
-    """
+# PVAL_SMALL / PVAL_LARGE[(n_series, deterministic)] = (c0, c1, c2[, c3]):
+# MacKinnon (1994), "Approximate Asymptotic Distribution Functions for
+# Unit-Root and Cointegration Tests", Journal of Business & Economic
+# Statistics 12(2), 167-176, Tables 3-4.  p = Phi(c0 + c1*tau + c2*tau^2
+# [+ c3*tau^3]), using the small polynomial for tau <= tau_star and the large
+# one above it.
+PVAL_SMALL = MappingProxyType({
+    (1, "none"): (0.6344, 1.2378, 0.032496),
+    (2, "none"): (1.9129, 1.3857, 0.035322),
+    (1, "constant"): (2.1659, 1.4412, 0.038269),
+    (2, "constant"): (2.92, 1.5012, 0.039796),
+})
+PVAL_LARGE = MappingProxyType({
+    (1, "none"): (0.4797, 0.93557, -0.06999, 0.033066),
+    (2, "none"): (1.5578, 0.8558, -0.2083, -0.033549),
+    (1, "constant"): (1.7339, 0.93202, -0.12745, -0.010368),
+    (2, "constant"): (2.1945, 0.64695, -0.29198, -0.042377),
+})
 
-    crit: MappingProxyType
-    pval_small: MappingProxyType
-    pval_large: MappingProxyType
-    bounds: MappingProxyType
-
-    @classmethod
-    def from_text(cls, text: str) -> "MacKinnonTables":
-        crit: dict = {}
-        small: dict = {}
-        large: dict = {}
-        bounds: dict = {}
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = line.split()
-            kind = fields[0]
-            if kind == "crit":
-                n, det, level = int(fields[1]), fields[2], fields[3]
-                crit[(n, det, level)] = tuple(float(v) for v in fields[4:8])
-            elif kind == "pval":
-                n, det, regime = int(fields[1]), fields[2], fields[3]
-                coeffs = tuple(float(v) for v in fields[4:])
-                (small if regime == "small" else large)[(n, det)] = coeffs
-            elif kind == "bounds":
-                n, det = int(fields[1]), fields[2]
-                bounds[(n, det)] = tuple(float(v) for v in fields[3:6])
-            else:
-                raise ValueError(f"unknown table row kind {kind!r}")
-        return cls(
-            crit=MappingProxyType(crit),
-            pval_small=MappingProxyType(small),
-            pval_large=MappingProxyType(large),
-            bounds=MappingProxyType(bounds),
-        )
-
-
-@lru_cache(maxsize=1)
-def load_tables() -> MacKinnonTables:
-    """Parse the bundled constants file (cached; the tables are read-only)."""
-    text = (
-        resources.files("pairtrader")
-        .joinpath("data", "mackinnon_tables.txt")
-        .read_text(encoding="utf-8")
-    )
-    return MacKinnonTables.from_text(text)
+# BOUNDS[(n_series, deterministic)] = (tau_min, tau_star, tau_max): the
+# tabulated validity range, p = 0 below tau_min and p = 1 above tau_max, and
+# the switch between the two polynomials.
+BOUNDS = MappingProxyType({
+    (1, "none"): (-19.04, -1.04, math.inf),
+    (2, "none"): (-19.62, -1.53, 1.51),
+    (1, "constant"): (-18.83, -1.61, 2.74),
+    (2, "constant"): (-18.86, -2.62, 0.92),
+})
 
 
 def _check_deterministic(deterministic: str) -> None:
@@ -123,7 +117,7 @@ def mackinnon_crit(n_series: int, deterministic: str, level: str, nobs: float) -
     if nobs is not math.inf and nobs < 20:
         raise ValueError(f"effective sample size {nobs} below 20")
     try:
-        b = load_tables().crit[(n_series, deterministic, level)]
+        b = CRIT[(n_series, deterministic, level)]
     except KeyError:
         raise UnknownSurface(
             f"no critical-value surface for (n_series={n_series}, {deterministic!r})"
@@ -146,10 +140,9 @@ def mackinnon_pvalue(tau: float, n_series: int, deterministic: str) -> float:
     above it.
     """
     _check_deterministic(deterministic)
-    tables = load_tables()
     key = (n_series, deterministic)
     try:
-        tau_min, tau_star, tau_max = tables.bounds[key]
+        tau_min, tau_star, tau_max = BOUNDS[key]
     except KeyError:
         raise UnknownSurface(
             f"no p-value surface for (n_series={n_series}, {deterministic!r})"
@@ -158,7 +151,7 @@ def mackinnon_pvalue(tau: float, n_series: int, deterministic: str) -> float:
         return 1.0
     if tau < tau_min:
         return 0.0
-    coeffs = tables.pval_small[key] if tau <= tau_star else tables.pval_large[key]
+    coeffs = PVAL_SMALL[key] if tau <= tau_star else PVAL_LARGE[key]
     poly = 0.0
     for c in reversed(coeffs):
         poly = poly * tau + c

@@ -25,7 +25,7 @@ from pairtrader.cli import main
 from pairtrader.econometrics import ols_through_origin
 from pairtrader.signalgen import TradingFrame, gen_positions, gen_signals
 from pairtrader.synthetic import PAIR_TICKERS
-from pairtrader.unitroot import adf_test, engle_granger, load_tables, mackinnon_crit, mackinnon_pvalue
+from pairtrader.unitroot import CRIT, adf_test, engle_granger, mackinnon_crit, mackinnon_pvalue
 
 from conftest import make_pair
 
@@ -235,9 +235,8 @@ def test_criterion_06_engle_granger_size_and_power():
 
 
 def test_criterion_07_pvalue_critical_value_self_consistency():
-    tables = load_tables()
     checked = 0
-    for (n_series, deterministic, level), coeffs in tables.crit.items():
+    for (n_series, deterministic, level), coeffs in CRIT.items():
         p = mackinnon_pvalue(coeffs[0], n_series, deterministic)
         nominal = float(level.rstrip("%")) / 100.0
         assert abs(p - nominal) <= 0.005, (n_series, deterministic, level, p)

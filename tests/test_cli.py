@@ -454,6 +454,8 @@ class TestConfigSurface:
         ("scan", lambda c: c.update(near_eps=math.nan), [], "near_eps"),
         ("scan", lambda c: c.update(near_eps=math.inf), [], "near_eps"),
         ("scan", lambda c: None, ["--near-eps", "inf"], "near_eps"),
+        ("scan", lambda c: c.update(z_upper=math.inf), [], "z_upper"),
+        ("scan", lambda c: c.update(z_lower=-math.inf), [], "z_lower"),
         ("scan", lambda c: c.update(train_window="2018"), [], "train_window"),
         ("scan", lambda c: c.update(out_dir=5), [], "out_dir"),
         ("scan", lambda c: c.update(close_column=3), [], "close_column"),
@@ -462,6 +464,7 @@ class TestConfigSurface:
          "--capital"),
     ], ids=["capital_per_leg", "z_upper", "member_without_ticker", "sectors_list",
             "capital_nan", "near_eps_nan", "near_eps_inf", "near_eps_flag_inf",
+            "z_upper_inf", "z_lower_neg_inf",
             "window_not_a_pair", "out_dir_number",
             "close_column_number",
             "top_level_list",
@@ -510,6 +513,35 @@ class TestConfigSurface:
         assert run("report", "--config", path, "--out", tmp_path / "o") == 1
         err = capsys.readouterr().err
         assert err.startswith("pairtrader: error: ") and f"{kind} name {name!r}" in err
+
+    def test_ticker_listed_twice_is_config_error(self, synth_dir, tmp_path, capsys):
+        # The pair commands used to keep the later entry's CSV and trade it
+        # under the earlier entry's name.
+        config = json.loads((synth_dir / "config.json").read_text())
+        members = [dict(m, csv=str(synth_dir / m["csv"])) for m in config["sectors"]["metals"]]
+        members[-1]["ticker"] = members[0]["ticker"]
+        config["sectors"] = {"metals": members}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        pair = f"{members[0]['ticker']},{members[1]['ticker']}"
+        assert run("analyze", "--config", path, "--pair", pair, "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert f"sector 'metals' lists ticker {members[0]['ticker']!r} twice" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_pairs_sharing_a_directory_is_config_error(self, synth_dir, tmp_path, capsys):
+        # Pairs (X-Y, Z) and (X, Y-Z) would both write pairs/X-Y-Z.
+        config = json.loads((synth_dir / "config.json").read_text())
+        members = [dict(m, csv=str(synth_dir / m["csv"])) for m in config["sectors"]["metals"]]
+        for member, ticker in zip(members, ("X-Y", "Z", "X", "Y-Z")):
+            member["ticker"] = ticker
+        config["sectors"] = {"metals": members}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert run("scan", "--config", path, "--sector", "metals", "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert "pairs X-Y,Z and X,Y-Z would both write pairs/X-Y-Z" in err
+        assert not (tmp_path / "o").exists()
 
     def test_config_invariants(self, synth_dir):
         config = RunConfig.from_json(synth_dir / "config.json")

@@ -147,6 +147,14 @@ class TestCorrelationMatrix:
         with pytest.raises(ZeroVariance, match="B"):
             correlation_matrix(self.panel({"A": [1, 2, 3, 4], "B": [5, 5, 5, 5]}))
 
+    @pytest.mark.parametrize("closes, named", [
+        ({"A": [5, 5, 5, 5], "B": [1, 2, 3, 4]}, "A"),
+        ({"A": [1, 2, 3, 4], "B": [5, 5, 5, 5], "C": [2, 4, 8, 16]}, "B"),
+    ], ids=["flat_first", "first_of_two_flat"])
+    def test_zero_variance_names_first_flat_ticker(self, closes, named):
+        with pytest.raises(ZeroVariance, match=f"returns of {named} have zero variance"):
+            correlation_matrix(self.panel(closes))
+
     def test_invariant_under_price_scaling(self):
         rng = np.random.default_rng(11)
         base = {t: 100 * np.exp(np.cumsum(rng.normal(0, 0.02, size=25))) for t in "ABC"}

@@ -22,7 +22,6 @@ from pairtrader.errors import (
     UnreadableFile,
 )
 from pairtrader.marketdata import (
-    _MISSING_TOKENS,
     CLOSE_COLUMN_PREFERENCE,
     AlignedPanel,
     align_panel,
@@ -54,6 +53,10 @@ _csv_like = st.builds(
     st.lists(st.lists(_cells, max_size=3), max_size=8),
     st.sampled_from([b"\n", b"\r\n", b"\r"]),
 )
+
+
+#: The reference loader's "no price" cells, as the package once defined them.
+_MISSING_TOKENS = frozenset({"", "na", "n/a", "nan", "null", "none"})
 
 
 def _reference_read_rows(reader, path, close_column):

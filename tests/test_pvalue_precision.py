@@ -22,7 +22,7 @@ from pairtrader.econometrics import (
     ols_through_origin,
     omnibus_k2,
 )
-from pairtrader.unitroot import load_tables, mackinnon_pvalue
+from pairtrader.unitroot import BOUNDS, PVAL_LARGE, PVAL_SMALL, mackinnon_pvalue
 
 from conftest import TAIL_DFS, TAIL_STATS
 
@@ -109,11 +109,10 @@ class TestMacKinnonNormalTail:
                 if p in (0.0, 1.0):
                     continue
                 # Invert through the package's own polynomial by recomputing
-                # it here from the bundled tables.
-                tables = load_tables()
-                tau_min, tau_star, tau_max = tables.bounds[(n_series, det)]
-                coeffs = (tables.pval_small if tau <= tau_star
-                          else tables.pval_large)[(n_series, det)]
+                # it here from the module constants.
+                tau_min, tau_star, tau_max = BOUNDS[(n_series, det)]
+                coeffs = (PVAL_SMALL if tau <= tau_star
+                          else PVAL_LARGE)[(n_series, det)]
                 poly = 0.0
                 for c in reversed(coeffs):
                     poly = poly * tau + c

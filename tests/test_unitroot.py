@@ -1,5 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from datetime import date
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -16,11 +21,12 @@ from pairtrader.marketdata import AlignedPanel, align_panel
 from pairtrader.pairscan import coint_matrix
 from pairtrader.synthetic import TRAIN_DAYS, build_sector, weekday_calendar
 from pairtrader.unitroot import (
+    BOUNDS,
+    CRIT,
     LEVELS,
     adf_test,
     default_max_lag,
     engle_granger,
-    load_tables,
     mackinnon_crit,
     mackinnon_pvalue,
 )
@@ -42,7 +48,7 @@ def ar1(rng, n, phi=0.5, sigma=1.0):
 
 
 # Published response-surface coefficients, typed from the papers rather than
-# read from the bundled tables file.
+# taken from the package's own constants.
 #
 # MacKinnon (2010), Queen's Economics Department Working Paper 1227, Table 1:
 # (b_inf, b1, b2, b3) at the 1%, 5% and 10% levels, the critical value at
@@ -100,13 +106,11 @@ class TestMacKinnonCrit:
         assert mackinnon_crit(1, "constant", "1%", 739) == pytest.approx(-3.4392, abs=1e-4)
 
     def test_infinite_sample_returns_asymptote(self):
-        tables = load_tables()
-        for (n, det, level), coeffs in tables.crit.items():
+        for (n, det, level), coeffs in CRIT.items():
             assert mackinnon_crit(n, det, level, math.inf) == coeffs[0]
 
     def test_level_ordering_strict_at_every_sample_size(self):
-        tables = load_tables()
-        surfaces = {(n, det) for (n, det, _) in tables.crit.keys()}
+        surfaces = {(n, det) for (n, det, _) in CRIT.keys()}
         for n, det in surfaces:
             for t in list(range(20, 2000, 7)) + [10_000, 1_000_000]:
                 c1 = mackinnon_crit(n, det, "1%", t)
@@ -128,7 +132,7 @@ class TestMacKinnonCrit:
             mackinnon_crit(1, "constant", "2.5%", 100)
 
     def test_every_value_matches_published_table(self):
-        assert {(n, det) for n, det, _ in load_tables().crit} == set(PUBLISHED_CRIT)
+        assert {(n, det) for n, det, _ in CRIT} == set(PUBLISHED_CRIT)
         for (n, det), rows in PUBLISHED_CRIT.items():
             for level, (b_inf, b1, b2, b3) in zip(LEVELS, rows):
                 assert mackinnon_crit(n, det, level, math.inf) == b_inf
@@ -148,15 +152,13 @@ class TestMacKinnonCrit:
 
 class TestMacKinnonPvalue:
     def test_self_consistency_at_asymptotic_critical_values(self):
-        tables = load_tables()
-        for (n, det, level), coeffs in tables.crit.items():
+        for (n, det, level), coeffs in CRIT.items():
             p = mackinnon_pvalue(coeffs[0], n, det)
             nominal = float(level.rstrip("%")) / 100.0
             assert p == pytest.approx(nominal, abs=0.005), (n, det, level)
 
     def test_monotone_on_fine_grid(self):
-        tables = load_tables()
-        for n, det in tables.bounds.keys():
+        for n, det in BOUNDS.keys():
             taus = np.arange(-6.0, 3.0 + 1e-9, 0.01)
             ps = [mackinnon_pvalue(float(t), n, det) for t in taus]
             assert all(a <= b + 1e-15 for a, b in zip(ps, ps[1:])), (n, det)
@@ -197,7 +199,7 @@ class TestMacKinnonPvalue:
             mackinnon_pvalue(-3.0, 5, "constant")
 
     def test_every_surface_matches_published_table(self):
-        assert set(load_tables().bounds) == set(PUBLISHED_PVAL)
+        assert set(BOUNDS) == set(PUBLISHED_PVAL)
         for (n, det), (tau_min, tau_star, tau_max, _, _) in PUBLISHED_PVAL.items():
             edges = [tau_min, tau_star, tau_max]
             taus = [float(t) for t in np.arange(-21.0, 4.0, 0.05)]
@@ -214,6 +216,33 @@ class TestMacKinnonPvalue:
                 mine = mackinnon_pvalue(tau, n, det)
                 theirs = adfvalues.mackinnonp(tau, regression=reg, N=n)
                 assert mine == pytest.approx(float(theirs), abs=1e-12)
+
+
+SURFACES_WITHOUT_FILES = """
+import builtins, importlib.resources, io, json
+
+def refuse(*args, **kwargs):
+    raise AssertionError("unitroot tried to read a file")
+
+builtins.open = io.open = importlib.resources.files = refuse
+
+from pairtrader.unitroot import BOUNDS, CRIT, mackinnon_crit, mackinnon_pvalue
+
+crit = [mackinnon_crit(n, det, level, 100).hex() for n, det, level in CRIT]
+pval = [mackinnon_pvalue(tau, n, det).hex() for n, det in BOUNDS for tau in (-4.0, -1.0, 0.5)]
+print(json.dumps([crit, pval]))
+"""
+
+
+def test_surfaces_are_read_without_opening_a_file():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", SURFACES_WITHOUT_FILES], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    crit, pval = json.loads(done.stdout)
+    assert crit == [mackinnon_crit(n, det, level, 100).hex() for n, det, level in CRIT]
+    assert pval == [mackinnon_pvalue(tau, n, det).hex()
+                    for n, det in BOUNDS for tau in (-4.0, -1.0, 0.5)]
 
 
 class TestAdf:
