@@ -24,7 +24,7 @@ import sys
 import tempfile
 from collections.abc import Mapping
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass
 from datetime import date
 from decimal import Decimal
 from itertools import permutations, repeat
@@ -59,11 +59,19 @@ logger = logging.getLogger(__name__)
 
 OUT_DIR_ENV = "PAIRTRADER_OUT"
 
-#: Every top-level key a config file may hold; any other key is a ConfigError.
-_CONFIG_KEYS = frozenset({
-    "sectors", "train_window", "test_window", "coint_threshold", "near_eps",
-    "z_upper", "z_lower", "capital_per_leg", "close_column", "out_dir",
-})
+#: The config key each value flag writes into the config document; a date
+#: flag writes one end (0 or 1) of its window.
+_FLAG_KEYS = {
+    "--threshold": ("coint_threshold", None),
+    "--near-eps": ("near_eps", None),
+    "--capital": ("capital_per_leg", None),
+    "--train-start": ("train_window", 0),
+    "--train-end": ("train_window", 1),
+    "--test-start": ("test_window", 0),
+    "--test-end": ("test_window", 1),
+}
+
+_WINDOWS = ("train_window", "test_window")
 
 #: The report command writes ``<out_dir>/report``, so no sector may take that name.
 _REPORT_DIR = "report"
@@ -71,7 +79,10 @@ _REPORT_DIR = "report"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Pipeline configuration: sector universe, windows, and knobs."""
+    """Pipeline configuration: sector universe, windows, and knobs.
+
+    Each field is one config key, and no other key is allowed.
+    """
 
     sectors: dict[str, list[tuple[str, Path]]]
     train_window: tuple[date, date]
@@ -83,7 +94,6 @@ class RunConfig:
     capital_per_leg: Decimal = DEFAULT_CAPITAL
     out_dir: Path = Path("runs")
     close_column: str | None = None
-    svg: bool = False
 
     def __post_init__(self) -> None:
         if self.train_window[0] > self.train_window[1]:
@@ -119,7 +129,18 @@ class RunConfig:
             _check_pair_dirs(sector, [ticker for ticker, _ in members])
 
     @classmethod
-    def from_json(cls, path) -> "RunConfig":
+    def from_json(cls, path, flags: Mapping[str, str] | None = None,
+                  out: str | None = None) -> "RunConfig":
+        """The config document at ``path``, with ``flags`` written into it.
+
+        ``flags`` maps flags of ``_FLAG_KEYS`` to raw strings.  Each one
+        replaces its key's raw value (a date flag, one end of its window)
+        before any value is parsed, so a file value a flag replaces is never
+        read.  A parse error names the flag or config key the value came
+        from.  The file's ``out_dir`` is relative to the config's directory.
+        ``out`` (``--out`` or ``PAIRTRADER_OUT``) is relative to the current
+        one; it replaces the file's ``out_dir`` once that has been checked.
+        """
         path = Path(path)
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
@@ -133,47 +154,38 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"config file {path}: unknown key(s) "
                               + ", ".join(repr(key) for key in unknown))
+        for key in ("sectors", *_WINDOWS):
+            if key not in data:
+                raise ConfigError(f"config is missing required key {key!r}")
 
-        try:
-            raw_sectors = data["sectors"]
-            train = data["train_window"]
-            test = data["test_window"]
-        except KeyError as exc:
-            raise ConfigError(f"config is missing required key {exc}") from None
+        # Where each raw value came from; a window's two ends each have their own.
+        names = {key: f"config key {key!r}" for key in data}
+        for key in _WINDOWS:
+            data[key] = _parse_value(names[key], _ends, data[key])
+            names[key] = [names[key]] * 2
+        for flag, raw in (flags or {}).items():
+            key, end = _FLAG_KEYS[flag]
+            if end is None:
+                data[key], names[key] = raw, flag
+            else:
+                data[key][end], names[key][end] = raw, flag
 
         base = path.parent
-        if not isinstance(raw_sectors, dict) or not all(
-            isinstance(members, list) for members in raw_sectors.values()
-        ):
-            raise ConfigError("config key 'sectors' must map sector names to member lists")
-        sectors = {
-            name: [_sector_member(base, name, member) for member in members]
-            for name, members in raw_sectors.items()
-        }
+        parsers = {"sectors": lambda raw: _sectors(base, raw), "capital_per_leg": _decimal,
+                   "close_column": _string, "out_dir": Path}
+        values = {}
+        for key, raw in data.items():
+            if key in _WINDOWS:
+                values[key] = tuple(_parse_value(name, date.fromisoformat, end)
+                                    for name, end in zip(names[key], raw))
+            else:
+                values[key] = _parse_value(names[key], parsers.get(key, _number), raw)
+        values["out_dir"] = Path(out) if out else base / values.get("out_dir", "runs")
+        return cls(**values)
 
-        kwargs: dict = {}
-        for key in ("coint_threshold", "near_eps", "z_upper", "z_lower"):
-            if key in data:
-                kwargs[key] = _parse_value(f"config key {key!r}", float, data[key])
-        if "capital_per_leg" in data:
-            kwargs["capital_per_leg"] = _parse_value(
-                "config key 'capital_per_leg'", _decimal, data["capital_per_leg"]
-            )
-        if "close_column" in data:
-            if not isinstance(data["close_column"], str):
-                raise ConfigError(f"config key 'close_column': bad value {data['close_column']!r}")
-            kwargs["close_column"] = data["close_column"]
-        out_dir = _parse_value("config key 'out_dir'", Path, data.get("out_dir", "runs"))
-        if not out_dir.is_absolute():
-            out_dir = base / out_dir
 
-        return cls(
-            sectors=sectors,
-            train_window=_parse_value("config key 'train_window'", _window, train),
-            test_window=_parse_value("config key 'test_window'", _window, test),
-            out_dir=out_dir,
-            **kwargs,
-        )
+#: Every top-level key a config document may hold; any other key is a ConfigError.
+_CONFIG_KEYS = frozenset(f.name for f in fields(RunConfig))
 
 
 def _check_name(kind: str, name: str) -> None:
@@ -207,6 +219,13 @@ def _parse_value(name: str, parse, raw):
         raise ConfigError(f"{name}: bad value {raw!r}") from None
 
 
+def _number(raw) -> float:
+    """A float from a number or a string; a JSON boolean is not a number."""
+    if isinstance(raw, bool):
+        raise TypeError("a boolean is not a number")
+    return float(raw)
+
+
 def _decimal(raw) -> Decimal:
     """A finite decimal amount (``InvalidOperation`` is an ArithmeticError)."""
     value = Decimal(str(raw))
@@ -215,62 +234,36 @@ def _decimal(raw) -> Decimal:
     return value
 
 
-def _window(raw) -> tuple[date, date]:
+def _string(raw) -> str:
+    """``raw`` itself, which must be a string."""
+    if not isinstance(raw, str):
+        raise TypeError("not a string")
+    return raw
+
+
+def _ends(raw) -> list:
+    """A window's two raw ends, start first."""
     start, end = raw
-    return date.fromisoformat(start), date.fromisoformat(end)
+    return [start, end]
 
 
-def _sector_member(base: Path, sector: str, member) -> tuple[str, Path]:
-    """One ``{"ticker": T, "csv": PATH}`` or ``[T, PATH]`` sector entry."""
-    try:
-        if isinstance(member, dict):
-            ticker, csv_path = member["ticker"], member["csv"]
-        else:
-            ticker, csv_path = member
-        return str(ticker), (base / csv_path).resolve()
-    except (KeyError, TypeError, ValueError):
-        raise ConfigError(
-            f"config key 'sectors': member {member!r} of sector {sector!r} "
-            "needs a 'ticker' and a 'csv'"
-        ) from None
+def _sectors(base: Path, raw) -> dict[str, list[tuple[str, Path]]]:
+    """Sector names to ``(ticker, CSV path)`` lists.
 
-
-def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
-    updates: dict = {}
-    window_flags = {
-        "train_start": ("train_window", 0),
-        "train_end": ("train_window", 1),
-        "test_start": ("test_window", 0),
-        "test_end": ("test_window", 1),
-    }
-    windows = {"train_window": config.train_window, "test_window": config.test_window}
-    for flag, (window, idx) in window_flags.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            try:
-                parsed = date.fromisoformat(value)
-            except ValueError:
-                raise ConfigError(f"--{flag.replace('_', '-')}: bad date {value!r}") from None
-            pair = list(windows[window])
-            pair[idx] = parsed
-            windows[window] = (pair[0], pair[1])
-    updates["train_window"] = windows["train_window"]
-    updates["test_window"] = windows["test_window"]
-
-    if getattr(args, "threshold", None) is not None:
-        updates["coint_threshold"] = args.threshold
-    if getattr(args, "near_eps", None) is not None:
-        updates["near_eps"] = args.near_eps
-    if getattr(args, "capital", None) is not None:
-        updates["capital_per_leg"] = _parse_value("--capital", _decimal, args.capital)
-    if getattr(args, "svg", False):
-        updates["svg"] = True
-
-    out_override = getattr(args, "out", None) or os.environ.get(OUT_DIR_ENV)
-    if out_override:
-        updates["out_dir"] = Path(out_override)
-
-    return replace(config, **updates)
+    Each member is an object ``{"ticker": T, "csv": PATH}`` of two strings,
+    with PATH relative to ``base``.
+    """
+    if not isinstance(raw, dict) or not all(isinstance(members, list)
+                                            for members in raw.values()):
+        raise ConfigError("config key 'sectors' must map sector names to member lists")
+    for sector, members in raw.items():
+        for member in members:
+            if not (isinstance(member, dict) and isinstance(member.get("ticker"), str)
+                    and isinstance(member.get("csv"), str)):
+                raise ConfigError(f"config key 'sectors': member {member!r} of sector "
+                                  f"{sector!r} needs a string 'ticker' and a string 'csv'")
+    return {sector: [(m["ticker"], (base / m["csv"]).resolve()) for m in members]
+            for sector, members in raw.items()}
 
 
 # --- deterministic artifact writing ------------------------------------------
@@ -400,6 +393,9 @@ def _find_pair(config: RunConfig, pair: str, sector: str | None) -> tuple[str, A
     for ticker in names:
         if ticker not in known:
             raise ConfigError(f"ticker {ticker!r} not found in any configured sector")
+    if sector:
+        raise ConfigError(f"tickers {names[0]!r} and {names[1]!r} are not both "
+                          f"in sector {sector!r}")
     raise ConfigError(f"tickers {names[0]!r} and {names[1]!r} are not in the same sector")
 
 
@@ -473,8 +469,9 @@ def cmd_analyze(config: RunConfig, pair: str, sector: str | None = None) -> Path
     return out
 
 
-def cmd_backtest(config: RunConfig, pair: str, sector: str | None = None) -> Path:
-    """Signals, triggers, daily ledger, and the pair summary."""
+def cmd_backtest(config: RunConfig, pair: str, sector: str | None = None,
+                 svg: bool = False) -> Path:
+    """Signals, triggers, daily ledger, the pair summary and, with ``svg``, two charts."""
     sector_name, pair_panel = _find_pair(config, pair, sector)
     asset1, asset2 = pair_panel.tickers
 
@@ -505,7 +502,7 @@ def cmd_backtest(config: RunConfig, pair: str, sector: str | None = None) -> Pat
         _write_csv(staging / "ledger.csv", ledger_header,
                    ([getattr(row, name) for name in ledger_header] for row in ledger.rows))
         _write_json(staging / "summary.json", summary)
-        if config.svg:
+        if svg:
             (staging / "z_band.svg").write_text(
                 line_chart(
                     frame.dates,
@@ -601,14 +598,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", required=True, help="pipeline config JSON")
         p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--train-start", dest="train_start", metavar="DATE")
-        p.add_argument("--train-end", dest="train_end", metavar="DATE")
-        p.add_argument("--test-start", dest="test_start", metavar="DATE")
-        p.add_argument("--test-end", dest="test_end", metavar="DATE")
-        p.add_argument("--threshold", type=float, help="cointegration p-value threshold")
-        p.add_argument("--near-eps", dest="near_eps", type=float,
-                       help="near-threshold inclusion margin")
-        p.add_argument("--capital", help="capital per leg")
+        for flag, (key, end) in _FLAG_KEYS.items():
+            where = "" if end is None else f"{('start', 'end')[end]} of "
+            p.add_argument(flag, help=f"sets the {where}config key {key}")
 
     p_scan = sub.add_parser("scan", help="scan one sector for cointegrated pairs")
     add_common(p_scan)
@@ -634,13 +626,16 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     try:
         args = build_parser().parse_args(argv)
-        config = _apply_overrides(RunConfig.from_json(args.config), args)
+        flags = {flag: getattr(args, flag[2:].replace("-", "_")) for flag in _FLAG_KEYS}
+        config = RunConfig.from_json(
+            args.config, {flag: raw for flag, raw in flags.items() if raw is not None},
+            args.out or os.environ.get(OUT_DIR_ENV))
         if args.command == "scan":
             cmd_scan(config, args.sector)
         elif args.command == "analyze":
             cmd_analyze(config, args.pair, args.sector)
         elif args.command == "backtest":
-            cmd_backtest(config, args.pair, args.sector)
+            cmd_backtest(config, args.pair, args.sector, svg=args.svg)
         elif args.command == "report":
             cmd_report(config)
         return 0

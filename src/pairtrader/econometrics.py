@@ -221,10 +221,8 @@ def _moments(e: np.ndarray) -> tuple[float, float, float]:
     scale = float(np.max(np.abs(centered)))
     if scale == 0.0:
         raise ZeroVariance("moments undefined for a zero-variance sample")
-    unit = centered / scale
+    unit = centered / scale  # holds an exact +-1, so m2 >= 1/n
     m2 = float(np.mean(unit**2))
-    if m2 == 0.0:
-        raise ZeroVariance("moments undefined for a zero-variance sample")
     m3 = float(np.mean(unit**3))
     m4 = float(np.mean(unit**4))
     return m2 * scale**2, m3 / m2**1.5, m4 / m2**2

@@ -114,7 +114,7 @@ def mackinnon_crit(n_series: int, deterministic: str, level: str, nobs: float) -
     _check_deterministic(deterministic)
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}")
-    if nobs is not math.inf and nobs < 20:
+    if nobs < 20:
         raise ValueError(f"effective sample size {nobs} below 20")
     try:
         b = CRIT[(n_series, deterministic, level)]
@@ -122,7 +122,7 @@ def mackinnon_crit(n_series: int, deterministic: str, level: str, nobs: float) -
         raise UnknownSurface(
             f"no critical-value surface for (n_series={n_series}, {deterministic!r})"
         ) from None
-    if nobs is math.inf or math.isinf(nobs):
+    if math.isinf(nobs):
         return b[0]
     t = float(nobs)
     return b[0] + b[1] / t + b[2] / t**2 + b[3] / t**3

@@ -452,12 +452,11 @@ def write_reference(config: RunConfig, pair: str, out) -> None:
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["A,B", "B,A"])
 def test_backtest_bytes_match_frozen_tuple_path(synth_dir, tmp_path, reverse):
-    config = replace(RunConfig.from_json(synth_dir / "config.json"),
-                     out_dir=tmp_path / "run", svg=True)
+    config = replace(RunConfig.from_json(synth_dir / "config.json"), out_dir=tmp_path / "run")
     tickers = [t for t, _ in config.sectors["metals"]]
     for a, b in itertools.combinations(tickers, 2):
         pair = f"{b},{a}" if reverse else f"{a},{b}"
-        got = cmd_backtest(config, pair)
+        got = cmd_backtest(config, pair, svg=True)
         expected = tmp_path / "reference" / got.parent.name
         write_reference(config, pair, expected)
         for name in BACKTEST_FILES:

@@ -130,6 +130,20 @@ class TestAnalyze:
         assert code == 1
         assert "UNOBTANIUM" in capsys.readouterr().err
 
+    def test_pair_outside_named_sector_names_that_sector(self, synth_dir, tmp_path, capsys):
+        # Both tickers share a sector, just not the one --sector names.
+        config = json.loads((synth_dir / "config.json").read_text())
+        members = [dict(m, csv=str(synth_dir / m["csv"])) for m in config["sectors"]["metals"]]
+        config["sectors"] = {"metals": members[:2], "alloys": members[2:]}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert run("analyze", "--config", path, "--pair", "AMBER,BASALT", "--sector", "alloys",
+                   "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert "tickers 'AMBER' and 'BASALT' are not both in sector 'alloys'" in err
+        assert run("analyze", "--config", path, "--pair", "AMBER,BASALT", "--sector", "metals",
+                   "--out", tmp_path / "o") == 0
+
     def test_runs_no_engle_granger_test(self, synth_dir, tmp_path, monkeypatch):
         import pairtrader.pairscan as pairscan
 
@@ -462,13 +476,26 @@ class TestConfigSurface:
         ("scan", lambda c: [c], [], "JSON object"),
         ("backtest", lambda c: None, ["--pair", "COBALT,IRON", "--capital", "abc"],
          "--capital"),
+        ("scan", lambda c: c["sectors"]["metals"][0].update(ticker=None), [],
+         "'ticker': None} of sector 'metals' needs a string 'ticker'"),
+        ("scan", lambda c: c["sectors"]["metals"][0].update(csv=5), [],
+         "{'csv': 5, 'ticker': 'AMBER'} of sector 'metals' needs a string"),
+        ("scan", lambda c: c["sectors"]["metals"].insert(0, "AB"), [],
+         "member 'AB' of sector 'metals'"),
+        ("scan", lambda c: c.update(z_upper=True), [], "z_upper"),
+        ("scan", lambda c: c.update(near_eps=False), [], "near_eps"),
+        ("scan", lambda c: None, ["--threshold", "abc"], "--threshold: bad value 'abc'"),
+        ("scan", lambda c: None, ["--train-start", "2018-13-01"],
+         "--train-start: bad value '2018-13-01'"),
     ], ids=["capital_per_leg", "z_upper", "member_without_ticker", "sectors_list",
             "capital_nan", "near_eps_nan", "near_eps_inf", "near_eps_flag_inf",
             "z_upper_inf", "z_lower_neg_inf",
             "window_not_a_pair", "out_dir_number",
             "close_column_number",
             "top_level_list",
-            "capital_flag"])
+            "capital_flag",
+            "ticker_null", "csv_number", "member_string", "z_upper_bool", "near_eps_bool",
+            "threshold_flag", "train_start_flag"])
     def test_malformed_value_is_config_error(self, synth_dir, tmp_path, capsys,
                                              command, edit, flags, named):
         config = json.loads((synth_dir / "config.json").read_text())
@@ -542,6 +569,78 @@ class TestConfigSurface:
         err = capsys.readouterr().err
         assert "pairs X-Y,Z and X,Y-Z would both write pairs/X-Y-Z" in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag, value, edit", [
+        ("--threshold", "0.3", lambda c: c.update(coint_threshold=0.3)),
+        ("--near-eps", "0.01", lambda c: c.update(near_eps=0.01)),
+        ("--capital", "250000", lambda c: c.update(capital_per_leg=250000)),
+        ("--train-start", "2018-03-01",
+         lambda c: c.update(train_window=["2018-03-01", c["train_window"][1]])),
+        ("--train-end", "2020-09-30",
+         lambda c: c.update(train_window=[c["train_window"][0], "2020-09-30"])),
+        ("--test-start", "2020-12-01",
+         lambda c: c.update(test_window=["2020-12-01", c["test_window"][1]])),
+        ("--test-end", "2021-09-30",
+         lambda c: c.update(test_window=[c["test_window"][0], "2021-09-30"])),
+    ], ids=["threshold", "near_eps", "capital", "train_start", "train_end", "test_start",
+            "test_end"])
+    def test_flag_writes_the_same_bytes_as_a_document_edit(self, synth_dir, tmp_path,
+                                                           flag, value, edit):
+        def scan_and_backtest(out, config, *flags):
+            path = out.with_suffix(".json")
+            path.write_text(json.dumps(config))
+            assert run("scan", "--config", path, "--sector", "metals", *flags, "--out", out) == 0
+            assert run("backtest", "--config", path, "--pair", "COBALT,IRON", "--svg", *flags,
+                       "--out", out) == 0
+            return tree_bytes(out)
+
+        config = json.loads((synth_dir / "config.json").read_text())
+        for member in config["sectors"]["metals"]:
+            member["csv"] = str(synth_dir / member["csv"])
+        plain = scan_and_backtest(tmp_path / "plain", config)
+        flagged = scan_and_backtest(tmp_path / "flagged", config, flag, value)
+        edit(config)
+        edited = scan_and_backtest(tmp_path / "edited", config)
+        assert flagged == edited
+        assert flagged != plain
+
+    @pytest.mark.parametrize("command, extra", [
+        ("scan", ["--sector", "metals"]),
+        ("analyze", ["--pair", "COBALT,IRON"]),
+        ("backtest", ["--pair", "COBALT,IRON", "--svg"]),
+        ("report", []),
+    ])
+    def test_one_config_per_command(self, synth_dir, tmp_path, monkeypatch, command, extra):
+        checks = []
+        real_check = RunConfig.__post_init__
+        monkeypatch.setattr(RunConfig, "__post_init__",
+                            lambda self: checks.append(self) or real_check(self))
+        out = tmp_path / "o"
+        if command == "report":
+            assert run("backtest", "--config", synth_dir / "config.json",
+                       "--pair", "COBALT,IRON", "--out", out) == 0
+            checks.clear()
+        assert run(command, "--config", synth_dir / "config.json", *extra,
+                   "--threshold", "0.1", "--capital", "1000", "--train-start", "2018-02-01",
+                   "--out", out) == 0
+        assert len(checks) == 1
+
+    @pytest.mark.parametrize("edit, flags", [
+        (lambda c: c.update(coint_threshold=2.0), ["--threshold", "0.05"]),
+        (lambda c: c.update(capital_per_leg="abc"), ["--capital", "100000"]),
+        (lambda c: c.update(train_window=["2018-13-01", c["train_window"][1]]),
+         ["--train-start", "2018-01-01"]),
+    ], ids=["threshold", "capital", "train_start"])
+    def test_file_value_a_flag_replaces_is_not_read(self, synth_dir, tmp_path, edit, flags):
+        config = json.loads((synth_dir / "config.json").read_text())
+        for member in config["sectors"]["metals"]:
+            member["csv"] = str(synth_dir / member["csv"])
+        edit(config)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert run("scan", "--config", path, "--sector", "metals", "--out", tmp_path / "o") == 1
+        assert run("scan", "--config", path, "--sector", "metals", *flags,
+                   "--out", tmp_path / "o") == 0
 
     def test_config_invariants(self, synth_dir):
         config = RunConfig.from_json(synth_dir / "config.json")
