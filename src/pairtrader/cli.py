@@ -171,7 +171,7 @@ class RunConfig:
                 data[key][end], names[key][end] = raw, flag
 
         base = path.parent
-        parsers = {"sectors": lambda raw: _sectors(base, raw), "capital_per_leg": _decimal,
+        parsers = {"sectors": lambda raw: _sectors(base, raw), "capital_per_leg": _capital,
                    "close_column": _string, "out_dir": Path}
         values = {}
         for key, raw in data.items():
@@ -234,6 +234,16 @@ def _decimal(raw) -> Decimal:
     return value
 
 
+def _capital(raw) -> Decimal:
+    """A decimal amount whose exponent form does not reach the artifacts.
+
+    A positive exponent marks a whole amount (``1e5``, ``1.5e3``); it is
+    rewritten with exponent 0, so ``1e5`` writes the bytes ``100000`` does.
+    """
+    value = _decimal(raw)
+    return Decimal(int(value)) if value.as_tuple().exponent > 0 else value
+
+
 def _string(raw) -> str:
     """``raw`` itself, which must be a string."""
     if not isinstance(raw, str):
@@ -247,11 +257,15 @@ def _ends(raw) -> list:
     return [start, end]
 
 
+#: The keys of a sector member object.
+_MEMBER_KEYS = frozenset(("ticker", "csv"))
+
+
 def _sectors(base: Path, raw) -> dict[str, list[tuple[str, Path]]]:
     """Sector names to ``(ticker, CSV path)`` lists.
 
     Each member is an object ``{"ticker": T, "csv": PATH}`` of two strings,
-    with PATH relative to ``base``.
+    with PATH relative to ``base``; any other member key is a ConfigError.
     """
     if not isinstance(raw, dict) or not all(isinstance(members, list)
                                             for members in raw.values()):
@@ -262,6 +276,11 @@ def _sectors(base: Path, raw) -> dict[str, list[tuple[str, Path]]]:
                     and isinstance(member.get("csv"), str)):
                 raise ConfigError(f"config key 'sectors': member {member!r} of sector "
                                   f"{sector!r} needs a string 'ticker' and a string 'csv'")
+            unknown = sorted(set(member) - _MEMBER_KEYS)
+            if unknown:
+                raise ConfigError(f"config key 'sectors': member {member['ticker']!r} of sector "
+                                  f"{sector!r} has unknown key(s) "
+                                  + ", ".join(repr(key) for key in unknown))
     return {sector: [(m["ticker"], (base / m["csv"]).resolve()) for m in members]
             for sector, members in raw.items()}
 

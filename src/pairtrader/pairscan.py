@@ -6,13 +6,17 @@ regressor (it later becomes asset1, the predictor of the pair model).  Pairs
 beat the significance threshold outright or squeak in within a configurable
 near-threshold margin.  A pair whose residuals are exactly zero (say, two
 share classes of one company) gets p = 0 and a recorded reason instead of
-aborting the scan.  The module only computes: ``cli`` writes the matrix and
-the selection.
+aborting the scan.  A large scan runs its pairs on a forked worker pool,
+one contiguous span of pairs per worker, and gets the same cells as a scan
+in one process.  The module only computes: ``cli`` writes the matrix and the
+selection.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import signal
 from dataclasses import dataclass
 from datetime import date
 
@@ -110,6 +114,91 @@ def order_pair(pair: AlignedPanel, train: tuple[date, date]) -> AlignedPanel:
     return AlignedPanel(tickers=(b, a), dates=pair.dates, closes=pair.closes[:, [1, 0]])
 
 
+#: A scan forks a worker pool only when every worker gets at least this many
+#: pair-dates (pairs x common dates).  Measured on a 2-vCPU x86-64 host with
+#: one BLAS thread: an Engle-Granger test costs 0.5-0.8 us per date, and a
+#: pool of two broke even with one process at 50k-100k pair-dates in all
+#: (it lost 12-14 ms on 21k, saved 17-22 ms on 142k and 35-66 ms on 283k).
+#: The floor, set above that crossover, keeps scans of a few tens of pairs
+#: (the paper's sectors) in one process.
+_POOL_MIN_PAIR_DATES = 150_000
+
+#: The scan a pool worker serves, ``(tickers, closes, pairs)``: set in each
+#: forked worker by ``_init_worker`` from memory it inherits, never pickled.
+_worker_scan: tuple | None = None
+
+
+def _pool_size(n_pairs: int, n_dates: int) -> int:
+    """Worker processes for a scan of ``n_pairs`` pairs over ``n_dates`` dates.
+
+    One per CPU this process may run on, but no more than leaves each worker
+    ``_POOL_MIN_PAIR_DATES``; 1 means the scan runs in this process.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_pairs * n_dates // _POOL_MIN_PAIR_DATES))
+
+
+def _scan_span(tickers, closes: np.ndarray, pairs) -> list[ScanCell]:
+    """One ``ScanCell`` per ``(i, j, predictor, target)`` index tuple of ``pairs``.
+
+    A pair whose residuals are exactly constant gets ``EXACT_DEPENDENCE``;
+    any other per-pair fault is re-raised with the pair's tickers named.
+    """
+    cells = []
+    for i, j, pred, targ in pairs:
+        try:
+            adf, reason = engle_granger(closes[targ], closes[pred]), None
+        except ConstantSeries:
+            adf, reason = None, EXACT_DEPENDENCE
+        except PairTraderError as exc:
+            raise type(exc)(f"pair ({tickers[i]}, {tickers[j]}): {exc}") from exc
+        cells.append(ScanCell(tickers[i], tickers[j], tickers[pred], tickers[targ],
+                              adf, reason))
+    return cells
+
+
+def _init_worker(tickers, closes: np.ndarray, pairs) -> None:
+    # Ctrl-C reaches the whole process group; the parent alone handles it,
+    # by leaving its pool block, which terminates the workers.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    global _worker_scan
+    _worker_scan = (tickers, closes, pairs)
+
+
+def _run_span(span: tuple[int, int]) -> list[ScanCell]:
+    tickers, closes, pairs = _worker_scan
+    return _scan_span(tickers, closes, pairs[span[0]:span[1]])
+
+
+def _scan_pairs(tickers, closes: np.ndarray, pairs, workers: int) -> list[ScanCell]:
+    """``_scan_span`` over all ``pairs``, split across ``workers`` forked processes.
+
+    Each worker takes one contiguous span of ``pairs`` and the cells come
+    back in span order, so the result does not depend on ``workers``; a
+    fault is the one the first failing pair raises, as in one process.
+    With fewer than 2 workers, or no ``fork`` on this platform, the whole
+    range is one span run here.
+    """
+    # Fork, not spawn: a forked worker starts with numpy, this package and
+    # the closes already in memory, where a spawned one would import them
+    # again (about 0.2 s) and be sent the closes.  The CLI forks from one
+    # thread, since it runs BLAS on one.
+    if workers >= 2:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            n = len(pairs)
+            spans = [(n * k // workers, n * (k + 1) // workers) for k in range(workers)]
+            with multiprocessing.get_context("fork").Pool(
+                    workers, initializer=_init_worker,
+                    initargs=(tickers, closes, pairs)) as pool:
+                return [cell for cells in pool.imap(_run_span, spans) for cell in cells]
+    return _scan_span(tickers, closes, pairs)
+
+
 def coint_matrix(panel: AlignedPanel) -> PValueMatrix:
     """Engle-Granger test of every unordered pair of panel tickers.
 
@@ -119,7 +208,8 @@ def coint_matrix(panel: AlignedPanel) -> PValueMatrix:
     row-major upper-triangle order.  A pair whose residuals are exactly
     constant gets no result and the reason ``EXACT_DEPENDENCE`` (so p = 0);
     any other per-pair fault aborts the scan, and so does a ticker whose
-    closes never move.
+    closes never move.  A scan with enough work runs on a worker pool (see
+    ``_pool_size``); its cells are the same either way.
     """
     tickers = panel.tickers
     n = len(tickers)
@@ -135,21 +225,14 @@ def coint_matrix(panel: AlignedPanel) -> PValueMatrix:
         if np.ptp(row) == 0.0:
             raise ConstantSeries(f"{ticker}: closes are constant")
     means = [float(np.mean(row)) for row in closes]
-    cells: list[ScanCell] = []
+    pairs = []
     for i in range(n):
         for j in range(i + 1, n):
             if _a_predicts(tickers[i], means[i], tickers[j], means[j]):
-                pred, targ = i, j
+                pairs.append((i, j, i, j))
             else:
-                pred, targ = j, i
-            try:
-                adf, reason = engle_granger(closes[targ], closes[pred]), None
-            except ConstantSeries:
-                adf, reason = None, EXACT_DEPENDENCE
-            except PairTraderError as exc:
-                raise type(exc)(f"pair ({tickers[i]}, {tickers[j]}): {exc}") from exc
-            cells.append(ScanCell(tickers[i], tickers[j], tickers[pred], tickers[targ],
-                                  adf, reason))
+                pairs.append((i, j, j, i))
+    cells = _scan_pairs(tickers, closes, pairs, _pool_size(len(pairs), len(panel.dates)))
     return PValueMatrix(tickers=tickers, cells=tuple(cells))
 
 

@@ -256,19 +256,22 @@ def adf_test(series, deterministic: str = "constant", max_lag: int | None = None
     constant = deterministic == "constant"
     ntrend = 1 if constant else 0
 
-    # One R-only QR of the widest design [X | b] scores every nested
-    # candidate: the model with k lags uses the first ntrend+1+k columns of
-    # X, so its SSR falls out of the prefix sums of (Q'b)^2, and Q'b is the
-    # last column of R.  Q itself is never formed.  b is copied out of the
-    # design because a dot product over a strided view rounds differently.
+    # One QR of the widest design [X | b] scores every nested candidate: the
+    # model with k lags uses the first ntrend+1+k columns of X, so its SSR
+    # falls out of the prefix sums of (Q'b)^2, and Q'b is the last column of
+    # R.  Q itself is never formed, and R is read in place from the upper
+    # triangle of h.T (mode "r" would copy it out with triu).  b is copied
+    # out of the design because a dot product over a strided view rounds
+    # differently.
     design = _adf_design(y, max_lag, constant)
     b = np.ascontiguousarray(design[:, -1])
     nobs_common = b.size
-    r = np.linalg.qr(design, mode="r")
-    diag_r = abs(np.diag(r)[:-1])
+    h, _ = np.linalg.qr(design, mode="raw")
+    nx = h.shape[0] - 1
+    diag_r = abs(np.diagonal(h)[:nx])
     if diag_r.min() <= 1e-12 * diag_r.max():
         raise ConstantSeries("unit-root regression is singular")
-    qtb = r[:-1, -1]
+    qtb = h[-1, :nx]
     total = float(b @ b)
     explained = np.cumsum(qtb**2)
 
@@ -326,12 +329,13 @@ def engle_granger(y, x, max_lag: int | None = None) -> AdfResult:
     if yv.size < 30:
         raise SeriesTooShort(f"need >= 30 observations, have {yv.size}")
 
-    dx = xv - xv.mean()
+    mean_x, mean_y = xv.mean(), yv.mean()
+    dx = xv - mean_x
     sxx = float(dx @ dx)
     if sxx == 0.0:
         raise DegenerateRegressor("regressor is constant")
-    slope = float(dx @ (yv - yv.mean())) / sxx
-    intercept = yv.mean() - slope * xv.mean()
+    slope = float(dx @ (yv - mean_y)) / sxx
+    intercept = mean_y - slope * mean_x
     resid = yv - intercept - slope * xv
 
     stage2 = adf_test(resid, deterministic="none", max_lag=max_lag)

@@ -1,7 +1,9 @@
 """Shared fixtures: quick series builders and the synthetic demo sector."""
 
 import csv
+import os
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,25 @@ import pytest
 from pairtrader.marketdata import AlignedPanel
 from pairtrader.signalgen import TradingFrame
 from pairtrader.synthetic import write_sector
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def blas_env(**values):
+    """This process's environment without either BLAS thread variable, plus ``values``.
+
+    ``PYTHONPATH`` points at the source tree, so a child imports this checkout.
+    """
+    env = {key: value for key, value in os.environ.items() if key not in BLAS_VARS}
+    return dict(env, PYTHONPATH=str(SRC_DIR), **values)
+
+
+def tree_bytes(root):
+    """Every file under ``root``, by relative POSIX path, with its bytes."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
 
 # Distribution-tail checks: statistics from 0 through subnormal, ordinary and
 # huge values, and degrees of freedom up to the longest regressions the

@@ -14,14 +14,14 @@ from types import MappingProxyType
 import numpy as np
 import pytest
 
-from pairtrader import backtest, econometrics, pairscan, signalgen
+from pairtrader import backtest, cli, econometrics, pairscan, signalgen
 from pairtrader.backtest import PairSummary
 from pairtrader.cli import RunConfig, _find_pair, _write_csv, _write_json, main, staged_dir
 from pairtrader.marketdata import slice_window
 from pairtrader.pairscan import fit_pair
 from pairtrader.synthetic import PAIR_TICKERS
 
-from conftest import read_frame_csv
+from conftest import BLAS_VARS, SRC_DIR, blas_env, read_frame_csv, tree_bytes
 
 
 def run(*argv):
@@ -454,6 +454,29 @@ class TestConfigSurface:
                             / "backtest" / "summary.json")
         assert summary["initial_investment"] == "400000"
 
+    @pytest.mark.parametrize("exponent_form, plain", [("1e5", "100000"), ("1.5e3", "1500")])
+    def test_capital_in_exponent_form_writes_the_plain_bytes(self, synth_dir, tmp_path,
+                                                             exponent_form, plain):
+        # "1e5" used to write "2E+5" and "1E+5" where "100000" writes 200000 and 100000.
+        trees = {}
+        for capital in (exponent_form, plain):
+            out = tmp_path / capital
+            assert run("backtest", "--config", synth_dir / "config.json", "--pair",
+                       "IRON,COBALT", "--capital", capital, "--out", out) == 0
+            trees[capital] = tree_bytes(out)
+        assert trees[exponent_form] == trees[plain]
+        summary = read_json(tmp_path / plain / "metals" / "pairs" / "COBALT-IRON"
+                            / "backtest" / "summary.json")
+        assert summary["initial_investment"] == str(2 * int(plain))
+
+    @pytest.mark.parametrize("raw, written", [
+        ("1e5", "100000"), ("1.5e3", "1500"), ("1E+2", "100"), (100000, "100000"),
+        ("100000", "100000"), ("2500.50", "2500.50"), ("1.25e1", "12.5"),
+        (100000.0, "100000.0"), ("0.5", "0.5"),
+    ])
+    def test_capital_keeps_plain_and_fractional_forms(self, raw, written):
+        assert str(cli._capital(raw)) == written
+
     def test_invalid_window_ordering_rejected(self, synth_dir, tmp_path):
         assert run("scan", "--config", synth_dir / "config.json", "--sector", "metals",
                    "--train-end", "2021-12-31", "--out", tmp_path) == 1
@@ -540,6 +563,21 @@ class TestConfigSurface:
         assert run("report", "--config", path, "--out", tmp_path / "o") == 1
         err = capsys.readouterr().err
         assert err.startswith("pairtrader: error: ") and f"{kind} name {name!r}" in err
+
+    @pytest.mark.parametrize("key", ["tickr", "close_column"])
+    def test_unknown_member_key_is_config_error(self, synth_dir, tmp_path, capsys, key):
+        # A member's extra keys used to be dropped: the scan ran as if they were absent.
+        config = json.loads((synth_dir / "config.json").read_text())
+        members = [dict(m, csv=str(synth_dir / m["csv"])) for m in config["sectors"]["metals"]]
+        members[0][key] = "X"
+        config["sectors"] = {"metals": members}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert run("scan", "--config", path, "--sector", "metals", "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert (f"member {members[0]['ticker']!r} of sector 'metals' has unknown key(s) "
+                f"{key!r}") in err
+        assert not (tmp_path / "o").exists()
 
     def test_ticker_listed_twice_is_config_error(self, synth_dir, tmp_path, capsys):
         # The pair commands used to keep the later entry's CSV and trade it
@@ -704,9 +742,6 @@ class TestStagedDir:
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
-SRC_DIR = Path(__file__).resolve().parents[1] / "src"
-
-
 def scipy_modules_after(code):
     """Names of the scipy modules loaded after ``code`` runs in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
@@ -773,11 +808,6 @@ print(codes)
 """
 
 
-def tree_bytes(root):
-    return {p.relative_to(root).as_posix(): p.read_bytes()
-            for p in sorted(root.rglob("*")) if p.is_file()}
-
-
 def test_pipeline_runs_with_scipy_blocked(synth_dir, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
     trees = {}
@@ -791,15 +821,6 @@ def test_pipeline_runs_with_scipy_blocked(synth_dir, tmp_path):
         trees[block] = tree_bytes(out)
     assert trees[True] == trees[False]
     assert len(trees[True]) > 20
-
-
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def blas_env(**values):
-    """This process's environment without either BLAS thread variable, plus ``values``."""
-    env = {key: value for key, value in os.environ.items() if key not in BLAS_VARS}
-    return dict(env, PYTHONPATH=str(SRC_DIR), **values)
 
 
 class TestBlasThreads:
