@@ -5,10 +5,12 @@
 #
 # COMMAND starts the CLI and defaults to the console script `pairtrader`; a
 # source checkout runs it as `PYTHONPATH=<checkout>/src bash smoke.sh python
-# -m pairtrader.cli`.  The script writes `demo/` and `threads2/` into an empty
-# working directory.  Every JSON artifact must parse without NaN or Infinity
-# literals and every SVG chart as XML, and a rerun on two BLAS threads (the
-# CLI defaults to one) must write the same bytes.
+# -m pairtrader.cli`.  The script writes `demo/`, `threads2/` and `wide/` into
+# an empty working directory.  Every JSON artifact must parse without NaN or
+# Infinity literals and every SVG chart as XML, and a rerun on two BLAS
+# threads (the CLI defaults to one) must write the same bytes.  A 40-ticker x
+# 750-day random-walk sector, large enough to fork a scan pool on 2 or more
+# CPUs, must scan to the same bytes pooled and pinned to one CPU.
 set -euo pipefail
 if [ "$#" -eq 0 ]; then
   set -- pairtrader
@@ -48,3 +50,33 @@ PY
 )
 diff -r demo/runs threads2
 echo "two BLAS threads wrote the same bytes"
+
+python - wide <<'PY'
+import csv, json, pathlib, sys
+from datetime import date, timedelta
+import numpy as np
+
+out = pathlib.Path(sys.argv[1])
+out.mkdir()
+rng = np.random.default_rng(11)
+days = [date(2015, 1, 1) + timedelta(days=k) for k in range(1100)]
+days = [day for day in days if day.weekday() < 5][:780]
+closes = rng.uniform(20.0, 500.0, 40) * np.exp(np.cumsum(rng.normal(0.0, 0.02, (780, 40)), axis=0))
+members = []
+for k in range(40):
+    ticker = f"T{k:02d}"
+    with open(out / f"{ticker}.csv", "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["Date", "Close"])
+        writer.writerows((day.isoformat(), f"{close:.2f}") for day, close in zip(days, closes[:, k]))
+    members.append({"ticker": ticker, "csv": f"{ticker}.csv"})
+(out / "config.json").write_text(json.dumps({
+    "sectors": {"wide": members},
+    "train_window": [days[0].isoformat(), days[749].isoformat()],
+    "test_window": [days[750].isoformat(), days[-1].isoformat()],
+}))
+PY
+"$@" scan --config wide/config.json --sector wide --out wide/pooled
+taskset -c 0 "$@" scan --config wide/config.json --sector wide --out wide/pinned
+diff -r wide/pooled wide/pinned
+echo "a pooled scan on $(nproc) CPUs and a scan pinned to one wrote the same bytes"

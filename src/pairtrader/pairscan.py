@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import os
 import signal
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
 
@@ -115,16 +116,18 @@ def order_pair(pair: AlignedPanel, train: tuple[date, date]) -> AlignedPanel:
 
 
 #: A scan forks a worker pool only when every worker gets at least this many
-#: pair-dates (pairs x common dates).  Measured on a 2-vCPU x86-64 host with
-#: one BLAS thread: an Engle-Granger test costs 0.5-0.8 us per date, and a
-#: pool of two broke even with one process at 50k-100k pair-dates in all
-#: (it lost 12-14 ms on 21k, saved 17-22 ms on 142k and 35-66 ms on 283k).
-#: The floor, set above that crossover, keeps scans of a few tens of pairs
-#: (the paper's sectors) in one process.
+#: pair-dates (pairs x common dates).  Measured in-process on a 2-vCPU x86-64
+#: host with one BLAS thread: an Engle-Granger test costs 0.42-0.57 us per
+#: date, starting and stopping a pool of two costs 7-12 ms (up to 30), and
+#: that pool broke even with one process at 100k-150k pair-dates in all (it
+#: lost 13-17 ms on 21k, saved 22-29 ms on 283k and 98-124 ms on 585k).  The
+#: floor, at that crossover, keeps scans of a few tens of pairs (the paper's
+#: sectors) in one process.
 _POOL_MIN_PAIR_DATES = 150_000
 
-#: The scan a pool worker serves, ``(tickers, closes, pairs)``: set in each
-#: forked worker by ``_init_worker`` from memory it inherits, never pickled.
+#: The scan a pool worker serves, ``(tickers, closes, pairs, parent pid)``:
+#: set in each forked worker by ``_init_worker`` from memory it inherits,
+#: never pickled.
 _worker_scan: tuple | None = None
 
 
@@ -162,15 +165,58 @@ def _scan_span(tickers, closes: np.ndarray, pairs) -> list[ScanCell]:
 
 def _init_worker(tickers, closes: np.ndarray, pairs) -> None:
     # Ctrl-C reaches the whole process group; the parent alone handles it,
-    # by leaving its pool block, which terminates the workers.
+    # by leaving its pool block, which terminates the workers.  That is a
+    # SIGTERM to each, which must keep its default action here.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     global _worker_scan
-    _worker_scan = (tickers, closes, pairs)
+    _worker_scan = (tickers, closes, pairs, os.getppid())
+
+
+def _exit_if_orphaned(parent: int) -> None:
+    # A parent killed outright never terminates its pool, and no one is
+    # left to read this worker's cells: leave without a word, rather than
+    # finish the span and fail to send it.
+    if os.getppid() != parent:
+        os._exit(0)
 
 
 def _run_span(span: tuple[int, int]) -> list[ScanCell]:
-    tickers, closes, pairs = _worker_scan
-    return _scan_span(tickers, closes, pairs[span[0]:span[1]])
+    tickers, closes, pairs, parent = _worker_scan
+    cells = []
+    for pair in pairs[span[0]:span[1]]:
+        _exit_if_orphaned(parent)
+        cells.extend(_scan_span(tickers, closes, [pair]))
+    _exit_if_orphaned(parent)
+    return cells
+
+
+def _exit_on_sigterm(signum, frame):
+    # Raised in the parent, this leaves the pool block, which terminates the
+    # workers; the process then exits with the status a shell gives SIGTERM.
+    raise SystemExit(128 + signum)
+
+
+@contextmanager
+def _sigterm_exits():
+    """Within the block, SIGTERM raises ``SystemExit`` instead of killing.
+
+    Only where SIGTERM has its default action and this is the main thread,
+    the only one that may set a handler.  Elsewhere the program that owns
+    SIGTERM decides, and the workers of a parent that dies leave on their own.
+    """
+    installed = False
+    if signal.getsignal(signal.SIGTERM) is signal.SIG_DFL:
+        try:
+            signal.signal(signal.SIGTERM, _exit_on_sigterm)
+            installed = True
+        except ValueError:  # not the main thread
+            pass
+    try:
+        yield
+    finally:
+        if installed:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 def _scan_pairs(tickers, closes: np.ndarray, pairs, workers: int) -> list[ScanCell]:
@@ -180,7 +226,8 @@ def _scan_pairs(tickers, closes: np.ndarray, pairs, workers: int) -> list[ScanCe
     back in span order, so the result does not depend on ``workers``; a
     fault is the one the first failing pair raises, as in one process.
     With fewer than 2 workers, or no ``fork`` on this platform, the whole
-    range is one span run here.
+    range is one span run here.  SIGTERM during a pooled scan terminates
+    the pool, then exits with status 143 (128 + SIGTERM).
     """
     # Fork, not spawn: a forked worker starts with numpy, this package and
     # the closes already in memory, where a spawned one would import them
@@ -194,7 +241,7 @@ def _scan_pairs(tickers, closes: np.ndarray, pairs, workers: int) -> list[ScanCe
             spans = [(n * k // workers, n * (k + 1) // workers) for k in range(workers)]
             with multiprocessing.get_context("fork").Pool(
                     workers, initializer=_init_worker,
-                    initargs=(tickers, closes, pairs)) as pool:
+                    initargs=(tickers, closes, pairs)) as pool, _sigterm_exits():
                 return [cell for cells in pool.imap(_run_span, spans) for cell in cells]
     return _scan_span(tickers, closes, pairs)
 

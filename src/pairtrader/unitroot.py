@@ -10,12 +10,18 @@ AICs are comparable), followed by a refit at the chosen k on the longest
 sample that lag permits.  The unit-root null is rejected when the t-ratio on
 the lagged level is below (more negative than) the critical value.
 
-The lag search costs one R-only QR factorisation per test: the widest design
-is built once with the dependent column appended, ``[X | dy]``, one slice
-copy of ``dy`` per lag column, and the last column of its R factor is
-``Q'dy``, so every nested candidate's SSR is a prefix sum of its squares and
-Q is never formed.  The refit at the chosen lag is a plain least-squares fit
-on a design built the same way.
+The lag search builds the widest design once with the dependent column
+appended, ``[X | dy]``, column-major so each lag column is one contiguous
+copy of ``dy``.  Any upper-triangular factor of that design scores every
+nested candidate: its last column holds ``Q'dy``, so each candidate's SSR is
+``dy'dy`` less a prefix sum of squares.  The search takes that factor from
+the Cholesky factorisation of the small Gram matrix ``D'D``, and keeps the
+choice only when a first-order rounding-error bound proves that the R-only
+QR factorisation of the design would choose the same lag and raise no fault
+(see ``_gram_lag_search``).  Otherwise the QR search runs, and its choice
+and faults are the test's.  The refit at the chosen lag is a plain
+least-squares fit on a row-major design built the same way, so the statistic
+never depends on which search chose the lag.
 
 Critical values and approximate p-values come from MacKinnon's published
 response surfaces, held as module constants (``CRIT``, ``PVAL_SMALL``,
@@ -204,18 +210,19 @@ def _as_1d(series) -> np.ndarray:
     return values
 
 
-def _adf_design(y: np.ndarray, lag: int, constant: bool) -> np.ndarray:
+def _adf_design(y: np.ndarray, lag: int, constant: bool, order: str = "C") -> np.ndarray:
     """Rows t = lag+2 .. n of [const?, y_{t-1}, dy_{t-1}, ..., dy_{t-lag}, dy_t].
 
-    The regressors come first and the dependent ``dy_t`` last, in one
-    C-contiguous array.  Lag column i is ``dy`` shifted back i steps, so each
-    column is filled by one slice copy of ``dy``.
+    The regressors come first and the dependent ``dy_t`` last, in one array
+    of memory ``order``.  Lag column i is ``dy`` shifted back i steps, so
+    each column is filled by one slice copy of ``dy``, a contiguous one in
+    column-major ("F") order.
     """
     dy = y[1:] - y[:-1]
     m = dy.size
     nobs = m - lag
     ntrend = 1 if constant else 0
-    design = np.empty((nobs, ntrend + lag + 2))
+    design = np.empty((nobs, ntrend + lag + 2), order=order)
     if constant:
         design[:, 0] = 1.0
     design[:, ntrend] = y[lag:-1]
@@ -225,45 +232,114 @@ def _adf_design(y: np.ndarray, lag: int, constant: bool) -> np.ndarray:
     return design
 
 
-def adf_test(series, deterministic: str = "constant", max_lag: int | None = None) -> AdfResult:
-    """Augmented Dickey-Fuller unit-root test with AIC lag selection.
+#: The Gram search defers to the QR search when a pivot of its Cholesky
+#: factor is at most this share of the largest one, when the SSR at
+#: ``max_lag`` is at most ``_GRAM_MIN_SSR`` of ``dy'dy``, or when its error
+#: bound does not separate the best AIC from the others.
+_GRAM_MIN_PIVOT = 1e-6
+_GRAM_MIN_SSR = 1e-8
+_EPS = float(np.finfo(float).eps)
 
-    AIC is evaluated for every k in 0..max_lag on the sample truncated at
-    max_lag, all from one R-only QR of ``[X | b]`` (the widest design with
-    the dependent column appended); the winning k is then refit by least
-    squares on its own longest sample, giving ``n_eff = n - used_lags - 1``
-    regression observations.  The result is read against the single-series
-    MacKinnon surface ``(1, deterministic)``.
+
+def _gram_lag_search(design: np.ndarray, ntrend: int) -> int | None:
+    """The AIC lag order from a Cholesky factor of ``design.T @ design``.
+
+    ``design`` is ``[X | b]`` at ``max_lag``, its dependent column last.
+    Returns the k that ``_qr_lag_search`` would return, or None when this
+    search cannot prove it does: the Cholesky factorisation fails, a pivot
+    or the smallest SSR is tiny (where the QR search may raise instead), or
+    the AIC gap between the best lag and the runner-up is within the error
+    bound below.
+
+    The bound, to first order in eps = 2^-52.  Take m rows, c columns,
+    column norms s, G = D'D = LL', its correlation matrix C = S^-1 G S^-1
+    and kappa = tr(C^-1) >= 1 / lambda_min(C).  A candidate with
+    coefficients beta has v = [-beta; 1] and SSR_k = v'Gv >= SSR_min, so
+    (sum |v_i| s_i)^2 <= c ||Sv||^2 <= c kappa SSR_k.  kappa is
+    ||L_c^-1||_F^2 for L_c = S^-1 L = P (I + M), P = diag(L_ii / s_i) and M
+    strictly lower with ||M||_F^2 = f^2 = sum_i (s_i^2 / L_ii^2 - 1), as
+    L's rows have norms s_i.  When f < 1 the Neumann series of (I + M)^-1
+    gives kappa <= (sqrt(c) + f / (1 - f))^2 max_i s_i^2 / L_ii^2, which
+    stands for kappa unless it fails the test below; then kappa is computed
+    from L^-1.  Then:
+
+    * forming G and factoring it (Higham, *Accuracy and Stability of
+      Numerical Algorithms*, 2nd ed., Thm 10.3) makes L the exact factor of
+      G + E with |E_ij| <= (m + c + 1) eps s_i s_j, which moves SSR_k by
+      |v'Ev| <= (m + c + 1) eps c kappa SSR_k;
+    * Householder QR (Thm 19.4, its constant taken as 4) is exact for
+      D + dD with ||dd_j|| <= 2mc eps ||d_j||, which moves the residual sum
+      of squares by at most 4mc eps sqrt(c kappa) SSR_k and
+      ``||b + db||^2`` by 4mc eps b'b;
+    * rounding ``b @ b`` and the two prefix sums of squares costs
+      (m + 2c + 2) eps b'b.
+
+    So each search's SSR_k is within delta = 4 eps (m + c + 1) c (kappa +
+    sqrt(c kappa) + 2 b'b / SSR_min) of the exact SSR_k, relative, the two
+    errors summed.  With delta < 1/2, the searches' AICs for one k differ by
+    at most e = 2m delta, plus at most 8 eps m (|log(SSR_k / m)| + 4) from
+    evaluating them.  A Gram choice that beats every other lag by more than
+    2e is the QR choice, and the QR search raises no fault on it: every SSR
+    it computes is positive, and each pivot is within a factor of 2 of its
+    R diagonal, far from its 1e-12 singularity ratio.
     """
-    _check_deterministic(deterministic)
-    y = _as_1d(series)
-    n = y.size
-    if n >= 1 and np.ptp(y) == 0.0:
-        raise ConstantSeries("series is constant")
-    if max_lag is None:
-        max_lag = default_max_lag(n)
-        if n < 10 + max_lag:
-            raise SeriesTooShort(f"need >= {10 + max_lag} observations, have {n}")
-    else:
-        if max_lag < 0:
-            raise ValueError("max_lag must be >= 0")
-        ntrend = 1 if deterministic == "constant" else 0
-        if n - 1 - max_lag < ntrend + 2 + max_lag:
-            raise SeriesTooShort(
-                f"{n} observations leave no degrees of freedom at max_lag={max_lag}"
-            )
+    nobs, ncol = design.shape
+    nx = ncol - 1
+    gram = design.T @ design
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return None
+    # Each check is written to fail on NaN, which leaves the decision to the
+    # QR search.
+    pivots = chol.diagonal()[:nx]
+    if not pivots.min() > _GRAM_MIN_PIVOT * pivots.max():
+        return None
+    total = float(gram[-1, -1])
+    ssr = total - np.cumsum(chol[-1, :nx] ** 2)[ntrend:]
+    ssr_min = float(ssr.min())
+    if not ssr_min > _GRAM_MIN_SSR * total:
+        return None
+    aic = 2.0 * np.arange(ntrend + 1, ncol) + nobs * np.log(ssr / nobs)
+    best = int(aic.argmin())
+    gap = np.partition(aic, 1)[1] - aic[best] if aic.size > 1 else math.inf
+    # ssr_min <= SSR_k <= total bounds every |log(SSR_k / m)|.
+    log_range = max(abs(math.log(ssr_min / nobs)), abs(math.log(total / nobs)))
 
-    constant = deterministic == "constant"
-    ntrend = 1 if constant else 0
+    def separated(kappa: float) -> bool:
+        delta = 4.0 * _EPS * (nobs + ncol + 1) * ncol * (
+            kappa + math.sqrt(ncol * kappa) + 2.0 * total / ssr_min)
+        error = 2.0 * nobs * delta + 8.0 * _EPS * nobs * (log_range + 4.0)
+        return delta < 0.5 and gap > 2.0 * error
 
-    # One QR of the widest design [X | b] scores every nested candidate: the
-    # model with k lags uses the first ntrend+1+k columns of X, so its SSR
-    # falls out of the prefix sums of (Q'b)^2, and Q'b is the last column of
-    # R.  Q itself is never formed, and R is read in place from the upper
+    # kappa from the pivots alone, when the columns are near orthogonal as in
+    # most of a sector scan's residual designs; from L^-1, which costs more
+    # than the rest of these checks together, only when that bound is not
+    # enough.
+    cot2 = gram.diagonal() / chol.diagonal() ** 2
+    f = math.sqrt(max(float(cot2.sum()) - ncol, 0.0))
+    if f < 1.0 and separated((math.sqrt(ncol) + f / (1.0 - f)) ** 2 * float(cot2.max())):
+        return best
+    scaled_inv = np.linalg.inv(chol) * np.sqrt(gram.diagonal())
+    if separated(float(np.sum(scaled_inv * scaled_inv))):
+        return best
+    return None
+
+
+def _qr_lag_search(design: np.ndarray, ntrend: int) -> int:
+    """The AIC lag order from one R-only QR of the C-contiguous ``design``.
+
+    One QR of the widest design [X | b] scores every nested candidate: the
+    model with k lags uses the first ntrend+1+k columns of X, so its SSR
+    falls out of the prefix sums of (Q'b)^2, and Q'b is the last column of
+    R.  Raises ``ConstantSeries`` when R is singular or a candidate fits
+    exactly.
+    """
+    # Q itself is never formed, and R is read in place from the upper
     # triangle of h.T (mode "r" would copy it out with triu).  b is copied
     # out of the design because a dot product over a strided view rounds
     # differently.
-    design = _adf_design(y, max_lag, constant)
+    max_lag = design.shape[1] - ntrend - 2
     b = np.ascontiguousarray(design[:, -1])
     nobs_common = b.size
     h, _ = np.linalg.qr(design, mode="raw")
@@ -287,6 +363,49 @@ def adf_test(series, deterministic: str = "constant", max_lag: int | None = None
         if aic < best_aic:
             best_aic = aic
             best_k = k
+    return best_k
+
+
+def adf_test(series, deterministic: str = "constant", max_lag: int | None = None) -> AdfResult:
+    """Augmented Dickey-Fuller unit-root test with AIC lag selection.
+
+    AIC is evaluated for every k in 0..max_lag on the sample truncated at
+    max_lag, all from one triangular factor of ``[X | b]`` (the widest
+    design with the dependent column appended).  The factor comes from the
+    Cholesky factorisation of its Gram matrix; the choice stands only when
+    a rounding-error bound shows an R-only QR of the design would make it
+    too, and otherwise that QR search decides the lag, or raises
+    ``ConstantSeries`` for a singular or exactly fitting regression (see
+    ``_gram_lag_search``).  The winning k is then refit by least squares on
+    its own longest sample, giving ``n_eff = n - used_lags - 1`` regression
+    observations.  The result is read against the single-series MacKinnon
+    surface ``(1, deterministic)``.
+    """
+    _check_deterministic(deterministic)
+    y = _as_1d(series)
+    n = y.size
+    if n >= 1 and np.ptp(y) == 0.0:
+        raise ConstantSeries("series is constant")
+    if max_lag is None:
+        max_lag = default_max_lag(n)
+        if n < 10 + max_lag:
+            raise SeriesTooShort(f"need >= {10 + max_lag} observations, have {n}")
+    else:
+        if max_lag < 0:
+            raise ValueError("max_lag must be >= 0")
+        ntrend = 1 if deterministic == "constant" else 0
+        if n - 1 - max_lag < ntrend + 2 + max_lag:
+            raise SeriesTooShort(
+                f"{n} observations leave no degrees of freedom at max_lag={max_lag}"
+            )
+
+    constant = deterministic == "constant"
+    ntrend = 1 if constant else 0
+
+    design = _adf_design(y, max_lag, constant, order="F")
+    best_k = _gram_lag_search(design, ntrend)
+    if best_k is None:
+        best_k = _qr_lag_search(np.ascontiguousarray(design), ntrend)
 
     # Refit the winner on the longest sample its lag order allows.  X must be
     # C-contiguous: on a strided view the BLAS calls below round differently

@@ -7,6 +7,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from datetime import date
 
 import numpy as np
@@ -294,3 +295,53 @@ def test_cli_import_loads_no_multiprocessing():
     done = subprocess.run([sys.executable, "-c", probe], env=blas_env(),
                           capture_output=True, text=True, check=True)
     assert json.loads(done.stdout) is False
+
+
+# A pooled scan whose pairs each take 0.5 s; each worker appends its pid to
+# a file as it starts a pair, so the test knows when both are at work.
+KILLED_SCAN = """
+import os, time
+import pairtrader.cli
+from pairtrader import pairscan
+real = pairscan.engle_granger
+def slow(y, x, max_lag=None):
+    with open({pids!r}, "a") as handle:
+        handle.write(f"{{os.getpid()}}\\n")
+    time.sleep(0.5)
+    return real(y, x, max_lag)
+pairscan.engle_granger = slow
+pairscan._pool_size = lambda n_pairs, n_dates: 2
+pairtrader.cli.main(["scan", "--config", {config!r}, "--sector", "metals",
+                     "--out", {out!r}])
+"""
+
+
+@pytest.mark.parametrize("signum", [signal.SIGKILL, signal.SIGTERM], ids=lambda s: s.name)
+def test_killed_pooled_scan_leaves_no_worker(synth_dir, tmp_path, signum):
+    pids, out = tmp_path / "pids", tmp_path / "out"
+    script = KILLED_SCAN.format(pids=str(pids), config=str(synth_dir / "config.json"),
+                                out=str(out))
+    scan = subprocess.Popen([sys.executable, "-c", script], env=blas_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not (pids.exists() and len(set(pids.read_text().split())) == 2):
+            assert scan.poll() is None and time.monotonic() < deadline, "no pool at work"
+            time.sleep(0.05)
+        os.kill(scan.pid, signum)
+        killed = time.monotonic()
+        # The pipes close once the parent and both workers have exited; each
+        # worker's span holds 22 or 23 pairs, over 10 s of work.
+        _, err = scan.communicate(timeout=10)
+        assert time.monotonic() - killed < 3.0
+    finally:
+        try:
+            os.killpg(scan.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        scan.communicate()
+    # SIGTERM ends the scan as the shell reports a SIGTERM death.
+    assert scan.returncode == (143 if signum == signal.SIGTERM else -signum)
+    assert "Traceback" not in err and "Error" not in err, err
+    assert not out.exists()

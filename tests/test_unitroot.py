@@ -9,7 +9,10 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pairtrader import unitroot
 from pairtrader.errors import (
     ConstantSeries,
     DegenerateRegressor,
@@ -594,3 +597,195 @@ def test_coint_matrix_bit_identical_to_frozen_per_pair_loop():
     for cell in cells:
         assert {cell.predictor, cell.target} == {cell.ticker_a, cell.ticker_b}
         assert np.mean(column[cell.predictor]) > np.mean(column[cell.target])
+
+
+# --- the Gram lag search and its QR fallback -----------------------------------
+
+
+def near_unit_root(rng, n):
+    return ar1(rng, n, phi=0.995)
+
+
+def near_collinear(rng, n):
+    """A slow sine with noise 1e-6 of its size: the lag columns are nearly
+    combinations of two sinusoids, so the design is badly conditioned."""
+    return np.sin(np.arange(n) / 25.0) + 1e-6 * rng.normal(size=n)
+
+
+PROPERTY_SERIES = {
+    "random_walk": random_walk,
+    "ar1": ar1,
+    "near_unit_root": near_unit_root,
+    "near_collinear": near_collinear,
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(PROPERTY_SERIES)),
+    n=st.integers(min_value=40, max_value=1000),
+    scale=st.integers(min_value=-6, max_value=6).map(lambda e: 10.0**e),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    deterministic=st.sampled_from(["none", "constant"]),
+    max_lag=st.sampled_from([None, 0, 3]),
+)
+def test_adf_bit_identical_to_frozen_kernel_on_generated_series(kind, n, scale, seed,
+                                                                deterministic, max_lag):
+    y = scale * PROPERTY_SERIES[kind](np.random.default_rng(seed), n)
+    try:
+        mine = adf_test(y, deterministic, max_lag=max_lag)
+    except ConstantSeries:
+        # The frozen kernel raises on a singular design and fails on the log
+        # of a zero SSR.
+        with pytest.raises((ConstantSeries, ValueError)):
+            frozen_adf(y, deterministic, max_lag)
+        return
+    assert (mine.used_lags, mine.tau, mine.n_eff, mine.p_value) == frozen_adf(
+        y, deterministic, max_lag
+    )
+
+
+@pytest.fixture
+def qr_searches(monkeypatch):
+    """The shape of each design ``adf_test`` hands to the QR lag search."""
+    designs = []
+    real = unitroot._qr_lag_search
+
+    def counted(design, ntrend):
+        designs.append(design.shape)
+        return real(design, ntrend)
+
+    monkeypatch.setattr(unitroot, "_qr_lag_search", counted)
+    return designs
+
+
+def gram_checks(y, deterministic, max_lag):
+    """What the Gram search sees: None when the Cholesky factorisation fails,
+    else (smallest pivot / largest, smallest SSR / b'b)."""
+    constant = deterministic == "constant"
+    design = unitroot._adf_design(y, max_lag, constant, order="F")
+    gram = design.T @ design
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return None
+    nx = design.shape[1] - 1
+    pivots = chol.diagonal()[:nx]
+    ssr = gram[-1, -1] - np.cumsum(chol[-1, :nx] ** 2)[int(constant):]
+    return pivots.min() / pivots.max(), ssr.min() / gram[-1, -1]
+
+
+def alternating(n=200, noise=0.0):
+    rng = np.random.default_rng(3)
+    return np.tile([0.0, 1.0], n // 2) + noise * rng.normal(size=n)
+
+
+def test_gram_search_decides_ordinary_scans(qr_searches):
+    rng = np.random.default_rng(41)
+    for n in (60, 750, 3750):
+        for deterministic in ("none", "constant"):
+            adf_test(random_walk(rng, n), deterministic)
+            adf_test(ar1(rng, n, phi=0.6), deterministic)
+        # Residual designs with near-orthogonal columns, and with the
+        # autocorrelated lags of a cointegrated pair's residuals.
+        x = random_walk(rng, n) + 50.0
+        engle_granger(1.5 * x + random_walk(rng, n), x)
+        engle_granger(1.5 * x + ar1(rng, n, phi=0.6), x)
+    coint_matrix(align_panel([
+        AlignedPanel((t,), weekday_calendar(date(2018, 1, 1), TRAIN_DAYS),
+                     closes[:TRAIN_DAYS, np.newaxis])
+        for t, closes in sorted(build_sector().items())
+    ]))
+    assert qr_searches == []
+
+
+@pytest.mark.parametrize("y,deterministic,max_lag,message", [
+    # 0, 1, 0, 1, ...: every lag column is +-dy, so D'D is exactly singular.
+    (alternating(), "none", 3, "unit-root regression is singular"),
+    (alternating(), "constant", 3, "unit-root regression is singular"),
+    # y_t = t: dy is all ones, and dy_t equals its own first lag.
+    (np.arange(200.0), "none", 1, "unit-root regression fits exactly"),
+], ids=["singular-none", "singular-constant", "fits-exactly"])
+def test_cholesky_failure_falls_back_to_qr(qr_searches, y, deterministic, max_lag, message):
+    assert gram_checks(y, deterministic, max_lag) is None
+    with pytest.raises(ConstantSeries, match=f"^{message}$"):
+        adf_test(y, deterministic, max_lag=max_lag)
+    assert len(qr_searches) == 1
+
+
+@pytest.mark.parametrize("deterministic", ["none", "constant"])
+def test_small_pivot_falls_back_to_qr(qr_searches, deterministic):
+    y = alternating(noise=1e-7)
+    pivot_ratio, _ = gram_checks(y, deterministic, 3)
+    assert 0.0 < pivot_ratio <= unitroot._GRAM_MIN_PIVOT
+    mine = adf_test(y, deterministic, max_lag=3)
+    assert len(qr_searches) == 1
+    assert (mine.used_lags, mine.tau, mine.n_eff, mine.p_value) == frozen_adf(
+        y, deterministic, 3)
+
+
+def test_tiny_ssr_falls_back_to_qr(qr_searches):
+    # A sine with noise 1e-6 of its size: dy_t is a combination of its two
+    # lags up to the noise, while the lag columns stay far from singular.
+    rng = np.random.default_rng(5)
+    t = np.arange(200.0)
+    y = np.sin(t / 7.0) + 1e-6 * rng.normal(size=t.size)
+    pivot_ratio, ssr_ratio = gram_checks(y, "none", 2)
+    assert pivot_ratio > unitroot._GRAM_MIN_PIVOT
+    assert ssr_ratio <= unitroot._GRAM_MIN_SSR
+    mine = adf_test(y, "none", max_lag=2)
+    assert len(qr_searches) == 1
+    assert (mine.used_lags, mine.tau, mine.n_eff, mine.p_value) == frozen_adf(y, "none", 2)
+
+
+@pytest.mark.parametrize("deterministic", ["none", "constant"])
+def test_tiny_ssr_keeps_the_fits_exactly_fault(qr_searches, deterministic):
+    # dy_t = 0.01 * 1.01 * y_{t-1}: the level alone fits dy exactly, bar rounding.
+    y = 1.01 ** np.arange(200.0)
+    pivot_ratio, ssr_ratio = gram_checks(y, deterministic, 0)
+    assert pivot_ratio > unitroot._GRAM_MIN_PIVOT
+    assert ssr_ratio <= unitroot._GRAM_MIN_SSR
+    with pytest.raises(ConstantSeries, match="^unit-root regression fits exactly$"):
+        adf_test(y, deterministic, max_lag=0)
+    assert len(qr_searches) == 1
+
+
+def aic_gap(y, max_lag=1):
+    """AIC(0) - AIC(1) of the no-constant ADF regression, by ``lstsq`` per lag."""
+    design = unitroot._adf_design(y, max_lag, False)
+    b = design[:, -1]
+    aic = []
+    for k in range(2):
+        X = design[:, :k + 1]
+        resid = b - X @ np.linalg.lstsq(X, b, rcond=None)[0]
+        aic.append(2.0 * (k + 1) + b.size * math.log(float(resid @ resid)))
+    return aic[0] - aic[1]
+
+
+def test_aic_near_tie_falls_back_to_qr(qr_searches):
+    # dy_t = e_t + theta * e_{t-1}: the first lag's AIC falls below the
+    # no-lag AIC as theta grows.  Bisect theta until the two tie to ~1e-10,
+    # far inside the Gram search's error bound.
+    rng = np.random.default_rng(8)
+    e = rng.normal(size=301)
+
+    def series(theta):
+        return np.cumsum(e[1:] + theta * e[:-1])
+
+    low, high = 0.0, 0.9
+    assert aic_gap(series(low)) < 0.0 < aic_gap(series(high))
+    for _ in range(80):
+        mid = 0.5 * (low + high)
+        if aic_gap(series(mid)) < 0.0:
+            low = mid
+        else:
+            high = mid
+    y = series(low)
+    assert abs(aic_gap(y)) < 1e-9
+    pivot_ratio, ssr_ratio = gram_checks(y, "none", 1)
+    assert pivot_ratio > unitroot._GRAM_MIN_PIVOT and ssr_ratio > unitroot._GRAM_MIN_SSR
+    mine = adf_test(y, "none", max_lag=1)
+    assert len(qr_searches) == 1
+    # The QR search alone makes the choice, as before the Gram search.
+    design = np.ascontiguousarray(unitroot._adf_design(y, 1, False))
+    assert mine.used_lags == unitroot._qr_lag_search(design, 0)
