@@ -5,10 +5,12 @@
 #
 # COMMAND starts the CLI and defaults to the console script `pairtrader`; a
 # source checkout runs it as `PYTHONPATH=<checkout>/src bash smoke.sh python
-# -m pairtrader.cli`.  The script writes `demo/`, `threads2/` and `wide/` into
-# an empty working directory.  Every JSON artifact must parse without NaN or
-# Infinity literals and every SVG chart as XML, and a rerun on two BLAS
-# threads (the CLI defaults to one) must write the same bytes.  A 40-ticker x
+# -m pairtrader.cli`.  The script writes `demo/`, `threads2/`, `wide/` and
+# `afile*` into an empty working directory.  Every JSON artifact must parse
+# without NaN or Infinity literals and every SVG chart as XML, a rerun on two
+# BLAS threads (the CLI defaults to one) must write the same bytes, and no
+# staging directory may be left behind.  An output path under a regular file
+# must exit 1 with a one-line error, not a traceback.  A 40-ticker x
 # 750-day random-walk sector, large enough to fork a scan pool on 2 or more
 # CPUs, must scan to the same bytes pooled and pinned to one CPU.
 set -euo pipefail
@@ -50,6 +52,24 @@ PY
 )
 diff -r demo/runs threads2
 echo "two BLAS threads wrote the same bytes"
+
+staging=$(find demo/runs threads2 -name '*.staging-*')
+if [ -n "$staging" ]; then
+  echo "staging directories left behind: $staging" >&2
+  exit 1
+fi
+echo "no staging directory left behind"
+
+echo "a regular file" > afile
+cp afile afile.orig
+status=0
+"$@" scan --config demo/config.json --sector metals --out afile/x 2> afile.err || status=$?
+if [ "$status" -ne 1 ] || grep -q Traceback afile.err || ! cmp -s afile afile.orig; then
+  cat afile.err >&2
+  echo "an output path under a regular file must exit 1, without a traceback or a write" >&2
+  exit 1
+fi
+echo "an output path under a regular file is a clean error: $(grep 'error:' afile.err)"
 
 python - wide <<'PY'
 import csv, json, pathlib, sys

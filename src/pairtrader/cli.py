@@ -2,10 +2,10 @@
 
 The pipeline is a pure function of the config document and the input CSV
 bytes; no timestamps or randomness reach the artifacts, so identical inputs
-produce byte-identical outputs.  Each command stages its files in a temporary
-directory and renames it into place.  Every CSV and JSON artifact is written
-here, through one CSV writer and one JSON writer; the pipeline modules only
-compute.
+produce byte-identical outputs.  Each command returns its directory under
+``out_dir`` and its files as bytes by name, rendered by one CSV and one JSON
+renderer.  ``_commit`` alone writes: it stages a command's files in a
+temporary directory and renames it into place.  The pipeline modules only compute.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 data error,
 3 numeric or degeneracy error.
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import logging
 import math
@@ -285,7 +286,7 @@ def _sectors(base: Path, raw) -> dict[str, list[tuple[str, Path]]]:
             for sector, members in raw.items()}
 
 
-# --- deterministic artifact writing ------------------------------------------
+# --- deterministic artifact rendering and writing -----------------------------
 
 
 def _fields(obj, *omit: str) -> dict:
@@ -319,10 +320,10 @@ def _jsonable(value):
     raise TypeError(f"cannot write a {type(value).__name__} to JSON")
 
 
-def _write_json(path: Path, obj) -> None:
-    """Canonical JSON: ``_jsonable(obj)``, keys sorted, two-space indent."""
+def _json(obj) -> bytes:
+    """Canonical JSON: ``_jsonable(obj)``, keys sorted, two-space indent, final newline."""
     text = json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False)
-    path.write_text(text + "\n", encoding="utf-8")
+    return (text + "\n").encode("utf-8")
 
 
 def _cell(value):
@@ -336,18 +337,18 @@ def _cell(value):
     return value
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    """One header row, then ``rows`` with every cell written by ``_cell``."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows([_cell(value) for value in row] for row in rows)
+def _csv(header, rows) -> bytes:
+    """One header row, then ``rows`` with every cell written by ``_cell``; rows end in CRLF."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows([_cell(value) for value in row] for row in rows)
+    return text.getvalue().encode("utf-8")
 
 
-def _write_matrix_csv(path: Path, tickers, values) -> None:
+def _matrix_csv(tickers, values) -> bytes:
     """A ticker-by-ticker ``values`` array with a ticker header row and column."""
-    _write_csv(path, ["", *tickers],
-               ([ticker, *row] for ticker, row in zip(tickers, values.tolist())))
+    return _csv(["", *tickers], ([ticker, *row] for ticker, row in zip(tickers, values.tolist())))
 
 
 @contextmanager
@@ -371,6 +372,19 @@ def staged_dir(final: Path):
         os.replace(staging, final)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
+
+
+def _commit(final: Path, files: Mapping[str, bytes]) -> None:
+    """Write ``files`` as the whole of directory ``final``: the one place artifacts are written.
+
+    An OS error (an output path under a regular file, a full disk) is a ConfigError naming it.
+    """
+    try:
+        with staged_dir(final) as staging:
+            for name, data in files.items():
+                (staging / name).write_bytes(data)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output directory {final}: {exc}") from None
 
 
 # --- sector/pair resolution ---------------------------------------------------
@@ -421,7 +435,7 @@ def _find_pair(config: RunConfig, pair: str, sector: str | None) -> tuple[str, A
 # --- commands -----------------------------------------------------------------
 
 
-def cmd_scan(config: RunConfig, sector: str) -> Path:
+def cmd_scan(config: RunConfig, sector: str) -> tuple[Path, dict[str, bytes]]:
     """Correlation matrix, cointegration p-values, and pair selection."""
     panel_train = slice_window(_sector_panel(config, sector), *config.train_window)
 
@@ -439,22 +453,23 @@ def cmd_scan(config: RunConfig, sector: str) -> Path:
     grid = np.full((n, n), math.nan)
     grid[np.triu_indices(n, 1)] = [cell.p_value for cell in pvals.cells]
 
-    out = config.out_dir / sector / "scan"
-    with staged_dir(out) as staging:
-        _write_matrix_csv(staging / "correlation_matrix.csv", panel_train.tickers, corr)
-        _write_matrix_csv(staging / "pvalue_matrix.csv", pvals.tickers, grid)
-        _write_json(staging / "pvalue_matrix.json", {"tickers": pvals.tickers, "pairs": records})
-        _write_json(staging / "selected_pairs.json", {
+    files = {
+        "correlation_matrix.csv": _matrix_csv(panel_train.tickers, corr),
+        "pvalue_matrix.csv": _matrix_csv(pvals.tickers, grid),
+        "pvalue_matrix.json": _json({"tickers": pvals.tickers, "pairs": records}),
+        "selected_pairs.json": _json({
             "sector": sector,
             "threshold": config.coint_threshold,
             "near_eps": config.near_eps,
             "pairs": pairs,
-        })
+        }),
+    }
     logger.info("scan %s: %d pairs selected", sector, len(pairs))
-    return out
+    return Path(sector, "scan"), files
 
 
-def cmd_analyze(config: RunConfig, pair: str, sector: str | None = None) -> Path:
+def cmd_analyze(config: RunConfig, pair: str,
+                sector: str | None = None) -> tuple[Path, dict[str, bytes]]:
     """Hedge-ratio regression report and residual stationarity check."""
     sector_name, pair_panel = _find_pair(config, pair, sector)
     pred, targ = pair_panel.tickers
@@ -462,34 +477,32 @@ def cmd_analyze(config: RunConfig, pair: str, sector: str | None = None) -> Path
     model = fit_pair(train)
     adf = model.residual_adf
 
-    out = config.out_dir / sector_name / "pairs" / f"{pred}-{targ}" / "analysis"
-    with staged_dir(out) as staging:
-        (staging / "ols_summary.txt").write_text(
-            model.report.to_text(dep_name=f"{targ} (asset2)", regressor_name=f"{pred} (asset1)"),
-            encoding="utf-8",
-        )
-        _write_json(staging / "ols_report.json", {
+    files = {
+        "ols_summary.txt": model.report.to_text(
+            dep_name=f"{targ} (asset2)", regressor_name=f"{pred} (asset1)").encode("utf-8"),
+        "ols_report.json": _json({
             "predictor": pred,
             "target": targ,
             "train_window": config.train_window,
             "ols": _fields(model.report, "residuals"),
             "verdict": model.verdict,
-        })
-        _write_csv(staging / "residuals.csv", ["date", "residual"],
-                   zip(train.dates, model.report.residuals.tolist()))
-        _write_json(staging / "residual_adf.json", {
+        }),
+        "residuals.csv": _csv(["date", "residual"],
+                              zip(train.dates, model.report.residuals.tolist())),
+        "residual_adf.json": _json({
             "verdict": model.verdict,
             "adf": None if adf is None else {
                 **_fields(adf, "n_series"), "crit": adf.crit, "p_value": adf.p_value,
             },
-        })
+        }),
+    }
     logger.info("analyze %s-%s: hedge ratio %.4f (%s)",
                 pred, targ, model.report.hedge_ratio, model.verdict)
-    return out
+    return Path(sector_name, "pairs", f"{pred}-{targ}", "analysis"), files
 
 
 def cmd_backtest(config: RunConfig, pair: str, sector: str | None = None,
-                 svg: bool = False) -> Path:
+                 svg: bool = False) -> tuple[Path, dict[str, bytes]]:
     """Signals, triggers, daily ledger, the pair summary and, with ``svg``, two charts."""
     sector_name, pair_panel = _find_pair(config, pair, sector)
     asset1, asset2 = pair_panel.tickers
@@ -504,47 +517,37 @@ def cmd_backtest(config: RunConfig, pair: str, sector: str | None = None,
     ledger = run_ledger(frame, config.capital_per_leg)
     summary = summarize_pair(ledger)
 
-    out = (config.out_dir / sector_name / "pairs"
-           / f"{asset1}-{asset2}" / "backtest")
-    with staged_dir(out) as staging:
-        _write_csv(
-            staging / "trading_frame.csv",
+    ledger_header = [f.name for f in fields(LedgerRow)]
+    files = {
+        "trading_frame.csv": _csv(
             ["date", "asset1", "asset2", "z_score", "upper_limit", "lower_limit",
              "signals1", "signals2", "positions1", "positions2"],
             zip(frame.dates, frame.close1.tolist(), frame.close2.tolist(),
                 frame.zscore.tolist(), repeat(frame.upper_limit), repeat(frame.lower_limit),
                 frame.signals1.tolist(), frame.signals2.tolist(),
                 frame.positions1.tolist(), frame.positions2.tolist()),
-        )
-        _write_json(staging / "triggers.json", ledger.triggers)
-        ledger_header = [f.name for f in fields(LedgerRow)]
-        _write_csv(staging / "ledger.csv", ledger_header,
-                   ([getattr(row, name) for name in ledger_header] for row in ledger.rows))
-        _write_json(staging / "summary.json", summary)
-        if svg:
-            (staging / "z_band.svg").write_text(
-                line_chart(
-                    frame.dates,
-                    [
-                        ("z-score", "steelblue", frame.zscore.tolist()),
-                        ("upper", "firebrick", [frame.upper_limit] * len(frame)),
-                        ("lower", "seagreen", [frame.lower_limit] * len(frame)),
-                    ],
-                    f"{asset1}/{asset2} ratio z-score",
-                ),
-                encoding="utf-8",
-            )
-            (staging / "portfolio_value.svg").write_text(
-                line_chart(
-                    frame.dates,
-                    [("total value", "steelblue", [float(r.total) for r in ledger.rows])],
-                    f"{asset1}-{asset2} portfolio value",
-                ),
-                encoding="utf-8",
-            )
+        ),
+        "triggers.json": _json(ledger.triggers),
+        "ledger.csv": _csv(ledger_header, ([getattr(row, name) for name in ledger_header]
+                                           for row in ledger.rows)),
+        "summary.json": _json(summary),
+    }
+    if svg:
+        files["z_band.svg"] = line_chart(
+            frame.dates,
+            [("z-score", "steelblue", frame.zscore.tolist()),
+             ("upper", "firebrick", [frame.upper_limit] * len(frame)),
+             ("lower", "seagreen", [frame.lower_limit] * len(frame))],
+            f"{asset1}/{asset2} ratio z-score",
+        ).encode("utf-8")
+        files["portfolio_value.svg"] = line_chart(
+            frame.dates,
+            [("total value", "steelblue", [float(r.total) for r in ledger.rows])],
+            f"{asset1}-{asset2} portfolio value",
+        ).encode("utf-8")
     logger.info("backtest %s-%s: profit %s, return %s%%",
                 asset1, asset2, summary.profit, summary.annual_return)
-    return out
+    return Path(sector_name, "pairs", f"{asset1}-{asset2}", "backtest"), files
 
 
 def _read_summary(path: Path) -> PairSummary:
@@ -563,7 +566,7 @@ def _read_summary(path: Path) -> PairSummary:
                         f"({type(exc).__name__}: {exc})") from None
 
 
-def cmd_report(config: RunConfig) -> Path:
+def cmd_report(config: RunConfig) -> tuple[Path, dict[str, bytes]]:
     """Aggregate per-pair summaries into sector tables and a cross-sector view."""
     per_sector: dict[str, list[PairSummary]] = {}
     for sector in sorted(config.sectors):
@@ -577,26 +580,22 @@ def cmd_report(config: RunConfig) -> Path:
     if not per_sector:
         raise DataError(f"no backtest summaries found under {config.out_dir}")
 
-    out = config.out_dir / _REPORT_DIR
-    with staged_dir(out) as staging:
-        cross_rows = []
-        for sector, summaries in per_sector.items():
-            report = sector_report(summaries, sector)
-            _write_csv(
-                staging / f"sector_{sector}.csv",
-                ["Stock Pair", "Init Investment", "Profit", "Annual Return"],
-                ([f"{r.ticker1} - {r.ticker2}", r.initial_investment, r.profit,
-                  r.annual_return] for r in report.rows),
-            )
-            _write_json(staging / f"sector_{sector}.json", report)
-            cross_rows.append(report)
-        cross_rows.sort(key=lambda r: (-r.max_return, r.sector))
-        _write_csv(staging / "summary.csv",
-                   ["Sector", "No of Pairs", "Positive Return Pairs", "Max Ret"],
-                   ([r.sector, r.n_pairs, r.n_positive, r.max_return] for r in cross_rows))
-        _write_json(staging / "summary.json", [_fields(r, "rows") for r in cross_rows])
+    reports = [sector_report(summaries, sector) for sector, summaries in per_sector.items()]
+    files = {}
+    for report in reports:
+        files[f"sector_{report.sector}.csv"] = _csv(
+            ["Stock Pair", "Init Investment", "Profit", "Annual Return"],
+            ([f"{r.ticker1} - {r.ticker2}", r.initial_investment, r.profit,
+              r.annual_return] for r in report.rows),
+        )
+        files[f"sector_{report.sector}.json"] = _json(report)
+    cross_rows = sorted(reports, key=lambda r: (-r.max_return, r.sector))
+    files["summary.csv"] = _csv(["Sector", "No of Pairs", "Positive Return Pairs", "Max Ret"],
+                                ([r.sector, r.n_pairs, r.n_positive, r.max_return]
+                                 for r in cross_rows))
+    files["summary.json"] = _json([_fields(r, "rows") for r in cross_rows])
     logger.info("report: %d sectors aggregated", len(per_sector))
-    return out
+    return Path(_REPORT_DIR), files
 
 
 # --- argument parsing -----------------------------------------------------------
@@ -650,13 +649,14 @@ def main(argv=None) -> int:
             args.config, {flag: raw for flag, raw in flags.items() if raw is not None},
             args.out or os.environ.get(OUT_DIR_ENV))
         if args.command == "scan":
-            cmd_scan(config, args.sector)
+            directory, files = cmd_scan(config, args.sector)
         elif args.command == "analyze":
-            cmd_analyze(config, args.pair, args.sector)
+            directory, files = cmd_analyze(config, args.pair, args.sector)
         elif args.command == "backtest":
-            cmd_backtest(config, args.pair, args.sector, svg=args.svg)
-        elif args.command == "report":
-            cmd_report(config)
+            directory, files = cmd_backtest(config, args.pair, args.sector, svg=args.svg)
+        else:
+            directory, files = cmd_report(config)
+        _commit(config.out_dir / directory, files)
         return 0
     except PairTraderError as exc:
         print(f"pairtrader: error: {exc}", file=sys.stderr)

@@ -1,6 +1,7 @@
 """Shared fixtures: quick series builders and the synthetic demo sector."""
 
 import csv
+import io
 import os
 from datetime import date, timedelta
 from pathlib import Path
@@ -52,15 +53,14 @@ def make_pair(close1, close2, start=date(2021, 1, 1)):
                         closes=np.column_stack([close1, close2]))
 
 
-def read_frame_csv(path, ticker1, ticker2):
-    """A ``trading_frame.csv`` artifact as the frame its columns describe, and its rows.
+def read_frame_csv(data, ticker1, ticker2):
+    """A ``trading_frame.csv`` artifact's bytes as the frame its columns describe, and its rows.
 
     The frame is rebuilt from the date, close, z-score and band columns only;
     the file's signal and position columns stay in the raw rows, for
     comparison with the ones the frame derives.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        rows = list(csv.DictReader(handle))
+    rows = list(csv.DictReader(io.StringIO(data.decode("utf-8"), newline="")))
     frame = TradingFrame(
         pair=AlignedPanel(
             tickers=(ticker1, ticker2),

@@ -5,7 +5,7 @@ Each result type once serialised itself: ``PValueMatrix.to_csv``,
 ``AdfResult.to_json_dict``, ``SectorReport.to_csv`` and so on, with the
 command bodies of ``cmd_scan``, ``cmd_analyze`` and ``cmd_report`` writing the
 rest.  This module keeps verbatim copies of those writer bodies, applied to
-the package's computed results, and asserts that the commands write exactly
+the package's computed results, and asserts that the commands return exactly
 the same bytes on the demo sector: the scan, every one of the 45 pairs
 analysed in both spellings, and the report over all 45 backtests plus a
 second sector of four demo tickers.  The scan's matrices reach the frozen
@@ -29,6 +29,7 @@ import pytest
 from pairtrader.backtest import PairSummary, sector_report
 from pairtrader.cli import (
     RunConfig,
+    _commit,
     _find_pair,
     _sector_panel,
     cmd_analyze,
@@ -293,11 +294,12 @@ def write_report_reference(config: RunConfig, out) -> None:
 # --- the comparisons ------------------------------------------------------------------
 
 
-def assert_same_tree(got, expected, label) -> None:
+def assert_same_tree(files, expected, label) -> None:
+    """A command's ``{name: bytes}`` mapping holds exactly the files of ``expected``."""
     names = sorted(p.name for p in expected.iterdir())
-    assert sorted(p.name for p in got.iterdir()) == names, label
+    assert sorted(files) == names, label
     for name in names:
-        assert (got / name).read_bytes() == (expected / name).read_bytes(), (label, name)
+        assert files[name] == (expected / name).read_bytes(), (label, name)
 
 
 @pytest.fixture
@@ -312,33 +314,39 @@ def demo_pairs(config, reverse=False):
 
 
 def test_scan_bytes_match_frozen_writers(config, tmp_path):
-    got = cmd_scan(config, "metals")
+    directory, files = cmd_scan(config, "metals")
     expected = tmp_path / "reference"
     write_scan_reference(config, "metals", expected)
-    assert_same_tree(got, expected, "scan")
-    assert len(list(got.iterdir())) == 4
+    assert_same_tree(files, expected, "scan")
+    assert directory.as_posix() == "metals/scan" and len(files) == 4
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["A,B", "B,A"])
 def test_analyze_bytes_match_frozen_writers(config, tmp_path, reverse):
+    directories = set()
     for pair in demo_pairs(config, reverse):
-        got = cmd_analyze(config, pair)
-        expected = tmp_path / "reference" / got.parent.name
+        directory, files = cmd_analyze(config, pair)
+        expected = tmp_path / "reference" / directory.parent.name
         write_analyze_reference(config, pair, expected)
-        assert_same_tree(got, expected, pair)
-    assert len(list((config.out_dir / "metals" / "pairs").iterdir())) == 45
+        assert_same_tree(files, expected, pair)
+        directories.add(directory.as_posix())
+    assert len(directories) == 45
+    assert all(d.startswith("metals/pairs/") and d.endswith("/analysis") for d in directories)
 
 
 def test_report_bytes_match_frozen_writers(config, tmp_path):
     # A second sector of four demo tickers gives the overview two rows to sort.
     config = replace(config, sectors={**config.sectors,
                                       "alloys": config.sectors["metals"][:4]})
+    # The report reads the backtests' summaries from disk, so commit them first.
     for pair in demo_pairs(config):
-        cmd_backtest(config, pair, "metals")
+        directory, files = cmd_backtest(config, pair, "metals")
+        _commit(config.out_dir / directory, files)
     for pair in itertools.combinations([t for t, _ in config.sectors["alloys"]], 2):
-        cmd_backtest(config, ",".join(pair), "alloys")
-    got = cmd_report(config)
+        directory, files = cmd_backtest(config, ",".join(pair), "alloys")
+        _commit(config.out_dir / directory, files)
+    directory, files = cmd_report(config)
     expected = tmp_path / "reference"
     write_report_reference(config, expected)
-    assert_same_tree(got, expected, "report")
-    assert len(list(got.iterdir())) == 6
+    assert_same_tree(files, expected, "report")
+    assert directory.as_posix() == "report" and len(files) == 6

@@ -1,4 +1,5 @@
 import csv
+import io
 from dataclasses import fields
 from datetime import date
 from decimal import Decimal
@@ -16,7 +17,7 @@ from pairtrader.backtest import (
     size_shares,
     summarize_pair,
 )
-from pairtrader.cli import RunConfig, _write_csv, _write_json, cmd_report
+from pairtrader.cli import RunConfig, _csv, _json, cmd_report
 from pairtrader.errors import EmptyFrame, EmptyList, PriceExceedsCapital
 from pairtrader.signalgen import TradingFrame
 
@@ -268,21 +269,19 @@ class TestSectorReport:
         for summary in summaries_from_rows(AUTO_ROWS):
             pair_dir = tmp_path / "auto" / "pairs" / f"{summary.ticker1}-{summary.ticker2}"
             (pair_dir / "backtest").mkdir(parents=True)
-            _write_json(pair_dir / "backtest" / "summary.json", summary)
-        lines = (cmd_report(config) / "sector_auto.csv").read_text().splitlines()
+            (pair_dir / "backtest" / "summary.json").write_bytes(_json(summary))
+        lines = cmd_report(config)[1]["sector_auto.csv"].decode("utf-8").splitlines()
         assert lines[0] == "Stock Pair,Init Investment,Profit,Annual Return"
         assert lines[1] == "BF - AL,200000,35269,17.63"
 
 
 class TestLedgerSerialization:
-    def test_csv_round_trip_exact(self, tmp_path):
+    def test_csv_round_trip_exact(self):
         ledger = run_ledger(FIXTURE, DEFAULT_CAPITAL)
-        path = tmp_path / "ledger.csv"
         header = [f.name for f in fields(LedgerRow)]
-        _write_csv(path, header, ([getattr(row, name) for name in header] for row in ledger.rows))
-        with open(path, newline="", encoding="utf-8") as handle:
-            back = tuple(
-                LedgerRow(date.fromisoformat(r["date"]), *(Decimal(r[k]) for k in header[1:]))
-                for r in csv.DictReader(handle)
-            )
+        data = _csv(header, ([getattr(row, name) for name in header] for row in ledger.rows))
+        back = tuple(
+            LedgerRow(date.fromisoformat(r["date"]), *(Decimal(r[k]) for k in header[1:]))
+            for r in csv.DictReader(io.StringIO(data.decode("utf-8"), newline=""))
+        )
         assert back == ledger.rows

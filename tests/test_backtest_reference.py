@@ -5,7 +5,7 @@ price column travelled as a tuple of Python floats: ``ratio_series`` ->
 ``zscore_series`` -> ``gen_signals``/``gen_positions`` -> ``TradingFrame`` ->
 ``run_ledger``, along with the writers it serialised through (the
 ``default=str`` JSON text, ``PairSummary.to_json_dict`` and the CSV bodies).
-``cmd_backtest --svg`` must write exactly the bytes that path writes, for
+``cmd_backtest --svg`` must return exactly the bytes that path writes, for
 every pair of the demo sector in both spellings.  Numpy scalars
 leaking into a writer (``repr`` gives ``np.float64(...)``, ``json`` writes a
 numpy integer as a string) or into the Decimal ledger would show here.
@@ -454,11 +454,15 @@ def write_reference(config: RunConfig, pair: str, out) -> None:
 def test_backtest_bytes_match_frozen_tuple_path(synth_dir, tmp_path, reverse):
     config = replace(RunConfig.from_json(synth_dir / "config.json"), out_dir=tmp_path / "run")
     tickers = [t for t, _ in config.sectors["metals"]]
+    directories = set()
     for a, b in itertools.combinations(tickers, 2):
         pair = f"{b},{a}" if reverse else f"{a},{b}"
-        got = cmd_backtest(config, pair, svg=True)
-        expected = tmp_path / "reference" / got.parent.name
+        directory, files = cmd_backtest(config, pair, svg=True)
+        expected = tmp_path / "reference" / directory.parent.name
         write_reference(config, pair, expected)
+        assert tuple(files) == BACKTEST_FILES, pair
         for name in BACKTEST_FILES:
-            assert (got / name).read_bytes() == (expected / name).read_bytes(), (pair, name)
-    assert len(list((tmp_path / "run" / "metals" / "pairs").iterdir())) == 45
+            assert files[name] == (expected / name).read_bytes(), (pair, name)
+        directories.add(directory.as_posix())
+    assert len(directories) == 45
+    assert all(d.startswith("metals/pairs/") and d.endswith("/backtest") for d in directories)

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -16,7 +17,8 @@ import pytest
 
 from pairtrader import backtest, cli, econometrics, pairscan, signalgen
 from pairtrader.backtest import PairSummary
-from pairtrader.cli import RunConfig, _find_pair, _write_csv, _write_json, main, staged_dir
+from pairtrader.cli import (RunConfig, _csv, _find_pair, _json, cmd_analyze, cmd_backtest,
+                            cmd_scan, main, staged_dir)
 from pairtrader.marketdata import slice_window
 from pairtrader.pairscan import fit_pair
 from pairtrader.synthetic import PAIR_TICKERS
@@ -213,7 +215,7 @@ class TestBacktest:
         # Every cell is determined by the frame the file describes: floats in
         # their shortest round-tripping form, signals and positions derived.
         base = pipeline / "metals" / "pairs" / "COBALT-IRON" / "backtest"
-        frame, rows = read_frame_csv(base / "trading_frame.csv", "COBALT", "IRON")
+        frame, rows = read_frame_csv((base / "trading_frame.csv").read_bytes(), "COBALT", "IRON")
         assert len(frame) == 250
         for name in ("signals1", "signals2", "positions1", "positions2"):
             assert [int(row[name]) for row in rows] == getattr(frame, name).tolist()
@@ -688,14 +690,13 @@ class TestConfigSurface:
 
 
 class TestArtifactWriters:
-    def test_json_rules(self, tmp_path):
+    def test_json_rules(self):
         summary = PairSummary("A", "B", Decimal("200000"), Decimal("-1.50"), Decimal("0.00"))
-        _write_json(tmp_path / "out.json", {
+        text = _json({
             "summary": summary, "day": date(2021, 3, 4), "bad": [math.nan, math.inf, -math.inf],
             "crit": MappingProxyType({"5%": -2.86}), "pair": ("A", "B"), "flag": False,
             "none": None, "numpy_float": np.float64(0.1), "lots": 2,
-        })
-        text = (tmp_path / "out.json").read_text(encoding="utf-8")
+        }).decode("utf-8")
         assert text.endswith("}\n") and text.startswith('{\n  "bad": [\n    null,')
         assert json.loads(text) == {
             "summary": {"ticker1": "A", "ticker2": "B", "initial_investment": "200000",
@@ -706,16 +707,14 @@ class TestArtifactWriters:
 
     @pytest.mark.parametrize("value", [np.int64(1), np.bool_(True), {1, 2}, object()],
                              ids=["numpy_int", "numpy_bool", "set", "object"])
-    def test_json_rejects_other_types(self, tmp_path, value):
+    def test_json_rejects_other_types(self, value):
         with pytest.raises(TypeError):
-            _write_json(tmp_path / "out.json", {"value": value})
+            _json({"value": value})
 
-    def test_csv_cells(self, tmp_path):
-        _write_csv(tmp_path / "out.csv", ["a", "b"], [
+    def test_csv_cells(self):
+        assert _csv(["a", "b"], [
             [0.1, math.nan], [Decimal("1.10"), date(2021, 3, 4)], [-3, "x,y"],
-        ])
-        assert (tmp_path / "out.csv").read_bytes() == (
-            b"a,b\r\n0.1,\r\n1.10,2021-03-04\r\n-3,\"x,y\"\r\n")
+        ]) == b"a,b\r\n0.1,\r\n1.10,2021-03-04\r\n-3,\"x,y\"\r\n"
 
 
 class TestStagedDir:
@@ -740,6 +739,67 @@ class TestStagedDir:
                 raise RuntimeError("interrupted")
         assert (final / "a.txt").read_text() == "first"
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+class TestCommit:
+    @pytest.mark.parametrize("argv, compute", [
+        (["scan", "--sector", "metals"], lambda config: cmd_scan(config, "metals")),
+        (["analyze", "--pair", "COBALT,IRON"], lambda config: cmd_analyze(config, "COBALT,IRON")),
+        (["backtest", "--pair", "COBALT,IRON", "--svg"],
+         lambda config: cmd_backtest(config, "COBALT,IRON", svg=True)),
+    ], ids=["scan", "analyze", "backtest"])
+    def test_commands_write_nothing_and_main_commits_their_bytes(self, synth_dir, tmp_path,
+                                                                 argv, compute):
+        out = tmp_path / "out"
+        config = dataclasses.replace(RunConfig.from_json(synth_dir / "config.json"), out_dir=out)
+        inputs = tree_bytes(synth_dir)
+        directory, files = compute(config)
+        assert not out.exists() and list(tmp_path.iterdir()) == []
+        assert tree_bytes(synth_dir) == inputs
+        assert run(argv[0], "--config", synth_dir / "config.json", *argv[1:], "--out", out) == 0
+        assert tree_bytes(out) == {(directory / name).as_posix(): data
+                                   for name, data in files.items()}
+
+    def test_output_under_a_regular_file_is_a_config_error(self, synth_dir, tmp_path):
+        (tmp_path / "afile").write_bytes(b"not a directory\n")
+        before = tree_bytes(tmp_path)
+        done = subprocess.run(
+            [sys.executable, "-m", "pairtrader.cli", "scan", "--config",
+             str(synth_dir / "config.json"), "--sector", "metals", "--out", "afile/x"],
+            cwd=tmp_path, env=blas_env(), capture_output=True, text=True)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        [error] = [line for line in done.stderr.splitlines() if "error" in line]
+        assert error.startswith("pairtrader: error: cannot write output directory "
+                                "afile/x/metals/scan: ")
+        assert "[Errno" in error
+        assert tree_bytes(tmp_path) == before
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
+    def test_failed_write_keeps_the_previous_tree(self, synth_dir, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        argv = ["scan", "--config", synth_dir / "config.json", "--sector", "metals", "--out", out]
+        assert run(*argv) == 0
+        before = tree_bytes(tmp_path)
+        written = []
+        real_write_bytes = Path.write_bytes
+
+        def disk_fills_after_one_file(path, data):
+            if written:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+            written.append(path)
+            return real_write_bytes(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", disk_fills_after_one_file)
+        assert run(*argv, "--threshold", "0.5") == 1
+        monkeypatch.undo()
+        assert len(written) == 1
+        assert tree_bytes(tmp_path) == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        err = capsys.readouterr().err
+        final = out / "metals" / "scan"
+        assert f"pairtrader: error: cannot write output directory {final}: " in err
+        assert "Traceback" not in err
 
 
 def scipy_modules_after(code):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairtrader.cli import _fields, _write_json
+from pairtrader.cli import _fields, _json
 from pairtrader.econometrics import (
     _chi2_2_sf,
     _t_ppf,
@@ -268,10 +268,9 @@ class TestOlsThroughOrigin:
         assert mine.adj_r2_uncentered == pytest.approx(res.rsquared_adj, rel=1e-12)
         assert mine.p_t == pytest.approx(res.pvalues[0], abs=1e-12)
 
-    def test_report_serialization(self, tmp_path):
+    def test_report_serialization(self):
         report = ols_through_origin([1, 2, 3], [2, 4, 6])
-        _write_json(tmp_path / "ols.json", _fields(report, "residuals"))
-        payload = json.loads((tmp_path / "ols.json").read_text(encoding="utf-8"))
+        payload = json.loads(_json(_fields(report, "residuals")).decode("utf-8"))
         assert payload["durbin_watson"] is None  # NaN encodes as null
         assert payload["t_stat"] is None  # and so does inf
         assert payload["n_obs"] == 3 and payload["hedge_ratio"] == 2.0

@@ -1,5 +1,6 @@
 import csv
 import inspect
+import io
 import json
 import math
 from dataclasses import fields, replace
@@ -353,16 +354,16 @@ class TestFitPair:
 class TestPValueMatrixSerialization:
     @pytest.fixture
     def scanned(self, synth_dir, tmp_path):
-        """The demo sector's scan directory and the matrix it was written from."""
+        """The demo sector's scan files, by name, and the matrix they were rendered from."""
         config = replace(RunConfig.from_json(synth_dir / "config.json"), out_dir=tmp_path)
         matrix = coint_matrix(slice_window(_sector_panel(config, "metals"),
                                            *config.train_window))
-        return cmd_scan(config, "metals"), matrix
+        return cmd_scan(config, "metals")[1], matrix
 
     def test_csv_round_trip(self, scanned):
-        scan_dir, matrix = scanned
-        with open(scan_dir / "pvalue_matrix.csv", newline="", encoding="utf-8") as handle:
-            header, *rows = csv.reader(handle)
+        files, matrix = scanned
+        text = io.StringIO(files["pvalue_matrix.csv"].decode("utf-8"), newline="")
+        header, *rows = csv.reader(text)
         assert tuple(header[1:]) == matrix.tickers
         assert tuple(row[0] for row in rows) == matrix.tickers
         back = np.array([[float(cell) if cell else math.nan for cell in row[1:]] for row in rows])
@@ -372,8 +373,8 @@ class TestPValueMatrixSerialization:
         assert sum(cell == "" for row in rows for cell in row[1:]) == n * (n + 1) // 2
 
     def test_json_dict_lists_all_pairs(self, scanned):
-        scan_dir, matrix = scanned
-        payload = json.loads((scan_dir / "pvalue_matrix.json").read_text(encoding="utf-8"))
+        files, matrix = scanned
+        payload = json.loads(files["pvalue_matrix.json"].decode("utf-8"))
         assert len(payload["pairs"]) == 45
         sample = payload["pairs"][0]
         assert set(sample) == {"ticker_a", "ticker_b", "p_value", "predictor", "target"}

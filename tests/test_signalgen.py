@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairtrader.cli import RunConfig, _find_pair, _write_json, cmd_backtest
+from pairtrader.cli import RunConfig, _find_pair, _json, cmd_backtest
 from pairtrader.errors import (
     EmptyIntersection,
     EmptySeries,
@@ -47,14 +47,14 @@ def ratio_of(a, b):
 
 @pytest.fixture(scope="module")
 def demo_frame_csv(synth_dir, tmp_path_factory):
-    """The demo pair's ``trading_frame.csv`` and the frame it was written from."""
+    """The demo pair's ``trading_frame.csv`` bytes and the frame they were rendered from."""
     config = dataclasses.replace(RunConfig.from_json(synth_dir / "config.json"),
                                  out_dir=tmp_path_factory.mktemp("run"))
-    out = cmd_backtest(config, "IRON,COBALT")
+    _, files = cmd_backtest(config, "IRON,COBALT")
     _, pair = _find_pair(config, "IRON,COBALT", None)
     frame = build_trading_frame(slice_window(pair, *config.test_window),
                                 fit_ratio_stats(slice_window(pair, *config.train_window)))
-    return out / "trading_frame.csv", frame
+    return files["trading_frame.csv"], frame
 
 
 def frame_from_signals(signals1, close1=None, close2=None):
@@ -270,15 +270,15 @@ class TestTradingFrame:
         assert f1 == f1 and f1 != f2
 
     def test_csv_round_trip_is_exact(self, demo_frame_csv):
-        path, frame = demo_frame_csv
-        back, rows = read_frame_csv(path, frame.ticker1, frame.ticker2)
+        data, frame = demo_frame_csv
+        back, rows = read_frame_csv(data, frame.ticker1, frame.ticker2)
         assert_frames_equal(back, frame)
         for name in ("signals1", "signals2", "positions1", "positions2"):
             assert [int(r[name]) for r in rows] == getattr(frame, name).tolist()
 
     def test_csv_column_order(self, demo_frame_csv):
-        path, _ = demo_frame_csv
-        header = path.read_text().splitlines()[0]
+        data, _ = demo_frame_csv
+        header = data.decode("utf-8").splitlines()[0]
         assert header == ("date,asset1,asset2,z_score,upper_limit,lower_limit,"
                           "signals1,signals2,positions1,positions2")
 
@@ -298,11 +298,10 @@ class TestExtractTriggers:
             (4, "flip_to_short", 2),
         ]
 
-    def test_trigger_fields_are_python_scalars(self, tmp_path):
-        # The artifact writer raises TypeError on a numpy integer.
+    def test_trigger_fields_are_python_scalars(self):
+        # The JSON renderer raises TypeError on a numpy integer.
         triggers = extract_triggers(frame_from_signals([0, -1, 1, 0]))
-        _write_json(tmp_path / "triggers.json", triggers)
-        written = json.loads((tmp_path / "triggers.json").read_text(encoding="utf-8"))
+        written = json.loads(_json(triggers).decode("utf-8"))
         assert [t["lots"] for t in written] == [t.lots for t in triggers]
         assert all(type(t.lots) is int for t in triggers)
 
