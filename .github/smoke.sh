@@ -12,7 +12,9 @@
 # staging directory may be left behind.  An output path under a regular file
 # must exit 1 with a one-line error, not a traceback.  A 40-ticker x
 # 750-day random-walk sector, large enough to fork a scan pool on 2 or more
-# CPUs, must scan to the same bytes pooled and pinned to one CPU.
+# CPUs, must scan to the same bytes pooled and pinned to one CPU, and with
+# its pairs tested one to a block (in-process, through `python -c`, which
+# needs the package importable) rather than in blocks of the default size.
 set -euo pipefail
 if [ "$#" -eq 0 ]; then
   set -- pairtrader
@@ -100,3 +102,9 @@ PY
 taskset -c 0 "$@" scan --config wide/config.json --sector wide --out wide/pinned
 diff -r wide/pooled wide/pinned
 echo "a pooled scan on $(nproc) CPUs and a scan pinned to one wrote the same bytes"
+python -c 'import sys
+from pairtrader import cli, pairscan
+pairscan._BLOCK_DESIGN_BYTES = 1
+sys.exit(cli.main(sys.argv[1:]))' scan --config wide/config.json --sector wide --out wide/unblocked
+diff -r wide/pooled wide/unblocked
+echo "a scan of one pair to a block wrote the bytes of a scan in 2 MiB blocks"

@@ -29,6 +29,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from datetime import date
 from decimal import Decimal
 from itertools import permutations, repeat
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
 # Every BLAS and LAPACK call in this package works on a tall matrix of at
@@ -294,36 +295,72 @@ def _fields(obj, *omit: str) -> dict:
     return {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in omit}
 
 
-def _jsonable(value):
-    """``value`` in JSON terms, by the one rule every JSON artifact follows.
-
-    A dataclass becomes an object of its own fields, a mapping an object and
-    a tuple or list an array.  A ``Decimal`` is written as its ``str``, a
-    date as its ISO string and a non-finite float as null; strings,
-    integers, booleans, None and finite floats stay as they are.  Any other
-    type (a numpy integer, say) raises ``TypeError``.
-    """
-    if value is None or isinstance(value, (str, int)):
-        return value
-    if isinstance(value, float):
-        return float(value) if math.isfinite(value) else None
-    if isinstance(value, Decimal):
-        return str(value)
-    if isinstance(value, date):
-        return value.isoformat()
-    if is_dataclass(value) and not isinstance(value, type):
-        value = _fields(value)
-    if isinstance(value, Mapping):
-        return {key: _jsonable(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    raise TypeError(f"cannot write a {type(value).__name__} to JSON")
-
-
 def _json(obj) -> bytes:
-    """Canonical JSON: ``_jsonable(obj)``, keys sorted, two-space indent, final newline."""
-    text = json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False)
-    return (text + "\n").encode("utf-8")
+    """Canonical JSON of ``obj``, by the one rule every JSON artifact follows.
+
+    A dataclass becomes an object of its own fields, a mapping (with string
+    keys) an object and a tuple or list an array.  A ``Decimal`` is written
+    as its ``str``, a date as its ISO string and a non-finite float as null;
+    strings, integers, booleans, None and finite floats are written as
+    themselves.  Any other type (a numpy integer, say) raises ``TypeError``.
+    Keys are sorted, nesting is indented by two spaces and the text ends in
+    a newline: the ASCII text of ``json.dumps(..., indent=2,
+    sort_keys=True)``, which with an indent falls back to its pure-Python
+    encoder and takes twice as long.
+    """
+    parts: list[str] = []
+    _json_into(parts, obj, "\n")
+    parts.append("\n")
+    return "".join(parts).encode("ascii")
+
+
+def _json_into(parts: list[str], value, newline: str) -> None:
+    """Append ``value``'s JSON text to ``parts``; ``newline`` ends with its indent."""
+    if isinstance(value, str):
+        parts.append(_json_string(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        parts.append(float.__repr__(value) if math.isfinite(value) else "null")
+    elif isinstance(value, Decimal):
+        parts.append(_json_string(str(value)))
+    elif isinstance(value, date):
+        parts.append(_json_string(value.isoformat()))
+    else:
+        if is_dataclass(value) and not isinstance(value, type):
+            value = _fields(value)
+        if isinstance(value, Mapping):
+            if not value:
+                parts.append("{}")
+                return
+            inner = newline + "  "
+            separator = "{" + inner
+            for key in sorted(value):
+                if not isinstance(key, str):
+                    raise TypeError(f"cannot write a {type(key).__name__} key to JSON")
+                parts.append(separator + _json_string(key) + ": ")
+                _json_into(parts, value[key], inner)
+                separator = "," + inner
+            parts.append(newline + "}")
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                parts.append("[]")
+                return
+            inner = newline + "  "
+            separator = "[" + inner
+            for item in value:
+                parts.append(separator)
+                _json_into(parts, item, inner)
+                separator = "," + inner
+            parts.append(newline + "]")
+        else:
+            raise TypeError(f"cannot write a {type(value).__name__} to JSON")
 
 
 def _cell(value):

@@ -6,9 +6,10 @@ regressor (it later becomes asset1, the predictor of the pair model).  Pairs
 beat the significance threshold outright or squeak in within a configurable
 near-threshold margin.  A pair whose residuals are exactly zero (say, two
 share classes of one company) gets p = 0 and a recorded reason instead of
-aborting the scan.  A large scan runs its pairs on a forked worker pool,
-one contiguous span of pairs per worker, and gets the same cells as a scan
-in one process.  The module only computes: ``cli`` writes the matrix and the
+aborting the scan.  The pairs are tested in blocks that share their
+stage-1 terms and lag-order checks, and a large scan runs them on a forked
+worker pool, one contiguous span of pairs per worker; the cells are the same
+whatever the blocks and the workers.  The module only computes: ``cli`` writes the matrix and the
 selection.
 """
 
@@ -26,7 +27,11 @@ import numpy as np
 from .econometrics import OlsOriginReport, ols_through_origin
 from .errors import ConstantSeries, PairTraderError, SeriesTooShort
 from .marketdata import AlignedPanel, check_pair, slice_window
-from .unitroot import AdfResult, adf_test, engle_granger
+# engle_granger, which the scan no longer calls pair by pair, stays importable
+# from here with adf_test: perfbench's tracer wraps both where this module
+# refers to them.
+from .unitroot import (AdfResult, Stage1Terms, adf_test, design_bytes, engle_granger,  # noqa: F401
+                       engle_granger_block, stage1_terms)
 
 DEFAULT_THRESHOLD = 0.05
 DEFAULT_NEAR_EPS = 0.02
@@ -56,6 +61,13 @@ class ScanCell:
     def p_value(self) -> float:
         """The test's p-value; 0 for a pair without a statistic (``EXACT_DEPENDENCE``)."""
         return 0.0 if self.adf is None else self.adf.p_value
+
+    def __reduce__(self):
+        # A pool worker sends its cells to the scan by pickle.  This is three
+        # times faster both ways than the per-field state functions that
+        # dataclasses gives a frozen class with slots.
+        return ScanCell, (self.ticker_a, self.ticker_b, self.predictor, self.target,
+                          self.adf, self.reason)
 
 
 @dataclass(frozen=True)
@@ -117,15 +129,28 @@ def order_pair(pair: AlignedPanel, train: tuple[date, date]) -> AlignedPanel:
 
 #: A scan forks a worker pool only when every worker gets at least this many
 #: pair-dates (pairs x common dates).  Measured in-process on a 2-vCPU x86-64
-#: host with one BLAS thread: an Engle-Granger test costs 0.42-0.57 us per
-#: date, starting and stopping a pool of two costs 7-12 ms (up to 30), and
-#: that pool broke even with one process at 100k-150k pair-dates in all (it
-#: lost 13-17 ms on 21k, saved 22-29 ms on 283k and 98-124 ms on 585k).  The
-#: floor, at that crossover, keeps scans of a few tens of pairs (the paper's
-#: sectors) in one process.
+#: host with one BLAS thread, pairs tested in blocks: an Engle-Granger test
+#: costs 0.24-0.35 us per date, starting and stopping a pool of two costs
+#: 7-11 ms (up to 28), and that pool broke even with one process at 200k-280k
+#: pair-dates in all, 100k-140k a worker (it lost 14-23 ms on 21k and 8-23 ms
+#: on 142k, and saved 41-43 ms on 585k).  The floor, just above that
+#: crossover, keeps scans of a few tens of pairs (the paper's sectors) in one
+#: process.
 _POOL_MIN_PAIR_DATES = 150_000
 
-#: The scan a pool worker serves, ``(tickers, closes, pairs, parent pid)``:
+#: A scan tests its pairs in blocks (see ``engle_granger_block``) of as many
+#: pairs as have at most this many bytes of widest ADF design between them,
+#: and at least one: 17 pairs of 750 dates, 2 of 3,750.  That is about the
+#: L2 cache of one core of the host it was measured on: in-process, on a
+#: 2-vCPU x86-64 host with one BLAS thread, on 750 dates, a test took
+#: 372-389 us in blocks of one pair, 251-263 us in blocks of 4, 152-202 us
+#: of 8, 132-173 us of 17 and 160-172 us of 34, and 218 us before blocks.
+#: The budget is in bytes because the design of a pair grows with the
+#: dates: on 3,750 dates, blocks of 18 pairs (16 MiB) grew the scanning
+#: process by 20 MB, where this budget grows it by 5 MB.
+_BLOCK_DESIGN_BYTES = 2 * 1024 * 1024
+
+#: The scan a pool worker serves, ``(tickers, terms, pairs, parent pid)``:
 #: set in each forked worker by ``_init_worker`` from memory it inherits,
 #: never pickled.
 _worker_scan: tuple | None = None
@@ -144,33 +169,50 @@ def _pool_size(n_pairs: int, n_dates: int) -> int:
     return max(1, min(cpus, n_pairs * n_dates // _POOL_MIN_PAIR_DATES))
 
 
-def _scan_span(tickers, closes: np.ndarray, pairs) -> list[ScanCell]:
+def _scan_block(tickers, terms: Stage1Terms, pairs) -> list[ScanCell]:
     """One ``ScanCell`` per ``(i, j, predictor, target)`` index tuple of ``pairs``.
 
-    A pair whose residuals are exactly constant gets ``EXACT_DEPENDENCE``;
-    any other per-pair fault is re-raised with the pair's tickers named.
+    The pairs are tested as one ``engle_granger_block``.  A pair whose
+    residuals are exactly constant gets ``EXACT_DEPENDENCE``; the first
+    other per-pair fault is re-raised with the pair's tickers named.
     """
+    outcomes = engle_granger_block(terms, [(targ, pred) for _, _, pred, targ in pairs])
     cells = []
-    for i, j, pred, targ in pairs:
-        try:
-            adf, reason = engle_granger(closes[targ], closes[pred]), None
-        except ConstantSeries:
+    for (i, j, pred, targ), outcome in zip(pairs, outcomes):
+        if isinstance(outcome, ConstantSeries):
             adf, reason = None, EXACT_DEPENDENCE
-        except PairTraderError as exc:
-            raise type(exc)(f"pair ({tickers[i]}, {tickers[j]}): {exc}") from exc
+        elif isinstance(outcome, PairTraderError):
+            raise type(outcome)(f"pair ({tickers[i]}, {tickers[j]}): {outcome}") from outcome
+        else:
+            adf, reason = outcome, None
         cells.append(ScanCell(tickers[i], tickers[j], tickers[pred], tickers[targ],
                               adf, reason))
     return cells
 
 
-def _init_worker(tickers, closes: np.ndarray, pairs) -> None:
+def _scan_span(tickers, terms: Stage1Terms, pairs, parent: int | None = None) -> list[ScanCell]:
+    """``_scan_block`` over ``pairs``, one block of ``_BLOCK_DESIGN_BYTES`` at a time.
+
+    With a ``parent`` pid, as in a pool worker, the process first leaves
+    quietly if that parent is gone, before each block.
+    """
+    size = max(1, _BLOCK_DESIGN_BYTES // design_bytes(terms.rows.shape[1]))
+    cells = []
+    for start in range(0, len(pairs), size):
+        if parent is not None:
+            _exit_if_orphaned(parent)
+        cells.extend(_scan_block(tickers, terms, pairs[start:start + size]))
+    return cells
+
+
+def _init_worker(tickers, terms: Stage1Terms, pairs) -> None:
     # Ctrl-C reaches the whole process group; the parent alone handles it,
     # by leaving its pool block, which terminates the workers.  That is a
     # SIGTERM to each, which must keep its default action here.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     global _worker_scan
-    _worker_scan = (tickers, closes, pairs, os.getppid())
+    _worker_scan = (tickers, terms, pairs, os.getppid())
 
 
 def _exit_if_orphaned(parent: int) -> None:
@@ -182,11 +224,8 @@ def _exit_if_orphaned(parent: int) -> None:
 
 
 def _run_span(span: tuple[int, int]) -> list[ScanCell]:
-    tickers, closes, pairs, parent = _worker_scan
-    cells = []
-    for pair in pairs[span[0]:span[1]]:
-        _exit_if_orphaned(parent)
-        cells.extend(_scan_span(tickers, closes, [pair]))
+    tickers, terms, pairs, parent = _worker_scan
+    cells = _scan_span(tickers, terms, pairs[span[0]:span[1]], parent)
     _exit_if_orphaned(parent)
     return cells
 
@@ -219,7 +258,7 @@ def _sigterm_exits():
             signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
-def _scan_pairs(tickers, closes: np.ndarray, pairs, workers: int) -> list[ScanCell]:
+def _scan_pairs(tickers, terms: Stage1Terms, pairs, workers: int) -> list[ScanCell]:
     """``_scan_span`` over all ``pairs``, split across ``workers`` forked processes.
 
     Each worker takes one contiguous span of ``pairs`` and the cells come
@@ -241,9 +280,9 @@ def _scan_pairs(tickers, closes: np.ndarray, pairs, workers: int) -> list[ScanCe
             spans = [(n * k // workers, n * (k + 1) // workers) for k in range(workers)]
             with multiprocessing.get_context("fork").Pool(
                     workers, initializer=_init_worker,
-                    initargs=(tickers, closes, pairs)) as pool, _sigterm_exits():
+                    initargs=(tickers, terms, pairs)) as pool, _sigterm_exits():
                 return [cell for cells in pool.imap(_run_span, spans) for cell in cells]
-    return _scan_span(tickers, closes, pairs)
+    return _scan_span(tickers, terms, pairs)
 
 
 def coint_matrix(panel: AlignedPanel) -> PValueMatrix:
@@ -271,7 +310,8 @@ def coint_matrix(panel: AlignedPanel) -> PValueMatrix:
         # regressor; that is no evidence of dependence.
         if np.ptp(row) == 0.0:
             raise ConstantSeries(f"{ticker}: closes are constant")
-    means = [float(np.mean(row)) for row in closes]
+    terms = stage1_terms(closes)
+    means = terms.means.tolist()
     pairs = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -279,7 +319,7 @@ def coint_matrix(panel: AlignedPanel) -> PValueMatrix:
                 pairs.append((i, j, i, j))
             else:
                 pairs.append((i, j, j, i))
-    cells = _scan_pairs(tickers, closes, pairs, _pool_size(len(pairs), len(panel.dates)))
+    cells = _scan_pairs(tickers, terms, pairs, _pool_size(len(pairs), len(panel.dates)))
     return PValueMatrix(tickers=tickers, cells=tuple(cells))
 
 

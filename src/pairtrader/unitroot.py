@@ -23,6 +23,13 @@ and faults are the test's.  The refit at the chosen lag is a plain
 least-squares fit on a row-major design built the same way, so the statistic
 never depends on which search chose the lag.
 
+The Gram search runs on a stack of designs.  ``adf_test`` hands it a stack
+of one; ``engle_granger_block`` tests a block of pairs of one panel at once,
+with each series' stage-1 terms (``Stage1Terms``) computed once, the
+block's residuals and designs built as single arrays, and one Gram search
+for them all.  Every number it reports is the one the pair's own
+``engle_granger`` gives, bit for bit.
+
 Critical values and approximate p-values come from MacKinnon's published
 response surfaces, held as module constants (``CRIT``, ``PVAL_SMALL``,
 ``PVAL_LARGE``, ``BOUNDS``).  Both tests return an ``AdfResult``, which stores
@@ -35,7 +42,7 @@ test's statistic, critical values and p-value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 
@@ -45,6 +52,7 @@ from .errors import (
     ConstantSeries,
     DegenerateRegressor,
     LengthMismatch,
+    PairTraderError,
     SeriesTooShort,
     UnknownSurface,
 )
@@ -210,19 +218,42 @@ def _as_1d(series) -> np.ndarray:
     return values
 
 
-def _adf_design(y: np.ndarray, lag: int, constant: bool, order: str = "C") -> np.ndarray:
+def _adf_designs(ys: np.ndarray, lag: int, constant: bool) -> np.ndarray:
+    """The ADF designs of the rows of ``ys``, one ``(c, m)`` slab per row.
+
+    Slab b holds, as rows, the columns [const?, y_{t-1}, dy_{t-1}, ...,
+    dy_{t-lag}, dy_t] of ``ys[b]``'s regression over t = lag+2 .. n: the
+    regressors first and the dependent ``dy_t`` last.  So ``designs[b].T``
+    is that design in column-major order, and each lag column of the whole
+    stack is filled by one slice copy of the differences.
+    """
+    dys = ys[:, 1:] - ys[:, :-1]
+    m = dys.shape[1]
+    ntrend = 1 if constant else 0
+    designs = np.empty((ys.shape[0], ntrend + lag + 2, m - lag))
+    if constant:
+        designs[:, 0] = 1.0
+    designs[:, ntrend] = ys[:, lag:-1]
+    for i in range(1, lag + 1):
+        designs[:, ntrend + i] = dys[:, lag - i : m - i]
+    designs[:, -1] = dys[:, lag:]
+    return designs
+
+
+def _adf_design(y: np.ndarray, lag: int, constant: bool) -> np.ndarray:
     """Rows t = lag+2 .. n of [const?, y_{t-1}, dy_{t-1}, ..., dy_{t-lag}, dy_t].
 
-    The regressors come first and the dependent ``dy_t`` last, in one array
-    of memory ``order``.  Lag column i is ``dy`` shifted back i steps, so
-    each column is filled by one slice copy of ``dy``, a contiguous one in
-    column-major ("F") order.
+    The regressors come first and the dependent ``dy_t`` last, in one
+    row-major array, as the refit at the chosen lag takes it.  Lag column i
+    is ``dy`` shifted back i steps, so each column is filled by one slice
+    copy of ``dy``.  (Taking the refit's design from ``_adf_designs`` would
+    cost a transposing copy, slower than this by 2 to 4 times.)
     """
     dy = y[1:] - y[:-1]
     m = dy.size
     nobs = m - lag
     ntrend = 1 if constant else 0
-    design = np.empty((nobs, ntrend + lag + 2), order=order)
+    design = np.empty((nobs, ntrend + lag + 2))
     if constant:
         design[:, 0] = 1.0
     design[:, ntrend] = y[lag:-1]
@@ -233,23 +264,31 @@ def _adf_design(y: np.ndarray, lag: int, constant: bool, order: str = "C") -> np
 
 
 #: The Gram search defers to the QR search when a pivot of its Cholesky
-#: factor is at most this share of the largest one, when the SSR at
-#: ``max_lag`` is at most ``_GRAM_MIN_SSR`` of ``dy'dy``, or when its error
-#: bound does not separate the best AIC from the others.
+#: factor is at most ``_GRAM_MIN_PIVOT`` of its column's norm (the sine of
+#: the angle between that column and the span of the ones before it), or at
+#: most ``_GRAM_MIN_PIVOT_SPREAD`` of the largest pivot (100 times the QR
+#: search's singularity ratio ``_QR_MIN_PIVOT``), when the SSR at ``max_lag``
+#: is at most ``_GRAM_MIN_SSR`` of ``dy'dy``, or when its error bound does
+#: not separate the best AIC from the others.
 _GRAM_MIN_PIVOT = 1e-6
+_QR_MIN_PIVOT = 1e-12
+_GRAM_MIN_PIVOT_SPREAD = 100.0 * _QR_MIN_PIVOT
 _GRAM_MIN_SSR = 1e-8
 _EPS = float(np.finfo(float).eps)
 
 
-def _gram_lag_search(design: np.ndarray, ntrend: int) -> int | None:
-    """The AIC lag order from a Cholesky factor of ``design.T @ design``.
+def _gram_lag_search(designs: np.ndarray, ntrend: int) -> list[int | None]:
+    """The AIC lag order of each design of a stack, from Cholesky factors.
 
-    ``design`` is ``[X | b]`` at ``max_lag``, its dependent column last.
-    Returns the k that ``_qr_lag_search`` would return, or None when this
-    search cannot prove it does: the Cholesky factorisation fails, a pivot
-    or the smallest SSR is tiny (where the QR search may raise instead), or
-    the AIC gap between the best lag and the runner-up is within the error
-    bound below.
+    ``designs`` is a ``(B, c, m)`` stack from ``_adf_designs``: slab b
+    transposed is ``[X | b]`` at ``max_lag``, its dependent column last.
+    For each slab, returns the k that ``_qr_lag_search`` would return, or
+    None when this search cannot prove it does: the Cholesky factorisation
+    of ``D'D`` fails, a pivot or the smallest SSR is tiny (where the QR
+    search may raise instead), or the AIC gap between the best lag and the
+    runner-up is within the error bound below.  Each Gram matrix is one
+    BLAS product of a column-major design, and the factorisations and every
+    check run once over the stack.
 
     The bound, to first order in eps = 2^-52.  Take m rows, c columns,
     column norms s, G = D'D = LL', its correlation matrix C = S^-1 G S^-1
@@ -281,49 +320,74 @@ def _gram_lag_search(design: np.ndarray, ntrend: int) -> int | None:
     evaluating them.  A Gram choice that beats every other lag by more than
     2e is the QR choice, and the QR search raises no fault on it: every SSR
     it computes is positive, and each pivot is within a factor of 2 of its
-    R diagonal, far from its 1e-12 singularity ratio.
+    R diagonal (L_ii^2 is the SSR of column i on the columns before it, held
+    by the same bound), so the smallest R diagonal is above 25 times the QR
+    search's singularity ratio of the largest.  The pivot checks themselves
+    are scale-free but for that spread: the sine L_ii / s_i does not change
+    when a column is scaled.
     """
-    nobs, ncol = design.shape
+    nblock, ncol, nobs = designs.shape
     nx = ncol - 1
-    gram = design.T @ design
+    grams = np.empty((nblock, ncol, ncol))
+    for design, gram in zip(designs, grams):
+        design = design.T
+        np.matmul(design.T, design, out=gram)
     try:
-        chol = np.linalg.cholesky(gram)
+        chols = np.linalg.cholesky(grams)
     except np.linalg.LinAlgError:
-        return None
+        # One factorisation per design, so that one failure fails only its
+        # own; a NaN factor fails every check below.
+        chols = np.full_like(grams, math.nan)
+        for gram, chol in zip(grams, chols):
+            try:
+                chol[...] = np.linalg.cholesky(gram)
+            except np.linalg.LinAlgError:
+                pass
     # Each check is written to fail on NaN, which leaves the decision to the
-    # QR search.
-    pivots = chol.diagonal()[:nx]
-    if not pivots.min() > _GRAM_MIN_PIVOT * pivots.max():
-        return None
-    total = float(gram[-1, -1])
-    ssr = total - np.cumsum(chol[-1, :nx] ** 2)[ntrend:]
-    ssr_min = float(ssr.min())
-    if not ssr_min > _GRAM_MIN_SSR * total:
-        return None
-    aic = 2.0 * np.arange(ntrend + 1, ncol) + nobs * np.log(ssr / nobs)
-    best = int(aic.argmin())
-    gap = np.partition(aic, 1)[1] - aic[best] if aic.size > 1 else math.inf
-    # ssr_min <= SSR_k <= total bounds every |log(SSR_k / m)|.
-    log_range = max(abs(math.log(ssr_min / nobs)), abs(math.log(total / nobs)))
+    # QR search; the warnings of the designs that fail them are moot.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        norms2 = np.diagonal(grams, axis1=1, axis2=2)
+        diag = np.diagonal(chols, axis1=1, axis2=2)
+        pivots = diag[:, :nx]
+        total = grams[:, -1, -1]
+        ssr = total[:, None] - np.cumsum(chols[:, -1, :nx] ** 2, axis=1)[:, ntrend:]
+        ssr_min = ssr.min(axis=1)
+        usable = ((pivots * pivots > _GRAM_MIN_PIVOT**2 * norms2[:, :nx]).all(axis=1)
+                  & (pivots.min(axis=1) > _GRAM_MIN_PIVOT_SPREAD * pivots.max(axis=1))
+                  & (ssr_min > _GRAM_MIN_SSR * total))
+        aic = 2.0 * np.arange(ntrend + 1, ncol) + nobs * np.log(ssr / nobs)
+        best = aic.argmin(axis=1)
+        if aic.shape[1] > 1:
+            gap = np.partition(aic, 1, axis=1)[:, 1] - aic[np.arange(nblock), best]
+        else:
+            gap = np.full(nblock, math.inf)
+        # ssr_min <= SSR_k <= total bounds every |log(SSR_k / m)|.
+        log_range = np.maximum(abs(np.log(ssr_min / nobs)), abs(np.log(total / nobs)))
+        slack = 2.0 * total / ssr_min
+        noise = 8.0 * _EPS * nobs * (log_range + 4.0)
 
-    def separated(kappa: float) -> bool:
-        delta = 4.0 * _EPS * (nobs + ncol + 1) * ncol * (
-            kappa + math.sqrt(ncol * kappa) + 2.0 * total / ssr_min)
-        error = 2.0 * nobs * delta + 8.0 * _EPS * nobs * (log_range + 4.0)
-        return delta < 0.5 and gap > 2.0 * error
+        def separated(kappa: np.ndarray) -> np.ndarray:
+            delta = 4.0 * _EPS * (nobs + ncol + 1) * ncol * (
+                kappa + np.sqrt(ncol * kappa) + slack)
+            return usable & (delta < 0.5) & (gap > 2.0 * (2.0 * nobs * delta + noise))
 
-    # kappa from the pivots alone, when the columns are near orthogonal as in
-    # most of a sector scan's residual designs; from L^-1, which costs more
-    # than the rest of these checks together, only when that bound is not
-    # enough.
-    cot2 = gram.diagonal() / chol.diagonal() ** 2
-    f = math.sqrt(max(float(cot2.sum()) - ncol, 0.0))
-    if f < 1.0 and separated((math.sqrt(ncol) + f / (1.0 - f)) ** 2 * float(cot2.max())):
-        return best
-    scaled_inv = np.linalg.inv(chol) * np.sqrt(gram.diagonal())
-    if separated(float(np.sum(scaled_inv * scaled_inv))):
-        return best
-    return None
+        # kappa from the pivots alone, when the columns are near orthogonal as
+        # in most of a sector scan's residual designs; from L^-1, which costs
+        # more than the rest of these checks together, only for the designs
+        # where that bound is not enough.
+        cot2 = norms2 / (diag * diag)
+        f = np.sqrt(np.maximum(cot2.sum(axis=1) - ncol, 0.0))
+        proven = (f < 1.0) & separated((math.sqrt(ncol) + f / (1.0 - f)) ** 2 * cot2.max(axis=1))
+        rest = np.flatnonzero(usable & ~proven)
+        if rest.size:
+            kappa = np.full(nblock, math.inf)
+            try:
+                scaled_inv = np.linalg.inv(chols[rest]) * np.sqrt(norms2[rest])[:, np.newaxis]
+                kappa[rest] = np.sum(scaled_inv * scaled_inv, axis=(1, 2))
+            except np.linalg.LinAlgError:
+                pass
+            proven |= separated(kappa)
+    return [int(k) if ok else None for k, ok in zip(best, proven)]
 
 
 def _qr_lag_search(design: np.ndarray, ntrend: int) -> int:
@@ -345,7 +409,7 @@ def _qr_lag_search(design: np.ndarray, ntrend: int) -> int:
     h, _ = np.linalg.qr(design, mode="raw")
     nx = h.shape[0] - 1
     diag_r = abs(np.diagonal(h)[:nx])
-    if diag_r.min() <= 1e-12 * diag_r.max():
+    if diag_r.min() <= _QR_MIN_PIVOT * diag_r.max():
         raise ConstantSeries("unit-root regression is singular")
     qtb = h[-1, :nx]
     total = float(b @ b)
@@ -366,26 +430,8 @@ def _qr_lag_search(design: np.ndarray, ntrend: int) -> int:
     return best_k
 
 
-def adf_test(series, deterministic: str = "constant", max_lag: int | None = None) -> AdfResult:
-    """Augmented Dickey-Fuller unit-root test with AIC lag selection.
-
-    AIC is evaluated for every k in 0..max_lag on the sample truncated at
-    max_lag, all from one triangular factor of ``[X | b]`` (the widest
-    design with the dependent column appended).  The factor comes from the
-    Cholesky factorisation of its Gram matrix; the choice stands only when
-    a rounding-error bound shows an R-only QR of the design would make it
-    too, and otherwise that QR search decides the lag, or raises
-    ``ConstantSeries`` for a singular or exactly fitting regression (see
-    ``_gram_lag_search``).  The winning k is then refit by least squares on
-    its own longest sample, giving ``n_eff = n - used_lags - 1`` regression
-    observations.  The result is read against the single-series MacKinnon
-    surface ``(1, deterministic)``.
-    """
-    _check_deterministic(deterministic)
-    y = _as_1d(series)
-    n = y.size
-    if n >= 1 and np.ptp(y) == 0.0:
-        raise ConstantSeries("series is constant")
+def _lag_bound(n: int, max_lag: int | None, ntrend: int) -> int:
+    """``max_lag``, or the default for ``n`` observations, checked against ``n``."""
     if max_lag is None:
         max_lag = default_max_lag(n)
         if n < 10 + max_lag:
@@ -393,19 +439,24 @@ def adf_test(series, deterministic: str = "constant", max_lag: int | None = None
     else:
         if max_lag < 0:
             raise ValueError("max_lag must be >= 0")
-        ntrend = 1 if deterministic == "constant" else 0
         if n - 1 - max_lag < ntrend + 2 + max_lag:
             raise SeriesTooShort(
                 f"{n} observations leave no degrees of freedom at max_lag={max_lag}"
             )
+    return max_lag
 
-    constant = deterministic == "constant"
+
+def _adf_fit(y: np.ndarray, design: np.ndarray, best_k: int | None,
+             constant: bool) -> tuple[int, float, int]:
+    """``(used_lags, tau, n_eff)`` of the ADF test of ``y``.
+
+    ``design`` is ``y``'s widest design from ``_adf_designs`` and ``best_k``
+    the Gram search's lag for it, or None to let the QR search decide.  The
+    chosen lag is refit by least squares on its own longest sample.
+    """
     ntrend = 1 if constant else 0
-
-    design = _adf_design(y, max_lag, constant, order="F")
-    best_k = _gram_lag_search(design, ntrend)
     if best_k is None:
-        best_k = _qr_lag_search(np.ascontiguousarray(design), ntrend)
+        best_k = _qr_lag_search(np.ascontiguousarray(design.T), ntrend)
 
     # Refit the winner on the longest sample its lag order allows.  X must be
     # C-contiguous: on a strided view the BLAS calls below round differently
@@ -424,12 +475,119 @@ def adf_test(series, deterministic: str = "constant", max_lag: int | None = None
         raise ConstantSeries("unit-root regression has no residual variance")
     sigma2 = ssr / dof
     xtx_inv = np.linalg.inv(X.T @ X)
-    gamma_idx = ntrend
-    se_gamma = math.sqrt(sigma2 * xtx_inv[gamma_idx, gamma_idx])
-    tau = float(coef[gamma_idx] / se_gamma)
+    se_gamma = math.sqrt(sigma2 * xtx_inv[ntrend, ntrend])
+    return best_k, float(coef[ntrend] / se_gamma), n_eff
 
-    return AdfResult(tau=tau, used_lags=best_k, n_eff=n_eff, n_series=1,
+
+def adf_test(series, deterministic: str = "constant", max_lag: int | None = None) -> AdfResult:
+    """Augmented Dickey-Fuller unit-root test with AIC lag selection.
+
+    AIC is evaluated for every k in 0..max_lag on the sample truncated at
+    max_lag, all from one triangular factor of ``[X | b]`` (the widest
+    design with the dependent column appended).  The factor comes from the
+    Cholesky factorisation of its Gram matrix; the choice stands only when
+    a rounding-error bound shows an R-only QR of the design would make it
+    too, and otherwise that QR search decides the lag, or raises
+    ``ConstantSeries`` for a singular or exactly fitting regression (see
+    ``_gram_lag_search``, here run on a stack of one design).  The winning k
+    is then refit by least squares on its own longest sample, giving
+    ``n_eff = n - used_lags - 1`` regression observations.  The result is
+    read against the single-series MacKinnon surface ``(1, deterministic)``.
+    """
+    _check_deterministic(deterministic)
+    y = _as_1d(series)
+    n = y.size
+    if n >= 1 and np.ptp(y) == 0.0:
+        raise ConstantSeries("series is constant")
+    constant = deterministic == "constant"
+    max_lag = _lag_bound(n, max_lag, int(constant))
+    designs = _adf_designs(y[np.newaxis], max_lag, constant)
+    used_lags, tau, n_eff = _adf_fit(y, designs[0], _gram_lag_search(designs, int(constant))[0],
+                                     constant)
+    return AdfResult(tau=tau, used_lags=used_lags, n_eff=n_eff, n_series=1,
                      deterministic=deterministic)
+
+
+@dataclass(frozen=True)
+class Stage1Terms:
+    """What an Engle-Granger stage-1 regression takes from each of its series.
+
+    ``rows`` is an ``(S, n)`` array of S series; ``means``, ``devs`` (each
+    series less its mean) and ``sxx`` (each ``dev @ dev``) are computed once
+    per series, so that a scan of every pair of S series computes them S
+    times rather than once per pair.
+    """
+
+    rows: np.ndarray
+    means: np.ndarray
+    devs: tuple[np.ndarray, ...]
+    sxx: tuple[float, ...]
+
+
+def stage1_terms(rows: np.ndarray) -> Stage1Terms:
+    """The ``Stage1Terms`` of each row of the 2-D array ``rows``."""
+    means = [row.mean() for row in rows]
+    devs = tuple(row - mean for row, mean in zip(rows, means))
+    return Stage1Terms(rows, np.array(means), devs, tuple(float(dev @ dev) for dev in devs))
+
+
+def design_bytes(n: int) -> int:
+    """Bytes of the widest ADF design an Engle-Granger test of n observations builds."""
+    max_lag = default_max_lag(n)
+    return 8 * (max_lag + 2) * max(n - 1 - max_lag, 0)
+
+
+def engle_granger_block(terms: Stage1Terms, pairs, max_lag: int | None = None
+                        ) -> list[AdfResult | PairTraderError]:
+    """Engle-Granger tests of ``rows[t]`` on ``rows[p]`` for each ``(t, p)`` in ``pairs``.
+
+    A pair's result does not depend on the rest of the block: bit for bit,
+    it is what ``engle_granger(rows[t], rows[p], max_lag)``, a block of one,
+    returns.  A pair's fault is what that raises, returned in the pair's
+    place: ``DegenerateRegressor`` for a constant regressor,
+    ``ConstantSeries`` for exactly constant residuals or a singular or
+    exactly fitting ADF regression.  Faults that hold for every pair alike
+    (too few observations, a ``max_lag`` they leave no room for) are raised.
+
+    The block shares what its pairs share: stage 1 uses the per-series
+    ``terms``, so only the slope's dot product is per pair; the residuals
+    are one 2-D expression; and the ADF designs are one stack for one
+    ``_gram_lag_search``.  Elementwise arithmetic is exact and each Gram
+    matrix is the same BLAS call as for one design, so nothing rounds
+    differently.  A pair the Gram search cannot decide takes the QR search,
+    and every pair is refit on its own, as in ``adf_test``.
+    """
+    n = terms.rows.shape[1]
+    if n < 30:
+        raise SeriesTooShort(f"need >= 30 observations, have {n}")
+    targets, predictors = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    outcomes: list = [None] * len(pairs)
+    slopes = np.zeros(len(pairs))
+    for k, (t, p) in enumerate(pairs):
+        if terms.sxx[p] == 0.0:
+            outcomes[k] = DegenerateRegressor("regressor is constant")
+        else:
+            slopes[k] = float(terms.devs[p] @ terms.devs[t]) / terms.sxx[p]
+    intercepts = terms.means[targets] - slopes * terms.means[predictors]
+    resids = (terms.rows[targets] - intercepts[:, np.newaxis]
+              - slopes[:, np.newaxis] * terms.rows[predictors])
+    for k in np.flatnonzero(np.ptp(resids, axis=1) == 0.0):
+        if outcomes[k] is None:
+            outcomes[k] = ConstantSeries("series is constant")
+    live = [k for k, outcome in enumerate(outcomes) if outcome is None]
+    if not live:
+        return outcomes
+
+    designs = _adf_designs(resids[live], _lag_bound(n, max_lag, 0), False)
+    for k, design, best_k in zip(live, designs, _gram_lag_search(designs, 0)):
+        try:
+            used_lags, tau, n_eff = _adf_fit(resids[k], design, best_k, False)
+        except ConstantSeries as exc:
+            outcomes[k] = exc
+        else:
+            outcomes[k] = AdfResult(tau=tau, used_lags=used_lags, n_eff=n_eff, n_series=2,
+                                    deterministic="constant")
+    return outcomes
 
 
 def engle_granger(y, x, max_lag: int | None = None) -> AdfResult:
@@ -437,25 +595,16 @@ def engle_granger(y, x, max_lag: int | None = None) -> AdfResult:
 
     Stage 1 regresses ``y = c + b*x + u`` (with constant); stage 2 runs the
     ADF test on the residuals with no deterministic term, since the constant
-    already lives in stage 1.  The result is stage 2's, re-pointed at the
+    already lives in stage 1.  The result is stage 2's, read against the
     two-series MacKinnon surface with a constant, ``(2, "constant")``, which
-    its p-value and critical values then come from.
+    its p-value and critical values then come from.  This is a block of one
+    for ``engle_granger_block``.
     """
     yv = _as_1d(y)
     xv = _as_1d(x)
     if yv.size != xv.size:
         raise LengthMismatch(f"lengths {yv.size} vs {xv.size}")
-    if yv.size < 30:
-        raise SeriesTooShort(f"need >= 30 observations, have {yv.size}")
-
-    mean_x, mean_y = xv.mean(), yv.mean()
-    dx = xv - mean_x
-    sxx = float(dx @ dx)
-    if sxx == 0.0:
-        raise DegenerateRegressor("regressor is constant")
-    slope = float(dx @ (yv - mean_y)) / sxx
-    intercept = mean_y - slope * mean_x
-    resid = yv - intercept - slope * xv
-
-    stage2 = adf_test(resid, deterministic="none", max_lag=max_lag)
-    return replace(stage2, n_series=2, deterministic="constant")
+    (outcome,) = engle_granger_block(stage1_terms(np.stack([yv, xv])), [(0, 1)], max_lag)
+    if isinstance(outcome, PairTraderError):
+        raise outcome
+    return outcome

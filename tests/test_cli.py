@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from collections.abc import Mapping
 from datetime import date
 from decimal import Decimal
 from pathlib import Path
@@ -14,6 +15,8 @@ from types import MappingProxyType
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairtrader import backtest, cli, econometrics, pairscan, signalgen
 from pairtrader.backtest import PairSummary
@@ -150,9 +153,10 @@ class TestAnalyze:
         import pairtrader.pairscan as pairscan
 
         calls = []
-        real_eg = pairscan.engle_granger
-        monkeypatch.setattr(pairscan, "engle_granger",
-                            lambda *a, **k: calls.append(a) or real_eg(*a, **k))
+        for name in ("engle_granger", "engle_granger_block"):
+            real = getattr(pairscan, name)
+            monkeypatch.setattr(pairscan, name,
+                                lambda *a, real=real, **k: calls.append(a) or real(*a, **k))
         assert run("analyze", "--config", synth_dir / "config.json", "--pair", "COBALT,IRON",
                    "--out", tmp_path) == 0
         assert calls == []
@@ -689,6 +693,49 @@ class TestConfigSurface:
         assert config.coint_threshold == 0.05
 
 
+def frozen_json(obj) -> bytes:
+    """The JSON renderer as it stood before the one-pass writer: ``_jsonable``
+    then ``json.dumps``, kept verbatim so ``_json`` can be held to its bytes."""
+    def jsonable(value):
+        if value is None or isinstance(value, (str, int)):
+            return value
+        if isinstance(value, float):
+            return float(value) if math.isfinite(value) else None
+        if isinstance(value, Decimal):
+            return str(value)
+        if isinstance(value, date):
+            return value.isoformat()
+        if dataclasses.is_dataclass(value) and not isinstance(value, type):
+            value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+        if isinstance(value, Mapping):
+            return {key: jsonable(item) for key, item in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [jsonable(item) for item in value]
+        raise TypeError(f"cannot write a {type(value).__name__} to JSON")
+
+    text = json.dumps(jsonable(obj), indent=2, sort_keys=True, allow_nan=False)
+    return (text + "\n").encode("utf-8")
+
+
+@dataclasses.dataclass(frozen=True)
+class Record:
+    name: object
+    value: object
+
+
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.floats().map(np.float64),
+    st.text(), st.decimals(), st.dates(),
+)
+JSON_VALUES = st.recursive(JSON_LEAVES, lambda children: st.one_of(
+    st.lists(children, max_size=4),
+    st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(st.text(), children, max_size=4),
+    st.dictionaries(st.text(), children, max_size=4).map(MappingProxyType),
+    st.builds(Record, children, children),
+), max_leaves=24)
+
+
 class TestArtifactWriters:
     def test_json_rules(self):
         summary = PairSummary("A", "B", Decimal("200000"), Decimal("-1.50"), Decimal("0.00"))
@@ -710,6 +757,17 @@ class TestArtifactWriters:
     def test_json_rejects_other_types(self, value):
         with pytest.raises(TypeError):
             _json({"value": value})
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=JSON_VALUES)
+    def test_json_bytes_are_json_dumps_bytes(self, value):
+        # Nested dataclasses, mappings, tuples, empty containers, bools,
+        # Decimals, dates, non-finite and numpy floats, non-ASCII strings.
+        assert _json(value) == frozen_json(value)
+
+    def test_json_keys_must_be_strings(self):
+        with pytest.raises(TypeError, match="cannot write a int key to JSON"):
+            _json({"a": {1: "one"}})
 
     def test_csv_cells(self):
         assert _csv(["a", "b"], [

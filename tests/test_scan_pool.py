@@ -12,11 +12,13 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pairtrader import pairscan
+from pairtrader import pairscan, unitroot
 from pairtrader.cli import RunConfig, _sector_panel, main
 from pairtrader.errors import SeriesTooShort
-from pairtrader.marketdata import slice_window
+from pairtrader.marketdata import AlignedPanel, slice_window
 from pairtrader.synthetic import weekday_calendar
 
 from conftest import blas_env, tree_bytes
@@ -127,18 +129,79 @@ def test_pooled_cells_equal_serial_cells(train_panel, forced_workers, workers):
     assert multiprocessing.active_children() == []
 
 
+def block_panel(n_tickers, n_dates, seed, twin, fallback):
+    """Random-walk tickers, two of them replaced to make awkward pairs.
+
+    Ticker ``twin`` is exactly twice the one before it, a share-class pair
+    whose residuals are exactly constant (``EXACT_DEPENDENCE``).  Ticker
+    ``fallback`` is the one before it less 10, plus +-1 on alternate days
+    and noise of 1e-5: the one before it holds each close for two days (over
+    an even number of dates), so the residuals are +-1 and the noise.  Each
+    residual difference is then almost minus the one before, an almost exact
+    fit that the Gram search leaves to the QR search.
+    """
+    rng = np.random.default_rng(seed)
+    closes = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, size=(n_dates, n_tickers)), axis=0))
+    held = np.repeat(closes[::2, fallback - 1], 2)[:n_dates]
+    closes[:, fallback - 1] = held
+    closes[:, fallback] = (held - 10.0 + np.where(np.arange(n_dates) % 2, 1.0, -1.0)
+                           + 1e-5 * rng.normal(size=n_dates))
+    closes[:, twin] = 2.0 * closes[:, twin - 1]
+    return AlignedPanel(tuple(f"T{k}" for k in range(n_tickers)),
+                        tuple(weekday_calendar(date(2015, 1, 1), n_dates)), closes)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), n_tickers=st.integers(min_value=6, max_value=11),
+       n_dates=st.integers(min_value=20, max_value=200).map(lambda k: 2 * k),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_cells_do_not_depend_on_block_boundaries(data, n_tickers, n_dates, seed):
+    # The twin and the fallback pair sit among the other pairs, so that each
+    # is inside a block of the default budget (38 or more pairs of up to 400
+    # dates, against at most 55 pairs here) and of a pooled scan's spans.
+    twin, fallback = data.draw(st.lists(st.integers(min_value=2, max_value=n_tickers - 2),
+                                        min_size=2, max_size=2, unique=True)
+                               .filter(lambda ks: abs(ks[0] - ks[1]) > 1))
+    panel = block_panel(n_tickers, n_dates, seed, twin, fallback)
+    default = pairscan._BLOCK_DESIGN_BYTES
+    real = unitroot._qr_lag_search
+    qr_searches = []
+    scans = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(unitroot, "_qr_lag_search",
+                      lambda design, ntrend: qr_searches.append(1) or real(design, ntrend))
+        for name, budget, workers in [("one pair", 1, 1), ("default", default, 1),
+                                      ("pooled", default, 2)]:
+            patch.setattr(pairscan, "_BLOCK_DESIGN_BYTES", budget)
+            patch.setattr(pairscan, "_pool_size", lambda n_pairs, n_dates: workers)
+            del qr_searches[:]
+            cells = pairscan.coint_matrix(panel).cells
+            scans[name] = cells, [c.adf and c.adf.tau.hex() for c in cells]
+            # The pooled scan's QR searches run in its workers.
+            assert workers > 1 or qr_searches, name
+    assert scans["one pair"] == scans["default"] == scans["pooled"]
+    cells = scans["default"][0]
+    exact = [(c.ticker_a, c.ticker_b) for c in cells if c.reason == pairscan.EXACT_DEPENDENCE]
+    assert exact == [(f"T{twin - 1}", f"T{twin}")]
+    assert multiprocessing.active_children() == []
+
+
 def fail_on_pairs(monkeypatch, panel, *pairs):
-    """Make ``engle_granger`` raise ``SeriesTooShort`` for each pair of tickers in ``pairs``."""
+    """Make the scan's block test give ``SeriesTooShort`` for each pair of tickers in ``pairs``.
+
+    The fault takes the pair's place among the block's outcomes, as a real
+    per-pair fault does, and ``pairscan`` names the pair.
+    """
     closes = dict(zip(panel.tickers, panel.closes_by_ticker()))
     bad = [{closes[a][0], closes[b][0]} for a, b in pairs]
-    real = pairscan.engle_granger
+    real = pairscan.engle_granger_block
 
-    def engle_granger(y, x, max_lag=None):
-        if {y[0], x[0]} in bad:
-            raise SeriesTooShort("injected fault")
-        return real(y, x, max_lag)
+    def engle_granger_block(terms, block, max_lag=None):
+        outcomes = real(terms, block, max_lag)
+        return [SeriesTooShort("injected fault") if {terms.rows[t][0], terms.rows[p][0]} in bad
+                else outcome for (t, p), outcome in zip(block, outcomes)]
 
-    monkeypatch.setattr(pairscan, "engle_granger", engle_granger)
+    monkeypatch.setattr(pairscan, "engle_granger_block", engle_granger_block)
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -157,8 +220,10 @@ def test_per_pair_fault_is_the_serial_fault(train_panel, forced_workers, monkeyp
 
 
 def test_first_failing_pair_wins_as_in_one_process(train_panel, forced_workers, monkeypatch):
-    # Faults in the first and the last span: the scan reports the first.
-    fail_on_pairs(monkeypatch, train_panel, ("AMBER", "BASALT"), ("HOLLY", "IRON"))
+    # Faults in the first and the last span, two of them in the first span's
+    # one block: the scan reports the first.
+    fail_on_pairs(monkeypatch, train_panel, ("AMBER", "DUNE"), ("HOLLY", "IRON"),
+                  ("AMBER", "BASALT"))
     forced_workers(3)
     with pytest.raises(SeriesTooShort, match=r"^pair \(AMBER, BASALT\): injected fault$"):
         pairscan.coint_matrix(train_panel)
@@ -196,17 +261,18 @@ def test_cli_scan_bytes_do_not_depend_on_worker_count(synth_dir, tmp_path, force
     assert trees[1] == trees[2] == trees[3]
 
 
-# A pooled scan whose pairs each take 50 ms, interrupted by SIGINT to the
-# process group 0.3 s in, as Ctrl-C in a terminal does.
+# A pooled scan whose pairs each take 50 ms, one pair to a block, interrupted
+# by SIGINT to the process group 0.3 s in, as Ctrl-C in a terminal does.
 INTERRUPTED_SCAN = """
 import json, os, signal, time
 import pairtrader.cli
 from pairtrader import pairscan
-real = pairscan.engle_granger
-def slow(y, x, max_lag=None):
-    time.sleep(0.05)
-    return real(y, x, max_lag)
-pairscan.engle_granger = slow
+real = pairscan.engle_granger_block
+def slow(terms, block, max_lag=None):
+    time.sleep(0.05 * len(block))
+    return real(terms, block, max_lag)
+pairscan.engle_granger_block = slow
+pairscan._BLOCK_DESIGN_BYTES = 1
 pairscan._pool_size = lambda n_pairs, n_dates: 2
 signal.signal(signal.SIGALRM, lambda *_: os.killpg(0, signal.SIGINT))
 signal.setitimer(signal.ITIMER_REAL, 0.3)
@@ -243,15 +309,15 @@ def test_interrupted_pooled_scan_leaves_no_worker(synth_dir, tmp_path):
 
 def test_workers_leave_ctrl_c_to_the_parent(train_panel, forced_workers, monkeypatch):
     # A worker that took SIGINT would print its own traceback beside the
-    # parent's; every pair of a pooled scan runs in a worker that ignores it.
-    real = pairscan.engle_granger
+    # parent's; every block of a pooled scan runs in a worker that ignores it.
+    real = pairscan.engle_granger_block
 
-    def engle_granger(y, x, max_lag=None):
+    def engle_granger_block(terms, block, max_lag=None):
         if signal.getsignal(signal.SIGINT) is not signal.SIG_IGN:
             raise SeriesTooShort("this process takes SIGINT")
-        return real(y, x, max_lag)
+        return real(terms, block, max_lag)
 
-    monkeypatch.setattr(pairscan, "engle_granger", engle_granger)
+    monkeypatch.setattr(pairscan, "engle_granger_block", engle_granger_block)
     forced_workers(2)
     assert len(pairscan.coint_matrix(train_panel).cells) == 45
     assert signal.getsignal(signal.SIGINT) is not signal.SIG_IGN
@@ -297,19 +363,21 @@ def test_cli_import_loads_no_multiprocessing():
     assert json.loads(done.stdout) is False
 
 
-# A pooled scan whose pairs each take 0.5 s; each worker appends its pid to
-# a file as it starts a pair, so the test knows when both are at work.
+# A pooled scan whose pairs each take 0.5 s, one pair to a block; each worker
+# appends its pid to a file as it starts a block, so the test knows when both
+# are at work.
 KILLED_SCAN = """
 import os, time
 import pairtrader.cli
 from pairtrader import pairscan
-real = pairscan.engle_granger
-def slow(y, x, max_lag=None):
+real = pairscan.engle_granger_block
+def slow(terms, block, max_lag=None):
     with open({pids!r}, "a") as handle:
         handle.write(f"{{os.getpid()}}\\n")
-    time.sleep(0.5)
-    return real(y, x, max_lag)
-pairscan.engle_granger = slow
+    time.sleep(0.5 * len(block))
+    return real(terms, block, max_lag)
+pairscan.engle_granger_block = slow
+pairscan._BLOCK_DESIGN_BYTES = 1
 pairscan._pool_size = lambda n_pairs, n_dates: 2
 pairtrader.cli.main(["scan", "--config", {config!r}, "--sector", "metals",
                      "--out", {out!r}])

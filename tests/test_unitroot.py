@@ -661,9 +661,9 @@ def qr_searches(monkeypatch):
 
 def gram_checks(y, deterministic, max_lag):
     """What the Gram search sees: None when the Cholesky factorisation fails,
-    else (smallest pivot / largest, smallest SSR / b'b)."""
+    else (smallest pivot / its column's norm, smallest SSR / b'b)."""
     constant = deterministic == "constant"
-    design = unitroot._adf_design(y, max_lag, constant, order="F")
+    design = unitroot._adf_designs(y[np.newaxis], max_lag, constant)[0].T
     gram = design.T @ design
     try:
         chol = np.linalg.cholesky(gram)
@@ -672,7 +672,7 @@ def gram_checks(y, deterministic, max_lag):
     nx = design.shape[1] - 1
     pivots = chol.diagonal()[:nx]
     ssr = gram[-1, -1] - np.cumsum(chol[-1, :nx] ** 2)[int(constant):]
-    return pivots.min() / pivots.max(), ssr.min() / gram[-1, -1]
+    return min(pivots / np.sqrt(gram.diagonal()[:nx])), ssr.min() / gram[-1, -1]
 
 
 def alternating(n=200, noise=0.0):
@@ -789,3 +789,60 @@ def test_aic_near_tie_falls_back_to_qr(qr_searches):
     # The QR search alone makes the choice, as before the Gram search.
     design = np.ascontiguousarray(unitroot._adf_design(y, 1, False))
     assert mine.used_lags == unitroot._qr_lag_search(design, 0)
+
+
+def correlation_kappa(design):
+    """tr(C^-1) for the correlation matrix C of ``design``'s columns: the
+    kappa of ``_gram_lag_search``'s error bound."""
+    gram = design.T @ design
+    norms = np.sqrt(gram.diagonal())
+    return float(np.trace(np.linalg.inv(gram / np.outer(norms, norms))))
+
+
+def test_gram_search_decides_well_conditioned_walks_at_any_scale(qr_searches):
+    # 200 random walks at scales 1e-6 to 1e6.  The pivot checks are scale-free,
+    # so a constant-term test of a walk far from 1 in size, whose constant
+    # column is tiny or huge beside its level column, is decided by the Gram
+    # search whenever its design is well conditioned.
+    rng = np.random.default_rng(2024)
+    fallback_kappas = []
+    for i in range(200):
+        n = int(rng.integers(40, 1001))
+        y = 10.0 ** int(rng.integers(-6, 7)) * random_walk(rng, n)
+        deterministic = ("none", "constant")[i % 2]
+        ntrend = int(deterministic == "constant")
+        design = unitroot._adf_design(y, default_max_lag(n), ntrend == 1)
+        searches = len(qr_searches)
+        mine = adf_test(y, deterministic)
+        if len(qr_searches) > searches:
+            fallback_kappas.append(correlation_kappa(design))
+        assert mine.used_lags == unitroot._qr_lag_search(design, ntrend)
+        assert (mine.used_lags, mine.tau, mine.n_eff, mine.p_value) == frozen_adf(
+            y, deterministic, None)
+    assert [k for k in fallback_kappas if k < 100.0] == []
+
+
+def test_pivot_spread_keeps_the_qr_singular_fault(qr_searches):
+    # A well-conditioned walk whose level column is some 1e14 times its
+    # constant column: the QR search calls that design singular, so the Gram
+    # search must leave the decision, and the fault, to it.
+    y = 1e13 * random_walk(np.random.default_rng(6), 300)
+    assert correlation_kappa(unitroot._adf_design(y, 2, True)) < 100.0
+    with pytest.raises(ConstantSeries, match="^unit-root regression is singular$"):
+        adf_test(y, "constant", max_lag=2)
+    assert len(qr_searches) == 1
+
+
+def test_gram_search_of_a_stack_is_the_search_of_each_design():
+    # An exactly singular design in the middle of a stack fails its own
+    # factorisation only: every design gets the lag it gets alone.
+    rng = np.random.default_rng(12)
+    designs = unitroot._adf_designs(
+        np.stack([random_walk(rng, 300), alternating(300), ar1(rng, 300, phi=0.6)]), 3, False)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(designs[1] @ designs[1].T)
+    lags = unitroot._gram_lag_search(designs, 0)
+    assert lags == [unitroot._gram_lag_search(design[np.newaxis], 0)[0] for design in designs]
+    assert lags[1] is None and None not in (lags[0], lags[2])
+    assert lags[0] == unitroot._qr_lag_search(np.ascontiguousarray(designs[0].T), 0)
+    assert lags[2] == unitroot._qr_lag_search(np.ascontiguousarray(designs[2].T), 0)
