@@ -15,7 +15,10 @@
 # CPUs, must scan to the same bytes pooled and pinned to one CPU, and with
 # its pairs tested one to a block (in-process, through `python -c`, which
 # needs the package importable) rather than in blocks of the default size.
+# Every Python warning is an error, so a numpy RuntimeWarning or a
+# DeprecationWarning in any command fails the run.
 set -euo pipefail
+export PYTHONWARNINGS=error
 if [ "$#" -eq 0 ]; then
   set -- pairtrader
 fi

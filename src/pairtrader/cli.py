@@ -8,7 +8,9 @@ renderer.  ``_commit`` alone writes: it stages a command's files in a
 temporary directory and renames it into place.  The pipeline modules only compute.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 data error,
-3 numeric or degeneracy error.
+3 numeric or degeneracy error, 143 (128 + SIGTERM) terminated.  SIGTERM
+raises ``SystemExit`` for the whole command, so a terminated command still
+removes its staging directory and stops its scan pool.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import logging
 import math
 import os
 import shutil
+import signal
 import sys
 import tempfile
 from collections.abc import Mapping
@@ -395,19 +398,23 @@ def staged_dir(final: Path):
     Staging happens inside a unique sibling of ``final``, so concurrent or
     nested runs never share a staging directory.  An existing ``final`` is
     renamed aside into that sibling before the new tree is renamed in, and
-    removed with it afterwards, so ``final`` is never deleted in place.
+    removed with it afterwards, so ``final`` is never deleted in place.  An
+    exception between the two renames puts the old tree back.
     """
     final = Path(final)
     final.parent.mkdir(parents=True, exist_ok=True)
     workdir = Path(tempfile.mkdtemp(prefix=final.name + ".staging-", dir=final.parent))
+    old = workdir / "old"
     try:
         staging = workdir / "new"
         staging.mkdir()
         yield staging
         if final.exists():
-            os.replace(final, workdir / "old")
+            os.replace(final, old)
         os.replace(staging, final)
     finally:
+        if old.exists() and not final.exists():
+            os.replace(old, final)
         shutil.rmtree(workdir, ignore_errors=True)
 
 
@@ -677,8 +684,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_on_sigterm(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
+    # SIGTERM exits through SystemExit, so that every finally block and the
+    # scan pool's with block run.  Only where SIGTERM has its default action
+    # and this is the main thread, the only one that may set a handler:
+    # elsewhere the program that owns SIGTERM decides.
+    installed = signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+    if installed:
+        try:
+            signal.signal(signal.SIGTERM, _exit_on_sigterm)
+        except ValueError:  # not the main thread
+            installed = False
     try:
         args = build_parser().parse_args(argv)
         flags = {flag: getattr(args, flag[2:].replace("-", "_")) for flag in _FLAG_KEYS}
@@ -698,6 +719,9 @@ def main(argv=None) -> int:
     except PairTraderError as exc:
         print(f"pairtrader: error: {exc}", file=sys.stderr)
         return exc.exit_code
+    finally:
+        if installed:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ from .errors import (
     ZeroVariance,
 )
 from .marketdata import AlignedPanel, readonly_copy
+from .unitroot import stage1_terms
 
 #: Minimum sample size for the omnibus kurtosis transform to be stable.
 OMNIBUS_MIN_N = 20
@@ -154,25 +155,15 @@ def _chi2_2_sf(x: float) -> float:
     return 0.0 if p < sys.float_info.min else p
 
 
-def _deviations(x: np.ndarray) -> tuple[np.ndarray, float]:
-    """Deviations from the mean and their sum of squares."""
-    dx = x - x.mean()
-    return dx, float(dx @ dx)
-
-
-def _correlation(dx: np.ndarray, sxx: float, dy: np.ndarray, syy: float) -> float:
-    r = float(dx @ dy) / math.sqrt(sxx * syy)
-    return min(1.0, max(-1.0, r))
-
-
 def correlation_matrix(panel: AlignedPanel) -> np.ndarray:
     """Pairwise return correlations for every ticker pair in a panel.
 
     The result is a read-only (n, n) array in ``panel.tickers`` order.
-    Returns are simple daily returns ``p_t / p_{t-1} - 1`` of each column;
+    Returns are simple daily returns ``p_t / p_{t-1} - 1`` of each ticker;
     the diagonal is exactly 1 and the matrix is exactly symmetric by
-    construction.  Each column's returns and deviations are computed once,
-    and each cell is the product-moment correlation of two of them.
+    construction.  Each ticker's return deviations are computed once, by
+    ``stage1_terms`` as for the Engle-Granger scan, and each cell is the
+    product-moment correlation of two of them.
     """
     n = len(panel.tickers)
     if n < 2:
@@ -180,20 +171,17 @@ def correlation_matrix(panel: AlignedPanel) -> np.ndarray:
     if len(panel.dates) < 4:
         raise SeriesTooShort("panel must span at least 4 dates (3 returns)")
 
-    returns = [row[1:] / row[:-1] - 1.0 for row in panel.closes_by_ticker()]
-    devs = [_deviations(r) for r in returns]
-    for ticker, (_, sxx) in zip(panel.tickers, devs):
+    closes = panel.closes
+    terms = stage1_terms(closes[:, 1:] / closes[:, :-1] - 1.0)
+    for ticker, sxx in zip(panel.tickers, terms.sxx):
         if sxx == 0.0:
             raise ZeroVariance(f"returns of {ticker} have zero variance")
 
     values = np.eye(n)
     for i in range(n):
-        dx, sxx = devs[i]
         for j in range(i + 1, n):
-            dy, syy = devs[j]
-            r = _correlation(dx, sxx, dy, syy)
-            values[i, j] = r
-            values[j, i] = r
+            r = float(terms.devs[i] @ terms.devs[j]) / math.sqrt(terms.sxx[i] * terms.sxx[j])
+            values[i, j] = values[j, i] = min(1.0, max(-1.0, r))
     values.setflags(write=False)
     return values
 

@@ -5,13 +5,17 @@ plus ``Close`` and optionally ``Adj Close``).  A price column lives in one
 container, the ``AlignedPanel``: ``load_csv`` yields a one-ticker panel per
 file and ``align_panel`` inner-joins panels on their dates (non-common
 trading days are dropped, never forward-filled); every later stage reads
-price columns from a panel's array.
+price columns from a panel's array.  That array is ticker-major:
+``closes[j]`` is ``tickers[j]``'s closes, one C-contiguous row, so a sum over
+it rounds as over any contiguous copy of those closes, and no stage copies
+or transposes a panel to read a column.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+from bisect import bisect_left, bisect_right
 import math
 import operator
 from dataclasses import dataclass
@@ -37,12 +41,14 @@ CLOSE_COLUMN_PREFERENCE = ("Close", "Adj Close")
 
 
 def readonly_copy(values) -> np.ndarray:
-    """A read-only float array copy of ``values``.
+    """A read-only, C-contiguous float array copy of ``values``.
 
     Containers store these, so building one never freezes or aliases the
-    caller's own array.
+    caller's own array.  The copy is C-ordered even when ``values`` is not
+    (an F-ordered array, a fancy-indexed or strided view), so each row is
+    contiguous.
     """
-    array = np.array(values, dtype=float)
+    array = np.array(values, dtype=float, order="C")
     array.setflags(write=False)
     return array
 
@@ -51,11 +57,12 @@ def readonly_copy(values) -> np.ndarray:
 class AlignedPanel:
     """Close prices for one or more tickers on one common calendar.
 
-    ``closes[i, j]`` is the close of ``tickers[j]`` on ``dates[i]``.  Dates
-    are strictly increasing, and every cell is populated (inner-join
-    alignment) with a finite, positive close, and no ticker appears twice.
-    The closes are a read-only copy of the array passed in.  Panels compare
-    by identity: the closes are an array, which has no single truth value.
+    ``closes[j, i]`` is the close of ``tickers[j]`` on ``dates[i]``, so
+    ``closes[j]`` is ticker j's price column.  Dates are strictly increasing,
+    and every cell is populated (inner-join alignment) with a finite,
+    positive close, and no ticker appears twice.  The closes are a read-only,
+    C-contiguous copy of the array passed in.  Panels compare by identity:
+    the closes are an array, which has no single truth value.
     """
 
     tickers: tuple[str, ...]
@@ -68,30 +75,21 @@ class AlignedPanel:
             dupe = next(t for t in self.tickers if t in seen or seen.add(t))
             raise DuplicateTicker(f"ticker {dupe!r} appears more than once")
         closes = readonly_copy(self.closes)
-        if closes.shape != (len(self.dates), len(self.tickers)):
-            raise ValueError("closes shape does not match dates x tickers")
+        if closes.shape != (len(self.tickers), len(self.dates)):
+            raise ValueError("closes shape does not match tickers x dates")
         if not all(map(operator.lt, self.dates, self.dates[1:])):
             at = next(b for a, b in zip(self.dates, self.dates[1:]) if b <= a)
             raise DuplicateDate(f"{'/'.join(self.tickers)}: dates not strictly increasing at {at}")
         bad = ~(np.isfinite(closes) & (closes > 0.0))
         if bad.any():
-            i, j = np.argwhere(bad)[0]
+            i, j = np.argwhere(bad.T)[0]  # the earliest date first
             raise NonPositivePrice(
-                f"{self.tickers[j]}: close {float(closes[i, j])!r} on {self.dates[i]}"
+                f"{self.tickers[j]}: close {float(closes[j, i])!r} on {self.dates[i]}"
             )
         object.__setattr__(self, "closes", closes)
 
     def __len__(self) -> int:
         return len(self.dates)
-
-    def closes_by_ticker(self) -> np.ndarray:
-        """Closes as a C-contiguous (n_tickers, n_dates) copy.
-
-        Row j holds ``tickers[j]``'s closes contiguously, so a sum over a row
-        rounds exactly as it does over any contiguous array of those closes;
-        a sum over a strided ``closes[:, j]`` need not.
-        """
-        return np.ascontiguousarray(self.closes.T)
 
 
 def check_pair(panel: AlignedPanel) -> None:
@@ -191,7 +189,7 @@ def load_csv(path, ticker: str, close_column: str | None = None) -> AlignedPanel
     return AlignedPanel(
         tickers=(ticker,),
         dates=tuple(d for d, _ in rows),
-        closes=np.array([c for _, c in rows])[:, np.newaxis],
+        closes=np.array([c for _, c in rows])[np.newaxis],
     )
 
 
@@ -208,21 +206,21 @@ def align_panel(panels: list[AlignedPanel]) -> AlignedPanel:
     if not common:
         raise EmptyIntersection(f"no common dates across {tickers}")
     # Every calendar ascends, so a panel's rows on common dates are in order.
-    columns = [p.closes[np.fromiter(map(common.__contains__, p.dates), bool, len(p))]
-               for p in panels]
+    rows = [p.closes[:, np.fromiter(map(common.__contains__, p.dates), bool, len(p))]
+            for p in panels]
     return AlignedPanel(tickers=tuple(tickers), dates=tuple(sorted(common)),
-                        closes=np.hstack(columns))
+                        closes=np.vstack(rows))
 
 
 def slice_window(panel: AlignedPanel, start: date, end: date) -> AlignedPanel:
-    """Restrict a panel to ``start <= date <= end``."""
+    """Restrict a panel to ``start <= date <= end``.
+
+    The dates ascend, so the window is one range of them, found by bisection.
+    """
     if start > end:
         raise ValueError(f"window start {start} after end {end}")
-    idx = [i for i, d in enumerate(panel.dates) if start <= d <= end]
-    if not idx:
+    lo, hi = bisect_left(panel.dates, start), bisect_right(panel.dates, end)
+    if lo >= hi:
         raise EmptyWindow(f"panel: no observations in [{start}, {end}]")
-    return AlignedPanel(
-        tickers=panel.tickers,
-        dates=tuple(panel.dates[i] for i in idx),
-        closes=panel.closes[idx, :],
-    )
+    return AlignedPanel(tickers=panel.tickers, dates=panel.dates[lo:hi],
+                        closes=panel.closes[:, lo:hi])

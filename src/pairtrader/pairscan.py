@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import os
 import signal
-from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
 
@@ -120,11 +119,11 @@ def order_pair(pair: AlignedPanel, train: tuple[date, date]) -> AlignedPanel:
     so later windows of it keep the same order.
     """
     check_pair(pair)
-    closes = slice_window(pair, *train).closes_by_ticker()
+    closes = slice_window(pair, *train).closes
     a, b = pair.tickers
     if _a_predicts(a, float(np.mean(closes[0])), b, float(np.mean(closes[1]))):
         return pair
-    return AlignedPanel(tickers=(b, a), dates=pair.dates, closes=pair.closes[:, [1, 0]])
+    return AlignedPanel(tickers=(b, a), dates=pair.dates, closes=pair.closes[[1, 0]])
 
 
 #: A scan forks a worker pool only when every worker gets at least this many
@@ -230,34 +229,6 @@ def _run_span(span: tuple[int, int]) -> list[ScanCell]:
     return cells
 
 
-def _exit_on_sigterm(signum, frame):
-    # Raised in the parent, this leaves the pool block, which terminates the
-    # workers; the process then exits with the status a shell gives SIGTERM.
-    raise SystemExit(128 + signum)
-
-
-@contextmanager
-def _sigterm_exits():
-    """Within the block, SIGTERM raises ``SystemExit`` instead of killing.
-
-    Only where SIGTERM has its default action and this is the main thread,
-    the only one that may set a handler.  Elsewhere the program that owns
-    SIGTERM decides, and the workers of a parent that dies leave on their own.
-    """
-    installed = False
-    if signal.getsignal(signal.SIGTERM) is signal.SIG_DFL:
-        try:
-            signal.signal(signal.SIGTERM, _exit_on_sigterm)
-            installed = True
-        except ValueError:  # not the main thread
-            pass
-    try:
-        yield
-    finally:
-        if installed:
-            signal.signal(signal.SIGTERM, signal.SIG_DFL)
-
-
 def _scan_pairs(tickers, terms: Stage1Terms, pairs, workers: int) -> list[ScanCell]:
     """``_scan_span`` over all ``pairs``, split across ``workers`` forked processes.
 
@@ -265,8 +236,9 @@ def _scan_pairs(tickers, terms: Stage1Terms, pairs, workers: int) -> list[ScanCe
     back in span order, so the result does not depend on ``workers``; a
     fault is the one the first failing pair raises, as in one process.
     With fewer than 2 workers, or no ``fork`` on this platform, the whole
-    range is one span run here.  SIGTERM during a pooled scan terminates
-    the pool, then exits with status 143 (128 + SIGTERM).
+    range is one span run here.  An exception that leaves the pool block,
+    such as the ``SystemExit`` the CLI turns SIGTERM into, terminates the
+    workers.
     """
     # Fork, not spawn: a forked worker starts with numpy, this package and
     # the closes already in memory, where a spawned one would import them
@@ -280,7 +252,7 @@ def _scan_pairs(tickers, terms: Stage1Terms, pairs, workers: int) -> list[ScanCe
             spans = [(n * k // workers, n * (k + 1) // workers) for k in range(workers)]
             with multiprocessing.get_context("fork").Pool(
                     workers, initializer=_init_worker,
-                    initargs=(tickers, terms, pairs)) as pool, _sigterm_exits():
+                    initargs=(tickers, terms, pairs)) as pool:
                 return [cell for cells in pool.imap(_run_span, spans) for cell in cells]
     return _scan_span(tickers, terms, pairs)
 
@@ -304,13 +276,12 @@ def coint_matrix(panel: AlignedPanel) -> PValueMatrix:
     if len(panel.dates) < 30:
         raise SeriesTooShort(f"need >= 30 common dates, have {len(panel.dates)}")
 
-    closes = panel.closes_by_ticker()
-    for ticker, row in zip(tickers, closes):
+    for ticker, row in zip(tickers, panel.closes):
         # A flat target would leave exactly constant residuals against any
         # regressor; that is no evidence of dependence.
         if np.ptp(row) == 0.0:
             raise ConstantSeries(f"{ticker}: closes are constant")
-    terms = stage1_terms(closes)
+    terms = stage1_terms(panel.closes)
     means = terms.means.tolist()
     pairs = []
     for i in range(n):
@@ -374,7 +345,7 @@ def fit_pair(train: AlignedPanel) -> PairModel:
         raise SeriesTooShort(
             f"{'/'.join(train.tickers)}: only {len(train)} common training dates"
         )
-    predictor, target = train.closes_by_ticker()
+    predictor, target = train.closes
     report = ols_through_origin(predictor, target)
 
     try:

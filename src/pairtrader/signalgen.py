@@ -1,9 +1,9 @@
 """Price-ratio z-scores, band signals, positions, and trade triggers.
 
-The ratio is read straight from a two-ticker pair panel, asset1's column
-first: ``closes[:, 0] / closes[:, 1]``.  It is standardized with statistics
-fit on a reference window of the same pair (normally the training period, so
-the test period sees no look-ahead).
+The ratio is read straight from a two-ticker pair panel, asset1's closes
+first: ``closes[0] / closes[1]``.  It is standardized with statistics fit on
+a reference window of the same pair (normally the training period, so the
+test period sees no look-ahead).
 Signals are ternary per leg: short asset1 while the z-score sits strictly
 above the upper band, long asset1 strictly below the lower band, flat
 inside; asset2 always takes the opposite stance.  Positions are the first
@@ -52,7 +52,7 @@ class RatioStats:
 def _ratio(pair: AlignedPanel) -> np.ndarray:
     """Daily ratio ``close1 / close2`` of a two-ticker panel."""
     check_pair(pair)
-    return pair.closes[:, 0] / pair.closes[:, 1]
+    return pair.closes[0] / pair.closes[1]
 
 
 def fit_ratio_stats(pair: AlignedPanel) -> RatioStats:
@@ -106,7 +106,7 @@ def gen_positions(signals) -> np.ndarray:
 class TradingFrame:
     """The per-day trading table for one pair over one window.
 
-    A frame stores the two-ticker pair panel (asset1's column first), the
+    A frame stores the two-ticker pair panel (asset1's closes first), the
     z-score of each day and the band limits.  Everything else is read from
     the panel (``ticker1``, ``ticker2``, ``dates``, ``close1``, ``close2``)
     or derived once on construction with ``gen_signals``/``gen_positions``
@@ -153,11 +153,11 @@ class TradingFrame:
 
     @property
     def close1(self) -> np.ndarray:
-        return self.pair.closes[:, 0]
+        return self.pair.closes[0]
 
     @property
     def close2(self) -> np.ndarray:
-        return self.pair.closes[:, 1]
+        return self.pair.closes[1]
 
 
 def build_trading_frame(
@@ -168,7 +168,7 @@ def build_trading_frame(
 ) -> TradingFrame:
     """Assemble the full trading table for a two-ticker pair panel.
 
-    ``pair`` holds asset1's closes in column 0 and asset2's in column 1 over
+    ``pair`` holds asset1's closes in row 0 and asset2's in row 1 over
     the trading window; ``stats`` come from the fit window.
     """
     z = (_ratio(pair) - stats.mean) / stats.std

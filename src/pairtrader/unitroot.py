@@ -20,15 +20,17 @@ choice only when a first-order rounding-error bound proves that the R-only
 QR factorisation of the design would choose the same lag and raise no fault
 (see ``_gram_lag_search``).  Otherwise the QR search runs, and its choice
 and faults are the test's.  The refit at the chosen lag is a plain
-least-squares fit on a row-major design built the same way, so the statistic
-never depends on which search chose the lag.
+least-squares fit on a row-major design, so the statistic never depends on
+which search chose the lag.  One builder, ``_adf_designs``, fills both the
+search's stacks and the refit's design.
 
-The Gram search runs on a stack of designs.  ``adf_test`` hands it a stack
-of one; ``engle_granger_block`` tests a block of pairs of one panel at once,
-with each series' stage-1 terms (``Stage1Terms``) computed once, the
-block's residuals and designs built as single arrays, and one Gram search
-for them all.  Every number it reports is the one the pair's own
-``engle_granger`` gives, bit for bit.
+Every ADF test runs as a row of one stack (``_adf_stack``): the rows'
+designs go to one Gram search, and each row is then searched by QR if need
+be and refit on its own.  ``adf_test`` runs a stack of one;
+``engle_granger_block`` tests a block of pairs of one panel at once, with
+each series' stage-1 terms (``Stage1Terms``) computed once and the block's
+residuals built as one array.  Every number it reports is the one the
+pair's own ``engle_granger`` gives, bit for bit.
 
 Critical values and approximate p-values come from MacKinnon's published
 response surfaces, held as module constants (``CRIT``, ``PVAL_SMALL``,
@@ -218,49 +220,31 @@ def _as_1d(series) -> np.ndarray:
     return values
 
 
-def _adf_designs(ys: np.ndarray, lag: int, constant: bool) -> np.ndarray:
+def _adf_designs(ys: np.ndarray, lag: int, constant: bool, out: np.ndarray | None = None
+                 ) -> np.ndarray:
     """The ADF designs of the rows of ``ys``, one ``(c, m)`` slab per row.
 
     Slab b holds, as rows, the columns [const?, y_{t-1}, dy_{t-1}, ...,
     dy_{t-lag}, dy_t] of ``ys[b]``'s regression over t = lag+2 .. n: the
     regressors first and the dependent ``dy_t`` last.  So ``designs[b].T``
     is that design in column-major order, and each lag column of the whole
-    stack is filled by one slice copy of the differences.
+    stack is filled by one slice copy of the differences.  A 1-D ``ys`` is
+    one series, and ``out`` may then be the transpose of its row-major
+    ``(m, c)`` design, as the refit at the chosen lag takes it: the same
+    slice copies fill it column by column.
     """
-    dys = ys[:, 1:] - ys[:, :-1]
-    m = dys.shape[1]
+    dys = ys[..., 1:] - ys[..., :-1]
+    m = dys.shape[-1]
     ntrend = 1 if constant else 0
-    designs = np.empty((ys.shape[0], ntrend + lag + 2, m - lag))
+    if out is None:
+        out = np.empty(ys.shape[:-1] + (ntrend + lag + 2, m - lag))
     if constant:
-        designs[:, 0] = 1.0
-    designs[:, ntrend] = ys[:, lag:-1]
+        out[..., 0, :] = 1.0
+    out[..., ntrend, :] = ys[..., lag:-1]
     for i in range(1, lag + 1):
-        designs[:, ntrend + i] = dys[:, lag - i : m - i]
-    designs[:, -1] = dys[:, lag:]
-    return designs
-
-
-def _adf_design(y: np.ndarray, lag: int, constant: bool) -> np.ndarray:
-    """Rows t = lag+2 .. n of [const?, y_{t-1}, dy_{t-1}, ..., dy_{t-lag}, dy_t].
-
-    The regressors come first and the dependent ``dy_t`` last, in one
-    row-major array, as the refit at the chosen lag takes it.  Lag column i
-    is ``dy`` shifted back i steps, so each column is filled by one slice
-    copy of ``dy``.  (Taking the refit's design from ``_adf_designs`` would
-    cost a transposing copy, slower than this by 2 to 4 times.)
-    """
-    dy = y[1:] - y[:-1]
-    m = dy.size
-    nobs = m - lag
-    ntrend = 1 if constant else 0
-    design = np.empty((nobs, ntrend + lag + 2))
-    if constant:
-        design[:, 0] = 1.0
-    design[:, ntrend] = y[lag:-1]
-    for i in range(1, lag + 1):
-        design[:, ntrend + i] = dy[lag - i : m - i]
-    design[:, -1] = dy[lag:]
-    return design
+        out[..., ntrend + i, :] = dys[..., lag - i : m - i]
+    out[..., -1, :] = dys[..., lag:]
+    return out
 
 
 #: The Gram search defers to the QR search when a pivot of its Cholesky
@@ -446,37 +430,44 @@ def _lag_bound(n: int, max_lag: int | None, ntrend: int) -> int:
     return max_lag
 
 
-def _adf_fit(y: np.ndarray, design: np.ndarray, best_k: int | None,
-             constant: bool) -> tuple[int, float, int]:
-    """``(used_lags, tau, n_eff)`` of the ADF test of ``y``.
+def _adf_stack(ys: np.ndarray, max_lag: int, constant: bool
+               ) -> list[tuple[int, float, int] | ConstantSeries]:
+    """``(used_lags, tau, n_eff)`` of the ADF test of each row of ``ys``.
 
-    ``design`` is ``y``'s widest design from ``_adf_designs`` and ``best_k``
-    the Gram search's lag for it, or None to let the QR search decide.  The
-    chosen lag is refit by least squares on its own longest sample.
+    The rows' widest designs are one stack for one ``_gram_lag_search``; a
+    row it cannot decide takes the QR search.  Each row's chosen lag is then
+    refit by least squares on its own longest sample.  A row that raises
+    ``ConstantSeries`` (a singular or exactly fitting regression) gets that
+    exception in its place.
     """
     ntrend = 1 if constant else 0
-    if best_k is None:
-        best_k = _qr_lag_search(np.ascontiguousarray(design.T), ntrend)
-
-    # Refit the winner on the longest sample its lag order allows.  X must be
-    # C-contiguous: on a strided view the BLAS calls below round differently
-    # and move the last bits of tau.
-    design = _adf_design(y, best_k, constant)
-    X, b = np.ascontiguousarray(design[:, :-1]), design[:, -1]
-    n_eff = b.size
-    nparams = X.shape[1]
-    coef, _, rank, _ = np.linalg.lstsq(X, b, rcond=None)
-    if rank < nparams:
-        raise ConstantSeries("unit-root regression is singular")
-    resid = b - X @ coef
-    ssr = float(resid @ resid)
-    dof = n_eff - nparams
-    if dof <= 0 or ssr <= 0.0:
-        raise ConstantSeries("unit-root regression has no residual variance")
-    sigma2 = ssr / dof
-    xtx_inv = np.linalg.inv(X.T @ X)
-    se_gamma = math.sqrt(sigma2 * xtx_inv[ntrend, ntrend])
-    return best_k, float(coef[ntrend] / se_gamma), n_eff
+    designs = _adf_designs(ys, max_lag, constant)
+    outcomes: list = []
+    for y, design, lag in zip(ys, designs, _gram_lag_search(designs, ntrend)):
+        try:
+            if lag is None:
+                lag = _qr_lag_search(np.ascontiguousarray(design.T), ntrend)
+            # The refit design is row-major and X C-contiguous: on a strided
+            # view the BLAS calls below round differently and move the last
+            # bits of tau.
+            refit = np.empty((y.size - 1 - lag, ntrend + lag + 2))
+            _adf_designs(y, lag, constant, out=refit.T)
+            X, b = np.ascontiguousarray(refit[:, :-1]), refit[:, -1]
+            n_eff, nparams = X.shape
+            coef, _, rank, _ = np.linalg.lstsq(X, b, rcond=None)
+            if rank < nparams:
+                raise ConstantSeries("unit-root regression is singular")
+            resid = b - X @ coef
+            ssr = float(resid @ resid)
+            dof = n_eff - nparams
+            if dof <= 0 or ssr <= 0.0:
+                raise ConstantSeries("unit-root regression has no residual variance")
+            xtx_inv = np.linalg.inv(X.T @ X)
+            se_gamma = math.sqrt(ssr / dof * xtx_inv[ntrend, ntrend])
+            outcomes.append((lag, float(coef[ntrend] / se_gamma), n_eff))
+        except ConstantSeries as exc:
+            outcomes.append(exc)
+    return outcomes
 
 
 def adf_test(series, deterministic: str = "constant", max_lag: int | None = None) -> AdfResult:
@@ -500,10 +491,10 @@ def adf_test(series, deterministic: str = "constant", max_lag: int | None = None
     if n >= 1 and np.ptp(y) == 0.0:
         raise ConstantSeries("series is constant")
     constant = deterministic == "constant"
-    max_lag = _lag_bound(n, max_lag, int(constant))
-    designs = _adf_designs(y[np.newaxis], max_lag, constant)
-    used_lags, tau, n_eff = _adf_fit(y, designs[0], _gram_lag_search(designs, int(constant))[0],
-                                     constant)
+    (outcome,) = _adf_stack(y[np.newaxis], _lag_bound(n, max_lag, int(constant)), constant)
+    if isinstance(outcome, ConstantSeries):
+        raise outcome
+    used_lags, tau, n_eff = outcome
     return AdfResult(tau=tau, used_lags=used_lags, n_eff=n_eff, n_series=1,
                      deterministic=deterministic)
 
@@ -515,7 +506,8 @@ class Stage1Terms:
     ``rows`` is an ``(S, n)`` array of S series; ``means``, ``devs`` (each
     series less its mean) and ``sxx`` (each ``dev @ dev``) are computed once
     per series, so that a scan of every pair of S series computes them S
-    times rather than once per pair.
+    times rather than once per pair.  ``correlation_matrix`` takes its
+    return deviations from here too.
     """
 
     rows: np.ndarray
@@ -551,11 +543,9 @@ def engle_granger_block(terms: Stage1Terms, pairs, max_lag: int | None = None
 
     The block shares what its pairs share: stage 1 uses the per-series
     ``terms``, so only the slope's dot product is per pair; the residuals
-    are one 2-D expression; and the ADF designs are one stack for one
-    ``_gram_lag_search``.  Elementwise arithmetic is exact and each Gram
-    matrix is the same BLAS call as for one design, so nothing rounds
-    differently.  A pair the Gram search cannot decide takes the QR search,
-    and every pair is refit on its own, as in ``adf_test``.
+    are one 2-D expression; and their ADF tests are one ``_adf_stack``.
+    Elementwise arithmetic is exact and each Gram matrix is
+    the same BLAS call as for one design, so nothing rounds differently.
     """
     n = terms.rows.shape[1]
     if n < 30:
@@ -578,13 +568,11 @@ def engle_granger_block(terms: Stage1Terms, pairs, max_lag: int | None = None
     if not live:
         return outcomes
 
-    designs = _adf_designs(resids[live], _lag_bound(n, max_lag, 0), False)
-    for k, design, best_k in zip(live, designs, _gram_lag_search(designs, 0)):
-        try:
-            used_lags, tau, n_eff = _adf_fit(resids[k], design, best_k, False)
-        except ConstantSeries as exc:
-            outcomes[k] = exc
+    for k, outcome in zip(live, _adf_stack(resids[live], _lag_bound(n, max_lag, 0), False)):
+        if isinstance(outcome, ConstantSeries):
+            outcomes[k] = outcome
         else:
+            used_lags, tau, n_eff = outcome
             outcomes[k] = AdfResult(tau=tau, used_lags=used_lags, n_eff=n_eff, n_series=2,
                                     deterministic="constant")
     return outcomes

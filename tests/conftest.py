@@ -43,14 +43,14 @@ def make_series(ticker, closes, start=date(2021, 1, 1)):
     """One-ticker panel on consecutive calendar days starting at ``start``."""
     dates = tuple(start + timedelta(days=i) for i in range(len(closes)))
     return AlignedPanel(tickers=(ticker,), dates=dates,
-                        closes=np.asarray(closes, dtype=float)[:, np.newaxis])
+                        closes=np.asarray(closes, dtype=float)[np.newaxis])
 
 
 def make_pair(close1, close2, start=date(2021, 1, 1)):
     """Two-ticker pair panel ("A", "B") on consecutive calendar days."""
     dates = tuple(start + timedelta(days=i) for i in range(len(close1)))
     return AlignedPanel(tickers=("A", "B"), dates=dates,
-                        closes=np.column_stack([close1, close2]))
+                        closes=np.vstack([close1, close2]))
 
 
 def read_frame_csv(data, ticker1, ticker2):
@@ -65,7 +65,7 @@ def read_frame_csv(data, ticker1, ticker2):
         pair=AlignedPanel(
             tickers=(ticker1, ticker2),
             dates=tuple(date.fromisoformat(r["date"]) for r in rows),
-            closes=np.array([[float(r["asset1"]), float(r["asset2"])] for r in rows]),
+            closes=[[float(r[asset]) for r in rows] for asset in ("asset1", "asset2")],
         ),
         zscore=[float(r["z_score"]) for r in rows],
         upper_limit=float(rows[0]["upper_limit"]),

@@ -96,7 +96,7 @@ class RatioStats:
 
 def column(panel, ticker: str) -> PriceSeries:
     j = panel.tickers.index(ticker)
-    return PriceSeries(ticker, panel.dates, tuple(float(c) for c in panel.closes[:, j]))
+    return PriceSeries(ticker, panel.dates, tuple(float(c) for c in panel.closes[j]))
 
 
 def closes_array(series: PriceSeries) -> np.ndarray:

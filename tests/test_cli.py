@@ -4,6 +4,7 @@ import errno
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -858,6 +859,82 @@ class TestCommit:
         final = out / "metals" / "scan"
         assert f"pairtrader: error: cannot write output directory {final}: " in err
         assert "Traceback" not in err
+
+
+#: A scan whose every artifact write first says so on stdout and then sleeps,
+#: so that a signal can reach the command in the middle of ``_commit``.
+SLOW_COMMIT = """
+import sys, time
+from pathlib import Path
+from pairtrader import cli
+
+real_write_bytes = Path.write_bytes
+
+def slow_write_bytes(path, data):
+    print("writing", flush=True)
+    time.sleep(20)
+    return real_write_bytes(path, data)
+
+Path.write_bytes = slow_write_bytes
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+#: A scan that raises ``signum`` at its second ``os.replace``: after the old
+#: tree was renamed aside, before the new one is renamed in.
+SIGNAL_BETWEEN_RENAMES = """
+import os, signal, sys
+from pairtrader import cli
+
+real_replace = os.replace
+calls = []
+
+def replace(src, dst):
+    calls.append(dst)
+    if len(calls) == 2:
+        signal.raise_signal({signum})
+    return real_replace(src, dst)
+
+os.replace = replace
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+class TestInterruptedCommit:
+    """A command stopped while committing keeps the previous tree and no staging directory."""
+
+    def scanned(self, synth_dir, tmp_path):
+        out = tmp_path / "out"
+        argv = ["scan", "--config", synth_dir / "config.json", "--sector", "metals", "--out", out]
+        assert run(*argv) == 0
+        # A different threshold, so the interrupted scan's files differ.
+        return [str(a) for a in argv] + ["--threshold", "0.5"], tree_bytes(tmp_path)
+
+    def test_sigterm_during_commit_exits_143_and_keeps_the_previous_tree(self, synth_dir,
+                                                                          tmp_path):
+        argv, before = self.scanned(synth_dir, tmp_path)
+        scan = subprocess.Popen([sys.executable, "-c", SLOW_COMMIT, *argv], env=blas_env(),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        try:
+            assert scan.stdout.readline() == "writing\n"
+            scan.send_signal(signal.SIGTERM)
+            _, err = scan.communicate(timeout=10)
+        finally:
+            scan.kill()
+            scan.communicate()
+        assert scan.returncode == 143
+        assert "Traceback" not in err, err
+        assert tree_bytes(tmp_path) == before
+        assert list((tmp_path / "out" / "metals").glob("*.staging-*")) == []
+
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=lambda s: s.name)
+    def test_signal_between_the_renames_keeps_the_previous_tree(self, synth_dir, tmp_path,
+                                                                signum):
+        argv, before = self.scanned(synth_dir, tmp_path)
+        done = subprocess.run([sys.executable, "-c", SIGNAL_BETWEEN_RENAMES.format(signum=signum),
+                               *argv], env=blas_env(), capture_output=True, text=True, timeout=60)
+        assert done.returncode != 0
+        assert tree_bytes(tmp_path) == before
+        assert list((tmp_path / "out" / "metals").glob("*.staging-*")) == []
 
 
 def scipy_modules_after(code):

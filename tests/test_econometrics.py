@@ -2,6 +2,7 @@ import json
 import math
 import statistics
 import sys
+from datetime import date
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from pairtrader.errors import (
     ZeroVariance,
 )
 from pairtrader.marketdata import AlignedPanel, align_panel
+from pairtrader.synthetic import weekday_calendar
 
 from conftest import TAIL_DFS, TAIL_STATS, make_series
 
@@ -75,7 +77,7 @@ class TestPearson:
         # Calendars of different length are joined on their shared dates,
         # never paired by position.
         a = make_series("A", [10, 11, 9, 12, 13])
-        b = AlignedPanel(("B",), a.dates[:2] + a.dates[3:], [[20.0], [23.0], [25.0], [24.0]])
+        b = AlignedPanel(("B",), a.dates[:2] + a.dates[3:], [[20.0, 23.0, 25.0, 24.0]])
         got = float(correlation_matrix(align_panel([a, b]))[0, 1])
         expected = oracle_pearson(simple_returns([10, 11, 12, 13]),
                                   simple_returns([20, 23, 25, 24]))
@@ -90,9 +92,52 @@ class TestPearson:
             pair_correlation({"A": [1, 2, 3], "B": [3, 4, 6]})
 
 
+def frozen_correlation_matrix(panel):
+    """``correlation_matrix``'s values as its per-ticker loop computed them,
+    one return array per ticker: the bit-for-bit reference."""
+
+    def _deviations(x: np.ndarray) -> tuple[np.ndarray, float]:
+        """Deviations from the mean and their sum of squares."""
+        dx = x - x.mean()
+        return dx, float(dx @ dx)
+
+    def _correlation(dx: np.ndarray, sxx: float, dy: np.ndarray, syy: float) -> float:
+        r = float(dx @ dy) / math.sqrt(sxx * syy)
+        return min(1.0, max(-1.0, r))
+
+    n = len(panel.tickers)
+    returns = [row[1:] / row[:-1] - 1.0 for row in np.array(panel.closes)]
+    devs = [_deviations(r) for r in returns]
+    values = np.eye(n)
+    for i in range(n):
+        dx, sxx = devs[i]
+        for j in range(i + 1, n):
+            dy, syy = devs[j]
+            r = _correlation(dx, sxx, dy, syy)
+            values[i, j] = r
+            values[j, i] = r
+    return values
+
+
 class TestCorrelationMatrix:
     def panel(self, columns):
         return align_panel([make_series(t, closes) for t, closes in columns.items()])
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_tickers=st.integers(min_value=2, max_value=9),
+           n_dates=st.integers(min_value=2, max_value=200).map(lambda k: 2 * k + 1),
+           exponents=st.lists(st.floats(min_value=-3.0, max_value=6.0), min_size=9, max_size=9),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_bit_identical_to_frozen_per_ticker_loop(self, n_tickers, n_dates, exponents, seed):
+        # Odd lengths put the rows of the 2-D returns at every alignment, and
+        # the price scales run from 1e-3 to 1e6.
+        rng = np.random.default_rng(seed)
+        scales = 10.0 ** np.array(exponents[:n_tickers])
+        closes = scales[:, np.newaxis] * np.exp(
+            np.cumsum(rng.normal(0.0, 0.02, size=(n_tickers, n_dates)), axis=1))
+        panel = AlignedPanel(tuple(f"T{k}" for k in range(n_tickers)),
+                             tuple(weekday_calendar(date(2021, 1, 1), n_dates)), closes)
+        assert correlation_matrix(panel).tobytes() == frozen_correlation_matrix(panel).tobytes()
 
     def test_every_cell_matches_fsum_oracle(self):
         rng = np.random.default_rng(17)
@@ -101,7 +146,7 @@ class TestCorrelationMatrix:
         }
         panel = self.panel(columns)
         matrix = correlation_matrix(panel)
-        returns = [simple_returns(panel.closes[:, j].tolist()) for j in range(6)]
+        returns = [simple_returns(panel.closes[j].tolist()) for j in range(6)]
         for i in range(6):
             for j in range(6):
                 if i != j:

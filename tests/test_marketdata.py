@@ -2,7 +2,7 @@ import csv
 import math
 import re
 import tempfile
-from datetime import date
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,7 @@ from pairtrader.marketdata import (
     load_csv,
     slice_window,
 )
+from pairtrader.pairscan import order_pair
 
 from conftest import make_series
 
@@ -131,7 +132,7 @@ def reference_load_csv(path, ticker, close_column=None):
     return AlignedPanel(
         tickers=(ticker,),
         dates=tuple(d for d, _ in rows),
-        closes=np.array([c for _, c in rows])[:, np.newaxis],
+        closes=np.array([c for _, c in rows])[np.newaxis],
     )
 
 
@@ -157,14 +158,14 @@ class TestLoadCsv:
         assert series.tickers == ("A",)
         assert len(series) == 2
         assert series.dates == (date(2021, 1, 1), date(2021, 1, 4))
-        assert series.closes.tolist() == [[100.0], [101.5]]
+        assert series.closes.tolist() == [[100.0, 101.5]]
 
     def test_out_of_order_rows_sorted(self, tmp_path):
         path = write_csv(tmp_path / "a.csv",
                          "Date,Close\n2021-01-04,101.5\n2021-01-01,100.0\n")
         series = load_csv(path, "A")
         assert series.dates == (date(2021, 1, 1), date(2021, 1, 4))
-        assert series.closes[:, 0].tolist() == [100.0, 101.5]
+        assert series.closes[0].tolist() == [100.0, 101.5]
 
     def test_zero_close_rejected_naming_row(self, tmp_path):
         path = write_csv(tmp_path / "a.csv",
@@ -208,8 +209,8 @@ class TestLoadCsv:
     def test_close_preferred_over_adj_close(self, tmp_path):
         path = write_csv(tmp_path / "a.csv",
                          "Date,Close,Adj Close\n2021-01-01,100.0,90.0\n2021-01-04,101.0,91.0\n")
-        assert load_csv(path, "A").closes[:, 0].tolist() == [100.0, 101.0]
-        assert load_csv(path, "A", close_column="Adj Close").closes[:, 0].tolist() == [90.0, 91.0]
+        assert load_csv(path, "A").closes[0].tolist() == [100.0, 101.0]
+        assert load_csv(path, "A", close_column="Adj Close").closes[0].tolist() == [90.0, 91.0]
 
     def test_missing_file_names_path(self, tmp_path):
         path = tmp_path / "absent.csv"
@@ -241,7 +242,7 @@ class TestLoadCsv:
             except DataError:
                 return
         assert isinstance(series, AlignedPanel)
-        assert series.tickers == ("A",) and series.closes.shape == (len(series), 1)
+        assert series.tickers == ("A",) and series.closes.shape == (1, len(series))
 
     def test_error_names_the_physical_line(self, tmp_path):
         path = write_csv(tmp_path / "blank.csv",
@@ -260,7 +261,7 @@ class TestLoadCsv:
                          "Date,Close,Close\n2021-01-01,1.0,2.0\n2021-01-04,3.0\n")
         series = load_csv(path, "A")
         assert series.dates == (date(2021, 1, 1),)
-        assert series.closes[:, 0].tolist() == [2.0]
+        assert series.closes[0].tolist() == [2.0]
 
     def test_extra_columns_ignored(self, tmp_path):
         path = write_csv(
@@ -269,13 +270,13 @@ class TestLoadCsv:
             "2021-01-01,99,101,98,100.0,99.5,1000\n"
             "2021-01-04,100,103,99,102.0,101.4,1200\n",
         )
-        assert load_csv(path, "A").closes[:, 0].tolist() == [100.0, 102.0]
+        assert load_csv(path, "A").closes[0].tolist() == [100.0, 102.0]
 
 
 class TestAlignedPanelInvariants:
     def test_non_increasing_dates_rejected(self):
         with pytest.raises(DuplicateDate):
-            AlignedPanel(("A",), (date(2021, 1, 2), date(2021, 1, 1)), [[1.0], [2.0]])
+            AlignedPanel(("A",), (date(2021, 1, 2), date(2021, 1, 1)), [[1.0, 2.0]])
 
     def test_non_positive_close_rejected(self):
         with pytest.raises(NonPositivePrice):
@@ -288,13 +289,15 @@ class TestAlignedPanelInvariants:
     def test_hand_built_pair_panel_checked(self):
         dates = (date(2021, 1, 1), date(2021, 1, 2), date(2021, 1, 3))
         with pytest.raises(NonPositivePrice, match="B: close -2.0 on 2021-01-02"):
-            AlignedPanel(("A", "B"), dates, [[1.0, 2.0], [1.0, -2.0], [1.0, math.nan]])
+            AlignedPanel(("A", "B"), dates, [[1.0, 1.0, 1.0], [2.0, -2.0, math.nan]])
         with pytest.raises(NonPositivePrice, match="B: close nan"):
-            AlignedPanel(("A", "B"), dates, [[1.0, 2.0], [1.0, 2.0], [1.0, math.nan]])
+            AlignedPanel(("A", "B"), dates, [[1.0, 1.0, 1.0], [2.0, 2.0, math.nan]])
+        with pytest.raises(NonPositivePrice, match="B: close -2.0 on 2021-01-02"):
+            AlignedPanel(("A", "B"), dates, [[1.0, 1.0, -1.0], [2.0, -2.0, 2.0]])
         with pytest.raises(DuplicateDate, match="A/B"):
-            AlignedPanel(("A", "B"), (dates[0], dates[2], dates[2]), np.ones((3, 2)))
+            AlignedPanel(("A", "B"), (dates[0], dates[2], dates[2]), np.ones((2, 3)))
         with pytest.raises(ValueError, match="shape"):
-            AlignedPanel(("A", "B"), dates, np.ones((3, 3)))
+            AlignedPanel(("A", "B"), dates, np.ones((3, 2)))
 
     def test_repeated_ticker_rejected(self):
         with pytest.raises(DuplicateTicker, match="ticker 'A' appears more than once"):
@@ -319,7 +322,7 @@ class TestAlignPanel:
         b = make_series("B", [4.0, 5.0, 6.0], start=d[1])
         panel = align_panel([a, b])
         assert panel.dates == (d[1], d[2])
-        assert panel.closes.tolist() == [[2.0, 4.0], [3.0, 5.0]]
+        assert panel.closes.tolist() == [[2.0, 3.0], [4.0, 5.0]]
 
     def test_identical_calendars(self):
         a = make_series("A", [1, 2, 3])
@@ -347,7 +350,7 @@ class TestAlignPanel:
         panel = align_panel([c, ab])
         assert panel.tickers == ("C", "A", "B")
         assert panel.dates == ab.dates[1:]
-        assert panel.closes.tolist() == [[7.0, 2.0, 5.0], [8.0, 3.0, 6.0]]
+        assert panel.closes.tolist() == [[7.0, 8.0], [2.0, 3.0], [5.0, 6.0]]
         with pytest.raises(DuplicateTicker):
             align_panel([ab, make_series("B", [1, 2, 3])])
 
@@ -359,8 +362,8 @@ class TestAlignPanel:
         p2 = align_panel([c, a, b])
         assert p1.dates == p2.dates
         for ticker in ("A", "B", "C"):
-            assert np.array_equal(p1.closes[:, p1.tickers.index(ticker)],
-                                  p2.closes[:, p2.tickers.index(ticker)])
+            assert np.array_equal(p1.closes[p1.tickers.index(ticker)],
+                                  p2.closes[p2.tickers.index(ticker)])
 
     def test_distinct_panels_compare_without_raising(self):
         series = [make_series("A", [1, 2, 3]), make_series("B", [4, 5, 6])]
@@ -387,7 +390,7 @@ class TestSliceWindow:
     def test_single_date(self):
         p = pair_of([1, 2, 3])
         out = slice_window(p, p.dates[1], p.dates[1])
-        assert out.closes.tolist() == [[2.0, 20.0]]
+        assert out.closes.tolist() == [[2.0], [20.0]]
 
     def test_window_before_all_dates(self):
         p = pair_of([1, 2, 3], start=date(2021, 6, 1))
@@ -410,9 +413,69 @@ class TestSliceWindow:
         out = slice_window(panel, panel.dates[1], panel.dates[2])
         assert isinstance(out, AlignedPanel)
         assert out.dates == panel.dates[1:]
-        assert out.closes.tolist() == [[2.0, 5.0], [3.0, 6.0]]
+        assert out.closes.tolist() == [[2.0, 3.0], [5.0, 6.0]]
 
     def test_panel_empty_window(self):
         panel = align_panel([make_series("A", [1, 2]), make_series("B", [4, 5])])
         with pytest.raises(EmptyWindow):
             slice_window(panel, date(1999, 1, 1), date(1999, 1, 2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sets(st.integers(min_value=0, max_value=60), min_size=1, max_size=25),
+           st.integers(min_value=-5, max_value=65), st.integers(min_value=0, max_value=70))
+    def test_window_is_every_date_in_range(self, days, first, span):
+        # Windows that start or end on, between, before or after the dates.
+        origin = date(2021, 1, 1)
+        dates = tuple(origin + timedelta(days=d) for d in sorted(days))
+        panel = AlignedPanel(("A", "B"), dates, [np.arange(1.0, len(dates) + 1),
+                                                 np.arange(2.0, len(dates) + 2)])
+        start, end = origin + timedelta(days=first), origin + timedelta(days=first + span)
+        keep = [i for i, d in enumerate(dates) if start <= d <= end]
+        if not keep:
+            with pytest.raises(EmptyWindow):
+                slice_window(panel, start, end)
+            return
+        out = slice_window(panel, start, end)
+        assert out.dates == tuple(dates[i] for i in keep)
+        assert out.closes.tolist() == panel.closes[:, keep].tolist()
+
+
+def assert_ticker_major(panel):
+    """``panel.closes`` is a read-only, C-contiguous (tickers, dates) array."""
+    closes = panel.closes
+    assert closes.shape == (len(panel.tickers), len(panel.dates))
+    assert closes.flags.c_contiguous
+    assert not closes.flags.writeable
+
+
+class TestPanelLayout:
+    DATES = (date(2021, 1, 1), date(2021, 1, 2), date(2021, 1, 3))
+    WIDE = np.arange(1.0, 25.0).reshape(4, 6)
+
+    @pytest.mark.parametrize("closes", [
+        [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],
+        np.asfortranarray([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+        WIDE[::2, 1::2],
+        WIDE[:2, [5, 0, 3]],
+        WIDE[:3, :2].T,
+    ], ids=["list", "f-ordered", "strided-view", "fancy-indexed", "transposed"])
+    def test_every_input_layout_is_stored_ticker_major(self, closes):
+        panel = AlignedPanel(("A", "B"), self.DATES, closes)
+        assert_ticker_major(panel)
+        assert panel.closes.tolist() == np.asarray(closes).tolist()
+
+    def test_pipeline_panels_are_ticker_major(self, tmp_path):
+        path = write_csv(tmp_path / "a.csv",
+                         "Date,Close\n2021-01-03,3.0\n2021-01-01,1.0\n2021-01-02,2.0\n")
+        loaded = load_csv(path, "A")
+        joined = align_panel([make_series("B", [9.0, 8.0, 7.0, 6.0]), loaded,
+                              make_series("C", [5.0, 6.0, 7.0])])
+        window = slice_window(joined, loaded.dates[1], loaded.dates[2])
+        pair = align_panel([make_series("B", [1.0, 2.0, 3.0]), make_series("A", [5.0, 6.0, 7.0])])
+        swapped = order_pair(pair, (pair.dates[0], pair.dates[-1]))
+        assert swapped.tickers == ("A", "B")
+        for panel in (loaded, joined, window, swapped):
+            assert_ticker_major(panel)
+        assert joined.closes.tolist() == [[9.0, 8.0, 7.0], [1.0, 2.0, 3.0], [5.0, 6.0, 7.0]]
+        assert window.closes.tolist() == [[8.0, 7.0], [2.0, 3.0], [6.0, 7.0]]
+        assert swapped.closes.tolist() == [[5.0, 6.0, 7.0], [1.0, 2.0, 3.0]]

@@ -35,7 +35,7 @@ def synth_series():
     calendar = weekday_calendar(date(2018, 1, 1), TRAIN_DAYS)
     prices = build_sector()
     return {
-        t: AlignedPanel((t,), calendar, prices[t][:TRAIN_DAYS, np.newaxis])
+        t: AlignedPanel((t,), calendar, prices[t][np.newaxis, :TRAIN_DAYS])
         for t in sorted(prices)
     }
 
@@ -72,7 +72,7 @@ class TestOrderPair:
         assert pair_panel(a, b).tickers == ("A", "B")
         flipped = pair_panel(b, a)
         assert flipped.tickers == ("A", "B")
-        assert flipped.closes.tolist() == [[100.0, 50.0]] * 3
+        assert flipped.closes.tolist() == [[100.0] * 3, [50.0] * 3]
 
     def test_tie_breaks_lexicographically(self):
         aa = make_series("AA", [10, 20])
@@ -99,7 +99,7 @@ class TestOrderPair:
         ordered = pair_panel(a, b, train=whole(b))
         assert ordered.tickers == ("B", "A")
         assert ordered.dates == a.dates[1:]
-        assert ordered.closes[:, 1].tolist() == [2.0, 3.0, 4.0]
+        assert ordered.closes[1].tolist() == [2.0, 3.0, 4.0]
 
     def test_needs_two_tickers(self):
         panel = align_panel([make_series(t, [1, 2, 3]) for t in "ABC"])
@@ -141,7 +141,7 @@ class TestCointMatrix:
         assert sum(1 for p in others if p < 0.05) <= 6
 
     def test_predictor_has_higher_mean_in_every_cell(self, synth_panel, synth_matrix):
-        column = dict(zip(synth_panel.tickers, synth_panel.closes_by_ticker()))
+        column = dict(zip(synth_panel.tickers, synth_panel.closes))
         for cell in synth_matrix.cells:
             assert np.mean(column[cell.predictor]) >= np.mean(column[cell.target])
 
@@ -192,7 +192,7 @@ class TestCointMatrix:
 
         # Read on demand, an Engle-Granger result still gives the two-series
         # constant surface's critical values at its effective sample size.
-        target, predictor = synth_panel.closes_by_ticker()[:2]
+        target, predictor = synth_panel.closes[:2]
         result = engle_granger(target, predictor)
         assert (result.n_series, result.deterministic) == (2, "constant")
         assert dict(result.crit) == {
@@ -329,7 +329,7 @@ class TestFitPair:
         target = make_series("T", 3.0 * base + rng.normal(0, 0.1, size=120))
         train = (predictor.dates[0], predictor.dates[99])
         whole_model = fit_pair(slice_window(align_panel([predictor, target]), *train))
-        head = [make_series(s.tickers[0], s.closes[:100, 0]) for s in (predictor, target)]
+        head = [make_series(s.tickers[0], s.closes[0, :100]) for s in (predictor, target)]
         head_model = fit_pair(align_panel(head))
         assert len(whole_model.report.residuals) == 100
         assert same_report(whole_model.report, head_model.report)
@@ -346,7 +346,7 @@ class TestFitPair:
         a = make_series("P", base)
         # Same series missing a few days in the middle.
         keep = [i for i in range(80) if i % 13 != 5]
-        b = AlignedPanel(("T",), tuple(a.dates[i] for i in keep), 2.0 * a.closes[keep] + 1.0)
+        b = AlignedPanel(("T",), tuple(a.dates[i] for i in keep), 2.0 * a.closes[:, keep] + 1.0)
         model = fit_pair(slice_window(align_panel([a, b]), *whole(a)))
         assert len(model.report.residuals) == len(keep)
 

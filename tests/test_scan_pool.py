@@ -148,7 +148,7 @@ def block_panel(n_tickers, n_dates, seed, twin, fallback):
                            + 1e-5 * rng.normal(size=n_dates))
     closes[:, twin] = 2.0 * closes[:, twin - 1]
     return AlignedPanel(tuple(f"T{k}" for k in range(n_tickers)),
-                        tuple(weekday_calendar(date(2015, 1, 1), n_dates)), closes)
+                        tuple(weekday_calendar(date(2015, 1, 1), n_dates)), closes.T)
 
 
 @settings(max_examples=25, deadline=None)
@@ -192,7 +192,7 @@ def fail_on_pairs(monkeypatch, panel, *pairs):
     The fault takes the pair's place among the block's outcomes, as a real
     per-pair fault does, and ``pairscan`` names the pair.
     """
-    closes = dict(zip(panel.tickers, panel.closes_by_ticker()))
+    closes = dict(zip(panel.tickers, panel.closes))
     bad = [{closes[a][0], closes[b][0]} for a, b in pairs]
     real = pairscan.engle_granger_block
 

@@ -125,7 +125,7 @@ class TestFitRatioStats:
         assert stats.mean == pytest.approx(2.0)
 
     def test_empty_ratio(self):
-        empty = AlignedPanel(tickers=("A", "B"), dates=(), closes=np.empty((0, 2)))
+        empty = AlignedPanel(tickers=("A", "B"), dates=(), closes=np.empty((2, 0)))
         with pytest.raises(EmptySeries):
             fit_ratio_stats(empty)
 
@@ -226,8 +226,8 @@ class TestTradingFrame:
         frame = build_trading_frame(pair, fit_ratio_stats(pair))
         assert frame.upper_limit == 1.0 and frame.lower_limit == -1.0
         assert np.array_equal(frame.signals2, -frame.signals1)
-        assert frame.close1.tolist() == pair.closes[:, 0].tolist()
-        assert frame.close2.tolist() == pair.closes[:, 1].tolist()
+        assert frame.close1.tolist() == pair.closes[0].tolist()
+        assert frame.close2.tolist() == pair.closes[1].tolist()
 
     def test_fields_are_pair_zscore_and_bands(self):
         names = [f.name for f in dataclasses.fields(TradingFrame)]

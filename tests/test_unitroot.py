@@ -303,7 +303,7 @@ class TestAdf:
         # A one-ticker panel's close column goes in as it is.
         rng = np.random.default_rng(29)
         series = make_series("A", 100 + np.abs(random_walk(rng, 60)))
-        result = adf_test(series.closes[:, 0], "constant")
+        result = adf_test(series.closes[0], "constant")
         assert result.n_eff == 60 - result.used_lags - 1
 
     def test_deterministic_sinusoid_is_singular(self):
@@ -567,15 +567,15 @@ def test_coint_matrix_bit_identical_to_frozen_per_pair_loop():
     calendar = weekday_calendar(date(2018, 1, 1), TRAIN_DAYS)
     prices = build_sector()
     panel = align_panel([
-        AlignedPanel((t,), calendar, prices[t][:TRAIN_DAYS, np.newaxis])
+        AlignedPanel((t,), calendar, prices[t][np.newaxis, :TRAIN_DAYS])
         for t in sorted(prices)
     ])
     expected = np.full((len(panel.tickers),) * 2, math.nan)
     for i, a in enumerate(panel.tickers):
         for j in range(i + 1, len(panel.tickers)):
             b = panel.tickers[j]
-            closes_a = np.ascontiguousarray(panel.closes[:, i])
-            closes_b = np.ascontiguousarray(panel.closes[:, j])
+            closes_a = np.ascontiguousarray(panel.closes[i])
+            closes_b = np.ascontiguousarray(panel.closes[j])
             # Higher mean close predicts; ties go to the lower ticker.
             mean_a, mean_b = np.mean(closes_a), np.mean(closes_b)
             if mean_a > mean_b or (mean_a == mean_b and a <= b):
@@ -593,7 +593,7 @@ def test_coint_matrix_bit_identical_to_frozen_per_pair_loop():
     assert np.array_equal(got, expected, equal_nan=True)
     assert got.tobytes() == expected.tobytes()
     # Each cell's roles are the frozen loop's: the higher mean close predicts.
-    column = dict(zip(panel.tickers, np.ascontiguousarray(panel.closes.T)))
+    column = dict(zip(panel.tickers, np.ascontiguousarray(panel.closes)))
     for cell in cells:
         assert {cell.predictor, cell.target} == {cell.ticker_a, cell.ticker_b}
         assert np.mean(column[cell.predictor]) > np.mean(column[cell.target])
@@ -659,6 +659,30 @@ def qr_searches(monkeypatch):
     return designs
 
 
+def adf_design(y, lag, constant):
+    """``y``'s ADF design at ``lag`` as one C-contiguous array, one row per
+    observation: the regressors first and the dependent ``dy_t`` last."""
+    return np.ascontiguousarray(unitroot._adf_designs(y, lag, constant).T)
+
+
+@pytest.mark.parametrize("constant", [False, True])
+@pytest.mark.parametrize("lag", [0, 1, 4])
+def test_one_design_builder_fills_a_stack_and_a_row_major_design(lag, constant):
+    # The stack the lag search reads and the row-major design the refit
+    # reads hold the same numbers, and a row of a stack is its series' own.
+    rng = np.random.default_rng(lag)
+    ys = np.stack([random_walk(rng, 61), ar1(rng, 61, phi=0.5)])
+    stack = unitroot._adf_designs(ys, lag, constant)
+    assert stack.shape == (2, int(constant) + lag + 2, 60 - lag)
+    for y, slab in zip(ys, stack):
+        design = np.empty((60 - lag, int(constant) + lag + 2))
+        unitroot._adf_designs(y, lag, constant, out=design.T)
+        assert design.tobytes() == adf_design(y, lag, constant).tobytes()
+        assert np.array_equal(design, slab.T)
+        assert design[:, -1].tolist() == np.diff(y)[lag:].tolist()
+        assert design[:, int(constant)].tolist() == y[lag:-1].tolist()
+
+
 def gram_checks(y, deterministic, max_lag):
     """What the Gram search sees: None when the Cholesky factorisation fails,
     else (smallest pivot / its column's norm, smallest SSR / b'b)."""
@@ -693,7 +717,7 @@ def test_gram_search_decides_ordinary_scans(qr_searches):
         engle_granger(1.5 * x + ar1(rng, n, phi=0.6), x)
     coint_matrix(align_panel([
         AlignedPanel((t,), weekday_calendar(date(2018, 1, 1), TRAIN_DAYS),
-                     closes[:TRAIN_DAYS, np.newaxis])
+                     closes[np.newaxis, :TRAIN_DAYS])
         for t, closes in sorted(build_sector().items())
     ]))
     assert qr_searches == []
@@ -752,7 +776,7 @@ def test_tiny_ssr_keeps_the_fits_exactly_fault(qr_searches, deterministic):
 
 def aic_gap(y, max_lag=1):
     """AIC(0) - AIC(1) of the no-constant ADF regression, by ``lstsq`` per lag."""
-    design = unitroot._adf_design(y, max_lag, False)
+    design = adf_design(y, max_lag, False)
     b = design[:, -1]
     aic = []
     for k in range(2):
@@ -787,7 +811,7 @@ def test_aic_near_tie_falls_back_to_qr(qr_searches):
     mine = adf_test(y, "none", max_lag=1)
     assert len(qr_searches) == 1
     # The QR search alone makes the choice, as before the Gram search.
-    design = np.ascontiguousarray(unitroot._adf_design(y, 1, False))
+    design = adf_design(y, 1, False)
     assert mine.used_lags == unitroot._qr_lag_search(design, 0)
 
 
@@ -811,7 +835,7 @@ def test_gram_search_decides_well_conditioned_walks_at_any_scale(qr_searches):
         y = 10.0 ** int(rng.integers(-6, 7)) * random_walk(rng, n)
         deterministic = ("none", "constant")[i % 2]
         ntrend = int(deterministic == "constant")
-        design = unitroot._adf_design(y, default_max_lag(n), ntrend == 1)
+        design = adf_design(y, default_max_lag(n), ntrend == 1)
         searches = len(qr_searches)
         mine = adf_test(y, deterministic)
         if len(qr_searches) > searches:
@@ -827,7 +851,7 @@ def test_pivot_spread_keeps_the_qr_singular_fault(qr_searches):
     # constant column: the QR search calls that design singular, so the Gram
     # search must leave the decision, and the fault, to it.
     y = 1e13 * random_walk(np.random.default_rng(6), 300)
-    assert correlation_kappa(unitroot._adf_design(y, 2, True)) < 100.0
+    assert correlation_kappa(adf_design(y, 2, True)) < 100.0
     with pytest.raises(ConstantSeries, match="^unit-root regression is singular$"):
         adf_test(y, "constant", max_lag=2)
     assert len(qr_searches) == 1
