@@ -5,11 +5,13 @@
 #
 # COMMAND starts the CLI and defaults to the console script `pairtrader`; a
 # source checkout runs it as `PYTHONPATH=<checkout>/src bash smoke.sh python
-# -m pairtrader.cli`.  The script writes `demo/`, `threads2/`, `wide/` and
-# `afile*` into an empty working directory.  Every JSON artifact must parse
-# without NaN or Infinity literals and every SVG chart as XML, a rerun on two
-# BLAS threads (the CLI defaults to one) must write the same bytes, and no
-# staging directory may be left behind.  An output path under a regular file
+# -m pairtrader.cli`.  The script writes `demo/`, `threads2/`, `core-*/`,
+# `wide/` and `afile*` into an empty working directory.  Every JSON artifact
+# must parse without NaN or Infinity literals and every SVG chart as XML, a
+# rerun on two BLAS threads (the CLI defaults to one) must write the same
+# bytes, and so must a rerun under each OpenBLAS kernel this CPU can run
+# (`OPENBLAS_CORETYPE`, where numpy's OpenBLAS is a DYNAMIC_ARCH build), and
+# no staging directory may be left behind.  An output path under a regular file
 # must exit 1 with a one-line error, not a traceback.  A 40-ticker x
 # 750-day random-walk sector, large enough to fork a scan pool on 2 or more
 # CPUs, must scan to the same bytes pooled and pinned to one CPU, and with
@@ -57,6 +59,23 @@ PY
 )
 diff -r demo/runs threads2
 echo "two BLAS threads wrote the same bytes"
+
+if python -c 'import numpy, sys; sys.exit("DYNAMIC_ARCH" not in str(numpy.show_config(mode="dicts")))' 2> /dev/null; then
+  cores="Prescott Sandybridge Haswell"
+  if grep -qw avx512f /proc/cpuinfo 2> /dev/null; then
+    cores="$cores SkylakeX"
+  fi
+  for core in $cores; do
+    (
+      export OPENBLAS_CORETYPE="$core" PAIRTRADER_OUT="$PWD/core-$core"
+      demo_commands "$@"
+    )
+    diff -r demo/runs "core-$core"
+  done
+  echo "OpenBLAS kernels $cores wrote the bytes of the default kernel"
+else
+  echo "numpy's OpenBLAS is not a DYNAMIC_ARCH build: the kernel check is skipped"
+fi
 
 staging=$(find demo/runs threads2 -name '*.staging-*')
 if [ -n "$staging" ]; then

@@ -8,9 +8,10 @@ renderer.  ``_commit`` alone writes: it stages a command's files in a
 temporary directory and renames it into place.  The pipeline modules only compute.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 data error,
-3 numeric or degeneracy error, 143 (128 + SIGTERM) terminated.  SIGTERM
-raises ``SystemExit`` for the whole command, so a terminated command still
-removes its staging directory and stops its scan pool.
+3 numeric or degeneracy error, 130 (128 + SIGINT) interrupted, 143 (128 +
+SIGTERM) terminated.  SIGTERM raises ``SystemExit`` for the whole command,
+so a terminated command still removes its staging directory and stops its
+scan pool, as an interrupted one does.
 """
 
 from __future__ import annotations
@@ -719,6 +720,11 @@ def main(argv=None) -> int:
     except PairTraderError as exc:
         print(f"pairtrader: error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except KeyboardInterrupt:
+        # Ctrl-C: every finally block, the scan pool's and ``staged_dir``'s
+        # among them, has run on the way here.
+        print("pairtrader: error: interrupted", file=sys.stderr)
+        return 130
     finally:
         if installed:
             signal.signal(signal.SIGTERM, signal.SIG_DFL)

@@ -23,6 +23,7 @@ from .errors import (
     LengthMismatch,
     SampleTooSmall,
     SeriesTooShort,
+    SumOverflow,
     ZeroVariance,
 )
 from .marketdata import AlignedPanel, readonly_copy
@@ -163,7 +164,9 @@ def correlation_matrix(panel: AlignedPanel) -> np.ndarray:
     the diagonal is exactly 1 and the matrix is exactly symmetric by
     construction.  Each ticker's return deviations are computed once, by
     ``stage1_terms`` as for the Engle-Granger scan, and each cell is the
-    product-moment correlation of two of them.
+    product-moment correlation of two of them, its sum of products an
+    ``einsum`` over the two rows: an order fixed by their length, whichever
+    other tickers the panel holds.
     """
     n = len(panel.tickers)
     if n < 2:
@@ -177,11 +180,11 @@ def correlation_matrix(panel: AlignedPanel) -> np.ndarray:
         if sxx == 0.0:
             raise ZeroVariance(f"returns of {ticker} have zero variance")
 
+    devs, sxx = terms.devs, terms.sxx
     values = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = float(terms.devs[i] @ terms.devs[j]) / math.sqrt(terms.sxx[i] * terms.sxx[j])
-            values[i, j] = values[j, i] = min(1.0, max(-1.0, r))
+    for i in range(n - 1):
+        r = np.einsum("t,jt->j", devs[i], devs[i + 1:]) / np.sqrt(sxx[i] * sxx[i + 1:])
+        values[i, i + 1:] = values[i + 1:, i] = np.clip(r, -1.0, 1.0)
     values.setflags(write=False)
     return values
 
@@ -216,16 +219,21 @@ def _moments(e: np.ndarray) -> tuple[float, float, float]:
     return m2 * scale**2, m3 / m2**1.5, m4 / m2**2
 
 
+def _sum_of_products(x: np.ndarray, y: np.ndarray) -> float:
+    """``sum(x * y)`` in an order fixed by the length, not by the BLAS kernel."""
+    return float(np.einsum("t,t->", x, y))
+
+
 def durbin_watson(e) -> float:
     """Durbin-Watson statistic ``sum (e_t - e_{t-1})^2 / sum e_t^2``."""
     resid = np.asarray(e, dtype=float)
     if resid.size < 2:
         raise SeriesTooShort(f"need >= 2 residuals, have {resid.size}")
-    denom = float(resid @ resid)
+    denom = _sum_of_products(resid, resid)
     if denom == 0.0:
         raise AllZeroResiduals("Durbin-Watson undefined when all residuals are zero")
     diff = np.diff(resid)
-    return float(diff @ diff) / denom
+    return _sum_of_products(diff, diff) / denom
 
 
 def jarque_bera(e) -> JarqueBeraResult:
@@ -410,14 +418,18 @@ def ols_through_origin(x, y) -> OlsOriginReport:
     n = int(xv.size)
     if n < 2:
         raise SeriesTooShort(f"need >= 2 observations, have {n}")
-    sxx = float(xv @ xv)
-    if sxx == 0.0:
-        raise DegenerateRegressor("regressor is identically zero")
-
-    beta = float(xv @ yv) / sxx
-    resid = yv - beta * xv
-    ssr = float(resid @ resid)
-    syy = float(yv @ yv)
+    # Sums too large for a double are refused below, without a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sxx = _sum_of_products(xv, xv)
+        sxy = _sum_of_products(xv, yv)
+        syy = _sum_of_products(yv, yv)
+        if sxx == 0.0:
+            raise DegenerateRegressor("regressor is identically zero")
+        beta = sxy / sxx
+        resid = yv - beta * xv
+        ssr = _sum_of_products(resid, resid)
+    if not all(map(math.isfinite, (sxx, sxy, syy, ssr))):
+        raise SumOverflow("sums of squares overflow: values too large")
     df_resid = n - 1
 
     if ssr > 0.0:

@@ -89,6 +89,10 @@ class SampleTooSmall(DataError):
     """Sample below the minimum size for a stable test transform."""
 
 
+class SumOverflow(NumericError):
+    """A sum of squares or products exceeds the largest double."""
+
+
 class UnknownSurface(NumericError):
     """No tabulated coefficients for the requested response surface."""
 

@@ -7,9 +7,9 @@ beat the significance threshold outright or squeak in within a configurable
 near-threshold margin.  A pair whose residuals are exactly zero (say, two
 share classes of one company) gets p = 0 and a recorded reason instead of
 aborting the scan.  The pairs are tested in blocks that share their
-stage-1 terms and lag-order checks, and a large scan runs them on a forked
-worker pool, one contiguous span of pairs per worker; the cells are the same
-whatever the blocks and the workers.  The module only computes: ``cli`` writes the matrix and the
+stage-1 terms, lag-order checks and refits, and a large scan runs them on a
+forked worker pool, one contiguous span of pairs per worker; the cells are
+the same whatever the blocks and the workers.  The module only computes: ``cli`` writes the matrix and the
 selection.
 """
 
@@ -24,7 +24,7 @@ from datetime import date
 import numpy as np
 
 from .econometrics import OlsOriginReport, ols_through_origin
-from .errors import ConstantSeries, PairTraderError, SeriesTooShort
+from .errors import ConstantSeries, PairTraderError, SeriesTooShort, SumOverflow
 from .marketdata import AlignedPanel, check_pair, slice_window
 # engle_granger, which the scan no longer calls pair by pair, stays importable
 # from here with adf_test: perfbench's tracer wraps both where this module
@@ -138,15 +138,14 @@ def order_pair(pair: AlignedPanel, train: tuple[date, date]) -> AlignedPanel:
 _POOL_MIN_PAIR_DATES = 150_000
 
 #: A scan tests its pairs in blocks (see ``engle_granger_block``) of as many
-#: pairs as have at most this many bytes of widest ADF design between them,
-#: and at least one: 17 pairs of 750 dates, 2 of 3,750.  That is about the
-#: L2 cache of one core of the host it was measured on: in-process, on a
-#: 2-vCPU x86-64 host with one BLAS thread, on 750 dates, a test took
-#: 372-389 us in blocks of one pair, 251-263 us in blocks of 4, 152-202 us
-#: of 8, 132-173 us of 17 and 160-172 us of 34, and 218 us before blocks.
-#: The budget is in bytes because the design of a pair grows with the
-#: dates: on 3,750 dates, blocks of 18 pairs (16 MiB) grew the scanning
-#: process by 20 MB, where this budget grows it by 5 MB.
+#: pairs as have at most this many bytes of lag-0 ADF design ``[y_{t-1} |
+#: dy_t]`` between them, and at least one: 174 pairs of 750 dates, 34 of
+#: 3,750.  That is the most common refit, and it runs over the whole block
+#: at once; the block's residuals take half as many bytes, and its wider
+#: designs are built in chunks of ``unitroot._DESIGN_BYTES``.  Blocks must be
+#: large for the refit's grouping by lag to pay, and bounded, since a design
+#: of a worker's whole span of pairs would grow the scanning process by tens
+#: of MB.
 _BLOCK_DESIGN_BYTES = 2 * 1024 * 1024
 
 #: The scan a pool worker serves, ``(tickers, terms, pairs, parent pid)``:
@@ -195,7 +194,7 @@ def _scan_span(tickers, terms: Stage1Terms, pairs, parent: int | None = None) ->
     With a ``parent`` pid, as in a pool worker, the process first leaves
     quietly if that parent is gone, before each block.
     """
-    size = max(1, _BLOCK_DESIGN_BYTES // design_bytes(terms.rows.shape[1]))
+    size = max(1, _BLOCK_DESIGN_BYTES // design_bytes(terms.rows.shape[1], 0))
     cells = []
     for start in range(0, len(pairs), size):
         if parent is not None:
@@ -339,14 +338,18 @@ def fit_pair(train: AlignedPanel) -> PairModel:
     takes it.  Runs the through-origin regression of target on predictor,
     then the ADF test (with constant) on its residuals.  The model is
     produced even when the residuals fail the stationarity check; the
-    verdict is recorded.
+    verdict is recorded.  Closes too large for the fit's sums of squares
+    raise ``SumOverflow``, naming the pair.
     """
     if len(train) < 30:
         raise SeriesTooShort(
             f"{'/'.join(train.tickers)}: only {len(train)} common training dates"
         )
     predictor, target = train.closes
-    report = ols_through_origin(predictor, target)
+    try:
+        report = ols_through_origin(predictor, target)
+    except SumOverflow as exc:
+        raise SumOverflow(f"{'/'.join(train.tickers)}: {exc}") from exc
 
     try:
         residual_adf = adf_test(report.residuals, deterministic="constant")

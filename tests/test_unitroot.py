@@ -18,10 +18,11 @@ from pairtrader.errors import (
     DegenerateRegressor,
     LengthMismatch,
     SeriesTooShort,
+    SumOverflow,
     UnknownSurface,
 )
 from pairtrader.marketdata import AlignedPanel, align_panel
-from pairtrader.pairscan import coint_matrix
+from pairtrader.pairscan import DEFAULT_NEAR_EPS, DEFAULT_THRESHOLD, coint_matrix, select_pairs
 from pairtrader.synthetic import TRAIN_DAYS, build_sector, weekday_calendar
 from pairtrader.unitroot import (
     BOUNDS,
@@ -518,13 +519,63 @@ def frozen_adf(y, deterministic, max_lag):
     return best_k, tau, n_eff, mackinnon_pvalue(tau, 1, deterministic)
 
 
-def frozen_engle_granger_p(y, x):
-    """Engle-Granger p-value with the stage-2 ADF of ``frozen_adf``."""
+EPS = float(np.finfo(float).eps)
+
+
+def frozen_engle_granger(y, x):
+    """Engle-Granger test with the stage-2 ADF of ``frozen_adf``: its
+    ``(used_lags, tau, n_eff)`` and the tolerance of tau (``tau_tolerance``),
+    widened for the rounding of stage 1."""
     dx = x - x.mean()
-    slope = float(dx @ (y - y.mean())) / float(dx @ dx)
+    dy = y - y.mean()
+    slope = float(dx @ dy) / float(dx @ dx)
     intercept = y.mean() - slope * x.mean()
-    _, tau, _, _ = frozen_adf(y - intercept - slope * x, "none", None)
-    return mackinnon_pvalue(tau, 2, "constant")
+    resid = y - intercept - slope * x
+    used_lags, tau, n_eff, _ = frozen_adf(resid, "none", None)
+    # A slope off by sqrt(n) eps relative moves the residuals by that times
+    # |dy| / |resid|, and forming them rounds each by eps times the size of
+    # the terms cancelled.
+    size = math.sqrt(float(resid @ resid))
+    stage1 = EPS * (math.sqrt(x.size) * math.sqrt(float(dy @ dy)) / size
+                    + 2.0 * (np.linalg.norm(y) + abs(intercept) * math.sqrt(x.size)
+                             + abs(slope) * np.linalg.norm(x)) / size)
+    return used_lags, tau, n_eff, tau_tolerance(resid, "none", used_lags, tau, stage1)
+
+
+def tau_tolerance(y, deterministic, lag, tau, stage1=0.0):
+    """How far apart two backward-stable refits of ``y``'s ADF regression at
+    ``lag`` may put its t-ratio ``tau``: the LAPACK refit of ``frozen_adf``
+    and the package's numpy one.
+
+    tau = sqrt(dof) cot(theta), for theta the angle between the level column
+    and dy_t, each taken off the span of the other regressors, so tau moves
+    by (sqrt(dof) + tau^2 / sqrt(dof)) times theta's error.  A Householder
+    refit is exact for columns moved by about sqrt(m) c eps of their norms
+    (the statistical size of its backward error, Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., sec. 19.3 and 3.5), and
+    that moves theta by at most about kappa^2 times as much, kappa the
+    condition number of the column-scaled ``[X | b]``.  ``stage1`` adds a
+    relative error in ``y`` itself.  Two refits err, hence the factor 2.
+    """
+    X, b = _frozen_design(y, lag, deterministic == "constant")
+    design = np.column_stack([X, b])
+    kappa = float(np.linalg.cond(design / np.linalg.norm(design, axis=0)))
+    m, c = design.shape
+    dof = m - (c - 1)
+    column_error = math.sqrt(m) * c * EPS + stage1
+    return 2.0 * column_error * kappa**2 * (math.sqrt(dof) + tau * tau / math.sqrt(dof))
+
+
+def assert_matches_frozen(mine, y, deterministic, max_lag):
+    """``mine`` is ``frozen_adf``'s test of ``y``: the same lag order and
+    sample size, and tau and its p-value within ``tau_tolerance``."""
+    used_lags, tau, n_eff, _ = frozen_adf(y, deterministic, max_lag)
+    assert (mine.used_lags, mine.n_eff) == (used_lags, n_eff)
+    tol = tau_tolerance(y, deterministic, used_lags, tau)
+    assert abs(mine.tau - tau) <= tol, (mine.tau, tau, tol)
+    # The p-value rises with tau.
+    assert (mackinnon_pvalue(tau - tol, 1, deterministic) <= mine.p_value
+            <= mackinnon_pvalue(tau + tol, 1, deterministic))
 
 
 @pytest.mark.parametrize("deterministic,max_lag,kind,n", KERNEL_GRID)
@@ -556,11 +607,10 @@ def test_engle_granger_matches_two_stage_oracle(kind, n, seed):
 
 @pytest.mark.parametrize("deterministic,max_lag,kind,n", KERNEL_GRID)
 def test_adf_bit_identical_to_frozen_kernel(deterministic, max_lag, kind, n):
+    # Bit for bit in the lag order and the sample size; tau and p within the
+    # rounding error of two refits.
     y = kernel_case(kind, n, seed=n + (max_lag or 0))
-    mine = adf_test(y, deterministic, max_lag=max_lag)
-    assert (mine.used_lags, mine.tau, mine.n_eff, mine.p_value) == frozen_adf(
-        y, deterministic, max_lag
-    )
+    assert_matches_frozen(adf_test(y, deterministic, max_lag=max_lag), y, deterministic, max_lag)
 
 
 def test_coint_matrix_bit_identical_to_frozen_per_pair_loop():
@@ -570,7 +620,7 @@ def test_coint_matrix_bit_identical_to_frozen_per_pair_loop():
         AlignedPanel((t,), calendar, prices[t][np.newaxis, :TRAIN_DAYS])
         for t in sorted(prices)
     ])
-    expected = np.full((len(panel.tickers),) * 2, math.nan)
+    expected = {}
     for i, a in enumerate(panel.tickers):
         for j in range(i + 1, len(panel.tickers)):
             b = panel.tickers[j]
@@ -582,16 +632,28 @@ def test_coint_matrix_bit_identical_to_frozen_per_pair_loop():
                 predictor, target = closes_a, closes_b
             else:
                 predictor, target = closes_b, closes_a
-            expected[i, j] = frozen_engle_granger_p(target, predictor)
-    cells = coint_matrix(panel).cells
+            expected[a, b] = frozen_engle_granger(target, predictor)
+    scan = coint_matrix(panel)
+    cells = scan.cells
     rows, cols = np.triu_indices(len(panel.tickers), 1)
     assert [(c.ticker_a, c.ticker_b) for c in cells] == [
         (panel.tickers[i], panel.tickers[j]) for i, j in zip(rows, cols)
     ]
-    got = np.full_like(expected, math.nan)
-    got[rows, cols] = [c.p_value for c in cells]
-    assert np.array_equal(got, expected, equal_nan=True)
-    assert got.tobytes() == expected.tobytes()
+    # Bit for bit in each lag order and sample size; tau and p within the
+    # rounding error of two refits and two stage-1 fits.
+    frozen_p = {}
+    for cell in cells:
+        used_lags, tau, n_eff, tol = expected[cell.ticker_a, cell.ticker_b]
+        assert (cell.adf.used_lags, cell.adf.n_eff) == (used_lags, n_eff)
+        assert abs(cell.adf.tau - tau) <= tol, (cell, tau, tol)
+        assert (mackinnon_pvalue(tau - tol, 2, "constant") <= cell.p_value
+                <= mackinnon_pvalue(tau + tol, 2, "constant"))
+        frozen_p[cell.predictor, cell.target] = mackinnon_pvalue(tau, 2, "constant")
+    # The same pairs are selected, in the same order.
+    frozen_selection = sorted((p, pair) for pair, p in frozen_p.items()
+                              if p < DEFAULT_THRESHOLD + DEFAULT_NEAR_EPS)
+    assert [(sp.predictor_ticker, sp.target_ticker) for sp in select_pairs(scan)] == [
+        pair for _, pair in frozen_selection]
     # Each cell's roles are the frozen loop's: the higher mean close predicts.
     column = dict(zip(panel.tickers, np.ascontiguousarray(panel.closes)))
     for cell in cells:
@@ -640,9 +702,7 @@ def test_adf_bit_identical_to_frozen_kernel_on_generated_series(kind, n, scale, 
         with pytest.raises((ConstantSeries, ValueError)):
             frozen_adf(y, deterministic, max_lag)
         return
-    assert (mine.used_lags, mine.tau, mine.n_eff, mine.p_value) == frozen_adf(
-        y, deterministic, max_lag
-    )
+    assert_matches_frozen(mine, y, deterministic, max_lag)
 
 
 @pytest.fixture
@@ -668,19 +728,22 @@ def adf_design(y, lag, constant):
 @pytest.mark.parametrize("constant", [False, True])
 @pytest.mark.parametrize("lag", [0, 1, 4])
 def test_one_design_builder_fills_a_stack_and_a_row_major_design(lag, constant):
-    # The stack the lag search reads and the row-major design the refit
-    # reads hold the same numbers, and a row of a stack is its series' own.
+    # The stack the lag search reads, the level-last stack the refit reads and
+    # one series' row-major design hold the same numbers, and a row of a
+    # stack is its series' own.
     rng = np.random.default_rng(lag)
     ys = np.stack([random_walk(rng, 61), ar1(rng, 61, phi=0.5)])
+    ntrend = int(constant)
     stack = unitroot._adf_designs(ys, lag, constant)
-    assert stack.shape == (2, int(constant) + lag + 2, 60 - lag)
-    for y, slab in zip(ys, stack):
-        design = np.empty((60 - lag, int(constant) + lag + 2))
-        unitroot._adf_designs(y, lag, constant, out=design.T)
-        assert design.tobytes() == adf_design(y, lag, constant).tobytes()
+    refit = unitroot._adf_designs(ys, lag, constant, level_last=True)
+    assert stack.shape == refit.shape == (2, ntrend + lag + 2, 60 - lag)
+    level_last = [*range(ntrend), *range(ntrend + 1, ntrend + lag + 1), ntrend, ntrend + lag + 1]
+    for y, slab, refit_slab in zip(ys, stack, refit):
+        design = adf_design(y, lag, constant)
         assert np.array_equal(design, slab.T)
+        assert refit_slab.tobytes() == slab[level_last].tobytes()
         assert design[:, -1].tolist() == np.diff(y)[lag:].tolist()
-        assert design[:, int(constant)].tolist() == y[lag:-1].tolist()
+        assert design[:, ntrend].tolist() == y[lag:-1].tolist()
 
 
 def gram_checks(y, deterministic, max_lag):
@@ -744,8 +807,7 @@ def test_small_pivot_falls_back_to_qr(qr_searches, deterministic):
     assert 0.0 < pivot_ratio <= unitroot._GRAM_MIN_PIVOT
     mine = adf_test(y, deterministic, max_lag=3)
     assert len(qr_searches) == 1
-    assert (mine.used_lags, mine.tau, mine.n_eff, mine.p_value) == frozen_adf(
-        y, deterministic, 3)
+    assert_matches_frozen(mine, y, deterministic, 3)
 
 
 def test_tiny_ssr_falls_back_to_qr(qr_searches):
@@ -759,7 +821,7 @@ def test_tiny_ssr_falls_back_to_qr(qr_searches):
     assert ssr_ratio <= unitroot._GRAM_MIN_SSR
     mine = adf_test(y, "none", max_lag=2)
     assert len(qr_searches) == 1
-    assert (mine.used_lags, mine.tau, mine.n_eff, mine.p_value) == frozen_adf(y, "none", 2)
+    assert_matches_frozen(mine, y, "none", 2)
 
 
 @pytest.mark.parametrize("deterministic", ["none", "constant"])
@@ -841,8 +903,7 @@ def test_gram_search_decides_well_conditioned_walks_at_any_scale(qr_searches):
         if len(qr_searches) > searches:
             fallback_kappas.append(correlation_kappa(design))
         assert mine.used_lags == unitroot._qr_lag_search(design, ntrend)
-        assert (mine.used_lags, mine.tau, mine.n_eff, mine.p_value) == frozen_adf(
-            y, deterministic, None)
+        assert_matches_frozen(mine, y, deterministic, None)
     assert [k for k in fallback_kappas if k < 100.0] == []
 
 
@@ -870,3 +931,47 @@ def test_gram_search_of_a_stack_is_the_search_of_each_design():
     assert lags[1] is None and None not in (lags[0], lags[2])
     assert lags[0] == unitroot._qr_lag_search(np.ascontiguousarray(designs[0].T), 0)
     assert lags[2] == unitroot._qr_lag_search(np.ascontiguousarray(designs[2].T), 0)
+
+
+@pytest.mark.parametrize("lag,constant", [(0, False), (0, True), (2, False), (5, True)])
+def test_refit_of_a_group_is_the_refit_of_each_row(lag, constant):
+    # Rows of every kind share one group: a walk and an AR(1) series, which
+    # take the Gram factor (or, at lag 0 without a constant, the closed
+    # form), a sine whose lags are near collinear, and a series whose lagged
+    # level is all zero, which takes the Householder factor and its
+    # "singular" fault.
+    # Each row's tau or fault is bit for bit the one it gets alone.
+    rng = np.random.default_rng(lag)
+    flat_start = np.zeros(300)
+    flat_start[-1] = 1.0
+    ys = np.stack([random_walk(rng, 300), near_collinear(rng, 300), ar1(rng, 300, phi=0.6),
+                   flat_start])
+    factors = []
+    real = unitroot._householder_factor
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(unitroot, "_householder_factor",
+                      lambda designs: factors.append(len(designs)) or real(designs))
+        together = unitroot._refit_taus(ys, lag, constant)
+        alone = [unitroot._refit_taus(y[np.newaxis], lag, constant)[0] for y in ys]
+    assert [str(t) if isinstance(t, ConstantSeries) else t.hex() for t in together] == [
+        str(t) if isinstance(t, ConstantSeries) else t.hex() for t in alone]
+    assert str(together[3]) == "unit-root regression is singular"
+    assert not isinstance(together[0], ConstantSeries)
+    if lag or constant:
+        # The flat start, and the sine where its lags are near collinear,
+        # in one Householder factorisation.
+        assert factors[0] == (2 if lag else 1)
+
+
+def test_overflowing_sums_are_a_fault_not_a_statistic():
+    # Values near 1e301: every sum of squares overflows, which once gave a
+    # statistic (or, in a scan, a slope of 0) as if nothing had.  The lag
+    # search's own overflow warnings are beside the point here.
+    rng = np.random.default_rng(9)
+    y = 1e300 * random_walk(rng, 200)
+    x = 1e300 * (50.0 + random_walk(rng, 200))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SumOverflow, match="^sums of squares overflow: values too large$"):
+            adf_test(y, "none")
+        with pytest.raises(SumOverflow, match="^sums of squares overflow: values too large$"):
+            engle_granger(1.5 * x + y, x)
