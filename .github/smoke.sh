@@ -58,26 +58,31 @@ PY
   demo_commands "$@"
 )
 diff -r demo/runs threads2
+trees=(demo/runs threads2)
 echo "two BLAS threads wrote the same bytes"
 
 if python -c 'import numpy, sys; sys.exit("DYNAMIC_ARCH" not in str(numpy.show_config(mode="dicts")))' 2> /dev/null; then
-  cores="Prescott Sandybridge Haswell"
-  if grep -qw avx512f /proc/cpuinfo 2> /dev/null; then
-    cores="$cores SkylakeX"
-  fi
+  # Each kernel only where the CPU has the instructions it uses.
+  cores="Prescott"
+  for need in avx:Sandybridge avx2:Haswell avx512f:SkylakeX; do
+    if grep -qw "${need%%:*}" /proc/cpuinfo 2> /dev/null; then
+      cores="$cores ${need#*:}"
+    fi
+  done
   for core in $cores; do
     (
       export OPENBLAS_CORETYPE="$core" PAIRTRADER_OUT="$PWD/core-$core"
       demo_commands "$@"
     )
     diff -r demo/runs "core-$core"
+    trees+=("core-$core")
   done
   echo "OpenBLAS kernels $cores wrote the bytes of the default kernel"
 else
   echo "numpy's OpenBLAS is not a DYNAMIC_ARCH build: the kernel check is skipped"
 fi
 
-staging=$(find demo/runs threads2 -name '*.staging-*')
+staging=$(find "${trees[@]}" -name '*.staging-*')
 if [ -n "$staging" ]; then
   echo "staging directories left behind: $staging" >&2
   exit 1
@@ -126,7 +131,7 @@ diff -r wide/pooled wide/pinned
 echo "a pooled scan on $(nproc) CPUs and a scan pinned to one wrote the same bytes"
 python -c 'import sys
 from pairtrader import cli, pairscan
-pairscan._BLOCK_DESIGN_BYTES = 1
+pairscan.block_rows = lambda n: 1
 sys.exit(cli.main(sys.argv[1:]))' scan --config wide/config.json --sector wide --out wide/unblocked
 diff -r wide/pooled wide/unblocked
-echo "a scan of one pair to a block wrote the bytes of a scan in 2 MiB blocks"
+echo "a scan of one pair to a block wrote the bytes of a scan in blocks of the default size"

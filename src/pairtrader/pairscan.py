@@ -29,7 +29,7 @@ from .marketdata import AlignedPanel, check_pair, slice_window
 # engle_granger, which the scan no longer calls pair by pair, stays importable
 # from here with adf_test: perfbench's tracer wraps both where this module
 # refers to them.
-from .unitroot import (AdfResult, Stage1Terms, adf_test, design_bytes, engle_granger,  # noqa: F401
+from .unitroot import (AdfResult, Stage1Terms, adf_test, block_rows, engle_granger,  # noqa: F401
                        engle_granger_block, stage1_terms)
 
 DEFAULT_THRESHOLD = 0.05
@@ -137,17 +137,6 @@ def order_pair(pair: AlignedPanel, train: tuple[date, date]) -> AlignedPanel:
 #: process.
 _POOL_MIN_PAIR_DATES = 150_000
 
-#: A scan tests its pairs in blocks (see ``engle_granger_block``) of as many
-#: pairs as have at most this many bytes of lag-0 ADF design ``[y_{t-1} |
-#: dy_t]`` between them, and at least one: 174 pairs of 750 dates, 34 of
-#: 3,750.  That is the most common refit, and it runs over the whole block
-#: at once; the block's residuals take half as many bytes, and its wider
-#: designs are built in chunks of ``unitroot._DESIGN_BYTES``.  Blocks must be
-#: large for the refit's grouping by lag to pay, and bounded, since a design
-#: of a worker's whole span of pairs would grow the scanning process by tens
-#: of MB.
-_BLOCK_DESIGN_BYTES = 2 * 1024 * 1024
-
 #: The scan a pool worker serves, ``(tickers, terms, pairs, parent pid)``:
 #: set in each forked worker by ``_init_worker`` from memory it inherits,
 #: never pickled.
@@ -189,12 +178,12 @@ def _scan_block(tickers, terms: Stage1Terms, pairs) -> list[ScanCell]:
 
 
 def _scan_span(tickers, terms: Stage1Terms, pairs, parent: int | None = None) -> list[ScanCell]:
-    """``_scan_block`` over ``pairs``, one block of ``_BLOCK_DESIGN_BYTES`` at a time.
+    """``_scan_block`` over ``pairs``, one block of ``block_rows`` pairs at a time.
 
     With a ``parent`` pid, as in a pool worker, the process first leaves
     quietly if that parent is gone, before each block.
     """
-    size = max(1, _BLOCK_DESIGN_BYTES // design_bytes(terms.rows.shape[1], 0))
+    size = block_rows(terms.rows.shape[1])
     cells = []
     for start in range(0, len(pairs), size):
         if parent is not None:

@@ -260,7 +260,7 @@ def _adf_designs(ys: np.ndarray, lag: int, constant: bool, level_last: bool = Fa
     return out
 
 
-def design_bytes(n: int, lag: int, constant: bool = False) -> int:
+def _design_bytes(n: int, lag: int, constant: bool = False) -> int:
     """Bytes of one ``_adf_designs`` slab at ``lag`` for a series of n observations."""
     return 8 * (int(constant) + lag + 2) * max(n - 1 - lag, 0)
 
@@ -448,10 +448,26 @@ def _lag_bound(n: int, max_lag: int | None, ntrend: int) -> int:
     return max_lag
 
 
-#: ``_adf_stack`` builds its designs in chunks of rows of at most this many
-#: bytes, and at least one row: 17 Engle-Granger residuals of 750 dates for
-#: the Gram search, and as many rows as fit for each refit.
+#: The memory budget of a stack of ADF tests.  ``_adf_stack`` builds its
+#: designs in chunks of rows of at most this many bytes, and at least one
+#: row: 17 Engle-Granger residuals of 750 dates for the Gram search, and as
+#: many rows as fit for each refit.  A scan block holds the rows whose lag-0
+#: design takes this many bytes (``block_rows``).
 _DESIGN_BYTES = 2 * 1024 * 1024
+
+
+def block_rows(n: int) -> int:
+    """Pairs of n dates an ``engle_granger_block`` call should test at once.
+
+    As many as have at most ``_DESIGN_BYTES`` of lag-0 ADF design ``[y_{t-1}
+    | dy_t]`` between them, and at least one: 174 pairs of 750 dates, 34 of
+    3,750.  That is the most common refit, and it runs over the whole block
+    at once; the block's residuals take half as many bytes, and its wider
+    designs are built in chunks of the same budget.  Blocks must be large
+    for the refit's grouping by lag to pay, and bounded, since a design of a
+    pool worker's whole span of pairs would grow it by tens of MB.
+    """
+    return max(1, _DESIGN_BYTES // _design_bytes(n, 0))
 
 
 #: A refit takes its triangular factor from the Gram matrix only where each
@@ -461,7 +477,16 @@ _DESIGN_BYTES = 2 * 1024 * 1024
 #: spread no more than the Gram search allows; elsewhere from Householder
 #: reflections.  A Gram factor's pivots and SSR then lose at most about
 #: ``sqrt(m) eps / sine^2`` relative to a Householder one's: 6e-11 at 750
-#: observations.
+#: observations.  The Gram factor is there for speed alone.  On perfbench's
+#: workloads (seeds 1-3) it takes every refit row the lag-0 closed form does
+#: not: 28-37% of a wide scan's rows and all of ``analyze``'s; Householder
+#: takes none.  With Householder for every row, on a 2-vCPU x86-64 host: a
+#: serial scan of ``sector_scan_wide`` seed 1 took 0.54-0.60 s against
+#: 0.40-0.44 s; its pooled ``scan`` command 0.98 s against 0.89 s (seed 1)
+#: and 0.99 s against 0.92 s (seed 2), medians of 20 alternating runs,
+#: slower in 15 and 17 of them; perfbench's ``scan_pairs_per_s`` (8 s runs)
+#: lower in 8 of 10 rounds at seed 11 (medians 5,104 against 5,592) and in
+#: 6 of 10 at seed 1, where its median was higher (5,848 against 5,734).
 _GRAM_REFIT_MIN_SINE = 1e-2
 
 
@@ -601,7 +626,7 @@ def _adf_stack(ys: np.ndarray, max_lag: int, constant: bool
     nrows, n = ys.shape
     outcomes: list = [None] * nrows
     by_lag: dict[int, list[int]] = {}
-    step = max(1, _DESIGN_BYTES // design_bytes(n, max_lag, constant))
+    step = max(1, _DESIGN_BYTES // _design_bytes(n, max_lag, constant))
     for start in range(0, nrows, step):
         for row, lag in enumerate(_search_lags(ys[start:start + step], max_lag, constant), start):
             if isinstance(lag, ConstantSeries):
@@ -609,7 +634,7 @@ def _adf_stack(ys: np.ndarray, max_lag: int, constant: bool
             else:
                 by_lag.setdefault(lag, []).append(row)
     for lag, rows in sorted(by_lag.items()):
-        step = max(1, _DESIGN_BYTES // design_bytes(n, lag, constant))
+        step = max(1, _DESIGN_BYTES // _design_bytes(n, lag, constant))
         for start in range(0, len(rows), step):
             chunk = rows[start:start + step]
             for row, tau in zip(chunk, _refit_taus(ys[chunk], lag, constant)):

@@ -1093,15 +1093,14 @@ def openblas_has_dynamic_arch():
 
 
 def openblas_cores():
-    """OpenBLAS kernels this CPU can run: SkylakeX only with AVX-512."""
-    cores = ["Prescott", "Sandybridge", "Haswell"]
+    """OpenBLAS kernels this CPU can run: each past Prescott needs its instructions."""
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as handle:
-            if "avx512f" in handle.read().split():
-                cores.append("SkylakeX")
+            flags = set(handle.read().split())
     except OSError:
-        pass
-    return cores
+        flags = set()
+    return ["Prescott", *(core for flag, core in (("avx", "Sandybridge"), ("avx2", "Haswell"),
+                                                  ("avx512f", "SkylakeX")) if flag in flags)]
 
 
 @pytest.mark.skipif(not openblas_has_dynamic_arch(),

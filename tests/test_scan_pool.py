@@ -163,16 +163,15 @@ def test_cells_do_not_depend_on_block_boundaries(data, n_tickers, n_dates, seed)
                                         min_size=2, max_size=2, unique=True)
                                .filter(lambda ks: abs(ks[0] - ks[1]) > 1))
     panel = block_panel(n_tickers, n_dates, seed, twin, fallback)
-    default = pairscan._BLOCK_DESIGN_BYTES
     real = unitroot._qr_lag_search
     qr_searches = []
     scans = {}
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(unitroot, "_qr_lag_search",
                       lambda design, ntrend: qr_searches.append(1) or real(design, ntrend))
-        for name, budget, workers in [("one pair", 1, 1), ("default", default, 1),
-                                      ("pooled", default, 2)]:
-            patch.setattr(pairscan, "_BLOCK_DESIGN_BYTES", budget)
+        for name, rows, workers in [("one pair", lambda n: 1, 1), ("default", unitroot.block_rows, 1),
+                                    ("pooled", unitroot.block_rows, 2)]:
+            patch.setattr(pairscan, "block_rows", rows)
             patch.setattr(pairscan, "_pool_size", lambda n_pairs, n_dates: workers)
             del qr_searches[:]
             cells = pairscan.coint_matrix(panel).cells
@@ -272,7 +271,7 @@ def slow(terms, block, max_lag=None):
     time.sleep(0.05 * len(block))
     return real(terms, block, max_lag)
 pairscan.engle_granger_block = slow
-pairscan._BLOCK_DESIGN_BYTES = 1
+pairscan.block_rows = lambda n: 1
 pairscan._pool_size = lambda n_pairs, n_dates: 2
 signal.signal(signal.SIGALRM, lambda *_: os.killpg(0, signal.SIGINT))
 signal.setitimer(signal.ITIMER_REAL, 0.3)
@@ -375,7 +374,7 @@ def slow(terms, block, max_lag=None):
     time.sleep(0.5 * len(block))
     return real(terms, block, max_lag)
 pairscan.engle_granger_block = slow
-pairscan._BLOCK_DESIGN_BYTES = 1
+pairscan.block_rows = lambda n: 1
 pairscan._pool_size = lambda n_pairs, n_dates: 2
 pairtrader.cli.main(["scan", "--config", {config!r}, "--sector", "metals",
                      "--out", {out!r}])
