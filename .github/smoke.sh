@@ -6,12 +6,15 @@
 # COMMAND starts the CLI and defaults to the console script `pairtrader`; a
 # source checkout runs it as `PYTHONPATH=<checkout>/src bash smoke.sh python
 # -m pairtrader.cli`.  The script writes `demo/`, `threads2/`, `core-*/`,
-# `wide/` and `afile*` into an empty working directory.  Every JSON artifact
-# must parse without NaN or Infinity literals and every SVG chart as XML, a
-# rerun on two BLAS threads (the CLI defaults to one) must write the same
-# bytes, and so must a rerun under each OpenBLAS kernel this CPU can run
-# (`OPENBLAS_CORETYPE`, where numpy's OpenBLAS is a DYNAMIC_ARCH build), and
-# no staging directory may be left behind.  An output path under a regular file
+# `fallback-*.txt`, `wide/` and `afile*` into an empty working directory.
+# Every JSON artifact must parse without NaN or Infinity literals and every
+# SVG chart as XML, a rerun on two BLAS threads (the CLI defaults to one)
+# must write the same bytes, and so must a rerun under each OpenBLAS kernel
+# this CPU can run (`OPENBLAS_CORETYPE`, where numpy's OpenBLAS is a
+# DYNAMIC_ARCH build).  Under each kernel, the ADF tests of
+# `tests/fallback_cases.py`, whose lag orders the Gram search leaves to the
+# Householder search, must also give the default kernel's lags, taus and
+# faults.  No staging directory may be left behind.  An output path under a regular file
 # must exit 1 with a one-line error, not a traceback.  A 40-ticker x
 # 750-day random-walk sector, large enough to fork a scan pool on 2 or more
 # CPUs, must scan to the same bytes pooled and pinned to one CPU, and with
@@ -21,6 +24,7 @@
 # DeprecationWarning in any command fails the run.
 set -euo pipefail
 export PYTHONWARNINGS=error
+fallback_cases="$(cd "$(dirname "${BASH_SOURCE[0]}")/../tests" && pwd)/fallback_cases.py"
 if [ "$#" -eq 0 ]; then
   set -- pairtrader
 fi
@@ -69,15 +73,19 @@ if python -c 'import numpy, sys; sys.exit("DYNAMIC_ARCH" not in str(numpy.show_c
       cores="$cores ${need#*:}"
     fi
   done
+  python "$fallback_cases" > fallback-default.txt
   for core in $cores; do
     (
       export OPENBLAS_CORETYPE="$core" PAIRTRADER_OUT="$PWD/core-$core"
       demo_commands "$@"
+      python "$fallback_cases" > "fallback-$core.txt"
     )
     diff -r demo/runs "core-$core"
+    diff fallback-default.txt "fallback-$core.txt"
     trees+=("core-$core")
   done
   echo "OpenBLAS kernels $cores wrote the bytes of the default kernel"
+  echo "and gave its lag orders, taus and faults to $(wc -l < fallback-default.txt) fallback ADF tests"
 else
   echo "numpy's OpenBLAS is not a DYNAMIC_ARCH build: the kernel check is skipped"
 fi

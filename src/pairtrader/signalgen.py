@@ -20,7 +20,7 @@ from datetime import date
 
 import numpy as np
 
-from .errors import EmptySeries, InvariantViolation, ZeroVariance
+from .errors import EmptySeries, InvariantViolation, SumOverflow, ZeroVariance
 from .marketdata import AlignedPanel, check_pair, readonly_copy
 
 UPPER_LIMIT = 1.0
@@ -59,13 +59,17 @@ def fit_ratio_stats(pair: AlignedPanel) -> RatioStats:
     """Mean and population standard deviation of the pair's close ratio.
 
     Pass the pair panel over the fit window only (normally the training
-    window).
+    window).  A ratio whose squared deviations overflow raises
+    ``SumOverflow``, naming the pair.
     """
     ratio = _ratio(pair)
     if not ratio.size:
         raise EmptySeries("no ratio observations")
-    mean = float(ratio.mean())
-    std = float(ratio.std())  # population convention
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(ratio.mean())
+        std = float(ratio.std())  # population convention
+    if not np.isfinite(std):
+        raise SumOverflow(f"{'/'.join(pair.tickers)}: sums of squares overflow: values too large")
     if std == 0.0:
         raise ZeroVariance("ratio is constant over the fit window")
     return RatioStats(mean=mean, std=std)

@@ -13,14 +13,13 @@ the lagged level is below (more negative than) the critical value.
 The lag search builds the widest design once with the dependent column
 appended, ``[X | dy]``, column-major so each lag column is one contiguous
 copy of ``dy``.  Any upper-triangular factor of that design scores every
-nested candidate: its last column holds ``Q'dy``, so each candidate's SSR is
-``dy'dy`` less a prefix sum of squares.  The search takes that factor from
-the Cholesky factorisation of the small Gram matrix ``D'D``, and keeps the
-choice only when a first-order rounding-error bound proves that the R-only
-QR factorisation of the design would choose the same lag and raise no fault
-(see ``_gram_lag_search``).  Otherwise the QR search runs, and its choice
-and faults are the test's.  These two searches are the only BLAS and LAPACK
-calls of a test, and they only decide the lag.
+nested candidate: its last column holds ``Q'dy``.  The lag and the search's
+faults are those of a Householder QR in numpy's own arithmetic
+(``_householder_lag_search``), the same on every BLAS kernel.  Most designs
+skip it: the Gram search (``_gram_lag_search``) factors the Gram matrix
+``D'D`` by Cholesky, and keeps its choice only when a rounding-error bound
+proves the Householder search would make it and raise no fault.  Its BLAS
+and LAPACK calls are a test's only ones, and they only prove a lag.
 
 Every number a test reports comes from the refit at the chosen lag, on the
 longest sample that lag permits, in numpy's own elementwise operations and
@@ -30,20 +29,21 @@ per lag over all the rows that chose it.  It orders the level ``y_{t-1}``
 last among the regressors, so tau is read off the last two rows of a
 triangular factor of ``[X | dy]``: the Cholesky factor of its Gram matrix
 where the columns are far enough from collinear for that to be as accurate
-(``_gram_factor``), Householder reflections elsewhere
-(``_householder_factor``), which also decide the refit's two faults, and
+(``_gram_factor``), elsewhere the Householder factor the search uses
+(``_householder_factor``), which also decides the refit's two faults, and
 at lag 0 without a constant a closed form.  A refit never depends on which
 search chose the lag.  One builder, ``_adf_designs``, fills the search's
 stacks and the refit's.
 
 Every ADF test runs as a row of one stack (``_adf_stack``): the rows'
-designs go to the Gram search in chunks of ``_DESIGN_BYTES``, a row it
-cannot decide is searched by QR, and the rows are then refit grouped by
-their lag.  ``adf_test`` runs a stack of one; ``engle_granger_block`` tests a
-block of pairs of one panel at once, with each series' stage-1 terms
-(``Stage1Terms``) computed once and the block's residuals built as one
-array.  Every number it reports is the one the pair's own ``engle_granger``
-gives, bit for bit, since no row's arithmetic depends on the other rows.
+designs go to the Gram search in chunks of ``_DESIGN_BYTES``, the rows it
+cannot decide go on, as one stack per chunk, to the Householder search, and
+the rows are then refit grouped by their lag.  ``adf_test`` runs a stack of
+one; ``engle_granger_block`` tests a block of pairs of one panel at once,
+with each series' stage-1 terms (``Stage1Terms``) computed once and the
+block's residuals built as one array.  Every number it reports is the one
+the pair's own ``engle_granger`` gives, bit for bit, since no row's
+arithmetic depends on the other rows.
 
 Critical values and approximate p-values come from MacKinnon's published
 response surfaces, held as module constants (``CRIT``, ``PVAL_SMALL``,
@@ -265,16 +265,17 @@ def _design_bytes(n: int, lag: int, constant: bool = False) -> int:
     return 8 * (int(constant) + lag + 2) * max(n - 1 - lag, 0)
 
 
-#: The Gram search defers to the QR search when a pivot of its Cholesky
-#: factor is at most ``_GRAM_MIN_PIVOT`` of its column's norm (the sine of
-#: the angle between that column and the span of the ones before it), or at
-#: most ``_GRAM_MIN_PIVOT_SPREAD`` of the largest pivot (100 times the QR
-#: search's singularity ratio ``_QR_MIN_PIVOT``), when the SSR at ``max_lag``
-#: is at most ``_GRAM_MIN_SSR`` of ``dy'dy``, or when its error bound does
-#: not separate the best AIC from the others.
+#: A regression is singular when its smallest pivot is at most
+#: ``_SINGULAR_RATIO`` of its largest.  The Gram search defers to the
+#: Householder search when a pivot of its Cholesky factor is at most
+#: ``_GRAM_MIN_PIVOT`` of its column's norm (the sine of the angle between
+#: that column and the span of the ones before it), or at most
+#: ``_GRAM_MIN_PIVOT_SPREAD`` of the largest pivot, when the SSR at
+#: ``max_lag`` is at most ``_GRAM_MIN_SSR`` of ``dy'dy``, or when its error
+#: bound does not separate the best AIC from the others.
 _GRAM_MIN_PIVOT = 1e-6
-_QR_MIN_PIVOT = 1e-12
-_GRAM_MIN_PIVOT_SPREAD = 100.0 * _QR_MIN_PIVOT
+_SINGULAR_RATIO = 1e-12
+_GRAM_MIN_PIVOT_SPREAD = 100.0 * _SINGULAR_RATIO
 _GRAM_MIN_SSR = 1e-8
 _EPS = float(np.finfo(float).eps)
 
@@ -284,13 +285,13 @@ def _gram_lag_search(designs: np.ndarray, ntrend: int) -> list[int | None]:
 
     ``designs`` is a ``(B, c, m)`` stack from ``_adf_designs``: slab b
     transposed is ``[X | b]`` at ``max_lag``, its dependent column last.
-    For each slab, returns the k that ``_qr_lag_search`` would return, or
-    None when this search cannot prove it does: the Cholesky factorisation
-    of ``D'D`` fails, a pivot or the smallest SSR is tiny (where the QR
-    search may raise instead), or the AIC gap between the best lag and the
-    runner-up is within the error bound below.  Each Gram matrix is one
-    BLAS product of a column-major design, and the factorisations and every
-    check run once over the stack.
+    For each slab, returns the k that ``_householder_lag_search`` would
+    return, or None when this search cannot prove it does: the Cholesky
+    factorisation of ``D'D`` fails, a pivot or the smallest SSR is tiny
+    (where the Householder search may raise instead), or the AIC gap
+    between the best lag and the runner-up is within the error bound below.
+    Each Gram matrix is one BLAS product of a column-major design, and the
+    factorisations and every check run once over the stack.
 
     The bound, to first order in eps = 2^-52.  Take m rows, c columns,
     column norms s, G = D'D = LL', its correlation matrix C = S^-1 G S^-1
@@ -308,46 +309,48 @@ def _gram_lag_search(designs: np.ndarray, ntrend: int) -> list[int | None]:
       Numerical Algorithms*, 2nd ed., Thm 10.3) makes L the exact factor of
       G + E with |E_ij| <= (m + c + 1) eps s_i s_j, which moves SSR_k by
       |v'Ev| <= (m + c + 1) eps c kappa SSR_k;
-    * Householder QR (Thm 19.4, its constant taken as 4) is exact for
-      D + dD with ||dd_j|| <= 2mc eps ||d_j||, which moves the residual sum
-      of squares by at most 4mc eps sqrt(c kappa) SSR_k and
-      ``||b + db||^2`` by 4mc eps b'b;
-    * rounding ``b @ b`` and the two prefix sums of squares costs
-      (m + 2c + 2) eps b'b.
+    * Householder QR (Thm 19.4, its constant taken as 4, in any order of
+      sums) is exact for D + dD with ||dd_j|| <= 2mc eps ||d_j||, which
+      moves the residual sum of squares by 4mc eps sqrt(c kappa) SSR_k;
+    * b'b less a prefix sum of squares, this search's SSR_k, rounds by
+      (m + 2c + 2) eps b'b; the Householder search's sum of at most m
+      squares by (m + 1) eps SSR_k.
 
     So each search's SSR_k is within delta = 4 eps (m + c + 1) c (kappa +
     sqrt(c kappa) + 2 b'b / SSR_min) of the exact SSR_k, relative, the two
-    errors summed.  With delta < 1/2, the searches' AICs for one k differ by
-    at most e = 2m delta, plus at most 8 eps m (|log(SSR_k / m)| + 4) from
-    evaluating them.  A Gram choice that beats every other lag by more than
-    2e is the QR choice, and the QR search raises no fault on it: every SSR
-    it computes is positive, and each pivot is within a factor of 2 of its
-    R diagonal (L_ii^2 is the SSR of column i on the columns before it, held
-    by the same bound), so the smallest R diagonal is above 25 times the QR
-    search's singularity ratio of the largest.  The pivot checks themselves
-    are scale-free but for that spread: the sine L_ii / s_i does not change
-    when a column is scaled.
+    errors summed.  With delta < 1/2, the searches' AICs for one k differ
+    by at most e = 2m delta, plus at most 8 eps m (|log(SSR_k / m)| + 4)
+    from evaluating them.  A Gram choice that beats every other lag by more
+    than 2e is the Householder choice, and the exact-arithmetic one too.
+    The Householder search raises no fault on it: its sums are finite, as
+    G's diagonal is; each pivot is within a factor of 2 of L_ii (L_ii^2 is
+    the SSR of column i on the columns before it, held by the same bound),
+    so above 25 times ``_SINGULAR_RATIO`` of the largest; each SSR_k is
+    within a factor 3 of this search's, far above the "fits exactly" bound.
+    Both fault rules are scale-free, as are the pivot checks but for the
+    spread: the sine L_ii / s_i does not change when a column is scaled.
     """
     nblock, ncol, nobs = designs.shape
     nx = ncol - 1
     grams = np.empty((nblock, ncol, ncol))
-    for design, gram in zip(designs, grams):
-        design = design.T
-        np.matmul(design.T, design, out=gram)
-    try:
-        chols = np.linalg.cholesky(grams)
-    except np.linalg.LinAlgError:
-        # One factorisation per design, so that one failure fails only its
-        # own; a NaN factor fails every check below.
-        chols = np.full_like(grams, math.nan)
-        for gram, chol in zip(grams, chols):
-            try:
-                chol[...] = np.linalg.cholesky(gram)
-            except np.linalg.LinAlgError:
-                pass
-    # Each check is written to fail on NaN, which leaves the decision to the
-    # QR search; the warnings of the designs that fail them are moot.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # Each check is written to fail on NaN and infinity, which leaves the
+    # decision to the Householder search; the warnings of the designs that
+    # fail them, overflowing products among them, are moot.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for design, gram in zip(designs, grams):
+            design = design.T
+            np.matmul(design.T, design, out=gram)
+        try:
+            chols = np.linalg.cholesky(grams)
+        except np.linalg.LinAlgError:
+            # One factorisation per design, so that one failure fails only its
+            # own; a NaN factor fails every check below.
+            chols = np.full_like(grams, math.nan)
+            for gram, chol in zip(grams, chols):
+                try:
+                    chol[...] = np.linalg.cholesky(gram)
+                except np.linalg.LinAlgError:
+                    pass
         norms2 = np.diagonal(grams, axis1=1, axis2=2)
         diag = np.diagonal(chols, axis1=1, axis2=2)
         pivots = diag[:, :nx]
@@ -392,44 +395,68 @@ def _gram_lag_search(designs: np.ndarray, ntrend: int) -> list[int | None]:
     return [int(k) if ok else None for k, ok in zip(best, proven)]
 
 
-def _qr_lag_search(design: np.ndarray, ntrend: int) -> int:
-    """The AIC lag order from one R-only QR of the C-contiguous ``design``.
+def _householder_factor(designs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(pivots, rb, ssr)`` of each slab's ``[X | b]``, by Householder reflections.
 
-    One QR of the widest design [X | b] scores every nested candidate: the
-    model with k lags uses the first ntrend+1+k columns of X, so its SSR
-    falls out of the prefix sums of (Q'b)^2, and Q'b is the last column of
-    R.  Raises ``ConstantSeries`` when R is singular or a candidate fits
-    exactly.
+    For R the factor with a positive diagonal: its diagonal and its last
+    column over X, and ``R[-1, -1]^2``, the SSR of b on X.  One reflection per
+    regressor, each applied to every slab at once; the slabs are overwritten.
     """
-    # Q itself is never formed, and R is read in place from the upper
-    # triangle of h.T (mode "r" would copy it out with triu).  b is copied
-    # out of the design because a dot product over a strided view rounds
-    # differently.
-    max_lag = design.shape[1] - ntrend - 2
-    b = np.ascontiguousarray(design[:, -1])
-    nobs_common = b.size
-    h, _ = np.linalg.qr(design, mode="raw")
-    nx = h.shape[0] - 1
-    diag_r = abs(np.diagonal(h)[:nx])
-    if diag_r.min() <= _QR_MIN_PIVOT * diag_r.max():
-        raise ConstantSeries("unit-root regression is singular")
-    qtb = h[-1, :nx]
-    total = float(b @ b)
-    explained = np.cumsum(qtb**2)
+    nrow, ncol, _ = designs.shape
+    pivots = np.empty((nrow, ncol - 1))
+    signs = np.empty((nrow, ncol - 1))
+    for j in range(ncol - 1):
+        # Reflect column j's entries j.. onto R[j, j] e_1, turning them into
+        # the Householder vector v; each later column c becomes
+        # c - v (v'c) / (|x| (|x| + |x_0|)).
+        v = designs[:, j, j:]
+        norm = np.sqrt(np.einsum("gm,gm->g", v, v))
+        head = v[:, 0].copy()
+        r_jj = np.where(head < 0.0, norm, -norm)
+        v[:, 0] = head - r_jj
+        pivots[:, j] = norm
+        signs[:, j] = np.sign(r_jj)
+        rest = designs[:, j + 1:, j:]
+        scale = np.einsum("gm,gkm->gk", v, rest) / (norm * (norm + abs(head)))[:, np.newaxis]
+        rest -= scale[:, :, np.newaxis] * v[:, np.newaxis, :]
+    tail = designs[:, -1, ncol - 1:]
+    return pivots, signs * designs[:, -1, :ncol - 1], np.einsum("gm,gm->g", tail, tail)
 
-    best_k = 0
-    best_aic = math.inf
-    for k in range(0, max_lag + 1):
-        p = ntrend + 1 + k
-        ssr = max(total - float(explained[p - 1]), 0.0)
-        if ssr <= 0.0:
-            raise ConstantSeries("unit-root regression fits exactly")
-        ll = -0.5 * nobs_common * (math.log(2.0 * math.pi) + math.log(ssr / nobs_common) + 1.0)
-        aic = 2.0 * p - 2.0 * ll
-        if aic < best_aic:
-            best_aic = aic
-            best_k = k
-    return best_k
+
+def _with_faults(values: list, pivots: np.ndarray, sums: np.ndarray, flat: np.ndarray,
+                 flat_fault: str) -> list:
+    """Each of ``values`` or, in this order, ``SumOverflow`` where a pivot or ``sums`` is
+    infinite, "singular" under ``_SINGULAR_RATIO`` and ``flat_fault`` where ``flat``."""
+    overflow = np.isinf(pivots).any(axis=1) | np.isinf(sums)
+    singular = ~(pivots.min(axis=1) > _SINGULAR_RATIO * pivots.max(axis=1))
+    return [SumOverflow("sums of squares overflow: values too large") if huge
+            else ConstantSeries("unit-root regression is singular") if bad_pivot
+            else ConstantSeries(f"unit-root regression {flat_fault}") if fault else value
+            for value, huge, bad_pivot, fault in zip(values, overflow, singular, flat)]
+
+
+def _householder_lag_search(designs: np.ndarray, ntrend: int) -> list[int | PairTraderError]:
+    """The AIC lag order of each design of a stack, or its fault, by Householder QR.
+
+    ``designs`` is a ``(B, c, m)`` stack as ``_gram_lag_search`` takes it,
+    and is overwritten.  The candidate with k lags has p = ntrend+1+k
+    regressors, SSR_k the factor's tail sum of squares plus R's last column
+    squared from row p on, with no cancellation, and AIC ``2p + m log(SSR_k
+    / m)``; ties go to the smaller k.  The faults, in order: ``SumOverflow``
+    when a pivot or ``b'b`` overflows, "singular" under ``_SINGULAR_RATIO``,
+    and "fits exactly" when some SSR_k is at most ``_SINGULAR_RATIO``
+    squared of ``b'b``: when b keeps at most that sine off the candidate's
+    regressors.
+    """
+    nobs = designs.shape[2]
+    # NaN and infinity from the faulty designs are set aside below.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        total = np.einsum("gm,gm->g", designs[:, -1], designs[:, -1])
+        pivots, rb, tail = _householder_factor(designs)
+        ssr = np.cumsum(np.column_stack([tail, rb[:, :ntrend:-1] ** 2]), axis=1)[:, ::-1]
+        aic = 2.0 * np.arange(ntrend + 1, designs.shape[1]) + nobs * np.log(ssr / nobs)
+    return _with_faults(aic.argmin(axis=1).tolist(), pivots, total,
+                        ~(ssr.min(axis=1) > _SINGULAR_RATIO**2 * total), "fits exactly")
 
 
 def _lag_bound(n: int, max_lag: int | None, ntrend: int) -> int:
@@ -515,31 +542,6 @@ def _gram_factor(designs: np.ndarray) -> tuple[np.ndarray, ...]:
     return pivots, column[:, -1], ssr, trusted
 
 
-def _householder_factor(designs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``(pivots, cross, ssr)`` as ``_gram_factor``'s, by Householder reflections.
-
-    One reflection per regressor, each applied to every slab at once; the
-    slabs are overwritten.
-    """
-    nrow, ncol, _ = designs.shape
-    pivots = np.empty((nrow, ncol - 1))
-    for j in range(ncol - 1):
-        # Reflect column j's entries j.. onto R[j, j] e_1, turning them into
-        # the Householder vector v; each later column c becomes
-        # c - v (v'c) / (|x| (|x| + |x_0|)).
-        v = designs[:, j, j:]
-        norm = np.sqrt(np.einsum("gm,gm->g", v, v))
-        head = v[:, 0].copy()
-        r_jj = np.where(head < 0.0, norm, -norm)
-        v[:, 0] = head - r_jj
-        pivots[:, j] = norm
-        rest = designs[:, j + 1:, j:]
-        scale = np.einsum("gm,gkm->gk", v, rest) / (norm * (norm + abs(head)))[:, np.newaxis]
-        rest -= scale[:, :, np.newaxis] * v[:, np.newaxis, :]
-    tail = designs[:, -1, ncol - 1:]
-    return pivots, np.sign(r_jj) * designs[:, -1, ncol - 2], np.einsum("gm,gm->g", tail, tail)
-
-
 def _refit_taus(ys: np.ndarray, lag: int, constant: bool) -> list[float | PairTraderError]:
     """tau of the ADF regression of each row of ``ys`` at ``lag``, or its fault.
 
@@ -550,16 +552,16 @@ def _refit_taus(ys: np.ndarray, lag: int, constant: bool) -> list[float | PairTr
     error ``sqrt(SSR / dof) / R[p-1, p-1]`` and SSR ``R[p, p]^2``, so
     ``tau = R[p-1, p] / sqrt(SSR / dof)`` for R with a positive diagonal.  R
     comes from the Cholesky factor of the Gram matrix where that is as
-    accurate (``_GRAM_REFIT_MIN_SINE``), and otherwise from Householder
-    reflections.  At lag 0 without a constant the level is the only
-    regressor, and the closed form ``g = sum(y dy) / sum(y^2)`` takes its
-    place, with SSR summed from the residuals ``dy - g y`` rather than from
-    the cancelling ``sum(dy^2) - g sum(y dy)``.
+    accurate (``_GRAM_REFIT_MIN_SINE``), and otherwise from the Householder
+    factor the lag search uses.  At lag 0 without a constant the level is
+    the only regressor, and the closed form ``g = sum(y dy) / sum(y^2)``
+    takes its place, with SSR summed from the residuals ``dy - g y`` rather
+    than from the cancelling ``sum(dy^2) - g sum(y dy)``.
 
     Every sum is an ``einsum`` over one row, so that a row's tau does not
     depend on the other rows nor on the BLAS kernel.  A row whose sums of
     squares overflow gets ``SumOverflow``.  A row whose smallest pivot is at
-    most ``_QR_MIN_PIVOT`` of its largest (the QR search's rule) is
+    most ``_SINGULAR_RATIO`` of its largest (the lag search's rule) is
     "singular", and one left with no positive SSR or degree of freedom has
     "no residual variance".  A Gram factor decides neither: a row it does
     not pass to the Householder factor holds neither fault.
@@ -580,35 +582,28 @@ def _refit_taus(ys: np.ndarray, lag: int, constant: bool) -> list[float | PairTr
             pivots, cross, ssr, trusted = _gram_factor(designs)
             rough = np.flatnonzero(~trusted)
             if rough.size:
-                pivots[rough], cross[rough], ssr[rough] = _householder_factor(designs[rough])
+                pivots[rough], rb, ssr[rough] = _householder_factor(designs[rough])
+                cross[rough] = rb[:, -1]
             tau = cross / np.sqrt(ssr / dof)
-        overflow = np.isinf(pivots).any(axis=1) | np.isinf(ssr)
-        singular = ~(pivots.min(axis=1) > _QR_MIN_PIVOT * pivots.max(axis=1))
-        no_variance = ~(ssr > 0.0) | (dof <= 0)
-    return [SumOverflow("sums of squares overflow: values too large") if huge
-            else ConstantSeries("unit-root regression is singular") if bad_pivot
-            else ConstantSeries("unit-root regression has no residual variance") if flat
-            else t
-            for t, huge, bad_pivot, flat in zip(tau.tolist(), overflow, singular, no_variance)]
+    return _with_faults(tau.tolist(), pivots, ssr, ~(ssr > 0.0) | (dof <= 0),
+                        "has no residual variance")
 
 
-def _search_lags(ys: np.ndarray, max_lag: int, constant: bool) -> list[int | ConstantSeries]:
-    """The AIC lag order of each row of ``ys``, or the fault its QR search raised.
+def _search_lags(ys: np.ndarray, max_lag: int, constant: bool) -> list[int | PairTraderError]:
+    """The AIC lag order of each row of ``ys``, or the fault its search raised.
 
-    The rows' widest designs are one stack for ``_gram_lag_search``; a row it
-    cannot decide takes the QR search.  The stack lives only for the call,
-    so that a block never holds two of them at once.
+    The rows' widest designs are one stack for ``_gram_lag_search``; the
+    rows it cannot decide go, as one stack, to ``_householder_lag_search``,
+    whose lags and faults the Gram search only ever proves.  The stack lives
+    only for the call, so that a block never holds two of them at once.
     """
     ntrend = 1 if constant else 0
     designs = _adf_designs(ys, max_lag, constant)
-    lags: list = []
-    for design, lag in zip(designs, _gram_lag_search(designs, ntrend)):
-        if lag is None:
-            try:
-                lag = _qr_lag_search(np.ascontiguousarray(design.T), ntrend)
-            except ConstantSeries as exc:
-                lag = exc
-        lags.append(lag)
+    lags: list = _gram_lag_search(designs, ntrend)
+    undecided = [row for row, lag in enumerate(lags) if lag is None]
+    if undecided:
+        for row, lag in zip(undecided, _householder_lag_search(designs[undecided], ntrend)):
+            lags[row] = lag
     return lags
 
 
@@ -619,9 +614,9 @@ def _adf_stack(ys: np.ndarray, max_lag: int, constant: bool
     The rows' lags come from ``_search_lags`` in chunks of at most
     ``_DESIGN_BYTES`` of design.  The rows are then grouped by chosen lag,
     and each group is refit by ``_refit_taus``, again in chunks of at most
-    ``_DESIGN_BYTES``.  A row that raises ``ConstantSeries`` (a singular or
-    exactly fitting regression) or ``SumOverflow`` gets that exception in
-    its place.
+    ``_DESIGN_BYTES``.  A row whose search or refit raises
+    ``ConstantSeries`` (a singular or exactly fitting regression) or
+    ``SumOverflow`` gets that exception in its place.
     """
     nrows, n = ys.shape
     outcomes: list = [None] * nrows
@@ -629,7 +624,7 @@ def _adf_stack(ys: np.ndarray, max_lag: int, constant: bool
     step = max(1, _DESIGN_BYTES // _design_bytes(n, max_lag, constant))
     for start in range(0, nrows, step):
         for row, lag in enumerate(_search_lags(ys[start:start + step], max_lag, constant), start):
-            if isinstance(lag, ConstantSeries):
+            if isinstance(lag, PairTraderError):
                 outcomes[row] = lag
             else:
                 by_lag.setdefault(lag, []).append(row)
@@ -647,13 +642,13 @@ def adf_test(series, deterministic: str = "constant", max_lag: int | None = None
 
     AIC is evaluated for every k in 0..max_lag on the sample truncated at
     max_lag, all from one triangular factor of ``[X | b]`` (the widest
-    design with the dependent column appended).  The factor comes from the
-    Cholesky factorisation of its Gram matrix; the choice stands only when
-    a rounding-error bound shows an R-only QR of the design would make it
-    too, and otherwise that QR search decides the lag, or raises
-    ``ConstantSeries`` for a singular or exactly fitting regression (see
-    ``_gram_lag_search``, here run on a stack of one design).  The winning k
-    is then refit by least squares on its own longest sample, giving
+    design with the dependent column appended): a Householder QR in numpy's
+    own arithmetic, the same on every BLAS kernel, which raises
+    ``ConstantSeries`` for a singular or exactly fitting regression
+    (``_householder_lag_search``).  A Cholesky factor of the Gram matrix
+    proves its choice without it wherever a rounding-error bound allows
+    (``_gram_lag_search``, here run on a stack of one design).  The winning
+    k is then refit by least squares on its own longest sample, giving
     ``n_eff = n - used_lags - 1`` regression observations, in numpy's fixed
     order arithmetic (``_refit_taus``, on a group of one).  The result is
     read against the single-series MacKinnon surface ``(1, deterministic)``.

@@ -175,12 +175,16 @@ class TestAnalyze:
          "pair (AMBER, BASALT): sums of squares overflow: values too large"),
         (["analyze", "--pair", "AMBER,BASALT"],
          "AMBER/BASALT: sums of squares overflow: values too large"),
-    ], ids=["scan", "analyze"])
+        (["backtest", "--pair", "AMBER,BASALT"],
+         "AMBER/BASALT: sums of squares overflow: values too large"),
+    ], ids=["scan", "analyze", "backtest"])
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_sums_are_one_line_naming_the_pair(self, synth_dir, tmp_path, capsys,
                                                            argv, message):
         # AMBER's closes near 1e302: its sums of squares overflow.  The scan
-        # once scored AMBER's pairs with a slope of 0, and analyze ended in a
-        # ZeroDivisionError traceback.
+        # once scored AMBER's pairs with a slope of 0, analyze ended in a
+        # ZeroDivisionError traceback, and backtest warned of an overflow
+        # before its error line.  No warning may come before that line.
         config = json.loads((synth_dir / "config.json").read_text())
         members = [dict(m, csv=str(synth_dir / m["csv"])) for m in config["sectors"]["metals"]]
         lines = (synth_dir / "data" / "AMBER.csv").read_text().splitlines()
@@ -1083,6 +1087,9 @@ class TestBlasThreads:
         assert len(trees["1"]) > 10
 
 
+FALLBACK_CASES = Path(__file__).with_name("fallback_cases.py")
+
+
 def openblas_has_dynamic_arch():
     """Whether numpy's OpenBLAS picks its kernel at run time (``OPENBLAS_CORETYPE``)."""
     try:
@@ -1106,9 +1113,13 @@ def openblas_cores():
 @pytest.mark.skipif(not openblas_has_dynamic_arch(),
                     reason="numpy's OpenBLAS is not a DYNAMIC_ARCH build")
 def test_artifact_bytes_do_not_depend_on_blas_kernel(synth_dir, tmp_path):
-    # BLAS and LAPACK only choose lag orders; every reported number is summed
-    # in numpy's own fixed order, so each kernel writes the same bytes.
-    trees = {}
+    # BLAS and LAPACK only prove lag orders that a Householder search in
+    # numpy's own arithmetic would choose, and that search decides the rest;
+    # every reported number is summed in numpy's own fixed order.  So each
+    # kernel writes the same bytes, and gives the same lag, tau or fault to
+    # each test that the proof leaves to the Householder search
+    # (``fallback_cases.py``: near ties and degenerate designs).
+    trees, fallbacks = {}, {}
     for core in ["default", *openblas_cores()]:
         out = tmp_path / core
         script = (
@@ -1123,9 +1134,16 @@ def test_artifact_bytes_do_not_depend_on_blas_kernel(synth_dir, tmp_path):
                               capture_output=True, text=True, check=True)
         assert done.stdout.splitlines()[-1] == "[0, 0, 0]", core
         trees[core] = tree_bytes(out)
+        fallbacks[core] = subprocess.run([sys.executable, str(FALLBACK_CASES)], env=env,
+                                         capture_output=True, text=True, check=True).stdout
     assert len(trees["default"]) > 10
+    lines = fallbacks["default"].splitlines()
+    assert len(lines) > 100
+    assert {line.split(": ")[1] for line in lines} >= {
+        "unit-root regression is singular", "unit-root regression fits exactly"}
     for core, tree in trees.items():
         assert tree == trees["default"], core
+        assert fallbacks[core] == fallbacks["default"], core
 
 
 def test_summary_text_matches_scipy_special_tails(synth_dir, tmp_path, monkeypatch):

@@ -6,9 +6,12 @@ doubles: the ADF t-ratio at the chosen lag, refit on the longest sample
 that lag permits with ``n_eff = n - k - 1`` observations; the Engle-Granger
 stage-1 slope and intercept; the return correlations; and the
 through-origin hedge ratio, its standard error, t-ratio and uncentered R^2.
-The inputs are the package's own doubles, so the gates measure the
-package's rounding alone.  Series are random walks, AR(1) series and near
-unit roots.
+It also recomputes the AIC of each lag order, over the sample truncated at
+``max_lag``, for the designs whose lag the Gram search leaves to the
+Householder search: near-collinear and almost exactly fitting designs, and
+near ties.  The inputs are the package's own doubles, so the gates measure
+the package's rounding alone.  Series are random walks, AR(1) series and
+near unit roots.
 """
 
 import math
@@ -22,6 +25,9 @@ from pairtrader.econometrics import correlation_matrix, ols_through_origin
 from pairtrader.marketdata import AlignedPanel
 from pairtrader.synthetic import weekday_calendar
 from pairtrader.unitroot import adf_test, stage1_fit, stage1_terms
+
+from fallback_cases import near_ties
+from test_scan_pool import block_panel
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -56,9 +62,10 @@ SERIES = {
 }
 
 
-def mp_adf_tau(y, lag, constant):
-    """tau of ``y``'s ADF regression at ``lag`` on its longest sample, by
-    normal equations at 50 digits.  Returns (tau, number of observations)."""
+def mp_normal_equations(y, lag, constant):
+    """``y``'s ADF regression at ``lag`` on its longest sample, at 50 digits:
+    the regressor columns [const?, y_{t-1}, dy_{t-1}, ..., dy_{t-lag}], dy_t,
+    their Gram matrix and its right-hand side."""
     y = [mpmath.mpf(float(v)) for v in y]
     dy = [b - a for a, b in zip(y[:-1], y[1:])]
     m = len(dy) - lag
@@ -71,7 +78,14 @@ def mp_adf_tau(y, lag, constant):
     for i in range(c):
         for j in range(i, c):
             gram[i, j] = gram[j, i] = mpmath.fdot(columns[i], columns[j])
-    rhs = mpmath.matrix([mpmath.fdot(col, b) for col in columns])
+    return columns, b, gram, mpmath.matrix([mpmath.fdot(col, b) for col in columns])
+
+
+def mp_adf_tau(y, lag, constant):
+    """tau of ``y``'s ADF regression at ``lag`` on its longest sample, by
+    normal equations at 50 digits.  Returns (tau, number of observations)."""
+    columns, b, gram, rhs = mp_normal_equations(y, lag, constant)
+    m, c = len(b), len(columns)
     beta = mpmath.lu_solve(gram, rhs)
     resid = [b[t] - mpmath.fsum(beta[i] * columns[i][t] for i in range(c)) for t in range(m)]
     ssr = mpmath.fdot(resid, resid)
@@ -173,3 +187,83 @@ def test_through_origin_fit_matches_fifty_digits(kind, n):
         got = getattr(report, field)
         assert math.isfinite(got)
         assert abs(got - value) <= OLS_RTOL * abs(value), field
+
+
+def mp_aics(y, max_lag, constant):
+    """The AIC ``2p + m log(SSR_k / m)`` of each lag order k in 0..max_lag,
+    over the common sample truncated at ``max_lag``, at 50 digits."""
+    columns, b, gram, rhs = mp_normal_equations(y, max_lag, constant)
+    m = len(b)
+    total = mpmath.fdot(b, b)
+    aics = []
+    for p in range(int(constant) + 1, len(columns) + 1):
+        beta = mpmath.lu_solve(gram[:p, :p], rhs[:p, 0])
+        ssr = total - mpmath.fsum(rhs[i] * beta[i] for i in range(p))
+        aics.append(2 * p + m * mpmath.log(ssr / m))
+    return aics
+
+
+@pytest.fixture
+def householder_searches(monkeypatch):
+    """How many designs ``adf_test`` hands to the Householder lag search."""
+    searched = []
+    real = unitroot._householder_lag_search
+
+    def counted(designs, ntrend):
+        searched.append(len(designs))
+        return real(designs, ntrend)
+
+    monkeypatch.setattr(unitroot, "_householder_lag_search", counted)
+    return searched
+
+
+def plus_minus_one_residuals(seed, n_dates):
+    """The Engle-Granger residuals of ``block_panel``'s fallback pair: +-1 on
+    alternate days and noise of 1e-5."""
+    closes = block_panel(6, n_dates, seed, twin=2, fallback=4).closes
+    slopes, intercepts = stage1_fit(stage1_terms(closes), np.array([4]), np.array([3]))
+    return closes[4] - intercepts[0] - slopes[0] * closes[3]
+
+
+# (series, deterministic, max_lag): designs the Gram search leaves to the
+# Householder search, for a small pivot, a tiny SSR or an almost exact fit.
+DEFERRED_CASES = [
+    *((alternating + 1e-7 * np.random.default_rng(seed).normal(size=200), deterministic, 3)
+      for seed in range(3) for deterministic in ("none", "constant")
+      for alternating in [np.tile([0.0, 1.0], 100)]),
+    *((np.sin(np.arange(200.0) / 7.0) + 1e-6 * np.random.default_rng(seed).normal(size=200),
+       "none", max_lag) for seed in range(3) for max_lag in (2, 3)),
+    *((plus_minus_one_residuals(seed, n_dates), "none", 3)
+      for seed in range(3) for n_dates in (100, 400)),
+]
+
+
+@pytest.mark.parametrize("y,deterministic,max_lag", DEFERRED_CASES)
+def test_deferred_lag_is_the_fifty_digit_aic_argmin(y, deterministic, max_lag,
+                                                    householder_searches):
+    # Where the 50-digit AICs separate the best lag from the others by more
+    # than 1e-9, the Householder search chooses it.
+    result = adf_test(y, deterministic, max_lag=max_lag)
+    assert householder_searches == [1]
+    aics = mp_aics(y, max_lag, deterministic == "constant")
+    best = min(range(len(aics)), key=aics.__getitem__)
+    margin = min((aic - aics[best] for k, aic in enumerate(aics) if k != best), default=math.inf)
+    if margin > 1e-9:
+        assert result.used_lags == best, (aics, margin)
+
+
+def test_near_tie_lags_are_the_fifty_digit_aic_argmin_but_for_ties_below_1e_12(
+        householder_searches):
+    # MA(1) walks whose AICs at lags 0 and 1 are bisected to a tie: every one
+    # is left to the Householder search, and where its choice is not the
+    # 50-digit argmin, the two AICs differ by less than 1e-12.
+    ties = near_ties()
+    assert len(ties) > 100
+    misses = []
+    for seed, y in ties:
+        result = adf_test(y, "none", max_lag=1)
+        aic0, aic1 = mp_aics(y, 1, False)
+        if result.used_lags != int(aic1 < aic0):
+            misses.append((seed, float(abs(aic1 - aic0))))
+    assert householder_searches == [1] * len(ties)
+    assert [miss for miss in misses if not miss[1] < 1e-12] == []

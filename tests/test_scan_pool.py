@@ -138,7 +138,7 @@ def block_panel(n_tickers, n_dates, seed, twin, fallback):
     and noise of 1e-5: the one before it holds each close for two days (over
     an even number of dates), so the residuals are +-1 and the noise.  Each
     residual difference is then almost minus the one before, an almost exact
-    fit that the Gram search leaves to the QR search.
+    fit that the Gram search leaves to the Householder search.
     """
     rng = np.random.default_rng(seed)
     closes = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, size=(n_dates, n_tickers)), axis=0))
@@ -163,12 +163,12 @@ def test_cells_do_not_depend_on_block_boundaries(data, n_tickers, n_dates, seed)
                                         min_size=2, max_size=2, unique=True)
                                .filter(lambda ks: abs(ks[0] - ks[1]) > 1))
     panel = block_panel(n_tickers, n_dates, seed, twin, fallback)
-    real = unitroot._qr_lag_search
+    real = unitroot._householder_lag_search
     qr_searches = []
     scans = {}
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(unitroot, "_qr_lag_search",
-                      lambda design, ntrend: qr_searches.append(1) or real(design, ntrend))
+        patch.setattr(unitroot, "_householder_lag_search",
+                      lambda designs, ntrend: qr_searches.append(1) or real(designs, ntrend))
         for name, rows, workers in [("one pair", lambda n: 1, 1), ("default", unitroot.block_rows, 1),
                                     ("pooled", unitroot.block_rows, 2)]:
             patch.setattr(pairscan, "block_rows", rows)
@@ -176,7 +176,7 @@ def test_cells_do_not_depend_on_block_boundaries(data, n_tickers, n_dates, seed)
             del qr_searches[:]
             cells = pairscan.coint_matrix(panel).cells
             scans[name] = cells, [c.adf and c.adf.tau.hex() for c in cells]
-            # The pooled scan's QR searches run in its workers.
+            # The pooled scan's Householder searches run in its workers.
             assert workers > 1 or qr_searches, name
     assert scans["one pair"] == scans["default"] == scans["pooled"]
     cells = scans["default"][0]

@@ -661,7 +661,7 @@ def test_coint_matrix_bit_identical_to_frozen_per_pair_loop():
         assert np.mean(column[cell.predictor]) > np.mean(column[cell.target])
 
 
-# --- the Gram lag search and its QR fallback -----------------------------------
+# --- the Gram lag search and its Householder fallback --------------------------
 
 
 def near_unit_root(rng, n):
@@ -707,16 +707,23 @@ def test_adf_bit_identical_to_frozen_kernel_on_generated_series(kind, n, scale, 
 
 @pytest.fixture
 def qr_searches(monkeypatch):
-    """The shape of each design ``adf_test`` hands to the QR lag search."""
+    """The shape of each design ``adf_test`` hands to the Householder QR lag
+    search, one row-major ``(m, c)`` per design of the stack."""
     designs = []
-    real = unitroot._qr_lag_search
+    real = unitroot._householder_lag_search
 
-    def counted(design, ntrend):
-        designs.append(design.shape)
-        return real(design, ntrend)
+    def counted(stack, ntrend):
+        designs.extend([stack.shape[:0:-1]] * len(stack))
+        return real(stack, ntrend)
 
-    monkeypatch.setattr(unitroot, "_qr_lag_search", counted)
+    monkeypatch.setattr(unitroot, "_householder_lag_search", counted)
     return designs
+
+
+def householder_lag(y, max_lag, constant):
+    """The lag order, or fault, that the Householder search gives ``y`` alone."""
+    designs = unitroot._adf_designs(y[np.newaxis], max_lag, constant)
+    return unitroot._householder_lag_search(designs, int(constant))[0]
 
 
 def adf_design(y, lag, constant):
@@ -872,9 +879,8 @@ def test_aic_near_tie_falls_back_to_qr(qr_searches):
     assert pivot_ratio > unitroot._GRAM_MIN_PIVOT and ssr_ratio > unitroot._GRAM_MIN_SSR
     mine = adf_test(y, "none", max_lag=1)
     assert len(qr_searches) == 1
-    # The QR search alone makes the choice, as before the Gram search.
-    design = adf_design(y, 1, False)
-    assert mine.used_lags == unitroot._qr_lag_search(design, 0)
+    # The Householder search alone makes the choice.
+    assert mine.used_lags == householder_lag(y, 1, False)
 
 
 def correlation_kappa(design):
@@ -902,15 +908,15 @@ def test_gram_search_decides_well_conditioned_walks_at_any_scale(qr_searches):
         mine = adf_test(y, deterministic)
         if len(qr_searches) > searches:
             fallback_kappas.append(correlation_kappa(design))
-        assert mine.used_lags == unitroot._qr_lag_search(design, ntrend)
+        assert mine.used_lags == householder_lag(y, default_max_lag(n), ntrend == 1)
         assert_matches_frozen(mine, y, deterministic, None)
     assert [k for k in fallback_kappas if k < 100.0] == []
 
 
 def test_pivot_spread_keeps_the_qr_singular_fault(qr_searches):
     # A well-conditioned walk whose level column is some 1e14 times its
-    # constant column: the QR search calls that design singular, so the Gram
-    # search must leave the decision, and the fault, to it.
+    # constant column: the Householder search calls that design singular, so
+    # the Gram search must leave the decision, and the fault, to it.
     y = 1e13 * random_walk(np.random.default_rng(6), 300)
     assert correlation_kappa(adf_design(y, 2, True)) < 100.0
     with pytest.raises(ConstantSeries, match="^unit-root regression is singular$"):
@@ -929,8 +935,7 @@ def test_gram_search_of_a_stack_is_the_search_of_each_design():
     lags = unitroot._gram_lag_search(designs, 0)
     assert lags == [unitroot._gram_lag_search(design[np.newaxis], 0)[0] for design in designs]
     assert lags[1] is None and None not in (lags[0], lags[2])
-    assert lags[0] == unitroot._qr_lag_search(np.ascontiguousarray(designs[0].T), 0)
-    assert lags[2] == unitroot._qr_lag_search(np.ascontiguousarray(designs[2].T), 0)
+    assert lags[::2] == unitroot._householder_lag_search(designs[[0, 2]], 0)
 
 
 @pytest.mark.parametrize("lag,constant", [(0, False), (0, True), (2, False), (5, True)])
@@ -963,15 +968,16 @@ def test_refit_of_a_group_is_the_refit_of_each_row(lag, constant):
         assert factors[0] == (2 if lag else 1)
 
 
+@pytest.mark.filterwarnings("error")
 def test_overflowing_sums_are_a_fault_not_a_statistic():
     # Values near 1e301: every sum of squares overflows, which once gave a
-    # statistic (or, in a scan, a slope of 0) as if nothing had.  The lag
-    # search's own overflow warnings are beside the point here.
+    # statistic (or, in a scan, a slope of 0) as if nothing had, and with a
+    # constant a "singular" fault.  It is a fault, and no warning.
     rng = np.random.default_rng(9)
     y = 1e300 * random_walk(rng, 200)
     x = 1e300 * (50.0 + random_walk(rng, 200))
-    with np.errstate(over="ignore", invalid="ignore"):
+    for deterministic in ("none", "constant"):
         with pytest.raises(SumOverflow, match="^sums of squares overflow: values too large$"):
-            adf_test(y, "none")
-        with pytest.raises(SumOverflow, match="^sums of squares overflow: values too large$"):
-            engle_granger(1.5 * x + y, x)
+            adf_test(y, deterministic)
+    with pytest.raises(SumOverflow, match="^sums of squares overflow: values too large$"):
+        engle_granger(1.5 * x + y, x)
