@@ -6,7 +6,8 @@
 # COMMAND starts the CLI and defaults to the console script `pairtrader`; a
 # source checkout runs it as `PYTHONPATH=<checkout>/src bash smoke.sh python
 # -m pairtrader.cli`.  The script writes `demo/`, `threads2/`, `core-*/`,
-# `fallback-*.txt`, `wide/` and `afile*` into an empty working directory.
+# `fallback-*.txt`, `tiny/`, `wide/` and `afile*` into an empty working
+# directory.
 # Every JSON artifact must parse without NaN or Infinity literals and every
 # SVG chart as XML, a rerun on two BLAS threads (the CLI defaults to one)
 # must write the same bytes, and so must a rerun under each OpenBLAS kernel
@@ -14,10 +15,14 @@
 # DYNAMIC_ARCH build).  Under each kernel, the ADF tests of
 # `tests/fallback_cases.py`, whose lag orders the Gram search leaves to the
 # Householder search, must also give the default kernel's lags, taus and
-# faults.  No staging directory may be left behind.  An output path under a regular file
-# must exit 1 with a one-line error, not a traceback.  A 40-ticker x
-# 750-day random-walk sector, large enough to fork a scan pool on 2 or more
-# CPUs, must scan to the same bytes pooled and pinned to one CPU, and with
+# faults.  No staging directory may be left behind.  An output path under
+# a regular file must exit 1 with a one-line error, not a traceback.  A
+# copy of the demo in `tiny/` with AMBER's closes scaled by 1e-300, whose
+# sums underflow so that the residual ADF regressions of AMBER's pairs are
+# singular, must scan to exit 3 with one error line naming a pair and
+# write nothing: only exactly constant residuals may score p = 0.  A
+# 40-ticker x 750-day random-walk sector, large enough to fork a scan pool
+# on 2 or more CPUs, must scan to the same bytes pooled and pinned to one CPU, and with
 # its pairs tested one to a block (in-process, through `python -c`, which
 # needs the package importable) rather than in blocks of the default size.
 # Every Python warning is an error, so a numpy RuntimeWarning or a
@@ -107,6 +112,20 @@ if [ "$status" -ne 1 ] || grep -q Traceback afile.err || ! cmp -s afile afile.or
   exit 1
 fi
 echo "an output path under a regular file is a clean error: $(grep 'error:' afile.err)"
+
+mkdir tiny
+cp -r demo/config.json demo/data tiny/
+sed -E -i '2,$ s/^([^,]*,[^,\r]*)/\1e-300/' tiny/data/AMBER.csv
+status=0
+"$@" scan --config tiny/config.json --sector metals --out tiny/runs 2> tiny/scan.err || status=$?
+if [ "$status" -ne 3 ] || grep -q Traceback tiny/scan.err \
+    || [ "$(grep -c '^pairtrader: error: ' tiny/scan.err)" -ne 1 ] \
+    || ! grep -q '^pairtrader: error: pair (' tiny/scan.err || [ -e tiny/runs ]; then
+  cat tiny/scan.err >&2
+  echo "a scan whose residual regressions are singular must exit 3 with one line naming a pair" >&2
+  exit 1
+fi
+echo "closes scaled by 1e-300 are a clean error: $(grep 'error:' tiny/scan.err)"
 
 python - wide <<'PY'
 import csv, json, pathlib, sys

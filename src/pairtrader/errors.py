@@ -98,7 +98,15 @@ class UnknownSurface(NumericError):
 
 
 class ConstantSeries(NumericError):
-    """Series is constant; the unit-root regression is singular."""
+    """A unit-root regression leaves no residual to test.
+
+    Raised as such when the ADF regression is singular or fits exactly,
+    and as ``ExactlyConstant`` when the series itself does not move.
+    """
+
+
+class ExactlyConstant(ConstantSeries):
+    """Series is exactly constant: its range is 0."""
 
 
 # --- backtest ---------------------------------------------------------------

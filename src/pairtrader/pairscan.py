@@ -24,7 +24,7 @@ from datetime import date
 import numpy as np
 
 from .econometrics import OlsOriginReport, ols_through_origin
-from .errors import ConstantSeries, PairTraderError, SeriesTooShort, SumOverflow
+from .errors import ConstantSeries, ExactlyConstant, PairTraderError, SeriesTooShort, SumOverflow
 from .marketdata import AlignedPanel, check_pair, slice_window
 # engle_granger, which the scan no longer calls pair by pair, stays importable
 # from here with adf_test: perfbench's tracer wraps both where this module
@@ -160,13 +160,15 @@ def _scan_block(tickers, terms: Stage1Terms, pairs) -> list[ScanCell]:
     """One ``ScanCell`` per ``(i, j, predictor, target)`` index tuple of ``pairs``.
 
     The pairs are tested as one ``engle_granger_block``.  A pair whose
-    residuals are exactly constant gets ``EXACT_DEPENDENCE``; the first
-    other per-pair fault is re-raised with the pair's tickers named.
+    residuals are exactly constant (``ExactlyConstant``) gets
+    ``EXACT_DEPENDENCE``; the first other per-pair fault, a singular or
+    exactly fitting residual regression among them, is re-raised with the
+    pair's tickers named.
     """
     outcomes = engle_granger_block(terms, [(targ, pred) for _, _, pred, targ in pairs])
     cells = []
     for (i, j, pred, targ), outcome in zip(pairs, outcomes):
-        if isinstance(outcome, ConstantSeries):
+        if isinstance(outcome, ExactlyConstant):
             adf, reason = None, EXACT_DEPENDENCE
         elif isinstance(outcome, PairTraderError):
             raise type(outcome)(f"pair ({tickers[i]}, {tickers[j]}): {outcome}") from outcome
@@ -268,7 +270,7 @@ def coint_matrix(panel: AlignedPanel) -> PValueMatrix:
         # A flat target would leave exactly constant residuals against any
         # regressor; that is no evidence of dependence.
         if np.ptp(row) == 0.0:
-            raise ConstantSeries(f"{ticker}: closes are constant")
+            raise ExactlyConstant(f"{ticker}: closes are constant")
     terms = stage1_terms(panel.closes)
     means = terms.means.tolist()
     pairs = []
@@ -327,8 +329,10 @@ def fit_pair(train: AlignedPanel) -> PairModel:
     takes it.  Runs the through-origin regression of target on predictor,
     then the ADF test (with constant) on its residuals.  The model is
     produced even when the residuals fail the stationarity check; the
-    verdict is recorded.  Closes too large for the fit's sums of squares
-    raise ``SumOverflow``, naming the pair.
+    verdict is recorded; residuals of range 0 are "degenerate (constant
+    residuals)".  Closes too large for the fit's sums of squares raise
+    ``SumOverflow``, and a singular or exactly fitting ADF regression of
+    residuals that do move raises ``ConstantSeries``, each naming the pair.
     """
     if len(train) < 30:
         raise SeriesTooShort(
@@ -337,14 +341,11 @@ def fit_pair(train: AlignedPanel) -> PairModel:
     predictor, target = train.closes
     try:
         report = ols_through_origin(predictor, target)
-    except SumOverflow as exc:
-        raise SumOverflow(f"{'/'.join(train.tickers)}: {exc}") from exc
-
-    try:
         residual_adf = adf_test(report.residuals, deterministic="constant")
-        verdict = _stationarity_verdict(residual_adf)
-    except ConstantSeries:
-        residual_adf = None
-        verdict = "degenerate (constant residuals)"
-
-    return PairModel(report=report, residual_adf=residual_adf, verdict=verdict)
+    except ExactlyConstant:
+        return PairModel(report=report, residual_adf=None,
+                         verdict="degenerate (constant residuals)")
+    except (SumOverflow, ConstantSeries) as exc:
+        raise type(exc)(f"{'/'.join(train.tickers)}: {exc}") from exc
+    return PairModel(report=report, residual_adf=residual_adf,
+                     verdict=_stationarity_verdict(residual_adf))

@@ -30,10 +30,14 @@ last among the regressors, so tau is read off the last two rows of a
 triangular factor of ``[X | dy]``: the Cholesky factor of its Gram matrix
 where the columns are far enough from collinear for that to be as accurate
 (``_gram_factor``), elsewhere the Householder factor the search uses
-(``_householder_factor``), which also decides the refit's two faults, and
-at lag 0 without a constant a closed form.  A refit never depends on which
-search chose the lag.  One builder, ``_adf_designs``, fills the search's
-stacks and the refit's.
+(``_householder_factor``), and at lag 0 without a constant a closed form.
+A refit never depends on which search chose the lag.  One builder,
+``_adf_designs``, fills the search's stacks and the refit's.
+
+An ADF regression has three faults, defined once (``_with_faults``) for
+the Householder search and the refit alike: ``SumOverflow``, and the
+``ConstantSeries`` "singular" and "fits exactly".  A series, or a pair's
+residuals, of range 0 raise ``ExactlyConstant`` before any regression.
 
 Every ADF test runs as a row of one stack (``_adf_stack``): the rows'
 designs go to the Gram search in chunks of ``_DESIGN_BYTES``, the rows it
@@ -66,6 +70,7 @@ import numpy as np
 from .errors import (
     ConstantSeries,
     DegenerateRegressor,
+    ExactlyConstant,
     LengthMismatch,
     PairTraderError,
     SeriesTooShort,
@@ -287,11 +292,11 @@ def _gram_lag_search(designs: np.ndarray, ntrend: int) -> list[int | None]:
     transposed is ``[X | b]`` at ``max_lag``, its dependent column last.
     For each slab, returns the k that ``_householder_lag_search`` would
     return, or None when this search cannot prove it does: the Cholesky
-    factorisation of ``D'D`` fails, a pivot or the smallest SSR is tiny
-    (where the Householder search may raise instead), or the AIC gap
-    between the best lag and the runner-up is within the error bound below.
-    Each Gram matrix is one BLAS product of a column-major design, and the
-    factorisations and every check run once over the stack.
+    factorisation of any ``D'D`` of the stack fails (then every design gets
+    None), a pivot or the smallest SSR is tiny (where the Householder search
+    may raise instead), or the AIC gap between the best lag and the
+    runner-up is within the error bound below.  The Gram matrices are one
+    batched BLAS product and the factorisations one LAPACK call.
 
     The bound, to first order in eps = 2^-52.  Take m rows, c columns,
     column norms s, G = D'D = LL', its correlation matrix C = S^-1 G S^-1
@@ -332,25 +337,18 @@ def _gram_lag_search(designs: np.ndarray, ntrend: int) -> list[int | None]:
     """
     nblock, ncol, nobs = designs.shape
     nx = ncol - 1
-    grams = np.empty((nblock, ncol, ncol))
     # Each check is written to fail on NaN and infinity, which leaves the
     # decision to the Householder search; the warnings of the designs that
     # fail them, overflowing products among them, are moot.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for design, gram in zip(designs, grams):
-            design = design.T
-            np.matmul(design.T, design, out=gram)
+        grams = designs @ designs.transpose(0, 2, 1)
         try:
             chols = np.linalg.cholesky(grams)
         except np.linalg.LinAlgError:
-            # One factorisation per design, so that one failure fails only its
-            # own; a NaN factor fails every check below.
+            # A NaN factor fails every check below, so one design that fails
+            # the factorisation sends the whole stack to the Householder
+            # search.
             chols = np.full_like(grams, math.nan)
-            for gram, chol in zip(grams, chols):
-                try:
-                    chol[...] = np.linalg.cholesky(gram)
-                except np.linalg.LinAlgError:
-                    pass
         norms2 = np.diagonal(grams, axis1=1, axis2=2)
         diag = np.diagonal(chols, axis1=1, axis2=2)
         pivots = diag[:, :nx]
@@ -396,13 +394,15 @@ def _gram_lag_search(designs: np.ndarray, ntrend: int) -> list[int | None]:
 
 
 def _householder_factor(designs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``(pivots, rb, ssr)`` of each slab's ``[X | b]``, by Householder reflections.
+    """``(pivots, rb, ssr, total)`` of each slab's ``[X | b]``, by Householder reflections.
 
     For R the factor with a positive diagonal: its diagonal and its last
-    column over X, and ``R[-1, -1]^2``, the SSR of b on X.  One reflection per
-    regressor, each applied to every slab at once; the slabs are overwritten.
+    column over X, ``R[-1, -1]^2``, the SSR of b on X, and ``b'b``, summed
+    before the reflections.  One reflection per regressor, each applied to
+    every slab at once; the slabs are overwritten.
     """
     nrow, ncol, _ = designs.shape
+    total = np.einsum("gm,gm->g", designs[:, -1], designs[:, -1])
     pivots = np.empty((nrow, ncol - 1))
     signs = np.empty((nrow, ncol - 1))
     for j in range(ncol - 1):
@@ -420,19 +420,25 @@ def _householder_factor(designs: np.ndarray) -> tuple[np.ndarray, ...]:
         scale = np.einsum("gm,gkm->gk", v, rest) / (norm * (norm + abs(head)))[:, np.newaxis]
         rest -= scale[:, :, np.newaxis] * v[:, np.newaxis, :]
     tail = designs[:, -1, ncol - 1:]
-    return pivots, signs * designs[:, -1, :ncol - 1], np.einsum("gm,gm->g", tail, tail)
+    return pivots, signs * designs[:, -1, :ncol - 1], np.einsum("gm,gm->g", tail, tail), total
 
 
-def _with_faults(values: list, pivots: np.ndarray, sums: np.ndarray, flat: np.ndarray,
-                 flat_fault: str) -> list:
-    """Each of ``values`` or, in this order, ``SumOverflow`` where a pivot or ``sums`` is
-    infinite, "singular" under ``_SINGULAR_RATIO`` and ``flat_fault`` where ``flat``."""
-    overflow = np.isinf(pivots).any(axis=1) | np.isinf(sums)
+def _with_faults(values: list, pivots: np.ndarray, total: np.ndarray, ssr: np.ndarray) -> list:
+    """Each of ``values``, or the fault of its ADF regression of b on X.
+
+    In this order, on each row's pivots (R's diagonal over X), ``total``
+    (b'b) and ``ssr``: ``SumOverflow`` where any is infinite; "singular"
+    where the smallest pivot is at most ``_SINGULAR_RATIO`` of the largest;
+    "fits exactly" where ``ssr`` is at most ``_SINGULAR_RATIO`` squared of
+    b'b.  Each rule is scale-free, and NaN fails it.
+    """
+    overflow = np.isinf(pivots).any(axis=1) | np.isinf(total) | np.isinf(ssr)
     singular = ~(pivots.min(axis=1) > _SINGULAR_RATIO * pivots.max(axis=1))
+    exact = ~(ssr > _SINGULAR_RATIO**2 * total)
     return [SumOverflow("sums of squares overflow: values too large") if huge
             else ConstantSeries("unit-root regression is singular") if bad_pivot
-            else ConstantSeries(f"unit-root regression {flat_fault}") if fault else value
-            for value, huge, bad_pivot, fault in zip(values, overflow, singular, flat)]
+            else ConstantSeries("unit-root regression fits exactly") if fits else value
+            for value, huge, bad_pivot, fits in zip(values, overflow, singular, exact)]
 
 
 def _householder_lag_search(designs: np.ndarray, ntrend: int) -> list[int | PairTraderError]:
@@ -442,21 +448,16 @@ def _householder_lag_search(designs: np.ndarray, ntrend: int) -> list[int | Pair
     and is overwritten.  The candidate with k lags has p = ntrend+1+k
     regressors, SSR_k the factor's tail sum of squares plus R's last column
     squared from row p on, with no cancellation, and AIC ``2p + m log(SSR_k
-    / m)``; ties go to the smaller k.  The faults, in order: ``SumOverflow``
-    when a pivot or ``b'b`` overflows, "singular" under ``_SINGULAR_RATIO``,
-    and "fits exactly" when some SSR_k is at most ``_SINGULAR_RATIO``
-    squared of ``b'b``: when b keeps at most that sine off the candidate's
-    regressors.
+    / m)``; ties go to the smaller k.  The faults are ``_with_faults``' on
+    the widest design's pivots and the smallest SSR_k.
     """
     nobs = designs.shape[2]
     # NaN and infinity from the faulty designs are set aside below.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        total = np.einsum("gm,gm->g", designs[:, -1], designs[:, -1])
-        pivots, rb, tail = _householder_factor(designs)
+        pivots, rb, tail, total = _householder_factor(designs)
         ssr = np.cumsum(np.column_stack([tail, rb[:, :ntrend:-1] ** 2]), axis=1)[:, ::-1]
         aic = 2.0 * np.arange(ntrend + 1, designs.shape[1]) + nobs * np.log(ssr / nobs)
-    return _with_faults(aic.argmin(axis=1).tolist(), pivots, total,
-                        ~(ssr.min(axis=1) > _SINGULAR_RATIO**2 * total), "fits exactly")
+    return _with_faults(aic.argmin(axis=1).tolist(), pivots, total, ssr.min(axis=1))
 
 
 def _lag_bound(n: int, max_lag: int | None, ntrend: int) -> int:
@@ -507,21 +508,18 @@ def block_rows(n: int) -> int:
 #: observations.  The Gram factor is there for speed alone.  On perfbench's
 #: workloads (seeds 1-3) it takes every refit row the lag-0 closed form does
 #: not: 28-37% of a wide scan's rows and all of ``analyze``'s; Householder
-#: takes none.  With Householder for every row, on a 2-vCPU x86-64 host: a
-#: serial scan of ``sector_scan_wide`` seed 1 took 0.54-0.60 s against
-#: 0.40-0.44 s; its pooled ``scan`` command 0.98 s against 0.89 s (seed 1)
-#: and 0.99 s against 0.92 s (seed 2), medians of 20 alternating runs,
-#: slower in 15 and 17 of them; perfbench's ``scan_pairs_per_s`` (8 s runs)
-#: lower in 8 of 10 rounds at seed 11 (medians 5,104 against 5,592) and in
-#: 6 of 10 at seed 1, where its median was higher (5,848 against 5,734).
+#: takes none.  With Householder for every row, a serial scan of
+#: ``sector_scan_wide`` seed 1 took 0.54-0.60 s against 0.40-0.44 s on a
+#: 2-vCPU x86-64 host.
 _GRAM_REFIT_MIN_SINE = 1e-2
 
 
 def _gram_factor(designs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``(pivots, cross, ssr, trusted)`` of each slab's ``[X | dy]``, from Cholesky.
+    """``(pivots, cross, ssr, total, trusted)`` of each slab's ``[X | dy]``, from Cholesky.
 
     ``pivots`` are the diagonal of R over X, ``cross`` is ``R[p-1, p]``
-    with R's diagonal positive, and ``ssr`` is ``R[p, p]^2``.  The Gram
+    with R's diagonal positive, ``ssr`` is ``R[p, p]^2`` and ``total`` is
+    ``dy'dy``, the Gram matrix's last diagonal entry.  The Gram
     matrix is one ``einsum``, and each step of its outer-product Cholesky
     factorisation runs over all slabs at once, leaving the SSR as the last
     Schur complement.  ``trusted`` marks the slabs that pass the
@@ -539,7 +537,7 @@ def _gram_factor(designs: np.ndarray) -> tuple[np.ndarray, ...]:
     trusted = ((pivots * pivots > _GRAM_REFIT_MIN_SINE**2 * norms2[:, :nx]).all(axis=1)
                & (ssr > _GRAM_REFIT_MIN_SINE**2 * norms2[:, nx])
                & (pivots.min(axis=1) > _GRAM_MIN_PIVOT_SPREAD * pivots.max(axis=1)))
-    return pivots, column[:, -1], ssr, trusted
+    return pivots, column[:, -1], ssr, norms2[:, nx], trusted
 
 
 def _refit_taus(ys: np.ndarray, lag: int, constant: bool) -> list[float | PairTraderError]:
@@ -559,19 +557,20 @@ def _refit_taus(ys: np.ndarray, lag: int, constant: bool) -> list[float | PairTr
     than from the cancelling ``sum(dy^2) - g sum(y dy)``.
 
     Every sum is an ``einsum`` over one row, so that a row's tau does not
-    depend on the other rows nor on the BLAS kernel.  A row whose sums of
-    squares overflow gets ``SumOverflow``.  A row whose smallest pivot is at
-    most ``_SINGULAR_RATIO`` of its largest (the lag search's rule) is
-    "singular", and one left with no positive SSR or degree of freedom has
-    "no residual variance".  A Gram factor decides neither: a row it does
-    not pass to the Householder factor holds neither fault.
+    depend on the other rows nor on the BLAS kernel.  A row's faults are
+    ``_with_faults``' on its pivots, SSR and ``dy'dy``: the closed form's
+    ``sum(dy^2)``, the Gram diagonal or the Householder factor's ``b'b``.
+    A row the Gram factor keeps passes both ratio rules.
     """
+    # dof >= 1: ``_lag_bound`` leaves the widest candidate at least one
+    # residual degree of freedom, and a narrower one on a longer sample more.
     dof = (ys.shape[1] - 1 - lag) - (int(constant) + lag + 1)
     # NaN and infinity from the faulty rows are set aside below.
     with np.errstate(divide="ignore", invalid="ignore"):
         if lag == 0 and not constant:
             level, resid = ys[:, :-1], ys[:, 1:] - ys[:, :-1]
             syy = np.einsum("gm,gm->g", level, level)
+            total = np.einsum("gm,gm->g", resid, resid)
             gamma = np.einsum("gm,gm->g", level, resid) / syy
             resid -= gamma[:, np.newaxis] * level
             ssr = np.einsum("gm,gm->g", resid, resid)
@@ -579,14 +578,13 @@ def _refit_taus(ys: np.ndarray, lag: int, constant: bool) -> list[float | PairTr
             tau = gamma / np.sqrt(ssr / dof / syy)
         else:
             designs = _adf_designs(ys, lag, constant, level_last=True)
-            pivots, cross, ssr, trusted = _gram_factor(designs)
+            pivots, cross, ssr, total, trusted = _gram_factor(designs)
             rough = np.flatnonzero(~trusted)
             if rough.size:
-                pivots[rough], rb, ssr[rough] = _householder_factor(designs[rough])
+                pivots[rough], rb, ssr[rough], total[rough] = _householder_factor(designs[rough])
                 cross[rough] = rb[:, -1]
             tau = cross / np.sqrt(ssr / dof)
-    return _with_faults(tau.tolist(), pivots, ssr, ~(ssr > 0.0) | (dof <= 0),
-                        "has no residual variance")
+    return _with_faults(tau.tolist(), pivots, total, ssr)
 
 
 def _search_lags(ys: np.ndarray, max_lag: int, constant: bool) -> list[int | PairTraderError]:
@@ -614,9 +612,8 @@ def _adf_stack(ys: np.ndarray, max_lag: int, constant: bool
     The rows' lags come from ``_search_lags`` in chunks of at most
     ``_DESIGN_BYTES`` of design.  The rows are then grouped by chosen lag,
     and each group is refit by ``_refit_taus``, again in chunks of at most
-    ``_DESIGN_BYTES``.  A row whose search or refit raises
-    ``ConstantSeries`` (a singular or exactly fitting regression) or
-    ``SumOverflow`` gets that exception in its place.
+    ``_DESIGN_BYTES``.  A row whose search or refit faults
+    (``_with_faults``) gets that exception in its place.
     """
     nrows, n = ys.shape
     outcomes: list = [None] * nrows
@@ -652,12 +649,13 @@ def adf_test(series, deterministic: str = "constant", max_lag: int | None = None
     ``n_eff = n - used_lags - 1`` regression observations, in numpy's fixed
     order arithmetic (``_refit_taus``, on a group of one).  The result is
     read against the single-series MacKinnon surface ``(1, deterministic)``.
+    A series of range 0 raises ``ExactlyConstant`` before any regression.
     """
     _check_deterministic(deterministic)
     y = _as_1d(series)
     n = y.size
     if n >= 1 and np.ptp(y) == 0.0:
-        raise ConstantSeries("series is constant")
+        raise ExactlyConstant("series is constant")
     constant = deterministic == "constant"
     (outcome,) = _adf_stack(y[np.newaxis], _lag_bound(n, max_lag, int(constant)), constant)
     if isinstance(outcome, PairTraderError):
@@ -715,9 +713,10 @@ def engle_granger_block(terms: Stage1Terms, pairs, max_lag: int | None = None
     it is what ``engle_granger(rows[t], rows[p], max_lag)``, a block of one,
     returns.  A pair's fault is what that raises, returned in the pair's
     place: ``DegenerateRegressor`` for a constant regressor,
-    ``ConstantSeries`` for exactly constant residuals or a singular or
-    exactly fitting ADF regression, ``SumOverflow`` for a series whose sums
-    of squares overflow.  Faults that hold for every pair alike
+    ``ExactlyConstant`` for residuals of range 0, ``ConstantSeries`` for a
+    singular or exactly fitting ADF regression of residuals that do move,
+    ``SumOverflow`` for a series whose sums of squares overflow.  Faults
+    that hold for every pair alike
     (too few observations, a ``max_lag`` they leave no room for) are raised.
 
     The block shares what its pairs share: stage 1 uses the per-series
@@ -750,7 +749,7 @@ def engle_granger_block(terms: Stage1Terms, pairs, max_lag: int | None = None
     del fitted
     for k in np.flatnonzero(np.ptp(resids, axis=1) == 0.0):
         if outcomes[k] is None:
-            outcomes[k] = ConstantSeries("series is constant")
+            outcomes[k] = ExactlyConstant("series is constant")
     live = [k for k, outcome in enumerate(outcomes) if outcome is None]
     if not live:
         return outcomes

@@ -1,25 +1,28 @@
 import csv
 import dataclasses
 import errno
+import io
 import json
 import math
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from collections.abc import Mapping
-from datetime import date
+from contextlib import redirect_stderr
+from datetime import date, timedelta
 from decimal import Decimal
 from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pairtrader import backtest, cli, econometrics, pairscan, signalgen
+from pairtrader import backtest, cli, econometrics, pairscan, signalgen, unitroot
 from pairtrader.backtest import PairSummary
 from pairtrader.cli import (RunConfig, _csv, _find_pair, _json, cmd_analyze, cmd_backtest,
                             cmd_scan, main, staged_dir)
@@ -43,6 +46,21 @@ def read_ledger(path):
     with open(path, newline="", encoding="utf-8") as handle:
         return [{key: value if key == "date" else Decimal(value) for key, value in row.items()}
                 for row in csv.DictReader(handle)]
+
+
+def amber_scaled(synth_dir, tmp_path, suffix):
+    """A copy of the demo config in ``tmp_path`` whose AMBER closes end in ``suffix``."""
+    config = json.loads((synth_dir / "config.json").read_text())
+    members = [dict(m, csv=str(synth_dir / m["csv"])) for m in config["sectors"]["metals"]]
+    lines = (synth_dir / "data" / "AMBER.csv").read_text().splitlines()
+    scaled = tmp_path / "AMBER.csv"
+    scaled.write_text("\n".join([lines[0]] + [f"{d},{c}{suffix}" for d, c in
+                                               (line.split(",") for line in lines[1:])]) + "\n")
+    members[0]["csv"] = str(scaled)
+    config["sectors"]["metals"] = members
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -185,20 +203,29 @@ class TestAnalyze:
         # once scored AMBER's pairs with a slope of 0, analyze ended in a
         # ZeroDivisionError traceback, and backtest warned of an overflow
         # before its error line.  No warning may come before that line.
-        config = json.loads((synth_dir / "config.json").read_text())
-        members = [dict(m, csv=str(synth_dir / m["csv"])) for m in config["sectors"]["metals"]]
-        lines = (synth_dir / "data" / "AMBER.csv").read_text().splitlines()
-        huge = tmp_path / "AMBER.csv"
-        huge.write_text("\n".join([lines[0]] + [f"{d},{c}e300" for d, c in
-                                                (line.split(",") for line in lines[1:])]) + "\n")
-        members[0]["csv"] = str(huge)
-        config["sectors"]["metals"] = members
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        code = run(*argv, "--config", path, "--out", tmp_path / "o")
+        code = run(*argv, "--config", amber_scaled(synth_dir, tmp_path, "e300"),
+                   "--out", tmp_path / "o")
         err = capsys.readouterr().err
         assert code == 3
         assert err.splitlines() == [f"pairtrader: error: {message}"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["scan", "--sector", "metals"], "pair (AMBER, BASALT): unit-root regression is singular"),
+        (["analyze", "--pair", "AMBER,BASALT"], "BASALT/AMBER: unit-root regression is singular"),
+    ], ids=["scan", "analyze"])
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_sums_are_one_line_naming_the_pair(self, synth_dir, tmp_path, capsys,
+                                                            argv, message):
+        # AMBER's closes near 1e-300: its sums of squares underflow, so the
+        # residual ADF regression is singular, though the residuals move.
+        # The scan once scored all nine AMBER pairs p = 0 as "exact linear
+        # dependence", and analyze called the pair "degenerate (constant
+        # residuals)" with hedge ratio 0: only exact constancy earns those.
+        code = run(*argv, "--config", amber_scaled(synth_dir, tmp_path, "e-300"),
+                   "--out", tmp_path / "o")
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [f"pairtrader: error: {message}"]
         assert not (tmp_path / "o").exists()
 
     def test_pair_order_does_not_matter(self, synth_dir, tmp_path):
@@ -235,6 +262,57 @@ class TestExactDependence:
         selected = read_json(out / "metals" / "scan" / "selected_pairs.json")["pairs"]
         assert selected[0] == {"predictor_ticker": "HOLLY2", "target_ticker": "HOLLY",
                                "coint_p": 0.0, "near_threshold": False}
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), column=st.integers(0, 3),
+           kind=st.sampled_from(["scaled", "duplicated", "doubled"]),
+           exponent=st.integers(-300, 6))
+    @example(seed=0, column=0, kind="scaled", exponent=-300)
+    def test_p_zero_only_for_exactly_constant_residuals(self, seed, column, kind, exponent):
+        # Four random walks over 80 weekdays, one of them scaled by
+        # 10**exponent, or joined by its copy or its double.  The scan either
+        # ends in one error line naming a pair or a ticker, or scores p = 0
+        # only where a pair's stage-1 residuals have range 0.  Closes near
+        # 1e-300 once scored every pair of the scaled ticker p = 0.
+        rng = np.random.default_rng(seed)
+        closes = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.02, (4, 80)), axis=1))
+        tickers = ["ALPHA", "BRAVO", "CHARLIE", "DELTA"]
+        if kind == "scaled":
+            closes[column] *= 10.0**exponent
+        else:
+            tickers.append("XRAY")
+            closes = np.vstack([closes, closes[column] * (1.0 if kind == "duplicated" else 2.0)])
+        days = [date(2020, 1, 6) + timedelta(days=7 * (k // 5) + k % 5) for k in range(80)]
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            for ticker, row in zip(tickers, closes):
+                (root / f"{ticker}.csv").write_text("Date,Close\n" + "".join(
+                    f"{day.isoformat()},{close!r}\n" for day, close in zip(days, row.tolist())))
+            (root / "config.json").write_text(json.dumps({
+                "sectors": {"s": [{"ticker": t, "csv": f"{t}.csv"} for t in tickers]},
+                "train_window": [days[0].isoformat(), days[59].isoformat()],
+                "test_window": [days[60].isoformat(), days[-1].isoformat()],
+            }))
+            err = io.StringIO()
+            with redirect_stderr(err):
+                code = run("scan", "--config", root / "config.json", "--sector", "s",
+                           "--out", root / "o")
+            if code:
+                (line,) = [line for line in err.getvalue().splitlines()
+                           if line.startswith("pairtrader: error: ")]
+                assert code in (2, 3) and "Traceback" not in err.getvalue()
+                assert "pair (" in line or any(ticker in line for ticker in tickers)
+                return
+            cells = read_json(root / "o" / "s" / "scan" / "pvalue_matrix.json")["pairs"]
+            config = RunConfig.from_json(root / "config.json")
+            train = slice_window(cli._sector_panel(config, "s"), *config.train_window)
+        terms = unitroot.stage1_terms(train.closes)
+        for cell in cells:
+            if cell["p_value"] == 0.0:
+                targ, pred = (train.tickers.index(cell[key]) for key in ("target", "predictor"))
+                slope, intercept = unitroot.stage1_fit(terms, np.array([targ]), np.array([pred]))
+                resid = terms.rows[targ] - intercept[0] - slope[0] * terms.rows[pred]
+                assert np.ptp(resid) == 0.0, cell
 
 
 class TestBacktest:
@@ -519,35 +597,56 @@ class TestConfigSurface:
         assert run("scan", "--config", synth_dir / "config.json", "--sector", "metals",
                    "--train-end", "2021-12-31", "--out", tmp_path) == 1
 
-    @pytest.mark.parametrize("command, edit, flags, named", [
-        ("scan", lambda c: c.update(capital_per_leg="abc"), [], "capital_per_leg"),
-        ("scan", lambda c: c.update(z_upper="x"), [], "z_upper"),
+    @pytest.mark.parametrize("command, edit, flags, named, code", [
+        ("scan", lambda c: c.update(capital_per_leg="abc"), [], "capital_per_leg", 1),
+        ("scan", lambda c: c.update(z_upper="x"), [], "z_upper", 1),
         ("scan", lambda c: c["sectors"]["metals"][0].pop("ticker") and None, [],
-         "ticker"),
-        ("scan", lambda c: c.update(sectors=["metals"]), [], "sectors"),
-        ("scan", lambda c: c.update(capital_per_leg="NaN"), [], "capital_per_leg"),
-        ("scan", lambda c: c.update(near_eps=math.nan), [], "near_eps"),
-        ("scan", lambda c: c.update(near_eps=math.inf), [], "near_eps"),
-        ("scan", lambda c: None, ["--near-eps", "inf"], "near_eps"),
-        ("scan", lambda c: c.update(z_upper=math.inf), [], "z_upper"),
-        ("scan", lambda c: c.update(z_lower=-math.inf), [], "z_lower"),
-        ("scan", lambda c: c.update(train_window="2018"), [], "train_window"),
-        ("scan", lambda c: c.update(out_dir=5), [], "out_dir"),
-        ("scan", lambda c: c.update(close_column=3), [], "close_column"),
-        ("scan", lambda c: [c], [], "JSON object"),
+         "ticker", 1),
+        ("scan", lambda c: c.update(sectors=["metals"]), [], "sectors", 1),
+        ("scan", lambda c: c.update(capital_per_leg="NaN"), [], "capital_per_leg", 1),
+        ("scan", lambda c: c.update(near_eps=math.nan), [], "near_eps", 1),
+        ("scan", lambda c: c.update(near_eps=math.inf), [], "near_eps", 1),
+        ("scan", lambda c: None, ["--near-eps", "inf"], "near_eps", 1),
+        ("scan", lambda c: c.update(z_upper=math.inf), [], "z_upper", 1),
+        ("scan", lambda c: c.update(z_lower=-math.inf), [], "z_lower", 1),
+        ("scan", lambda c: c.update(train_window="2018"), [], "train_window", 1),
+        ("scan", lambda c: c.update(out_dir=5), [], "out_dir", 1),
+        ("scan", lambda c: c.update(close_column=3), [], "close_column", 1),
+        ("scan", lambda c: [c], [], "JSON object", 1),
         ("backtest", lambda c: None, ["--pair", "COBALT,IRON", "--capital", "abc"],
-         "--capital"),
+         "--capital", 1),
         ("scan", lambda c: c["sectors"]["metals"][0].update(ticker=None), [],
-         "'ticker': None} of sector 'metals' needs a string 'ticker'"),
+         "'ticker': None} of sector 'metals' needs a string 'ticker'", 1),
         ("scan", lambda c: c["sectors"]["metals"][0].update(csv=5), [],
-         "{'csv': 5, 'ticker': 'AMBER'} of sector 'metals' needs a string"),
+         "{'csv': 5, 'ticker': 'AMBER'} of sector 'metals' needs a string", 1),
         ("scan", lambda c: c["sectors"]["metals"].insert(0, "AB"), [],
-         "member 'AB' of sector 'metals'"),
-        ("scan", lambda c: c.update(z_upper=True), [], "z_upper"),
-        ("scan", lambda c: c.update(near_eps=False), [], "near_eps"),
-        ("scan", lambda c: None, ["--threshold", "abc"], "--threshold: bad value 'abc'"),
+         "member 'AB' of sector 'metals'", 1),
+        ("scan", lambda c: c.update(z_upper=True), [], "z_upper", 1),
+        ("scan", lambda c: c.update(near_eps=False), [], "near_eps", 1),
+        ("scan", lambda c: None, ["--threshold", "abc"], "--threshold: bad value 'abc'", 1),
         ("scan", lambda c: None, ["--train-start", "2018-13-01"],
-         "--train-start: bad value '2018-13-01'"),
+         "--train-start: bad value '2018-13-01'", 1),
+        ("scan", lambda c: c.update(train_window=c["train_window"][::-1]), [],
+         "train window start is after its end", 1),
+        ("scan", lambda c: c.update(test_window=c["test_window"][::-1]), [],
+         "test window start is after its end", 1),
+        ("scan", lambda c: c.update(z_upper=-1.0), [],
+         "band limits must satisfy z_lower < 0 < z_upper", 1),
+        ("scan", lambda c: c.update(z_lower=0.5), [],
+         "band limits must satisfy z_lower < 0 < z_upper", 1),
+        ("scan", lambda c: c.update(capital_per_leg=0), [], "capital_per_leg must be positive", 1),
+        ("scan", lambda c: "{", [], "is not valid JSON", 1),
+        ("scan", lambda c: c.pop("test_window") and None, [],
+         "config is missing required key 'test_window'", 1),
+        ("analyze", lambda c: None, ["--pair", "IRON"], "--pair must be 'A,B', got 'IRON'", 1),
+        ("analyze", lambda c: None, ["--pair", "IRON,COBALT,AMBER"],
+         "--pair must be 'A,B', got 'IRON,COBALT,AMBER'", 1),
+        ("analyze", lambda c: None, ["--pair", "COBALT,IRON", "--sector", "nosuch"],
+         "sector 'nosuch' not present in config", 1),
+        ("analyze", lambda c: c.update(sectors={"a": c["sectors"]["metals"][:5],
+                                                "b": c["sectors"]["metals"][5:]}),
+         ["--pair", "AMBER,IRON"], "tickers 'AMBER' and 'IRON' are not in the same sector", 1),
+        ("scan", lambda c: c.update(close_column="Adj Close"), [], "no 'Adj Close' column", 2),
     ], ids=["capital_per_leg", "z_upper", "member_without_ticker", "sectors_list",
             "capital_nan", "near_eps_nan", "near_eps_inf", "near_eps_flag_inf",
             "z_upper_inf", "z_lower_neg_inf",
@@ -556,21 +655,27 @@ class TestConfigSurface:
             "top_level_list",
             "capital_flag",
             "ticker_null", "csv_number", "member_string", "z_upper_bool", "near_eps_bool",
-            "threshold_flag", "train_start_flag"])
+            "threshold_flag", "train_start_flag",
+            "train_window_reversed", "test_window_reversed", "z_upper_negative",
+            "z_lower_positive", "capital_zero", "invalid_json", "missing_required_key",
+            "pair_of_one", "pair_of_three", "analyze_unknown_sector", "pair_across_sectors",
+            "close_column_absent"])
     def test_malformed_value_is_config_error(self, synth_dir, tmp_path, capsys,
-                                             command, edit, flags, named):
+                                             command, edit, flags, named, code):
+        # Every case but the absent close column (a data error, exit 2) is a
+        # config error, exit 1.
         config = json.loads((synth_dir / "config.json").read_text())
         for member in config["sectors"]["metals"]:
             member["csv"] = str(synth_dir / member["csv"])
         config = edit(config) or config
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
         if command == "scan":
             flags = ["--sector", "metals", *flags]
-        assert run(command, "--config", path, *flags, "--out", tmp_path / "o") == 1
-        err = capsys.readouterr().err
-        assert err.startswith("pairtrader: error: ") and named in err
-        assert "Traceback" not in err
+        assert run(command, "--config", path, *flags, "--out", tmp_path / "o") == code
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("pairtrader: error: ") and named in line
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_key_is_config_error(self, synth_dir, tmp_path, capsys):
         # A misspelled knob used to be ignored: the run went on with the default.

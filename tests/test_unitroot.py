@@ -925,17 +925,20 @@ def test_pivot_spread_keeps_the_qr_singular_fault(qr_searches):
 
 
 def test_gram_search_of_a_stack_is_the_search_of_each_design():
-    # An exactly singular design in the middle of a stack fails its own
-    # factorisation only: every design gets the lag it gets alone.
+    # An exactly singular design in the middle of a stack fails the stack's
+    # one Cholesky call, which sends every design to the Householder search:
+    # each still gets the lag or the fault it gets alone.
     rng = np.random.default_rng(12)
-    designs = unitroot._adf_designs(
-        np.stack([random_walk(rng, 300), alternating(300), ar1(rng, 300, phi=0.6)]), 3, False)
+    ys = np.stack([random_walk(rng, 300), alternating(300), ar1(rng, 300, phi=0.6)])
+    designs = unitroot._adf_designs(ys, 3, False)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(designs[1] @ designs[1].T)
-    lags = unitroot._gram_lag_search(designs, 0)
-    assert lags == [unitroot._gram_lag_search(design[np.newaxis], 0)[0] for design in designs]
-    assert lags[1] is None and None not in (lags[0], lags[2])
-    assert lags[::2] == unitroot._householder_lag_search(designs[[0, 2]], 0)
+    assert unitroot._gram_lag_search(designs, 0) == [None, None, None]
+    together = unitroot._search_lags(ys, 3, False)
+    alone = [unitroot._search_lags(y[np.newaxis], 3, False)[0] for y in ys]
+    assert [str(lag) for lag in together] == [str(lag) for lag in alone]
+    assert str(together[1]) == "unit-root regression is singular"
+    assert together[::2] == [unitroot._gram_lag_search(designs[[k]], 0)[0] for k in (0, 2)]
 
 
 @pytest.mark.parametrize("lag,constant", [(0, False), (0, True), (2, False), (5, True)])
