@@ -5,9 +5,12 @@
 #
 # COMMAND starts the CLI and defaults to the console script `pairtrader`; a
 # source checkout runs it as `PYTHONPATH=<checkout>/src bash smoke.sh python
-# -m pairtrader.cli`.  The script writes `demo/`, `threads2/`, `core-*/`,
-# `fallback-*.txt`, `tiny/`, `wide/` and `afile*` into an empty working
-# directory.
+# -m pairtrader.cli`.  The script writes `demo/`, `module/`, `threads2/`,
+# `core-*/`, `fallback-*.txt`, `tiny/`, `wide/` and `afile*` into an empty
+# working directory.
+# A rerun through `python -m pairtrader.cli` must write the bytes that
+# COMMAND wrote: the console script and the module entry share one entry
+# function, which sets the garbage collector's policy for the process.
 # Every JSON artifact must parse without NaN or Infinity literals and every
 # SVG chart as XML, a rerun on two BLAS threads (the CLI defaults to one)
 # must write the same bytes, and so must a rerun under each OpenBLAS kernel
@@ -44,6 +47,13 @@ demo_commands() {
 python -m pairtrader.synthetic --out demo
 demo_commands "$@"
 
+(
+  export PAIRTRADER_OUT="$PWD/module"
+  demo_commands python -m pairtrader.cli
+)
+diff -r demo/runs module
+echo "python -m pairtrader.cli wrote the bytes of $*"
+
 python - demo/runs <<'PY'
 import json, pathlib, sys
 import xml.etree.ElementTree as ET
@@ -67,7 +77,7 @@ PY
   demo_commands "$@"
 )
 diff -r demo/runs threads2
-trees=(demo/runs threads2)
+trees=(demo/runs module threads2)
 echo "two BLAS threads wrote the same bytes"
 
 if python -c 'import numpy, sys; sys.exit("DYNAMIC_ARCH" not in str(numpy.show_config(mode="dicts")))' 2> /dev/null; then

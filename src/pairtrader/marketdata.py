@@ -99,7 +99,7 @@ def check_pair(panel: AlignedPanel) -> None:
 
 
 def _read_rows(reader, path, close_column: str | None):
-    """Parsed (date, close) rows of one CSV and the count of dropped rows.
+    """The dates and closes of one CSV's parsed rows, in file order, and the dropped count.
 
     The first record is the header; a name it repeats reads its last column.
     Blank records are skipped and a short record's missing cells read as
@@ -127,7 +127,8 @@ def _read_rows(reader, path, close_column: str | None):
     date_i, close_i = index["Date"], index[close_col]
     width = max(date_i, close_i) + 1
 
-    rows: list[tuple[date, float]] = []
+    days: list[date] = []
+    closes: list[float] = []
     dropped = 0
     for row in reader:
         if not row:
@@ -153,8 +154,9 @@ def _read_rows(reader, path, close_column: str | None):
             raise NonPositivePrice(
                 f"{path}:{reader.line_num}: close {raw_close!r} on {day} is not positive"
             )
-        rows.append((day, close))
-    return rows, dropped
+        days.append(day)
+        closes.append(close)
+    return days, closes, dropped
 
 
 def load_csv(path, ticker: str, close_column: str | None = None) -> AlignedPanel:
@@ -172,25 +174,26 @@ def load_csv(path, ticker: str, close_column: str | None = None) -> AlignedPanel
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
-            rows, dropped = _read_rows(csv.reader(handle), path, close_column)
+            days, closes, dropped = _read_rows(csv.reader(handle), path, close_column)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise UnreadableFile(f"{path}: cannot read ({exc})") from None
 
     if dropped:
         logger.warning("%s: dropped %d rows with missing/unparseable cells", path, dropped)
-    if not rows:
+    if not days:
         raise EmptySeries(f"{path}: no valid rows")
 
-    rows.sort(key=lambda item: item[0])
-    for (d1, _), (d2, _) in zip(rows, rows[1:]):
-        if d1 == d2:
-            raise DuplicateDate(f"{path}: date {d1} appears more than once")
+    # Dates that strictly increase are in order and repeat none, as in most
+    # exports; only other files are sorted (stably) and searched for a repeat.
+    if not all(map(operator.lt, days, days[1:])):
+        order = sorted(range(len(days)), key=days.__getitem__)
+        days = [days[i] for i in order]
+        closes = [closes[i] for i in order]
+        for d1, d2 in zip(days, days[1:]):
+            if d1 == d2:
+                raise DuplicateDate(f"{path}: date {d1} appears more than once")
 
-    return AlignedPanel(
-        tickers=(ticker,),
-        dates=tuple(d for d, _ in rows),
-        closes=np.array([c for _, c in rows])[np.newaxis],
-    )
+    return AlignedPanel(tickers=(ticker,), dates=tuple(days), closes=np.array(closes)[np.newaxis])
 
 
 def align_panel(panels: list[AlignedPanel]) -> AlignedPanel:

@@ -1,10 +1,12 @@
 import csv
 import dataclasses
 import errno
+import gc
 import io
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -1157,6 +1159,76 @@ def test_pipeline_runs_with_scipy_blocked(synth_dir, tmp_path):
         trees[block] = tree_bytes(out)
     assert trees[True] == trees[False]
     assert len(trees[True]) > 20
+
+
+# Runs the module entry as ``python -m`` does and prints its exit code,
+# whether the collector is on and the imports frozen when it exits, and
+# whether any collection ran after numpy's import began and before the
+# freeze.
+ENTRY_PROBE = """
+import gc, runpy, sys
+collections = []
+gc.callbacks.append(lambda phase, info: phase == "start" and collections.append(
+    (gc.get_freeze_count() > 0, "numpy" in sys.modules)))
+sys.argv = ["pairtrader", "--help"]
+try:
+    runpy.run_module("pairtrader.cli", run_name="__main__")
+except SystemExit as exc:
+    print(exc.code, gc.isenabled(), gc.get_freeze_count() > 0, (False, True) in collections)
+"""
+
+#: The four demo commands, as arguments after the program name.
+DEMO_COMMANDS = (
+    ("scan", "--sector", "metals"),
+    ("analyze", "--pair", "COBALT,IRON"),
+    ("backtest", "--pair", "COBALT,IRON", "--svg"),
+    ("report",),
+)
+
+
+def console_script_entry():
+    """The function ``pyproject.toml`` names as the ``pairtrader`` console script."""
+    text = (SRC_DIR.parent / "pyproject.toml").read_text(encoding="utf-8")
+    return re.search(r'^pairtrader = "pairtrader\.cli:(\w+)"$', text, re.MULTILINE)[1]
+
+
+class TestProgramEntry:
+    def test_module_entry_collects_nothing_while_importing_and_freezes_the_imports(self):
+        done = subprocess.run([sys.executable, "-c", ENTRY_PROBE], env=blas_env(),
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "0 True True False"
+
+    def test_console_script_is_the_entry(self):
+        assert getattr(cli, console_script_entry()) is cli.entry
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_in_process_leaves_the_collector_alone(self, synth_dir, tmp_path, enabled):
+        was, frozen = gc.isenabled(), gc.get_freeze_count()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            for argv in DEMO_COMMANDS:
+                assert run(*argv, "--config", synth_dir / "config.json", "--out", tmp_path) == 0
+            state = gc.isenabled(), gc.get_freeze_count()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert state == (enabled, frozen)
+
+    def test_entries_write_the_bytes_of_main(self, synth_dir, tmp_path):
+        # A console script imports the function it names, then calls it.
+        name = console_script_entry()
+        script = f"import sys\nfrom pairtrader.cli import {name}\nsys.exit({name}())\n"
+        entries = {"module": ["-m", "pairtrader.cli"], "script": ["-c", script]}
+        common = ["--config", str(synth_dir / "config.json")]
+        for argv in DEMO_COMMANDS:
+            assert run(*argv, *common, "--out", tmp_path / "main") == 0
+            for kind, entry in entries.items():
+                subprocess.run([sys.executable, *entry, *argv, *common,
+                                "--out", str(tmp_path / kind)],
+                               env=blas_env(), capture_output=True, check=True)
+        trees = {kind: tree_bytes(tmp_path / kind) for kind in ("main", *entries)}
+        assert len(trees["main"]) > 10
+        assert trees["module"] == trees["main"]
+        assert trees["script"] == trees["main"]
 
 
 class TestBlasThreads:

@@ -244,6 +244,41 @@ class TestLoadCsv:
         assert isinstance(series, AlignedPanel)
         assert series.tickers == ("A",) and series.closes.shape == (1, len(series))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 400), st.floats(0.01, 1e6)), min_size=1,
+                    max_size=40, unique_by=lambda row: row[0]),
+           st.lists(st.tuples(st.integers(0, 39), st.floats(0.01, 1e6)), max_size=2),
+           st.lists(st.sampled_from(["2021-03-01,NA", "2021-03-02,", ""]), max_size=4),
+           st.randoms(use_true_random=False))
+    def test_any_row_order_loads_as_the_sorted_file(self, rows, repeats, extra, rng):
+        # ``repeats`` adds a second row on an existing date; the sorted
+        # file then names the earliest repeated date.
+        start = date(2020, 1, 1)
+        rows = [(start + timedelta(days=k), close) for k, close in rows]
+        repeated = sorted({rows[i % len(rows)][0] for i, _ in repeats})
+        rows += [(rows[i % len(rows)][0], close) for i, close in repeats]
+        lines = [f"{day.isoformat()},{close!r}" for day, close in rows]
+        in_order = sorted(lines, key=lambda line: line[:10])
+        shuffled = lines + extra
+        rng.shuffle(shuffled)
+        with tempfile.TemporaryDirectory() as tmp:
+            outcomes = []
+            for name, body in (("sorted", in_order), ("shuffled", shuffled)):
+                path = write_csv(Path(tmp) / f"{name}.csv", "Date,Close\n" + "\n".join(body))
+                try:
+                    panel = load_csv(path, "A")
+                except DuplicateDate as exc:
+                    outcomes.append(str(exc).replace(str(path), "<path>"))
+                else:
+                    outcomes.append((panel.dates, panel.closes.tobytes()))
+        assert outcomes[1] == outcomes[0]
+        if repeated:
+            assert outcomes[0] == f"<path>: date {repeated[0]} appears more than once"
+        else:
+            rows.sort()
+            assert outcomes[0] == (tuple(day for day, _ in rows),
+                                   np.array([[close for _, close in rows]]).tobytes())
+
     def test_error_names_the_physical_line(self, tmp_path):
         path = write_csv(tmp_path / "blank.csv",
                          "Date,Close\n\n2020-01-01,5\n\n\n2020-01-02,-1\n")
