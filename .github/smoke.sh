@@ -8,6 +8,9 @@
 # -m pairtrader.cli`.  The script writes `demo/`, `module/`, `threads2/`,
 # `core-*/`, `fallback-*.txt`, `tiny/`, `wide/` and `afile*` into an empty
 # working directory.
+# The demo inputs, the demo tree and the output of `tests/fallback_cases.py`
+# must have the SHA-256 digests pinned in `tests/golden_digests.json`
+# (checked by `tests/golden.py`), whatever this runner's CPU and numpy.
 # A rerun through `python -m pairtrader.cli` must write the bytes that
 # COMMAND wrote: the console script and the module entry share one entry
 # function, which sets the garbage collector's policy for the process.
@@ -32,7 +35,8 @@
 # DeprecationWarning in any command fails the run.
 set -euo pipefail
 export PYTHONWARNINGS=error
-fallback_cases="$(cd "$(dirname "${BASH_SOURCE[0]}")/../tests" && pwd)/fallback_cases.py"
+tests_dir="$(cd "$(dirname "${BASH_SOURCE[0]}")/../tests" && pwd)"
+fallback_cases="$tests_dir/fallback_cases.py"
 if [ "$#" -eq 0 ]; then
   set -- pairtrader
 fi
@@ -46,6 +50,7 @@ demo_commands() {
 
 python -m pairtrader.synthetic --out demo
 demo_commands "$@"
+python "$tests_dir/golden.py" --demo demo
 
 (
   export PAIRTRADER_OUT="$PWD/module"

@@ -63,9 +63,9 @@ from .backtest import (
 )
 from .econometrics import correlation_matrix
 from .errors import ConfigError, DataError, PairTraderError
-from .marketdata import AlignedPanel, align_panel, load_csv, slice_window
+from .marketdata import AlignedPanel, align_panel, load_csv, parse_date, slice_window
 from .pairscan import (DEFAULT_NEAR_EPS, DEFAULT_THRESHOLD, coint_matrix, fit_pair,
-                       order_pair, select_pairs)
+                       order_pair, select_pairs, training_mean)
 from .signalgen import LOWER_LIMIT, UPPER_LIMIT, build_trading_frame, fit_ratio_stats
 from .svgchart import line_chart
 
@@ -190,7 +190,7 @@ class RunConfig:
         values = {}
         for key, raw in data.items():
             if key in _WINDOWS:
-                values[key] = tuple(_parse_value(name, date.fromisoformat, end)
+                values[key] = tuple(_parse_value(name, parse_date, end)
                                     for name, end in zip(names[key], raw))
             else:
                 values[key] = _parse_value(names[key], parsers.get(key, _number), raw)
@@ -443,23 +443,36 @@ def _commit(final: Path, files: Mapping[str, bytes]) -> None:
 # --- sector/pair resolution ---------------------------------------------------
 
 
-def _sector_panel(config: RunConfig, sector: str) -> AlignedPanel:
+def _load(config: RunConfig, members) -> list[AlignedPanel]:
+    """One one-ticker panel per ``(ticker, CSV path)`` of ``members``, in order."""
+    return [load_csv(path, ticker, close_column=config.close_column) for ticker, path in members]
+
+
+def _scan_input(config: RunConfig, sector: str) -> tuple[AlignedPanel, list[float]]:
+    """The sector's training window as the scan tests it, and its tickers' keys.
+
+    The window is cut from the inner join of every ticker of the sector;
+    the keys are each ticker's ``training_mean``, in panel order, taken
+    from its own rows before the join.
+    """
     if sector not in config.sectors:
         raise ConfigError(f"sector {sector!r} not present in config")
     members = config.sectors[sector]
     if len(members) < 2:
         raise ConfigError(f"sector {sector!r} must list at least 2 tickers")
-    return align_panel([
-        load_csv(csv_path, ticker, close_column=config.close_column)
-        for ticker, csv_path in members
-    ])
+    series = _load(config, members)
+    return (slice_window(align_panel(series), *config.train_window),
+            [training_mean(one, config.train_window) for one in series])
 
 
 def _find_pair(config: RunConfig, pair: str, sector: str | None) -> tuple[str, AlignedPanel]:
-    """The pair's sector and its two-ticker panel, predictor column first.
+    """The pair's sector and its two-ticker panel, predictor first.
 
-    The panel is the scan's inner join of the two tickers, ordered by the
-    scan's rule on the training window; pair commands only window it.
+    The panel is the inner join of the pair's two tickers alone, so the pair
+    commands fit on every date both have, where the scan tests the pair on
+    the sector-wide join.  Its roles are the scan's all the same:
+    ``order_pair`` decides them from each ticker's own training rows, as
+    ``coint_matrix`` does.  Pair commands only window the panel.
     """
     names = [p.strip() for p in pair.split(",")]
     if len(names) != 2 or not all(names):
@@ -472,9 +485,8 @@ def _find_pair(config: RunConfig, pair: str, sector: str | None) -> tuple[str, A
             raise ConfigError(f"sector {name!r} not present in config")
         members = dict(config.sectors[name])
         if names[0] in members and names[1] in members:
-            a = load_csv(members[names[0]], names[0], close_column=config.close_column)
-            b = load_csv(members[names[1]], names[1], close_column=config.close_column)
-            return name, order_pair(align_panel([a, b]), config.train_window)
+            a, b = _load(config, [(ticker, members[ticker]) for ticker in names])
+            return name, order_pair(a, b, config.train_window)
     known = {t for members in config.sectors.values() for t, _ in members}
     for ticker in names:
         if ticker not in known:
@@ -490,10 +502,10 @@ def _find_pair(config: RunConfig, pair: str, sector: str | None) -> tuple[str, A
 
 def cmd_scan(config: RunConfig, sector: str) -> tuple[Path, dict[str, bytes]]:
     """Correlation matrix, cointegration p-values, and pair selection."""
-    panel_train = slice_window(_sector_panel(config, sector), *config.train_window)
+    panel_train, means = _scan_input(config, sector)
 
     corr = correlation_matrix(panel_train)
-    pvals = coint_matrix(panel_train)
+    pvals = coint_matrix(panel_train, means)
     pairs = select_pairs(pvals, threshold=config.coint_threshold, near_eps=config.near_eps)
 
     records = []

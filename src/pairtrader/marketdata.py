@@ -92,6 +92,18 @@ class AlignedPanel:
         return len(self.dates)
 
 
+def parse_date(text: str) -> date:
+    """The date ``text`` writes as ``YYYY-MM-DD``, the one form a date may take.
+
+    ``date.fromisoformat`` alone also reads ``20210104`` and ISO week dates
+    such as ``2021-W01-1`` on Python 3.11 and later, but not on 3.10, so
+    any other form is a ``ValueError`` here, on every Python.
+    """
+    if len(text) != 10 or text[4] != "-" or text[7] != "-":
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    return date.fromisoformat(text)
+
+
 def check_pair(panel: AlignedPanel) -> None:
     """Reject a panel that is not a two-ticker pair panel."""
     if len(panel.tickers) != 2:
@@ -138,7 +150,7 @@ def _read_rows(reader, path, close_column: str | None):
         raw_date = row[date_i].strip()
         raw_close = row[close_i].strip()
         try:
-            day = date.fromisoformat(raw_date)
+            day = parse_date(raw_date)
         except ValueError:
             dropped += 1
             continue
@@ -162,8 +174,8 @@ def _read_rows(reader, path, close_column: str | None):
 def load_csv(path, ticker: str, close_column: str | None = None) -> AlignedPanel:
     """Load one ticker's daily closes from a CSV file.
 
-    The file must have a header row with a ``Date`` column (ISO-8601
-    ``YYYY-MM-DD``) and a close column; ``Close`` is preferred over
+    The file must have a header row with a ``Date`` column (``YYYY-MM-DD``,
+    see ``parse_date``) and a close column; ``Close`` is preferred over
     ``Adj Close`` unless ``close_column`` names one explicitly.  Rows whose
     date or close cannot be parsed (holiday gaps, vendor NA markers) are
     dropped with a logged count; a close that parses to a non-positive or
@@ -224,6 +236,6 @@ def slice_window(panel: AlignedPanel, start: date, end: date) -> AlignedPanel:
         raise ValueError(f"window start {start} after end {end}")
     lo, hi = bisect_left(panel.dates, start), bisect_right(panel.dates, end)
     if lo >= hi:
-        raise EmptyWindow(f"panel: no observations in [{start}, {end}]")
+        raise EmptyWindow(f"{'/'.join(panel.tickers)}: no observations in [{start}, {end}]")
     return AlignedPanel(tickers=panel.tickers, dates=panel.dates[lo:hi],
                         closes=panel.closes[:, lo:hi])

@@ -1,16 +1,21 @@
 """Sector-wide cointegration scanning and pair-model fitting.
 
 Every unordered ticker pair in a panel gets one Engle-Granger test, kept
-whole in one ``ScanCell``; the stock with the higher mean close acts as the
-regressor (it later becomes asset1, the predictor of the pair model).  Pairs
-beat the significance threshold outright or squeak in within a configurable
-near-threshold margin.  A pair whose residuals are exactly zero (say, two
-share classes of one company) gets p = 0 and a recorded reason instead of
-aborting the scan.  The pairs are tested in blocks that share their
-stage-1 terms, lag-order checks and refits, and a large scan runs them on a
-forked worker pool, one contiguous span of pairs per worker; the cells are
-the same whatever the blocks and the workers.  The module only computes: ``cli`` writes the matrix and the
-selection.
+whole in one ``ScanCell``.  A pair's roles are decided before any join, by
+one number per ticker (``training_mean``, its mean close over its own rows
+in the training window): the higher one is the regressor, which later
+becomes asset1, the predictor of the pair model, and ties break by ticker.
+``coint_matrix`` and ``order_pair`` both apply that rule to those numbers,
+so the scan and the pair commands give a pair the same roles, though the
+scan tests it on the sector-wide join and the pair commands fit it on the
+pair's own.  Pairs beat the significance threshold outright or squeak in
+within a configurable near-threshold margin.  A pair whose residuals are
+exactly zero (say, two share classes of one company) gets p = 0 and a
+recorded reason instead of aborting the scan.  The pairs are tested in
+blocks that share their stage-1 terms, lag-order checks and refits, and a
+large scan runs them on a forked worker pool, one contiguous span of pairs
+per worker; the cells are the same whatever the blocks and the workers.
+The module only computes: ``cli`` writes the matrix and the selection.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 
 from .econometrics import OlsOriginReport, ols_through_origin
 from .errors import ConstantSeries, ExactlyConstant, PairTraderError, SeriesTooShort, SumOverflow
-from .marketdata import AlignedPanel, check_pair, slice_window
+from .marketdata import AlignedPanel, align_panel, slice_window
 # engle_granger, which the scan no longer calls pair by pair, stays importable
 # from here with adf_test: perfbench's tracer wraps both where this module
 # refers to them.
@@ -104,26 +109,35 @@ class PairModel:
     verdict: str
 
 
+def training_mean(series: AlignedPanel, train: tuple[date, date]) -> float:
+    """A ticker's ordering key: its mean close over its own rows in the ``train`` window.
+
+    ``series`` is the ticker's one-ticker panel, as ``load_csv`` gives it,
+    so the key does not depend on which other tickers it is joined with.
+    """
+    if len(series.tickers) != 1:
+        raise ValueError(f"a ticker's key comes from a one-ticker panel, "
+                         f"not {'/'.join(series.tickers)}")
+    return float(np.mean(slice_window(series, *train).closes[0]))
+
+
 def _a_predicts(ticker_a: str, mean_a: float, ticker_b: str, mean_b: float) -> bool:
-    """The pair-ordering rule: higher mean close predicts, ties break by ticker."""
+    """The pair-ordering rule on two ``training_mean`` keys: higher predicts, ties by ticker."""
     if mean_a != mean_b:
         return mean_a > mean_b
     return ticker_a <= ticker_b
 
 
-def order_pair(pair: AlignedPanel, train: tuple[date, date]) -> AlignedPanel:
-    """Put the predictor column of a two-ticker panel first.
+def order_pair(a: AlignedPanel, b: AlignedPanel, train: tuple[date, date]) -> AlignedPanel:
+    """The pair panel of one-ticker panels ``a`` and ``b``: their inner join, predictor first.
 
-    The predictor has the higher mean close over the training window, ties
-    broken by ticker, as in ``coint_matrix``.  The whole panel is returned,
-    so later windows of it keep the same order.
+    The predictor has the higher ``training_mean`` over ``train``, ties
+    broken by ticker: the roles ``coint_matrix`` gives the pair.  The whole
+    join is returned, so each window of it keeps that order.
     """
-    check_pair(pair)
-    closes = slice_window(pair, *train).closes
-    a, b = pair.tickers
-    if _a_predicts(a, float(np.mean(closes[0])), b, float(np.mean(closes[1]))):
-        return pair
-    return AlignedPanel(tickers=(b, a), dates=pair.dates, closes=pair.closes[[1, 0]])
+    if _a_predicts(a.tickers[0], training_mean(a, train), b.tickers[0], training_mean(b, train)):
+        return align_panel([a, b])
+    return align_panel([b, a])
 
 
 #: A scan forks a worker pool only when every worker gets at least this many
@@ -247,10 +261,13 @@ def _scan_pairs(tickers, terms: Stage1Terms, pairs, workers: int) -> list[ScanCe
     return _scan_span(tickers, terms, pairs)
 
 
-def coint_matrix(panel: AlignedPanel) -> PValueMatrix:
+def coint_matrix(panel: AlignedPanel, means: list[float]) -> PValueMatrix:
     """Engle-Granger test of every unordered pair of panel tickers.
 
-    Within each pair the higher-mean-close ticker is the regressor and the
+    ``panel`` is the joined training window the pairs are tested on, and
+    ``means`` holds each ticker's ``training_mean``, in panel order: the
+    keys that decide every pair's roles, as ``order_pair`` decides them.
+    Within each pair the ticker with the higher key is the regressor and the
     other the dependent series, matching the predictor/target convention of
     the pair model.  Each pair's result is kept in a ``ScanCell``, in
     row-major upper-triangle order.  A pair whose residuals are exactly
@@ -263,6 +280,8 @@ def coint_matrix(panel: AlignedPanel) -> PValueMatrix:
     n = len(tickers)
     if n < 2:
         raise ValueError("panel must hold at least 2 tickers")
+    if len(means) != n:
+        raise ValueError(f"need one key per ticker, got {len(means)} for {n} tickers")
     if len(panel.dates) < 30:
         raise SeriesTooShort(f"need >= 30 common dates, have {len(panel.dates)}")
 
@@ -272,7 +291,6 @@ def coint_matrix(panel: AlignedPanel) -> PValueMatrix:
         if np.ptp(row) == 0.0:
             raise ExactlyConstant(f"{ticker}: closes are constant")
     terms = stage1_terms(panel.closes)
-    means = terms.means.tolist()
     pairs = []
     for i in range(n):
         for j in range(i + 1, n):

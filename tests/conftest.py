@@ -46,6 +46,15 @@ def make_series(ticker, closes, start=date(2021, 1, 1)):
                         closes=np.asarray(closes, dtype=float)[np.newaxis])
 
 
+def row_means(panel):
+    """Each ticker's mean over its row of ``panel``, as ``coint_matrix`` keys.
+
+    These are the tickers' ``training_mean``s when each has exactly the
+    panel's dates in the training window, as in the synthetic sectors here.
+    """
+    return [float(np.mean(row)) for row in panel.closes]
+
+
 def make_pair(close1, close2, start=date(2021, 1, 1)):
     """Two-ticker pair panel ("A", "B") on consecutive calendar days."""
     dates = tuple(start + timedelta(days=i) for i in range(len(close1)))

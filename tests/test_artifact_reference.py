@@ -31,7 +31,7 @@ from pairtrader.cli import (
     RunConfig,
     _commit,
     _find_pair,
-    _sector_panel,
+    _scan_input,
     cmd_analyze,
     cmd_backtest,
     cmd_report,
@@ -190,9 +190,9 @@ class OldPValueMatrix:
 
 
 def write_scan_reference(config: RunConfig, sector: str, out) -> None:
-    panel_train = slice_window(_sector_panel(config, sector), *config.train_window)
+    panel_train, means = _scan_input(config, sector)
     corr = SimpleNamespace(tickers=panel_train.tickers, values=correlation_matrix(panel_train))
-    scan = coint_matrix(panel_train)
+    scan = coint_matrix(panel_train, means)
     pvals = OldPValueMatrix(scan)
     pairs = select_pairs(scan, threshold=config.coint_threshold, near_eps=config.near_eps)
 

@@ -30,7 +30,7 @@ from pairtrader.cli import (RunConfig, _csv, _find_pair, _json, cmd_analyze, cmd
                             cmd_scan, main, staged_dir)
 from pairtrader.marketdata import slice_window
 from pairtrader.pairscan import fit_pair
-from pairtrader.synthetic import PAIR_TICKERS
+from pairtrader.synthetic import PAIR_TICKERS, weekday_calendar
 
 from conftest import BLAS_VARS, SRC_DIR, blas_env, read_frame_csv, tree_bytes
 
@@ -307,7 +307,7 @@ class TestExactDependence:
                 return
             cells = read_json(root / "o" / "s" / "scan" / "pvalue_matrix.json")["pairs"]
             config = RunConfig.from_json(root / "config.json")
-            train = slice_window(cli._sector_panel(config, "s"), *config.train_window)
+            train, _ = cli._scan_input(config, "s")
         terms = unitroot.stage1_terms(train.closes)
         for cell in cells:
             if cell["p_value"] == 0.0:
@@ -315,6 +315,81 @@ class TestExactDependence:
                 slope, intercept = unitroot.stage1_fit(terms, np.array([targ]), np.array([pred]))
                 resid = terms.rows[targ] - intercept[0] - slope[0] * terms.rows[pred]
                 assert np.ptp(resid) == 0.0, cell
+
+
+def write_sector_csvs(root, days, closes, missing, train_days):
+    """CSVs and a config for sector "s" of ``closes`` (ticker -> closes on ``days``).
+
+    Ticker t lacks the dates at the indices ``missing[t]``; training covers
+    the first ``train_days`` days and testing the rest.
+    """
+    for ticker, row in closes.items():
+        skip = missing.get(ticker, ())
+        (root / f"{ticker}.csv").write_text("Date,Close\n" + "".join(
+            f"{day.isoformat()},{close!r}\n" for i, (day, close) in enumerate(zip(days, row))
+            if i not in skip))
+    path = root / "config.json"
+    path.write_text(json.dumps({
+        "sectors": {"s": [{"ticker": t, "csv": f"{t}.csv"} for t in closes]},
+        "train_window": [days[0].isoformat(), days[train_days - 1].isoformat()],
+        "test_window": [days[train_days].isoformat(), days[-1].isoformat()],
+    }))
+    return path
+
+
+class TestPairRoles:
+    """The scan and the pair commands give every pair the same predictor."""
+
+    def test_scan_and_analyze_name_the_same_predictor(self, tmp_path):
+        # C lacks the last 20 training dates, where B sits 5 below A.  On the
+        # sector-wide join B is 0.3 above A; over each one's own training rows
+        # B is 0.05 below.  Keyed on the join, the scan once made B the
+        # predictor, while analyze, keyed on the pair's own join, made it A.
+        rng = np.random.default_rng(5)
+        days = weekday_calendar(date(2020, 1, 6), 400)
+        a = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, 400)))
+        b = a + 0.3 + rng.normal(0.0, 0.01, 400)
+        b[280:300] = a[280:300] - 5.0
+        c = 80.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, 400)))
+        config = write_sector_csvs(tmp_path, days, {"A": a.tolist(), "B": b.tolist(),
+                                                    "C": c.tolist()},
+                                   {"C": set(range(280, 300))}, train_days=300)
+        out = tmp_path / "out"
+        assert run("scan", "--config", config, "--sector", "s", "--out", out) == 0
+        cells = read_json(out / "s" / "scan" / "pvalue_matrix.json")["pairs"]
+        (cell,) = [c for c in cells if {c["ticker_a"], c["ticker_b"]} == {"A", "B"}]
+        selected = read_json(out / "s" / "scan" / "selected_pairs.json")["pairs"]
+        assert [(p["predictor_ticker"], p["target_ticker"]) for p in selected][:1] == [("A", "B")]
+        for pair in ("A,B", "B,A"):
+            assert run("analyze", "--config", config, "--pair", pair, "--out", out) == 0
+        assert [p.name for p in (out / "s" / "pairs").iterdir()] == ["A-B"]
+        report = read_json(out / "s" / "pairs" / "A-B" / "analysis" / "ols_report.json")
+        assert (cell["predictor"], cell["target"]) == (report["predictor"], report["target"])
+        assert (cell["predictor"], cell["target"]) == ("A", "B")
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_tickers=st.integers(3, 5), data=st.data())
+    def test_scan_roles_are_the_pair_commands_roles(self, seed, n_tickers, data):
+        # Tickers a few tenths apart on a shared walk, each lacking up to six
+        # of 90 weekdays: the dates a ticker lacks can decide its pairs' roles.
+        # At most 30 dates are lost, so at least 30 of the 60 training dates
+        # are common to all.
+        rng = np.random.default_rng(seed)
+        days = weekday_calendar(date(2020, 1, 6), 90)
+        walk = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, 90)))
+        tickers = [f"T{k}" for k in range(n_tickers)]
+        closes = {t: (walk + rng.uniform(-0.5, 0.5) + rng.normal(0.0, 0.2, 90)).tolist()
+                  for t in tickers}
+        missing = {t: data.draw(st.sets(st.integers(0, 89), max_size=6), label=t)
+                   for t in tickers}
+        with tempfile.TemporaryDirectory() as tmp:
+            config = RunConfig.from_json(
+                write_sector_csvs(Path(tmp), days, closes, missing, train_days=60))
+            cells = json.loads(cmd_scan(config, "s")[1]["pvalue_matrix.json"])["pairs"]
+            assert len(cells) == n_tickers * (n_tickers - 1) // 2
+            for cell in cells:
+                _, panel = _find_pair(config, f"{cell['ticker_a']},{cell['ticker_b']}", None)
+                assert panel.tickers == (cell["predictor"], cell["target"]), cell
 
 
 class TestBacktest:
@@ -678,6 +753,33 @@ class TestConfigSurface:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("pairtrader: error: ") and named in line
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("raw", ["20180101", "2018-W01-1"])
+    def test_window_dates_must_be_yyyy_mm_dd(self, synth_dir, tmp_path, capsys, raw):
+        # Both read as 2018-01-01, the demo's first date, through
+        # date.fromisoformat on Python 3.11 and later, but not on 3.10.
+        config = json.loads((synth_dir / "config.json").read_text())
+        for member in config["sectors"]["metals"]:
+            member["csv"] = str(synth_dir / member["csv"])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert run("scan", "--config", path, "--sector", "metals", "--train-start", raw,
+                   "--out", tmp_path / "o") == 1
+        config["train_window"][0] = raw
+        path.write_text(json.dumps(config))
+        assert run("scan", "--config", path, "--sector", "metals", "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"pairtrader: error: --train-start: bad value {raw!r}",
+            f"pairtrader: error: config key 'train_window': bad value {raw!r}",
+        ]
+        assert not (tmp_path / "o").exists()
+
+    def test_empty_test_window_names_the_pair(self, synth_dir, tmp_path, capsys):
+        assert run("backtest", "--config", synth_dir / "config.json", "--pair", "IRON,COBALT",
+                   "--test-start", "2030-01-01", "--test-end", "2030-12-31",
+                   "--out", tmp_path) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "pairtrader: error: COBALT/IRON: no observations in [2030-01-01, 2030-12-31]"]
 
     def test_unknown_key_is_config_error(self, synth_dir, tmp_path, capsys):
         # A misspelled knob used to be ignored: the run went on with the default.

@@ -1,4 +1,5 @@
 import csv
+import logging
 import math
 import re
 import tempfile
@@ -90,6 +91,11 @@ def _reference_read_rows(reader, path, close_column):
         raw_date = (row.get("Date") or "").strip()
         raw_close = (row.get(close_col) or "").strip()
         if raw_close.lower() in _MISSING_TOKENS:
+            dropped += 1
+            continue
+        # Only YYYY-MM-DD is a date: Python 3.11 and later would also read
+        # 20210104 and 2021-W01-1 with fromisoformat, and 3.10 would not.
+        if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", raw_date):
             dropped += 1
             continue
         try:
@@ -200,6 +206,18 @@ class TestLoadCsv:
                          "2021-01-03,null\n2021-01-04,102.0\n")
         series = load_csv(path, "A")
         assert len(series) == 2
+
+    def test_only_yyyy_mm_dd_dates_load(self, tmp_path, caplog):
+        # date.fromisoformat reads the middle two as 2021-01-05 and 2021-01-06
+        # on Python 3.11 and later, and rejects them on 3.10: a row must not
+        # load on one Python and drop on another.
+        path = write_csv(tmp_path / "a.csv", "Date,Close\n2021-01-04,100.0\n20210105,101.0\n"
+                                             "2021-W01-3,102.0\n2021-01-07,103.0\n")
+        with caplog.at_level(logging.WARNING, logger="pairtrader.marketdata"):
+            series = load_csv(path, "A")
+        assert series.dates == (date(2021, 1, 4), date(2021, 1, 7))
+        assert series.closes.tolist() == [[100.0, 103.0]]
+        assert "dropped 2 rows" in caplog.text
 
     def test_all_rows_invalid_is_empty(self, tmp_path):
         path = write_csv(tmp_path / "a.csv", "Date,Close\n2021-01-01,\n")
@@ -452,7 +470,8 @@ class TestSliceWindow:
 
     def test_panel_empty_window(self):
         panel = align_panel([make_series("A", [1, 2]), make_series("B", [4, 5])])
-        with pytest.raises(EmptyWindow):
+        with pytest.raises(EmptyWindow,
+                           match=r"^A/B: no observations in \[1999-01-01, 1999-01-02\]$"):
             slice_window(panel, date(1999, 1, 1), date(1999, 1, 2))
 
     @settings(max_examples=200, deadline=None)
@@ -506,8 +525,8 @@ class TestPanelLayout:
         joined = align_panel([make_series("B", [9.0, 8.0, 7.0, 6.0]), loaded,
                               make_series("C", [5.0, 6.0, 7.0])])
         window = slice_window(joined, loaded.dates[1], loaded.dates[2])
-        pair = align_panel([make_series("B", [1.0, 2.0, 3.0]), make_series("A", [5.0, 6.0, 7.0])])
-        swapped = order_pair(pair, (pair.dates[0], pair.dates[-1]))
+        b, a = make_series("B", [1.0, 2.0, 3.0]), make_series("A", [5.0, 6.0, 7.0])
+        swapped = order_pair(b, a, (b.dates[0], b.dates[-1]))
         assert swapped.tickers == ("A", "B")
         for panel in (loaded, joined, window, swapped):
             assert_ticker_major(panel)

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from pairtrader import unitroot
-from pairtrader.cli import RunConfig, _sector_panel, cmd_scan
+from pairtrader.cli import RunConfig, _scan_input, cmd_scan
 from pairtrader.econometrics import correlation_matrix
-from pairtrader.errors import ConstantSeries, EmptyIntersection, SeriesTooShort
+from pairtrader.errors import ConstantSeries, EmptyIntersection, EmptyWindow, SeriesTooShort
 from pairtrader.marketdata import AlignedPanel, align_panel, slice_window
 from pairtrader.pairscan import (
     PairModel,
@@ -23,11 +23,12 @@ from pairtrader.pairscan import (
     fit_pair,
     order_pair,
     select_pairs,
+    training_mean,
 )
 from pairtrader.synthetic import PAIR_TICKERS, TRAIN_DAYS, build_sector, weekday_calendar
 from pairtrader.unitroot import LEVELS, engle_granger, mackinnon_crit, mackinnon_pvalue
 
-from conftest import make_series
+from conftest import make_series, row_means
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +48,7 @@ def synth_panel(synth_series):
 
 @pytest.fixture(scope="module")
 def synth_matrix(synth_panel):
-    return coint_matrix(synth_panel)
+    return coint_matrix(synth_panel, row_means(synth_panel))
 
 
 def whole(series):
@@ -62,7 +63,7 @@ def cell_of(matrix, a, b):
 
 def pair_panel(a, b, train=None):
     """The pair commands' pair: ``a`` and ``b`` inner-joined, predictor first."""
-    return order_pair(align_panel([a, b]), train or whole(a))
+    return order_pair(a, b, train or whole(a))
 
 
 class TestOrderPair:
@@ -87,10 +88,29 @@ class TestOrderPair:
         assert ordered.tickers == ("B", "A")
         assert ordered.dates == a.dates
 
+    def test_orders_on_each_tickers_own_rows(self):
+        # B lacks A's third date.  Over the pair's common dates B's mean is
+        # the higher; over its own rows A's is (40 against 20).
+        a = make_series("A", [10, 10, 100])
+        b = make_series("B", [20, 20])
+        for first, second in ((a, b), (b, a)):
+            ordered = pair_panel(first, second, train=whole(a))
+            assert ordered.tickers == ("A", "B")
+            assert ordered.dates == b.dates
+            assert ordered.closes.tolist() == [[10.0, 10.0], [20.0, 20.0]]
+
+    def test_key_is_the_mean_over_own_training_rows(self):
+        a = make_series("A", [1, 2, 3, 10])
+        assert training_mean(a, (a.dates[1], a.dates[2])) == 2.5
+        assert training_mean(a, whole(a)) == 4.0
+
     def test_mismatched_calendars_rejected(self):
         a = make_series("A", [1, 2, 3])
         b = make_series("B", [1, 2, 3], start=date(2022, 1, 1))
         with pytest.raises(EmptyIntersection):
+            pair_panel(a, b, train=(a.dates[0], b.dates[-1]))
+        # A ticker without training rows has no key.
+        with pytest.raises(EmptyWindow, match=r"^B: no observations"):
             pair_panel(a, b)
 
     def test_pair_panel_keeps_shared_dates_only(self):
@@ -102,9 +122,11 @@ class TestOrderPair:
         assert ordered.closes[1].tolist() == [2.0, 3.0, 4.0]
 
     def test_needs_two_tickers(self):
-        panel = align_panel([make_series(t, [1, 2, 3]) for t in "ABC"])
-        with pytest.raises(ValueError):
-            order_pair(panel, whole(panel))
+        panel = align_panel([make_series(t, [1, 2, 3]) for t in "AB"])
+        c = make_series("C", [1, 2, 3])
+        for a, b in ((panel, c), (c, panel)):
+            with pytest.raises(ValueError, match="one-ticker panel"):
+                order_pair(a, b, whole(panel))
 
 
 class TestCointMatrix:
@@ -115,7 +137,7 @@ class TestCointMatrix:
             make_series("A", base),
             make_series("B", 2 * base + rng.normal(0, 0.5, size=60)),
         ])
-        (cell,) = coint_matrix(panel).cells
+        (cell,) = coint_matrix(panel, row_means(panel)).cells
         assert (cell.ticker_a, cell.ticker_b, cell.reason) == ("A", "B", None)
         assert (cell.predictor, cell.target) == ("B", "A")
         assert math.isfinite(cell.p_value) and cell.p_value == cell.adf.p_value
@@ -150,8 +172,8 @@ class TestCointMatrix:
         walks = {t: np.abs(np.cumsum(rng.normal(size=80))) + 50 for t in "ABC"}
         # Three random walks, and the ten-ticker synthetic sector.
         for series in ([make_series(t, walks[t]) for t in "ABC"], list(synth_series.values())):
-            m1 = coint_matrix(align_panel(series))
-            m2 = coint_matrix(align_panel(series[::-1]))
+            m1 = coint_matrix(align_panel(series), row_means(align_panel(series)))
+            m2 = coint_matrix(align_panel(series[::-1]), row_means(align_panel(series[::-1])))
             assert m2.tickers == m1.tickers[::-1]
             for cell in m1.cells:
                 other = cell_of(m2, cell.ticker_a, cell.ticker_b)
@@ -164,7 +186,7 @@ class TestCointMatrix:
         # Scaling by a power of two is exact in binary floating point, and
         # both tests are scale-free, so every bit of every result must hold.
         scaled = AlignedPanel(synth_panel.tickers, synth_panel.dates, synth_panel.closes * factor)
-        got = coint_matrix(scaled)
+        got = coint_matrix(scaled, row_means(scaled))
         assert [(c.ticker_a, c.ticker_b, c.predictor, c.target) for c in got.cells] == [
             (c.ticker_a, c.ticker_b, c.predictor, c.target) for c in synth_matrix.cells
         ]
@@ -183,7 +205,7 @@ class TestCointMatrix:
 
         monkeypatch.setattr(unitroot, "mackinnon_crit", counted("crit", mackinnon_crit))
         monkeypatch.setattr(unitroot, "mackinnon_pvalue", counted("pvalue", mackinnon_pvalue))
-        cells = coint_matrix(synth_panel).cells
+        cells = coint_matrix(synth_panel, row_means(synth_panel)).cells
         assert len(cells) == 45
         # Each cell evaluates its surface once, however often it is read.
         for _ in range(2):
@@ -207,12 +229,12 @@ class TestCointMatrix:
         walk = np.abs(np.cumsum(rng.normal(size=60))) + 100.0
         panel = align_panel([make_series("A", walk), make_series("FLAT", np.full(60, 5.0))])
         with pytest.raises(ConstantSeries, match="FLAT"):
-            coint_matrix(panel)
+            coint_matrix(panel, row_means(panel))
 
     def test_too_few_dates(self):
+        panel = align_panel([make_series("A", range(1, 11)), make_series("B", range(2, 12))])
         with pytest.raises(SeriesTooShort):
-            coint_matrix(align_panel([make_series("A", range(1, 11)),
-                                      make_series("B", range(2, 12))]))
+            coint_matrix(panel, row_means(panel))
 
 
 def matrix_from_pvalues(pvalues):
@@ -356,8 +378,7 @@ class TestPValueMatrixSerialization:
     def scanned(self, synth_dir, tmp_path):
         """The demo sector's scan files, by name, and the matrix they were rendered from."""
         config = replace(RunConfig.from_json(synth_dir / "config.json"), out_dir=tmp_path)
-        matrix = coint_matrix(slice_window(_sector_panel(config, "metals"),
-                                           *config.train_window))
+        matrix = coint_matrix(*_scan_input(config, "metals"))
         return cmd_scan(config, "metals")[1], matrix
 
     def test_csv_round_trip(self, scanned):

@@ -16,12 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairtrader import pairscan, unitroot
-from pairtrader.cli import RunConfig, _sector_panel, main
+from pairtrader.cli import RunConfig, _scan_input, main
 from pairtrader.errors import SeriesTooShort
-from pairtrader.marketdata import AlignedPanel, slice_window
+from pairtrader.marketdata import AlignedPanel
 from pairtrader.synthetic import weekday_calendar
 
-from conftest import blas_env, tree_bytes
+from conftest import blas_env, row_means, tree_bytes
 
 # The in-process tests fork the test runner, which loaded numpy before
 # ``pairtrader.cli`` and so runs OpenBLAS on several threads; Python 3.12+
@@ -115,15 +115,16 @@ def forced_workers(monkeypatch):
 def train_panel(synth_dir):
     """The demo sector's training window, as ``scan`` tests it: 45 pairs."""
     config = RunConfig.from_json(synth_dir / "config.json")
-    return slice_window(_sector_panel(config, "metals"), *config.train_window)
+    panel, _ = _scan_input(config, "metals")
+    return panel
 
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_pooled_cells_equal_serial_cells(train_panel, forced_workers, workers):
     forced_workers(1)
-    serial = pairscan.coint_matrix(train_panel)
+    serial = pairscan.coint_matrix(train_panel, row_means(train_panel))
     forced_workers(workers)
-    pooled = pairscan.coint_matrix(train_panel)
+    pooled = pairscan.coint_matrix(train_panel, row_means(train_panel))
     assert pooled.cells == serial.cells
     assert [c.p_value for c in pooled.cells] == [c.p_value for c in serial.cells]
     assert multiprocessing.active_children() == []
@@ -174,7 +175,7 @@ def test_cells_do_not_depend_on_block_boundaries(data, n_tickers, n_dates, seed)
             patch.setattr(pairscan, "block_rows", rows)
             patch.setattr(pairscan, "_pool_size", lambda n_pairs, n_dates: workers)
             del qr_searches[:]
-            cells = pairscan.coint_matrix(panel).cells
+            cells = pairscan.coint_matrix(panel, row_means(panel)).cells
             scans[name] = cells, [c.adf and c.adf.tau.hex() for c in cells]
             # The pooled scan's Householder searches run in its workers.
             assert workers > 1 or qr_searches, name
@@ -211,7 +212,7 @@ def test_per_pair_fault_is_the_serial_fault(train_panel, forced_workers, monkeyp
     for n in (1, workers):
         forced_workers(n)
         with pytest.raises(SeriesTooShort) as caught:
-            pairscan.coint_matrix(train_panel)
+            pairscan.coint_matrix(train_panel, row_means(train_panel))
         faults[n] = type(caught.value), str(caught.value)
         assert multiprocessing.active_children() == []
     assert faults[workers] == faults[1] == (SeriesTooShort,
@@ -225,7 +226,7 @@ def test_first_failing_pair_wins_as_in_one_process(train_panel, forced_workers, 
                   ("AMBER", "BASALT"))
     forced_workers(3)
     with pytest.raises(SeriesTooShort, match=r"^pair \(AMBER, BASALT\): injected fault$"):
-        pairscan.coint_matrix(train_panel)
+        pairscan.coint_matrix(train_panel, row_means(train_panel))
     assert multiprocessing.active_children() == []
 
 
@@ -316,18 +317,18 @@ def test_workers_leave_ctrl_c_to_the_parent(train_panel, forced_workers, monkeyp
 
     monkeypatch.setattr(pairscan, "engle_granger_block", engle_granger_block)
     forced_workers(2)
-    assert len(pairscan.coint_matrix(train_panel).cells) == 45
+    assert len(pairscan.coint_matrix(train_panel, row_means(train_panel)).cells) == 45
     assert signal.getsignal(signal.SIGINT) is not signal.SIG_IGN
 
 
 def test_no_fork_start_method_scans_in_process(train_panel, forced_workers, monkeypatch):
     forced_workers(1)
-    serial = pairscan.coint_matrix(train_panel)
+    serial = pairscan.coint_matrix(train_panel, row_means(train_panel))
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     monkeypatch.setattr(multiprocessing, "get_context",
                         lambda method=None: pytest.fail("a pool was started"))
     forced_workers(3)
-    assert pairscan.coint_matrix(train_panel).cells == serial.cells
+    assert pairscan.coint_matrix(train_panel, row_means(train_panel)).cells == serial.cells
 
 
 class TestPoolSize:

@@ -35,7 +35,7 @@ from pairtrader.unitroot import (
     mackinnon_pvalue,
 )
 
-from conftest import make_series
+from conftest import make_series, row_means
 
 
 def random_walk(rng, n):
@@ -633,7 +633,7 @@ def test_coint_matrix_bit_identical_to_frozen_per_pair_loop():
             else:
                 predictor, target = closes_b, closes_a
             expected[a, b] = frozen_engle_granger(target, predictor)
-    scan = coint_matrix(panel)
+    scan = coint_matrix(panel, row_means(panel))
     cells = scan.cells
     rows, cols = np.triu_indices(len(panel.tickers), 1)
     assert [(c.ticker_a, c.ticker_b) for c in cells] == [
@@ -785,11 +785,12 @@ def test_gram_search_decides_ordinary_scans(qr_searches):
         x = random_walk(rng, n) + 50.0
         engle_granger(1.5 * x + random_walk(rng, n), x)
         engle_granger(1.5 * x + ar1(rng, n, phi=0.6), x)
-    coint_matrix(align_panel([
+    panel = align_panel([
         AlignedPanel((t,), weekday_calendar(date(2018, 1, 1), TRAIN_DAYS),
                      closes[np.newaxis, :TRAIN_DAYS])
         for t, closes in sorted(build_sector().items())
-    ]))
+    ])
+    coint_matrix(panel, row_means(panel))
     assert qr_searches == []
 
 
