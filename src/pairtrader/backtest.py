@@ -60,10 +60,6 @@ class BacktestLedger:
     rows: tuple[LedgerRow, ...]
     triggers: tuple[Trigger, ...]
 
-    @property
-    def final_total(self) -> Decimal:
-        return self.rows[-1].total
-
 
 def size_shares(capital_per_leg, first_close) -> int:
     """Whole shares affordable at the first close: ``floor(capital / price)``."""
@@ -84,7 +80,9 @@ def run_ledger(frame: TradingFrame, capital_per_leg) -> BacktestLedger:
     Each leg starts with ``capital_per_leg`` in cash (a Decimal, or a float,
     int or str taken exactly; it must be positive), which the ledger records.
     Every nonzero position delta trades ``delta * shares`` at that day's
-    close; holdings are marked to market daily from the signal state.
+    close; holdings are marked to market daily from the signal state.  A
+    leg whose first close exceeds the capital raises ``PriceExceedsCapital``
+    naming the pair and the leg's ticker.
     """
     capital = _money(capital_per_leg)
     if capital <= 0:
@@ -93,8 +91,13 @@ def run_ledger(frame: TradingFrame, capital_per_leg) -> BacktestLedger:
         raise EmptyFrame("trading frame has no rows")
 
     close1, close2 = frame.close1.tolist(), frame.close2.tolist()
-    shares1 = size_shares(capital, close1[0])
-    shares2 = size_shares(capital, close2[0])
+    shares = []
+    for ticker, closes in zip(frame.pair.tickers, (close1, close2)):
+        try:
+            shares.append(size_shares(capital, closes[0]))
+        except PriceExceedsCapital as exc:
+            raise PriceExceedsCapital(f"{'/'.join(frame.pair.tickers)}: {ticker}'s {exc}") from exc
+    shares1, shares2 = shares
 
     cash1 = capital
     cash2 = capital
@@ -155,7 +158,7 @@ def summarize_pair(ledger: BacktestLedger) -> PairSummary:
     if not ledger.rows:
         raise EmptyFrame("ledger has no rows")
     initial = 2 * ledger.capital_per_leg
-    profit = ledger.final_total - initial
+    profit = ledger.rows[-1].total - initial
     return PairSummary(
         ticker1=ledger.ticker1,
         ticker2=ledger.ticker2,

@@ -508,15 +508,17 @@ def cmd_scan(config: RunConfig, sector: str) -> tuple[Path, dict[str, bytes]]:
     pvals = coint_matrix(panel_train, means)
     pairs = select_pairs(pvals, threshold=config.coint_threshold, near_eps=config.near_eps)
 
+    n = len(pvals.tickers)
+    upper = np.triu_indices(n, 1)
     records = []
-    for cell in pvals.cells:
-        record = {**_fields(cell, "adf", "reason"), "p_value": cell.p_value}
+    for i, j, cell in zip(*upper, pvals.cells):
+        record = {"ticker_a": pvals.tickers[i], "ticker_b": pvals.tickers[j],
+                  **_fields(cell, "adf", "reason"), "p_value": cell.p_value}
         if cell.reason is not None:
             record["reason"] = cell.reason
         records.append(record)
-    n = len(pvals.tickers)
     grid = np.full((n, n), math.nan)
-    grid[np.triu_indices(n, 1)] = [cell.p_value for cell in pvals.cells]
+    grid[upper] = [cell.p_value for cell in pvals.cells]
 
     files = {
         "correlation_matrix.csv": _matrix_csv(panel_train.tickers, corr),

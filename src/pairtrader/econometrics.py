@@ -362,14 +362,15 @@ class OlsOriginReport:
             ("AIC:", fmt(self.aic, "%.4g")),
             ("BIC:", fmt(self.bic, "%.4g")),
         ]
+
+        def rows(left, right) -> list[str]:
+            # Two columns of right-aligned values, 37 and 39 characters wide.
+            return [f"{lname} {lval:>{36 - len(lname)}}  {rname} {rval:>{38 - len(rname)}}"
+                    for (lname, lval), (rname, rval) in zip(left, right, strict=True)]
+
         width = 78
         lines = ["OLS Regression Results (no intercept)".center(width), "=" * width]
-        for i in range(max(len(left), len(right))):
-            lname, lval = left[i] if i < len(left) else ("", "")
-            rname, rval = right[i] if i < len(right) else ("", "")
-            lfield = f"{lname} {lval:>{37 - len(lname) - 1}}" if lname else " " * 37
-            rfield = f"{rname} {rval:>{39 - len(rname) - 1}}" if rname else ""
-            lines.append(f"{lfield}  {rfield}".rstrip())
+        lines.extend(rows(left, right))
         lines.append("=" * width)
         lines.append(
             f"{'':>12} {'coef':>10} {'std err':>10} {'t':>10} {'P>|t|':>10}"
@@ -394,10 +395,7 @@ class OlsOriginReport:
             ("Prob(JB):", fmt(self.p_jb, "%.3g")),
             ("Cond. No.", fmt(self.cond_no, "%.2f")),
         ]
-        for (lname, lval), (rname, rval) in zip(tail_left, tail_right):
-            lines.append(
-                f"{lname} {lval:>{36 - len(lname)}}  {rname} {rval:>{38 - len(rname)}}"
-            )
+        lines.extend(rows(tail_left, tail_right))
         lines.append("=" * width)
         lines.append("Notes:")
         lines.append("[1] R-squared is uncentered because the model has no constant.")
@@ -446,13 +444,10 @@ def ols_through_origin(x, y) -> OlsOriginReport:
             jb_stat, p_jb, skew, kurt = jb
         except (ZeroVariance, SeriesTooShort):
             jb_stat = p_jb = skew = kurt = math.nan
-        if n >= OMNIBUS_MIN_N:
-            try:
-                omni = omnibus_k2(resid)
-                omni_stat, p_omni = omni.statistic, omni.p_value
-            except ZeroVariance:
-                omni_stat = p_omni = math.nan
-        else:
+        try:
+            omni = omnibus_k2(resid)
+            omni_stat, p_omni = omni.statistic, omni.p_value
+        except (ZeroVariance, SampleTooSmall):
             omni_stat = p_omni = math.nan
     else:
         # Exact fit: t and F diverge, residual diagnostics are undefined.

@@ -48,14 +48,13 @@ EXACT_DEPENDENCE = "exact linear dependence"
 class ScanCell:
     """The Engle-Granger test of one unordered pair of a scanned panel.
 
-    ``ticker_a`` and ``ticker_b`` are in panel order; ``predictor`` (the
-    regressor) and ``target`` are the same two tickers in the roles the test
-    gave them.  ``adf`` is the test's result, or None when the test produced
-    no statistic, and then ``reason`` says why.
+    The pair is named by its roles: ``predictor`` (the regressor) and
+    ``target``.  Its panel order is its cell's position in
+    ``PValueMatrix.cells``, from which ``cli`` labels the records.  ``adf``
+    is the test's result, or None when the test produced no statistic, and
+    then ``reason`` says why.
     """
 
-    ticker_a: str
-    ticker_b: str
     predictor: str
     target: str
     adf: AdfResult | None
@@ -70,8 +69,7 @@ class ScanCell:
         # A pool worker sends its cells to the scan by pickle.  This is three
         # times faster both ways than the per-field state functions that
         # dataclasses gives a frozen class with slots.
-        return ScanCell, (self.ticker_a, self.ticker_b, self.predictor, self.target,
-                          self.adf, self.reason)
+        return ScanCell, (self.predictor, self.target, self.adf, self.reason)
 
 
 @dataclass(frozen=True)
@@ -80,7 +78,8 @@ class PValueMatrix:
 
     ``cells`` holds one ``ScanCell`` per pair ``(tickers[i], tickers[j])``,
     i < j, in row-major upper-triangle order: the order of
-    ``numpy.triu_indices(len(tickers), 1)``.
+    ``numpy.triu_indices(len(tickers), 1)``, which alone says which cell is
+    which pair in panel order.
     """
 
     tickers: tuple[str, ...]
@@ -171,25 +170,24 @@ def _pool_size(n_pairs: int, n_dates: int) -> int:
 
 
 def _scan_block(tickers, terms: Stage1Terms, pairs) -> list[ScanCell]:
-    """One ``ScanCell`` per ``(i, j, predictor, target)`` index tuple of ``pairs``.
+    """One ``ScanCell`` per ``(target, predictor)`` index pair of ``pairs``.
 
-    The pairs are tested as one ``engle_granger_block``.  A pair whose
-    residuals are exactly constant (``ExactlyConstant``) gets
-    ``EXACT_DEPENDENCE``; the first other per-pair fault, a singular or
-    exactly fitting residual regression among them, is re-raised with the
-    pair's tickers named.
+    The pairs are tested as one ``engle_granger_block``, and each cell names
+    its pair by role.  A pair whose residuals are exactly constant
+    (``ExactlyConstant``) gets ``EXACT_DEPENDENCE``; the first other
+    per-pair fault, a singular or exactly fitting residual regression among
+    them, is re-raised with the pair's tickers named in panel order.
     """
-    outcomes = engle_granger_block(terms, [(targ, pred) for _, _, pred, targ in pairs])
     cells = []
-    for (i, j, pred, targ), outcome in zip(pairs, outcomes):
+    for (targ, pred), outcome in zip(pairs, engle_granger_block(terms, pairs)):
         if isinstance(outcome, ExactlyConstant):
             adf, reason = None, EXACT_DEPENDENCE
         elif isinstance(outcome, PairTraderError):
+            i, j = sorted((targ, pred))
             raise type(outcome)(f"pair ({tickers[i]}, {tickers[j]}): {outcome}") from outcome
         else:
             adf, reason = outcome, None
-        cells.append(ScanCell(tickers[i], tickers[j], tickers[pred], tickers[targ],
-                              adf, reason))
+        cells.append(ScanCell(tickers[pred], tickers[targ], adf, reason))
     return cells
 
 
@@ -226,11 +224,16 @@ def _exit_if_orphaned(parent: int) -> None:
         os._exit(0)
 
 
-def _run_span(span: tuple[int, int]) -> list[ScanCell]:
+def _run_span(span: tuple[int, int]) -> list[ScanCell] | PairTraderError:
+    # A per-pair fault is the span's result, not an exception of the pool:
+    # the scan then reads every span before it stops the pool.
     tickers, terms, pairs, parent = _worker_scan
-    cells = _scan_span(tickers, terms, pairs[span[0]:span[1]], parent)
+    try:
+        outcome = _scan_span(tickers, terms, pairs[span[0]:span[1]], parent)
+    except PairTraderError as exc:
+        outcome = exc
     _exit_if_orphaned(parent)
-    return cells
+    return outcome
 
 
 def _scan_pairs(tickers, terms: Stage1Terms, pairs, workers: int) -> list[ScanCell]:
@@ -238,11 +241,14 @@ def _scan_pairs(tickers, terms: Stage1Terms, pairs, workers: int) -> list[ScanCe
 
     Each worker takes one contiguous span of ``pairs`` and the cells come
     back in span order, so the result does not depend on ``workers``; a
-    fault is the one the first failing pair raises, as in one process.
-    With fewer than 2 workers, or no ``fork`` on this platform, the whole
-    range is one span run here.  An exception that leaves the pool block,
-    such as the ``SystemExit`` the CLI turns SIGTERM into, terminates the
-    workers.
+    fault is the one the first failing pair raises, as in one process,
+    raised once every span is back.  With fewer than 2 workers, or no
+    ``fork`` on this platform, the whole range is one span run here.
+    The workers then leave on the pool's own sentinels.  Only an
+    exception that leaves the pool block, such as the ``SystemExit`` the
+    CLI turns SIGTERM into, terminates them: a worker killed while it
+    writes its result holds the result queue's lock for good, and a pool
+    thread that waits on that lock hangs the scan.
     """
     # Fork, not spawn: a forked worker starts with numpy, this package and
     # the closes already in memory, where a spawned one would import them
@@ -257,7 +263,13 @@ def _scan_pairs(tickers, terms: Stage1Terms, pairs, workers: int) -> list[ScanCe
             with multiprocessing.get_context("fork").Pool(
                     workers, initializer=_init_worker,
                     initargs=(tickers, terms, pairs)) as pool:
-                return [cell for cells in pool.imap(_run_span, spans) for cell in cells]
+                outcomes = list(pool.imap(_run_span, spans))
+                pool.close()
+                pool.join()
+            for outcome in outcomes:
+                if isinstance(outcome, PairTraderError):
+                    raise outcome
+            return [cell for cells in outcomes for cell in cells]
     return _scan_span(tickers, terms, pairs)
 
 
@@ -269,12 +281,14 @@ def coint_matrix(panel: AlignedPanel, means: list[float]) -> PValueMatrix:
     keys that decide every pair's roles, as ``order_pair`` decides them.
     Within each pair the ticker with the higher key is the regressor and the
     other the dependent series, matching the predictor/target convention of
-    the pair model.  Each pair's result is kept in a ``ScanCell``, in
-    row-major upper-triangle order.  A pair whose residuals are exactly
-    constant gets no result and the reason ``EXACT_DEPENDENCE`` (so p = 0);
-    any other per-pair fault aborts the scan, and so does a ticker whose
-    closes never move.  A scan with enough work runs on a worker pool (see
-    ``_pool_size``); its cells are the same either way.
+    the pair model.  Each pair's result is kept in a ``ScanCell`` named by
+    those roles, in row-major upper-triangle order: the order that
+    ``PValueMatrix`` fixes and ``cli`` labels its records by.  A pair whose
+    residuals are exactly constant gets no result and the reason
+    ``EXACT_DEPENDENCE`` (so p = 0); any other per-pair fault aborts the
+    scan, and so does a ticker whose closes never move.  A scan with enough
+    work runs on a worker pool (see ``_pool_size``); its cells are the same
+    either way.
     """
     tickers = panel.tickers
     n = len(tickers)
@@ -291,13 +305,8 @@ def coint_matrix(panel: AlignedPanel, means: list[float]) -> PValueMatrix:
         if np.ptp(row) == 0.0:
             raise ExactlyConstant(f"{ticker}: closes are constant")
     terms = stage1_terms(panel.closes)
-    pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _a_predicts(tickers[i], means[i], tickers[j], means[j]):
-                pairs.append((i, j, i, j))
-            else:
-                pairs.append((i, j, j, i))
+    pairs = [(j, i) if _a_predicts(tickers[i], means[i], tickers[j], means[j]) else (i, j)
+             for i in range(n) for j in range(i + 1, n)]
     cells = _scan_pairs(tickers, terms, pairs, _pool_size(len(pairs), len(panel.dates)))
     return PValueMatrix(tickers=tickers, cells=tuple(cells))
 

@@ -60,7 +60,8 @@ def fit_ratio_stats(pair: AlignedPanel) -> RatioStats:
 
     Pass the pair panel over the fit window only (normally the training
     window).  A ratio whose squared deviations overflow raises
-    ``SumOverflow``, naming the pair.
+    ``SumOverflow``, and a constant one ``ZeroVariance``, each naming the
+    pair.
     """
     ratio = _ratio(pair)
     if not ratio.size:
@@ -68,10 +69,11 @@ def fit_ratio_stats(pair: AlignedPanel) -> RatioStats:
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(ratio.mean())
         std = float(ratio.std())  # population convention
+    name = '/'.join(pair.tickers)
     if not np.isfinite(std):
-        raise SumOverflow(f"{'/'.join(pair.tickers)}: sums of squares overflow: values too large")
+        raise SumOverflow(f"{name}: sums of squares overflow: values too large")
     if std == 0.0:
-        raise ZeroVariance("ratio is constant over the fit window")
+        raise ZeroVariance(f"{name}: ratio is constant over the fit window")
     return RatioStats(mean=mean, std=std)
 
 
@@ -173,9 +175,13 @@ def build_trading_frame(
     """Assemble the full trading table for a two-ticker pair panel.
 
     ``pair`` holds asset1's closes in row 0 and asset2's in row 1 over
-    the trading window; ``stats`` come from the fit window.
+    the trading window; ``stats`` come from the fit window.  A ratio or
+    z-score too large for a double raises ``SumOverflow``, naming the pair.
     """
-    z = (_ratio(pair) - stats.mean) / stats.std
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = (_ratio(pair) - stats.mean) / stats.std
+    if not np.all(np.isfinite(z)):
+        raise SumOverflow(f"{'/'.join(pair.tickers)}: ratio z-scores overflow: values too large")
     return TradingFrame(pair=pair, zscore=z, upper_limit=upper, lower_limit=lower)
 
 

@@ -40,7 +40,7 @@ the Householder search and the refit alike: ``SumOverflow``, and the
 residuals, of range 0 raise ``ExactlyConstant`` before any regression.
 
 Every ADF test runs as a row of one stack (``_adf_stack``): the rows'
-designs go to the Gram search in chunks of ``_DESIGN_BYTES``, the rows it
+designs go to the Gram search in chunks of ``block_rows``, the rows it
 cannot decide go on, as one stack per chunk, to the Householder search, and
 the rows are then refit grouped by their lag.  ``adf_test`` runs a stack of
 one; ``engle_granger_block`` tests a block of pairs of one panel at once,
@@ -265,11 +265,6 @@ def _adf_designs(ys: np.ndarray, lag: int, constant: bool, level_last: bool = Fa
     return out
 
 
-def _design_bytes(n: int, lag: int, constant: bool = False) -> int:
-    """Bytes of one ``_adf_designs`` slab at ``lag`` for a series of n observations."""
-    return 8 * (int(constant) + lag + 2) * max(n - 1 - lag, 0)
-
-
 #: A regression is singular when its smallest pivot is at most
 #: ``_SINGULAR_RATIO`` of its largest.  The Gram search defers to the
 #: Householder search when a pivot of its Cholesky factor is at most
@@ -476,26 +471,26 @@ def _lag_bound(n: int, max_lag: int | None, ntrend: int) -> int:
     return max_lag
 
 
-#: The memory budget of a stack of ADF tests.  ``_adf_stack`` builds its
-#: designs in chunks of rows of at most this many bytes, and at least one
-#: row: 17 Engle-Granger residuals of 750 dates for the Gram search, and as
-#: many rows as fit for each refit.  A scan block holds the rows whose lag-0
-#: design takes this many bytes (``block_rows``).
+#: The memory budget of a stack of ADF tests (``block_rows``).
 _DESIGN_BYTES = 2 * 1024 * 1024
 
 
-def block_rows(n: int) -> int:
-    """Pairs of n dates an ``engle_granger_block`` call should test at once.
+def block_rows(n: int, lag: int = 0, constant: bool = False) -> int:
+    """Rows of n observations whose ``_adf_designs`` at ``lag`` fit in ``_DESIGN_BYTES``.
 
-    As many as have at most ``_DESIGN_BYTES`` of lag-0 ADF design ``[y_{t-1}
-    | dy_t]`` between them, and at least one: 174 pairs of 750 dates, 34 of
-    3,750.  That is the most common refit, and it runs over the whole block
-    at once; the block's residuals take half as many bytes, and its wider
-    designs are built in chunks of the same budget.  Blocks must be large
-    for the refit's grouping by lag to pay, and bounded, since a design of a
-    pool worker's whole span of pairs would grow it by tens of MB.
+    At least one.  ``_adf_stack`` builds its designs in chunks of this many
+    rows: 17 Engle-Granger residuals of 750 dates at the Gram search's
+    ``max_lag``, and as many rows as fit at each refit's lag.  Called with
+    n alone, it is the number of pairs of n dates an ``engle_granger_block``
+    call should test at once: those whose lag-0 design ``[y_{t-1} | dy_t]``
+    fits, 174 pairs of 750 dates, 34 of 3,750.  That is the most common
+    refit, and it runs over the whole block at once; the block's residuals
+    take half as many bytes, and its wider designs are built in chunks of
+    the same budget.  Blocks must be large for the refit's grouping by lag
+    to pay, and bounded, since a design of a pool worker's whole span of
+    pairs would grow it by tens of MB.
     """
-    return max(1, _DESIGN_BYTES // _design_bytes(n, 0))
+    return max(1, _DESIGN_BYTES // (8 * (int(constant) + lag + 2) * max(n - 1 - lag, 0)))
 
 
 #: A refit takes its triangular factor from the Gram matrix only where each
@@ -609,16 +604,16 @@ def _adf_stack(ys: np.ndarray, max_lag: int, constant: bool
                ) -> list[tuple[int, float, int] | PairTraderError]:
     """``(used_lags, tau, n_eff)`` of the ADF test of each row of ``ys``.
 
-    The rows' lags come from ``_search_lags`` in chunks of at most
-    ``_DESIGN_BYTES`` of design.  The rows are then grouped by chosen lag,
-    and each group is refit by ``_refit_taus``, again in chunks of at most
-    ``_DESIGN_BYTES``.  A row whose search or refit faults
+    The rows' lags come from ``_search_lags`` in chunks of ``block_rows``
+    rows at ``max_lag``.  The rows are then grouped by chosen lag, and each
+    group is refit by ``_refit_taus``, again in chunks of ``block_rows``
+    rows at that lag.  A row whose search or refit faults
     (``_with_faults``) gets that exception in its place.
     """
     nrows, n = ys.shape
     outcomes: list = [None] * nrows
     by_lag: dict[int, list[int]] = {}
-    step = max(1, _DESIGN_BYTES // _design_bytes(n, max_lag, constant))
+    step = block_rows(n, max_lag, constant)
     for start in range(0, nrows, step):
         for row, lag in enumerate(_search_lags(ys[start:start + step], max_lag, constant), start):
             if isinstance(lag, PairTraderError):
@@ -626,7 +621,7 @@ def _adf_stack(ys: np.ndarray, max_lag: int, constant: bool
             else:
                 by_lag.setdefault(lag, []).append(row)
     for lag, rows in sorted(by_lag.items()):
-        step = max(1, _DESIGN_BYTES // _design_bytes(n, lag, constant))
+        step = block_rows(n, lag, constant)
         for start in range(0, len(rows), step):
             chunk = rows[start:start + step]
             for row, tau in zip(chunk, _refit_taus(ys[chunk], lag, constant)):

@@ -177,13 +177,16 @@ class OldPValueMatrix:
         n = len(matrix.tickers)
         self.tickers = matrix.tickers
         self.values = np.full((n, n), math.nan)
-        self.values[np.triu_indices(n, 1)] = [cell.p_value for cell in matrix.cells]
-        self.reasons = {(c.ticker_a, c.ticker_b): c.reason for c in matrix.cells if c.reason}
-        self._cells = matrix.cells
+        upper = np.triu_indices(n, 1)
+        self.values[upper] = [cell.p_value for cell in matrix.cells]
+        # A cell's pair in panel order is its position's.
+        self._cells = [(matrix.tickers[i], matrix.tickers[j], c)
+                       for i, j, c in zip(*upper, matrix.cells)]
+        self.reasons = {(a, b): c.reason for a, b, c in self._cells if c.reason}
 
     def cells(self):
-        for c in self._cells:
-            yield c.ticker_a, c.ticker_b, c.p_value, c.predictor, c.target
+        for a, b, c in self._cells:
+            yield a, b, c.p_value, c.predictor, c.target
 
 
 # --- frozen copies of the old command bodies ----------------------------------------

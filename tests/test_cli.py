@@ -32,6 +32,7 @@ from pairtrader.marketdata import slice_window
 from pairtrader.pairscan import fit_pair
 from pairtrader.synthetic import PAIR_TICKERS, weekday_calendar
 
+import golden
 from conftest import BLAS_VARS, SRC_DIR, blas_env, read_frame_csv, tree_bytes
 
 
@@ -50,19 +51,25 @@ def read_ledger(path):
                 for row in csv.DictReader(handle)]
 
 
-def amber_scaled(synth_dir, tmp_path, suffix):
-    """A copy of the demo config in ``tmp_path`` whose AMBER closes end in ``suffix``."""
+def demo_with(synth_dir, tmp_path, ticker, close, source=None):
+    """A copy of the demo config in ``tmp_path`` whose ``ticker`` has its closes from ``close``.
+
+    ``close(day, text)`` gives the close of each row of ``source``'s CSV
+    (``ticker``'s own by default), both as text.  A new ticker joins the
+    sector last.
+    """
     config = json.loads((synth_dir / "config.json").read_text())
-    members = [dict(m, csv=str(synth_dir / m["csv"])) for m in config["sectors"]["metals"]]
-    lines = (synth_dir / "data" / "AMBER.csv").read_text().splitlines()
-    scaled = tmp_path / "AMBER.csv"
-    scaled.write_text("\n".join([lines[0]] + [f"{d},{c}{suffix}" for d, c in
-                                               (line.split(",") for line in lines[1:])]) + "\n")
-    members[0]["csv"] = str(scaled)
-    config["sectors"]["metals"] = members
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    return path
+    lines = (synth_dir / "data" / f"{source or ticker}.csv").read_text().splitlines()
+    path = tmp_path / f"{ticker}.csv"
+    path.write_text("\n".join([lines[0]] + [f"{d},{close(d, c)}" for d, c in
+                                             (line.split(",") for line in lines[1:])]) + "\n")
+    member = {"ticker": ticker, "csv": str(path)}
+    members = [member if m["ticker"] == ticker else dict(m, csv=str(synth_dir / m["csv"]))
+               for m in config["sectors"]["metals"]]
+    config["sectors"]["metals"] = members + ([] if member in members else [member])
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    return config_path
 
 
 @pytest.fixture(scope="module")
@@ -205,8 +212,8 @@ class TestAnalyze:
         # once scored AMBER's pairs with a slope of 0, analyze ended in a
         # ZeroDivisionError traceback, and backtest warned of an overflow
         # before its error line.  No warning may come before that line.
-        code = run(*argv, "--config", amber_scaled(synth_dir, tmp_path, "e300"),
-                   "--out", tmp_path / "o")
+        config = demo_with(synth_dir, tmp_path, "AMBER", lambda day, close: close + "e300")
+        code = run(*argv, "--config", config, "--out", tmp_path / "o")
         err = capsys.readouterr().err
         assert code == 3
         assert err.splitlines() == [f"pairtrader: error: {message}"]
@@ -224,8 +231,8 @@ class TestAnalyze:
         # The scan once scored all nine AMBER pairs p = 0 as "exact linear
         # dependence", and analyze called the pair "degenerate (constant
         # residuals)" with hedge ratio 0: only exact constancy earns those.
-        code = run(*argv, "--config", amber_scaled(synth_dir, tmp_path, "e-300"),
-                   "--out", tmp_path / "o")
+        config = demo_with(synth_dir, tmp_path, "AMBER", lambda day, close: close + "e-300")
+        code = run(*argv, "--config", config, "--out", tmp_path / "o")
         assert code == 3
         assert capsys.readouterr().err.splitlines() == [f"pairtrader: error: {message}"]
         assert not (tmp_path / "o").exists()
@@ -520,6 +527,46 @@ class TestBacktest:
                    "--out", tmp_path / "o") == 3
 
 
+def iron_tiny_from_the_test_window(synth_dir, tmp_path):
+    """The demo with IRON's closes 1e-308 from the first test-window date on."""
+    start = json.loads((synth_dir / "config.json").read_text())["test_window"][0]
+    return demo_with(synth_dir, tmp_path, "IRON",
+                     lambda day, close: "1e-308" if day >= start else close)
+
+
+def with_twin(synth_dir, tmp_path):
+    """The demo plus TWIN, whose every close is twice AMBER's."""
+    return demo_with(synth_dir, tmp_path, "TWIN", lambda day, close: f"{2 * float(close):.2f}",
+                     source="AMBER")
+
+
+class TestPairFaults:
+    @pytest.mark.parametrize("config, argv, code, message", [
+        # COBALT's closes over IRON's tiny ones: the test window's ratio
+        # overflows.  This ended in a numpy warning and a ValueError traceback.
+        pytest.param(iron_tiny_from_the_test_window, ["backtest", "--pair", "IRON,COBALT"], 3,
+                     "COBALT/IRON: ratio z-scores overflow: values too large", id="ratio-overflow"),
+        pytest.param(with_twin, ["backtest", "--pair", "TWIN,AMBER"], 3,
+                     "TWIN/AMBER: ratio is constant over the fit window", id="constant-ratio"),
+        pytest.param(None, ["backtest", "--pair", "IRON,COBALT", "--capital", "1"], 3,
+                     "COBALT/IRON: COBALT's first close 295.44 exceeds per-leg capital 1",
+                     id="capital"),
+        pytest.param(None, ["backtest", "--pair", "IRON,COBALT", "--test-start", "2030-01-01",
+                            "--test-end", "2030-12-31"], 2,
+                     "COBALT/IRON: no observations in [2030-01-01, 2030-12-31]",
+                     id="empty-test-window"),
+        pytest.param(None, ["analyze", "--pair", "IRON,COBALT", "--train-end", "2018-01-20"], 2,
+                     "COBALT/IRON: only 15 common training dates", id="short-training-window"),
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_a_faulty_pair_is_one_line_naming_it(self, synth_dir, tmp_path, capsys,
+                                                 config, argv, code, message):
+        path = config(synth_dir, tmp_path) if config else synth_dir / "config.json"
+        assert run(*argv, "--config", path, "--out", tmp_path / "o") == code
+        assert capsys.readouterr().err.splitlines() == [f"pairtrader: error: {message}"]
+        assert not (tmp_path / "o").exists()
+
+
 class TestReport:
     def test_sector_table_and_summary(self, pipeline):
         table = (pipeline / "report" / "sector_metals.csv").read_text().splitlines()
@@ -773,13 +820,6 @@ class TestConfigSurface:
             f"pairtrader: error: config key 'train_window': bad value {raw!r}",
         ]
         assert not (tmp_path / "o").exists()
-
-    def test_empty_test_window_names_the_pair(self, synth_dir, tmp_path, capsys):
-        assert run("backtest", "--config", synth_dir / "config.json", "--pair", "IRON,COBALT",
-                   "--test-start", "2030-01-01", "--test-end", "2030-12-31",
-                   "--out", tmp_path) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "pairtrader: error: COBALT/IRON: no observations in [2030-01-01, 2030-12-31]"]
 
     def test_unknown_key_is_config_error(self, synth_dir, tmp_path, capsys):
         # A misspelled knob used to be ignored: the run went on with the default.
@@ -1120,11 +1160,14 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 #: A scan that raises ``signum`` at its second ``os.replace``: after the old
-#: tree was renamed aside, before the new one is renamed in.
+#: tree was renamed aside, before the new one is renamed in.  It takes SIGINT
+#: as Ctrl-C in a terminal does, even when started with SIGINT ignored (as a
+#: background job of a non-interactive shell is), which the CLI respects.
 SIGNAL_BETWEEN_RENAMES = """
 import os, signal, sys
 from pairtrader import cli
 
+signal.signal(signal.SIGINT, signal.default_int_handler)
 real_replace = os.replace
 calls = []
 
@@ -1279,15 +1322,6 @@ except SystemExit as exc:
     print(exc.code, gc.isenabled(), gc.get_freeze_count() > 0, (False, True) in collections)
 """
 
-#: The four demo commands, as arguments after the program name.
-DEMO_COMMANDS = (
-    ("scan", "--sector", "metals"),
-    ("analyze", "--pair", "COBALT,IRON"),
-    ("backtest", "--pair", "COBALT,IRON", "--svg"),
-    ("report",),
-)
-
-
 def console_script_entry():
     """The function ``pyproject.toml`` names as the ``pairtrader`` console script."""
     text = (SRC_DIR.parent / "pyproject.toml").read_text(encoding="utf-8")
@@ -1308,30 +1342,12 @@ class TestProgramEntry:
         was, frozen = gc.isenabled(), gc.get_freeze_count()
         (gc.enable if enabled else gc.disable)()
         try:
-            for argv in DEMO_COMMANDS:
+            for argv in golden.DEMO_COMMANDS:
                 assert run(*argv, "--config", synth_dir / "config.json", "--out", tmp_path) == 0
             state = gc.isenabled(), gc.get_freeze_count()
         finally:
             (gc.enable if was else gc.disable)()
         assert state == (enabled, frozen)
-
-    def test_entries_write_the_bytes_of_main(self, synth_dir, tmp_path):
-        # A console script imports the function it names, then calls it.
-        name = console_script_entry()
-        script = f"import sys\nfrom pairtrader.cli import {name}\nsys.exit({name}())\n"
-        entries = {"module": ["-m", "pairtrader.cli"], "script": ["-c", script]}
-        common = ["--config", str(synth_dir / "config.json")]
-        for argv in DEMO_COMMANDS:
-            assert run(*argv, *common, "--out", tmp_path / "main") == 0
-            for kind, entry in entries.items():
-                subprocess.run([sys.executable, *entry, *argv, *common,
-                                "--out", str(tmp_path / kind)],
-                               env=blas_env(), capture_output=True, check=True)
-        trees = {kind: tree_bytes(tmp_path / kind) for kind in ("main", *entries)}
-        assert len(trees["main"]) > 10
-        assert trees["module"] == trees["main"]
-        assert trees["script"] == trees["main"]
-
 
 class TestBlasThreads:
     @pytest.mark.parametrize("preset, expected", [
@@ -1346,27 +1362,6 @@ class TestBlasThreads:
                               capture_output=True, text=True, check=True)
         assert json.loads(done.stdout) == expected
 
-    def test_artifact_bytes_do_not_depend_on_thread_count(self, synth_dir, tmp_path):
-        trees = {}
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads_{threads}"
-            script = (
-                "from pairtrader.cli import main\n"
-                f"common = ['--config', {str(synth_dir / 'config.json')!r}, '--out', {str(out)!r}]\n"
-                "print([main(['scan', '--sector', 'metals', *common]),\n"
-                "       main(['analyze', '--pair', 'COBALT,IRON', *common]),\n"
-                "       main(['backtest', '--pair', 'COBALT,IRON', '--svg', *common])])\n"
-            )
-            done = subprocess.run([sys.executable, "-c", script],
-                                  env=blas_env(OPENBLAS_NUM_THREADS=threads),
-                                  capture_output=True, text=True, check=True)
-            assert done.stdout.splitlines()[-1] == "[0, 0, 0]"
-            trees[threads] = tree_bytes(out)
-        assert trees["1"] == trees["2"]
-        assert len(trees["1"]) > 10
-
-
-FALLBACK_CASES = Path(__file__).with_name("fallback_cases.py")
 
 
 def openblas_has_dynamic_arch():
@@ -1389,40 +1384,69 @@ def openblas_cores():
                                                   ("avx512f", "SkylakeX")) if flag in flags)]
 
 
-@pytest.mark.skipif(not openblas_has_dynamic_arch(),
-                    reason="numpy's OpenBLAS is not a DYNAMIC_ARCH build")
-def test_artifact_bytes_do_not_depend_on_blas_kernel(synth_dir, tmp_path):
-    # BLAS and LAPACK only prove lag orders that a Householder search in
-    # numpy's own arithmetic would choose, and that search decides the rest;
-    # every reported number is summed in numpy's own fixed order.  So each
-    # kernel writes the same bytes, and gives the same lag, tau or fault to
-    # each test that the proof leaves to the Householder search
-    # (``fallback_cases.py``: near ties and degenerate designs).
-    trees, fallbacks = {}, {}
-    for core in ["default", *openblas_cores()]:
-        out = tmp_path / core
-        script = (
-            "from pairtrader.cli import main\n"
-            f"common = ['--config', {str(synth_dir / 'config.json')!r}, '--out', {str(out)!r}]\n"
-            "print([main(['scan', '--sector', 'metals', *common]),\n"
-            "       main(['analyze', '--pair', 'COBALT,IRON', *common]),\n"
-            "       main(['backtest', '--pair', 'COBALT,IRON', '--svg', *common])])\n"
-        )
-        env = blas_env() if core == "default" else blas_env(OPENBLAS_CORETYPE=core)
+# Runs the demo commands through ``cli.main`` in this one process and prints
+# their exit codes on one line, then ``fallback_cases.py``'s output.
+DEMO_IN_ONE_PROCESS = """
+import sys
+from pairtrader.cli import main
+common = ["--config", {config!r}, "--out", {out!r}]
+print([main([*argv, *common]) for argv in {commands!r}])
+sys.path.insert(0, {tests!r})
+import fallback_cases
+fallback_cases.main()
+"""
+
+#: Each way of running the demo commands, with what it adds to the
+#: environment: the program's two entries, as cold processes, and
+#: ``cli.main`` on two BLAS threads (the CLI defaults to one) and under each
+#: OpenBLAS kernel this CPU can run, where numpy's OpenBLAS is a
+#: DYNAMIC_ARCH build.
+DEMO_WAYS = {
+    "module": {},
+    "script": {},
+    "threads2": {"OPENBLAS_NUM_THREADS": "2"},
+    **{f"core-{core}": {"OPENBLAS_CORETYPE": core}
+       for core in (openblas_cores() if openblas_has_dynamic_arch() else [])},
+}
+
+
+@pytest.mark.parametrize("way", DEMO_WAYS)
+def test_every_way_of_running_writes_the_golden_bytes(synth_dir, tmp_path, way):
+    # The console script and the module entry share one entry function,
+    # which sets the collector's policy for the process.  BLAS and LAPACK
+    # only prove lag orders that a Householder search in numpy's own
+    # arithmetic would choose, and that search decides the rest; every
+    # reported number is summed in numpy's own fixed order.  So every way
+    # writes the pinned demo bytes, with every warning an error, and gives
+    # the pinned lag, tau or fault to each test that the proof leaves to the
+    # Householder search (``fallback_cases.py``: near ties and degenerate
+    # designs).
+    pinned = json.loads(golden.GOLDEN.read_text(encoding="utf-8"))
+    out = tmp_path / "out"
+    common = ["--config", str(synth_dir / "config.json"), "--out", str(out)]
+    env = blas_env(PYTHONWARNINGS="error", **DEMO_WAYS[way])
+    if way in ("module", "script"):
+        # A console script imports the function it names, then calls it.
+        name = console_script_entry()
+        entry = (["-m", "pairtrader.cli"] if way == "module" else
+                 ["-c", f"import sys\nfrom pairtrader.cli import {name}\nsys.exit({name}())\n"])
+        for argv in golden.DEMO_COMMANDS:
+            subprocess.run([sys.executable, *entry, *argv, *common], env=env,
+                           capture_output=True, check=True)
+    else:
+        script = DEMO_IN_ONE_PROCESS.format(config=common[1], out=common[3],
+                                            commands=golden.DEMO_COMMANDS, tests=str(golden.HERE))
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, check=True)
-        assert done.stdout.splitlines()[-1] == "[0, 0, 0]", core
-        trees[core] = tree_bytes(out)
-        fallbacks[core] = subprocess.run([sys.executable, str(FALLBACK_CASES)], env=env,
-                                         capture_output=True, text=True, check=True).stdout
-    assert len(trees["default"]) > 10
-    lines = fallbacks["default"].splitlines()
-    assert len(lines) > 100
-    assert {line.split(": ")[1] for line in lines} >= {
-        "unit-root regression is singular", "unit-root regression fits exactly"}
-    for core, tree in trees.items():
-        assert tree == trees["default"], core
-        assert fallbacks[core] == fallbacks["default"], core
+        codes, fallback = done.stdout.split("\n", 1)
+        assert codes == "[0, 0, 0, 0]"
+        lines = fallback.splitlines()
+        assert len(lines) > 100
+        assert {line.split(": ")[1] for line in lines} >= {
+            "unit-root regression is singular", "unit-root regression fits exactly"}
+        assert golden.sha256(fallback.encode("utf-8")) == pinned["fallback_cases"]
+    assert golden.changed_files(pinned["demo"]["outputs"], golden.file_digests(out)) == []
+    assert list(out.rglob("*.staging-*")) == []
 
 
 def test_summary_text_matches_scipy_special_tails(synth_dir, tmp_path, monkeypatch):

@@ -58,7 +58,14 @@ def whole(series):
 
 def cell_of(matrix, a, b):
     """The cell of the unordered pair {a, b}."""
-    return next(c for c in matrix.cells if {c.ticker_a, c.ticker_b} == {a, b})
+    return next(c for c in matrix.cells if {c.predictor, c.target} == {a, b})
+
+
+def by_panel_pair(matrix):
+    """Each cell by its pair in panel order, which the cell's position gives."""
+    rows, cols = np.triu_indices(len(matrix.tickers), 1)
+    return {(matrix.tickers[i], matrix.tickers[j]): cell
+            for i, j, cell in zip(rows, cols, matrix.cells)}
 
 
 def pair_panel(a, b, train=None):
@@ -138,16 +145,15 @@ class TestCointMatrix:
             make_series("B", 2 * base + rng.normal(0, 0.5, size=60)),
         ])
         (cell,) = coint_matrix(panel, row_means(panel)).cells
-        assert (cell.ticker_a, cell.ticker_b, cell.reason) == ("A", "B", None)
-        assert (cell.predictor, cell.target) == ("B", "A")
+        assert (cell.predictor, cell.target, cell.reason) == ("B", "A", None)
         assert math.isfinite(cell.p_value) and cell.p_value == cell.adf.p_value
 
     def test_synthetic_sector_covers_45_cells(self, synth_panel, synth_matrix):
         assert len(synth_matrix.cells) == 45
         # Row-major upper-triangle order, the order of numpy.triu_indices.
-        rows, cols = np.triu_indices(len(synth_panel.tickers), 1)
-        assert [(c.ticker_a, c.ticker_b) for c in synth_matrix.cells] == [
-            (synth_panel.tickers[i], synth_panel.tickers[j]) for i, j in zip(rows, cols)
+        assert synth_matrix.tickers == synth_panel.tickers
+        assert [{c.predictor, c.target} for c in synth_matrix.cells] == [
+            set(pair) for pair in by_panel_pair(synth_matrix)
         ]
 
     def test_engineered_pair_detected_others_behave(self, synth_matrix):
@@ -155,7 +161,7 @@ class TestCointMatrix:
         assert engineered < 0.05
         others = [
             c.p_value for c in synth_matrix.cells
-            if {c.ticker_a, c.ticker_b} != set(PAIR_TICKERS)
+            if {c.predictor, c.target} != set(PAIR_TICKERS)
         ]
         assert len(others) == 44
         # Null pairs reject at roughly the nominal rate; a handful of false
@@ -175,9 +181,9 @@ class TestCointMatrix:
             m1 = coint_matrix(align_panel(series), row_means(align_panel(series)))
             m2 = coint_matrix(align_panel(series[::-1]), row_means(align_panel(series[::-1])))
             assert m2.tickers == m1.tickers[::-1]
-            for cell in m1.cells:
-                other = cell_of(m2, cell.ticker_a, cell.ticker_b)
-                assert (other.ticker_a, other.ticker_b) == (cell.ticker_b, cell.ticker_a)
+            reversed_cells = by_panel_pair(m2)
+            for (a, b), cell in by_panel_pair(m1).items():
+                other = reversed_cells[b, a]
                 assert (other.predictor, other.target) == (cell.predictor, cell.target)
                 assert np.float64(other.p_value).tobytes() == np.float64(cell.p_value).tobytes()
 
@@ -187,8 +193,8 @@ class TestCointMatrix:
         # both tests are scale-free, so every bit of every result must hold.
         scaled = AlignedPanel(synth_panel.tickers, synth_panel.dates, synth_panel.closes * factor)
         got = coint_matrix(scaled, row_means(scaled))
-        assert [(c.ticker_a, c.ticker_b, c.predictor, c.target) for c in got.cells] == [
-            (c.ticker_a, c.ticker_b, c.predictor, c.target) for c in synth_matrix.cells
+        assert [(c.predictor, c.target) for c in got.cells] == [
+            (c.predictor, c.target) for c in synth_matrix.cells
         ]
         assert (np.array([c.p_value for c in got.cells]).tobytes()
                 == np.array([c.p_value for c in synth_matrix.cells]).tobytes())
@@ -247,7 +253,7 @@ def matrix_from_pvalues(pvalues):
     tickers = tuple(f"T{i}" for i in range(n))
     rows, cols = np.triu_indices(n, 1)
     return PValueMatrix(tickers=tickers, cells=tuple(
-        ScanCell(tickers[i], tickers[j], tickers[i], tickers[j], SimpleNamespace(p_value=p), None)
+        ScanCell(tickers[i], tickers[j], SimpleNamespace(p_value=p), None)
         for i, j, p in zip(rows, cols, pvalues)
     ))
 
@@ -281,7 +287,7 @@ class TestSelectPairs:
                 select_pairs(matrix, near_eps=near_eps)
 
     def test_cell_without_statistic_reads_zero(self):
-        cell = ScanCell("A", "B", "B", "A", None, "exact linear dependence")
+        cell = ScanCell("B", "A", None, "exact linear dependence")
         assert cell.p_value == 0.0
         selected = select_pairs(PValueMatrix(("A", "B"), (cell,)))
         assert [(s.predictor_ticker, s.target_ticker, s.coint_p) for s in selected] == [
@@ -403,5 +409,5 @@ class TestPValueMatrixSerialization:
         assert payload["tickers"] == list(matrix.tickers)
         assert [(c["ticker_a"], c["ticker_b"], c["p_value"], c["predictor"], c["target"])
                 for c in payload["pairs"]] == [
-            (c.ticker_a, c.ticker_b, c.p_value, c.predictor, c.target) for c in matrix.cells
+            (a, b, c.p_value, c.predictor, c.target) for (a, b), c in by_panel_pair(matrix).items()
         ]

@@ -3,6 +3,7 @@
 import csv
 import json
 import multiprocessing
+import multiprocessing.pool
 import os
 import signal
 import subprocess
@@ -181,8 +182,8 @@ def test_cells_do_not_depend_on_block_boundaries(data, n_tickers, n_dates, seed)
             assert workers > 1 or qr_searches, name
     assert scans["one pair"] == scans["default"] == scans["pooled"]
     cells = scans["default"][0]
-    exact = [(c.ticker_a, c.ticker_b) for c in cells if c.reason == pairscan.EXACT_DEPENDENCE]
-    assert exact == [(f"T{twin - 1}", f"T{twin}")]
+    exact = [{c.predictor, c.target} for c in cells if c.reason == pairscan.EXACT_DEPENDENCE]
+    assert exact == [{f"T{twin - 1}", f"T{twin}"}]
     assert multiprocessing.active_children() == []
 
 
@@ -230,6 +231,28 @@ def test_first_failing_pair_wins_as_in_one_process(train_panel, forced_workers, 
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("faults", [(), (("AMBER", "BASALT"),)], ids=["cells", "fault"])
+def test_workers_leave_before_the_pool_is_terminated(train_panel, forced_workers, monkeypatch,
+                                                     faults):
+    # A worker killed while it writes its result keeps the result queue's
+    # lock, and the pool's task thread then waits on it for good: under CPU
+    # load, a scan whose first span failed hung in ``Pool.terminate``.  So
+    # every worker leaves on its own, the first span's fault or not, before
+    # the pool block ends.
+    fail_on_pairs(monkeypatch, train_panel, *faults)
+    alive = []
+    terminate = multiprocessing.pool.Pool.terminate
+    monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", lambda pool: (
+        alive.append(len(multiprocessing.active_children())), terminate(pool)))
+    forced_workers(3)
+    if faults:
+        with pytest.raises(SeriesTooShort):
+            pairscan.coint_matrix(train_panel, row_means(train_panel))
+    else:
+        assert len(pairscan.coint_matrix(train_panel, row_means(train_panel)).cells) == 45
+    assert alive == [0]
+
+
 def test_cli_reports_a_pooled_fault_as_the_serial_one(synth_dir, tmp_path, capsys,
                                                       train_panel, forced_workers,
                                                       monkeypatch):
@@ -262,9 +285,11 @@ def test_cli_scan_bytes_do_not_depend_on_worker_count(synth_dir, tmp_path, force
 
 
 # A pooled scan whose pairs each take 50 ms, one pair to a block, interrupted
-# by SIGINT to the process group 0.3 s in, as Ctrl-C in a terminal does.
+# by SIGINT to the process group 0.3 s in, as Ctrl-C in a terminal does.  It
+# takes SIGINT even when started with SIGINT ignored.
 INTERRUPTED_SCAN = """
 import json, os, signal, time
+signal.signal(signal.SIGINT, signal.default_int_handler)
 import pairtrader.cli
 from pairtrader import pairscan
 real = pairscan.engle_granger_block
@@ -280,6 +305,7 @@ code = pairtrader.cli.main(["scan", "--config", {config!r}, "--sector", "metals"
                             "--out", {out!r}])
 outcome = "interrupted" if code == 130 else f"exit {{code}}"
 import multiprocessing
+import multiprocessing.pool
 try:
     os.waitpid(-1, os.WNOHANG)
     children = True
@@ -317,8 +343,14 @@ def test_workers_leave_ctrl_c_to_the_parent(train_panel, forced_workers, monkeyp
 
     monkeypatch.setattr(pairscan, "engle_granger_block", engle_granger_block)
     forced_workers(2)
-    assert len(pairscan.coint_matrix(train_panel, row_means(train_panel)).cells) == 45
-    assert signal.getsignal(signal.SIGINT) is not signal.SIG_IGN
+    # The test runner may have started with SIGINT ignored; the scan takes
+    # Ctrl-C as Python's default handler does.
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        assert len(pairscan.coint_matrix(train_panel, row_means(train_panel)).cells) == 45
+        assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
+    finally:
+        signal.signal(signal.SIGINT, previous)
 
 
 def test_no_fork_start_method_scans_in_process(train_panel, forced_workers, monkeypatch):

@@ -14,6 +14,7 @@ from pairtrader.errors import (
     EmptySeries,
     EmptyWindow,
     InvariantViolation,
+    SumOverflow,
     ZeroVariance,
 )
 from pairtrader.marketdata import AlignedPanel, align_panel, slice_window
@@ -143,6 +144,15 @@ class TestZScore:
         z = build_trading_frame(pair, fit_ratio_stats(pair)).zscore
         assert abs(z.mean()) < 1e-10
         assert abs(z.std() - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("ratios, stats", [
+        ([1.0, 1e308], RatioStats(mean=0.0, std=0.5)),  # a finite ratio, an infinite z
+        ([1.0, 2.0], RatioStats(mean=1.0, std=1e-310)),  # a subnormal std
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_z_score_names_the_pair(self, ratios, stats):
+        with pytest.raises(SumOverflow, match="^A/B: ratio z-scores overflow"):
+            build_trading_frame(pair_panel(ratios), stats)
 
 
 class TestGenSignals:
