@@ -27,10 +27,11 @@
 # sums underflow so that the residual ADF regressions of AMBER's pairs are
 # singular, must scan to exit 3 with one error line naming a pair and
 # write nothing: only exactly constant residuals may score p = 0.  A
-# 40-ticker x 750-day random-walk sector, large enough to fork a scan pool
-# on 2 or more CPUs, must scan to the same bytes pooled and pinned to one CPU, and with
-# its pairs tested one to a block (in-process, through `python -c`, which
-# needs the package importable) rather than in blocks of the default size.
+# 40-ticker x 750-day random-walk sector, large enough to scan on forked
+# workers on 2 or more CPUs, must scan to the same bytes pooled and pinned
+# to one CPU, and with its pairs tested one to a block (in-process,
+# through `python -c`, which needs the package importable) rather than in
+# blocks of the default size.
 # Every Python warning is an error, so a numpy RuntimeWarning or a
 # DeprecationWarning in any command fails the run.
 set -euo pipefail

@@ -10,8 +10,8 @@ temporary directory and renames it into place.  The pipeline modules only comput
 Exit codes: 0 success, 1 usage/configuration error, 2 data error,
 3 numeric or degeneracy error, 130 (128 + SIGINT) interrupted, 143 (128 +
 SIGTERM) terminated.  SIGTERM raises ``SystemExit`` for the whole command,
-so a terminated command still removes its staging directory and stops its
-scan pool, as an interrupted one does.
+so a terminated command still removes its staging directory and kills its
+scan workers, as an interrupted one does.
 """
 
 from __future__ import annotations
@@ -62,10 +62,10 @@ from .backtest import (
     summarize_pair,
 )
 from .econometrics import correlation_matrix
-from .errors import ConfigError, DataError, PairTraderError
+from .errors import ConfigError, DataError, PairTraderError, SeriesTooShort
 from .marketdata import AlignedPanel, align_panel, load_csv, parse_date, slice_window
-from .pairscan import (DEFAULT_NEAR_EPS, DEFAULT_THRESHOLD, coint_matrix, fit_pair,
-                       order_pair, select_pairs, training_mean)
+from .pairscan import (DEFAULT_NEAR_EPS, DEFAULT_THRESHOLD, check_scan_window, coint_matrix,
+                       fit_pair, order_pair, select_pairs, training_mean)
 from .signalgen import LOWER_LIMIT, UPPER_LIMIT, build_trading_frame, fit_ratio_stats
 from .svgchart import line_chart
 
@@ -451,9 +451,10 @@ def _load(config: RunConfig, members) -> list[AlignedPanel]:
 def _scan_input(config: RunConfig, sector: str) -> tuple[AlignedPanel, list[float]]:
     """The sector's training window as the scan tests it, and its tickers' keys.
 
-    The window is cut from the inner join of every ticker of the sector;
-    the keys are each ticker's ``training_mean``, in panel order, taken
-    from its own rows before the join.
+    The window is cut from the inner join of every ticker of the sector,
+    and one too short to scan is a fault naming the sector; the keys are
+    each ticker's ``training_mean``, in panel order, taken from its own rows
+    before the join.
     """
     if sector not in config.sectors:
         raise ConfigError(f"sector {sector!r} not present in config")
@@ -461,8 +462,12 @@ def _scan_input(config: RunConfig, sector: str) -> tuple[AlignedPanel, list[floa
     if len(members) < 2:
         raise ConfigError(f"sector {sector!r} must list at least 2 tickers")
     series = _load(config, members)
-    return (slice_window(align_panel(series), *config.train_window),
-            [training_mean(one, config.train_window) for one in series])
+    panel = slice_window(align_panel(series), *config.train_window)
+    try:
+        check_scan_window(panel)
+    except SeriesTooShort as exc:
+        raise type(exc)(f"{sector}: {exc}") from exc
+    return panel, [training_mean(one, config.train_window) for one in series]
 
 
 def _find_pair(config: RunConfig, pair: str, sector: str | None) -> tuple[str, AlignedPanel]:
@@ -713,8 +718,8 @@ def _exit_on_sigterm(signum, frame):
 
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
-    # SIGTERM exits through SystemExit, so that every finally block and the
-    # scan pool's with block run.  Only where SIGTERM has its default action
+    # SIGTERM exits through SystemExit, so that every finally block runs, the
+    # scan's among them.  Only where SIGTERM has its default action
     # and this is the main thread, the only one that may set a handler:
     # elsewhere the program that owns SIGTERM decides.
     installed = signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
@@ -743,8 +748,8 @@ def main(argv=None) -> int:
         print(f"pairtrader: error: {exc}", file=sys.stderr)
         return exc.exit_code
     except KeyboardInterrupt:
-        # Ctrl-C: every finally block, the scan pool's and ``staged_dir``'s
-        # among them, has run on the way here.
+        # Ctrl-C: every finally block, the scan's and ``staged_dir``'s among
+        # them, has run on the way here.
         print("pairtrader: error: interrupted", file=sys.stderr)
         return 130
     finally:

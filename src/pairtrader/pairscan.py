@@ -5,26 +5,27 @@ whole in one ``ScanCell``.  A pair's roles are decided before any join, by
 one number per ticker (``training_mean``, its mean close over its own rows
 in the training window): the higher one is the regressor, which later
 becomes asset1, the predictor of the pair model, and ties break by ticker.
-``coint_matrix`` and ``order_pair`` both apply that rule to those numbers,
-so the scan and the pair commands give a pair the same roles, though the
-scan tests it on the sector-wide join and the pair commands fit it on the
-pair's own.  Pairs beat the significance threshold outright or squeak in
-within a configurable near-threshold margin.  A pair whose residuals are
+``coint_matrix`` and ``order_pair`` both apply that rule, so the scan, on
+the sector-wide join, and the pair commands, on the pair's own, give a pair
+the same roles.  Pairs beat the significance threshold outright or squeak
+in within a configurable near-threshold margin.  A pair whose residuals are
 exactly zero (say, two share classes of one company) gets p = 0 and a
 recorded reason instead of aborting the scan.  The pairs are tested in
-blocks that share their stage-1 terms, lag-order checks and refits, and a
-large scan runs them on a forked worker pool, one contiguous span of pairs
-per worker; the cells are the same whatever the blocks and the workers.
-The module only computes: ``cli`` writes the matrix and the selection.
+blocks that share their stage-1 terms, lag-order checks and refits; a
+large scan also forks workers, which send their cells back down pipes
+(see ``_scan_pairs``).  The cells are the same whatever the blocks and the
+processes.  The module only computes: ``cli`` writes the artifacts.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
 import signal
 from dataclasses import dataclass
 from datetime import date
+from typing import NoReturn
 
 import numpy as np
 
@@ -66,7 +67,7 @@ class ScanCell:
         return 0.0 if self.adf is None else self.adf.p_value
 
     def __reduce__(self):
-        # A pool worker sends its cells to the scan by pickle.  This is three
+        # A forked worker sends its cells to the scan by pickle.  This is three
         # times faster both ways than the per-field state functions that
         # dataclasses gives a frozen class with slots.
         return ScanCell, (self.predictor, self.target, self.adf, self.reason)
@@ -139,28 +140,22 @@ def order_pair(a: AlignedPanel, b: AlignedPanel, train: tuple[date, date]) -> Al
     return align_panel([b, a])
 
 
-#: A scan forks a worker pool only when every worker gets at least this many
-#: pair-dates (pairs x common dates).  Measured in-process on a 2-vCPU x86-64
-#: host with one BLAS thread, pairs tested in blocks: an Engle-Granger test
-#: costs 0.24-0.35 us per date, starting and stopping a pool of two costs
-#: 7-11 ms (up to 28), and that pool broke even with one process at 200k-280k
-#: pair-dates in all, 100k-140k a worker (it lost 14-23 ms on 21k and 8-23 ms
-#: on 142k, and saved 41-43 ms on 585k).  The floor, just above that
-#: crossover, keeps scans of a few tens of pairs (the paper's sectors) in one
-#: process.
+#: A scan forks workers only when each process that scans, this one among
+#: them, gets at least this many pair-dates (pairs x common dates).
+#: Measured in-process on a 2-vCPU x86-64 host with one BLAS thread: a scan
+#: costs 0.06-0.09 us a pair-date, and forking a worker, reading its cells
+#: and reaping it costs 1.8-2.4 ms.  Two processes broke even at about 110k
+#: pair-dates in all: they lost 2 ms on 21k and saved 1 ms on 142k, 5 ms on
+#: 284k and 13 ms on 585k.  The floor, above that crossover, keeps scans of
+#: a few tens of pairs (the paper's sectors) in one process.
 _POOL_MIN_PAIR_DATES = 150_000
-
-#: The scan a pool worker serves, ``(tickers, terms, pairs, parent pid)``:
-#: set in each forked worker by ``_init_worker`` from memory it inherits,
-#: never pickled.
-_worker_scan: tuple | None = None
 
 
 def _pool_size(n_pairs: int, n_dates: int) -> int:
-    """Worker processes for a scan of ``n_pairs`` pairs over ``n_dates`` dates.
+    """Processes that scan ``n_pairs`` pairs over ``n_dates`` dates, this one among them.
 
-    One per CPU this process may run on, but no more than leaves each worker
-    ``_POOL_MIN_PAIR_DATES``; 1 means the scan runs in this process.
+    One per CPU this process may run on, but no more than leaves each
+    ``_POOL_MIN_PAIR_DATES``; 1 means the scan runs in this process alone.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -194,83 +189,100 @@ def _scan_block(tickers, terms: Stage1Terms, pairs) -> list[ScanCell]:
 def _scan_span(tickers, terms: Stage1Terms, pairs, parent: int | None = None) -> list[ScanCell]:
     """``_scan_block`` over ``pairs``, one block of ``block_rows`` pairs at a time.
 
-    With a ``parent`` pid, as in a pool worker, the process first leaves
+    With a ``parent`` pid, as in a forked worker, the process first leaves
     quietly if that parent is gone, before each block.
     """
     size = block_rows(terms.rows.shape[1])
     cells = []
     for start in range(0, len(pairs), size):
-        if parent is not None:
-            _exit_if_orphaned(parent)
+        if parent is not None and os.getppid() != parent:
+            os._exit(0)  # the parent was killed outright: no one reads these cells
         cells.extend(_scan_block(tickers, terms, pairs[start:start + size]))
     return cells
 
 
-def _init_worker(tickers, terms: Stage1Terms, pairs) -> None:
-    # Ctrl-C reaches the whole process group; the parent alone handles it,
-    # by leaving its pool block, which terminates the workers.  That is a
-    # SIGTERM to each, which must keep its default action here.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    global _worker_scan
-    _worker_scan = (tickers, terms, pairs, os.getppid())
-
-
-def _exit_if_orphaned(parent: int) -> None:
-    # A parent killed outright never terminates its pool, and no one is
-    # left to read this worker's cells: leave without a word, rather than
-    # finish the span and fail to send it.
-    if os.getppid() != parent:
-        os._exit(0)
-
-
-def _run_span(span: tuple[int, int]) -> list[ScanCell] | PairTraderError:
-    # A per-pair fault is the span's result, not an exception of the pool:
-    # the scan then reads every span before it stops the pool.
-    tickers, terms, pairs, parent = _worker_scan
+def _span_outcome(tickers, terms: Stage1Terms, pairs, parent: int | None = None):
+    """``_scan_span``'s cells, or the exception it raised, kept until every span is in."""
     try:
-        outcome = _scan_span(tickers, terms, pairs[span[0]:span[1]], parent)
-    except PairTraderError as exc:
-        outcome = exc
-    _exit_if_orphaned(parent)
-    return outcome
+        return _scan_span(tickers, terms, pairs, parent)
+    except Exception as exc:
+        return exc
+
+
+def _serve_span(tickers, terms: Stage1Terms, pairs, parent: int, fds: list[int], mask) -> NoReturn:
+    """A forked worker: scan ``pairs``, pickle the outcome down the write end ``fds[-1]``, exit."""
+    status = 1
+    try:
+        # Ctrl-C reaches the whole process group; the parent alone handles it.
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for fd in fds[:-1]:  # held here, a read end keeps an orphaned sibling's write blocked
+            os.close(fd)
+        outcome = _span_outcome(tickers, terms, pairs, parent)
+        with open(fds[-1], "wb") as pipe:
+            pickle.dump(outcome, pipe)
+        status = 0
+    finally:
+        os._exit(status)  # no parent code, no exit handlers
 
 
 def _scan_pairs(tickers, terms: Stage1Terms, pairs, workers: int) -> list[ScanCell]:
-    """``_scan_span`` over all ``pairs``, split across ``workers`` forked processes.
+    """``_scan_span`` over all ``pairs``, split into ``workers`` contiguous spans.
 
-    Each worker takes one contiguous span of ``pairs`` and the cells come
-    back in span order, so the result does not depend on ``workers``; a
-    fault is the one the first failing pair raises, as in one process,
-    raised once every span is back.  With fewer than 2 workers, or no
-    ``fork`` on this platform, the whole range is one span run here.
-    The workers then leave on the pool's own sentinels.  Only an
-    exception that leaves the pool block, such as the ``SystemExit`` the
-    CLI turns SIGTERM into, terminates them: a worker killed while it
-    writes its result holds the result queue's lock for good, and a pool
-    thread that waits on that lock hangs the scan.
+    A forked worker scans each span but the first, which this process scans,
+    and the cells join in span order.  The first failing pair's fault is
+    raised once every worker has exited on its own, as in one process; an
+    exception that leaves the scan (Ctrl-C, or the CLI's ``SystemExit`` on
+    SIGTERM) kills and reaps every worker first.  With fewer than 2 workers,
+    or no ``fork`` on this platform, the scan runs here alone.
     """
     # Fork, not spawn: a forked worker starts with numpy, this package and
-    # the closes already in memory, where a spawned one would import them
-    # again (about 0.2 s) and be sent the closes.  The CLI forks from one
-    # thread, since it runs BLAS on one.
-    if workers >= 2:
-        import multiprocessing
+    # the closes in memory.  The CLI forks from one thread, as it runs BLAS on one.
+    if workers < 2 or not hasattr(os, "fork"):
+        return _scan_span(tickers, terms, pairs)
+    n = len(pairs)
+    spans = [pairs[n * k // workers:n * (k + 1) // workers] for k in range(workers)]
+    parent, fds, pids, sent = os.getpid(), [], [], None
+    # SIGINT and SIGTERM wait while forking and reaping: no handler runs in a
+    # worker before it sets its own, nor between a fork or a wait and its
+    # record, so an interrupted scan kills and reaps every worker it has.
+    stop = (signal.SIGINT, signal.SIGTERM)
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, stop)
+    try:
+        for span in spans[1:]:
+            fds.extend(os.pipe())
+            if (pid := os.fork()) == 0:
+                _serve_span(tickers, terms, span, parent, fds, mask)
+            pids.append(pid)
+            os.close(fds.pop())  # the write end; the worker's read end stays
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        outcomes = [_span_outcome(tickers, terms, spans[0])]
+        sent = [open(fd, "rb", closefd=False).read() for fd in fds]
+    finally:
+        signal.pthread_sigmask(signal.SIG_BLOCK, stop)
+        for fd in fds:
+            os.close(fd)
+        if sent is None:  # an exception is leaving the scan
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+        ended = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    for k, (pid, data, code) in enumerate(zip(pids, sent, ended), 1):
+        if code != 0:
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise RuntimeError(f"scan worker {k} (pid {pid}) {how} before sending its cells")
+        outcomes.append(pickle.loads(data))
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return [cell for cells in outcomes for cell in cells]
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            n = len(pairs)
-            spans = [(n * k // workers, n * (k + 1) // workers) for k in range(workers)]
-            with multiprocessing.get_context("fork").Pool(
-                    workers, initializer=_init_worker,
-                    initargs=(tickers, terms, pairs)) as pool:
-                outcomes = list(pool.imap(_run_span, spans))
-                pool.close()
-                pool.join()
-            for outcome in outcomes:
-                if isinstance(outcome, PairTraderError):
-                    raise outcome
-            return [cell for cells in outcomes for cell in cells]
-    return _scan_span(tickers, terms, pairs)
+
+def check_scan_window(panel: AlignedPanel) -> None:
+    """Raise ``SeriesTooShort`` unless ``panel`` has enough dates for ``coint_matrix``."""
+    if len(panel.dates) < 30:
+        raise SeriesTooShort(f"need >= 30 common training dates, have {len(panel.dates)}")
 
 
 def coint_matrix(panel: AlignedPanel, means: list[float]) -> PValueMatrix:
@@ -286,9 +298,9 @@ def coint_matrix(panel: AlignedPanel, means: list[float]) -> PValueMatrix:
     ``PValueMatrix`` fixes and ``cli`` labels its records by.  A pair whose
     residuals are exactly constant gets no result and the reason
     ``EXACT_DEPENDENCE`` (so p = 0); any other per-pair fault aborts the
-    scan, and so does a ticker whose closes never move.  A scan with enough
-    work runs on a worker pool (see ``_pool_size``); its cells are the same
-    either way.
+    scan, and so does a ticker whose closes never move, or a window of fewer
+    than 30 dates.  A scan with enough work runs on forked workers (see
+    ``_pool_size``); its cells are the same either way.
     """
     tickers = panel.tickers
     n = len(tickers)
@@ -296,8 +308,7 @@ def coint_matrix(panel: AlignedPanel, means: list[float]) -> PValueMatrix:
         raise ValueError("panel must hold at least 2 tickers")
     if len(means) != n:
         raise ValueError(f"need one key per ticker, got {len(means)} for {n} tickers")
-    if len(panel.dates) < 30:
-        raise SeriesTooShort(f"need >= 30 common dates, have {len(panel.dates)}")
+    check_scan_window(panel)
 
     for ticker, row in zip(tickers, panel.closes):
         # A flat target would leave exactly constant residuals against any

@@ -487,7 +487,7 @@ def block_rows(n: int, lag: int = 0, constant: bool = False) -> int:
     refit, and it runs over the whole block at once; the block's residuals
     take half as many bytes, and its wider designs are built in chunks of
     the same budget.  Blocks must be large for the refit's grouping by lag
-    to pay, and bounded, since a design of a pool worker's whole span of
+    to pay, and bounded, since a design of a scan worker's whole span of
     pairs would grow it by tens of MB.
     """
     return max(1, _DESIGN_BYTES // (8 * (int(constant) + lag + 2) * max(n - 1 - lag, 0)))

@@ -26,6 +26,12 @@ def blas_env(**values):
     return dict(env, PYTHONPATH=str(SRC_DIR), **values)
 
 
+def assert_no_child_left():
+    """Fail if this process has a child, running or unreaped: asked of the OS itself."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def tree_bytes(root):
     """Every file under ``root``, by relative POSIX path, with its bytes."""
     return {p.relative_to(root).as_posix(): p.read_bytes()

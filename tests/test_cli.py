@@ -501,31 +501,6 @@ class TestBacktest:
         assert Decimal(summary["profit"]) == 0
         assert summary["annual_return"] == "0.00"
 
-    def test_degenerate_ratio_is_numeric_error(self, synth_dir, tmp_path):
-        # A pair proportional to itself has a constant ratio: exit code 3.
-        data = tmp_path / "data"
-        data.mkdir()
-        src = (synth_dir / "data" / "IRON.csv").read_text().splitlines()
-        (data / "P.csv").write_text("\n".join(src) + "\n")
-        doubled = [src[0]]
-        for line in src[1:]:
-            day, px = line.split(",")
-            doubled.append(f"{day},{float(px) * 2:.2f}")
-        (data / "Q.csv").write_text("\n".join(doubled) + "\n")
-        base_config = json.loads((synth_dir / "config.json").read_text())
-        config = {
-            "sectors": {"clone": [
-                {"ticker": "P", "csv": "data/P.csv"},
-                {"ticker": "Q", "csv": "data/Q.csv"},
-            ]},
-            "train_window": base_config["train_window"],
-            "test_window": base_config["test_window"],
-        }
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        assert run("backtest", "--config", path, "--pair", "P,Q",
-                   "--out", tmp_path / "o") == 3
-
 
 def iron_tiny_from_the_test_window(synth_dir, tmp_path):
     """The demo with IRON's closes 1e-308 from the first test-window date on."""
@@ -557,6 +532,12 @@ class TestPairFaults:
                      id="empty-test-window"),
         pytest.param(None, ["analyze", "--pair", "IRON,COBALT", "--train-end", "2018-01-20"], 2,
                      "COBALT/IRON: only 15 common training dates", id="short-training-window"),
+        # A sector's window too short to scan names the sector, whichever
+        # rule would have bound first (the correlations need 4 dates).
+        pytest.param(None, ["scan", "--sector", "metals", "--train-end", "2018-01-20"], 2,
+                     "metals: need >= 30 common training dates, have 15", id="short-scan-window"),
+        pytest.param(None, ["scan", "--sector", "metals", "--train-end", "2018-01-02"], 2,
+                     "metals: need >= 30 common training dates, have 2", id="scan-window-of-2"),
     ])
     @pytest.mark.filterwarnings("error")
     def test_a_faulty_pair_is_one_line_naming_it(self, synth_dir, tmp_path, capsys,

@@ -5,7 +5,9 @@ the squared condition number costs nothing), what the package computes in
 doubles: the ADF t-ratio at the chosen lag, refit on the longest sample
 that lag permits with ``n_eff = n - k - 1`` observations; the Engle-Granger
 stage-1 slope and intercept; the return correlations; and the
-through-origin hedge ratio, its standard error, t-ratio and uncentered R^2.
+through-origin hedge ratio, its standard error, t-ratio and uncentered R^2,
+Durbin-Watson, log-likelihood, AIC and BIC, and its residuals' skew,
+kurtosis, Jarque-Bera statistic and p-value.
 It also recomputes the AIC of each lag order, over the sample truncated at
 ``max_lag``, for the designs whose lag the Gram search leaves to the
 Householder search: near-collinear and almost exactly fitting designs, and
@@ -33,6 +35,7 @@ mpmath = pytest.importorskip("mpmath")
 
 TAU_RTOL = 1e-10
 OLS_RTOL = 1e-12
+P_RTOL = 1e-10
 CORRELATION_ATOL = 1e-13
 
 
@@ -181,12 +184,20 @@ def test_through_origin_fit_matches_fifty_digits(kind, n):
     resid = [b - beta * a for a, b in zip(xs, ys)]
     ssr = mpmath.fdot(resid, resid)
     se = mpmath.sqrt(ssr / (n - 1) / sxx)
+    loglik = -mpmath.mpf(n) / 2 * (mpmath.log(2 * mpmath.pi) + mpmath.log(ssr / n) + 1)
+    steps = [b - a for a, b in zip(resid, resid[1:])]
+    mean = mpmath.fsum(resid) / n
+    m2, m3, m4 = (mpmath.fsum((e - mean) ** k for e in resid) / n for k in (2, 3, 4))
+    skew, kurt = m3 / m2 ** mpmath.mpf(1.5), m4 / m2**2
+    jb = mpmath.mpf(n) / 6 * (skew**2 + (kurt - 3) ** 2 / 4)
     exact = {"hedge_ratio": beta, "se_beta": se, "t_stat": beta / se,
-             "r2_uncentered": 1 - ssr / syy}
+             "r2_uncentered": 1 - ssr / syy, "durbin_watson": mpmath.fdot(steps, steps) / ssr,
+             "log_likelihood": loglik, "aic": 2 - 2 * loglik, "bic": mpmath.log(n) - 2 * loglik,
+             "skew": skew, "kurtosis": kurt, "jarque_bera": jb, "p_jb": mpmath.exp(-jb / 2)}
     for field, value in exact.items():
         got = getattr(report, field)
         assert math.isfinite(got)
-        assert abs(got - value) <= OLS_RTOL * abs(value), field
+        assert abs(got - value) <= (P_RTOL if field == "p_jb" else OLS_RTOL) * abs(value), field
 
 
 def mp_aics(y, max_lag, constant):

@@ -1,9 +1,7 @@
-"""The sector scan's worker pool: same cells, same faults, no process left behind."""
+"""The sector scan's forked workers: same cells, same faults, no process left behind."""
 
 import csv
 import json
-import multiprocessing
-import multiprocessing.pool
 import os
 import signal
 import subprocess
@@ -22,7 +20,7 @@ from pairtrader.errors import SeriesTooShort
 from pairtrader.marketdata import AlignedPanel
 from pairtrader.synthetic import weekday_calendar
 
-from conftest import blas_env, row_means, tree_bytes
+from conftest import assert_no_child_left, blas_env, row_means, tree_bytes
 
 # The in-process tests fork the test runner, which loaded numpy before
 # ``pairtrader.cli`` and so runs OpenBLAS on several threads; Python 3.12+
@@ -128,7 +126,7 @@ def test_pooled_cells_equal_serial_cells(train_panel, forced_workers, workers):
     pooled = pairscan.coint_matrix(train_panel, row_means(train_panel))
     assert pooled.cells == serial.cells
     assert [c.p_value for c in pooled.cells] == [c.p_value for c in serial.cells]
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def block_panel(n_tickers, n_dates, seed, twin, fallback):
@@ -178,13 +176,14 @@ def test_cells_do_not_depend_on_block_boundaries(data, n_tickers, n_dates, seed)
             del qr_searches[:]
             cells = pairscan.coint_matrix(panel, row_means(panel)).cells
             scans[name] = cells, [c.adf and c.adf.tau.hex() for c in cells]
-            # The pooled scan's Householder searches run in its workers.
+            # The pooled scan runs some Householder searches in its worker,
+            # where this list does not see them.
             assert workers > 1 or qr_searches, name
     assert scans["one pair"] == scans["default"] == scans["pooled"]
     cells = scans["default"][0]
     exact = [{c.predictor, c.target} for c in cells if c.reason == pairscan.EXACT_DEPENDENCE]
     assert exact == [{f"T{twin - 1}", f"T{twin}"}]
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def fail_on_pairs(monkeypatch, panel, *pairs):
@@ -215,7 +214,7 @@ def test_per_pair_fault_is_the_serial_fault(train_panel, forced_workers, monkeyp
         with pytest.raises(SeriesTooShort) as caught:
             pairscan.coint_matrix(train_panel, row_means(train_panel))
         faults[n] = type(caught.value), str(caught.value)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
     assert faults[workers] == faults[1] == (SeriesTooShort,
                                             "pair (DUNE, HOLLY): injected fault")
 
@@ -228,29 +227,49 @@ def test_first_failing_pair_wins_as_in_one_process(train_panel, forced_workers, 
     forced_workers(3)
     with pytest.raises(SeriesTooShort, match=r"^pair \(AMBER, BASALT\): injected fault$"):
         pairscan.coint_matrix(train_panel, row_means(train_panel))
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("faults", [(), (("AMBER", "BASALT"),)], ids=["cells", "fault"])
-def test_workers_leave_before_the_pool_is_terminated(train_panel, forced_workers, monkeypatch,
-                                                     faults):
-    # A worker killed while it writes its result keeps the result queue's
-    # lock, and the pool's task thread then waits on it for good: under CPU
-    # load, a scan whose first span failed hung in ``Pool.terminate``.  So
-    # every worker leaves on its own, the first span's fault or not, before
-    # the pool block ends.
+def test_workers_exit_on_their_own(train_panel, forced_workers, monkeypatch, faults):
+    # A worker stopped by a signal may be stopped mid-write.  So on a scan's
+    # own way out, the first span's fault or not, the parent signals no
+    # worker: each sends its outcome and exits with status 0.
     fail_on_pairs(monkeypatch, train_panel, *faults)
-    alive = []
-    terminate = multiprocessing.pool.Pool.terminate
-    monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", lambda pool: (
-        alive.append(len(multiprocessing.active_children())), terminate(pool)))
+    signalled, statuses = [], []
+    real_waitpid = os.waitpid
+    monkeypatch.setattr(os, "kill", lambda pid, signum: signalled.append((pid, signum)))
+    monkeypatch.setattr(os, "waitpid", lambda pid, options: (
+        statuses.append(real_waitpid(pid, options)[1]) or (pid, statuses[-1])))
     forced_workers(3)
     if faults:
         with pytest.raises(SeriesTooShort):
             pairscan.coint_matrix(train_panel, row_means(train_panel))
     else:
         assert len(pairscan.coint_matrix(train_panel, row_means(train_panel)).cells) == 45
-    assert alive == [0]
+    assert signalled == []
+    assert [os.waitstatus_to_exitcode(status) for status in statuses] == [0, 0]
+    assert_no_child_left()
+
+
+def test_a_worker_that_dies_is_named(train_panel, forced_workers, monkeypatch):
+    # The last span's worker is killed outright, as the OOM killer would,
+    # at the last pair.
+    last = {len(train_panel.tickers) - 2, len(train_panel.tickers) - 1}
+    real = pairscan.engle_granger_block
+
+    def engle_granger_block(terms, block, max_lag=None):
+        if set(block[0]) == last:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(terms, block, max_lag)
+
+    monkeypatch.setattr(pairscan, "engle_granger_block", engle_granger_block)
+    monkeypatch.setattr(pairscan, "block_rows", lambda n: 1)
+    forced_workers(3)
+    with pytest.raises(RuntimeError, match=r"^scan worker 2 \(pid \d+\) was killed by signal 9 "
+                                           r"before sending its cells$"):
+        pairscan.coint_matrix(train_panel, row_means(train_panel))
+    assert_no_child_left()
 
 
 def test_cli_reports_a_pooled_fault_as_the_serial_one(synth_dir, tmp_path, capsys,
@@ -264,7 +283,7 @@ def test_cli_reports_a_pooled_fault_as_the_serial_one(synth_dir, tmp_path, capsy
         code = main(["scan", "--config", str(synth_dir / "config.json"), "--sector", "metals",
                      "--out", str(out)])
         results[n] = code, capsys.readouterr().err, out.exists()
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
     assert results[3] == results[1]
     code, err, written = results[1]
     assert code == SeriesTooShort.exit_code
@@ -280,7 +299,7 @@ def test_cli_scan_bytes_do_not_depend_on_worker_count(synth_dir, tmp_path, force
         assert main(["scan", "--config", str(synth_dir / "config.json"), "--sector", "metals",
                      "--out", str(out)]) == 0
         trees[n] = tree_bytes(out)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
     assert trees[1] == trees[2] == trees[3]
 
 
@@ -304,15 +323,12 @@ signal.setitimer(signal.ITIMER_REAL, 0.3)
 code = pairtrader.cli.main(["scan", "--config", {config!r}, "--sector", "metals",
                             "--out", {out!r}])
 outcome = "interrupted" if code == 130 else f"exit {{code}}"
-import multiprocessing
-import multiprocessing.pool
 try:
     os.waitpid(-1, os.WNOHANG)
     children = True
 except ChildProcessError:
     children = False
-print(json.dumps({{"outcome": outcome, "active": len(multiprocessing.active_children()),
-                  "children": children}}))
+print(json.dumps({{"outcome": outcome, "children": children}}))
 """
 
 
@@ -324,7 +340,7 @@ def test_interrupted_pooled_scan_leaves_no_worker(synth_dir, tmp_path):
                           capture_output=True, text=True, start_new_session=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == {
-        "outcome": "interrupted", "active": 0, "children": False}
+        "outcome": "interrupted", "children": False}
     assert not out.exists()
     # The workers ignore SIGINT: only the parent reports the interrupt, in one line.
     assert "Traceback" not in done.stderr
@@ -333,12 +349,19 @@ def test_interrupted_pooled_scan_leaves_no_worker(synth_dir, tmp_path):
 
 def test_workers_leave_ctrl_c_to_the_parent(train_panel, forced_workers, monkeypatch):
     # A worker that took SIGINT would print its own traceback beside the
-    # parent's; every block of a pooled scan runs in a worker that ignores it.
+    # parent's; every block a worker runs sees SIGINT ignored, and SIGTERM
+    # left to its default action, which kills the worker.  The parent scans
+    # its own span with its own handler.
+    parent = os.getpid()
     real = pairscan.engle_granger_block
 
     def engle_granger_block(terms, block, max_lag=None):
-        if signal.getsignal(signal.SIGINT) is not signal.SIG_IGN:
-            raise SeriesTooShort("this process takes SIGINT")
+        handlers = signal.getsignal(signal.SIGINT), signal.getsignal(signal.SIGTERM)
+        if os.getpid() == parent:
+            if handlers[0] is not signal.default_int_handler:
+                raise SeriesTooShort("the parent's span lost its SIGINT handler")
+        elif handlers != (signal.SIG_IGN, signal.SIG_DFL):
+            raise SeriesTooShort("a worker takes SIGINT or handles SIGTERM")
         return real(terms, block, max_lag)
 
     monkeypatch.setattr(pairscan, "engle_granger_block", engle_granger_block)
@@ -353,12 +376,30 @@ def test_workers_leave_ctrl_c_to_the_parent(train_panel, forced_workers, monkeyp
         signal.signal(signal.SIGINT, previous)
 
 
+def test_ctrl_c_while_reaping_still_reaps_every_worker(train_panel, forced_workers, monkeypatch):
+    # Ctrl-C as each worker is reaped waits until the last one is.
+    real_waitpid = os.waitpid
+
+    def waitpid(pid, options):
+        os.kill(os.getpid(), signal.SIGINT)
+        return real_waitpid(pid, options)
+
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    forced_workers(3)
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            pairscan.coint_matrix(train_panel, row_means(train_panel))
+    finally:
+        signal.signal(signal.SIGINT, previous)
+        monkeypatch.undo()
+    assert_no_child_left()
+
+
 def test_no_fork_start_method_scans_in_process(train_panel, forced_workers, monkeypatch):
     forced_workers(1)
     serial = pairscan.coint_matrix(train_panel, row_means(train_panel))
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    monkeypatch.setattr(multiprocessing, "get_context",
-                        lambda method=None: pytest.fail("a pool was started"))
+    monkeypatch.delattr(os, "fork")
     forced_workers(3)
     assert pairscan.coint_matrix(train_panel, row_means(train_panel)).cells == serial.cells
 
@@ -386,16 +427,29 @@ class TestPoolSize:
         assert pairscan._pool_size(4950, 731) == 1
 
 
-def test_cli_import_loads_no_multiprocessing():
-    probe = "import json, sys, pairtrader.cli\nprint(json.dumps('multiprocessing' in sys.modules))\n"
+# Imports the CLI, then runs a scan of the demo sector on two processes.
+POOLED_PROBE = """
+import json, sys
+import pairtrader.cli
+from pairtrader import pairscan
+imported = 'multiprocessing' in sys.modules
+pairscan._pool_size = lambda n_pairs, n_dates: 2
+code = pairtrader.cli.main(["scan", "--config", {config!r}, "--sector", "metals",
+                            "--out", {out!r}])
+print(json.dumps([imported, code, 'multiprocessing' in sys.modules]))
+"""
+
+
+def test_cli_import_loads_no_multiprocessing(synth_dir, tmp_path):
+    probe = POOLED_PROBE.format(config=str(synth_dir / "config.json"), out=str(tmp_path / "out"))
     done = subprocess.run([sys.executable, "-c", probe], env=blas_env(),
                           capture_output=True, text=True, check=True)
-    assert json.loads(done.stdout) is False
+    assert json.loads(done.stdout.splitlines()[-1]) == [False, 0, False]
 
 
-# A pooled scan whose pairs each take 0.5 s, one pair to a block; each worker
-# appends its pid to a file as it starts a block, so the test knows when both
-# are at work.
+# A pooled scan whose pairs each take 0.5 s, one pair to a block; each of
+# its two processes appends its pid to a file as it starts a block, so the
+# test knows when both are at work.
 KILLED_SCAN = """
 import os, time
 import pairtrader.cli
@@ -425,12 +479,12 @@ def test_killed_pooled_scan_leaves_no_worker(synth_dir, tmp_path, signum):
     try:
         deadline = time.monotonic() + 60
         while not (pids.exists() and len(set(pids.read_text().split())) == 2):
-            assert scan.poll() is None and time.monotonic() < deadline, "no pool at work"
+            assert scan.poll() is None and time.monotonic() < deadline, "no worker at work"
             time.sleep(0.05)
         os.kill(scan.pid, signum)
         killed = time.monotonic()
-        # The pipes close once the parent and both workers have exited; each
-        # worker's span holds 22 or 23 pairs, over 10 s of work.
+        # The pipes close once the parent and its worker have exited; each
+        # span holds 22 or 23 pairs, over 10 s of work.
         _, err = scan.communicate(timeout=10)
         assert time.monotonic() - killed < 3.0
     finally:
