@@ -25,8 +25,8 @@
 # a regular file must exit 1 with a one-line error, not a traceback.  A
 # copy of the demo in `tiny/` with AMBER's closes scaled by 1e-300, whose
 # sums underflow so that the residual ADF regressions of AMBER's pairs are
-# singular, must scan to exit 3 with one error line naming a pair and
-# write nothing: only exactly constant residuals may score p = 0.  A
+# singular, must scan to exit 3 with one error line naming the sector and a
+# pair, and write nothing: only exactly constant residuals may score p = 0.  A
 # 40-ticker x 750-day random-walk sector, large enough to scan on forked
 # workers on 2 or more CPUs, must scan to the same bytes pooled and pinned
 # to one CPU, and with its pairs tested one to a block (in-process,
@@ -136,9 +136,9 @@ status=0
 "$@" scan --config tiny/config.json --sector metals --out tiny/runs 2> tiny/scan.err || status=$?
 if [ "$status" -ne 3 ] || grep -q Traceback tiny/scan.err \
     || [ "$(grep -c '^pairtrader: error: ' tiny/scan.err)" -ne 1 ] \
-    || ! grep -q '^pairtrader: error: pair (' tiny/scan.err || [ -e tiny/runs ]; then
+    || ! grep -q '^pairtrader: error: metals: pair (' tiny/scan.err || [ -e tiny/runs ]; then
   cat tiny/scan.err >&2
-  echo "a scan whose residual regressions are singular must exit 3 with one line naming a pair" >&2
+  echo "a scan whose residual regressions are singular must exit 3 with one line naming the sector and a pair" >&2
   exit 1
 fi
 echo "closes scaled by 1e-300 are a clean error: $(grep 'error:' tiny/scan.err)"

@@ -82,7 +82,7 @@ def run_ledger(frame: TradingFrame, capital_per_leg) -> BacktestLedger:
     Every nonzero position delta trades ``delta * shares`` at that day's
     close; holdings are marked to market daily from the signal state.  A
     leg whose first close exceeds the capital raises ``PriceExceedsCapital``
-    naming the pair and the leg's ticker.
+    naming the leg's ticker.
     """
     capital = _money(capital_per_leg)
     if capital <= 0:
@@ -96,7 +96,7 @@ def run_ledger(frame: TradingFrame, capital_per_leg) -> BacktestLedger:
         try:
             shares.append(size_shares(capital, closes[0]))
         except PriceExceedsCapital as exc:
-            raise PriceExceedsCapital(f"{'/'.join(frame.pair.tickers)}: {ticker}'s {exc}") from exc
+            raise PriceExceedsCapital(f"{ticker}'s {exc}") from exc
     shares1, shares2 = shares
 
     cash1 = capital

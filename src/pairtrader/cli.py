@@ -62,10 +62,10 @@ from .backtest import (
     summarize_pair,
 )
 from .econometrics import correlation_matrix
-from .errors import ConfigError, DataError, PairTraderError, SeriesTooShort
+from .errors import ConfigError, DataError, NumericError, PairTraderError
 from .marketdata import AlignedPanel, align_panel, load_csv, parse_date, slice_window
-from .pairscan import (DEFAULT_NEAR_EPS, DEFAULT_THRESHOLD, check_scan_window, coint_matrix,
-                       fit_pair, order_pair, select_pairs, training_mean)
+from .pairscan import (DEFAULT_NEAR_EPS, DEFAULT_THRESHOLD, check_training_window,
+                       coint_matrix, fit_pair, order_pair, select_pairs, training_mean)
 from .signalgen import LOWER_LIMIT, UPPER_LIMIT, build_trading_frame, fit_ratio_stats
 from .svgchart import line_chart
 
@@ -134,9 +134,9 @@ class RunConfig:
             seen: set[str] = set()
             for ticker, _ in members:
                 _check_name("ticker", ticker)
-                if "," in ticker:
-                    raise ConfigError(f"ticker name {ticker!r} contains ',', which --pair "
-                                      "uses to separate the two tickers")
+                if "," in ticker or ticker != ticker.strip():
+                    raise ConfigError(f"ticker name {ticker!r} cannot be given as --pair, which "
+                                      "splits its tickers at ',' and strips their whitespace")
                 if ticker in seen:
                     raise ConfigError(f"sector {sector!r} lists ticker {ticker!r} twice")
                 seen.add(ticker)
@@ -452,7 +452,7 @@ def _scan_input(config: RunConfig, sector: str) -> tuple[AlignedPanel, list[floa
     """The sector's training window as the scan tests it, and its tickers' keys.
 
     The window is cut from the inner join of every ticker of the sector,
-    and one too short to scan is a fault naming the sector; the keys are
+    and one too short to scan is a fault before any test runs; the keys are
     each ticker's ``training_mean``, in panel order, taken from its own rows
     before the join.
     """
@@ -463,10 +463,7 @@ def _scan_input(config: RunConfig, sector: str) -> tuple[AlignedPanel, list[floa
         raise ConfigError(f"sector {sector!r} must list at least 2 tickers")
     series = _load(config, members)
     panel = slice_window(align_panel(series), *config.train_window)
-    try:
-        check_scan_window(panel)
-    except SeriesTooShort as exc:
-        raise type(exc)(f"{sector}: {exc}") from exc
+    check_training_window(panel)
     return panel, [training_mean(one, config.train_window) for one in series]
 
 
@@ -627,8 +624,8 @@ def _read_summary(path: Path) -> PairSummary:
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
         return PairSummary(
-            ticker1=data["ticker1"],
-            ticker2=data["ticker2"],
+            ticker1=_string(data["ticker1"]),
+            ticker2=_string(data["ticker2"]),
             initial_investment=_decimal(data["initial_investment"]),
             profit=_decimal(data["profit"]),
             annual_return=_decimal(data["annual_return"]),
@@ -728,8 +725,11 @@ def main(argv=None) -> int:
             signal.signal(signal.SIGTERM, _exit_on_sigterm)
         except ValueError:  # not the main thread
             installed = False
+    subject = None
     try:
         args = build_parser().parse_args(argv)
+        # The one place a data or numeric fault's sector or pair is named.
+        subject = args.sector if args.command == "scan" else getattr(args, "pair", None)
         flags = {flag: getattr(args, flag[2:].replace("-", "_")) for flag in _FLAG_KEYS}
         config = RunConfig.from_json(
             args.config, {flag: raw for flag, raw in flags.items() if raw is not None},
@@ -745,7 +745,8 @@ def main(argv=None) -> int:
         _commit(config.out_dir / directory, files)
         return 0
     except PairTraderError as exc:
-        print(f"pairtrader: error: {exc}", file=sys.stderr)
+        named = subject is not None and isinstance(exc, (DataError, NumericError))
+        print(f"pairtrader: error: {f'{subject}: ' if named else ''}{exc}", file=sys.stderr)
         return exc.exit_code
     except KeyboardInterrupt:
         # Ctrl-C: every finally block, the scan's and ``staged_dir``'s among

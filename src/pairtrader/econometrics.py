@@ -422,7 +422,7 @@ def ols_through_origin(x, y) -> OlsOriginReport:
         sxy = _sum_of_products(xv, yv)
         syy = _sum_of_products(yv, yv)
         if sxx == 0.0:
-            raise DegenerateRegressor("regressor is identically zero")
+            raise DegenerateRegressor("regressor's sum of squares is zero")
         beta = sxy / sxx
         resid = yv - beta * xv
         ssr = _sum_of_products(resid, resid)

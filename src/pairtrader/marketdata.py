@@ -219,7 +219,7 @@ def align_panel(panels: list[AlignedPanel]) -> AlignedPanel:
     tickers = [t for p in panels for t in p.tickers]
     common = set(panels[0].dates).intersection(*(p.dates for p in panels[1:]))
     if not common:
-        raise EmptyIntersection(f"no common dates across {tickers}")
+        raise EmptyIntersection("no common dates")
     # Every calendar ascends, so a panel's rows on common dates are in order.
     rows = [p.closes[:, np.fromiter(map(common.__contains__, p.dates), bool, len(p))]
             for p in panels]
@@ -236,6 +236,6 @@ def slice_window(panel: AlignedPanel, start: date, end: date) -> AlignedPanel:
         raise ValueError(f"window start {start} after end {end}")
     lo, hi = bisect_left(panel.dates, start), bisect_right(panel.dates, end)
     if lo >= hi:
-        raise EmptyWindow(f"{'/'.join(panel.tickers)}: no observations in [{start}, {end}]")
+        raise EmptyWindow(f"no observations in [{start}, {end}]")
     return AlignedPanel(tickers=panel.tickers, dates=panel.dates[lo:hi],
                         closes=panel.closes[:, lo:hi])

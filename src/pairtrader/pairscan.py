@@ -30,13 +30,13 @@ from typing import NoReturn
 import numpy as np
 
 from .econometrics import OlsOriginReport, ols_through_origin
-from .errors import ConstantSeries, ExactlyConstant, PairTraderError, SeriesTooShort, SumOverflow
+from .errors import ExactlyConstant, PairTraderError, SeriesTooShort
 from .marketdata import AlignedPanel, align_panel, slice_window
 # engle_granger, which the scan no longer calls pair by pair, stays importable
 # from here with adf_test: perfbench's tracer wraps both where this module
 # refers to them.
 from .unitroot import (AdfResult, Stage1Terms, adf_test, block_rows, engle_granger,  # noqa: F401
-                       engle_granger_block, stage1_terms)
+                       EG_MIN_N, engle_granger_block, stage1_terms)
 
 DEFAULT_THRESHOLD = 0.05
 DEFAULT_NEAR_EPS = 0.02
@@ -279,10 +279,10 @@ def _scan_pairs(tickers, terms: Stage1Terms, pairs, workers: int) -> list[ScanCe
     return [cell for cells in outcomes for cell in cells]
 
 
-def check_scan_window(panel: AlignedPanel) -> None:
-    """Raise ``SeriesTooShort`` unless ``panel`` has enough dates for ``coint_matrix``."""
-    if len(panel.dates) < 30:
-        raise SeriesTooShort(f"need >= 30 common training dates, have {len(panel.dates)}")
+def check_training_window(train: AlignedPanel) -> None:
+    """Refuse a sector's or a pair's training window of fewer than ``EG_MIN_N`` dates."""
+    if len(train) < EG_MIN_N:
+        raise SeriesTooShort(f"need >= {EG_MIN_N} common training dates, have {len(train)}")
 
 
 def coint_matrix(panel: AlignedPanel, means: list[float]) -> PValueMatrix:
@@ -298,9 +298,9 @@ def coint_matrix(panel: AlignedPanel, means: list[float]) -> PValueMatrix:
     ``PValueMatrix`` fixes and ``cli`` labels its records by.  A pair whose
     residuals are exactly constant gets no result and the reason
     ``EXACT_DEPENDENCE`` (so p = 0); any other per-pair fault aborts the
-    scan, and so does a ticker whose closes never move, or a window of fewer
-    than 30 dates.  A scan with enough work runs on forked workers (see
-    ``_pool_size``); its cells are the same either way.
+    scan, and so does a ticker whose closes never move, or a window that
+    ``check_training_window`` refuses.  A scan with enough work runs on
+    forked workers (see ``_pool_size``); its cells are the same either way.
     """
     tickers = panel.tickers
     n = len(tickers)
@@ -308,7 +308,7 @@ def coint_matrix(panel: AlignedPanel, means: list[float]) -> PValueMatrix:
         raise ValueError("panel must hold at least 2 tickers")
     if len(means) != n:
         raise ValueError(f"need one key per ticker, got {len(means)} for {n} tickers")
-    check_scan_window(panel)
+    check_training_window(panel)
 
     for ticker, row in zip(tickers, panel.closes):
         # A flat target would leave exactly constant residuals against any
@@ -368,14 +368,12 @@ def fit_pair(train: AlignedPanel) -> PairModel:
     then the ADF test (with constant) on its residuals.  The model is
     produced even when the residuals fail the stationarity check; the
     verdict is recorded; residuals of range 0 are "degenerate (constant
-    residuals)".  Closes too large for the fit's sums of squares raise
+    residuals)".  A window too short for ``check_training_window`` raises
+    ``SeriesTooShort``, closes too large for the fit's sums of squares
     ``SumOverflow``, and a singular or exactly fitting ADF regression of
-    residuals that do move raises ``ConstantSeries``, each naming the pair.
+    residuals that do move ``ConstantSeries``.
     """
-    if len(train) < 30:
-        raise SeriesTooShort(
-            f"{'/'.join(train.tickers)}: only {len(train)} common training dates"
-        )
+    check_training_window(train)
     predictor, target = train.closes
     try:
         report = ols_through_origin(predictor, target)
@@ -383,7 +381,5 @@ def fit_pair(train: AlignedPanel) -> PairModel:
     except ExactlyConstant:
         return PairModel(report=report, residual_adf=None,
                          verdict="degenerate (constant residuals)")
-    except (SumOverflow, ConstantSeries) as exc:
-        raise type(exc)(f"{'/'.join(train.tickers)}: {exc}") from exc
     return PairModel(report=report, residual_adf=residual_adf,
                      verdict=_stationarity_verdict(residual_adf))

@@ -60,8 +60,7 @@ def fit_ratio_stats(pair: AlignedPanel) -> RatioStats:
 
     Pass the pair panel over the fit window only (normally the training
     window).  A ratio whose squared deviations overflow raises
-    ``SumOverflow``, and a constant one ``ZeroVariance``, each naming the
-    pair.
+    ``SumOverflow``, and a constant one ``ZeroVariance``.
     """
     ratio = _ratio(pair)
     if not ratio.size:
@@ -69,11 +68,10 @@ def fit_ratio_stats(pair: AlignedPanel) -> RatioStats:
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(ratio.mean())
         std = float(ratio.std())  # population convention
-    name = '/'.join(pair.tickers)
     if not np.isfinite(std):
-        raise SumOverflow(f"{name}: sums of squares overflow: values too large")
+        raise SumOverflow("sums of squares overflow: values too large")
     if std == 0.0:
-        raise ZeroVariance(f"{name}: ratio is constant over the fit window")
+        raise ZeroVariance("ratio is constant over the fit window")
     return RatioStats(mean=mean, std=std)
 
 
@@ -176,12 +174,12 @@ def build_trading_frame(
 
     ``pair`` holds asset1's closes in row 0 and asset2's in row 1 over
     the trading window; ``stats`` come from the fit window.  A ratio or
-    z-score too large for a double raises ``SumOverflow``, naming the pair.
+    z-score too large for a double raises ``SumOverflow``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         z = (_ratio(pair) - stats.mean) / stats.std
     if not np.all(np.isfinite(z)):
-        raise SumOverflow(f"{'/'.join(pair.tickers)}: ratio z-scores overflow: values too large")
+        raise SumOverflow("ratio z-scores overflow: values too large")
     return TradingFrame(pair=pair, zscore=z, upper_limit=upper, lower_limit=lower)
 
 

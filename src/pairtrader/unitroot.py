@@ -80,6 +80,9 @@ from .errors import (
 
 LEVELS = ("1%", "5%", "10%")
 
+#: The fewest observations an Engle-Granger test takes.
+EG_MIN_N = 30
+
 _DETERMINISTICS = ("none", "constant")
 
 
@@ -723,8 +726,8 @@ def engle_granger_block(terms: Stage1Terms, pairs, max_lag: int | None = None
     nothing rounds differently from a block of one.
     """
     n = terms.rows.shape[1]
-    if n < 30:
-        raise SeriesTooShort(f"need >= 30 observations, have {n}")
+    if n < EG_MIN_N:
+        raise SeriesTooShort(f"need >= {EG_MIN_N} observations, have {n}")
     targets, predictors = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     slopes, intercepts = stage1_fit(terms, targets, predictors)
     finite = np.isfinite(terms.sxx[targets]) & np.isfinite(terms.sxx[predictors])

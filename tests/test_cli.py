@@ -199,11 +199,11 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("argv, message", [
         (["scan", "--sector", "metals"],
-         "pair (AMBER, BASALT): sums of squares overflow: values too large"),
+         "metals: pair (AMBER, BASALT): sums of squares overflow: values too large"),
         (["analyze", "--pair", "AMBER,BASALT"],
-         "AMBER/BASALT: sums of squares overflow: values too large"),
+         "AMBER,BASALT: sums of squares overflow: values too large"),
         (["backtest", "--pair", "AMBER,BASALT"],
-         "AMBER/BASALT: sums of squares overflow: values too large"),
+         "AMBER,BASALT: sums of squares overflow: values too large"),
     ], ids=["scan", "analyze", "backtest"])
     @pytest.mark.filterwarnings("error")
     def test_overflowing_sums_are_one_line_naming_the_pair(self, synth_dir, tmp_path, capsys,
@@ -220,8 +220,9 @@ class TestAnalyze:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv, message", [
-        (["scan", "--sector", "metals"], "pair (AMBER, BASALT): unit-root regression is singular"),
-        (["analyze", "--pair", "AMBER,BASALT"], "BASALT/AMBER: unit-root regression is singular"),
+        (["scan", "--sector", "metals"],
+         "metals: pair (AMBER, BASALT): unit-root regression is singular"),
+        (["analyze", "--pair", "AMBER,BASALT"], "AMBER,BASALT: unit-root regression is singular"),
     ], ids=["scan", "analyze"])
     @pytest.mark.filterwarnings("error")
     def test_underflowing_sums_are_one_line_naming_the_pair(self, synth_dir, tmp_path, capsys,
@@ -310,6 +311,7 @@ class TestExactDependence:
                 (line,) = [line for line in err.getvalue().splitlines()
                            if line.startswith("pairtrader: error: ")]
                 assert code in (2, 3) and "Traceback" not in err.getvalue()
+                assert line.startswith("pairtrader: error: s: ")
                 assert "pair (" in line or any(ticker in line for ticker in tickers)
                 return
             cells = read_json(root / "o" / "s" / "scan" / "pvalue_matrix.json")["pairs"]
@@ -509,6 +511,18 @@ def iron_tiny_from_the_test_window(synth_dir, tmp_path):
                      lambda day, close: "1e-308" if day >= start else close)
 
 
+def iron_and_cobalt_tiny(synth_dir, tmp_path):
+    """The demo with IRON's and COBALT's closes scaled by 1e-300."""
+    demo_with(synth_dir, tmp_path, "IRON", lambda day, close: close + "e-300")
+    path = demo_with(synth_dir, tmp_path, "COBALT", lambda day, close: close + "e-300")
+    config = json.loads(path.read_text())
+    for member in config["sectors"]["metals"]:
+        if member["ticker"] == "IRON":
+            member["csv"] = str(tmp_path / "IRON.csv")
+    path.write_text(json.dumps(config))
+    return path
+
+
 def with_twin(synth_dir, tmp_path):
     """The demo plus TWIN, whose every close is twice AMBER's."""
     return demo_with(synth_dir, tmp_path, "TWIN", lambda day, close: f"{2 * float(close):.2f}",
@@ -520,18 +534,33 @@ class TestPairFaults:
         # COBALT's closes over IRON's tiny ones: the test window's ratio
         # overflows.  This ended in a numpy warning and a ValueError traceback.
         pytest.param(iron_tiny_from_the_test_window, ["backtest", "--pair", "IRON,COBALT"], 3,
-                     "COBALT/IRON: ratio z-scores overflow: values too large", id="ratio-overflow"),
+                     "IRON,COBALT: ratio z-scores overflow: values too large", id="ratio-overflow"),
         pytest.param(with_twin, ["backtest", "--pair", "TWIN,AMBER"], 3,
-                     "TWIN/AMBER: ratio is constant over the fit window", id="constant-ratio"),
+                     "TWIN,AMBER: ratio is constant over the fit window", id="constant-ratio"),
         pytest.param(None, ["backtest", "--pair", "IRON,COBALT", "--capital", "1"], 3,
-                     "COBALT/IRON: COBALT's first close 295.44 exceeds per-leg capital 1",
+                     "IRON,COBALT: COBALT's first close 295.44 exceeds per-leg capital 1",
                      id="capital"),
         pytest.param(None, ["backtest", "--pair", "IRON,COBALT", "--test-start", "2030-01-01",
                             "--test-end", "2030-12-31"], 2,
-                     "COBALT/IRON: no observations in [2030-01-01, 2030-12-31]",
+                     "IRON,COBALT: no observations in [2030-01-01, 2030-12-31]",
                      id="empty-test-window"),
+        # Both legs near 1e-300: the hedge regression's sum of squares
+        # underflows to 0.  This line once named no pair.
+        pytest.param(iron_and_cobalt_tiny, ["analyze", "--pair", "IRON,COBALT"], 3,
+                     "IRON,COBALT: regressor's sum of squares is zero", id="regressor-underflow"),
         pytest.param(None, ["analyze", "--pair", "IRON,COBALT", "--train-end", "2018-01-20"], 2,
-                     "COBALT/IRON: only 15 common training dates", id="short-training-window"),
+                     "IRON,COBALT: need >= 30 common training dates, have 15",
+                     id="short-training-window"),
+        # An empty training window once named IRON alone in analyze, and
+        # every ticker of the sector in scan.
+        pytest.param(None, ["analyze", "--pair", "IRON,COBALT", "--train-start", "2010-01-01",
+                            "--train-end", "2010-12-31"], 2,
+                     "IRON,COBALT: no observations in [2010-01-01, 2010-12-31]",
+                     id="empty-training-window"),
+        pytest.param(None, ["scan", "--sector", "metals", "--train-start", "2010-01-01",
+                            "--train-end", "2010-12-31"], 2,
+                     "metals: no observations in [2010-01-01, 2010-12-31]",
+                     id="empty-scan-window"),
         # A sector's window too short to scan names the sector, whichever
         # rule would have bound first (the correlations need 4 dates).
         pytest.param(None, ["scan", "--sector", "metals", "--train-end", "2018-01-20"], 2,
@@ -577,7 +606,10 @@ class TestReport:
         ' "profit": "lots", "annual_return": "1.5"}',
         "{not json",
         '["ticker1", "X"]',
-    ], ids=["missing_key", "non_decimal_amount", "not_json", "not_an_object"])
+        '{"ticker1": 5, "ticker2": "Y", "initial_investment": "200000",'
+        ' "profit": "1", "annual_return": "1.5"}',
+    ], ids=["missing_key", "non_decimal_amount", "not_json", "not_an_object",
+            "non_string_ticker"])
     def test_malformed_summary_is_data_error(self, synth_dir, tmp_path, capsys, text):
         summary = tmp_path / "metals" / "pairs" / "X-Y" / "backtest" / "summary.json"
         summary.parent.mkdir(parents=True)
@@ -816,10 +848,11 @@ class TestConfigSurface:
         ("sector", ""), ("sector", "."), ("sector", ".."), ("sector", "a/b"),
         ("sector", "a\\b"), ("sector", "report"),
         ("ticker", ""), ("ticker", "."), ("ticker", ".."), ("ticker", "X/Y"),
-        ("ticker", "X\\Y"), ("ticker", "A,B"),
+        ("ticker", "X\\Y"), ("ticker", "A,B"), ("ticker", "IRON "),
     ], ids=["sector_empty", "sector_dot", "sector_dotdot", "sector_slash",
             "sector_backslash", "sector_report", "ticker_empty", "ticker_dot",
-            "ticker_dotdot", "ticker_slash", "ticker_backslash", "ticker_comma"])
+            "ticker_dotdot", "ticker_slash", "ticker_backslash", "ticker_comma",
+            "ticker_space"])
     def test_unsafe_name_is_config_error(self, synth_dir, tmp_path, capsys, kind, name):
         config = json.loads((synth_dir / "config.json").read_text())
         members = [dict(m, csv=str(synth_dir / m["csv"])) for m in config["sectors"]["metals"]]

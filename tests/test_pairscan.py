@@ -117,7 +117,7 @@ class TestOrderPair:
         with pytest.raises(EmptyIntersection):
             pair_panel(a, b, train=(a.dates[0], b.dates[-1]))
         # A ticker without training rows has no key.
-        with pytest.raises(EmptyWindow, match=r"^B: no observations"):
+        with pytest.raises(EmptyWindow, match=r"^no observations in "):
             pair_panel(a, b)
 
     def test_pair_panel_keeps_shared_dates_only(self):

@@ -287,7 +287,7 @@ def test_cli_reports_a_pooled_fault_as_the_serial_one(synth_dir, tmp_path, capsy
     assert results[3] == results[1]
     code, err, written = results[1]
     assert code == SeriesTooShort.exit_code
-    assert err.endswith("pairtrader: error: pair (CEDAR, EMBER): injected fault\n")
+    assert err.endswith("pairtrader: error: metals: pair (CEDAR, EMBER): injected fault\n")
     assert not written
 
 

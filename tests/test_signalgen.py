@@ -150,8 +150,8 @@ class TestZScore:
         ([1.0, 2.0], RatioStats(mean=1.0, std=1e-310)),  # a subnormal std
     ])
     @pytest.mark.filterwarnings("error")
-    def test_overflowing_z_score_names_the_pair(self, ratios, stats):
-        with pytest.raises(SumOverflow, match="^A/B: ratio z-scores overflow"):
+    def test_overflowing_z_score_is_sum_overflow(self, ratios, stats):
+        with pytest.raises(SumOverflow, match="^ratio z-scores overflow: values too large$"):
             build_trading_frame(pair_panel(ratios), stats)
 
 
