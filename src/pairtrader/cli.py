@@ -576,7 +576,9 @@ def cmd_backtest(config: RunConfig, pair: str, sector: str | None = None,
     sector_name, pair_panel = _find_pair(config, pair, sector)
     asset1, asset2 = pair_panel.tickers
 
-    stats = fit_ratio_stats(slice_window(pair_panel, *config.train_window))
+    train = slice_window(pair_panel, *config.train_window)
+    check_training_window(train)
+    stats = fit_ratio_stats(train)
     frame = build_trading_frame(
         slice_window(pair_panel, *config.test_window),
         stats,

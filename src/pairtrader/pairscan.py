@@ -201,14 +201,6 @@ def _scan_span(tickers, terms: Stage1Terms, pairs, parent: int | None = None) ->
     return cells
 
 
-def _span_outcome(tickers, terms: Stage1Terms, pairs, parent: int | None = None):
-    """``_scan_span``'s cells, or the exception it raised, kept until every span is in."""
-    try:
-        return _scan_span(tickers, terms, pairs, parent)
-    except Exception as exc:
-        return exc
-
-
 def _serve_span(tickers, terms: Stage1Terms, pairs, parent: int, fds: list[int], mask) -> NoReturn:
     """A forked worker: scan ``pairs``, pickle the outcome down the write end ``fds[-1]``, exit."""
     status = 1
@@ -219,7 +211,10 @@ def _serve_span(tickers, terms: Stage1Terms, pairs, parent: int, fds: list[int],
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         for fd in fds[:-1]:  # held here, a read end keeps an orphaned sibling's write blocked
             os.close(fd)
-        outcome = _span_outcome(tickers, terms, pairs, parent)
+        try:
+            outcome = _scan_span(tickers, terms, pairs, parent)
+        except Exception as exc:
+            outcome = exc
         with open(fds[-1], "wb") as pipe:
             pickle.dump(outcome, pipe)
         status = 0
@@ -230,12 +225,12 @@ def _serve_span(tickers, terms: Stage1Terms, pairs, parent: int, fds: list[int],
 def _scan_pairs(tickers, terms: Stage1Terms, pairs, workers: int) -> list[ScanCell]:
     """``_scan_span`` over all ``pairs``, split into ``workers`` contiguous spans.
 
-    A forked worker scans each span but the first, which this process scans,
-    and the cells join in span order.  The first failing pair's fault is
-    raised once every worker has exited on its own, as in one process; an
-    exception that leaves the scan (Ctrl-C, or the CLI's ``SystemExit`` on
-    SIGTERM) kills and reaps every worker first.  With fewer than 2 workers,
-    or no ``fork`` on this platform, the scan runs here alone.
+    A forked worker scans each span but the first, which this process
+    scans.  The outcomes are read, and each worker reaped, in span order;
+    the first fault is raised at once, as in one process.  Any exception
+    that leaves the scan (that fault, Ctrl-C or the CLI's ``SystemExit`` on
+    SIGTERM) first kills and reaps every worker not yet read.  With fewer
+    than 2 workers, or no ``fork`` on this platform, the scan runs here alone.
     """
     # Fork, not spawn: a forked worker starts with numpy, this package and
     # the closes in memory.  The CLI forks from one thread, as it runs BLAS on one.
@@ -243,7 +238,7 @@ def _scan_pairs(tickers, terms: Stage1Terms, pairs, workers: int) -> list[ScanCe
         return _scan_span(tickers, terms, pairs)
     n = len(pairs)
     spans = [pairs[n * k // workers:n * (k + 1) // workers] for k in range(workers)]
-    parent, fds, pids, sent = os.getpid(), [], [], None
+    parent, fds, pids, reaped = os.getpid(), [], [], 0
     # SIGINT and SIGTERM wait while forking and reaping: no handler runs in a
     # worker before it sets its own, nor between a fork or a wait and its
     # record, so an interrupted scan kills and reaps every worker it has.
@@ -257,26 +252,28 @@ def _scan_pairs(tickers, terms: Stage1Terms, pairs, workers: int) -> list[ScanCe
             pids.append(pid)
             os.close(fds.pop())  # the write end; the worker's read end stays
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        outcomes = [_span_outcome(tickers, terms, spans[0])]
-        sent = [open(fd, "rb", closefd=False).read() for fd in fds]
+        cells = _scan_span(tickers, terms, spans[0])
+        for k, (pid, fd) in enumerate(zip(pids, fds), 1):
+            data = open(fd, "rb", closefd=False).read()
+            signal.pthread_sigmask(signal.SIG_BLOCK, stop)
+            code, reaped = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), k
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            if code != 0:
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                raise RuntimeError(f"scan worker {k} (pid {pid}) {how} before sending its cells")
+            outcome = pickle.loads(data)
+            if isinstance(outcome, Exception):
+                raise outcome
+            cells.extend(outcome)
     finally:
         signal.pthread_sigmask(signal.SIG_BLOCK, stop)
         for fd in fds:
             os.close(fd)
-        if sent is None:  # an exception is leaving the scan
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-        ended = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+        for pid in pids[reaped:]:  # a pipe no one reads any more harms nothing
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-    for k, (pid, data, code) in enumerate(zip(pids, sent, ended), 1):
-        if code != 0:
-            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-            raise RuntimeError(f"scan worker {k} (pid {pid}) {how} before sending its cells")
-        outcomes.append(pickle.loads(data))
-    for outcome in outcomes:
-        if isinstance(outcome, Exception):
-            raise outcome
-    return [cell for cells in outcomes for cell in cells]
+    return cells
 
 
 def check_training_window(train: AlignedPanel) -> None:

@@ -551,6 +551,14 @@ class TestPairFaults:
         pytest.param(None, ["analyze", "--pair", "IRON,COBALT", "--train-end", "2018-01-20"], 2,
                      "IRON,COBALT: need >= 30 common training dates, have 15",
                      id="short-training-window"),
+        # backtest once fitted its bands on any 2 training dates, and took 1
+        # for a constant ratio; it needs the 30 that analyze needs.
+        pytest.param(None, ["backtest", "--pair", "IRON,COBALT", "--train-end", "2018-01-02"], 2,
+                     "IRON,COBALT: need >= 30 common training dates, have 2",
+                     id="backtest-window-of-2"),
+        pytest.param(None, ["backtest", "--pair", "IRON,COBALT", "--train-end", "2018-01-01"], 2,
+                     "IRON,COBALT: need >= 30 common training dates, have 1",
+                     id="backtest-window-of-1"),
         # An empty training window once named IRON alone in analyze, and
         # every ticker of the sector in scan.
         pytest.param(None, ["analyze", "--pair", "IRON,COBALT", "--train-start", "2010-01-01",
@@ -1119,7 +1127,7 @@ class TestCommit:
         done = subprocess.run(
             [sys.executable, "-m", "pairtrader.cli", "scan", "--config",
              str(synth_dir / "config.json"), "--sector", "metals", "--out", "afile/x"],
-            cwd=tmp_path, env=blas_env(), capture_output=True, text=True)
+            cwd=tmp_path, env=blas_env(PYTHONWARNINGS="error"), capture_output=True, text=True)
         assert done.returncode == 1
         assert "Traceback" not in done.stderr
         [error] = [line for line in done.stderr.splitlines() if "error" in line]
@@ -1413,18 +1421,20 @@ fallback_cases.main()
 #: Each way of running the demo commands, with what it adds to the
 #: environment: the program's two entries, as cold processes, and
 #: ``cli.main`` on two BLAS threads (the CLI defaults to one) and under each
-#: OpenBLAS kernel this CPU can run, where numpy's OpenBLAS is a
-#: DYNAMIC_ARCH build.
+#: OpenBLAS kernel this CPU can run.
 DEMO_WAYS = {
     "module": {},
     "script": {},
     "threads2": {"OPENBLAS_NUM_THREADS": "2"},
-    **{f"core-{core}": {"OPENBLAS_CORETYPE": core}
-       for core in (openblas_cores() if openblas_has_dynamic_arch() else [])},
+    **{f"core-{core}": {"OPENBLAS_CORETYPE": core} for core in openblas_cores()},
 }
 
 
-@pytest.mark.parametrize("way", DEMO_WAYS)
+# A kernel case skips, saying why, where numpy's OpenBLAS has one kernel only.
+@pytest.mark.parametrize("way", [pytest.param(way, marks=pytest.mark.skipif(
+    way.startswith("core-") and not openblas_has_dynamic_arch(),
+    reason="numpy's OpenBLAS is not a DYNAMIC_ARCH build: OPENBLAS_CORETYPE picks no kernel"))
+    for way in DEMO_WAYS])
 def test_every_way_of_running_writes_the_golden_bytes(synth_dir, tmp_path, way):
     # The console script and the module entry share one entry function,
     # which sets the collector's policy for the process.  BLAS and LAPACK

@@ -22,13 +22,15 @@ from pairtrader.synthetic import weekday_calendar
 
 from conftest import assert_no_child_left, blas_env, row_means, tree_bytes
 
-# The in-process tests fork the test runner, which loaded numpy before
-# ``pairtrader.cli`` and so runs OpenBLAS on several threads; Python 3.12+
-# warns about that fork.  The CLI runs one thread and forks without the
-# warning, which ``test_pooled_scan_writes_the_bytes_of_a_one_cpu_scan``
-# checks with the warning turned into an error.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:This process .* is multi-threaded:DeprecationWarning")
+# Every warning is an error, but one: the in-process tests fork the test
+# runner, which loaded numpy before ``pairtrader.cli`` and so runs OpenBLAS
+# on several threads, and Python 3.12+ warns about that fork.  The CLI runs
+# one thread and forks without the warning, which
+# ``test_pooled_scan_writes_the_bytes_of_a_one_cpu_scan`` checks with every
+# warning an error.  Of two marks, the later takes precedence.
+pytestmark = [pytest.mark.filterwarnings("error"),
+              pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:"
+                                         "DeprecationWarning")]
 
 def write_wide_sector(out, n_tickers=40, train_days=750, test_days=30, seed=11):
     """Random-walk tickers on a weekday calendar, and a config for sector 'wide'."""
@@ -89,8 +91,9 @@ def test_pooled_scan_writes_the_bytes_of_a_one_cpu_scan(tmp_path):
         out = tmp_path / f"pinned_{pin}"
         script = PINNED_SCAN.format(pin=pin, config=str(config), out=str(out))
         # A fork from a process running threads warns on Python 3.12+; the
-        # CLI runs one BLAS thread, so its fork must not.
-        done = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", "-c", script],
+        # CLI runs one BLAS thread, so its fork must not, nor may anything
+        # else in the scan warn.
+        done = subprocess.run([sys.executable, "-W", "error", "-c", script],
                               env=blas_env(), capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         runs[pin] = json.loads(done.stdout.splitlines()[-1]), tree_bytes(out)
@@ -230,25 +233,56 @@ def test_first_failing_pair_wins_as_in_one_process(train_panel, forced_workers, 
     assert_no_child_left()
 
 
+def stall_workers(monkeypatch):
+    """Make each block a forked worker scans wait 60 s first."""
+    parent, real = os.getpid(), pairscan.engle_granger_block
+
+    def engle_granger_block(terms, block, max_lag=None):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return real(terms, block, max_lag)
+
+    monkeypatch.setattr(pairscan, "engle_granger_block", engle_granger_block)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_first_span_fault_stops_the_scan(train_panel, forced_workers, monkeypatch, workers):
+    # The first span's first pair faults while every other span's worker
+    # still has a minute of work: the scan raises at once, as in one
+    # process, and leaves no worker behind.
+    fail_on_pairs(monkeypatch, train_panel, ("AMBER", "BASALT"))
+    stall_workers(monkeypatch)
+    forced_workers(workers)
+    start = time.monotonic()
+    with pytest.raises(SeriesTooShort, match=r"^pair \(AMBER, BASALT\): injected fault$"):
+        pairscan.coint_matrix(train_panel, row_means(train_panel))
+    assert time.monotonic() - start < 10
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("faults", [(), (("AMBER", "BASALT"),)], ids=["cells", "fault"])
 def test_workers_exit_on_their_own(train_panel, forced_workers, monkeypatch, faults):
-    # A worker stopped by a signal may be stopped mid-write.  So on a scan's
-    # own way out, the first span's fault or not, the parent signals no
-    # worker: each sends its outcome and exits with status 0.
+    # A scan that reads every span signals no worker: each sends its outcome
+    # and exits with status 0.  The first span's fault leaves the other
+    # spans unread, and their workers, still at work, are killed and reaped.
     fail_on_pairs(monkeypatch, train_panel, *faults)
-    signalled, statuses = [], []
-    real_waitpid = os.waitpid
-    monkeypatch.setattr(os, "kill", lambda pid, signum: signalled.append((pid, signum)))
+    if faults:
+        stall_workers(monkeypatch)
+    signalled, reaped = [], []
+    real_kill, real_waitpid = os.kill, os.waitpid
+    monkeypatch.setattr(os, "kill", lambda pid, signum: (
+        signalled.append((pid, signum)) or real_kill(pid, signum)))
     monkeypatch.setattr(os, "waitpid", lambda pid, options: (
-        statuses.append(real_waitpid(pid, options)[1]) or (pid, statuses[-1])))
+        reaped.append(real_waitpid(pid, options)) or reaped[-1]))
     forced_workers(3)
     if faults:
         with pytest.raises(SeriesTooShort):
             pairscan.coint_matrix(train_panel, row_means(train_panel))
     else:
         assert len(pairscan.coint_matrix(train_panel, row_means(train_panel)).cells) == 45
-    assert signalled == []
-    assert [os.waitstatus_to_exitcode(status) for status in statuses] == [0, 0]
+    assert signalled == [(pid, signal.SIGKILL) for pid, _ in reaped if faults]
+    assert [os.waitstatus_to_exitcode(status) for _, status in reaped] == (
+        [-signal.SIGKILL] * 2 if faults else [0, 0])
     assert_no_child_left()
 
 
