@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date
-from decimal import ROUND_FLOOR, ROUND_HALF_UP, Decimal
+from decimal import ROUND_FLOOR, ROUND_HALF_UP, Decimal, Inexact, localcontext
 
-from .errors import EmptyFrame, EmptyList, PriceExceedsCapital
+from .errors import EmptyFrame, EmptyList, NumericError, PriceExceedsCapital
 from .signalgen import TradingFrame, Trigger, extract_triggers
 
 DEFAULT_CAPITAL = Decimal("100000")
@@ -82,7 +82,8 @@ def run_ledger(frame: TradingFrame, capital_per_leg) -> BacktestLedger:
     Every nonzero position delta trades ``delta * shares`` at that day's
     close; holdings are marked to market daily from the signal state.  A
     leg whose first close exceeds the capital raises ``PriceExceedsCapital``
-    naming the leg's ticker.
+    naming the leg's ticker, and an amount that would not be exact in the
+    decimal context's precision (28 digits by default) ``NumericError``.
     """
     capital = _money(capital_per_leg)
     if capital <= 0:
@@ -102,28 +103,26 @@ def run_ledger(frame: TradingFrame, capital_per_leg) -> BacktestLedger:
     cash1 = capital
     cash2 = capital
     rows: list[LedgerRow] = []
-    for day, c1, c2, s1, s2, p1, p2 in zip(
-        frame.dates, close1, close2, frame.signals1.tolist(), frame.signals2.tolist(),
-        frame.positions1.tolist(), frame.positions2.tolist(),
-    ):
-        price1 = _money(c1)
-        price2 = _money(c2)
-        if p1:
-            cash1 -= p1 * shares1 * price1
-        if p2:
-            cash2 -= p2 * shares2 * price2
-        holdings1 = s1 * shares1 * price1
-        holdings2 = s2 * shares2 * price2
-        rows.append(
-            LedgerRow(
-                date=day,
-                cash1=cash1,
-                cash2=cash2,
-                holdings1=holdings1,
-                holdings2=holdings2,
-                total=cash1 + cash2 + holdings1 + holdings2,
-            )
-        )
+    try:
+        with localcontext() as context:
+            context.traps[Inexact] = True  # a rounded amount would break the identity
+            for day, c1, c2, s1, s2, p1, p2 in zip(
+                frame.dates, close1, close2, frame.signals1.tolist(), frame.signals2.tolist(),
+                frame.positions1.tolist(), frame.positions2.tolist(),
+            ):
+                price1 = _money(c1)
+                price2 = _money(c2)
+                if p1:
+                    cash1 -= p1 * shares1 * price1
+                if p2:
+                    cash2 -= p2 * shares2 * price2
+                holdings1 = s1 * shares1 * price1
+                holdings2 = s2 * shares2 * price2
+                rows.append(LedgerRow(day, cash1, cash2, holdings1, holdings2,
+                                      total=cash1 + cash2 + holdings1 + holdings2))
+    except Inexact:
+        raise NumericError(f"capital {capital} per leg: ledger amounts exceed "
+                           f"{context.prec} significant digits") from None
 
     return BacktestLedger(
         ticker1=frame.ticker1,

@@ -64,8 +64,9 @@ from .backtest import (
 from .econometrics import correlation_matrix
 from .errors import ConfigError, DataError, NumericError, PairTraderError
 from .marketdata import AlignedPanel, align_panel, load_csv, parse_date, slice_window
-from .pairscan import (DEFAULT_NEAR_EPS, DEFAULT_THRESHOLD, check_training_window,
-                       coint_matrix, fit_pair, order_pair, select_pairs, training_mean)
+from .pairscan import (DEFAULT_NEAR_EPS, DEFAULT_THRESHOLD, EXACT_DEPENDENCE,
+                       check_training_window, coint_matrix, fit_pair, order_pair,
+                       select_pairs, training_mean)
 from .signalgen import LOWER_LIMIT, UPPER_LIMIT, build_trading_frame, fit_ratio_stats
 from .svgchart import line_chart
 
@@ -510,17 +511,17 @@ def cmd_scan(config: RunConfig, sector: str) -> tuple[Path, dict[str, bytes]]:
     pvals = coint_matrix(panel_train, means)
     pairs = select_pairs(pvals, threshold=config.coint_threshold, near_eps=config.near_eps)
 
-    n = len(pvals.tickers)
+    names, n = pvals.tickers, len(pvals.tickers)
     upper = np.triu_indices(n, 1)
     records = []
-    for i, j, cell in zip(*upper, pvals.cells):
-        record = {"ticker_a": pvals.tickers[i], "ticker_b": pvals.tickers[j],
-                  **_fields(cell, "adf", "reason"), "p_value": cell.p_value}
-        if cell.reason is not None:
-            record["reason"] = cell.reason
-        records.append(record)
+    for i, j, pred, targ, p, exact in zip(*upper, pvals.predictors.tolist(), pvals.targets.tolist(),
+                                          pvals.p_values.tolist(), pvals.exact.tolist()):
+        records.append({"ticker_a": names[i], "ticker_b": names[j], "predictor": names[pred],
+                        "target": names[targ], "p_value": p})
+        if exact:
+            records[-1]["reason"] = EXACT_DEPENDENCE
     grid = np.full((n, n), math.nan)
-    grid[upper] = [cell.p_value for cell in pvals.cells]
+    grid[upper] = pvals.p_values
 
     files = {
         "correlation_matrix.csv": _matrix_csv(panel_train.tickers, corr),

@@ -1,20 +1,21 @@
 """Sector-wide cointegration scanning and pair-model fitting.
 
-Every unordered ticker pair in a panel gets one Engle-Granger test, kept
-whole in one ``ScanCell``.  A pair's roles are decided before any join, by
-one number per ticker (``training_mean``, its mean close over its own rows
-in the training window): the higher one is the regressor, which later
-becomes asset1, the predictor of the pair model, and ties break by ticker.
-``coint_matrix`` and ``order_pair`` both apply that rule, so the scan, on
-the sector-wide join, and the pair commands, on the pair's own, give a pair
-the same roles.  Pairs beat the significance threshold outright or squeak
-in within a configurable near-threshold margin.  A pair whose residuals are
-exactly zero (say, two share classes of one company) gets p = 0 and a
-recorded reason instead of aborting the scan.  The pairs are tested in
-blocks that share their stage-1 terms, lag-order checks and refits; a
-large scan also forks workers, which send their cells back down pipes
-(see ``_scan_pairs``).  The cells are the same whatever the blocks and the
-processes.  The module only computes: ``cli`` writes the artifacts.
+Every unordered ticker pair in a panel gets one Engle-Granger test, whose
+p-value is one entry of ``PValueMatrix``'s columns.  A pair's roles are
+decided before any join, by one number per ticker (``training_mean``, its
+mean close over its own rows in the training window): the higher one is the
+regressor, which later becomes asset1, the predictor of the pair model, and
+ties break by ticker.  ``coint_matrix`` and ``order_pair`` both apply that
+rule, so the scan, on the sector-wide join, and the pair commands, on the
+pair's own, give a pair the same roles.  Pairs beat the significance
+threshold outright or squeak in within a configurable near-threshold
+margin.  A pair whose residuals are exactly zero (say, two share classes of
+one company) gets p = 0 and a recorded reason instead of aborting the scan.
+The pairs are tested in blocks that share their stage-1 terms, lag-order
+checks and refits; a large scan also forks workers, each of which sends its
+p-values back down a pipe as two arrays (see ``_scan_pairs``).  The columns
+are the same whatever the blocks and the processes.  The module only
+computes: ``cli`` writes the artifacts.
 """
 
 from __future__ import annotations
@@ -45,46 +46,23 @@ DEFAULT_NEAR_EPS = 0.02
 EXACT_DEPENDENCE = "exact linear dependence"
 
 
-@dataclass(frozen=True, slots=True)
-class ScanCell:
-    """The Engle-Granger test of one unordered pair of a scanned panel.
-
-    The pair is named by its roles: ``predictor`` (the regressor) and
-    ``target``.  Its panel order is its cell's position in
-    ``PValueMatrix.cells``, from which ``cli`` labels the records.  ``adf``
-    is the test's result, or None when the test produced no statistic, and
-    then ``reason`` says why.
-    """
-
-    predictor: str
-    target: str
-    adf: AdfResult | None
-    reason: str | None
-
-    @property
-    def p_value(self) -> float:
-        """The test's p-value; 0 for a pair without a statistic (``EXACT_DEPENDENCE``)."""
-        return 0.0 if self.adf is None else self.adf.p_value
-
-    def __reduce__(self):
-        # A forked worker sends its cells to the scan by pickle.  This is three
-        # times faster both ways than the per-field state functions that
-        # dataclasses gives a frozen class with slots.
-        return ScanCell, (self.predictor, self.target, self.adf, self.reason)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PValueMatrix:
-    """Engle-Granger tests of every unordered pair in a panel.
+    """Engle-Granger tests of every unordered pair in a panel, as read-only columns.
 
-    ``cells`` holds one ``ScanCell`` per pair ``(tickers[i], tickers[j])``,
-    i < j, in row-major upper-triangle order: the order of
-    ``numpy.triu_indices(len(tickers), 1)``, which alone says which cell is
-    which pair in panel order.
+    Entry k of each column is the pair ``(tickers[i], tickers[j])``, i < j,
+    of the k-th index pair of ``numpy.triu_indices(len(tickers), 1)``, the
+    order ``cli`` labels the records by.  ``predictors`` and ``targets`` are
+    the pair's roles as ticker indices, ``p_values`` its p-value and
+    ``exact`` whether its residuals are exactly constant, which gives p = 0
+    and the reason ``EXACT_DEPENDENCE``.
     """
 
     tickers: tuple[str, ...]
-    cells: tuple[ScanCell, ...]
+    predictors: np.ndarray
+    targets: np.ndarray
+    p_values: np.ndarray
+    exact: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -143,7 +121,7 @@ def order_pair(a: AlignedPanel, b: AlignedPanel, train: tuple[date, date]) -> Al
 #: A scan forks workers only when each process that scans, this one among
 #: them, gets at least this many pair-dates (pairs x common dates).
 #: Measured in-process on a 2-vCPU x86-64 host with one BLAS thread: a scan
-#: costs 0.06-0.09 us a pair-date, and forking a worker, reading its cells
+#: costs 0.06-0.09 us a pair-date, and forking a worker, reading its results
 #: and reaping it costs 1.8-2.4 ms.  Two processes broke even at about 110k
 #: pair-dates in all: they lost 2 ms on 21k and saved 1 ms on 142k, 5 ms on
 #: 284k and 13 ms on 585k.  The floor, above that crossover, keeps scans of
@@ -164,41 +142,42 @@ def _pool_size(n_pairs: int, n_dates: int) -> int:
     return max(1, min(cpus, n_pairs * n_dates // _POOL_MIN_PAIR_DATES))
 
 
-def _scan_block(tickers, terms: Stage1Terms, pairs) -> list[ScanCell]:
-    """One ``ScanCell`` per ``(target, predictor)`` index pair of ``pairs``.
+def _scan_block(tickers, terms: Stage1Terms, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The p-values of the ``(target, predictor)`` index pairs of ``pairs``, and which are exact.
 
-    The pairs are tested as one ``engle_granger_block``, and each cell names
-    its pair by role.  A pair whose residuals are exactly constant
-    (``ExactlyConstant``) gets ``EXACT_DEPENDENCE``; the first other
-    per-pair fault, a singular or exactly fitting residual regression among
-    them, is re-raised with the pair's tickers named in panel order.
+    The pairs are tested as one ``engle_granger_block``.  A pair whose
+    residuals are exactly constant (``ExactlyConstant``) gets p = 0 and an
+    exact flag; the first other per-pair fault, a singular or exactly
+    fitting residual regression among them, is re-raised with the pair's
+    tickers named in panel order.
     """
-    cells = []
-    for (targ, pred), outcome in zip(pairs, engle_granger_block(terms, pairs)):
+    p_values, exact = np.zeros(len(pairs)), np.zeros(len(pairs), dtype=bool)
+    for k, ((targ, pred), outcome) in enumerate(zip(pairs, engle_granger_block(terms, pairs))):
         if isinstance(outcome, ExactlyConstant):
-            adf, reason = None, EXACT_DEPENDENCE
+            exact[k] = True
         elif isinstance(outcome, PairTraderError):
             i, j = sorted((targ, pred))
             raise type(outcome)(f"pair ({tickers[i]}, {tickers[j]}): {outcome}") from outcome
         else:
-            adf, reason = outcome, None
-        cells.append(ScanCell(tickers[pred], tickers[targ], adf, reason))
-    return cells
+            p_values[k] = outcome.p_value
+    return p_values, exact
 
 
-def _scan_span(tickers, terms: Stage1Terms, pairs, parent: int | None = None) -> list[ScanCell]:
+def _scan_span(tickers, terms: Stage1Terms, pairs, parent: int | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
     """``_scan_block`` over ``pairs``, one block of ``block_rows`` pairs at a time.
 
     With a ``parent`` pid, as in a forked worker, the process first leaves
     quietly if that parent is gone, before each block.
     """
     size = block_rows(terms.rows.shape[1])
-    cells = []
+    p_values, exact = np.zeros(len(pairs)), np.zeros(len(pairs), dtype=bool)
     for start in range(0, len(pairs), size):
         if parent is not None and os.getppid() != parent:
-            os._exit(0)  # the parent was killed outright: no one reads these cells
-        cells.extend(_scan_block(tickers, terms, pairs[start:start + size]))
-    return cells
+            os._exit(0)  # the parent was killed outright: no one reads these results
+        block = slice(start, start + size)
+        p_values[block], exact[block] = _scan_block(tickers, terms, pairs[block])
+    return p_values, exact
 
 
 def _serve_span(tickers, terms: Stage1Terms, pairs, parent: int, fds: list[int], mask) -> NoReturn:
@@ -222,7 +201,8 @@ def _serve_span(tickers, terms: Stage1Terms, pairs, parent: int, fds: list[int],
         os._exit(status)  # no parent code, no exit handlers
 
 
-def _scan_pairs(tickers, terms: Stage1Terms, pairs, workers: int) -> list[ScanCell]:
+def _scan_pairs(tickers, terms: Stage1Terms, pairs, workers: int
+                ) -> tuple[np.ndarray, np.ndarray]:
     """``_scan_span`` over all ``pairs``, split into ``workers`` contiguous spans.
 
     A forked worker scans each span but the first, which this process
@@ -252,7 +232,7 @@ def _scan_pairs(tickers, terms: Stage1Terms, pairs, workers: int) -> list[ScanCe
             pids.append(pid)
             os.close(fds.pop())  # the write end; the worker's read end stays
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        cells = _scan_span(tickers, terms, spans[0])
+        outcomes = [_scan_span(tickers, terms, spans[0])]
         for k, (pid, fd) in enumerate(zip(pids, fds), 1):
             data = open(fd, "rb", closefd=False).read()
             signal.pthread_sigmask(signal.SIG_BLOCK, stop)
@@ -260,11 +240,10 @@ def _scan_pairs(tickers, terms: Stage1Terms, pairs, workers: int) -> list[ScanCe
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             if code != 0:
                 how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-                raise RuntimeError(f"scan worker {k} (pid {pid}) {how} before sending its cells")
-            outcome = pickle.loads(data)
-            if isinstance(outcome, Exception):
-                raise outcome
-            cells.extend(outcome)
+                raise RuntimeError(f"scan worker {k} (pid {pid}) {how} before sending its p-values")
+            outcomes.append(pickle.loads(data))
+            if isinstance(outcomes[-1], Exception):
+                raise outcomes[-1]
     finally:
         signal.pthread_sigmask(signal.SIG_BLOCK, stop)
         for fd in fds:
@@ -273,7 +252,7 @@ def _scan_pairs(tickers, terms: Stage1Terms, pairs, workers: int) -> list[ScanCe
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-    return cells
+    return tuple(map(np.concatenate, zip(*outcomes)))
 
 
 def check_training_window(train: AlignedPanel) -> None:
@@ -290,14 +269,13 @@ def coint_matrix(panel: AlignedPanel, means: list[float]) -> PValueMatrix:
     keys that decide every pair's roles, as ``order_pair`` decides them.
     Within each pair the ticker with the higher key is the regressor and the
     other the dependent series, matching the predictor/target convention of
-    the pair model.  Each pair's result is kept in a ``ScanCell`` named by
-    those roles, in row-major upper-triangle order: the order that
-    ``PValueMatrix`` fixes and ``cli`` labels its records by.  A pair whose
-    residuals are exactly constant gets no result and the reason
-    ``EXACT_DEPENDENCE`` (so p = 0); any other per-pair fault aborts the
-    scan, and so does a ticker whose closes never move, or a window that
-    ``check_training_window`` refuses.  A scan with enough work runs on
-    forked workers (see ``_pool_size``); its cells are the same either way.
+    the pair model.  The roles and the p-values are columns in the order
+    ``PValueMatrix`` fixes.  A pair whose residuals are exactly constant gets
+    p = 0 and an ``exact`` flag (``EXACT_DEPENDENCE``); any other per-pair
+    fault aborts the scan, and so does a ticker whose closes never move, or
+    a window that ``check_training_window`` refuses.  A scan with enough
+    work runs on forked workers (see ``_pool_size``); its columns are the
+    same either way.
     """
     tickers = panel.tickers
     n = len(tickers)
@@ -315,8 +293,11 @@ def coint_matrix(panel: AlignedPanel, means: list[float]) -> PValueMatrix:
     terms = stage1_terms(panel.closes)
     pairs = [(j, i) if _a_predicts(tickers[i], means[i], tickers[j], means[j]) else (i, j)
              for i in range(n) for j in range(i + 1, n)]
-    cells = _scan_pairs(tickers, terms, pairs, _pool_size(len(pairs), len(panel.dates)))
-    return PValueMatrix(tickers=tickers, cells=tuple(cells))
+    p_values, exact = _scan_pairs(tickers, terms, pairs, _pool_size(len(pairs), len(panel.dates)))
+    targets, predictors = np.array(pairs, dtype=np.intp).T
+    for column in (predictors, targets, p_values, exact):
+        column.setflags(write=False)
+    return PValueMatrix(tickers, predictors, targets, p_values, exact)
 
 
 def select_pairs(
@@ -336,12 +317,9 @@ def select_pairs(
         raise ValueError(f"near_eps must be finite and >= 0, got {near_eps}")
     if threshold == 0.0:
         return []
-    selected = []
-    for cell in m.cells:
-        p = cell.p_value
-        if p < threshold + near_eps:
-            selected.append(SelectedPair(cell.predictor, cell.target, p,
-                                         near_threshold=p >= threshold))
+    selected = [SelectedPair(m.tickers[pred], m.tickers[targ], p, near_threshold=p >= threshold)
+                for pred, targ, p in zip(m.predictors, m.targets, m.p_values.tolist())
+                if p < threshold + near_eps]
     selected.sort(key=lambda sp: (sp.coint_p, sp.predictor_ticker, sp.target_ticker))
     return selected
 

@@ -175,7 +175,7 @@ def mackinnon_pvalue(tau: float, n_series: int, deterministic: str) -> float:
 
     Returns 0 below the tabulated minimum and 1 above the maximum; the
     "small" polynomial applies for ``tau <= tau_star`` and the "large" one
-    above it.
+    above it.  A NaN statistic has a NaN p-value, which no threshold admits.
     """
     _check_deterministic(deterministic)
     key = (n_series, deterministic)
@@ -185,6 +185,8 @@ def mackinnon_pvalue(tau: float, n_series: int, deterministic: str) -> float:
         raise UnknownSurface(
             f"no p-value surface for (n_series={n_series}, {deterministic!r})"
         ) from None
+    if math.isnan(tau):
+        return math.nan
     if tau > tau_max:
         return 1.0
     if tau < tau_min:

@@ -171,22 +171,23 @@ def sector_report_to_csv(report, path) -> None:
 
 
 class OldPValueMatrix:
-    """The old matrix interface, built from the scan's cells, for the frozen writers."""
+    """The old matrix interface, built from the scan's columns, for the frozen writers."""
 
     def __init__(self, matrix):
         n = len(matrix.tickers)
-        self.tickers = matrix.tickers
+        self.tickers = names = matrix.tickers
         self.values = np.full((n, n), math.nan)
         upper = np.triu_indices(n, 1)
-        self.values[upper] = [cell.p_value for cell in matrix.cells]
-        # A cell's pair in panel order is its position's.
-        self._cells = [(matrix.tickers[i], matrix.tickers[j], c)
-                       for i, j, c in zip(*upper, matrix.cells)]
-        self.reasons = {(a, b): c.reason for a, b, c in self._cells if c.reason}
+        self.values[upper] = matrix.p_values
+        # Entry k of each column is the k-th pair of numpy.triu_indices.
+        self._cells = [(names[i], names[j], p, names[pred], names[targ])
+                       for i, j, pred, targ, p in zip(*upper, matrix.predictors, matrix.targets,
+                                                      matrix.p_values.tolist())]
+        self.reasons = {(names[i], names[j]): "exact linear dependence"
+                        for i, j in zip(upper[0][matrix.exact], upper[1][matrix.exact])}
 
     def cells(self):
-        for a, b, c in self._cells:
-            yield a, b, c.p_value, c.predictor, c.target
+        yield from self._cells
 
 
 # --- frozen copies of the old command bodies ----------------------------------------

@@ -2,7 +2,7 @@ import csv
 import io
 from dataclasses import fields
 from datetime import date
-from decimal import Decimal
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ from pairtrader.backtest import (
     summarize_pair,
 )
 from pairtrader.cli import RunConfig, _csv, _json, cmd_report
-from pairtrader.errors import EmptyFrame, EmptyList, PriceExceedsCapital
+from pairtrader.errors import EmptyFrame, EmptyList, NumericError, PriceExceedsCapital
 from pairtrader.signalgen import TradingFrame
 
 from conftest import make_pair
@@ -119,6 +119,18 @@ class TestRunLedger:
         last = ledger.rows[-1]
         assert last.holdings1 != 0 and last.holdings2 != 0
         assert last.total == last.cash1 + last.cash2 + last.holdings1 + last.holdings2
+
+    def test_amounts_beyond_the_decimal_precision_are_refused(self):
+        # At 1e26 a leg, cash in cents needs 29 digits or more: the default
+        # 28-digit context would round it and break the identity.  At 1e24
+        # every amount fits, and is what 2,000 digits give.
+        frame = mk_frame([0, -1, -1, 0], [10.01, 10.37, 12.53, 11.11], [9.99, 10.07, 9.13, 10.01])
+        with pytest.raises(NumericError, match=r"^capital 1E\+26 per leg: ledger amounts exceed "
+                                               r"28 significant digits$"):
+            run_ledger(frame, Decimal("1E+26"))
+        ledger = run_ledger(frame, Decimal("1E+24"))
+        with localcontext(Context(prec=2000)):
+            assert run_ledger(frame, Decimal("1E+24")) == ledger
 
     def test_monotone_neutrality(self):
         frame = mk_frame([0, 1, 1, 1], [10, 10, 13, 13], [5, 5, 6, 6])

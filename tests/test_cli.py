@@ -26,8 +26,8 @@ from hypothesis import strategies as st
 
 from pairtrader import backtest, cli, econometrics, pairscan, signalgen, unitroot
 from pairtrader.backtest import PairSummary
-from pairtrader.cli import (RunConfig, _csv, _find_pair, _json, cmd_analyze, cmd_backtest,
-                            cmd_scan, main, staged_dir)
+from pairtrader.cli import (RunConfig, _csv, _find_pair, _json, _scan_input, cmd_analyze,
+                            cmd_backtest, cmd_scan, main, staged_dir)
 from pairtrader.marketdata import slice_window
 from pairtrader.pairscan import fit_pair
 from pairtrader.synthetic import PAIR_TICKERS, weekday_calendar
@@ -136,6 +136,28 @@ class TestScan:
 
 
 class TestAnalyze:
+    @pytest.mark.parametrize("pair, scan_p, analyze_p", [("GRANITE,DUNE", 0.160, 0.033),
+                                                          ("FLINT,AMBER", 0.175, 0.033)])
+    def test_scan_and_analyze_verdicts_run_different_tests(self, synth_dir, pair, scan_p,
+                                                           analyze_p):
+        # The scan's p-value is Engle-Granger's: a regression with an
+        # intercept, its residuals read on MacKinnon's two-series surface.
+        # analyze fits through the origin, then reads an ADF test with a
+        # constant on the one-series surface.  The pair's training dates are
+        # the sector's, yet the two verdicts fall on opposite sides of 5%.
+        config = RunConfig.from_json(synth_dir / "config.json")
+        train = slice_window(_find_pair(config, pair, None)[1], *config.train_window)
+        assert train.tickers == tuple(pair.split(","))
+        assert train.dates == _scan_input(config, "metals")[0].dates
+        scan = json.loads(cmd_scan(config, "metals")[1]["pvalue_matrix.json"])
+        (record,) = [r for r in scan["pairs"] if (r["predictor"], r["target"]) == train.tickers]
+        adf = json.loads(cmd_analyze(config, pair)[1]["residual_adf.json"])["adf"]
+        predictor, target = train.closes
+        assert record["p_value"] == unitroot.engle_granger(target, predictor).p_value
+        assert adf["deterministic"] == "constant"
+        assert adf["p_value"] == unitroot.mackinnon_pvalue(adf["tau"], 1, "constant")
+        assert (round(record["p_value"], 3), round(adf["p_value"], 3)) == (scan_p, analyze_p)
+
     def test_artifacts_exist_and_parse(self, pipeline):
         base = pipeline / "metals" / "pairs" / "COBALT-IRON" / "analysis"
         report = read_json(base / "ols_report.json")
@@ -540,6 +562,11 @@ class TestPairFaults:
         pytest.param(None, ["backtest", "--pair", "IRON,COBALT", "--capital", "1"], 3,
                      "IRON,COBALT: COBALT's first close 295.44 exceeds per-leg capital 1",
                      id="capital"),
+        # 1e26 a leg needs cash of more than 28 digits.  The ledger once
+        # rounded it and broke its identity on 111 of 250 rows.
+        pytest.param(None, ["backtest", "--pair", "IRON,COBALT", "--capital", "1e26"], 3,
+                     "IRON,COBALT: capital 100000000000000000000000000 per leg: ledger amounts "
+                     "exceed 28 significant digits", id="capital-beyond-precision"),
         pytest.param(None, ["backtest", "--pair", "IRON,COBALT", "--test-start", "2030-01-01",
                             "--test-end", "2030-12-31"], 2,
                      "IRON,COBALT: no observations in [2030-01-01, 2030-12-31]",

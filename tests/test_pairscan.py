@@ -5,7 +5,7 @@ import json
 import math
 from dataclasses import fields, replace
 from datetime import date
-from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from pairtrader.marketdata import AlignedPanel, align_panel, slice_window
 from pairtrader.pairscan import (
     PairModel,
     PValueMatrix,
-    ScanCell,
     coint_matrix,
     fit_pair,
     order_pair,
@@ -56,16 +55,37 @@ def whole(series):
     return (series.dates[0], series.dates[-1])
 
 
+class Cell(NamedTuple):
+    """One pair's entry of a ``PValueMatrix``: its tickers in panel order, roles, p, exact flag."""
+
+    ticker_a: str
+    ticker_b: str
+    predictor: str
+    target: str
+    p_value: float
+    exact: bool
+
+
+def cells(matrix):
+    """Each pair's ``Cell``, in column order, where ``numpy.triu_indices`` gives its panel order."""
+    names = matrix.tickers
+    rows, cols = np.triu_indices(len(names), 1)
+    return [Cell(names[i], names[j], names[pred], names[targ], p, exact)
+            for i, j, pred, targ, p, exact in zip(rows, cols, matrix.predictors, matrix.targets,
+                                                  matrix.p_values.tolist(), matrix.exact.tolist())]
+
+
 def cell_of(matrix, a, b):
     """The cell of the unordered pair {a, b}."""
-    return next(c for c in matrix.cells if {c.predictor, c.target} == {a, b})
+    return next(c for c in cells(matrix) if {c.predictor, c.target} == {a, b})
 
 
 def by_panel_pair(matrix):
-    """Each cell by its pair in panel order, which the cell's position gives."""
-    rows, cols = np.triu_indices(len(matrix.tickers), 1)
-    return {(matrix.tickers[i], matrix.tickers[j]): cell
-            for i, j, cell in zip(rows, cols, matrix.cells)}
+    """Each cell by its pair in panel order."""
+    return {(c.ticker_a, c.ticker_b): c for c in cells(matrix)}
+
+
+COLUMNS = ("predictors", "targets", "p_values", "exact")
 
 
 def pair_panel(a, b, train=None):
@@ -144,23 +164,34 @@ class TestCointMatrix:
             make_series("A", base),
             make_series("B", 2 * base + rng.normal(0, 0.5, size=60)),
         ])
-        (cell,) = coint_matrix(panel, row_means(panel)).cells
-        assert (cell.predictor, cell.target, cell.reason) == ("B", "A", None)
-        assert math.isfinite(cell.p_value) and cell.p_value == cell.adf.p_value
+        (cell,) = cells(coint_matrix(panel, row_means(panel)))
+        assert (cell.predictor, cell.target, cell.exact) == ("B", "A", False)
+        # The p-value is the one-pair test's, computed where the pair was tested.
+        target, predictor = panel.closes
+        assert math.isfinite(cell.p_value)
+        assert cell.p_value == engle_granger(target, predictor).p_value
 
     def test_synthetic_sector_covers_45_cells(self, synth_panel, synth_matrix):
-        assert len(synth_matrix.cells) == 45
+        assert [len(getattr(synth_matrix, name)) for name in COLUMNS] == [45] * 4
         # Row-major upper-triangle order, the order of numpy.triu_indices.
         assert synth_matrix.tickers == synth_panel.tickers
-        assert [{c.predictor, c.target} for c in synth_matrix.cells] == [
-            set(pair) for pair in by_panel_pair(synth_matrix)
+        assert [{pred, targ} for pred, targ in zip(synth_matrix.predictors.tolist(),
+                                                   synth_matrix.targets.tolist())] == [
+            {i, j} for i, j in zip(*np.triu_indices(10, 1))
         ]
+
+    def test_columns_are_typed_and_read_only(self, synth_matrix):
+        assert [getattr(synth_matrix, name).dtype for name in COLUMNS] == [
+            np.intp, np.intp, np.float64, np.bool_]
+        for name in COLUMNS:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(synth_matrix, name)[0] = 0
 
     def test_engineered_pair_detected_others_behave(self, synth_matrix):
         engineered = cell_of(synth_matrix, *PAIR_TICKERS).p_value
         assert engineered < 0.05
         others = [
-            c.p_value for c in synth_matrix.cells
+            c.p_value for c in cells(synth_matrix)
             if {c.predictor, c.target} != set(PAIR_TICKERS)
         ]
         assert len(others) == 44
@@ -170,7 +201,7 @@ class TestCointMatrix:
 
     def test_predictor_has_higher_mean_in_every_cell(self, synth_panel, synth_matrix):
         column = dict(zip(synth_panel.tickers, synth_panel.closes))
-        for cell in synth_matrix.cells:
+        for cell in cells(synth_matrix):
             assert np.mean(column[cell.predictor]) >= np.mean(column[cell.target])
 
     def test_permutation_stability(self, synth_series):
@@ -193,11 +224,8 @@ class TestCointMatrix:
         # both tests are scale-free, so every bit of every result must hold.
         scaled = AlignedPanel(synth_panel.tickers, synth_panel.dates, synth_panel.closes * factor)
         got = coint_matrix(scaled, row_means(scaled))
-        assert [(c.predictor, c.target) for c in got.cells] == [
-            (c.predictor, c.target) for c in synth_matrix.cells
-        ]
-        assert (np.array([c.p_value for c in got.cells]).tobytes()
-                == np.array([c.p_value for c in synth_matrix.cells]).tobytes())
+        for name in COLUMNS:
+            assert getattr(got, name).tobytes() == getattr(synth_matrix, name).tobytes(), name
         assert correlation_matrix(scaled).tobytes() == correlation_matrix(synth_panel).tobytes()
 
     def test_reads_one_pvalue_per_pair_and_no_critical_value(self, synth_panel, monkeypatch):
@@ -211,11 +239,11 @@ class TestCointMatrix:
 
         monkeypatch.setattr(unitroot, "mackinnon_crit", counted("crit", mackinnon_crit))
         monkeypatch.setattr(unitroot, "mackinnon_pvalue", counted("pvalue", mackinnon_pvalue))
-        cells = coint_matrix(synth_panel, row_means(synth_panel)).cells
-        assert len(cells) == 45
-        # Each cell evaluates its surface once, however often it is read.
+        p_values = coint_matrix(synth_panel, row_means(synth_panel)).p_values
+        assert len(p_values) == 45
+        # Each pair evaluates its surface once, in the scan, however often it is read.
         for _ in range(2):
-            assert all(0.0 <= cell.p_value <= 1.0 for cell in cells)
+            assert all(0.0 <= p <= 1.0 for p in p_values.tolist())
         assert calls == {"crit": 0, "pvalue": 45}
 
         # Read on demand, an Engle-Granger result still gives the two-series
@@ -246,16 +274,14 @@ class TestCointMatrix:
 def matrix_from_pvalues(pvalues):
     """Upper-triangle matrix over synthetic tickers T0, T1, ... .
 
-    Each cell's test result is a stand-in that carries only its p-value.
+    In each pair the ticker first in panel order is the predictor.
     """
     count = len(pvalues)
     n = int((1 + math.isqrt(1 + 8 * count)) // 2)
-    tickers = tuple(f"T{i}" for i in range(n))
     rows, cols = np.triu_indices(n, 1)
-    return PValueMatrix(tickers=tickers, cells=tuple(
-        ScanCell(tickers[i], tickers[j], SimpleNamespace(p_value=p), None)
-        for i, j, p in zip(rows, cols, pvalues)
-    ))
+    return PValueMatrix(tickers=tuple(f"T{i}" for i in range(n)), predictors=rows, targets=cols,
+                        p_values=np.array(pvalues, dtype=float),
+                        exact=np.zeros(count, dtype=bool))
 
 
 class TestSelectPairs:
@@ -287,9 +313,13 @@ class TestSelectPairs:
                 select_pairs(matrix, near_eps=near_eps)
 
     def test_cell_without_statistic_reads_zero(self):
-        cell = ScanCell("B", "A", None, "exact linear dependence")
-        assert cell.p_value == 0.0
-        selected = select_pairs(PValueMatrix(("A", "B"), (cell,)))
+        # B is exactly twice A: the residuals are exactly 0, and the test
+        # gives no statistic.
+        walk = np.abs(np.cumsum(np.random.default_rng(5).normal(size=60))) + 100.0
+        panel = align_panel([make_series("A", walk), make_series("B", 2.0 * walk)])
+        matrix = coint_matrix(panel, row_means(panel))
+        assert (matrix.p_values.tolist(), matrix.exact.tolist()) == ([0.0], [True])
+        selected = select_pairs(matrix)
         assert [(s.predictor_ticker, s.target_ticker, s.coint_p) for s in selected] == [
             ("B", "A", 0.0)
         ]
@@ -396,7 +426,7 @@ class TestPValueMatrixSerialization:
         back = np.array([[float(cell) if cell else math.nan for cell in row[1:]] for row in rows])
         n = len(matrix.tickers)
         upper = back[np.triu_indices(n, 1)]
-        assert upper.tobytes() == np.array([c.p_value for c in matrix.cells]).tobytes()
+        assert upper.tobytes() == matrix.p_values.tobytes()
         assert sum(cell == "" for row in rows for cell in row[1:]) == n * (n + 1) // 2
 
     def test_json_dict_lists_all_pairs(self, scanned):

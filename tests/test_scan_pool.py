@@ -1,4 +1,4 @@
-"""The sector scan's forked workers: same cells, same faults, no process left behind."""
+"""The sector scan's forked workers: same columns, same faults, no process left behind."""
 
 import csv
 import json
@@ -105,6 +105,12 @@ def test_pooled_scan_writes_the_bytes_of_a_one_cpu_scan(tmp_path):
     assert len(runs[False][1]) == 4
 
 
+def columns(matrix):
+    """A scan's tickers and the bytes of each of its four columns."""
+    return matrix.tickers, [getattr(matrix, name).tobytes()
+                            for name in ("predictors", "targets", "p_values", "exact")]
+
+
 @pytest.fixture
 def forced_workers(monkeypatch):
     """Set the worker count every scan uses, whatever its size and the CPU count."""
@@ -127,8 +133,7 @@ def test_pooled_cells_equal_serial_cells(train_panel, forced_workers, workers):
     serial = pairscan.coint_matrix(train_panel, row_means(train_panel))
     forced_workers(workers)
     pooled = pairscan.coint_matrix(train_panel, row_means(train_panel))
-    assert pooled.cells == serial.cells
-    assert [c.p_value for c in pooled.cells] == [c.p_value for c in serial.cells]
+    assert columns(pooled) == columns(serial)
     assert_no_child_left()
 
 
@@ -177,15 +182,28 @@ def test_cells_do_not_depend_on_block_boundaries(data, n_tickers, n_dates, seed)
             patch.setattr(pairscan, "block_rows", rows)
             patch.setattr(pairscan, "_pool_size", lambda n_pairs, n_dates: workers)
             del qr_searches[:]
-            cells = pairscan.coint_matrix(panel, row_means(panel)).cells
-            scans[name] = cells, [c.adf and c.adf.tau.hex() for c in cells]
+            scans[name] = pairscan.coint_matrix(panel, row_means(panel))
             # The pooled scan runs some Householder searches in its worker,
             # where this list does not see them.
             assert workers > 1 or qr_searches, name
-    assert scans["one pair"] == scans["default"] == scans["pooled"]
-    cells = scans["default"][0]
-    exact = [{c.predictor, c.target} for c in cells if c.reason == pairscan.EXACT_DEPENDENCE]
+    assert columns(scans["one pair"]) == columns(scans["default"]) == columns(scans["pooled"])
+    scan = scans["default"]
+    exact = [{scan.tickers[pred], scan.tickers[targ]}
+             for pred, targ in zip(scan.predictors[scan.exact], scan.targets[scan.exact])]
     assert exact == [{f"T{twin - 1}", f"T{twin}"}]
+    assert scan.p_values[scan.exact].tolist() == [0.0]
+    # Each pair's statistic, lag order and sample size, bit for bit, whatever
+    # the block: the whole scan as one block against a block of one a pair.
+    pairs = list(zip(scan.targets.tolist(), scan.predictors.tolist()))
+    terms = unitroot.stage1_terms(panel.closes)
+
+    def outcome(result):
+        if isinstance(result, Exception):
+            return type(result), str(result)
+        return result.tau.hex(), result.used_lags, result.n_eff
+
+    assert [outcome(r) for r in unitroot.engle_granger_block(terms, pairs)] == [
+        outcome(unitroot.engle_granger_block(terms, [pair])[0]) for pair in pairs]
     assert_no_child_left()
 
 
@@ -279,7 +297,7 @@ def test_workers_exit_on_their_own(train_panel, forced_workers, monkeypatch, fau
         with pytest.raises(SeriesTooShort):
             pairscan.coint_matrix(train_panel, row_means(train_panel))
     else:
-        assert len(pairscan.coint_matrix(train_panel, row_means(train_panel)).cells) == 45
+        assert len(pairscan.coint_matrix(train_panel, row_means(train_panel)).p_values) == 45
     assert signalled == [(pid, signal.SIGKILL) for pid, _ in reaped if faults]
     assert [os.waitstatus_to_exitcode(status) for _, status in reaped] == (
         [-signal.SIGKILL] * 2 if faults else [0, 0])
@@ -301,7 +319,7 @@ def test_a_worker_that_dies_is_named(train_panel, forced_workers, monkeypatch):
     monkeypatch.setattr(pairscan, "block_rows", lambda n: 1)
     forced_workers(3)
     with pytest.raises(RuntimeError, match=r"^scan worker 2 \(pid \d+\) was killed by signal 9 "
-                                           r"before sending its cells$"):
+                                           r"before sending its p-values$"):
         pairscan.coint_matrix(train_panel, row_means(train_panel))
     assert_no_child_left()
 
@@ -404,7 +422,7 @@ def test_workers_leave_ctrl_c_to_the_parent(train_panel, forced_workers, monkeyp
     # Ctrl-C as Python's default handler does.
     previous = signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
-        assert len(pairscan.coint_matrix(train_panel, row_means(train_panel)).cells) == 45
+        assert len(pairscan.coint_matrix(train_panel, row_means(train_panel)).p_values) == 45
         assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
     finally:
         signal.signal(signal.SIGINT, previous)
@@ -435,7 +453,7 @@ def test_no_fork_start_method_scans_in_process(train_panel, forced_workers, monk
     serial = pairscan.coint_matrix(train_panel, row_means(train_panel))
     monkeypatch.delattr(os, "fork")
     forced_workers(3)
-    assert pairscan.coint_matrix(train_panel, row_means(train_panel)).cells == serial.cells
+    assert columns(pairscan.coint_matrix(train_panel, row_means(train_panel))) == columns(serial)
 
 
 class TestPoolSize:

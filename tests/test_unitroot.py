@@ -22,7 +22,8 @@ from pairtrader.errors import (
     UnknownSurface,
 )
 from pairtrader.marketdata import AlignedPanel, align_panel
-from pairtrader.pairscan import DEFAULT_NEAR_EPS, DEFAULT_THRESHOLD, coint_matrix, select_pairs
+from pairtrader.pairscan import (DEFAULT_NEAR_EPS, DEFAULT_THRESHOLD, PValueMatrix, coint_matrix,
+                                 select_pairs)
 from pairtrader.synthetic import TRAIN_DAYS, build_sector, weekday_calendar
 from pairtrader.unitroot import (
     BOUNDS,
@@ -171,6 +172,20 @@ class TestMacKinnonPvalue:
         assert mackinnon_pvalue(-25.0, 1, "constant") == 0.0
         assert mackinnon_pvalue(5.0, 1, "constant") == 1.0
         assert mackinnon_pvalue(5.0, 1, "none") < 1.0  # no upper bound on this surface
+
+    def test_nan_statistic_has_nan_pvalue(self):
+        # NaN passes neither bound, and max(0.0, nan) is 0.0: a NaN tau once
+        # read as p = 0, the strongest evidence a scan can give.
+        for n, det in BOUNDS:
+            assert math.isnan(mackinnon_pvalue(math.nan, n, det)), (n, det)
+        assert math.isnan(mackinnon_pvalue(math.nan, 2, "constant"))
+        assert math.isnan(mackinnon_pvalue(math.nan, 1, "none"))
+
+    def test_nan_pvalue_is_never_selected(self):
+        p_value = mackinnon_pvalue(math.nan, 2, "constant")
+        matrix = PValueMatrix(("A", "B"), predictors=np.array([0]), targets=np.array([1]),
+                              p_values=np.array([p_value]), exact=np.array([False]))
+        assert select_pairs(matrix, threshold=0.9, near_eps=0.09) == []
 
     def test_zero_statistic_agrees_with_dickey_fuller_null_simulation(self):
         # Monte-Carlo oracle: simulate the Dickey-Fuller null (random walk,
@@ -634,29 +649,32 @@ def test_coint_matrix_bit_identical_to_frozen_per_pair_loop():
                 predictor, target = closes_b, closes_a
             expected[a, b] = frozen_engle_granger(target, predictor)
     scan = coint_matrix(panel, row_means(panel))
-    cells = scan.cells
-    # The cells are in the frozen loop's order, the pairs' panel order.
-    assert len(cells) == len(expected)
+    names = scan.tickers
+    # The columns are in the frozen loop's order, the pairs' panel order.
+    assert len(scan.p_values) == len(expected)
     # Bit for bit in each lag order and sample size; tau and p within the
-    # rounding error of two refits and two stage-1 fits.
+    # rounding error of two refits and two stage-1 fits.  The scan's p-value
+    # is the one-pair test's of its roles, bit for bit.
     frozen_p = {}
-    for (a, b), cell in zip(expected, cells):
-        assert {cell.predictor, cell.target} == {a, b}
+    for (a, b), pred, targ, p in zip(expected, scan.predictors, scan.targets,
+                                     scan.p_values.tolist()):
+        assert {names[pred], names[targ]} == {a, b}
+        mine = engle_granger(panel.closes[targ], panel.closes[pred])
         used_lags, tau, n_eff, tol = expected[a, b]
-        assert (cell.adf.used_lags, cell.adf.n_eff) == (used_lags, n_eff)
-        assert abs(cell.adf.tau - tau) <= tol, (cell, tau, tol)
-        assert (mackinnon_pvalue(tau - tol, 2, "constant") <= cell.p_value
+        assert (mine.used_lags, mine.n_eff) == (used_lags, n_eff)
+        assert abs(mine.tau - tau) <= tol, (a, b, mine.tau, tau, tol)
+        assert p == mine.p_value
+        assert (mackinnon_pvalue(tau - tol, 2, "constant") <= p
                 <= mackinnon_pvalue(tau + tol, 2, "constant"))
-        frozen_p[cell.predictor, cell.target] = mackinnon_pvalue(tau, 2, "constant")
+        frozen_p[names[pred], names[targ]] = mackinnon_pvalue(tau, 2, "constant")
     # The same pairs are selected, in the same order.
     frozen_selection = sorted((p, pair) for pair, p in frozen_p.items()
                               if p < DEFAULT_THRESHOLD + DEFAULT_NEAR_EPS)
     assert [(sp.predictor_ticker, sp.target_ticker) for sp in select_pairs(scan)] == [
         pair for _, pair in frozen_selection]
-    # Each cell's roles are the frozen loop's: the higher mean close predicts.
-    column = dict(zip(panel.tickers, np.ascontiguousarray(panel.closes)))
-    for cell in cells:
-        assert np.mean(column[cell.predictor]) > np.mean(column[cell.target])
+    # Each pair's roles are the frozen loop's: the higher mean close predicts.
+    for pred, targ in zip(scan.predictors, scan.targets):
+        assert np.mean(panel.closes[pred]) > np.mean(panel.closes[targ])
 
 
 # --- the Gram lag search and its Householder fallback --------------------------
