@@ -30,12 +30,13 @@ import io
 import json
 import logging
 import math
+import operator
 import os
 import shutil
 import signal
 import sys
 import tempfile
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass
 from datetime import date
@@ -312,93 +313,80 @@ def _json(obj) -> bytes:
     """Canonical JSON of ``obj``, by the one rule every JSON artifact follows.
 
     A dataclass becomes an object of its own fields, a mapping (with string
-    keys) an object and a tuple or list an array.  A ``Decimal`` is written
-    as its ``str``, a date as its ISO string and a non-finite float as null;
-    strings, integers, booleans, None and finite floats are written as
-    themselves.  Any other type (a numpy integer, say) raises ``TypeError``.
-    Keys are sorted, nesting is indented by two spaces and the text ends in
-    a newline: the ASCII text of ``json.dumps(..., indent=2,
-    sort_keys=True)``, which with an indent falls back to its pure-Python
-    encoder and takes twice as long.
+    keys) an object and a tuple, list or iterator an array.  A ``Decimal``
+    is written as its ``str``, a date as its ISO string and a non-finite
+    float as null; strings, integers, booleans, None and finite floats are
+    written as themselves.  Any other type (a numpy integer, say) raises
+    ``TypeError``.  Keys are sorted, nesting is indented by two spaces and
+    the text, written into one buffer as the walk goes, ends in a newline:
+    the ASCII text of ``json.dumps(..., indent=2, sort_keys=True)``, whose
+    pure-Python encoder (used with an indent) takes twice as long.
     """
-    parts: list[str] = []
-    _json_into(parts, obj, "\n")
-    parts.append("\n")
-    return "".join(parts).encode("ascii")
+    text = io.StringIO()
+    _json_into(text.write, obj, "\n")
+    text.write("\n")
+    return text.getvalue().encode("ascii")
 
 
-def _json_into(parts: list[str], value, newline: str) -> None:
-    """Append ``value``'s JSON text to ``parts``; ``newline`` ends with its indent."""
+def _json_into(write, value, newline: str) -> None:
+    """Write ``value``'s JSON text with ``write``; ``newline`` ends with its indent."""
     if isinstance(value, str):
-        parts.append(_json_string(value))
+        write(_json_string(value))
     elif value is None:
-        parts.append("null")
+        write("null")
     elif value is True:
-        parts.append("true")
+        write("true")
     elif value is False:
-        parts.append("false")
+        write("false")
     elif isinstance(value, int):
-        parts.append(int.__repr__(value))
+        write(int.__repr__(value))
     elif isinstance(value, float):
-        parts.append(float.__repr__(value) if math.isfinite(value) else "null")
-    elif isinstance(value, Decimal):
-        parts.append(_json_string(str(value)))
-    elif isinstance(value, date):
-        parts.append(_json_string(value.isoformat()))
+        write(float.__repr__(value) if math.isfinite(value) else "null")
+    elif isinstance(value, (Decimal, date)):
+        write(_json_string(str(value)))
     else:
         if is_dataclass(value) and not isinstance(value, type):
             value = _fields(value)
+        inner = newline + "  "
         if isinstance(value, Mapping):
-            if not value:
-                parts.append("{}")
-                return
-            inner = newline + "  "
             separator = "{" + inner
             for key in sorted(value):
                 if not isinstance(key, str):
                     raise TypeError(f"cannot write a {type(key).__name__} key to JSON")
-                parts.append(separator + _json_string(key) + ": ")
-                _json_into(parts, value[key], inner)
+                write(separator + _json_string(key) + ": ")
+                _json_into(write, value[key], inner)
                 separator = "," + inner
-            parts.append(newline + "}")
-        elif isinstance(value, (list, tuple)):
-            if not value:
-                parts.append("[]")
-                return
-            inner = newline + "  "
+            write(newline + "}" if separator[0] == "," else "{}")
+        elif isinstance(value, (list, tuple, Iterator)):
             separator = "[" + inner
             for item in value:
-                parts.append(separator)
-                _json_into(parts, item, inner)
+                write(separator)
+                _json_into(write, item, inner)
                 separator = "," + inner
-            parts.append(newline + "]")
+            write(newline + "]" if separator[0] == "," else "[]")
         else:
             raise TypeError(f"cannot write a {type(value).__name__} to JSON")
 
 
-def _cell(value):
-    """A CSV cell: ``repr`` of a float (empty for NaN), ``str`` of a Decimal, ISO date."""
-    if isinstance(value, float):
-        return "" if math.isnan(value) else repr(float(value))
-    if isinstance(value, Decimal):
-        return str(value)
-    if isinstance(value, date):
-        return value.isoformat()
-    return value
-
-
 def _csv(header, rows) -> bytes:
-    """One header row, then ``rows`` with every cell written by ``_cell``; rows end in CRLF."""
+    """One header row, then ``rows``, each cell written as its ``str``; rows end in CRLF.
+
+    That is a float's ``repr``, a ``Decimal``'s ``str`` and a date's ISO form.
+    Only ``_matrix_csv`` meets NaN, which it blanks: closes are finite by
+    ``AlignedPanel``, residuals by ``ols_through_origin``, z-scores by
+    ``build_trading_frame`` and band limits by ``RunConfig``.
+    """
     text = io.StringIO(newline="")
     writer = csv.writer(text)
     writer.writerow(header)
-    writer.writerows([_cell(value) for value in row] for row in rows)
+    writer.writerows(rows)
     return text.getvalue().encode("utf-8")
 
 
 def _matrix_csv(tickers, values) -> bytes:
-    """A ticker-by-ticker ``values`` array with a ticker header row and column."""
-    return _csv(["", *tickers], ([ticker, *row] for ticker, row in zip(tickers, values.tolist())))
+    """A ticker-by-ticker ``values`` array with a ticker header row and column; NaN is empty."""
+    return _csv(["", *tickers], ([ticker, *np.where(np.isnan(row), None, row).tolist()]
+                                 for ticker, row in zip(tickers, values)))
 
 
 @contextmanager
@@ -513,13 +501,12 @@ def cmd_scan(config: RunConfig, sector: str) -> tuple[Path, dict[str, bytes]]:
 
     names, n = pvals.tickers, len(pvals.tickers)
     upper = np.triu_indices(n, 1)
-    records = []
-    for i, j, pred, targ, p, exact in zip(*upper, pvals.predictors.tolist(), pvals.targets.tolist(),
-                                          pvals.p_values.tolist(), pvals.exact.tolist()):
-        records.append({"ticker_a": names[i], "ticker_b": names[j], "predictor": names[pred],
-                        "target": names[targ], "p_value": p})
-        if exact:
-            records[-1]["reason"] = EXACT_DEPENDENCE
+    records = ({"ticker_a": names[i], "ticker_b": names[j], "predictor": names[pred],
+                "target": names[targ], "p_value": p,
+                **({"reason": EXACT_DEPENDENCE} if exact else {})}
+               for i, j, pred, targ, p, exact in zip(*upper, pvals.predictors.tolist(),
+                                                     pvals.targets.tolist(),
+                                                     pvals.p_values.tolist(), pvals.exact.tolist()))
     grid = np.full((n, n), math.nan)
     grid[upper] = pvals.p_values
 
@@ -600,8 +587,7 @@ def cmd_backtest(config: RunConfig, pair: str, sector: str | None = None,
                 frame.positions1.tolist(), frame.positions2.tolist()),
         ),
         "triggers.json": _json(ledger.triggers),
-        "ledger.csv": _csv(ledger_header, ([getattr(row, name) for name in ledger_header]
-                                           for row in ledger.rows)),
+        "ledger.csv": _csv(ledger_header, map(operator.attrgetter(*ledger_header), ledger.rows)),
         "summary.json": _json(summary),
     }
     if svg:

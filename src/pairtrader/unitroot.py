@@ -276,13 +276,19 @@ def _adf_designs(ys: np.ndarray, lag: int, constant: bool, level_last: bool = Fa
 #: ``_GRAM_MIN_PIVOT`` of its column's norm (the sine of the angle between
 #: that column and the span of the ones before it), or at most
 #: ``_GRAM_MIN_PIVOT_SPREAD`` of the largest pivot, when the SSR at
-#: ``max_lag`` is at most ``_GRAM_MIN_SSR`` of ``dy'dy``, or when its error
-#: bound does not separate the best AIC from the others.
+#: ``max_lag`` is at most ``_GRAM_MIN_SSR`` of ``dy'dy`` or 4 times ``_TINY``,
+#: or when its error bound does not separate the best AIC from the others.
 _GRAM_MIN_PIVOT = 1e-6
 _SINGULAR_RATIO = 1e-12
 _GRAM_MIN_PIVOT_SPREAD = 100.0 * _SINGULAR_RATIO
 _GRAM_MIN_SSR = 1e-8
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+
+
+def _aic(ssr: np.ndarray, ntrend: int, nobs: int) -> np.ndarray:
+    """AIC ``2p + m log(SSR_k / m)``, p = ntrend+1+k, of each row's SSR_k, for both searches."""
+    return 2.0 * np.arange(ntrend + 1, ntrend + 1 + ssr.shape[1]) + nobs * np.log(ssr / nobs)
 
 
 def _gram_lag_search(designs: np.ndarray, ntrend: int) -> list[int | None]:
@@ -331,9 +337,9 @@ def _gram_lag_search(designs: np.ndarray, ntrend: int) -> list[int | None]:
     G's diagonal is; each pivot is within a factor of 2 of L_ii (L_ii^2 is
     the SSR of column i on the columns before it, held by the same bound),
     so above 25 times ``_SINGULAR_RATIO`` of the largest; each SSR_k is
-    within a factor 3 of this search's, far above the "fits exactly" bound.
-    Both fault rules are scale-free, as are the pivot checks but for the
-    spread: the sine L_ii / s_i does not change when a column is scaled.
+    within a factor 3 of this search's, clear of the "fits exactly" bound.
+    Above ``_TINY`` both fault rules are scale-free, as are the pivot checks
+    but for the spread: the sine L_ii / s_i is the same for a scaled column.
     """
     nblock, ncol, nobs = designs.shape
     nx = ncol - 1
@@ -357,8 +363,8 @@ def _gram_lag_search(designs: np.ndarray, ntrend: int) -> list[int | None]:
         ssr_min = ssr.min(axis=1)
         usable = ((pivots * pivots > _GRAM_MIN_PIVOT**2 * norms2[:, :nx]).all(axis=1)
                   & (pivots.min(axis=1) > _GRAM_MIN_PIVOT_SPREAD * pivots.max(axis=1))
-                  & (ssr_min > _GRAM_MIN_SSR * total))
-        aic = 2.0 * np.arange(ntrend + 1, ncol) + nobs * np.log(ssr / nobs)
+                  & (ssr_min > np.maximum(_GRAM_MIN_SSR * total, 4.0 * _TINY)))
+        aic = _aic(ssr, ntrend, nobs)
         best = aic.argmin(axis=1)
         if aic.shape[1] > 1:
             gap = np.partition(aic, 1, axis=1)[:, 1] - aic[np.arange(nblock), best]
@@ -430,11 +436,12 @@ def _with_faults(values: list, pivots: np.ndarray, total: np.ndarray, ssr: np.nd
     (b'b) and ``ssr``: ``SumOverflow`` where any is infinite; "singular"
     where the smallest pivot is at most ``_SINGULAR_RATIO`` of the largest;
     "fits exactly" where ``ssr`` is at most ``_SINGULAR_RATIO`` squared of
-    b'b.  Each rule is scale-free, and NaN fails it.
+    b'b or below ``_TINY``, the smallest normal double, where its precision
+    is lost.  Each rule is scale-free above that, and NaN fails it.
     """
     overflow = np.isinf(pivots).any(axis=1) | np.isinf(total) | np.isinf(ssr)
     singular = ~(pivots.min(axis=1) > _SINGULAR_RATIO * pivots.max(axis=1))
-    exact = ~(ssr > _SINGULAR_RATIO**2 * total)
+    exact = ~(ssr > np.maximum(_SINGULAR_RATIO**2 * total, _TINY))
     return [SumOverflow("sums of squares overflow: values too large") if huge
             else ConstantSeries("unit-root regression is singular") if bad_pivot
             else ConstantSeries("unit-root regression fits exactly") if fits else value
@@ -447,16 +454,16 @@ def _householder_lag_search(designs: np.ndarray, ntrend: int) -> list[int | Pair
     ``designs`` is a ``(B, c, m)`` stack as ``_gram_lag_search`` takes it,
     and is overwritten.  The candidate with k lags has p = ntrend+1+k
     regressors, SSR_k the factor's tail sum of squares plus R's last column
-    squared from row p on, with no cancellation, and AIC ``2p + m log(SSR_k
-    / m)``; ties go to the smaller k.  The faults are ``_with_faults``' on
-    the widest design's pivots and the smallest SSR_k.
+    squared from row p on, with no cancellation, and AIC by ``_aic``; ties
+    go to the smaller k.  The faults are ``_with_faults``' on the widest
+    design's pivots and the smallest SSR_k.
     """
     nobs = designs.shape[2]
     # NaN and infinity from the faulty designs are set aside below.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         pivots, rb, tail, total = _householder_factor(designs)
         ssr = np.cumsum(np.column_stack([tail, rb[:, :ntrend:-1] ** 2]), axis=1)[:, ::-1]
-        aic = 2.0 * np.arange(ntrend + 1, designs.shape[1]) + nobs * np.log(ssr / nobs)
+        aic = _aic(ssr, ntrend, nobs)
     return _with_faults(aic.argmin(axis=1).tolist(), pivots, total, ssr.min(axis=1))
 
 

@@ -11,6 +11,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import xml.etree.ElementTree as ET
 from collections.abc import Mapping
 from contextlib import redirect_stderr
@@ -26,8 +27,8 @@ from hypothesis import strategies as st
 
 from pairtrader import backtest, cli, econometrics, pairscan, signalgen, unitroot
 from pairtrader.backtest import PairSummary
-from pairtrader.cli import (RunConfig, _csv, _find_pair, _json, _scan_input, cmd_analyze,
-                            cmd_backtest, cmd_scan, main, staged_dir)
+from pairtrader.cli import (RunConfig, _csv, _find_pair, _json, _matrix_csv, _scan_input,
+                            cmd_analyze, cmd_backtest, cmd_scan, main, staged_dir)
 from pairtrader.marketdata import slice_window
 from pairtrader.pairscan import fit_pair
 from pairtrader.synthetic import PAIR_TICKERS, weekday_calendar
@@ -300,12 +301,14 @@ class TestExactDependence:
            kind=st.sampled_from(["scaled", "duplicated", "doubled"]),
            exponent=st.integers(-300, 6))
     @example(seed=0, column=0, kind="scaled", exponent=-300)
+    @example(seed=25, column=1, kind="scaled", exponent=-162)
     def test_p_zero_only_for_exactly_constant_residuals(self, seed, column, kind, exponent):
         # Four random walks over 80 weekdays, one of them scaled by
         # 10**exponent, or joined by its copy or its double.  The scan either
         # ends in one error line naming a pair or a ticker, or scores p = 0
         # only where a pair's stage-1 residuals have range 0.  Closes near
-        # 1e-300 once scored every pair of the scaled ticker p = 0.
+        # 1e-300 once scored every pair of the scaled ticker p = 0, and near
+        # 1e-162, whose residuals' squares are subnormal, one pair tau = -inf.
         rng = np.random.default_rng(seed)
         closes = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.02, (4, 80)), axis=1))
         tickers = ["ALPHA", "BRAVO", "CHARLIE", "DELTA"]
@@ -1099,10 +1102,49 @@ class TestArtifactWriters:
         with pytest.raises(TypeError, match="cannot write a int key to JSON"):
             _json({"a": {1: "one"}})
 
+    def test_json_of_an_iterator_is_json_of_its_list(self):
+        items = [{"a": 1, "b": [0.5, None]}, (), {}, "x", date(2021, 3, 4)]
+        assert _json(item for item in items) == _json(items)
+        assert (_json({"pairs": (item for item in items), "n": iter([1, 2])})
+                == _json({"pairs": items, "n": [1, 2]}))
+
+    @pytest.mark.parametrize("empty, text", [
+        ((item for item in ()), "[]"), ([], "[]"), ((), "[]"), ({}, "{}"),
+        (MappingProxyType({}), "{}"),
+    ], ids=["generator", "list", "tuple", "dict", "mapping"])
+    def test_json_empty_containers(self, empty, text):
+        assert _json(empty) == f"{text}\n".encode()
+        assert _json({"a": empty}) == f'{{\n  "a": {text}\n}}\n'.encode()
+
+    def test_json_peak_memory_is_its_output(self):
+        # The renderer holds the text it writes (its buffer, the buffer's
+        # value and the encoded bytes), not a list of its pieces.
+        tickers = [f"T{i:03d}" for i in range(200)]
+        records = [{"ticker_a": tickers[i % 200], "ticker_b": tickers[i % 199],
+                    "predictor": tickers[i % 200], "target": tickers[i % 199],
+                    "p_value": 1.0 / (i + 3)} for i in range(20_000)]
+        tracemalloc.start()
+        try:
+            text = _json({"tickers": tickers, "pairs": records})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * len(text)
+
     def test_csv_cells(self):
+        # Each cell is its ``str``; a float's is its shortest round-trip repr.
         assert _csv(["a", "b"], [
-            [0.1, math.nan], [Decimal("1.10"), date(2021, 3, 4)], [-3, "x,y"],
-        ]) == b"a,b\r\n0.1,\r\n1.10,2021-03-04\r\n-3,\"x,y\"\r\n"
+            [0.1, 1e-05], [1e+16, -0.0], [5e-324, Decimal("1.10")], [date(2021, 3, 4), -3],
+            ["x,y", 1.7976931348623157e+308],
+        ]) == (b"a,b\r\n0.1,1e-05\r\n1e+16,-0.0\r\n5e-324,1.10\r\n2021-03-04,-3\r\n"
+               b"\"x,y\",1.7976931348623157e+308\r\n")
+
+    def test_matrix_csv_cells(self):
+        # NaN, the p-value grid's lower triangle and diagonal, is an empty cell.
+        values = np.array([[math.nan, 0.1, 1e-05], [-0.0, math.nan, 5e-324],
+                           [1e+16, -2.5, math.nan]])
+        assert _matrix_csv(["A", "B", "C"], values) == (
+            b",A,B,C\r\nA,,0.1,1e-05\r\nB,-0.0,,5e-324\r\nC,1e+16,-2.5,\r\n")
 
 
 class TestStagedDir:
