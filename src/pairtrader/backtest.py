@@ -107,8 +107,8 @@ def run_ledger(frame: TradingFrame, capital_per_leg) -> BacktestLedger:
         with localcontext() as context:
             context.traps[Inexact] = True  # a rounded amount would break the identity
             for day, c1, c2, s1, s2, p1, p2 in zip(
-                frame.dates, close1, close2, frame.signals1.tolist(), frame.signals2.tolist(),
-                frame.positions1.tolist(), frame.positions2.tolist(),
+                frame.dates.tolist(), close1, close2, frame.signals1.tolist(),
+                frame.signals2.tolist(), frame.positions1.tolist(), frame.positions2.tolist(),
             ):
                 price1 = _money(c1)
                 price2 = _money(c2)

@@ -545,7 +545,7 @@ def cmd_analyze(config: RunConfig, pair: str,
             "verdict": model.verdict,
         }),
         "residuals.csv": _csv(["date", "residual"],
-                              zip(train.dates, model.report.residuals.tolist())),
+                              zip(train.dates.tolist(), model.report.residuals.tolist())),
         "residual_adf.json": _json({
             "verdict": model.verdict,
             "adf": None if adf is None else {
@@ -577,11 +577,12 @@ def cmd_backtest(config: RunConfig, pair: str, sector: str | None = None,
     summary = summarize_pair(ledger)
 
     ledger_header = [f.name for f in fields(LedgerRow)]
+    dates = frame.dates.tolist()
     files = {
         "trading_frame.csv": _csv(
             ["date", "asset1", "asset2", "z_score", "upper_limit", "lower_limit",
              "signals1", "signals2", "positions1", "positions2"],
-            zip(frame.dates, frame.close1.tolist(), frame.close2.tolist(),
+            zip(dates, frame.close1.tolist(), frame.close2.tolist(),
                 frame.zscore.tolist(), repeat(frame.upper_limit), repeat(frame.lower_limit),
                 frame.signals1.tolist(), frame.signals2.tolist(),
                 frame.positions1.tolist(), frame.positions2.tolist()),
@@ -592,14 +593,14 @@ def cmd_backtest(config: RunConfig, pair: str, sector: str | None = None,
     }
     if svg:
         files["z_band.svg"] = line_chart(
-            frame.dates,
+            dates,
             [("z-score", "steelblue", frame.zscore.tolist()),
              ("upper", "firebrick", [frame.upper_limit] * len(frame)),
              ("lower", "seagreen", [frame.lower_limit] * len(frame))],
             f"{asset1}/{asset2} ratio z-score",
         ).encode("utf-8")
         files["portfolio_value.svg"] = line_chart(
-            frame.dates,
+            dates,
             [("total value", "steelblue", [float(r.total) for r in ledger.rows])],
             f"{asset1}-{asset2} portfolio value",
         ).encode("utf-8")

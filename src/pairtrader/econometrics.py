@@ -21,6 +21,7 @@ from .errors import (
     AllZeroResiduals,
     DegenerateRegressor,
     LengthMismatch,
+    NumericError,
     SampleTooSmall,
     SeriesTooShort,
     SumOverflow,
@@ -408,6 +409,12 @@ def ols_through_origin(x, y) -> OlsOriginReport:
     ``beta = sum(x*y) / sum(x**2)`` with one estimated coefficient, so the
     residual degrees of freedom are ``n - 1``.  The log-likelihood is the
     Gaussian MLE value (variance ``sum(e**2)/n``); AIC/BIC use ``k = 1``.
+
+    Sums too large for a double raise ``SumOverflow``.  A nonzero residual
+    sum of squares whose standard error still underflows to 0 (both series
+    near 1e-162, whose squares are subnormal) raises ``NumericError``, where
+    ``t = beta / se`` would divide by 0.  Scale-free statistics (ROADMAP
+    item 19) may later make that rule unreachable.
     """
     xv = np.asarray(x, dtype=float)
     yv = np.asarray(y, dtype=float)
@@ -432,6 +439,8 @@ def ols_through_origin(x, y) -> OlsOriginReport:
 
     if ssr > 0.0:
         se = math.sqrt((ssr / df_resid) / sxx)
+        if se == 0.0:
+            raise NumericError("standard error underflows: values too small")
         t_stat = beta / se
         p_t = _t_tail(t_stat, df_resid)
         f_stat = t_stat**2

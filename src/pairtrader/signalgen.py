@@ -152,7 +152,7 @@ class TradingFrame:
         return self.pair.tickers[1]
 
     @property
-    def dates(self) -> tuple[date, ...]:
+    def dates(self) -> np.ndarray:
         return self.pair.dates
 
     @property
@@ -201,11 +201,10 @@ def extract_triggers(frame: TradingFrame) -> list[Trigger]:
     ]
     triggers: list[Trigger] = []
     # positions2 mirrors positions1, so both legs trade on the same days.
-    for t in np.flatnonzero(frame.positions1).tolist():
+    trades = np.flatnonzero(frame.positions1)
+    for t, day in zip(trades.tolist(), frame.dates[trades].tolist()):
         for leg, signals, positions in legs:
             delta = positions[t]
             action = _ACTIONS[(signals[t] - delta, delta)]
-            triggers.append(
-                Trigger(date=frame.dates[t], leg=leg, action=action, lots=abs(delta))
-            )
+            triggers.append(Trigger(date=day, leg=leg, action=action, lots=abs(delta)))
     return triggers

@@ -37,7 +37,7 @@ def _polyline(xs: list[float], ys: list[float], color: str, width: str = "1") ->
 
 
 def line_chart(
-    dates: tuple[date, ...],
+    dates: list[date],
     series: list[tuple[str, str, list[float]]],
     title: str,
 ) -> str:

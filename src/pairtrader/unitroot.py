@@ -10,16 +10,18 @@ AICs are comparable), followed by a refit at the chosen k on the longest
 sample that lag permits.  The unit-root null is rejected when the t-ratio on
 the lagged level is below (more negative than) the critical value.
 
-The lag search builds the widest design once with the dependent column
-appended, ``[X | dy]``, column-major so each lag column is one contiguous
-copy of ``dy``.  Any upper-triangular factor of that design scores every
-nested candidate: its last column holds ``Q'dy``.  The lag and the search's
-faults are those of a Householder QR in numpy's own arithmetic
-(``_householder_lag_search``), the same on every BLAS kernel.  Most designs
+The lag search scores every nested candidate from one upper-triangular
+factor of the widest design with the dependent column appended, ``[X |
+dy]``: its last column holds ``Q'dy``.  The lag and the search's faults are
+those of a Householder QR in numpy's own arithmetic
+(``_householder_lag_search``), the same on every BLAS kernel.  Most rows
 skip it: the Gram search (``_gram_lag_search``) factors the Gram matrix
 ``D'D`` by Cholesky, and keeps its choice only when a rounding-error bound
-proves the Householder search would make it and raise no fault.  Its BLAS
-and LAPACK calls are a test's only ones, and they only prove a lag.
+proves the Householder search would make it and raise no fault.  It forms
+that matrix from lagged sums of the row's differences
+(``_lag_grams``) and never builds the design, which only the rows it
+cannot decide get.  Its LAPACK calls are a test's only ones, and they only
+prove a lag.
 
 Every number a test reports comes from the refit at the chosen lag, on the
 longest sample that lag permits, in numpy's own elementwise operations and
@@ -32,16 +34,16 @@ where the columns are far enough from collinear for that to be as accurate
 (``_gram_factor``), elsewhere the Householder factor the search uses
 (``_householder_factor``), and at lag 0 without a constant a closed form.
 A refit never depends on which search chose the lag.  One builder,
-``_adf_designs``, fills the search's stacks and the refit's.
+``_adf_designs``, fills the Householder search's stacks and the refit's.
 
 An ADF regression has three faults, defined once (``_with_faults``) for
 the Householder search and the refit alike: ``SumOverflow``, and the
 ``ConstantSeries`` "singular" and "fits exactly".  A series, or a pair's
 residuals, of range 0 raise ``ExactlyConstant`` before any regression.
 
-Every ADF test runs as a row of one stack (``_adf_stack``): the rows'
-designs go to the Gram search in chunks of ``block_rows``, the rows it
-cannot decide go on, as one stack per chunk, to the Householder search, and
+Every ADF test runs as a row of one stack (``_adf_stack``): the rows go
+to the Gram search in chunks of ``_search_rows``, the rows it cannot decide
+go on, in design stacks of ``block_rows``, to the Householder search, and
 the rows are then refit grouped by their lag.  ``adf_test`` runs a stack of
 one; ``engle_granger_block`` tests a block of pairs of one panel at once,
 with each series' stage-1 terms (``Stage1Terms``) computed once and the
@@ -291,22 +293,68 @@ def _aic(ssr: np.ndarray, ntrend: int, nobs: int) -> np.ndarray:
     return 2.0 * np.arange(ntrend + 1, ntrend + 1 + ssr.shape[1]) + nobs * np.log(ssr / nobs)
 
 
-def _gram_lag_search(designs: np.ndarray, ntrend: int) -> list[int | None]:
-    """The AIC lag order of each design of a stack, from Cholesky factors.
+def _lag_grams(ys: np.ndarray, lag: int, constant: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram matrix ``D'D`` of each row's ``_adf_designs`` at ``lag``, and its ``rho^2``.
 
-    ``designs`` is a ``(B, c, m)`` stack from ``_adf_designs``: slab b
-    transposed is ``[X | b]`` at ``max_lag``, its dependent column last.
-    For each slab, returns the k that ``_householder_lag_search`` would
-    return, or None when this search cannot prove it does: the Cholesky
-    factorisation of any ``D'D`` of the stack fails (then every design gets
-    None), a pivot or the smallest SSR is tiny (where the Householder search
-    may raise instead), or the AIC gap between the best lag and the
-    runner-up is within the error bound below.  The Gram matrices are one
-    batched BLAS product and the factorisations one LAPACK call.
+    No design is built.  With w = dy the row's differences, M of them, and
+    m = M - lag observations, the lag columns dy_{t-j} (j = 0..lag, the
+    dependent dy_t being j = 0) are windows of w, so their block is
+    Toeplitz up to its edge terms: the sums ``w_t w_{t-d}`` over the sample
+    (one ``einsum`` over views of w) give its first row, and each step down
+    a diagonal adds the product entering the sample at its start and drops
+    the one leaving it at its end.  The level and constant columns are
+    summed against every column directly.  ``rho^2`` is ``w'w`` over the smallest
+    squared norm of a lag column, at least 1: ``_gram_lag_search`` bounds
+    the rounding of the lag block by it.
+    """
+    dys = ys[:, 1:] - ys[:, :-1]
+    nrow, ndiff = dys.shape
+    ntrend = int(constant)
+    ncol = ntrend + lag + 2
+    # lagged[:, j] is the column dy_{t-j}, a view of dys.
+    lagged = np.lib.stride_tricks.sliding_window_view(dys, ndiff - lag, axis=1)[:, ::-1]
+    level = ys[:, lag:-1]
+    # The design position of dy_{t-j}: the dependent last, the lags after the level.
+    at = np.array([ncol - 1, *range(ntrend + 1, ntrend + lag + 1)])
 
-    The bound, to first order in eps = 2^-52.  Take m rows, c columns,
-    column norms s, G = D'D = LL', its correlation matrix C = S^-1 G S^-1
-    and kappa = tr(C^-1) >= 1 / lambda_min(C).  A candidate with
+    block = np.empty((nrow, lag + 1, lag + 1))
+    block[:, 0] = np.einsum("gm,gjm->gj", lagged[:, 0], lagged)
+    head, tail = dys[:, :lag][:, ::-1], dys[:, ndiff - lag:][:, ::-1]
+    steps = (head[:, :, np.newaxis] * head[:, np.newaxis, :]
+             - tail[:, :, np.newaxis] * tail[:, np.newaxis, :])
+    for k in range(1, lag + 1):
+        block[:, k, k:] = block[:, k - 1, k - 1:lag] + steps[:, k - 1, k - 1:]
+    upper = np.triu_indices(lag + 1, 1)
+    block[:, upper[1], upper[0]] = block[:, upper[0], upper[1]]
+
+    grams = np.empty((nrow, ncol, ncol))
+    grams[:, at[:, np.newaxis], at] = block
+    grams[:, ntrend, ntrend] = np.einsum("gm,gm->g", level, level)
+    grams[:, ntrend, at] = grams[:, at, ntrend] = np.einsum("gm,gjm->gj", level, lagged)
+    if constant:
+        grams[:, 0, 0] = ndiff - lag
+        grams[:, 0, 1] = grams[:, 1, 0] = level.sum(axis=1)
+        grams[:, 0, at] = grams[:, at, 0] = lagged.sum(axis=2)
+    norms2 = np.diagonal(block, axis1=1, axis2=2)
+    rho2 = np.maximum(np.einsum("gm,gm->g", dys, dys) / norms2.min(axis=1), 1.0)
+    return grams, rho2
+
+
+def _gram_lag_search(ys: np.ndarray, max_lag: int, constant: bool) -> list[int | None]:
+    """The AIC lag order of each row of ``ys``, from Cholesky factors of Gram matrices.
+
+    For each row, returns the k that ``_householder_lag_search`` would
+    return on its ``_adf_designs`` at ``max_lag``, or None when this search
+    cannot prove it does: the Cholesky factorisation of any Gram matrix of
+    the stack fails (then every row gets None), a pivot or the smallest SSR
+    is tiny (where the Householder search may raise instead), or the AIC
+    gap between the best lag and the runner-up is within the error bound
+    below.  The Gram matrices come from lagged sums (``_lag_grams``), and
+    the factorisations are one LAPACK call.
+
+    The bound, to first order in eps = 2^-52.  Take m rows, c columns, L =
+    ``max_lag``, column norms s, G = D'D = LL', its correlation matrix C =
+    S^-1 G S^-1 and kappa = tr(C^-1) >= 1 / lambda_min(C).  A candidate with
     coefficients beta has v = [-beta; 1] and SSR_k = v'Gv >= SSR_min, so
     (sum |v_i| s_i)^2 <= c ||Sv||^2 <= c kappa SSR_k.  kappa is
     ||L_c^-1||_F^2 for L_c = S^-1 L = P (I + M), P = diag(L_ii / s_i) and M
@@ -316,10 +364,22 @@ def _gram_lag_search(designs: np.ndarray, ntrend: int) -> list[int | None]:
     stands for kappa unless it fails the test below; then kappa is computed
     from L^-1.  Then:
 
-    * forming G and factoring it (Higham, *Accuracy and Stability of
-      Numerical Algorithms*, 2nd ed., Thm 10.3) makes L the exact factor of
-      G + E with |E_ij| <= (m + c + 1) eps s_i s_j, which moves SSR_k by
-      |v'Ev| <= (m + c + 1) eps c kappa SSR_k;
+    * forming G (Higham, *Accuracy and Stability of Numerical Algorithms*,
+      2nd ed., Sec. 3.1 and 4.2: a sum of N rounded products, added in any
+      order, is within gamma_N of the sum of their magnitudes) misses it by
+      E0.  An entry of two lag columns is its diagonal's first sum of m
+      products plus at most 2L edge products, one sum of N <= m + 2L terms,
+      each a product w_s w_{s-d} of the differences w.  The first sum and
+      the entering products run over distinct s, as do the leaving ones,
+      so by Cauchy-Schwarz their magnitudes add to at most 2 w'w, and
+      |E0_kl| <= 2 (m + 2L + 1) eps w'w <= 2 (m + 2L + 1) rho^2 eps s_k s_l
+      for rho^2 = w'w / min_k s_k^2 over the lag columns.  An entry of the
+      level or the constant is a direct sum of m products, |E0_ij| <= m eps
+      s_i s_j, within the same bound as rho >= 1;
+    * factoring G (Thm 10.3) makes L the exact factor of G + E0 + E1 with
+      |E1_ij| <= (c + 1) eps s_i s_j.  So with K = 2 (m + 2L + 1) rho^2 +
+      c + 1, |E_ij| <= K eps s_i s_j for E = E0 + E1, which moves SSR_k by
+      |v'Ev| <= K eps c kappa SSR_k;
     * Householder QR (Thm 19.4, its constant taken as 4, in any order of
       sums) is exact for D + dD with ||dd_j|| <= 2mc eps ||d_j||, which
       moves the residual sum of squares by 4mc eps sqrt(c kappa) SSR_k;
@@ -327,31 +387,34 @@ def _gram_lag_search(designs: np.ndarray, ntrend: int) -> list[int | None]:
       (m + 2c + 2) eps b'b; the Householder search's sum of at most m
       squares by (m + 1) eps SSR_k.
 
-    So each search's SSR_k is within delta = 4 eps (m + c + 1) c (kappa +
-    sqrt(c kappa) + 2 b'b / SSR_min) of the exact SSR_k, relative, the two
-    errors summed.  With delta < 1/2, the searches' AICs for one k differ
-    by at most e = 2m delta, plus at most 8 eps m (|log(SSR_k / m)| + 4)
-    from evaluating them.  A Gram choice that beats every other lag by more
-    than 2e is the Householder choice, and the exact-arithmetic one too.
-    The Householder search raises no fault on it: its sums are finite, as
-    G's diagonal is; each pivot is within a factor of 2 of L_ii (L_ii^2 is
-    the SSR of column i on the columns before it, held by the same bound),
-    so above 25 times ``_SINGULAR_RATIO`` of the largest; each SSR_k is
-    within a factor 3 of this search's, clear of the "fits exactly" bound.
-    Above ``_TINY`` both fault rules are scale-free, as are the pivot checks
-    but for the spread: the sine L_ii / s_i is the same for a scaled column.
+    K exceeds m + c + 1, so each search's SSR_k is within delta = 4 eps K c
+    (kappa + sqrt(c kappa) + 2 b'b / SSR_min) of the exact SSR_k, relative,
+    the two errors summed.  With delta < 1/2, the searches' AICs for one k
+    differ by at most e = 2m delta, plus at most 8 eps m (|log(SSR_k / m)|
+    + 4) from evaluating them.  A Gram choice that beats every other lag by
+    more than 2e is the Householder choice, and the exact-arithmetic one
+    too.  The Householder search raises no fault on it: its sums are
+    finite, as G's diagonal is; each pivot is within a factor of 2 of L_ii
+    (L_ii^2 is the SSR of column i on the columns before it, held by the
+    same bound), so above 25 times ``_SINGULAR_RATIO`` of the largest; each
+    SSR_k is within a factor 3 of this search's, clear of the "fits
+    exactly" bound.  Above ``_TINY`` both fault rules are scale-free, as are
+    the pivot checks but for the spread: the sine L_ii / s_i is the same for
+    a scaled column.
     """
-    nblock, ncol, nobs = designs.shape
-    nx = ncol - 1
+    ntrend = int(constant)
+    nobs = ys.shape[1] - 1 - max_lag
     # Each check is written to fail on NaN and infinity, which leaves the
-    # decision to the Householder search; the warnings of the designs that
+    # decision to the Householder search; the warnings of the rows that
     # fail them, overflowing products among them, are moot.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        grams = designs @ designs.transpose(0, 2, 1)
+        grams, rho2 = _lag_grams(ys, max_lag, constant)
+        nblock, ncol, _ = grams.shape
+        nx = ncol - 1
         try:
             chols = np.linalg.cholesky(grams)
         except np.linalg.LinAlgError:
-            # A NaN factor fails every check below, so one design that fails
+            # A NaN factor fails every check below, so one row that fails
             # the factorisation sends the whole stack to the Householder
             # search.
             chols = np.full_like(grams, math.nan)
@@ -374,15 +437,15 @@ def _gram_lag_search(designs: np.ndarray, ntrend: int) -> list[int | None]:
         log_range = np.maximum(abs(np.log(ssr_min / nobs)), abs(np.log(total / nobs)))
         slack = 2.0 * total / ssr_min
         noise = 8.0 * _EPS * nobs * (log_range + 4.0)
+        formation = 2.0 * (nobs + 2 * max_lag + 1) * rho2 + ncol + 1
 
         def separated(kappa: np.ndarray) -> np.ndarray:
-            delta = 4.0 * _EPS * (nobs + ncol + 1) * ncol * (
-                kappa + np.sqrt(ncol * kappa) + slack)
+            delta = 4.0 * _EPS * formation * ncol * (kappa + np.sqrt(ncol * kappa) + slack)
             return usable & (delta < 0.5) & (gap > 2.0 * (2.0 * nobs * delta + noise))
 
         # kappa from the pivots alone, when the columns are near orthogonal as
         # in most of a sector scan's residual designs; from L^-1, which costs
-        # more than the rest of these checks together, only for the designs
+        # more than the rest of these checks together, only for the rows
         # where that bound is not enough.
         cot2 = norms2 / (diag * diag)
         f = np.sqrt(np.maximum(cot2.sum(axis=1) - ncol, 0.0))
@@ -451,8 +514,9 @@ def _with_faults(values: list, pivots: np.ndarray, total: np.ndarray, ssr: np.nd
 def _householder_lag_search(designs: np.ndarray, ntrend: int) -> list[int | PairTraderError]:
     """The AIC lag order of each design of a stack, or its fault, by Householder QR.
 
-    ``designs`` is a ``(B, c, m)`` stack as ``_gram_lag_search`` takes it,
-    and is overwritten.  The candidate with k lags has p = ntrend+1+k
+    ``designs`` is a ``(B, c, m)`` stack from ``_adf_designs`` at
+    ``max_lag``: slab b transposed is ``[X | b]``, its dependent column
+    last.  It is overwritten.  The candidate with k lags has p = ntrend+1+k
     regressors, SSR_k the factor's tail sum of squares plus R's last column
     squared from row p on, with no cancellation, and AIC by ``_aic``; ties
     go to the smaller k.  The faults are ``_with_faults``' on the widest
@@ -491,8 +555,9 @@ def block_rows(n: int, lag: int = 0, constant: bool = False) -> int:
     """Rows of n observations whose ``_adf_designs`` at ``lag`` fit in ``_DESIGN_BYTES``.
 
     At least one.  ``_adf_stack`` builds its designs in chunks of this many
-    rows: 17 Engle-Granger residuals of 750 dates at the Gram search's
-    ``max_lag``, and as many rows as fit at each refit's lag.  Called with
+    rows: 17 Engle-Granger residuals of 750 dates at ``max_lag``, for the
+    rows the Gram search leaves to the Householder search, and as many rows
+    as fit at each refit's lag.  Called with
     n alone, it is the number of pairs of n dates an ``engle_granger_block``
     call should test at once: those whose lag-0 design ``[y_{t-1} | dy_t]``
     fits, 174 pairs of 750 dates, 34 of 3,750.  That is the most common
@@ -503,6 +568,20 @@ def block_rows(n: int, lag: int = 0, constant: bool = False) -> int:
     pairs would grow it by tens of MB.
     """
     return max(1, _DESIGN_BYTES // (8 * (int(constant) + lag + 2) * max(n - 1 - lag, 0)))
+
+
+def _search_rows(lag: int, constant: bool) -> int:
+    """Rows whose Gram search at ``lag`` adds at most ``_DESIGN_BYTES`` to their differences.
+
+    At least one.  Beyond its differences, a row of the search holds some
+    three arrays of c^2 doubles, c = ``constant + lag + 2``: its Gram
+    matrix, its Cholesky factor and the lag block's edge products.  That
+    is 90 rows at lag 29 and 198 at lag 19, more than an
+    ``engle_granger_block`` call should take at once of a scan's 3,750 or
+    750 dates, so a block's search is one call.
+    """
+    ncol = int(constant) + lag + 2
+    return max(1, _DESIGN_BYTES // (8 * 3 * ncol * ncol))
 
 
 #: A refit takes its triangular factor from the Gram matrix only where each
@@ -597,17 +676,18 @@ def _refit_taus(ys: np.ndarray, lag: int, constant: bool) -> list[float | PairTr
 def _search_lags(ys: np.ndarray, max_lag: int, constant: bool) -> list[int | PairTraderError]:
     """The AIC lag order of each row of ``ys``, or the fault its search raised.
 
-    The rows' widest designs are one stack for ``_gram_lag_search``; the
-    rows it cannot decide go, as one stack, to ``_householder_lag_search``,
-    whose lags and faults the Gram search only ever proves.  The stack lives
-    only for the call, so that a block never holds two of them at once.
+    The rows go to ``_gram_lag_search`` at once; only the rows it cannot
+    decide get their widest designs, built in stacks of ``block_rows``
+    rows for ``_householder_lag_search``, whose lags and faults the Gram
+    search only ever proves.
     """
-    ntrend = 1 if constant else 0
-    designs = _adf_designs(ys, max_lag, constant)
-    lags: list = _gram_lag_search(designs, ntrend)
+    lags: list = _gram_lag_search(ys, max_lag, constant)
     undecided = [row for row, lag in enumerate(lags) if lag is None]
-    if undecided:
-        for row, lag in zip(undecided, _householder_lag_search(designs[undecided], ntrend)):
+    step = block_rows(ys.shape[1], max_lag, constant)
+    for start in range(0, len(undecided), step):
+        rows = undecided[start:start + step]
+        designs = _adf_designs(ys[rows], max_lag, constant)
+        for row, lag in zip(rows, _householder_lag_search(designs, int(constant))):
             lags[row] = lag
     return lags
 
@@ -616,7 +696,7 @@ def _adf_stack(ys: np.ndarray, max_lag: int, constant: bool
                ) -> list[tuple[int, float, int] | PairTraderError]:
     """``(used_lags, tau, n_eff)`` of the ADF test of each row of ``ys``.
 
-    The rows' lags come from ``_search_lags`` in chunks of ``block_rows``
+    The rows' lags come from ``_search_lags`` in chunks of ``_search_rows``
     rows at ``max_lag``.  The rows are then grouped by chosen lag, and each
     group is refit by ``_refit_taus``, again in chunks of ``block_rows``
     rows at that lag.  A row whose search or refit faults
@@ -625,7 +705,7 @@ def _adf_stack(ys: np.ndarray, max_lag: int, constant: bool
     nrows, n = ys.shape
     outcomes: list = [None] * nrows
     by_lag: dict[int, list[int]] = {}
-    step = block_rows(n, max_lag, constant)
+    step = _search_rows(max_lag, constant)
     for start in range(0, nrows, step):
         for row, lag in enumerate(_search_lags(ys[start:start + step], max_lag, constant), start):
             if isinstance(lag, PairTraderError):
@@ -651,7 +731,7 @@ def adf_test(series, deterministic: str = "constant", max_lag: int | None = None
     ``ConstantSeries`` for a singular or exactly fitting regression
     (``_householder_lag_search``).  A Cholesky factor of the Gram matrix
     proves its choice without it wherever a rounding-error bound allows
-    (``_gram_lag_search``, here run on a stack of one design).  The winning
+    (``_gram_lag_search``, here run on a stack of one row).  The winning
     k is then refit by least squares on its own longest sample, giving
     ``n_eff = n - used_lags - 1`` regression observations, in numpy's fixed
     order arithmetic (``_refit_taus``, on a group of one).  The result is

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from pairtrader.marketdata import AlignedPanel
 from pairtrader.signalgen import TradingFrame
@@ -27,6 +28,12 @@ with warnings.catch_warnings():
         import hypothesis.extra._patching  # noqa: F401
     except ImportError:  # no libcst: Hypothesis then reports without it
         pass
+
+# ``pytest --hypothesis-profile=loader-deep``: 20 times the default 100
+# examples for the tests that take their count from the profile, such as the
+# loader's long-file property in test_marketdata.py, which a CI step reruns
+# under it.
+settings.register_profile("loader-deep", max_examples=2000)
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")

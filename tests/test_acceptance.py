@@ -260,7 +260,7 @@ def fixture_frame(signals1, close1, close2):
 def replay_cash(ledger, frame, capital):
     price = {"asset1": frame.close1.tolist(), "asset2": frame.close2.tolist()}
     shares = {"asset1": ledger.shares1, "asset2": ledger.shares2}
-    index = {d: i for i, d in enumerate(frame.dates)}
+    index = {d: i for i, d in enumerate(frame.dates.tolist())}
     deltas = {"open_long": 1, "open_short": -1, "flip_to_long": 2, "flip_to_short": -2}
     cash = {"asset1": capital, "asset2": capital}
     stance = {"asset1": 0, "asset2": 0}
@@ -268,7 +268,7 @@ def replay_cash(ledger, frame, capital):
     for trig in ledger.triggers:
         by_day.setdefault((trig.date, trig.leg), []).append(trig)
     paths = {"asset1": [], "asset2": []}
-    for day in frame.dates:
+    for day in frame.dates.tolist():
         for leg in ("asset1", "asset2"):
             for trig in by_day.get((day, leg), []):
                 delta = deltas[trig.action] if trig.action != "close" else -stance[leg]

@@ -242,7 +242,7 @@ def write_analyze_reference(config: RunConfig, pair: str, out) -> None:
     with open(out / "residuals.csv", "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["date", "residual"])
-        for day, resid in zip(train.dates, model.report.residuals.tolist()):
+        for day, resid in zip(train.dates.tolist(), model.report.residuals.tolist()):
             writer.writerow([day.isoformat(), repr(resid)])
     adf_payload = {
         "verdict": model.verdict,

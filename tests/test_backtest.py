@@ -48,7 +48,7 @@ def replay_triggers_oracle(ledger, frame, capital):
     """
     price = {"asset1": frame.close1.tolist(), "asset2": frame.close2.tolist()}
     shares = {"asset1": ledger.shares1, "asset2": ledger.shares2}
-    day_index = {d: i for i, d in enumerate(frame.dates)}
+    day_index = {d: i for i, d in enumerate(frame.dates.tolist())}
     cash = {"asset1": capital, "asset2": capital}
     stance = {"asset1": 0, "asset2": 0}
     deltas = {"open_long": 1, "open_short": -1, "flip_to_long": 2, "flip_to_short": -2}
@@ -56,7 +56,7 @@ def replay_triggers_oracle(ledger, frame, capital):
     triggers_by_day = {}
     for trig in ledger.triggers:
         triggers_by_day.setdefault((trig.date, trig.leg), []).append(trig)
-    for day in frame.dates:
+    for day in frame.dates.tolist():
         for leg in ("asset1", "asset2"):
             for trig in triggers_by_day.get((day, leg), []):
                 delta = deltas[trig.action] if trig.action != "close" else -stance[leg]

@@ -96,7 +96,8 @@ class RatioStats:
 
 def column(panel, ticker: str) -> PriceSeries:
     j = panel.tickers.index(ticker)
-    return PriceSeries(ticker, panel.dates, tuple(float(c) for c in panel.closes[j]))
+    return PriceSeries(ticker, tuple(panel.dates.tolist()),
+                       tuple(float(c) for c in panel.closes[j]))
 
 
 def closes_array(series: PriceSeries) -> np.ndarray:

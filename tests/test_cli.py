@@ -149,7 +149,7 @@ class TestAnalyze:
         config = RunConfig.from_json(synth_dir / "config.json")
         train = slice_window(_find_pair(config, pair, None)[1], *config.train_window)
         assert train.tickers == tuple(pair.split(","))
-        assert train.dates == _scan_input(config, "metals")[0].dates
+        assert train.dates.tolist() == _scan_input(config, "metals")[0].dates.tolist()
         scan = json.loads(cmd_scan(config, "metals")[1]["pvalue_matrix.json"])
         (record,) = [r for r in scan["pairs"] if (r["predictor"], r["target"]) == train.tickers]
         adf = json.loads(cmd_analyze(config, pair)[1]["residual_adf.json"])["adf"]
@@ -536,10 +536,10 @@ def iron_tiny_from_the_test_window(synth_dir, tmp_path):
                      lambda day, close: "1e-308" if day >= start else close)
 
 
-def iron_and_cobalt_tiny(synth_dir, tmp_path):
-    """The demo with IRON's and COBALT's closes scaled by 1e-300."""
-    demo_with(synth_dir, tmp_path, "IRON", lambda day, close: close + "e-300")
-    path = demo_with(synth_dir, tmp_path, "COBALT", lambda day, close: close + "e-300")
+def iron_and_cobalt_tiny(synth_dir, tmp_path, exponent="e-300"):
+    """The demo with IRON's and COBALT's closes times ``1{exponent}``, 1e-300 by default."""
+    demo_with(synth_dir, tmp_path, "IRON", lambda day, close: close + exponent)
+    path = demo_with(synth_dir, tmp_path, "COBALT", lambda day, close: close + exponent)
     config = json.loads(path.read_text())
     for member in config["sectors"]["metals"]:
         if member["ticker"] == "IRON":
@@ -578,6 +578,13 @@ class TestPairFaults:
         # underflows to 0.  This line once named no pair.
         pytest.param(iron_and_cobalt_tiny, ["analyze", "--pair", "IRON,COBALT"], 3,
                      "IRON,COBALT: regressor's sum of squares is zero", id="regressor-underflow"),
+        # Both legs near 1e-162: the sums of squares are subnormal but not 0,
+        # and the hedge ratio's standard error underflows to 0.  t = beta / se
+        # once ended in a ZeroDivisionError traceback.
+        pytest.param(lambda synth_dir, tmp_path: iron_and_cobalt_tiny(synth_dir, tmp_path, "e-162"),
+                     ["analyze", "--pair", "COBALT,IRON"], 3,
+                     "COBALT,IRON: standard error underflows: values too small",
+                     id="standard-error-underflow"),
         pytest.param(None, ["analyze", "--pair", "IRON,COBALT", "--train-end", "2018-01-20"], 2,
                      "IRON,COBALT: need >= 30 common training dates, have 15",
                      id="short-training-window"),

@@ -1,6 +1,7 @@
 import csv
 import logging
 import math
+import random
 import re
 import tempfile
 from datetime import date, timedelta
@@ -25,6 +26,8 @@ from pairtrader.errors import (
 from pairtrader.marketdata import (
     CLOSE_COLUMN_PREFERENCE,
     AlignedPanel,
+    _parse_plain,
+    _read_rows,
     align_panel,
     load_csv,
     slice_window,
@@ -152,7 +155,7 @@ def load_outcome(loader, path):
         panel = loader(path, "A")
     except DataError as exc:
         return type(exc), re.sub(r":\d+: close ", ":<line>: close ", str(exc))
-    return panel.dates, panel.closes.tobytes()
+    return tuple(panel.dates.tolist()), panel.closes.tobytes()
 
 
 class TestLoadCsv:
@@ -163,14 +166,14 @@ class TestLoadCsv:
         assert isinstance(series, AlignedPanel)
         assert series.tickers == ("A",)
         assert len(series) == 2
-        assert series.dates == (date(2021, 1, 1), date(2021, 1, 4))
+        assert tuple(series.dates.tolist()) == (date(2021, 1, 1), date(2021, 1, 4))
         assert series.closes.tolist() == [[100.0, 101.5]]
 
     def test_out_of_order_rows_sorted(self, tmp_path):
         path = write_csv(tmp_path / "a.csv",
                          "Date,Close\n2021-01-04,101.5\n2021-01-01,100.0\n")
         series = load_csv(path, "A")
-        assert series.dates == (date(2021, 1, 1), date(2021, 1, 4))
+        assert tuple(series.dates.tolist()) == (date(2021, 1, 1), date(2021, 1, 4))
         assert series.closes[0].tolist() == [100.0, 101.5]
 
     def test_zero_close_rejected_naming_row(self, tmp_path):
@@ -215,7 +218,7 @@ class TestLoadCsv:
                                              "2021-W01-3,102.0\n2021-01-07,103.0\n")
         with caplog.at_level(logging.WARNING, logger="pairtrader.marketdata"):
             series = load_csv(path, "A")
-        assert series.dates == (date(2021, 1, 4), date(2021, 1, 7))
+        assert tuple(series.dates.tolist()) == (date(2021, 1, 4), date(2021, 1, 7))
         assert series.closes.tolist() == [[100.0, 103.0]]
         assert "dropped 2 rows" in caplog.text
 
@@ -288,7 +291,7 @@ class TestLoadCsv:
                 except DuplicateDate as exc:
                     outcomes.append(str(exc).replace(str(path), "<path>"))
                 else:
-                    outcomes.append((panel.dates, panel.closes.tobytes()))
+                    outcomes.append((tuple(panel.dates.tolist()), panel.closes.tobytes()))
         assert outcomes[1] == outcomes[0]
         if repeated:
             assert outcomes[0] == f"<path>: date {repeated[0]} appears more than once"
@@ -313,7 +316,7 @@ class TestLoadCsv:
         path = write_csv(tmp_path / "a.csv",
                          "Date,Close,Close\n2021-01-01,1.0,2.0\n2021-01-04,3.0\n")
         series = load_csv(path, "A")
-        assert series.dates == (date(2021, 1, 1),)
+        assert tuple(series.dates.tolist()) == (date(2021, 1, 1),)
         assert series.closes[0].tolist() == [2.0]
 
     def test_extra_columns_ignored(self, tmp_path):
@@ -324,6 +327,132 @@ class TestLoadCsv:
             "2021-01-04,100,103,99,102.0,101.4,1200\n",
         )
         assert load_csv(path, "A").closes[0].tolist() == [100.0, 102.0]
+
+
+#: (header, Date column, close column) of the long files: the close column
+#: is the one ``load_csv`` picks, the last of a repeated name.
+_LAYOUTS = [
+    (["Date", "Close"], 0, 1),
+    (["Close", "Date", "Volume"], 1, 0),
+    (["Open", "Date", "High", "Close", "Adj Close"], 1, 3),
+    (["Date", "Close", "Close"], 0, 2),
+    (["Volume", "Adj Close", "Date"], 2, 1),
+]
+
+#: Close cells beside the plain decimals: the edges of the plain rule (15
+#: and 16 digits, 22 and 23 after the point, 2**53 + 1, and 16 digits that
+#: an integer mantissa would round twice), and cells only the scalar rule
+#: reads or drops.
+_ODD_CLOSES = [
+    "007.50", ".5", "5.", "0.5", "999999999999999", "123456789.012345", "1234567890123456",
+    "9007199254740993", "9514242627359.937", "9474.996311614687", "1." + "0" * 21 + "5",
+    "1." + "0" * 22 + "5", "0." + "1" * 22, "1e3", "+1", "5+", "1-0", "1_000", " 12.5",
+    "12.5 ", "\t7.25", "NA", "nan", "", ".", "1.2.3", "\uff11\uff12.5",
+]
+#: Close cells that are an error: non-positive or not finite.
+_BAD_CLOSES = ["inf", "-inf", "-0", "-5", "0e5", "0", "0.00", ".0", "0.", "000"]
+
+_ODD_DATES = ["2021-02-29", "2020-13-01", "0000-01-01", "2021-01-32", " 2021-01-04",
+              "20210104", "2021-W01-1", "", "NA", "2021-1-04", "\uff12021-01-04"]
+
+
+@st.composite
+def _long_price_files(draw):
+    """A quote-free price CSV of 50-400 records, as bytes, that ``_parse_plain`` takes.
+
+    Hypothesis draws the file's shape and a seed; the seed draws its cells,
+    so that a file of 400 records costs one draw, not a thousand.
+    """
+    header, date_i, close_i = draw(st.sampled_from(_LAYOUTS))
+    start = draw(st.dates(date(1990, 1, 1), date(2030, 1, 1)))
+    n = draw(st.integers(50, 400))
+    order = draw(st.sampled_from(["ascending", "shuffled", "shuffled", "repeated"]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    end = draw(st.sampled_from(["", newline]))
+    bom = draw(st.sampled_from([b"", b"\xef\xbb\xbf"]))
+    odd, bad = draw(st.sampled_from([0.0, 0.01, 0.1])), draw(st.sampled_from([0.0, 0.0, 0.003]))
+    odd_date, ragged = draw(st.sampled_from([0.0, 0.04])), draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    days = [start + timedelta(days=i + i // 5 * 2) for i in range(n)]
+    if order != "ascending":
+        rng.shuffle(days)
+    if order == "repeated":
+        days[rng.randrange(n)] = days[rng.randrange(n)]
+    lines = [",".join(header)]
+    for day in days:
+        cells = ["1"] * len(header)
+        cells[date_i] = rng.choice(_ODD_DATES) if rng.random() < odd_date else day.isoformat()
+        places, kind = rng.randrange(7), rng.random()
+        cells[close_i] = (rng.choice(_BAD_CLOSES) if kind < bad
+                          else rng.choice(_ODD_CLOSES) if kind < bad + odd
+                          else f"{rng.randrange(1, 10**7)}.{rng.randrange(10**places):0{places}d}"
+                          if places else str(rng.randrange(1, 10**7)))
+        shape = rng.randrange(30) if ragged else -1
+        if shape == 0:  # short: its missing cells read as empty
+            cells = cells[:rng.randrange(len(cells))]
+        elif shape == 1:  # long: the cells past the header are ignored
+            cells += ["x", "2.5"]
+        elif shape == 2:
+            lines.append("")
+        lines.append(",".join(cells))
+    return bom + (newline.join(lines) + end).encode()
+
+
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def _read_rows_load(path):
+    """``load_csv`` as it is on ``_read_rows`` and ``csv.reader`` alone: the loader's reference."""
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        days, closes, dropped = _read_rows(csv.reader(handle), path, None)
+    if dropped:
+        logging.getLogger("pairtrader.marketdata").warning(
+            "%s: dropped %d rows with missing/unparseable cells", path, dropped)
+    if not days:
+        raise EmptySeries(f"{path}: no valid rows")
+    order = sorted(range(len(days)), key=days.__getitem__)
+    days, closes = [days[i] for i in order], [closes[i] for i in order]
+    for d1, d2 in zip(days, days[1:]):
+        if d1 == d2:
+            raise DuplicateDate(f"{path}: date {d1} appears more than once")
+    return AlignedPanel(("A",), tuple(days), np.array(closes)[np.newaxis])
+
+
+def _outcome_and_log(loader, path):
+    """``loader``'s dates, close bits and logged lines for ``path``, or its error."""
+    log = _Messages()
+    logger = logging.getLogger("pairtrader.marketdata")
+    logger.addHandler(log)
+    try:
+        panel = loader(path)
+    except DataError as exc:
+        return type(exc), str(exc), log.messages
+    finally:
+        logger.removeHandler(log)
+    return tuple(panel.dates.tolist()), panel.closes.tobytes(), log.messages
+
+
+# No max_examples of its own: the "loader-deep" profile (conftest.py) runs
+# this test with 20 times the default's 100 examples.
+@settings(deadline=None)
+@given(_long_price_files())
+def test_long_quote_free_files_load_as_csv_reader_reads_them(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "long.csv"
+        path.write_bytes(content)
+        body = content[3:] if content.startswith(b"\xef\xbb\xbf") else content
+        try:
+            assert _parse_plain(body, path, None) is not None
+        except DataError:
+            pass
+        assert (_outcome_and_log(lambda p: load_csv(p, "A"), path)
+                == _outcome_and_log(_read_rows_load, path))
 
 
 class TestAlignedPanelInvariants:
@@ -358,6 +487,19 @@ class TestAlignedPanelInvariants:
         with pytest.raises(DuplicateTicker, match="'B'"):
             AlignedPanel(("A", "B", "C", "B"), (date(2021, 1, 1),), [[1.0, 2.0, 3.0, 4.0]])
 
+    def test_dates_are_a_read_only_day_array(self):
+        days = [date(2021, 1, 1), date(2021, 1, 4)]
+        for given_dates in (tuple(days), days, np.array(days, dtype="datetime64[D]")):
+            panel = AlignedPanel(("A",), given_dates, [[1.0, 2.0]])
+            assert panel.dates.dtype == np.dtype("datetime64[D]")
+            assert not panel.dates.flags.writeable
+            assert panel.dates.tolist() == days
+            assert all(type(day) is date for day in panel.dates.tolist())
+        writable = np.array(days, dtype="datetime64[D]")
+        panel = AlignedPanel(("A",), writable, [[1.0, 2.0]])
+        writable[0] = np.datetime64("2020-12-31")
+        assert panel.dates.tolist() == days
+
     def test_closes_are_a_read_only_copy(self):
         closes = np.ones((2, 2))
         panel = AlignedPanel(("A", "B"), (date(2021, 1, 1), date(2021, 1, 2)), closes)
@@ -374,14 +516,14 @@ class TestAlignPanel:
         a = make_series("A", [1.0, 2.0, 3.0], start=d[0])
         b = make_series("B", [4.0, 5.0, 6.0], start=d[1])
         panel = align_panel([a, b])
-        assert panel.dates == (d[1], d[2])
+        assert tuple(panel.dates.tolist()) == (d[1], d[2])
         assert panel.closes.tolist() == [[2.0, 3.0], [4.0, 5.0]]
 
     def test_identical_calendars(self):
         a = make_series("A", [1, 2, 3])
         b = make_series("B", [4, 5, 6])
         panel = align_panel([a, b])
-        assert panel.dates == a.dates
+        assert panel.dates.tolist() == a.dates.tolist()
 
     def test_disjoint_calendars(self):
         a = make_series("A", [1, 2], start=date(2021, 1, 1))
@@ -402,7 +544,7 @@ class TestAlignPanel:
         c = make_series("C", [7, 8, 9], start=ab.dates[1])
         panel = align_panel([c, ab])
         assert panel.tickers == ("C", "A", "B")
-        assert panel.dates == ab.dates[1:]
+        assert panel.dates.tolist() == ab.dates[1:].tolist()
         assert panel.closes.tolist() == [[7.0, 8.0], [2.0, 3.0], [5.0, 6.0]]
         with pytest.raises(DuplicateTicker):
             align_panel([ab, make_series("B", [1, 2, 3])])
@@ -413,10 +555,29 @@ class TestAlignPanel:
         c = make_series("C", [7, 8, 9])
         p1 = align_panel([a, b, c])
         p2 = align_panel([c, a, b])
-        assert p1.dates == p2.dates
+        assert p1.dates.tolist() == p2.dates.tolist()
         for ticker in ("A", "B", "C"):
             assert np.array_equal(p1.closes[p1.tickers.index(ticker)],
                                   p2.closes[p2.tickers.index(ticker)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sets(st.integers(-3, 60), max_size=30), min_size=2, max_size=5))
+    def test_join_is_the_set_intersection(self, calendars):
+        # Calendars that overlap, nest, touch or miss each other, against
+        # the intersection of their date sets.
+        origin = date(2021, 1, 1)
+        panels = [AlignedPanel((f"T{i}",), tuple(origin + timedelta(days=d) for d in sorted(days)),
+                               [[1000.0 * (i + 1) + d for d in sorted(days)]])
+                  for i, days in enumerate(calendars)]
+        common = sorted(set.intersection(*calendars))
+        if not common:
+            with pytest.raises(EmptyIntersection):
+                align_panel(panels)
+            return
+        panel = align_panel(panels)
+        assert tuple(panel.dates.tolist()) == tuple(origin + timedelta(days=d) for d in common)
+        assert panel.closes.tolist() == [[1000.0 * (i + 1) + d for d in common]
+                                         for i in range(len(calendars))]
 
     def test_distinct_panels_compare_without_raising(self):
         series = [make_series("A", [1, 2, 3]), make_series("B", [4, 5, 6])]
@@ -432,7 +593,8 @@ def pair_of(closes, start=date(2021, 1, 1)):
 
 
 def same_panel(p, q):
-    return (p.tickers, p.dates, p.closes.tolist()) == (q.tickers, q.dates, q.closes.tolist())
+    return ((p.tickers, p.dates.tolist(), p.closes.tolist())
+            == (q.tickers, q.dates.tolist(), q.closes.tolist()))
 
 
 class TestSliceWindow:
@@ -465,7 +627,7 @@ class TestSliceWindow:
         panel = align_panel([make_series("A", [1, 2, 3]), make_series("B", [4, 5, 6])])
         out = slice_window(panel, panel.dates[1], panel.dates[2])
         assert isinstance(out, AlignedPanel)
-        assert out.dates == panel.dates[1:]
+        assert out.dates.tolist() == panel.dates[1:].tolist()
         assert out.closes.tolist() == [[2.0, 3.0], [5.0, 6.0]]
 
     def test_panel_empty_window(self):
@@ -490,7 +652,7 @@ class TestSliceWindow:
                 slice_window(panel, start, end)
             return
         out = slice_window(panel, start, end)
-        assert out.dates == tuple(dates[i] for i in keep)
+        assert tuple(out.dates.tolist()) == tuple(dates[i] for i in keep)
         assert out.closes.tolist() == panel.closes[:, keep].tolist()
 
 

@@ -128,6 +128,42 @@ def test_adf_tau_matches_fifty_digits(kind, n, deterministic, max_lag, factor, m
     assert abs(result.tau - exact) <= TAU_RTOL * abs(exact)
 
 
+def early_jump(rng, n):
+    """A walk whose first few steps are a thousand times the rest: most of
+    its differences' sum of squares lies before the lag search's sample."""
+    steps = rng.normal(size=n)
+    steps[1:3] *= 1000.0
+    return np.cumsum(steps)
+
+
+@pytest.mark.parametrize("kind", [*sorted(SERIES), "early_jump"])
+@pytest.mark.parametrize("n,max_lag", [(60, 3), (300, 11), (3750, 2)])
+@pytest.mark.parametrize("constant", [False, True], ids=["none", "constant"])
+def test_lag_gram_is_within_its_formation_bound(kind, n, max_lag, constant):
+    # ``_gram_lag_search``'s bound on forming G from lagged sums, against the
+    # 50-digit Gram matrix of the same double design: 2 (m + 2L + 1) rho^2
+    # eps s_k s_l for two lag columns (the dependent dy_t among them), m eps
+    # s_i s_j for the level or the constant.
+    rng = np.random.default_rng([n, max_lag, len(kind)])
+    y = 10.0 * (early_jump(rng, n) if kind == "early_jump" else SERIES[kind](rng, n))
+    (gram,), (rho2,) = unitroot._lag_grams(y[np.newaxis], max_lag, constant)
+    design = unitroot._adf_designs(y[np.newaxis], max_lag, constant)[0]
+    columns = [[mpmath.mpf(float(v)) for v in row] for row in design]
+    m = design.shape[1]
+    norms = [mpmath.sqrt(mpmath.fdot(column, column)) for column in columns]
+    first_lag = int(constant) + 1
+    worst = 0.0
+    for i in range(len(columns)):
+        for j in range(i, len(columns)):
+            lagged = i >= first_lag and j >= first_lag
+            bound = (2 * (m + 2 * max_lag + 1) * rho2 if lagged else m) * 2.0**-52
+            error = abs(mpmath.mpf(float(gram[i, j])) - mpmath.fdot(columns[i], columns[j]))
+            worst = max(worst, float(error / (bound * norms[i] * norms[j])))
+    assert worst <= 1.0
+    if kind == "early_jump":
+        assert rho2 > 10.0
+
+
 def pair(rng, n, kind):
     x = 50.0 + walk(rng, n)
     return x, 1.5 * x + 3.0 + SERIES[kind](rng, n)

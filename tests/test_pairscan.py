@@ -113,7 +113,7 @@ class TestOrderPair:
         b = make_series("B", [5, 5, 5])
         ordered = pair_panel(a, b, train=(a.dates[0], a.dates[1]))
         assert ordered.tickers == ("B", "A")
-        assert ordered.dates == a.dates
+        assert ordered.dates.tolist() == a.dates.tolist()
 
     def test_orders_on_each_tickers_own_rows(self):
         # B lacks A's third date.  Over the pair's common dates B's mean is
@@ -123,7 +123,7 @@ class TestOrderPair:
         for first, second in ((a, b), (b, a)):
             ordered = pair_panel(first, second, train=whole(a))
             assert ordered.tickers == ("A", "B")
-            assert ordered.dates == b.dates
+            assert ordered.dates.tolist() == b.dates.tolist()
             assert ordered.closes.tolist() == [[10.0, 10.0], [20.0, 20.0]]
 
     def test_key_is_the_mean_over_own_training_rows(self):
@@ -145,7 +145,7 @@ class TestOrderPair:
         b = make_series("B", [5, 6, 7], start=a.dates[1])
         ordered = pair_panel(a, b, train=whole(b))
         assert ordered.tickers == ("B", "A")
-        assert ordered.dates == a.dates[1:]
+        assert ordered.dates.tolist() == a.dates[1:].tolist()
         assert ordered.closes[1].tolist() == [2.0, 3.0, 4.0]
 
     def test_needs_two_tickers(self):

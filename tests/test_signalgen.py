@@ -251,7 +251,7 @@ class TestTradingFrame:
         assert frame.positions1.tolist() == [0, -1, 0, 2, -1]
         assert frame.positions2.tolist() == [0, 1, 0, -2, 1]
         assert (frame.ticker1, frame.ticker2) == ("A", "B")
-        assert frame.dates == frame.pair.dates
+        assert frame.dates.tolist() == frame.pair.dates.tolist()
 
     def test_validate_catches_wrong_length(self):
         frame = frame_from_signals([0, 1, 0])
@@ -347,7 +347,7 @@ class TestExtractTriggers:
         frame = frame_from_signals(signals)
         triggers = extract_triggers(frame)
         leg1 = {t.date: t for t in triggers if t.leg == "asset1"}
-        for day, pos in zip(frame.dates, frame.positions1):
+        for day, pos in zip(frame.dates.tolist(), frame.positions1):
             if pos != 0:
                 assert leg1[day].lots == abs(pos)
             else:

@@ -773,13 +773,12 @@ def gram_checks(y, deterministic, max_lag):
     """What the Gram search sees: None when the Cholesky factorisation fails,
     else (smallest pivot / its column's norm, smallest SSR / b'b)."""
     constant = deterministic == "constant"
-    design = unitroot._adf_designs(y[np.newaxis], max_lag, constant)[0].T
-    gram = design.T @ design
+    gram = unitroot._lag_grams(y[np.newaxis], max_lag, constant)[0][0]
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         return None
-    nx = design.shape[1] - 1
+    nx = gram.shape[1] - 1
     pivots = chol.diagonal()[:nx]
     ssr = gram[-1, -1] - np.cumsum(chol[-1, :nx] ** 2)[int(constant):]
     return min(pivots / np.sqrt(gram.diagonal()[:nx])), ssr.min() / gram[-1, -1]
@@ -947,15 +946,15 @@ def test_gram_search_of_a_stack_is_the_search_of_each_design():
     # each still gets the lag or the fault it gets alone.
     rng = np.random.default_rng(12)
     ys = np.stack([random_walk(rng, 300), alternating(300), ar1(rng, 300, phi=0.6)])
-    designs = unitroot._adf_designs(ys, 3, False)
+    grams, _ = unitroot._lag_grams(ys, 3, False)
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.cholesky(designs[1] @ designs[1].T)
-    assert unitroot._gram_lag_search(designs, 0) == [None, None, None]
+        np.linalg.cholesky(grams[1])
+    assert unitroot._gram_lag_search(ys, 3, False) == [None, None, None]
     together = unitroot._search_lags(ys, 3, False)
     alone = [unitroot._search_lags(y[np.newaxis], 3, False)[0] for y in ys]
     assert [str(lag) for lag in together] == [str(lag) for lag in alone]
     assert str(together[1]) == "unit-root regression is singular"
-    assert together[::2] == [unitroot._gram_lag_search(designs[[k]], 0)[0] for k in (0, 2)]
+    assert together[::2] == [unitroot._gram_lag_search(ys[[k]], 3, False)[0] for k in (0, 2)]
 
 
 @pytest.mark.parametrize("lag,constant", [(0, False), (0, True), (2, False), (5, True)])
