@@ -410,11 +410,11 @@ def ols_through_origin(x, y) -> OlsOriginReport:
     residual degrees of freedom are ``n - 1``.  The log-likelihood is the
     Gaussian MLE value (variance ``sum(e**2)/n``); AIC/BIC use ``k = 1``.
 
-    Sums too large for a double raise ``SumOverflow``.  A nonzero residual
-    sum of squares whose standard error still underflows to 0 (both series
-    near 1e-162, whose squares are subnormal) raises ``NumericError``, where
-    ``t = beta / se`` would divide by 0.  Scale-free statistics (ROADMAP
-    item 19) may later make that rule unreachable.
+    Sums too large for a double raise ``SumOverflow``.  Residuals not all
+    exactly 0 whose standard error underflows to 0 (both series near
+    1e-162, or y near 1e-300 and x near 100: the residuals' squares are
+    subnormal or 0) raise ``NumericError``, where ``t = beta / se`` would
+    divide by 0.
     """
     xv = np.asarray(x, dtype=float)
     yv = np.asarray(y, dtype=float)
@@ -437,7 +437,7 @@ def ols_through_origin(x, y) -> OlsOriginReport:
         raise SumOverflow("sums of squares overflow: values too large")
     df_resid = n - 1
 
-    if ssr > 0.0:
+    if resid.any():
         se = math.sqrt((ssr / df_resid) / sxx)
         if se == 0.0:
             raise NumericError("standard error underflows: values too small")

@@ -37,7 +37,7 @@ from .marketdata import AlignedPanel, align_panel, slice_window
 # from here with adf_test: perfbench's tracer wraps both where this module
 # refers to them.
 from .unitroot import (AdfResult, Stage1Terms, adf_test, block_rows, engle_granger,  # noqa: F401
-                       EG_MIN_N, engle_granger_block, stage1_terms)
+                       EG_MIN_N, engle_granger_block, stage1_terms, unit_rows)
 
 DEFAULT_THRESHOLD = 0.05
 DEFAULT_NEAR_EPS = 0.02
@@ -290,7 +290,7 @@ def coint_matrix(panel: AlignedPanel, means: list[float]) -> PValueMatrix:
         # regressor; that is no evidence of dependence.
         if np.ptp(row) == 0.0:
             raise ExactlyConstant(f"{ticker}: closes are constant")
-    terms = stage1_terms(panel.closes)
+    terms = stage1_terms(unit_rows(panel.closes))
     pairs = [(j, i) if _a_predicts(tickers[i], means[i], tickers[j], means[j]) else (i, j)
              for i in range(n) for j in range(i + 1, n)]
     p_values, exact = _scan_pairs(tickers, terms, pairs, _pool_size(len(pairs), len(panel.dates)))

@@ -36,8 +36,10 @@ where the columns are far enough from collinear for that to be as accurate
 A refit never depends on which search chose the lag.  One builder,
 ``_adf_designs``, fills the Householder search's stacks and the refit's.
 
-An ADF regression has three faults, defined once (``_with_faults``) for
-the Householder search and the refit alike: ``SumOverflow``, and the
+Every test takes each series at unit scale (``unit_rows``), so a series
+and its power-of-two multiples get the same lags, taus and faults, and no
+sum overflows.  An ADF regression has two faults, defined once
+(``_with_faults``) for the Householder search and the refit alike: the
 ``ConstantSeries`` "singular" and "fits exactly".  A series, or a pair's
 residuals, of range 0 raise ``ExactlyConstant`` before any regression.
 
@@ -76,7 +78,6 @@ from .errors import (
     LengthMismatch,
     PairTraderError,
     SeriesTooShort,
-    SumOverflow,
     UnknownSurface,
 )
 
@@ -239,11 +240,22 @@ def default_max_lag(n: int) -> int:
     return max(0, min(rule, (n - 4) // 2))
 
 
+def unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row of ``rows`` times the power of two that puts its largest magnitude in [0.5, 1).
+
+    That changes no bit of a value that stays normal (Higham, 2nd ed., Sec.
+    2.1) and bounds a test's sums by its length.  A row of zeros stays.
+    """
+    return np.ldexp(rows, -np.frexp(abs(rows).max(axis=-1, keepdims=True, initial=0.0))[1])
+
+
 def _as_1d(series) -> np.ndarray:
     values = np.asarray(series, dtype=float)
     if values.ndim != 1:
         raise ValueError("series must be one-dimensional")
-    return values
+    if not np.isfinite(values).all():
+        raise ValueError("series must be finite")
+    return unit_rows(values)
 
 
 def _adf_designs(ys: np.ndarray, lag: int, constant: bool, level_last: bool = False
@@ -280,6 +292,9 @@ def _adf_designs(ys: np.ndarray, lag: int, constant: bool, level_last: bool = Fa
 #: ``_GRAM_MIN_PIVOT_SPREAD`` of the largest pivot, when the SSR at
 #: ``max_lag`` is at most ``_GRAM_MIN_SSR`` of ``dy'dy`` or 4 times ``_TINY``,
 #: or when its error bound does not separate the best AIC from the others.
+#: ``_TINY`` floors the SSR there and in "fits exactly": at ``unit_rows``'
+#: scale, values that span more than about 2^1000, or a sample without the
+#: row's largest value, can still give subnormal sums.
 _GRAM_MIN_PIVOT = 1e-6
 _SINGULAR_RATIO = 1e-12
 _GRAM_MIN_PIVOT_SPREAD = 100.0 * _SINGULAR_RATIO
@@ -393,20 +408,19 @@ def _gram_lag_search(ys: np.ndarray, max_lag: int, constant: bool) -> list[int |
     differ by at most e = 2m delta, plus at most 8 eps m (|log(SSR_k / m)|
     + 4) from evaluating them.  A Gram choice that beats every other lag by
     more than 2e is the Householder choice, and the exact-arithmetic one
-    too.  The Householder search raises no fault on it: its sums are
-    finite, as G's diagonal is; each pivot is within a factor of 2 of L_ii
-    (L_ii^2 is the SSR of column i on the columns before it, held by the
-    same bound), so above 25 times ``_SINGULAR_RATIO`` of the largest; each
-    SSR_k is within a factor 3 of this search's, clear of the "fits
-    exactly" bound.  Above ``_TINY`` both fault rules are scale-free, as are
-    the pivot checks but for the spread: the sine L_ii / s_i is the same for
-    a scaled column.
+    too.  The Householder search raises no fault on it: each pivot is
+    within a factor of 2 of L_ii (L_ii^2 is the SSR of column i on the
+    columns before it, held by the same bound), so above 25 times
+    ``_SINGULAR_RATIO`` of the largest; each SSR_k is within a factor 3 of
+    this search's, clear of the "fits exactly" bound.  At ``unit_rows``'
+    scale no check depends on a series' unit, a constant's pivot spread
+    included.
     """
     ntrend = int(constant)
     nobs = ys.shape[1] - 1 - max_lag
     # Each check is written to fail on NaN and infinity, which leaves the
     # decision to the Householder search; the warnings of the rows that
-    # fail them, overflowing products among them, are moot.
+    # fail them are moot.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         grams, rho2 = _lag_grams(ys, max_lag, constant)
         nblock, ncol, _ = grams.shape
@@ -496,19 +510,16 @@ def _with_faults(values: list, pivots: np.ndarray, total: np.ndarray, ssr: np.nd
     """Each of ``values``, or the fault of its ADF regression of b on X.
 
     In this order, on each row's pivots (R's diagonal over X), ``total``
-    (b'b) and ``ssr``: ``SumOverflow`` where any is infinite; "singular"
-    where the smallest pivot is at most ``_SINGULAR_RATIO`` of the largest;
-    "fits exactly" where ``ssr`` is at most ``_SINGULAR_RATIO`` squared of
-    b'b or below ``_TINY``, the smallest normal double, where its precision
-    is lost.  Each rule is scale-free above that, and NaN fails it.
+    (b'b) and ``ssr``: "singular" where the smallest pivot is at most
+    ``_SINGULAR_RATIO`` of the largest; "fits exactly" where ``ssr`` is at
+    most ``_SINGULAR_RATIO`` squared of b'b or below ``_TINY``, the smallest
+    normal double, where its precision is lost.  NaN fails both rules.
     """
-    overflow = np.isinf(pivots).any(axis=1) | np.isinf(total) | np.isinf(ssr)
     singular = ~(pivots.min(axis=1) > _SINGULAR_RATIO * pivots.max(axis=1))
     exact = ~(ssr > np.maximum(_SINGULAR_RATIO**2 * total, _TINY))
-    return [SumOverflow("sums of squares overflow: values too large") if huge
-            else ConstantSeries("unit-root regression is singular") if bad_pivot
+    return [ConstantSeries("unit-root regression is singular") if bad_pivot
             else ConstantSeries("unit-root regression fits exactly") if fits else value
-            for value, huge, bad_pivot, fits in zip(values, overflow, singular, exact)]
+            for value, bad_pivot, fits in zip(values, singular, exact)]
 
 
 def _householder_lag_search(designs: np.ndarray, ntrend: int) -> list[int | PairTraderError]:
@@ -537,13 +548,10 @@ def _lag_bound(n: int, max_lag: int | None, ntrend: int) -> int:
         max_lag = default_max_lag(n)
         if n < 10 + max_lag:
             raise SeriesTooShort(f"need >= {10 + max_lag} observations, have {n}")
-    else:
-        if max_lag < 0:
-            raise ValueError("max_lag must be >= 0")
-        if n - 1 - max_lag < ntrend + 2 + max_lag:
-            raise SeriesTooShort(
-                f"{n} observations leave no degrees of freedom at max_lag={max_lag}"
-            )
+    elif max_lag < 0:
+        raise ValueError("max_lag must be >= 0")
+    elif n - 1 - max_lag < ntrend + 2 + max_lag:
+        raise SeriesTooShort(f"{n} observations leave no degrees of freedom at max_lag={max_lag}")
     return max_lag
 
 
@@ -724,19 +732,13 @@ def _adf_stack(ys: np.ndarray, max_lag: int, constant: bool
 def adf_test(series, deterministic: str = "constant", max_lag: int | None = None) -> AdfResult:
     """Augmented Dickey-Fuller unit-root test with AIC lag selection.
 
-    AIC is evaluated for every k in 0..max_lag on the sample truncated at
-    max_lag, all from one triangular factor of ``[X | b]`` (the widest
-    design with the dependent column appended): a Householder QR in numpy's
-    own arithmetic, the same on every BLAS kernel, which raises
-    ``ConstantSeries`` for a singular or exactly fitting regression
-    (``_householder_lag_search``).  A Cholesky factor of the Gram matrix
-    proves its choice without it wherever a rounding-error bound allows
-    (``_gram_lag_search``, here run on a stack of one row).  The winning
-    k is then refit by least squares on its own longest sample, giving
-    ``n_eff = n - used_lags - 1`` regression observations, in numpy's fixed
-    order arithmetic (``_refit_taus``, on a group of one).  The result is
-    read against the single-series MacKinnon surface ``(1, deterministic)``.
-    A series of range 0 raises ``ExactlyConstant`` before any regression.
+    The series, at ``unit_rows``' scale, is a stack of one for
+    ``_adf_stack``: AIC picks k in 0..max_lag on the sample truncated at
+    max_lag, and the winning k is refit on its own longest sample, giving
+    ``n_eff = n - used_lags - 1`` observations.  The result is read against
+    the single-series MacKinnon surface ``(1, deterministic)``.  A singular
+    or exactly fitting regression raises ``ConstantSeries``, a series that
+    is not finite ``ValueError``, and one of range 0 ``ExactlyConstant``.
     """
     _check_deterministic(deterministic)
     y = _as_1d(series)
@@ -796,33 +798,31 @@ def engle_granger_block(terms: Stage1Terms, pairs, max_lag: int | None = None
                         ) -> list[AdfResult | PairTraderError]:
     """Engle-Granger tests of ``rows[t]`` on ``rows[p]`` for each ``(t, p)`` in ``pairs``.
 
-    A pair's result does not depend on the rest of the block: bit for bit,
-    it is what ``engle_granger(rows[t], rows[p], max_lag)``, a block of one,
-    returns.  A pair's fault is what that raises, returned in the pair's
-    place: ``DegenerateRegressor`` for a constant regressor,
-    ``ExactlyConstant`` for residuals of range 0, ``ConstantSeries`` for a
-    singular or exactly fitting ADF regression of residuals that do move,
-    ``SumOverflow`` for a series whose sums of squares overflow.  Faults
-    that hold for every pair alike
-    (too few observations, a ``max_lag`` they leave no room for) are raised.
+    ``terms`` are the ``stage1_terms`` of rows scaled by ``unit_rows``, as
+    ``engle_granger`` and ``pairscan.coint_matrix`` give them.  A pair's
+    result does not depend on the rest of the block: bit for bit, it is what
+    ``engle_granger(rows[t], rows[p], max_lag)``, a block of one, returns.
+    A pair's fault is what that raises, returned in the pair's place:
+    ``DegenerateRegressor`` for a constant regressor, ``ExactlyConstant``
+    for residuals of range 0, ``ConstantSeries`` for a singular or exactly
+    fitting ADF regression of residuals that do move.  Faults that hold for
+    every pair alike (too few observations, a ``max_lag`` they leave no room
+    for) are raised.
 
     The block shares what its pairs share: stage 1 uses the per-series
     ``terms``, so only the slope's sum of products is per pair, and the
     block's slopes are one ``einsum`` (``stage1_fit``); the residuals are
-    one 2-D expression;
-    and their ADF tests are one ``_adf_stack``.  Each sum runs over one pair's
-    row in an order fixed by its length, and the rest is elementwise, so
-    nothing rounds differently from a block of one.
+    one 2-D expression, and their ADF tests one ``_adf_stack``.  Each sum
+    runs over one pair's row in an order fixed by its length, and the rest
+    is elementwise, so nothing rounds differently from a block of one.
     """
     n = terms.rows.shape[1]
     if n < EG_MIN_N:
         raise SeriesTooShort(f"need >= {EG_MIN_N} observations, have {n}")
     targets, predictors = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     slopes, intercepts = stage1_fit(terms, targets, predictors)
-    finite = np.isfinite(terms.sxx[targets]) & np.isfinite(terms.sxx[predictors])
-    outcomes: list = [DegenerateRegressor("regressor is constant") if flat
-                      else None if ok else SumOverflow("sums of squares overflow: values too large")
-                      for flat, ok in zip(terms.sxx[predictors] == 0.0, finite & np.isfinite(slopes))]
+    outcomes: list = [DegenerateRegressor("regressor is constant") if flat else None
+                      for flat in terms.sxx[predictors] == 0.0]
     # rows[t] - c - b rows[p], in place.  The residuals are a block's largest
     # array besides one design stack; each further temporary of their size
     # made the heap grow past glibc's trim threshold and re-fault its pages
@@ -861,10 +861,9 @@ def engle_granger(y, x, max_lag: int | None = None) -> AdfResult:
     already lives in stage 1.  The result is stage 2's, read against the
     two-series MacKinnon surface with a constant, ``(2, "constant")``, which
     its p-value and critical values then come from.  This is a block of one
-    for ``engle_granger_block``.
+    for ``engle_granger_block``, of each series at ``unit_rows``' scale.
     """
-    yv = _as_1d(y)
-    xv = _as_1d(x)
+    yv, xv = _as_1d(y), _as_1d(x)
     if yv.size != xv.size:
         raise LengthMismatch(f"lengths {yv.size} vs {xv.size}")
     (outcome,) = engle_granger_block(stage1_terms(np.stack([yv, xv])), [(0, 1)], max_lag)

@@ -29,11 +29,11 @@ with warnings.catch_warnings():
     except ImportError:  # no libcst: Hypothesis then reports without it
         pass
 
-# ``pytest --hypothesis-profile=loader-deep``: 20 times the default 100
-# examples for the tests that take their count from the profile, such as the
-# loader's long-file property in test_marketdata.py, which a CI step reruns
-# under it.
-settings.register_profile("loader-deep", max_examples=2000)
+# ``pytest --hypothesis-profile=deep``: 20 times the default 100 examples for
+# the tests that take their count from the profile, such as the loader's
+# long-file property in test_marketdata.py and the power-of-two scale
+# property in test_unitroot.py, which a CI step reruns under it.
+settings.register_profile("deep", max_examples=2000)
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")

@@ -73,6 +73,22 @@ def demo_with(synth_dir, tmp_path, ticker, close, source=None):
     return config_path
 
 
+def assert_scan_like_the_demo(out, pipeline):
+    """Check the scan under ``out``, of the demo with some closes rescaled, against the demo's.
+
+    No pair gets p = 0, and each pair whose roles the rescaling leaves gets
+    the demo's p-value but for the rounding of the rescaled closes.
+    """
+    cells = read_json(out / "metals" / "scan" / "pvalue_matrix.json")["pairs"]
+    demo = {(cell["predictor"], cell["target"]): cell["p_value"] for cell in
+            read_json(pipeline / "metals" / "scan" / "pvalue_matrix.json")["pairs"]}
+    assert len(cells) == 45 and all(cell["p_value"] > 0.0 for cell in cells)
+    kept = [(cell["p_value"], demo[cell["predictor"], cell["target"]]) for cell in cells
+            if (cell["predictor"], cell["target"]) in demo]
+    assert len(kept) >= 36
+    assert all(p == pytest.approx(demo_p, rel=1e-9, abs=1e-12) for p, demo_p in kept)
+
+
 @pytest.fixture(scope="module")
 def pipeline(synth_dir, tmp_path_factory):
     """One full scan+analyze+backtest+report run over the synthetic sector."""
@@ -221,8 +237,7 @@ class TestAnalyze:
         assert not (tmp_path / "metals").exists()
 
     @pytest.mark.parametrize("argv, message", [
-        (["scan", "--sector", "metals"],
-         "metals: pair (AMBER, BASALT): sums of squares overflow: values too large"),
+        (["scan", "--sector", "metals"], None),
         (["analyze", "--pair", "AMBER,BASALT"],
          "AMBER,BASALT: sums of squares overflow: values too large"),
         (["backtest", "--pair", "AMBER,BASALT"],
@@ -230,36 +245,58 @@ class TestAnalyze:
     ], ids=["scan", "analyze", "backtest"])
     @pytest.mark.filterwarnings("error")
     def test_overflowing_sums_are_one_line_naming_the_pair(self, synth_dir, tmp_path, capsys,
-                                                           argv, message):
-        # AMBER's closes near 1e302: its sums of squares overflow.  The scan
-        # once scored AMBER's pairs with a slope of 0, analyze ended in a
+                                                           pipeline, argv, message):
+        # AMBER's closes near 1e302: the hedge regression's sums of squares,
+        # and the ratio's, overflow.  analyze once ended in a
         # ZeroDivisionError traceback, and backtest warned of an overflow
-        # before its error line.  No warning may come before that line.
+        # before its error line.  No warning may come before that line.  The
+        # scan, which takes each ticker at unit scale, once ended with the
+        # same error and now runs as on the demo.
         config = demo_with(synth_dir, tmp_path, "AMBER", lambda day, close: close + "e300")
         code = run(*argv, "--config", config, "--out", tmp_path / "o")
         err = capsys.readouterr().err
+        if message is None:
+            assert (code, err) == (0, "")
+            assert_scan_like_the_demo(tmp_path / "o", pipeline)
+            return
         assert code == 3
         assert err.splitlines() == [f"pairtrader: error: {message}"]
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv, message", [
-        (["scan", "--sector", "metals"],
-         "metals: pair (AMBER, BASALT): unit-root regression is singular"),
-        (["analyze", "--pair", "AMBER,BASALT"], "AMBER,BASALT: unit-root regression is singular"),
+        (["scan", "--sector", "metals"], None),
+        (["analyze", "--pair", "AMBER,BASALT"],
+         "AMBER,BASALT: standard error underflows: values too small"),
     ], ids=["scan", "analyze"])
     @pytest.mark.filterwarnings("error")
     def test_underflowing_sums_are_one_line_naming_the_pair(self, synth_dir, tmp_path, capsys,
-                                                            argv, message):
-        # AMBER's closes near 1e-300: its sums of squares underflow, so the
-        # residual ADF regression is singular, though the residuals move.
-        # The scan once scored all nine AMBER pairs p = 0 as "exact linear
-        # dependence", and analyze called the pair "degenerate (constant
-        # residuals)" with hedge ratio 0: only exact constancy earns those.
+                                                            pipeline, argv, message):
+        # AMBER's closes near 1e-300 against BASALT's near 100: the hedge
+        # ratio's residuals move, but their squares underflow to 0.  analyze
+        # once called the pair "degenerate (constant residuals)" with hedge
+        # ratio 0, and then gave it t = inf: only exact constancy earns those.
+        # The scan once scored all nine AMBER pairs p = 0, and then ended
+        # with "unit-root regression is singular"; at unit scale it runs as
+        # on the demo.
         config = demo_with(synth_dir, tmp_path, "AMBER", lambda day, close: close + "e-300")
         code = run(*argv, "--config", config, "--out", tmp_path / "o")
+        err = capsys.readouterr().err
+        if message is None:
+            assert (code, err) == (0, "")
+            assert_scan_like_the_demo(tmp_path / "o", pipeline)
+            return
         assert code == 3
-        assert capsys.readouterr().err.splitlines() == [f"pairtrader: error: {message}"]
+        assert err.splitlines() == [f"pairtrader: error: {message}"]
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_iron_and_cobalt_scan_as_the_demo(self, synth_dir, tmp_path, capsys, pipeline):
+        # IRON's and COBALT's closes near 1e-162, whose residuals' squares
+        # are subnormal: the scan once ended with "fits exactly".
+        config = iron_and_cobalt_tiny(synth_dir, tmp_path, "e-162")
+        assert run("scan", "--sector", "metals", "--config", config, "--out", tmp_path / "o") == 0
+        assert capsys.readouterr().err == ""
+        assert_scan_like_the_demo(tmp_path / "o", pipeline)
 
     def test_pair_order_does_not_matter(self, synth_dir, tmp_path):
         out = tmp_path / "o"
@@ -306,9 +343,11 @@ class TestExactDependence:
         # Four random walks over 80 weekdays, one of them scaled by
         # 10**exponent, or joined by its copy or its double.  The scan either
         # ends in one error line naming a pair or a ticker, or scores p = 0
-        # only where a pair's stage-1 residuals have range 0.  Closes near
-        # 1e-300 once scored every pair of the scaled ticker p = 0, and near
-        # 1e-162, whose residuals' squares are subnormal, one pair tau = -inf.
+        # only where a pair's stage-1 residuals, at ``unit_rows``' scale,
+        # have range 0.  A scaled ticker is scanned like any other.  Closes
+        # near 1e-300 once scored every pair of the scaled ticker p = 0, and
+        # near 1e-162, whose residuals' squares are subnormal, one pair
+        # tau = -inf; then both ended the scan with a fault.
         rng = np.random.default_rng(seed)
         closes = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.02, (4, 80)), axis=1))
         tickers = ["ALPHA", "BRAVO", "CHARLIE", "DELTA"]
@@ -332,6 +371,7 @@ class TestExactDependence:
             with redirect_stderr(err):
                 code = run("scan", "--config", root / "config.json", "--sector", "s",
                            "--out", root / "o")
+            assert not (code and kind == "scaled"), err.getvalue()
             if code:
                 (line,) = [line for line in err.getvalue().splitlines()
                            if line.startswith("pairtrader: error: ")]
@@ -342,7 +382,7 @@ class TestExactDependence:
             cells = read_json(root / "o" / "s" / "scan" / "pvalue_matrix.json")["pairs"]
             config = RunConfig.from_json(root / "config.json")
             train, _ = cli._scan_input(config, "s")
-        terms = unitroot.stage1_terms(train.closes)
+        terms = unitroot.stage1_terms(unitroot.unit_rows(train.closes))
         for cell in cells:
             if cell["p_value"] == 0.0:
                 targ, pred = (train.tickers.index(cell[key]) for key in ("target", "predictor"))

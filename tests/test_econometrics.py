@@ -24,6 +24,7 @@ from pairtrader.errors import (
     AllZeroResiduals,
     DegenerateRegressor,
     LengthMismatch,
+    NumericError,
     SampleTooSmall,
     SeriesTooShort,
     ZeroVariance,
@@ -248,6 +249,16 @@ class TestOlsThroughOrigin:
         assert all(abs(e) < 1e-14 for e in report.residuals)
         assert report.cond_no == 1.0
         assert math.isnan(report.durbin_watson)
+
+    def test_residuals_that_move_are_no_exact_fit(self):
+        # y near 1e-300 on x near 100: the residuals span 1e-300, but their
+        # squares underflow to an SSR of 0.  That once read as an exact fit,
+        # with se 0, t = inf and a log-likelihood of inf.
+        rng = np.random.default_rng(31)
+        x = rng.uniform(90.0, 110.0, size=60)
+        y = 1e-300 * rng.uniform(1.0, 2.0, size=60)
+        with pytest.raises(NumericError, match="^standard error underflows: values too small$"):
+            ols_through_origin(x, y)
 
     def test_closed_form_two_points(self):
         report = ols_through_origin([1, 2], [1, 1])

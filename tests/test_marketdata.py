@@ -438,7 +438,7 @@ def _outcome_and_log(loader, path):
     return tuple(panel.dates.tolist()), panel.closes.tobytes(), log.messages
 
 
-# No max_examples of its own: the "loader-deep" profile (conftest.py) runs
+# No max_examples of its own: the "deep" profile (conftest.py) runs
 # this test with 20 times the default's 100 examples.
 @settings(deadline=None)
 @given(_long_price_files())

@@ -195,7 +195,7 @@ def test_cells_do_not_depend_on_block_boundaries(data, n_tickers, n_dates, seed)
     # Each pair's statistic, lag order and sample size, bit for bit, whatever
     # the block: the whole scan as one block against a block of one a pair.
     pairs = list(zip(scan.targets.tolist(), scan.predictors.tolist()))
-    terms = unitroot.stage1_terms(panel.closes)
+    terms = unitroot.stage1_terms(unitroot.unit_rows(panel.closes))
 
     def outcome(result):
         if isinstance(result, Exception):
@@ -211,15 +211,15 @@ def fail_on_pairs(monkeypatch, panel, *pairs):
     """Make the scan's block test give ``SeriesTooShort`` for each pair of tickers in ``pairs``.
 
     The fault takes the pair's place among the block's outcomes, as a real
-    per-pair fault does, and ``pairscan`` names the pair.
+    per-pair fault does, and ``pairscan`` names the pair.  The pairs are
+    told by their tickers' indices in ``panel``, the scan's own.
     """
-    closes = dict(zip(panel.tickers, panel.closes))
-    bad = [{closes[a][0], closes[b][0]} for a, b in pairs]
+    bad = [{panel.tickers.index(a), panel.tickers.index(b)} for a, b in pairs]
     real = pairscan.engle_granger_block
 
     def engle_granger_block(terms, block, max_lag=None):
         outcomes = real(terms, block, max_lag)
-        return [SeriesTooShort("injected fault") if {terms.rows[t][0], terms.rows[p][0]} in bad
+        return [SeriesTooShort("injected fault") if {t, p} in bad
                 else outcome for (t, p), outcome in zip(block, outcomes)]
 
     monkeypatch.setattr(pairscan, "engle_granger_block", engle_granger_block)

@@ -18,7 +18,6 @@ from pairtrader.errors import (
     DegenerateRegressor,
     LengthMismatch,
     SeriesTooShort,
-    SumOverflow,
     UnknownSurface,
 )
 from pairtrader.marketdata import AlignedPanel, align_panel
@@ -908,10 +907,10 @@ def correlation_kappa(design):
 
 
 def test_gram_search_decides_well_conditioned_walks_at_any_scale(qr_searches):
-    # 200 random walks at scales 1e-6 to 1e6.  The pivot checks are scale-free,
-    # so a constant-term test of a walk far from 1 in size, whose constant
-    # column is tiny or huge beside its level column, is decided by the Gram
-    # search whenever its design is well conditioned.
+    # 200 random walks at scales 1e-6 to 1e6.  Each test takes its series at
+    # unit scale, so a constant-term test of a walk far from 1 in size, whose
+    # constant column would be tiny or huge beside its level column, is
+    # decided by the Gram search whenever its design is well conditioned.
     rng = np.random.default_rng(2024)
     fallback_kappas = []
     for i in range(200):
@@ -930,14 +929,20 @@ def test_gram_search_decides_well_conditioned_walks_at_any_scale(qr_searches):
 
 
 def test_pivot_spread_keeps_the_qr_singular_fault(qr_searches):
-    # A well-conditioned walk whose level column is some 1e14 times its
-    # constant column: the Householder search calls that design singular, so
-    # the Gram search must leave the decision, and the fault, to it.
-    y = 1e13 * random_walk(np.random.default_rng(6), 300)
-    assert correlation_kappa(adf_design(y, 2, True)) < 100.0
+    # A well-conditioned walk some 1e13 above 0: without a constant, its
+    # level column is some 1e14 times its lag columns at any unit.  The
+    # Householder search calls that design singular, so the Gram search
+    # must leave the decision, and the fault, to it.
+    walk = random_walk(np.random.default_rng(6), 300)
+    y = 1e13 + walk
+    assert correlation_kappa(adf_design(y, 2, False)) < 100.0
     with pytest.raises(ConstantSeries, match="^unit-root regression is singular$"):
-        adf_test(y, "constant", max_lag=2)
+        adf_test(y, "none", max_lag=2)
     assert len(qr_searches) == 1
+    # Times 1e13 with a constant, the walk's level column was as far from
+    # its constant column, and singular; at unit scale it gets a tau.
+    assert adf_test(1e13 * walk, "constant", max_lag=2).used_lags == adf_test(
+        walk, "constant", max_lag=2).used_lags
 
 
 def test_gram_search_of_a_stack_is_the_search_of_each_design():
@@ -987,16 +992,76 @@ def test_refit_of_a_group_is_the_refit_of_each_row(lag, constant):
         assert factors[0] == (2 if lag else 1)
 
 
+def exact_scales(values):
+    """The least and the greatest k for which every nonzero value times 2^k is a normal double."""
+    magnitudes = abs(values[values != 0.0])
+    return -1021 - int(np.frexp(magnitudes.min())[1]), 1024 - int(np.frexp(magnitudes.max())[1])
+
+
+def outcome_bits(result):
+    """An Engle-Granger or ADF outcome as its lag, its tau's bits and its sample size."""
+    return result.used_lags, result.tau.hex(), result.n_eff
+
+
+def scan_columns(scan):
+    return (scan.predictors.tolist(), scan.targets.tolist(),
+            [p.hex() for p in scan.p_values.tolist()], scan.exact.tolist())
+
+
+# No max_examples of its own: the "deep" profile (conftest.py) runs this
+# test with 20 times the default's 100 examples.
 @pytest.mark.filterwarnings("error")
-def test_overflowing_sums_are_a_fault_not_a_statistic():
-    # Values near 1e301: every sum of squares overflows, which once gave a
-    # statistic (or, in a scan, a slope of 0) as if nothing had, and with a
-    # constant a "singular" fault.  It is a fault, and no warning.
-    rng = np.random.default_rng(9)
-    y = 1e300 * random_walk(rng, 200)
-    x = 1e300 * (50.0 + random_walk(rng, 200))
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(40, 200), data=st.data())
+def test_a_power_of_two_scale_leaves_every_statistic_bit_identical(seed, n, data):
+    # Four tickers' closes over n dates, the last two cointegrated.  Every
+    # test takes its series at unit scale, so scaling a series by 2^k, exact
+    # while the values stay normal, moves no bit of any lag or tau, at any
+    # k: closes near 1e302 once overflowed, and near 1e-300 faulted.
+    rng = np.random.default_rng(seed)
+    closes = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.02, (4, n)), axis=1))
+    closes[3] = 0.5 * closes[2] + rng.normal(0.0, 1.0, n) ** 2
+    y, x = closes[3], closes[2]
+    k = data.draw(st.integers(*exact_scales(closes)), label="k")
     for deterministic in ("none", "constant"):
-        with pytest.raises(SumOverflow, match="^sums of squares overflow: values too large$"):
-            adf_test(y, deterministic)
-    with pytest.raises(SumOverflow, match="^sums of squares overflow: values too large$"):
-        engle_granger(1.5 * x + y, x)
+        assert (outcome_bits(adf_test(np.ldexp(y, k), deterministic))
+                == outcome_bits(adf_test(y, deterministic)))
+    assert outcome_bits(engle_granger(np.ldexp(y, k), x)) == outcome_bits(engle_granger(y, x))
+
+    # A panel scaled as a whole, its keys with it, keeps every cell.  So
+    # does each cell whose roles survive one ticker's scaling.
+    dates = weekday_calendar(date(2020, 1, 6), n)
+    panel = AlignedPanel(("A", "B", "C", "D"), dates, closes)
+    means = np.array(row_means(panel))
+    base = scan_columns(coint_matrix(panel, means.tolist()))
+    scaled = AlignedPanel(panel.tickers, dates, np.ldexp(closes, k))
+    assert scan_columns(coint_matrix(scaled, np.ldexp(means, k).tolist())) == base
+    ticker = data.draw(st.integers(0, 3), label="ticker")
+    one_k = data.draw(st.integers(*exact_scales(closes[ticker])), label="one_k")
+    one = closes.copy()
+    one[ticker] = np.ldexp(one[ticker], one_k)
+    keys = means.copy()
+    keys[ticker] = np.ldexp(keys[ticker], one_k)
+    cells = scan_columns(coint_matrix(AlignedPanel(panel.tickers, dates, one), keys.tolist()))
+    kept = [(cell, old) for cell, old in zip(zip(*cells), zip(*base)) if cell[:2] == old[:2]]
+    assert [cell for cell, _ in kept] == [old for _, old in kept]
+    assert len(kept) >= 3  # the pairs without the scaled ticker at least
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_a_series_with_a_non_finite_value_is_refused(value):
+    # inf once gave SumOverflow from adf_test and a RuntimeWarning from
+    # engle_granger; NaN gave "singular" from one and SumOverflow from the
+    # other.  Neither is a series a unit-root test can take.
+    rng = np.random.default_rng(5)
+    x = 50.0 + random_walk(rng, 100)
+    y = 2.0 * x + rng.normal(size=100)
+    bad = y.copy()
+    bad[40] = value
+    for deterministic in ("none", "constant"):
+        with pytest.raises(ValueError, match="^series must be finite$"):
+            adf_test(bad, deterministic)
+    for args in ((bad, x), (x, bad)):
+        with pytest.raises(ValueError, match="^series must be finite$"):
+            engle_granger(*args)
