@@ -12,10 +12,11 @@ threshold outright or squeak in within a configurable near-threshold
 margin.  A pair whose residuals are exactly zero (say, two share classes of
 one company) gets p = 0 and a recorded reason instead of aborting the scan.
 The pairs are tested in blocks that share their stage-1 terms, lag-order
-checks and refits; a large scan also forks workers, each of which sends its
-p-values back down a pipe as two arrays (see ``_scan_pairs``).  The columns
-are the same whatever the blocks and the processes.  The module only
-computes: ``cli`` writes the artifacts.
+checks and refits, and whose outcome is columns: no object is built per
+pair.  A large scan also forks workers, each of which sends its p-values
+back down a pipe as two arrays (see ``_scan_pairs``).  The columns are the
+same whatever the blocks and the processes.  The module only computes:
+``cli`` writes the artifacts.
 """
 
 from __future__ import annotations
@@ -31,13 +32,14 @@ from typing import NoReturn
 import numpy as np
 
 from .econometrics import OlsOriginReport, ols_through_origin
-from .errors import ExactlyConstant, PairTraderError, SeriesTooShort
+from .errors import ExactlyConstant, SeriesTooShort
 from .marketdata import AlignedPanel, align_panel, slice_window
 # engle_granger, which the scan no longer calls pair by pair, stays importable
 # from here with adf_test: perfbench's tracer wraps both where this module
 # refers to them.
-from .unitroot import (AdfResult, Stage1Terms, adf_test, block_rows, engle_granger,  # noqa: F401
-                       EG_MIN_N, engle_granger_block, stage1_terms, unit_rows)
+from .unitroot import (CONSTANT, AdfResult, Stage1Terms, adf_test,  # noqa: F401
+                       block_rows, engle_granger, EG_MIN_N, engle_granger_block,
+                       engle_granger_pvalues, fault, stage1_terms, unit_rows)
 
 DEFAULT_THRESHOLD = 0.05
 DEFAULT_NEAR_EPS = 0.02
@@ -142,33 +144,17 @@ def _pool_size(n_pairs: int, n_dates: int) -> int:
     return max(1, min(cpus, n_pairs * n_dates // _POOL_MIN_PAIR_DATES))
 
 
-def _scan_block(tickers, terms: Stage1Terms, pairs) -> tuple[np.ndarray, np.ndarray]:
-    """The p-values of the ``(target, predictor)`` index pairs of ``pairs``, and which are exact.
-
-    The pairs are tested as one ``engle_granger_block``.  A pair whose
-    residuals are exactly constant (``ExactlyConstant``) gets p = 0 and an
-    exact flag; the first other per-pair fault, a singular or exactly
-    fitting residual regression among them, is re-raised with the pair's
-    tickers named in panel order.
-    """
-    p_values, exact = np.zeros(len(pairs)), np.zeros(len(pairs), dtype=bool)
-    for k, ((targ, pred), outcome) in enumerate(zip(pairs, engle_granger_block(terms, pairs))):
-        if isinstance(outcome, ExactlyConstant):
-            exact[k] = True
-        elif isinstance(outcome, PairTraderError):
-            i, j = sorted((targ, pred))
-            raise type(outcome)(f"pair ({tickers[i]}, {tickers[j]}): {outcome}") from outcome
-        else:
-            p_values[k] = outcome.p_value
-    return p_values, exact
-
-
 def _scan_span(tickers, terms: Stage1Terms, pairs, parent: int | None = None
                ) -> tuple[np.ndarray, np.ndarray]:
-    """``_scan_block`` over ``pairs``, one block of ``block_rows`` pairs at a time.
+    """The p-values of the ``(target, predictor)`` index pairs of ``pairs``, and which are exact.
 
-    With a ``parent`` pid, as in a forked worker, the process first leaves
-    quietly if that parent is gone, before each block.
+    The pairs are tested as ``engle_granger_block``s of ``block_rows`` pairs.
+    A pair whose residuals are exactly constant (fault code ``CONSTANT``)
+    gets p = 0 and an exact flag; the first pair with any other fault, a
+    singular or exactly fitting residual regression, raises it with the
+    pair's tickers named in panel order.  With a ``parent`` pid, as in a
+    forked worker, the process first leaves quietly if that parent is gone,
+    before each block.
     """
     size = block_rows(terms.rows.shape[1])
     p_values, exact = np.zeros(len(pairs)), np.zeros(len(pairs), dtype=bool)
@@ -176,7 +162,12 @@ def _scan_span(tickers, terms: Stage1Terms, pairs, parent: int | None = None
         if parent is not None and os.getppid() != parent:
             os._exit(0)  # the parent was killed outright: no one reads these results
         block = slice(start, start + size)
-        p_values[block], exact[block] = _scan_block(tickers, terms, pairs[block])
+        _, taus, codes = engle_granger_block(terms, pairs[block])
+        if (faulty := np.flatnonzero((codes != 0) & (codes != CONSTANT))).size:
+            i, j = sorted(pairs[start + faulty[0]])
+            raise fault(codes[faulty[0]], f"pair ({tickers[i]}, {tickers[j]}): ")
+        exact[block] = codes == CONSTANT
+        p_values[block][codes == 0] = engle_granger_pvalues(taus[codes == 0])
     return p_values, exact
 
 

@@ -38,10 +38,7 @@ A refit never depends on which search chose the lag.  One builder,
 
 Every test takes each series at unit scale (``unit_rows``), so a series
 and its power-of-two multiples get the same lags, taus and faults, and no
-sum overflows.  An ADF regression has two faults, defined once
-(``_with_faults``) for the Householder search and the refit alike: the
-``ConstantSeries`` "singular" and "fits exactly".  A series, or a pair's
-residuals, of range 0 raise ``ExactlyConstant`` before any regression.
+sum overflows.
 
 Every ADF test runs as a row of one stack (``_adf_stack``): the rows go
 to the Gram search in chunks of ``_search_rows``, the rows it cannot decide
@@ -53,13 +50,16 @@ block's residuals built as one array.  Every number it reports is the one
 the pair's own ``engle_granger`` gives, bit for bit, since no row's
 arithmetic depends on the other rows.
 
+From the lag search to the scan, a stack's outcome is three columns: each
+row's used lag, tau and fault code (``FAULTS``; ``_faults`` is the one rule
+of both searches and the refit).  Only ``adf_test`` and ``engle_granger``
+make an ``AdfResult`` or raise a row's fault (``_one_result``).
+
 Critical values and approximate p-values come from MacKinnon's published
 response surfaces, held as module constants (``CRIT``, ``PVAL_SMALL``,
-``PVAL_LARGE``, ``BOUNDS``).  Both tests return an ``AdfResult``, which stores
-the statistic and the surface it is read against and evaluates that surface
-only when its critical values or p-value are first read: the sector scan
-reads one p-value per pair and no critical value.  ``cli`` writes a residual
-test's statistic, critical values and p-value.
+``PVAL_LARGE``, ``BOUNDS``).  An ``AdfResult`` evaluates its surface only
+when its critical values or p-value are first read; the sector scan reads
+a block's p-values off its taus (``engle_granger_pvalues``).
 """
 
 from __future__ import annotations
@@ -87,6 +87,18 @@ LEVELS = ("1%", "5%", "10%")
 EG_MIN_N = 30
 
 _DETERMINISTICS = ("none", "constant")
+
+#: Each fault code's exception and message; code 0 is no fault.
+FAULTS = (None, (ConstantSeries, "unit-root regression is singular"),
+          (ConstantSeries, "unit-root regression fits exactly"),
+          (ExactlyConstant, "series is constant"), (DegenerateRegressor, "regressor is constant"))
+SINGULAR, FITS_EXACTLY, CONSTANT, DEGENERATE = range(1, len(FAULTS))
+
+
+def fault(code: int, prefix: str = "") -> PairTraderError:
+    """The exception of fault ``code``, its message after ``prefix``."""
+    kind, message = FAULTS[code]
+    return kind(prefix + message)
 
 
 # MacKinnon response surfaces, keyed by n_series, the number of I(1) series
@@ -199,6 +211,11 @@ def mackinnon_pvalue(tau: float, n_series: int, deterministic: str) -> float:
     for c in reversed(coeffs):
         poly = poly * tau + c
     return min(1.0, max(0.0, _norm_cdf(poly)))
+
+
+def engle_granger_pvalues(taus: np.ndarray) -> np.ndarray:
+    """The p-value of each Engle-Granger tau of ``taus``, on the ``(2, "constant")`` surface."""
+    return np.array([mackinnon_pvalue(tau, 2, "constant") for tau in taus.tolist()])
 
 
 @dataclass(frozen=True)
@@ -355,13 +372,13 @@ def _lag_grams(ys: np.ndarray, lag: int, constant: bool) -> tuple[np.ndarray, np
     return grams, rho2
 
 
-def _gram_lag_search(ys: np.ndarray, max_lag: int, constant: bool) -> list[int | None]:
+def _gram_lag_search(ys: np.ndarray, max_lag: int, constant: bool) -> np.ndarray:
     """The AIC lag order of each row of ``ys``, from Cholesky factors of Gram matrices.
 
     For each row, returns the k that ``_householder_lag_search`` would
-    return on its ``_adf_designs`` at ``max_lag``, or None when this search
+    return on its ``_adf_designs`` at ``max_lag``, or -1 when this search
     cannot prove it does: the Cholesky factorisation of any Gram matrix of
-    the stack fails (then every row gets None), a pivot or the smallest SSR
+    the stack fails (then every row gets -1), a pivot or the smallest SSR
     is tiny (where the Householder search may raise instead), or the AIC
     gap between the best lag and the runner-up is within the error bound
     below.  The Gram matrices come from lagged sums (``_lag_grams``), and
@@ -473,7 +490,7 @@ def _gram_lag_search(ys: np.ndarray, max_lag: int, constant: bool) -> list[int |
             except np.linalg.LinAlgError:
                 pass
             proven |= separated(kappa)
-    return [int(k) if ok else None for k, ok in zip(best, proven)]
+    return np.where(proven, best, -1)
 
 
 def _householder_factor(designs: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -506,31 +523,29 @@ def _householder_factor(designs: np.ndarray) -> tuple[np.ndarray, ...]:
     return pivots, signs * designs[:, -1, :ncol - 1], np.einsum("gm,gm->g", tail, tail), total
 
 
-def _with_faults(values: list, pivots: np.ndarray, total: np.ndarray, ssr: np.ndarray) -> list:
-    """Each of ``values``, or the fault of its ADF regression of b on X.
+def _faults(pivots: np.ndarray, total: np.ndarray, ssr: np.ndarray) -> np.ndarray:
+    """The fault code of each row's ADF regression of b on X, 0 for none.
 
     In this order, on each row's pivots (R's diagonal over X), ``total``
-    (b'b) and ``ssr``: "singular" where the smallest pivot is at most
-    ``_SINGULAR_RATIO`` of the largest; "fits exactly" where ``ssr`` is at
+    (b'b) and ``ssr``: ``SINGULAR`` where the smallest pivot is at most
+    ``_SINGULAR_RATIO`` of the largest; ``FITS_EXACTLY`` where ``ssr`` is at
     most ``_SINGULAR_RATIO`` squared of b'b or below ``_TINY``, the smallest
     normal double, where its precision is lost.  NaN fails both rules.
     """
     singular = ~(pivots.min(axis=1) > _SINGULAR_RATIO * pivots.max(axis=1))
     exact = ~(ssr > np.maximum(_SINGULAR_RATIO**2 * total, _TINY))
-    return [ConstantSeries("unit-root regression is singular") if bad_pivot
-            else ConstantSeries("unit-root regression fits exactly") if fits else value
-            for value, bad_pivot, fits in zip(values, singular, exact)]
+    return np.where(singular, SINGULAR, np.where(exact, FITS_EXACTLY, 0))
 
 
-def _householder_lag_search(designs: np.ndarray, ntrend: int) -> list[int | PairTraderError]:
-    """The AIC lag order of each design of a stack, or its fault, by Householder QR.
+def _householder_lag_search(designs: np.ndarray, ntrend: int) -> tuple[np.ndarray, np.ndarray]:
+    """The AIC lag order and the fault code of each design of a stack, by Householder QR.
 
     ``designs`` is a ``(B, c, m)`` stack from ``_adf_designs`` at
     ``max_lag``: slab b transposed is ``[X | b]``, its dependent column
     last.  It is overwritten.  The candidate with k lags has p = ntrend+1+k
     regressors, SSR_k the factor's tail sum of squares plus R's last column
     squared from row p on, with no cancellation, and AIC by ``_aic``; ties
-    go to the smaller k.  The faults are ``_with_faults``' on the widest
+    go to the smaller k.  The faults are ``_faults``' on the widest
     design's pivots and the smallest SSR_k.
     """
     nobs = designs.shape[2]
@@ -539,7 +554,7 @@ def _householder_lag_search(designs: np.ndarray, ntrend: int) -> list[int | Pair
         pivots, rb, tail, total = _householder_factor(designs)
         ssr = np.cumsum(np.column_stack([tail, rb[:, :ntrend:-1] ** 2]), axis=1)[:, ::-1]
         aic = _aic(ssr, ntrend, nobs)
-    return _with_faults(aic.argmin(axis=1).tolist(), pivots, total, ssr.min(axis=1))
+    return aic.argmin(axis=1), _faults(pivots, total, ssr.min(axis=1))
 
 
 def _lag_bound(n: int, max_lag: int | None, ntrend: int) -> int:
@@ -634,8 +649,8 @@ def _gram_factor(designs: np.ndarray) -> tuple[np.ndarray, ...]:
     return pivots, column[:, -1], ssr, norms2[:, nx], trusted
 
 
-def _refit_taus(ys: np.ndarray, lag: int, constant: bool) -> list[float | PairTraderError]:
-    """tau of the ADF regression of each row of ``ys`` at ``lag``, or its fault.
+def _refit_taus(ys: np.ndarray, lag: int, constant: bool) -> tuple[np.ndarray, np.ndarray]:
+    """tau and the fault code of the ADF regression of each row of ``ys`` at ``lag``.
 
     Each row is refit on its longest sample, ``n - lag - 1`` observations,
     with the level ``y_{t-1}`` last among the regressors.  tau is then read
@@ -652,7 +667,7 @@ def _refit_taus(ys: np.ndarray, lag: int, constant: bool) -> list[float | PairTr
 
     Every sum is an ``einsum`` over one row, so that a row's tau does not
     depend on the other rows nor on the BLAS kernel.  A row's faults are
-    ``_with_faults``' on its pivots, SSR and ``dy'dy``: the closed form's
+    ``_faults``' on its pivots, SSR and ``dy'dy``: the closed form's
     ``sum(dy^2)``, the Gram diagonal or the Householder factor's ``b'b``.
     A row the Gram factor keeps passes both ratio rules.
     """
@@ -678,55 +693,63 @@ def _refit_taus(ys: np.ndarray, lag: int, constant: bool) -> list[float | PairTr
                 pivots[rough], rb, ssr[rough], total[rough] = _householder_factor(designs[rough])
                 cross[rough] = rb[:, -1]
             tau = cross / np.sqrt(ssr / dof)
-    return _with_faults(tau.tolist(), pivots, total, ssr)
+    return tau, _faults(pivots, total, ssr)
 
 
-def _search_lags(ys: np.ndarray, max_lag: int, constant: bool) -> list[int | PairTraderError]:
-    """The AIC lag order of each row of ``ys``, or the fault its search raised.
+def _search_lags(ys: np.ndarray, max_lag: int, constant: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The AIC lag order and the search's fault code of each row of the non-empty ``ys``.
 
-    The rows go to ``_gram_lag_search`` at once; only the rows it cannot
-    decide get their widest designs, built in stacks of ``block_rows``
-    rows for ``_householder_lag_search``, whose lags and faults the Gram
-    search only ever proves.
+    The rows go to ``_gram_lag_search`` in chunks of ``_search_rows``; only
+    the rows it cannot decide get their widest designs, built in stacks of
+    ``block_rows`` rows for ``_householder_lag_search``, whose lags and
+    faults the Gram search only ever proves.
     """
-    lags: list = _gram_lag_search(ys, max_lag, constant)
-    undecided = [row for row, lag in enumerate(lags) if lag is None]
+    step = _search_rows(max_lag, constant)
+    lags = np.concatenate([_gram_lag_search(ys[start:start + step], max_lag, constant)
+                           for start in range(0, len(ys), step)])
+    codes = np.zeros_like(lags)
+    undecided = np.flatnonzero(lags < 0)
     step = block_rows(ys.shape[1], max_lag, constant)
-    for start in range(0, len(undecided), step):
+    for start in range(0, undecided.size, step):
         rows = undecided[start:start + step]
         designs = _adf_designs(ys[rows], max_lag, constant)
-        for row, lag in zip(rows, _householder_lag_search(designs, int(constant))):
-            lags[row] = lag
-    return lags
+        lags[rows], codes[rows] = _householder_lag_search(designs, int(constant))
+    return lags, codes
 
 
 def _adf_stack(ys: np.ndarray, max_lag: int, constant: bool
-               ) -> list[tuple[int, float, int] | PairTraderError]:
-    """``(used_lags, tau, n_eff)`` of the ADF test of each row of ``ys``.
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The used lag, tau and fault code of the ADF test of each row of ``ys``.
 
-    The rows' lags come from ``_search_lags`` in chunks of ``_search_rows``
-    rows at ``max_lag``.  The rows are then grouped by chosen lag, and each
-    group is refit by ``_refit_taus``, again in chunks of ``block_rows``
-    rows at that lag.  A row whose search or refit faults
-    (``_with_faults``) gets that exception in its place.
+    The rows' lags come from ``_search_lags`` at ``max_lag``.  The rows it
+    leaves without a fault are then grouped by chosen lag, and each group is
+    refit by ``_refit_taus``, in chunks of ``block_rows`` rows at that lag.
+    A row whose search or refit faults (``_faults``) gets lag -1 and tau NaN.
     """
     nrows, n = ys.shape
-    outcomes: list = [None] * nrows
-    by_lag: dict[int, list[int]] = {}
-    step = _search_rows(max_lag, constant)
-    for start in range(0, nrows, step):
-        for row, lag in enumerate(_search_lags(ys[start:start + step], max_lag, constant), start):
-            if isinstance(lag, PairTraderError):
-                outcomes[row] = lag
-            else:
-                by_lag.setdefault(lag, []).append(row)
-    for lag, rows in sorted(by_lag.items()):
+    lags, codes = _search_lags(ys, max_lag, constant)
+    taus = np.full(nrows, math.nan)
+    searched = codes == 0
+    # Not np.unique: its first call imports numpy.ma, 10 ms of a cold scan.
+    for lag in sorted(set(lags[searched].tolist())):
+        rows = np.flatnonzero(searched & (lags == lag))
         step = block_rows(n, lag, constant)
-        for start in range(0, len(rows), step):
+        for start in range(0, rows.size, step):
             chunk = rows[start:start + step]
-            for row, tau in zip(chunk, _refit_taus(ys[chunk], lag, constant)):
-                outcomes[row] = tau if isinstance(tau, PairTraderError) else (lag, tau, n - lag - 1)
-    return outcomes
+            taus[chunk], codes[chunk] = _refit_taus(ys[chunk], lag, constant)
+    faulted = codes != 0
+    lags[faulted], taus[faulted] = -1, math.nan
+    return lags, taus, codes
+
+
+def _one_result(outcome: tuple[np.ndarray, ...], n: int, n_series: int, deterministic: str
+                ) -> AdfResult:
+    """The ``AdfResult`` of a one-row outcome of ``n`` observations, or its fault raised."""
+    (lag,), (tau,), (code,) = (column.tolist() for column in outcome)
+    if code:
+        raise fault(code)
+    return AdfResult(tau=tau, used_lags=lag, n_eff=n - lag - 1, n_series=n_series,
+                     deterministic=deterministic)
 
 
 def adf_test(series, deterministic: str = "constant", max_lag: int | None = None) -> AdfResult:
@@ -744,14 +767,10 @@ def adf_test(series, deterministic: str = "constant", max_lag: int | None = None
     y = _as_1d(series)
     n = y.size
     if n >= 1 and np.ptp(y) == 0.0:
-        raise ExactlyConstant("series is constant")
+        raise fault(CONSTANT)
     constant = deterministic == "constant"
-    (outcome,) = _adf_stack(y[np.newaxis], _lag_bound(n, max_lag, int(constant)), constant)
-    if isinstance(outcome, PairTraderError):
-        raise outcome
-    used_lags, tau, n_eff = outcome
-    return AdfResult(tau=tau, used_lags=used_lags, n_eff=n_eff, n_series=1,
-                     deterministic=deterministic)
+    outcome = _adf_stack(y[np.newaxis], _lag_bound(n, max_lag, int(constant)), constant)
+    return _one_result(outcome, n, 1, deterministic)
 
 
 @dataclass(frozen=True)
@@ -795,19 +814,16 @@ def stage1_fit(terms: Stage1Terms, targets: np.ndarray, predictors: np.ndarray
 
 
 def engle_granger_block(terms: Stage1Terms, pairs, max_lag: int | None = None
-                        ) -> list[AdfResult | PairTraderError]:
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Engle-Granger tests of ``rows[t]`` on ``rows[p]`` for each ``(t, p)`` in ``pairs``.
 
-    ``terms`` are the ``stage1_terms`` of rows scaled by ``unit_rows``, as
-    ``engle_granger`` and ``pairscan.coint_matrix`` give them.  A pair's
-    result does not depend on the rest of the block: bit for bit, it is what
-    ``engle_granger(rows[t], rows[p], max_lag)``, a block of one, returns.
-    A pair's fault is what that raises, returned in the pair's place:
-    ``DegenerateRegressor`` for a constant regressor, ``ExactlyConstant``
-    for residuals of range 0, ``ConstantSeries`` for a singular or exactly
-    fitting ADF regression of residuals that do move.  Faults that hold for
-    every pair alike (too few observations, a ``max_lag`` they leave no room
-    for) are raised.
+    Returns each pair's used lag, tau and fault code, as ``_adf_stack``
+    does: bit for bit those of the pair's own block of one, which
+    ``engle_granger(rows[t], rows[p], max_lag)`` reads.  ``terms`` must be
+    the ``stage1_terms`` of rows at ``unit_rows``' scale (else
+    ``ValueError``).  A constant regressor is ``DEGENERATE`` and residuals
+    of range 0 ``CONSTANT``.  Faults that hold for every pair alike (too few
+    observations, a ``max_lag`` they leave no room for) are raised.
 
     The block shares what its pairs share: stage 1 uses the per-series
     ``terms``, so only the slope's sum of products is per pair, and the
@@ -819,10 +835,10 @@ def engle_granger_block(terms: Stage1Terms, pairs, max_lag: int | None = None
     n = terms.rows.shape[1]
     if n < EG_MIN_N:
         raise SeriesTooShort(f"need >= {EG_MIN_N} observations, have {n}")
+    if np.frexp(abs(terms.rows).max(axis=1, initial=0.0))[1].any():
+        raise ValueError("stage-1 terms must be of rows at unit_rows' scale")
     targets, predictors = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     slopes, intercepts = stage1_fit(terms, targets, predictors)
-    outcomes: list = [DegenerateRegressor("regressor is constant") if flat else None
-                      for flat in terms.sxx[predictors] == 0.0]
     # rows[t] - c - b rows[p], in place.  The residuals are a block's largest
     # array besides one design stack; each further temporary of their size
     # made the heap grow past glibc's trim threshold and re-fault its pages
@@ -834,23 +850,15 @@ def engle_granger_block(terms: Stage1Terms, pairs, max_lag: int | None = None
     fitted *= slopes[:, np.newaxis]
     resids -= fitted
     del fitted
-    for k in np.flatnonzero(np.ptp(resids, axis=1) == 0.0):
-        if outcomes[k] is None:
-            outcomes[k] = ExactlyConstant("series is constant")
-    live = [k for k, outcome in enumerate(outcomes) if outcome is None]
-    if not live:
-        return outcomes
-
-    if len(live) < len(outcomes):
-        resids = resids[live]
-    for k, outcome in zip(live, _adf_stack(resids, _lag_bound(n, max_lag, 0), False)):
-        if isinstance(outcome, PairTraderError):
-            outcomes[k] = outcome
-        else:
-            used_lags, tau, n_eff = outcome
-            outcomes[k] = AdfResult(tau=tau, used_lags=used_lags, n_eff=n_eff, n_series=2,
-                                    deterministic="constant")
-    return outcomes
+    codes = np.where(terms.sxx[predictors] == 0.0, DEGENERATE,
+                     np.where(np.ptp(resids, axis=1) == 0.0, CONSTANT, 0))
+    lags, taus = np.full(codes.size, -1), np.full(codes.size, math.nan)
+    live = np.flatnonzero(codes == 0)
+    if live.size:
+        if live.size < codes.size:
+            resids = resids[live]
+        lags[live], taus[live], codes[live] = _adf_stack(resids, _lag_bound(n, max_lag, 0), False)
+    return lags, taus, codes
 
 
 def engle_granger(y, x, max_lag: int | None = None) -> AdfResult:
@@ -866,7 +874,5 @@ def engle_granger(y, x, max_lag: int | None = None) -> AdfResult:
     yv, xv = _as_1d(y), _as_1d(x)
     if yv.size != xv.size:
         raise LengthMismatch(f"lengths {yv.size} vs {xv.size}")
-    (outcome,) = engle_granger_block(stage1_terms(np.stack([yv, xv])), [(0, 1)], max_lag)
-    if isinstance(outcome, PairTraderError):
-        raise outcome
-    return outcome
+    outcome = engle_granger_block(stage1_terms(np.stack([yv, xv])), [(0, 1)], max_lag)
+    return _one_result(outcome, yv.size, 2, "constant")

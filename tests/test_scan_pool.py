@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from pairtrader import pairscan, unitroot
 from pairtrader.cli import RunConfig, _scan_input, main
-from pairtrader.errors import SeriesTooShort
+from pairtrader.errors import ConstantSeries, SeriesTooShort
 from pairtrader.marketdata import AlignedPanel
 from pairtrader.synthetic import weekday_calendar
 
@@ -159,7 +159,9 @@ def block_panel(n_tickers, n_dates, seed, twin, fallback):
                         tuple(weekday_calendar(date(2015, 1, 1), n_dates)), closes.T)
 
 
-@settings(max_examples=25, deadline=None)
+# A quarter of the profile's examples: 25 by default, 500 under the "deep"
+# profile (conftest.py), which a CI step runs this test with.
+@settings(max_examples=settings.default.max_examples // 4, deadline=None)
 @given(data=st.data(), n_tickers=st.integers(min_value=6, max_value=11),
        n_dates=st.integers(min_value=20, max_value=200).map(lambda k: 2 * k),
        seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -173,10 +175,14 @@ def test_cells_do_not_depend_on_block_boundaries(data, n_tickers, n_dates, seed)
     panel = block_panel(n_tickers, n_dates, seed, twin, fallback)
     real = unitroot._householder_lag_search
     qr_searches = []
+
+    def counted(designs, ntrend):
+        qr_searches.append(1)
+        return real(designs, ntrend)
+
     scans = {}
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(unitroot, "_householder_lag_search",
-                      lambda designs, ntrend: qr_searches.append(1) or real(designs, ntrend))
+        patch.setattr(unitroot, "_householder_lag_search", counted)
         for name, rows, workers in [("one pair", lambda n: 1, 1), ("default", unitroot.block_rows, 1),
                                     ("pooled", unitroot.block_rows, 2)]:
             patch.setattr(pairscan, "block_rows", rows)
@@ -192,35 +198,91 @@ def test_cells_do_not_depend_on_block_boundaries(data, n_tickers, n_dates, seed)
              for pred, targ in zip(scan.predictors[scan.exact], scan.targets[scan.exact])]
     assert exact == [{f"T{twin - 1}", f"T{twin}"}]
     assert scan.p_values[scan.exact].tolist() == [0.0]
-    # Each pair's statistic, lag order and sample size, bit for bit, whatever
-    # the block: the whole scan as one block against a block of one a pair.
-    pairs = list(zip(scan.targets.tolist(), scan.predictors.tolist()))
-    terms = unitroot.stage1_terms(unitroot.unit_rows(panel.closes))
+    # Each pair's lag, statistic and fault code, bit for bit, whatever the
+    # block: the whole scan as one block against a block of one a pair.  A
+    # flat row joins the panel's, as the regressor of one pair (a constant
+    # regressor) and the target of another (constant residuals), beside the
+    # twin's constant residuals and the fallback pair, whose lag only the
+    # Householder search decides.
+    flat = n_tickers
+    terms = unitroot.stage1_terms(unitroot.unit_rows(np.vstack([panel.closes,
+                                                                np.full(n_dates, 50.0)])))
+    pairs = [*zip(scan.targets.tolist(), scan.predictors.tolist()), (0, flat), (flat, 1)]
 
-    def outcome(result):
-        if isinstance(result, Exception):
-            return type(result), str(result)
-        return result.tau.hex(), result.used_lags, result.n_eff
+    def outcome(columns, k):
+        lags, taus, codes = (column.tolist() for column in columns)
+        return lags[k], taus[k].hex(), codes[k]
 
-    assert [outcome(r) for r in unitroot.engle_granger_block(terms, pairs)] == [
-        outcome(unitroot.engle_granger_block(terms, [pair])[0]) for pair in pairs]
+    del qr_searches[:]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(unitroot, "_householder_lag_search", counted)
+        block = unitroot.engle_granger_block(terms, pairs)
+    assert qr_searches
+    assert [outcome(block, k) for k in range(len(pairs))] == [
+        outcome(unitroot.engle_granger_block(terms, [pair]), 0) for pair in pairs]
+    codes = block[2].tolist()
+    assert codes[-2:] == [unitroot.DEGENERATE, unitroot.CONSTANT]
+    assert codes.count(unitroot.CONSTANT) == 2
     assert_no_child_left()
 
 
-def fail_on_pairs(monkeypatch, panel, *pairs):
-    """Make the scan's block test give ``SeriesTooShort`` for each pair of tickers in ``pairs``.
+def test_a_scan_builds_no_adf_result(forced_workers, monkeypatch, tmp_path):
+    # A scan reads its p-values off its blocks' columns: no AdfResult is
+    # built, in this process or in a forked worker, while adf_test and
+    # engle_granger still build theirs.  Each construction appends its pid
+    # to a file, which a worker's appends reach too.
+    built = tmp_path / "built"
 
-    The fault takes the pair's place among the block's outcomes, as a real
-    per-pair fault does, and ``pairscan`` names the pair.  The pairs are
-    told by their tickers' indices in ``panel``, the scan's own.
+    class Counted(unitroot.AdfResult):
+        def __init__(self, *args, **kwargs):
+            with open(built, "a", encoding="utf-8") as handle:
+                handle.write(f"{os.getpid()}\n")
+            super().__init__(*args, **kwargs)
+
+    rng = np.random.default_rng(7)
+    x = 100.0 + np.cumsum(rng.normal(size=300))
+    y = 2.0 * x + rng.normal(size=300)
+
+    def results():
+        found = unitroot.adf_test(x), unitroot.engle_granger(y, x)
+        return [(r.tau, r.used_lags, r.n_eff, r.n_series, r.deterministic, r.p_value,
+                 dict(r.crit)) for r in found], [type(r) for r in found]
+
+    before, _ = results()
+    monkeypatch.setattr(unitroot, "AdfResult", Counted)
+    panel = block_panel(40, 300, seed=3, twin=10, fallback=20)
+    scans = []
+    for workers in (1, 2):
+        forced_workers(workers)
+        scans.append(columns(pairscan.coint_matrix(panel, row_means(panel))))
+        assert_no_child_left()
+    assert scans[0] == scans[1]
+    assert len(scans[0][1][0]) == 8 * 780
+    assert not built.exists()
+    assert results() == (before, [Counted, Counted])
+    assert built.read_text(encoding="utf-8").split() == [str(os.getpid())] * 2
+
+
+#: What the scan raises for a pair that ``fail_on_pairs`` faults, after ``pair (A, B): ``.
+INJECTED = "unit-root regression is singular"
+
+
+def fail_on_pairs(monkeypatch, panel, *pairs):
+    """Make the scan's block test give each pair of tickers in ``pairs`` the fault ``SINGULAR``.
+
+    The fault code takes the pair's place in the block's code column, as a
+    real per-pair fault does, and ``pairscan`` names the pair.  The pairs
+    are told by their tickers' indices in ``panel``, the scan's own.
     """
     bad = [{panel.tickers.index(a), panel.tickers.index(b)} for a, b in pairs]
     real = pairscan.engle_granger_block
 
     def engle_granger_block(terms, block, max_lag=None):
-        outcomes = real(terms, block, max_lag)
-        return [SeriesTooShort("injected fault") if {t, p} in bad
-                else outcome for (t, p), outcome in zip(block, outcomes)]
+        lags, taus, codes = real(terms, block, max_lag)
+        for k, (t, p) in enumerate(block):
+            if {t, p} in bad:
+                lags[k], taus[k], codes[k] = -1, np.nan, unitroot.SINGULAR
+        return lags, taus, codes
 
     monkeypatch.setattr(pairscan, "engle_granger_block", engle_granger_block)
 
@@ -232,12 +294,11 @@ def test_per_pair_fault_is_the_serial_fault(train_panel, forced_workers, monkeyp
     faults = {}
     for n in (1, workers):
         forced_workers(n)
-        with pytest.raises(SeriesTooShort) as caught:
+        with pytest.raises(ConstantSeries) as caught:
             pairscan.coint_matrix(train_panel, row_means(train_panel))
         faults[n] = type(caught.value), str(caught.value)
         assert_no_child_left()
-    assert faults[workers] == faults[1] == (SeriesTooShort,
-                                            "pair (DUNE, HOLLY): injected fault")
+    assert faults[workers] == faults[1] == (ConstantSeries, f"pair (DUNE, HOLLY): {INJECTED}")
 
 
 def test_first_failing_pair_wins_as_in_one_process(train_panel, forced_workers, monkeypatch):
@@ -246,7 +307,7 @@ def test_first_failing_pair_wins_as_in_one_process(train_panel, forced_workers, 
     fail_on_pairs(monkeypatch, train_panel, ("AMBER", "DUNE"), ("HOLLY", "IRON"),
                   ("AMBER", "BASALT"))
     forced_workers(3)
-    with pytest.raises(SeriesTooShort, match=r"^pair \(AMBER, BASALT\): injected fault$"):
+    with pytest.raises(ConstantSeries, match=rf"^pair \(AMBER, BASALT\): {INJECTED}$"):
         pairscan.coint_matrix(train_panel, row_means(train_panel))
     assert_no_child_left()
 
@@ -272,7 +333,7 @@ def test_first_span_fault_stops_the_scan(train_panel, forced_workers, monkeypatc
     stall_workers(monkeypatch)
     forced_workers(workers)
     start = time.monotonic()
-    with pytest.raises(SeriesTooShort, match=r"^pair \(AMBER, BASALT\): injected fault$"):
+    with pytest.raises(ConstantSeries, match=rf"^pair \(AMBER, BASALT\): {INJECTED}$"):
         pairscan.coint_matrix(train_panel, row_means(train_panel))
     assert time.monotonic() - start < 10
     assert_no_child_left()
@@ -294,7 +355,7 @@ def test_workers_exit_on_their_own(train_panel, forced_workers, monkeypatch, fau
         reaped.append(real_waitpid(pid, options)) or reaped[-1]))
     forced_workers(3)
     if faults:
-        with pytest.raises(SeriesTooShort):
+        with pytest.raises(ConstantSeries):
             pairscan.coint_matrix(train_panel, row_means(train_panel))
     else:
         assert len(pairscan.coint_matrix(train_panel, row_means(train_panel)).p_values) == 45
@@ -338,8 +399,8 @@ def test_cli_reports_a_pooled_fault_as_the_serial_one(synth_dir, tmp_path, capsy
         assert_no_child_left()
     assert results[3] == results[1]
     code, err, written = results[1]
-    assert code == SeriesTooShort.exit_code
-    assert err.endswith("pairtrader: error: metals: pair (CEDAR, EMBER): injected fault\n")
+    assert code == ConstantSeries.exit_code == 3
+    assert err.endswith(f"pairtrader: error: metals: pair (CEDAR, EMBER): {INJECTED}\n")
     assert not written
 
 

@@ -383,6 +383,21 @@ class TestEngleGranger:
         with pytest.raises(DegenerateRegressor):
             engle_granger(rng.normal(size=50), np.full(50, 3.0))
 
+    def test_block_refuses_terms_not_at_unit_scale(self):
+        # Rows near 1e302 are far from unit_rows' scale; the block refuses
+        # their terms instead of calling the pair singular, while
+        # engle_granger, which scales them first, gets a statistic.
+        rng = np.random.default_rng(29)
+        x = 100.0 + random_walk(rng, 300)
+        rows = 1e302 * np.stack([2.0 * x + ar1(rng, 300), x])
+        assert math.isfinite(engle_granger(*rows).tau)
+        with pytest.raises(ValueError, match="unit_rows"):
+            unitroot.engle_granger_block(unitroot.stage1_terms(rows), [(0, 1)])
+        lags, taus, codes = unitroot.engle_granger_block(
+            unitroot.stage1_terms(unitroot.unit_rows(rows)), [(0, 1)])
+        assert (lags.tolist(), taus.tolist(), codes.tolist()) == (
+            [engle_granger(*rows).used_lags], [engle_granger(*rows).tau], [0])
+
     def test_crit_from_two_series_surface(self):
         rng = np.random.default_rng(23)
         x = random_walk(rng, 200)
@@ -736,9 +751,10 @@ def qr_searches(monkeypatch):
 
 
 def householder_lag(y, max_lag, constant):
-    """The lag order, or fault, that the Householder search gives ``y`` alone."""
+    """The lag order that the Householder search gives ``y`` alone, or -1 for a fault."""
     designs = unitroot._adf_designs(y[np.newaxis], max_lag, constant)
-    return unitroot._householder_lag_search(designs, int(constant))[0]
+    (lag,), (code,) = unitroot._householder_lag_search(designs, int(constant))
+    return -1 if code else int(lag)
 
 
 def adf_design(y, lag, constant):
@@ -954,12 +970,13 @@ def test_gram_search_of_a_stack_is_the_search_of_each_design():
     grams, _ = unitroot._lag_grams(ys, 3, False)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(grams[1])
-    assert unitroot._gram_lag_search(ys, 3, False) == [None, None, None]
-    together = unitroot._search_lags(ys, 3, False)
-    alone = [unitroot._search_lags(y[np.newaxis], 3, False)[0] for y in ys]
-    assert [str(lag) for lag in together] == [str(lag) for lag in alone]
-    assert str(together[1]) == "unit-root regression is singular"
-    assert together[::2] == [unitroot._gram_lag_search(ys[[k]], 3, False)[0] for k in (0, 2)]
+    assert unitroot._gram_lag_search(ys, 3, False).tolist() == [-1, -1, -1]
+    lags, codes = unitroot._search_lags(ys, 3, False)
+    alone = [unitroot._search_lags(y[np.newaxis], 3, False) for y in ys]
+    assert lags.tolist() == [lag.item() for lag, _ in alone]
+    assert codes.tolist() == [code.item() for _, code in alone]
+    assert codes.tolist() == [0, unitroot.SINGULAR, 0]
+    assert lags[::2].tolist() == [unitroot._gram_lag_search(ys[[k]], 3, False)[0] for k in (0, 2)]
 
 
 @pytest.mark.parametrize("lag,constant", [(0, False), (0, True), (2, False), (5, True)])
@@ -980,12 +997,12 @@ def test_refit_of_a_group_is_the_refit_of_each_row(lag, constant):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(unitroot, "_householder_factor",
                       lambda designs: factors.append(len(designs)) or real(designs))
-        together = unitroot._refit_taus(ys, lag, constant)
-        alone = [unitroot._refit_taus(y[np.newaxis], lag, constant)[0] for y in ys]
-    assert [str(t) if isinstance(t, ConstantSeries) else t.hex() for t in together] == [
-        str(t) if isinstance(t, ConstantSeries) else t.hex() for t in alone]
-    assert str(together[3]) == "unit-root regression is singular"
-    assert not isinstance(together[0], ConstantSeries)
+        taus, codes = unitroot._refit_taus(ys, lag, constant)
+        alone = [unitroot._refit_taus(y[np.newaxis], lag, constant) for y in ys]
+    assert [t.hex() for t in taus.tolist()] == [t.item().hex() for t, _ in alone]
+    assert codes.tolist() == [code.item() for _, code in alone]
+    assert codes[3] == unitroot.SINGULAR
+    assert codes[0] == 0
     if lag or constant:
         # The flat start, and the sine where its lags are near collinear,
         # in one Householder factorisation.
